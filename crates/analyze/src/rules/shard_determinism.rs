@@ -6,15 +6,15 @@
 //! parallel execution only because every aggregation point indexes
 //! results by their *task* order: the kernel's `merge_shards` walks
 //! results by shard index, `ThreadRunner` joins handles in spawn order,
-//! and the engine's fan-out fills pre-sized slots by submission index
-//! (`slots[index] = outcome`). The one shape that silently breaks the
+//! and the engine's worker pool fills pre-sized slots by submission
+//! index (`slots[index] = outcome`). The one shape that silently breaks the
 //! guarantee is accumulating results as they *arrive* — `.push(...)`
 //! inside a channel-receive loop — because completion order depends on
 //! scheduling, so two runs of the same input can merge in different
 //! orders.
 //!
-//! The rule is scoped to the modules that own shard fan-out and merge
-//! (the cache kernel and the engine's fan/pool machinery). Inside any
+//! The rule is scoped to the modules that own shard merge and
+//! submission-order aggregation (the cache kernel and the engine pool). Inside any
 //! loop that drains a channel — a `recv`/`try_recv`/`recv_timeout`/
 //! `try_iter` call, or iterating a receiver binding (`for r in rx`) —
 //! every `.push(` / `.extend(` in the loop body is flagged: write into
@@ -24,10 +24,9 @@ use super::{finding_at, Finding, Rule};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-/// The shard fan-out and merge modules the invariant governs.
+/// The merge and aggregation modules the invariant governs.
 const SCOPE: &[&str] = &[
     "crates/cache/src/kernel.rs",
-    "crates/engine/src/fan.rs",
     "crates/engine/src/pool.rs",
 ];
 
@@ -120,7 +119,7 @@ impl Rule for ShardDeterminism {
                             "`.{method}(...)` inside a channel-draining loop accumulates \
                              shard results in arrival order; results must be merged by \
                              shard index — write into a pre-sized slot \
-                             (`slots[index] = ...`) as the engine fan-out does"
+                             (`slots[index] = ...`) as the engine pool does"
                         ),
                     ));
                 }
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn iterating_a_receiver_is_flagged_without_a_recv_call() {
         let src = "fn merge() {\n    let mut results = Vec::new();\n    for r in rx {\n        results.push(r);\n    }\n}\n";
-        assert_eq!(run("crates/engine/src/fan.rs", src).len(), 1);
+        assert_eq!(run("crates/engine/src/pool.rs", src).len(), 1);
     }
 
     #[test]
@@ -177,6 +176,6 @@ mod tests {
     #[test]
     fn test_code_is_exempt() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { for r in rx { v.push(r); } }\n}\n";
-        assert!(run("crates/engine/src/fan.rs", src).is_empty());
+        assert!(run("crates/engine/src/pool.rs", src).is_empty());
     }
 }

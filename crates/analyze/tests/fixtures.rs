@@ -266,14 +266,14 @@ fn good_shard_determinism_fixture_is_clean() {
     let r = scan_fixture(
         "good-shard",
         "good/shard_determinism.rs",
-        "crates/engine/src/fan.rs",
+        "crates/engine/src/pool.rs",
     );
     assert_eq!(count(&r, "shard-determinism"), 0, "{:#?}", r.findings);
 }
 
 #[test]
 fn shard_determinism_is_scoped_to_the_kernel_and_fanout_modules() {
-    // The same arrival-order merge outside the kernel/fan-out modules is
+    // The same arrival-order merge outside the kernel/pool modules is
     // out of scope — the rule must not leak into e.g. the harness.
     let r = scan_fixture(
         "scoped-shard",

@@ -1,7 +1,7 @@
 //! Fixture: deterministic shard merges — results land in slots indexed
 //! by their *task* order, so completion order cannot reorder the merge.
 
-/// The engine fan-out discipline: every result carries its submission
+/// The engine pool discipline: every result carries its submission
 /// index and fills a pre-sized slot.
 pub fn merge_by_slot(rx: std::sync::mpsc::Receiver<(usize, u64)>, n: usize) -> Vec<Option<u64>> {
     let mut slots: Vec<Option<u64>> = (0..n).map(|_| None).collect();

@@ -1,5 +1,5 @@
-//! The set-sharded, batched replay kernel: the shared engine behind every
-//! replay caller that wants one trace to scale across cores.
+//! The set-sharded replay kernel: the shared engine behind every replay
+//! that wants one trace to scale across cores.
 //!
 //! Replay of a set-associative cache decomposes by **set**: for a
 //! set-local policy (one whose state is partitioned by set row, like the
@@ -7,47 +7,31 @@
 //! bits, or SRRIP RRPVs), the outcome of an access depends only on the
 //! earlier accesses that mapped to the *same* set. A [`ShardPlan`] splits
 //! the set index space into contiguous, disjoint ranges; each shard
-//! replays only the accesses falling in its range and produces a
-//! [`ShardResult`]; [`merge_shards`] folds the shard results back into
-//! the exact serial [`ReplayResult`] — counters summed **by shard
-//! index**, hit bits re-interleaved by walking the original stream, and
-//! any [`ReplayProbe`] driven in original access order, so window probes
-//! observe precisely the serial sequence.
-//!
-//! Within one shard, [`replay_shard`] additionally processes the stream
-//! in fixed-size chunks grouped by set (a stable counting sort), so each
-//! `MetaPlane` row stays hot in L1 while its queued accesses drain. The
-//! grouping preserves per-set access order, which is all a set-local
-//! policy can observe, so the batched loop is bit-identical to the naive
-//! per-access loop — pinned by this module's tests and the workspace
-//! golden fixture.
+//! replays only the accesses falling in its range with the plain
+//! per-access [`replay`] loop on its own cache, and the shard results
+//! are folded back into the exact serial [`ReplayResult`] — counters
+//! summed **by shard index**, hit bits re-interleaved by walking the
+//! original stream, and any [`ReplayProbe`] driven in original access
+//! order, so window probes observe precisely the serial sequence.
 //!
 //! **What may be sharded.** Policies with global state — a shared RNG
 //! draw sequence (`random`), set-dueling PSEL counters over leader sets
 //! (`rrip`/`dip`/`tadip`), or predictor tables trained by every set
 //! (`tdbp`, `cdbp`, `sampler`, ...) — observe cross-set interleaving, so
 //! exact sharding is impossible for them; the policy registry marks each
-//! entry with a `shardable` capability flag and callers fall back to the
-//! serial loop when it is false. See DESIGN.md §13 for the full
-//! shardability analysis.
+//! entry with a `shardable` capability flag, and the replay front door
+//! (`sdbp::replay`) falls back to the serial loop when it is false. See
+//! DESIGN.md §13 for the full shardability analysis.
 //!
 //! Execution is pluggable via [`ShardRunner`]: [`SerialRunner`] runs the
 //! shards in index order on the calling thread (the reference path), and
-//! [`ThreadRunner`] runs one scoped thread per shard. Callers higher in
-//! the stack (the experiment runner) instead fan shards out as engine
-//! subtasks and call [`merge_shards`] themselves.
+//! [`ThreadRunner`] runs one scoped thread per shard.
 
 use crate::cache::Cache;
 use crate::meta::HitMap;
-use crate::policy::Access;
 use crate::recorder::LlcAccess;
-use crate::replay::{ReplayProbe, ReplayResult};
+use crate::replay::{replay, ReplayProbe, ReplayResult};
 use crate::stats::CacheStats;
-
-/// Accesses per batched-decode chunk: large enough to amortize the
-/// grouping pass, small enough that a chunk's outcome buffer stays in
-/// cache.
-const CHUNK: usize = 4096;
 
 /// A partition of the set index space into contiguous, disjoint ranges,
 /// one per shard.
@@ -128,17 +112,6 @@ impl ShardPlan {
     }
 }
 
-/// What one shard produced: its cache's counters and the hit/miss of
-/// each of its accesses, in shard-local (per-set-preserving stream)
-/// order.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ShardResult {
-    /// The shard cache's counters at the end of its run.
-    pub stats: CacheStats,
-    /// Per-access outcomes, in the order of the shard's queue.
-    pub hits: HitMap,
-}
-
 /// Why a sharded replay could not be assembled.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ShardError {
@@ -196,67 +169,14 @@ impl std::fmt::Display for ShardError {
 impl std::error::Error for ShardError {}
 
 /// The subsequence of `stream` owned by `shard` under `plan`, in stream
-/// order. Each shard filters the full stream itself, so shard subtasks
-/// need only `(stream, plan, shard)` — no shared partition buffers.
-pub fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<LlcAccess> {
+/// order. Each shard filters the full stream itself, so shard tasks need
+/// only `(stream, plan, shard)` — no shared partition buffers.
+fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<LlcAccess> {
     stream
         .iter()
         .filter(|a| plan.shard_of(a.block.set_index(plan.sets())) == shard)
         .copied()
         .collect()
-}
-
-/// Replays one shard's queue against its own cache with the batched,
-/// set-grouped hot loop, returning the shard's counters and outcomes.
-///
-/// The loop decodes `queue` in chunks of [`CHUNK`] accesses, groups each
-/// chunk by set with a stable counting sort, and drains one set's
-/// accesses back to back so the policy's `MetaPlane` row stays hot in
-/// L1. Per-set access order is preserved, so for a set-local policy the
-/// outcomes are bit-identical to the naive per-access loop.
-pub fn replay_shard(queue: &[LlcAccess], cache: &mut Cache) -> ShardResult {
-    let sets = cache.config().sets;
-    let mut hits = HitMap::with_capacity(queue.len());
-    // Scratch buffers reused across chunks: counting-sort slots per set,
-    // the grouped execution order, and chunk-local outcomes.
-    let mut slots: Vec<usize> = vec![0; sets];
-    let mut order: Vec<usize> = vec![0; CHUNK];
-    let mut outcomes: Vec<bool> = vec![false; CHUNK];
-    for chunk in queue.chunks(CHUNK) {
-        for slot in slots.iter_mut() {
-            *slot = 0;
-        }
-        for a in chunk {
-            if let Some(slot) = slots.get_mut(a.block.set_index(sets)) {
-                *slot += 1;
-            }
-        }
-        let mut start = 0usize;
-        for slot in slots.iter_mut() {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        for (i, a) in chunk.iter().enumerate() {
-            if let Some(slot) = slots.get_mut(a.block.set_index(sets)) {
-                if let Some(pos) = order.get_mut(*slot) {
-                    *pos = i;
-                }
-                *slot += 1;
-            }
-        }
-        for &i in order.iter().take(chunk.len()) {
-            if let (Some(a), Some(out)) = (chunk.get(i), outcomes.get_mut(i)) {
-                let access = Access::demand(a.pc, a.block, a.kind, a.core);
-                *out = cache.access(&access).is_hit();
-            }
-        }
-        for &hit in outcomes.iter().take(chunk.len()) {
-            hits.push(hit);
-        }
-    }
-    cache.finish();
-    ShardResult { stats: cache.stats(), hits }
 }
 
 /// Merges per-shard results back into the serial [`ReplayResult`].
@@ -273,10 +193,10 @@ pub fn replay_shard(queue: &[LlcAccess], cache: &mut Cache) -> ShardResult {
 ///
 /// [`ShardError`] when the result count disagrees with the plan or the
 /// shard outcome counts do not tile the stream.
-pub fn merge_shards(
+fn merge_shards(
     stream: &[LlcAccess],
     plan: &ShardPlan,
-    results: &[ShardResult],
+    results: &[ReplayResult],
     mut probe: Option<&mut dyn ReplayProbe>,
 ) -> Result<ReplayResult, ShardError> {
     if results.len() != plan.shards() {
@@ -314,11 +234,8 @@ pub fn merge_shards(
 /// **indexed by task order** (never completion order — the
 /// `shard-determinism` analyze rule pins this discipline).
 ///
-/// The kernel stays thread-agnostic through this trait: the CLI and the
-/// service plane use [`ThreadRunner`], tests and serial fallbacks use
-/// [`SerialRunner`], and the experiment runner substitutes engine
-/// subtask fan-out by calling [`shard_queue`]/[`replay_shard`]/
-/// [`merge_shards`] directly.
+/// The kernel stays thread-agnostic through this trait: the replay front
+/// door uses [`ThreadRunner`], tests use [`SerialRunner`].
 pub trait ShardRunner {
     /// Runs every task, returning the results in task order.
     fn run<T: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T>;
@@ -339,9 +256,7 @@ impl ShardRunner for SerialRunner {
 /// the merge sees results indexed by shard, never by completion.
 ///
 /// A panicking task propagates its panic to the caller at join — the
-/// same observable behaviour as the serial path. (Engine-managed shard
-/// subtasks get per-shard panic *isolation* instead; that path lives in
-/// `sdbp-engine`.)
+/// same observable behaviour as the serial path.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct ThreadRunner;
 
@@ -361,13 +276,13 @@ impl ShardRunner for ThreadRunner {
 }
 
 /// Replays `stream` sharded by `plan`: each shard filters its queue,
-/// replays it on its own factory-built cache via [`replay_shard`], and
-/// the results are merged deterministically by [`merge_shards`], driving
-/// `probe` in original access order.
+/// replays it on its own factory-built cache with the plain [`replay`]
+/// loop, and the results are merged deterministically by shard index,
+/// driving `probe` in original access order.
 ///
-/// **Exactness requires a set-local policy** — callers gate on the
-/// registry's `shardable` capability flag and use the serial
-/// [`replay`](crate::replay::replay) otherwise. The factory must build
+/// **Exactness requires a set-local policy** — the replay front door
+/// (`sdbp::replay`) gates on the registry's `shardable` capability flag
+/// and uses the serial [`replay`] otherwise. The factory must build
 /// caches matching the plan's geometry; efficiency tracking is not
 /// carried across shards (replay paths never enable it).
 ///
@@ -387,13 +302,10 @@ pub fn replay_sharded<R: ShardRunner>(
     if cache_sets != plan.sets() {
         return Err(ShardError::Geometry { plan_sets: plan.sets(), cache_sets });
     }
-    let tasks: Vec<Box<dyn FnOnce() -> ShardResult + Send + '_>> = (0..plan.shards())
+    let tasks: Vec<Box<dyn FnOnce() -> ReplayResult + Send + '_>> = (0..plan.shards())
         .map(|shard| {
-            Box::new(move || {
-                let queue = shard_queue(stream, plan, shard);
-                let mut cache = factory();
-                replay_shard(&queue, &mut cache)
-            }) as Box<dyn FnOnce() -> ShardResult + Send + '_>
+            Box::new(move || replay(&shard_queue(stream, plan, shard), &mut factory()))
+                as Box<dyn FnOnce() -> ReplayResult + Send + '_>
         })
         .collect();
     let results = runner.run(tasks);
@@ -405,7 +317,7 @@ mod tests {
     use super::*;
     use crate::config::CacheConfig;
     use crate::recorder::record;
-    use crate::replay::{replay, replay_with_probe, WindowMisses};
+    use crate::replay::{replay_with_probe, WindowMisses};
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
 
@@ -439,16 +351,6 @@ mod tests {
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(max - min <= 1, "{sizes:?}");
         }
-    }
-
-    #[test]
-    fn batched_single_shard_matches_naive_replay() {
-        let w = workload();
-        let config = CacheConfig::new(64, 8);
-        let naive = replay(&w.llc, &mut Cache::new(config));
-        let batched = replay_shard(&w.llc, &mut Cache::new(config));
-        assert_eq!(batched.stats, naive.stats);
-        assert_eq!(batched.hits, naive.hits);
     }
 
     #[test]
@@ -508,8 +410,8 @@ mod tests {
         let plan = ShardPlan::new(config.sets, 2);
         let queues: Vec<Vec<crate::recorder::LlcAccess>> =
             (0..2).map(|s| shard_queue(&w.llc, &plan, s)).collect();
-        let results: Vec<ShardResult> =
-            queues.iter().map(|q| replay_shard(q, &mut Cache::new(config))).collect();
+        let results: Vec<ReplayResult> =
+            queues.iter().map(|q| replay(q, &mut Cache::new(config))).collect();
         let err = merge_shards(&w.llc, &plan, &results[..1], None)
             .expect_err("one result for a two-shard plan");
         assert_eq!(err, ShardError::ShardCount { expected: 2, got: 1 });

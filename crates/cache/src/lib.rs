@@ -56,8 +56,7 @@ pub mod stats;
 pub use cache::{AccessOutcome, Cache};
 pub use config::CacheConfig;
 pub use kernel::{
-    merge_shards, replay_shard, replay_sharded, shard_queue, SerialRunner, ShardError, ShardPlan,
-    ShardResult, ShardRunner, ThreadRunner,
+    replay_sharded, SerialRunner, ShardError, ShardPlan, ShardRunner, ThreadRunner,
 };
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};

@@ -40,6 +40,7 @@ pub mod policies;
 pub mod predictor;
 pub mod prefetch;
 pub mod registry;
+pub mod replay;
 pub mod sampler;
 pub mod tables;
 pub mod vvc;

@@ -1,0 +1,160 @@
+//! The replay front door (`sdbp::replay`), table-driven: every
+//! `standard()` policy × {exact, sampled} × shards {1, 3} must equal the
+//! serial primitive (`replay` / `replay_sampled`) bit for bit, report one
+//! effective shard exactly when the policy is not set-local, and bad
+//! specs must come back as typed errors.
+
+use sdbp::registry::{standard, PolicySpec, SpecError};
+use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest};
+use sdbp_cache::recorder::{record, LlcAccess, RecordedWorkload};
+use sdbp_cache::replay::{replay, WindowMisses};
+use sdbp_cache::{Cache, CacheConfig};
+use sdbp_sample::{build_plan, replay_sampled, PlanConfig, SamplingPlan};
+use sdbp_trace::kernel::KernelSpec;
+use sdbp_trace::TraceBuilder;
+
+/// Policies whose state is partitioned by set, written out here rather
+/// than read from the registry so the door's fallback rule is checked
+/// against an independent list.
+const SET_LOCAL: [&str; 3] = ["lru", "plru", "srrip"];
+
+const WINDOW: usize = 500;
+
+fn workload() -> RecordedWorkload {
+    let t = TraceBuilder::new(21)
+        .kernel(KernelSpec::streaming(1 << 22))
+        .kernel(KernelSpec::hot_set(1 << 18))
+        .build();
+    record("door", t, 120_000)
+}
+
+fn cache(spec: &PolicySpec, llc: CacheConfig) -> Cache {
+    Cache::with_policy(llc, standard().build(spec, llc, 1).expect("registry spec builds"))
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    Exact,
+    Sampled,
+}
+
+fn run(
+    stream: &[LlcAccess],
+    llc: CacheConfig,
+    spec: &PolicySpec,
+    mode: Mode,
+    plan: &SamplingPlan,
+    shards: usize,
+) -> (ReplayOutcome, Option<Vec<u64>>) {
+    let mut probe = WindowMisses::new(WINDOW);
+    let mode_arg = match mode {
+        Mode::Exact => ReplayMode::Exact { probe: Some(&mut probe) },
+        Mode::Sampled => ReplayMode::Sampled(plan),
+    };
+    let outcome = ReplayRequest { stream, llc, policy: spec, mode: mode_arg, shards }
+        .run()
+        .unwrap_or_else(|e| panic!("{spec} {mode:?} x{shards}: {e}"));
+    let windows = matches!(mode, Mode::Exact).then(|| probe.counts().to_vec());
+    (outcome, windows)
+}
+
+#[test]
+fn door_matches_the_serial_primitives_for_every_policy_mode_and_shard_count() {
+    let w = workload();
+    let llc = CacheConfig::new(64, 8);
+    let plan = build_plan(&w, llc, &PlanConfig::default().with_window(2048).with_k(4));
+    let registry = standard();
+    assert_eq!(registry.entries().len(), 15);
+    for entry in registry.entries() {
+        let spec = PolicySpec::plain(entry.name);
+        let set_local = SET_LOCAL.contains(&entry.name);
+        for mode in [Mode::Exact, Mode::Sampled] {
+            for shards in [1usize, 3] {
+                let case = format!("{} {mode:?} x{shards}", entry.name);
+                let (outcome, windows) = run(&w.llc, llc, &spec, mode, &plan, shards);
+                assert_eq!(
+                    outcome.shards == 1,
+                    shards == 1 || !set_local,
+                    "{case}: effective shard count {}",
+                    outcome.shards
+                );
+                match mode {
+                    Mode::Exact => {
+                        let serial = replay(&w.llc, &mut cache(&spec, llc));
+                        assert_eq!(outcome.stats, serial.stats, "{case}");
+                        assert_eq!(outcome.hits, serial.hits, "{case}");
+                        assert_eq!(outcome.sampled, None, "{case}");
+                        // The probe saw every outcome, in stream order.
+                        let bits: Vec<bool> = serial.hits.iter().collect();
+                        let expected: Vec<u64> = bits
+                            .chunks(WINDOW)
+                            .map(|c| c.iter().filter(|&&hit| !hit).count() as u64)
+                            .collect();
+                        assert_eq!(windows, Some(expected), "{case}");
+                    }
+                    Mode::Sampled => {
+                        let serial = replay_sampled(&w.llc, &plan, || cache(&spec, llc))
+                            .expect("plan fits its own stream");
+                        assert_eq!(outcome.stats.misses, serial.estimated, "{case}");
+                        assert_eq!(outcome.stats.accesses, serial.total, "{case}");
+                        assert_eq!(outcome.hits, serial.hits, "{case}");
+                        let extras = outcome.sampled.expect("sampled outcome carries extras");
+                        assert_eq!(extras.bound.to_bits(), serial.bound.to_bits(), "{case}");
+                        assert_eq!(extras.replayed, serial.replayed, "{case}");
+                        assert_eq!(extras.total, serial.total, "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unknown_and_malformed_specs_are_typed_errors() {
+    let w = workload();
+    let llc = CacheConfig::new(64, 8);
+    let plan = build_plan(&w, llc, &PlanConfig::default().with_window(2048).with_k(4));
+    let cases = [
+        ("belady", SpecError::UnknownPolicy("belady".into())),
+        ("lru:x=1", SpecError::UnexpectedParams("lru".into())),
+        (
+            "sampler:assoc=many",
+            SpecError::InvalidValue { key: "assoc".into(), value: "many".into() },
+        ),
+    ];
+    for (text, expected) in cases {
+        let spec: PolicySpec = text.parse().expect("well-formed spec text");
+        for shards in [1usize, 3] {
+            for mode in [ReplayMode::Exact { probe: None }, ReplayMode::Sampled(&plan)] {
+                let err = ReplayRequest { stream: &w.llc, llc, policy: &spec, mode, shards }
+                    .run()
+                    .expect_err("bad spec must not replay");
+                assert!(
+                    matches!(&err, ReplayError::Spec(e) if *e == expected),
+                    "{text} x{shards}: {err:?}"
+                );
+                assert_eq!(err.to_string(), expected.to_string());
+            }
+        }
+    }
+}
+
+#[test]
+fn a_plan_for_another_stream_is_a_typed_error() {
+    let w = workload();
+    let llc = CacheConfig::new(64, 8);
+    let plan = build_plan(&w, llc, &PlanConfig::default().with_window(2048).with_k(4));
+    let spec = PolicySpec::plain("lru");
+    for shards in [1usize, 3] {
+        let err = ReplayRequest {
+            stream: &w.llc[..w.llc.len() / 2],
+            llc,
+            policy: &spec,
+            mode: ReplayMode::Sampled(&plan),
+            shards,
+        }
+        .run()
+        .expect_err("truncated stream must not match the plan");
+        assert!(matches!(err, ReplayError::Sample(_)), "x{shards}: {err:?}");
+    }
+}

@@ -2,17 +2,8 @@
 //! simulation closure plus everything the telemetry layer wants to know
 //! about how it ran.
 
-use crate::fan::FanScope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-
-/// The job's closure: either a plain leaf, or a fanning closure that
-/// receives a [`FanScope`] and may split into shard subtasks on the
-/// same pool.
-enum Work<'env, T> {
-    Plain(Box<dyn FnOnce() -> T + Send + 'env>),
-    Fan(Box<dyn FnOnce(&FanScope<'_, 'env>) -> T + Send + 'env>),
-}
 
 /// One schedulable simulation: a name for telemetry, an access count for
 /// throughput accounting, and the work itself.
@@ -31,7 +22,7 @@ pub struct Job<'env, T> {
     /// `"file:traces/hmmer.sdbt"`), surfaced in telemetry so a report
     /// records whether a run was generated or replayed from an archive.
     pub source: Option<String>,
-    work: Work<'env, T>,
+    work: Box<dyn FnOnce() -> T + Send + 'env>,
 }
 
 impl<T> std::fmt::Debug for Job<'_, T> {
@@ -46,19 +37,7 @@ impl<T> std::fmt::Debug for Job<'_, T> {
 impl<'env, T> Job<'env, T> {
     /// Wraps `work` as a job named `name`.
     pub fn new(name: impl Into<String>, work: impl FnOnce() -> T + Send + 'env) -> Self {
-        Job { name: name.into(), accesses: 0, source: None, work: Work::Plain(Box::new(work)) }
-    }
-
-    /// Wraps `work` as a **fanning** job: the closure receives a
-    /// [`FanScope`] and may split into shard subtasks that run on the
-    /// same pool ([`FanScope::run_batch`]), with submission-order
-    /// aggregation and per-shard panic isolation. On a serial engine
-    /// the scope executes shards inline, bit-identically.
-    pub fn fan(
-        name: impl Into<String>,
-        work: impl FnOnce(&FanScope<'_, 'env>) -> T + Send + 'env,
-    ) -> Self {
-        Job { name: name.into(), accesses: 0, source: None, work: Work::Fan(Box::new(work)) }
+        Job { name: name.into(), accesses: 0, source: None, work: Box::new(work) }
     }
 
     /// Sets the access count used for throughput telemetry.
@@ -77,19 +56,14 @@ impl<'env, T> Job<'env, T> {
 
     /// Runs the job with panic isolation, timing it relative to
     /// `submitted` (the batch submission instant, for queue-wait time).
-    /// Fanning jobs receive `scope`; plain jobs ignore it.
-    pub(crate) fn run(self, submitted: Instant, scope: &FanScope<'_, 'env>) -> JobOutcome<T> {
+    pub(crate) fn run(self, submitted: Instant) -> JobOutcome<T> {
         let started = Instant::now();
         let queued_for = started.duration_since(submitted);
         let name = self.name;
         let work = self.work;
         // `&*payload`, not `&payload`: a `&Box<dyn Any>` would unsize to a
         // `&dyn Any` whose concrete type is the Box, defeating the downcast.
-        let result = match work {
-            Work::Plain(w) => catch_unwind(AssertUnwindSafe(w)),
-            Work::Fan(w) => catch_unwind(AssertUnwindSafe(move || w(scope))),
-        }
-        .map_err(|payload| JobFailure {
+        let result = catch_unwind(AssertUnwindSafe(work)).map_err(|payload| JobFailure {
             job: name.clone(),
             message: panic_message(&*payload),
         });
@@ -103,14 +77,6 @@ impl<'env, T> Job<'env, T> {
                 ran_for: started.elapsed(),
             },
         }
-    }
-
-    /// Runs the job as a leaf: a fanning closure gets an inline scope,
-    /// so its shards execute sequentially on this thread. This is the
-    /// serial path and the execution mode of subtasks themselves
-    /// (nested fan-out never re-enters the pool).
-    pub(crate) fn run_leaf(self, submitted: Instant) -> JobOutcome<T> {
-        self.run(submitted, &FanScope::inline())
     }
 }
 

@@ -37,14 +37,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fan;
 pub mod job;
 pub mod json;
 mod pool;
 pub mod report;
 pub mod telemetry;
 
-pub use fan::FanScope;
 pub use job::{Job, JobFailure, JobStats};
 pub use telemetry::{BatchStats, EngineTelemetry};
 

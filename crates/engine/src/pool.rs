@@ -9,17 +9,7 @@
 //! into a slot table — **aggregation order is submission order**, no
 //! matter which worker finishes first, which is what makes parallel runs
 //! byte-identical to serial ones.
-//!
-//! Since the fan-out refactor the pool also services **shard subtasks**
-//! ([`crate::fan`]): a running job may split into shards that land on
-//! the shared [`FanState`] queue, and workers prefer subtasks over main
-//! jobs — a fanned replay must never starve behind queued main jobs, or
-//! the job waiting on its shards could wait forever. An idle worker
-//! exits only when no subtask is queued *and* no main job is still
-//! running (a running main may yet fan); until then it parks on the
-//! fan condvar.
 
-use crate::fan::{FanScope, FanState};
 use crate::job::{Job, JobOutcome};
 use std::collections::VecDeque;
 use std::sync::{mpsc, Mutex};
@@ -27,77 +17,37 @@ use std::time::Instant;
 
 /// Runs `jobs` on `workers` threads (1 = inline serial execution) and
 /// returns their outcomes in submission order.
-pub(crate) fn execute<'env, T: Send>(
-    workers: usize,
-    jobs: Vec<Job<'env, T>>,
-) -> Vec<JobOutcome<T>> {
+pub(crate) fn execute<T: Send>(workers: usize, jobs: Vec<Job<'_, T>>) -> Vec<JobOutcome<T>> {
     let submitted = Instant::now();
     let n = jobs.len();
-    if workers <= 1 {
+    if workers <= 1 || n <= 1 {
         // Serial reference path: same code path the deterministic-
-        // aggregation tests compare against, no threads involved. Fan
-        // jobs get an inline scope, so their shards run sequentially.
-        return jobs.into_iter().map(|j| j.run_leaf(submitted)).collect();
+        // aggregation tests compare against, no threads involved.
+        return jobs.into_iter().map(|j| j.run(submitted)).collect();
     }
 
-    let fan: FanState<'env> = FanState::new(n);
-    let queue: Mutex<VecDeque<(usize, Job<'env, T>)>> =
+    let queue: Mutex<VecDeque<(usize, Job<'_, T>)>> =
         Mutex::new(jobs.into_iter().enumerate().collect());
     let mut slots: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
     let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
 
-    // All `workers` threads spawn even when `n` is smaller: the extras
-    // idle on the fan condvar and pick up shard subtasks, which is
-    // exactly what lets a single fanning job use the whole pool.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..workers.min(n) {
             let tx = tx.clone();
             let queue = &queue;
-            let fan = &fan;
             scope.spawn(move || {
                 loop {
-                    // Shard subtasks first (see module docs).
-                    let sub = {
-                        // The lock only wraps `pop_front`, so poisoning means
-                        // another worker panicked outside a job — already fatal.
-                        // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
-                        fan.state.lock().expect("fan state poisoned").subs.pop_front()
-                    };
-                    if let Some(sub) = sub {
-                        sub();
-                        continue;
-                    }
+                    // The lock only wraps `pop_front`, so poisoning means
+                    // another worker panicked outside a job — already fatal.
                     // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
                     let next = queue.lock().expect("job queue poisoned").pop_front();
-                    if let Some((index, job)) = next {
-                        // Job panics are caught inside `run`; a send failure
-                        // means the receiver is gone, which cannot happen
-                        // while this scope is alive.
-                        let outcome = job.run(submitted, &FanScope::pooled(fan));
-                        let sent = tx.send((index, outcome));
-                        {
-                            // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
-                            let mut st = fan.state.lock().expect("fan state poisoned");
-                            st.pending_main -= 1;
-                        }
-                        // Wake idle workers: either there is follow-on work,
-                        // or pending_main hit zero and they should exit.
-                        fan.cv.notify_all();
-                        if sent.is_err() {
-                            break;
-                        }
-                        continue;
-                    }
-                    // Nothing runnable. Exit only when no main job can
-                    // still fan out more subtasks; otherwise park.
-                    // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
-                    let st = fan.state.lock().expect("fan state poisoned");
-                    if st.subs.is_empty() {
-                        if st.pending_main == 0 {
-                            break;
-                        }
-                        // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
-                        drop(fan.cv.wait(st).expect("fan state poisoned"));
+                    let Some((index, job)) = next else { break };
+                    // Job panics are caught inside `run`; a send failure
+                    // means the receiver is gone, which cannot happen
+                    // while this scope is alive.
+                    let outcome = job.run(submitted);
+                    if tx.send((index, outcome)).is_err() {
+                        break;
                     }
                 }
             });

@@ -21,10 +21,10 @@
 
 use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::runner::{run_matrix, PolicyKind, RecordStore, SingleResult};
+use sdbp_harness::table::result_line;
 use sdbp_trace::Instr;
 use sdbp_traceio::{convert_path, format::fnv1a_step, BufferedTrace, TraceMeta, TraceReader, TraceWriter};
 use sdbp_workloads::{benchmark, subset};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Instruction budget per benchmark: small enough for a CI smoke run.
@@ -41,12 +41,8 @@ fn render(matrix: &[Vec<SingleResult>]) -> String {
     let mut out = String::new();
     for row in matrix {
         for r in row {
-            // sdbp-allow(result-discipline): fmt::Write into a String is infallible
-            let _ = writeln!(
-                out,
-                "{} {} misses={} mpki={:.6} ipc={:.6}",
-                r.benchmark, r.policy, r.misses, r.mpki, r.ipc
-            );
+            out.push_str(&result_line(&r.benchmark, r.policy, r.misses, r.mpki, r.ipc));
+            out.push('\n');
         }
     }
     out

@@ -81,7 +81,7 @@ fn main() {
                         args.drain(i..=i + 1);
                     }
                     Some(v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
-                        // Read per replay by run_policy; set before any runs.
+                        // Read by every experiment's replay cells; set before any runs.
                         std::env::set_var(sdbp_harness::runner::SHARDS_ENV, v);
                         args.drain(i..=i + 1);
                     }

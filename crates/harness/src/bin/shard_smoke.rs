@@ -2,14 +2,11 @@
 //! set-sharded replay kernel (`DESIGN.md` §13).
 //!
 //! Builds one fixed-seed 10M-access LLC stream, replays it serially
-//! once, measures the single-thread batched hot loop
-//! ([`sdbp_cache::kernel::replay_shard`]) against that naive baseline,
-//! then sweeps shard counts {2, 4, 8} through
+//! once, then sweeps shard counts {2, 4, 8} through
 //! [`sdbp_cache::kernel::replay_sharded`], asserting every result —
 //! counters *and* per-access hit bits — equals the serial one bit for
-//! bit. Per-phase timings (stream build, per-thread naive vs batched,
-//! each sharded replay) go to `BENCH_shard.json`; CI gates on
-//! `identical_output`.
+//! bit. Per-phase timings (stream build, serial replay, each sharded
+//! replay) go to `BENCH_shard.json`; CI gates on `identical_output`.
 //!
 //! Speedup is reported against the measured serial replay together with
 //! `available_parallelism`, because shards can only buy wall-clock time
@@ -22,7 +19,7 @@
 //! SDBP_SHARD_BENCH_ACCESSES=1000000 shard-smoke   # CI sizing
 //! ```
 
-use sdbp_cache::kernel::{replay_shard, replay_sharded, ShardPlan, ThreadRunner};
+use sdbp_cache::kernel::{replay_sharded, ShardPlan, ThreadRunner};
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::replay::{replay, ReplayResult};
 use sdbp_cache::{Cache, CacheConfig};
@@ -37,9 +34,7 @@ const ACCESSES: u64 = 10_000_000;
 /// Shard counts swept after the serial baseline.
 const SHARD_SWEEP: &[usize] = &[2, 4, 8];
 
-/// A fixed-seed LLC stream: a hot set with a streaming background —
-/// the same shape as `replay-refactor-bench`'s, so the two benches
-/// measure comparable work.
+/// A fixed-seed LLC stream: a hot set with a streaming background.
 fn synthetic_stream(accesses: u64) -> Vec<LlcAccess> {
     let mut rng = Rng64::seed_from_u64(0x5da7d);
     let mut stream = Vec::with_capacity(accesses as usize);
@@ -108,17 +103,6 @@ fn main() {
     let baseline: ReplayResult = replay(&stream, &mut Cache::new(llc));
     let serial_s = started.elapsed().as_secs_f64();
 
-    // Phase 2b: the per-thread hot-loop comparison (ROADMAP item 1b).
-    // `replay` above is the naive per-record loop; `replay_shard` on the
-    // same single queue is the batched one — decode a chunk, group by
-    // set, run the policy per group so MetaPlane rows stay hot in L1.
-    // Same thread, same stream, so the delta is purely the loop shape.
-    let started = Instant::now();
-    let batched = replay_shard(&stream, &mut Cache::new(llc));
-    let batched_s = started.elapsed().as_secs_f64();
-    let batched_identical =
-        batched.stats == baseline.stats && batched.hits == baseline.hits;
-
     // Phase 3: the shard sweep. Every point must reproduce `baseline`
     // exactly — counters and per-access hit bits.
     let fresh = move || Cache::new(llc);
@@ -131,7 +115,7 @@ fn main() {
         let elapsed_s = started.elapsed().as_secs_f64();
         points.push(SweepPoint { shards, elapsed_s, identical: result == baseline });
     }
-    let identical = batched_identical && points.iter().all(|p| p.identical);
+    let identical = points.iter().all(|p| p.identical);
 
     let per = |s: f64| if s > 0.0 { accesses as f64 / s } else { 0.0 };
     let speedup = |s: f64| if s > 0.0 { serial_s / s } else { 1.0 };
@@ -159,18 +143,10 @@ fn main() {
          \"accesses_per_sec\": {:.1}\n  }},\n  \
          \"serial\": {{\n    \"elapsed_s\": {serial_s:.6},\n    \
          \"accesses_per_sec\": {:.1}\n  }},\n  \
-         \"per_thread\": {{\n    \"naive\": {{\n      \"elapsed_s\": {serial_s:.6},\n      \
-         \"accesses_per_sec\": {:.1}\n    }},\n    \
-         \"batched\": {{\n      \"elapsed_s\": {batched_s:.6},\n      \
-         \"accesses_per_sec\": {:.1}\n    }},\n    \"speedup\": {:.3},\n    \
-         \"identical_output\": {batched_identical}\n  }},\n  \
          \"sweep\": [\n{sweep_json}  ],\n  \
          \"identical_output\": {identical}\n}}\n",
         per(record_s),
         per(serial_s),
-        per(serial_s),
-        per(batched_s),
-        if batched_s > 0.0 { serial_s / batched_s } else { 1.0 },
     );
     if let Some(parent) = std::path::Path::new(&output).parent() {
         if !parent.as_os_str().is_empty() {
@@ -187,11 +163,8 @@ fn main() {
 
     println!(
         "shard smoke: {accesses} accesses on {cores} core(s); record {record_s:.2}s, \
-         serial {serial_s:.2}s ({:.0} acc/s), batched hot loop {batched_s:.2}s \
-         ({:.0} acc/s, {:.2}x, identical: {batched_identical})",
+         serial {serial_s:.2}s ({:.0} acc/s)",
         per(serial_s),
-        per(batched_s),
-        if batched_s > 0.0 { serial_s / batched_s } else { 1.0 },
     );
     for p in &points {
         println!(

@@ -87,13 +87,14 @@ type Table3Row = (String, bool, f64, f64, f64);
 /// (LRU) on a 2 MB LLC, with the memory-intensive subset marked.
 pub fn table3(ctx: &Context) -> String {
     let llc = ctx.llc();
+    let shards = crate::runner::shards_from_env();
     let jobs: Vec<Job<'_, Table3Row>> = suite()
         .into_iter()
         .map(|bench| {
             let store = ctx.store.clone();
             Job::new(format!("table3/{}", bench.name), move || {
                 let w = store.record(&bench, 0);
-                let lru = crate::runner::run_policy(&w, &PolicyKind::Lru, llc);
+                let lru = crate::runner::run_policy(&w, &PolicyKind::Lru, llc, shards);
                 let opt = sdbp_optimal::simulate(&w.llc, llc);
                 (
                     bench.name.to_owned(),

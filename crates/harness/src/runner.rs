@@ -2,17 +2,17 @@
 //! caching, single-core replay + timing, and the multi-core weighted
 //! speedup pipeline.
 
-use sdbp_cache::kernel::{merge_shards, replay_shard, replay_sharded, shard_queue, ShardPlan, ShardResult, ThreadRunner};
+use sdbp::replay::{ReplayMode, ReplayRequest};
 use sdbp_cache::recorder::{
     merge_llc_streams, record_for_core, try_record_batches, try_record_for_core,
     LlcAccess, RecordError,
     RecordedWorkload,
 };
-use sdbp_cache::replay::{replay, split_hits_by_core, ReplayResult};
-use sdbp_cache::{CacheConfig, CacheStats, SampledReplayResult};
+use sdbp_cache::replay::{replay, split_hits_by_core};
+use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_cpu::CoreModel;
-use sdbp_engine::{Engine, FanScope, Job};
-use sdbp_sample::{replay_sampled, replay_sampled_sharded, SamplingPlan};
+use sdbp_engine::{Engine, Job};
+use sdbp_sample::SamplingPlan;
 use sdbp_trace::TraceSource;
 use sdbp_traceio::FileSource;
 use sdbp_workloads::{instructions, Benchmark, Mix};
@@ -178,12 +178,11 @@ pub fn sampling_plan_path(name: &str) -> Option<PathBuf> {
 }
 
 /// Environment variable carrying the shard count for set-sharded replay.
-/// When set to `N > 1`, [`run_policy`] (and therefore every experiment
-/// cell) replays shardable policies over `N` set shards — the `--shards`
-/// mode of the experiment runner. Policies whose registry entry is not
-/// `shardable` (global RNG, set dueling, shared predictor tables) fall
-/// back to the serial loop; sharded and serial results are bit-identical
-/// either way (DESIGN.md §13).
+/// When set to `N > 1`, every experiment cell asks the replay front door
+/// (`sdbp::replay`) for `N` set shards — the `--shards` mode of the
+/// experiment runner. Policies whose registry entry is not set-local
+/// replay serially; sharded and serial results are bit-identical either
+/// way (DESIGN.md §13).
 pub const SHARDS_ENV: &str = "SDBP_SHARDS";
 
 /// The shard count requested via [`SHARDS_ENV`] (default 1 = serial).
@@ -191,187 +190,42 @@ pub fn shards_from_env() -> usize {
     std::env::var(SHARDS_ENV).ok().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or(1)
 }
 
-/// Whether `policy`'s registry entry is marked set-local (`shardable`),
-/// i.e. whether a set-sharded replay is bit-identical to the serial one.
-pub fn policy_shardable(policy: &PolicyKind) -> bool {
-    let spec = policy.spec();
-    sdbp::registry::standard().entries().iter().any(|e| e.name == spec.name && e.shardable)
-}
-
-/// Replays `policy` under `plan` (representatives only, extrapolated),
-/// returning both the harness-shaped row and the raw sampled result. The
-/// row's `misses`/`mpki` carry the extrapolated estimate; `ipc` comes
-/// from the timing model over the tiled hit map, exactly as an exact
-/// replay would feed it.
-///
-/// # Errors
-///
-/// A plan that is invalid or was built for a different stream, described
-/// as a string (the CLI's error currency).
-pub fn run_policy_sampled(
-    workload: &RecordedWorkload,
-    policy: &PolicyKind,
-    llc: CacheConfig,
-    plan: &SamplingPlan,
-) -> Result<(SingleResult, SampledReplayResult), String> {
-    let sampled = replay_sampled(&workload.llc, plan, || {
-        sdbp_cache::Cache::with_policy(llc, policy.build(llc, 1))
-    })
-    .map_err(|e| e.to_string())?;
-    let row = sampled_row(workload, policy, &sampled);
-    Ok((row, sampled))
-}
-
-/// [`run_policy_sampled`] with an explicit shard count: a shardable
-/// policy replays each representative segment set-sharded (predictor
-/// state carried across skips per shard, in stream order), bit-identical
-/// to the serial sampled path; non-shardable policies ignore `shards`.
-///
-/// # Errors
-///
-/// Same failure modes as [`run_policy_sampled`], as a string.
-pub fn run_policy_sampled_sharded(
-    workload: &RecordedWorkload,
-    policy: &PolicyKind,
-    llc: CacheConfig,
-    plan: &SamplingPlan,
-    shards: usize,
-) -> Result<(SingleResult, SampledReplayResult), String> {
-    let shards = if policy_shardable(policy) { shards.max(1) } else { 1 };
-    if shards <= 1 {
-        return run_policy_sampled(workload, policy, llc, plan);
-    }
-    let shard_plan = ShardPlan::new(llc.sets, shards);
-    let fresh = move || sdbp_cache::Cache::with_policy(llc, policy.build(llc, 1));
-    let sampled = replay_sampled_sharded(&workload.llc, plan, &shard_plan, &fresh, &ThreadRunner)
-        .map_err(|e| e.to_string())?;
-    let row = sampled_row(workload, policy, &sampled);
-    Ok((row, sampled))
-}
-
-/// The harness-shaped row for a sampled replay: extrapolated misses and
-/// MPKI, IPC from the timing model over the tiled hit map.
-fn sampled_row(
-    workload: &RecordedWorkload,
-    policy: &PolicyKind,
-    sampled: &SampledReplayResult,
-) -> SingleResult {
-    let timing = CoreModel::default().simulate(&workload.records, &sampled.hits);
-    let stats = CacheStats {
-        accesses: sampled.total,
-        hits: sampled.total - sampled.estimated,
-        misses: sampled.estimated,
-        ..CacheStats::default()
-    };
-    SingleResult {
-        benchmark: workload.name.clone(),
-        policy: policy.label(),
-        misses: sampled.estimated,
-        mpki: stats.mpki(workload.instructions()),
-        ipc: timing.ipc(),
-        stats,
-    }
-}
-
-/// The harness-shaped row for an exact replay (serial or shard-merged).
-fn exact_row(
-    workload: &RecordedWorkload,
-    policy: &PolicyKind,
-    result: &ReplayResult,
-) -> SingleResult {
-    let timing = CoreModel::default().simulate(&workload.records, &result.hits);
-    SingleResult {
-        benchmark: workload.name.clone(),
-        policy: policy.label(),
-        misses: result.stats.misses,
-        mpki: result.stats.mpki(workload.instructions()),
-        ipc: timing.ipc(),
-        stats: result.stats.clone(),
-    }
-}
-
-/// Replays `policy` over a recorded single-core workload and computes IPC.
+/// Replays `policy` over a recorded single-core workload through the
+/// replay front door with `shards` requested set shards, and computes
+/// IPC from the resulting hit map.
 ///
 /// With `SDBP_SAMPLE_DIR` set and a `{name}.sdbs` plan present (see
-/// [`sampling_plan_path`]), the replay runs sampled under that plan; a
-/// corrupt plan or one built for a different trace panics with the plan
-/// error, since silently falling back to an exact replay would misreport
-/// a 10–100× slower run as sampled. With [`SHARDS_ENV`] set above 1,
-/// shardable policies replay set-sharded (see [`run_policy_sharded`]).
+/// [`sampling_plan_path`]), the replay runs sampled under that plan and
+/// the row carries the extrapolated misses; a corrupt plan or one built
+/// for a different trace panics with the plan error, since silently
+/// falling back to an exact replay would misreport a 10–100× slower run
+/// as sampled.
 pub fn run_policy(
     workload: &RecordedWorkload,
     policy: &PolicyKind,
     llc: CacheConfig,
-) -> SingleResult {
-    run_policy_sharded(workload, policy, llc, shards_from_env())
-}
-
-/// [`run_policy`] with an explicit shard count: when `shards > 1` and
-/// the policy is [`policy_shardable`], the replay (exact or sampled)
-/// runs set-sharded on scoped threads ([`ThreadRunner`]) and the merged
-/// result is bit-identical to the serial path. Non-shardable policies
-/// silently run serial — the output never depends on `shards`.
-pub fn run_policy_sharded(
-    workload: &RecordedWorkload,
-    policy: &PolicyKind,
-    llc: CacheConfig,
     shards: usize,
 ) -> SingleResult {
-    let shards = if policy_shardable(policy) { shards.max(1) } else { 1 };
-    if let Some(path) = sampling_plan_path(&workload.name) {
-        let plan = SamplingPlan::load(&path)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let (row, _) = run_policy_sampled_sharded(workload, policy, llc, &plan, shards)
-            .unwrap_or_else(|e| panic!("sampled replay of {}: {e}", workload.name));
-        return row;
+    let plan = sampling_plan_path(&workload.name).map(|path| {
+        SamplingPlan::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    });
+    let mode = match &plan {
+        Some(plan) => ReplayMode::Sampled(plan),
+        None => ReplayMode::Exact { probe: None },
+    };
+    let spec = policy.spec();
+    let outcome = ReplayRequest { stream: &workload.llc, llc, policy: &spec, mode, shards }
+        .run()
+        .unwrap_or_else(|e| panic!("replay of {} under {spec}: {e}", workload.name));
+    let timing = CoreModel::default().simulate(&workload.records, &outcome.hits);
+    SingleResult {
+        benchmark: workload.name.clone(),
+        policy: policy.label(),
+        misses: outcome.stats.misses,
+        mpki: outcome.stats.mpki(workload.instructions()),
+        ipc: timing.ipc(),
+        stats: outcome.stats,
     }
-    if shards > 1 {
-        let shard_plan = ShardPlan::new(llc.sets, shards);
-        let fresh = move || sdbp_cache::Cache::with_policy(llc, policy.build(llc, 1));
-        let result = replay_sharded(&workload.llc, &shard_plan, &fresh, &ThreadRunner, None)
-            .unwrap_or_else(|e| panic!("sharded replay of {}: {e}", workload.name));
-        return exact_row(workload, policy, &result);
-    }
-    let mut cache = sdbp_cache::Cache::with_policy(llc, policy.build(llc, 1));
-    let result = replay(&workload.llc, &mut cache);
-    exact_row(workload, policy, &result)
-}
-
-/// One experiment cell executed as a fanning engine job: the replay
-/// splits into `shards` subtasks on the *same* worker pool (no nested
-/// thread spawning), aggregated in submission order and merged by shard
-/// index, so the cell's row is bit-identical to [`run_policy`]'s.
-///
-/// Callers gate on [`policy_shardable`]; a failed shard subtask panics
-/// the cell (the engine then isolates the cell like any panicking job).
-pub fn run_policy_fan(
-    scope: &FanScope<'_, '_>,
-    workload: &Arc<RecordedWorkload>,
-    policy: &PolicyKind,
-    llc: CacheConfig,
-    shards: usize,
-) -> SingleResult {
-    let plan = ShardPlan::new(llc.sets, shards);
-    let shard_jobs: Vec<Job<'_, ShardResult>> = (0..plan.shards())
-        .map(|shard| {
-            let w = Arc::clone(workload);
-            let policy = policy.clone();
-            let plan = plan.clone();
-            Job::new(format!("{}/{}/shard{shard}", w.name, policy.label()), move || {
-                let queue = shard_queue(&w.llc, &plan, shard);
-                let mut cache = sdbp_cache::Cache::with_policy(llc, policy.build(llc, 1));
-                replay_shard(&queue, &mut cache)
-            })
-        })
-        .collect();
-    let results: Vec<ShardResult> = scope
-        .run_batch(shard_jobs)
-        .into_iter()
-        .map(|o| o.result.unwrap_or_else(|e| panic!("{e}")))
-        .collect();
-    let result = merge_shards(&workload.llc, &plan, &results, None)
-        .unwrap_or_else(|e| panic!("merging {} shards of {}: {e}", shards, workload.name));
-    exact_row(workload, policy, &result)
 }
 
 /// Runs a list of policies for every benchmark through `engine`. Results
@@ -380,13 +234,8 @@ pub fn run_policy_fan(
 ///
 /// Two batches: one recording job per benchmark (cached in the store),
 /// then one replay job per (benchmark, policy) cell, so replays of a slow
-/// benchmark don't serialize behind each other.
-///
-/// With [`SHARDS_ENV`] set above 1, each exact-replay cell of a
-/// shardable policy becomes a *fanning* job ([`run_policy_fan`]): its
-/// shard subtasks run on the same engine pool, so one big trace scales
-/// across workers even when cells outnumber it. Sampled cells and
-/// non-shardable policies keep the plain per-cell job.
+/// benchmark don't serialize behind each other. With [`SHARDS_ENV`] set
+/// above 1, each cell's replay shards on scoped threads inside its job.
 pub fn run_matrix(
     engine: &Engine,
     store: &RecordStore,
@@ -413,15 +262,9 @@ pub fn run_matrix(
             let policy = policy.clone();
             let name = format!("{}/{}", w.name, policy.label());
             let accesses = w.llc.len() as u64;
-            let exact = sampling_plan_path(&w.name).is_none();
-            let job = if shards > 1 && exact && policy_shardable(&policy) {
-                Job::fan(name, move |scope: &FanScope<'_, '_>| {
-                    run_policy_fan(scope, &w, &policy, llc, shards)
-                })
-            } else {
-                Job::new(name, move || run_policy_sharded(&w, &policy, llc, shards))
-            };
-            cell_jobs.push(job.accesses(accesses));
+            cell_jobs.push(
+                Job::new(name, move || run_policy(&w, &policy, llc, shards)).accesses(accesses),
+            );
         }
     }
     let flat = engine.run_batch("matrix", cell_jobs).expect_all();
@@ -546,15 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn shardable_gate_matches_the_registry() {
-        assert!(policy_shardable(&PolicyKind::Lru));
-        assert!(!policy_shardable(&PolicyKind::Random));
-        assert!(!policy_shardable(&PolicyKind::Rrip));
-        assert!(!policy_shardable(&PolicyKind::Sampler));
-        assert!(!policy_shardable(&PolicyKind::SamplerOverSrrip));
-    }
-
-    #[test]
     fn sharded_rows_are_bit_identical_to_serial() {
         let store = small_env();
         let b = benchmark("416.gamess").unwrap();
@@ -563,37 +397,15 @@ mod tests {
         // A shardable policy shards; a dueling policy must silently fall
         // back to serial — either way the row cannot depend on `shards`.
         for policy in [PolicyKind::Lru, PolicyKind::Rrip] {
-            let serial = run_policy_sharded(&w, &policy, llc, 1);
+            let serial = run_policy(&w, &policy, llc, 1);
             for shards in [2usize, 8] {
-                let sharded = run_policy_sharded(&w, &policy, llc, shards);
+                let sharded = run_policy(&w, &policy, llc, shards);
                 assert_eq!(sharded.misses, serial.misses, "{}/{shards}", policy.label());
                 assert_eq!(sharded.stats, serial.stats, "{}/{shards}", policy.label());
                 assert_eq!(sharded.mpki.to_bits(), serial.mpki.to_bits());
                 assert_eq!(sharded.ipc.to_bits(), serial.ipc.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn fanning_cell_matches_the_serial_row() {
-        let store = small_env();
-        let b = benchmark("416.gamess").unwrap();
-        let w = store.record(&b, 0);
-        let llc = CacheConfig::new(64, 8);
-        let serial = run_policy_sharded(&w, &PolicyKind::Lru, llc, 1);
-        let engine = Engine::with_workers(3);
-        let wf = Arc::clone(&w);
-        let row = engine
-            .run_one(
-                "cell",
-                Job::fan("cell", move |scope: &FanScope<'_, '_>| {
-                    run_policy_fan(scope, &wf, &PolicyKind::Lru, llc, 4)
-                }),
-            )
-            .expect("fanning cell succeeds");
-        assert_eq!(row.misses, serial.misses);
-        assert_eq!(row.stats, serial.stats);
-        assert_eq!(row.ipc.to_bits(), serial.ipc.to_bits());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! `trace replay --policy ...` — byte-identical, which is the wire
 //! determinism property CI's serve-smoke job diffs on.
 
+use crate::table::result_line;
 use sdbp::registry::PolicySpec;
 use sdbp_serve::{Client, JobRequest, Server, ServerConfig, SubmitReply, TraceSubmission};
 use std::io::{Read as _, Write as _};
@@ -232,12 +233,9 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
             trace: trace.clone(),
         };
         let outcome = submit_with_retry(&mut client, &request)?;
-        writeln!(
-            out,
-            "{} {} misses={} mpki={:.6} ipc={:.6}",
-            outcome.workload, spec, outcome.misses, outcome.mpki(), outcome.ipc
-        )
-        .map_err(|e| e.to_string())?;
+        let line =
+            result_line(&outcome.workload, spec, outcome.misses, outcome.mpki(), outcome.ipc);
+        writeln!(out, "{line}").map_err(|e| e.to_string())?;
     }
     client.goodbye().map_err(|e| e.to_string())
 }

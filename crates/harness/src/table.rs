@@ -1,6 +1,18 @@
 //! Minimal plain-text table rendering for experiment output.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+
+/// One `{name} {policy} misses= mpki= ipc=` result line, without a
+/// trailing newline: the shape `trace replay`, `submit` and the engine
+/// smoke all print, so their outputs stay byte-comparable.
+///
+/// ```
+/// use sdbp_harness::table::result_line;
+/// assert_eq!(result_line("w", "lru", 7, 1.5, 0.25), "w lru misses=7 mpki=1.500000 ipc=0.250000");
+/// ```
+pub fn result_line(name: &str, policy: impl Display, misses: u64, mpki: f64, ipc: f64) -> String {
+    format!("{name} {policy} misses={misses} mpki={mpki:.6} ipc={ipc:.6}")
+}
 
 /// A text table with a header row and aligned columns.
 ///

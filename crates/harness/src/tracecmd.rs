@@ -21,7 +21,8 @@
 //!
 //! `replay --shards N|auto` splits the replay of set-local (`shardable`)
 //! policies across set shards on scoped threads; the output stays
-//! byte-identical at every shard count. `info --set-histogram SETS`
+//! byte-identical at every shard count, and each policy that ran on
+//! fewer shards than requested is named on stderr. `info --set-histogram SETS`
 //! appends an accesses-per-set decile breakdown — the skew fingerprint
 //! that predicts shard load balance.
 //!
@@ -30,18 +31,14 @@
 //! direction; `info` reports both codecs' real byte footprints for the
 //! file's stream so the space cost of the fast format is never a guess.
 
-use crate::runner::{
-    record_from_source, run_policy_sampled_sharded, run_policy_sharded, PolicyKind,
-};
+use crate::runner::{record_from_source, PolicyKind};
+use crate::table::result_line;
 use sdbp::registry::PolicySpec;
-use sdbp_cache::kernel::{replay_sharded, ShardPlan, ThreadRunner};
+use sdbp::replay::{ReplayMode, ReplayRequest};
 use sdbp_cache::recorder::{record_for_core, RecordedWorkload};
-use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_cpu::CoreModel;
-use sdbp_sample::{
-    build_plan, calibrate_bound, replay_sampled, replay_sampled_sharded, PlanConfig, SamplingPlan,
-};
+use sdbp_sample::{build_plan, calibrate_bound, PlanConfig, SamplingPlan};
 use sdbp_traceio::{
     convert_path, import_text, ChunkStat, FileSource, TraceMeta, TraceReader, TraceWriter,
     WriteSummary, FORMAT_V1, FORMAT_V2,
@@ -231,22 +228,23 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         }
         _ => return Err(format!("replay needs a FILE.sdbt or --workload NAME\n{USAGE}")),
     };
-    let specs = flags.get_all("policy");
-    let llc = CacheConfig::llc_2mb();
-    let summary = match flags.get("sampled") {
-        Some(plan_path) => {
-            let plan_path = Path::new(plan_path);
-            let plan = SamplingPlan::load(plan_path)
-                .map_err(|e| format!("{}: {e}", plan_path.display()))?;
-            if specs.is_empty() {
-                sampled_summary(&workload, llc, &plan, shards)?
-            } else {
-                sampled_specs(&workload, llc, &plan, &specs, shards)?
+    let policies = match flags.get_all("policy").as_slice() {
+        [] => default_policies(),
+        raw => {
+            let mut policies = Vec::with_capacity(raw.len());
+            for raw in raw {
+                let spec: PolicySpec = raw.parse().map_err(|e: sdbp::SpecError| e.to_string())?;
+                policies.push((spec.to_string(), spec));
             }
+            policies
         }
-        None if specs.is_empty() => replay_summary(&workload, llc, shards),
-        None => replay_specs(&workload, llc, &specs, shards)?,
     };
+    let plan = flags
+        .get("sampled")
+        .map(|path| SamplingPlan::load(Path::new(path)).map_err(|e| format!("{path}: {e}")))
+        .transpose()?;
+    let summary =
+        replay_table(&workload, CacheConfig::llc_2mb(), &policies, plan.as_ref(), shards)?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     write!(out, "{summary}").map_err(|e| e.to_string())
@@ -261,148 +259,61 @@ pub fn workload_from_file(path: &Path, core: u8) -> Result<RecordedWorkload, Str
     record_from_source(&source, &name, count, core)
 }
 
-/// The replay result table: one line per policy, `{name} {policy}
-/// misses= mpki= ipc=`. Byte-identical between a direct synthetic run and
-/// a replay of its recording — the property the integration tests and CI
-/// assert — and byte-identical at every `shards` count, since sharding
-/// only applies to set-local policies and merges deterministically.
-pub fn replay_summary(workload: &RecordedWorkload, llc: CacheConfig, shards: usize) -> String {
-    let mut out = String::new();
-    for policy in [PolicyKind::Lru, PolicyKind::Sampler] {
-        let r = run_policy_sharded(workload, &policy, llc, shards);
-        out.push_str(&format!(
-            "{} {} misses={} mpki={:.6} ipc={:.6}\n",
-            r.benchmark, r.policy, r.misses, r.mpki, r.ipc
-        ));
-    }
-    out
+/// The policies `trace replay` reports without `--policy`: LRU and the
+/// paper's Sampler, each paired with the column label it prints under.
+pub fn default_policies() -> Vec<(String, PolicySpec)> {
+    [PolicyKind::Lru, PolicyKind::Sampler]
+        .iter()
+        .map(|p| (p.label().to_owned(), p.spec()))
+        .collect()
 }
 
-/// Whether the registry entry named by `spec` is marked set-local, i.e.
-/// safe to replay sharded with bit-identical results.
-fn spec_shardable(registry: &sdbp::registry::Registry, spec: &PolicySpec) -> bool {
-    registry.entries().iter().any(|e| e.name == spec.name && e.shardable)
-}
-
-/// Replays one line per `--policy` spec, same line shape as
-/// [`replay_summary`] but with the normalized spec as the policy column,
-/// so parameterized variants stay distinguishable.
+/// The replay result table: one `{name} {policy} misses= mpki= ipc=`
+/// line per `(label, spec)` in `policies`, with `label` as the policy
+/// column. With a `plan` the replay is sampled: misses carry the
+/// extrapolated estimate and the line adds the plan's stated error
+/// bound and the replay-work reduction, so a sampled line can never be
+/// mistaken for an exact one.
+///
+/// Byte-identical between a direct synthetic run and a replay of its
+/// recording — the property the integration tests and CI assert — and
+/// at every `shards` count, since only set-local policies shard and the
+/// merge is deterministic. A policy that ran on fewer shards than
+/// requested is named on stderr; stdout never changes.
 ///
 /// # Errors
 ///
-/// A malformed or unknown spec, with the registry's diagnostic.
-pub fn replay_specs(
+/// An unknown or invalid spec, or a plan that does not fit the stream.
+pub fn replay_table(
     workload: &RecordedWorkload,
     llc: CacheConfig,
-    specs: &[&str],
-    shards: usize,
-) -> Result<String, String> {
-    let registry = sdbp::registry::standard();
-    let registry = &registry;
-    let mut out = String::new();
-    for raw in specs {
-        let spec: PolicySpec = raw.parse().map_err(|e: sdbp::SpecError| e.to_string())?;
-        // Validate the spec once up front so the sharded factory below
-        // cannot fail.
-        registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-        let result = if shards > 1 && spec_shardable(registry, &spec) {
-            let plan = ShardPlan::new(llc.sets, shards);
-            let spec = &spec;
-            let fresh = move || {
-                let policy = registry.build(spec, llc, 1).expect("spec validated above");
-                sdbp_cache::Cache::with_policy(llc, policy)
-            };
-            replay_sharded(&workload.llc, &plan, &fresh, &ThreadRunner, None)
-                .map_err(|e| e.to_string())?
-        } else {
-            let policy = registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-            replay(&workload.llc, &mut sdbp_cache::Cache::with_policy(llc, policy))
-        };
-        let timing = CoreModel::default().simulate(&workload.records, &result.hits);
-        out.push_str(&format!(
-            "{} {} misses={} mpki={:.6} ipc={:.6}\n",
-            workload.name,
-            spec,
-            result.stats.misses,
-            result.stats.mpki(workload.instructions()),
-            timing.ipc()
-        ));
-    }
-    Ok(out)
-}
-
-/// The sampled replay table: same columns as [`replay_summary`] (misses
-/// carry the extrapolated estimate) plus the plan's stated error bound
-/// and the replay-work reduction, so a sampled line can never be mistaken
-/// for an exact one.
-pub fn sampled_summary(
-    workload: &RecordedWorkload,
-    llc: CacheConfig,
-    plan: &SamplingPlan,
+    policies: &[(String, PolicySpec)],
+    plan: Option<&SamplingPlan>,
     shards: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
-    for policy in [PolicyKind::Lru, PolicyKind::Sampler] {
-        let (row, sampled) = run_policy_sampled_sharded(workload, &policy, llc, plan, shards)?;
-        out.push_str(&format!(
-            "{} {} misses={} mpki={:.6} ipc={:.6} sampled bound={:.4} reduction={:.1}x\n",
-            row.benchmark,
-            row.policy,
-            row.misses,
-            row.mpki,
-            row.ipc,
-            sampled.bound,
-            sampled.work_reduction()
-        ));
-    }
-    Ok(out)
-}
-
-/// [`sampled_summary`] for explicit `--policy` specs.
-///
-/// # Errors
-///
-/// A malformed or unknown spec, or a plan that does not fit the stream.
-pub fn sampled_specs(
-    workload: &RecordedWorkload,
-    llc: CacheConfig,
-    plan: &SamplingPlan,
-    specs: &[&str],
-    shards: usize,
-) -> Result<String, String> {
-    let registry = sdbp::registry::standard();
-    let registry = &registry;
-    let mut out = String::new();
-    for raw in specs {
-        let spec: PolicySpec = raw.parse().map_err(|e: sdbp::SpecError| e.to_string())?;
-        // Validate the spec once up front so the per-representative cache
-        // factory below cannot fail.
-        registry.build(&spec, llc, 1).map_err(|e| e.to_string())?;
-        let fresh = {
-            let spec = &spec;
-            move || {
-                let policy = registry.build(spec, llc, 1).expect("spec validated above");
-                sdbp_cache::Cache::with_policy(llc, policy)
-            }
+    for (label, spec) in policies {
+        let mode = match plan {
+            Some(plan) => ReplayMode::Sampled(plan),
+            None => ReplayMode::Exact { probe: None },
         };
-        let sampled = if shards > 1 && spec_shardable(registry, &spec) {
-            let shard_plan = ShardPlan::new(llc.sets, shards);
-            replay_sampled_sharded(&workload.llc, plan, &shard_plan, &fresh, &ThreadRunner)
-                .map_err(|e| e.to_string())?
-        } else {
-            replay_sampled(&workload.llc, plan, fresh).map_err(|e| e.to_string())?
-        };
-        let timing = CoreModel::default().simulate(&workload.records, &sampled.hits);
-        out.push_str(&format!(
-            "{} {} misses={} mpki={:.6} ipc={:.6} sampled bound={:.4} reduction={:.1}x\n",
-            workload.name,
-            spec,
-            sampled.estimated,
-            sampled.estimated as f64 * 1000.0 / workload.instructions() as f64,
-            timing.ipc(),
-            sampled.bound,
-            sampled.work_reduction()
-        ));
+        let outcome = ReplayRequest { stream: &workload.llc, llc, policy: spec, mode, shards }
+            .run()
+            .map_err(|e| e.to_string())?;
+        if outcome.shards < shards {
+            eprintln!("[{label}: {shards} shards requested, replayed on {}]", outcome.shards);
+        }
+        let ipc = CoreModel::default().simulate(&workload.records, &outcome.hits).ipc();
+        let mpki = outcome.stats.mpki(workload.instructions());
+        out.push_str(&result_line(&workload.name, label, outcome.stats.misses, mpki, ipc));
+        if let Some(sampled) = outcome.sampled {
+            out.push_str(&format!(
+                " sampled bound={:.4} reduction={:.1}x",
+                sampled.bound,
+                sampled.work_reduction()
+            ));
+        }
+        out.push('\n');
     }
     Ok(out)
 }
@@ -458,20 +369,13 @@ fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), Strin
     // and the two families train differently enough that either alone
     // can understate the other's error. Costs one extra exact replay per
     // reference, paid once per plan.
-    let registry = sdbp::registry::standard();
-    let registry = &registry;
-    let mut refs: Vec<Box<dyn FnMut() -> Cache>> = Vec::new();
-    for name in ["sampler", "tdbp"] {
-        let spec: PolicySpec =
-            name.parse().map_err(|e| format!("{name} spec: {e}"))?;
-        registry
-            .build(&spec, llc, 1)
-            .map_err(|e| format!("{name} policy: {e}"))?;
-        refs.push(Box::new(move || {
-            let policy = registry.build(&spec, llc, 1).expect("spec validated above");
-            Cache::with_policy(llc, policy)
-        }));
-    }
+    let mut refs: Vec<Box<dyn FnMut() -> Cache>> = [PolicyKind::Sampler, PolicyKind::Tdbp]
+        .into_iter()
+        .map(|policy| {
+            Box::new(move || Cache::with_policy(llc, policy.build(llc, 1)))
+                as Box<dyn FnMut() -> Cache>
+        })
+        .collect();
     calibrate_bound(&workload.llc, &mut plan, &mut refs, cfg.safety, cfg.floor)
         .map_err(|e| format!("calibrating {}: {e}", out.display()))?;
     plan.save(out).map_err(|e| format!("{}: {e}", out.display()))?;

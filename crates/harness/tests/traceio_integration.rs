@@ -5,7 +5,7 @@
 
 use sdbp_cache::recorder::record_for_core;
 use sdbp_harness::runner::{archived_trace_path, record_source_label, RecordStore};
-use sdbp_harness::tracecmd::{replay_summary, workload_from_file};
+use sdbp_harness::tracecmd::{default_policies, replay_table, workload_from_file};
 use sdbp_cache::CacheConfig;
 use sdbp_traceio::{TraceMeta, TraceWriter};
 use sdbp_workloads::benchmark;
@@ -54,11 +54,14 @@ fn replay_is_byte_identical_to_direct_run_for_three_kernels() {
 
         // ...and so is every printed summary byte, across both policies —
         // including when the archived replay runs set-sharded.
-        let a = replay_summary(&direct, llc, 1);
-        let b = replay_summary(&replayed, llc, 1);
+        let summary = |w, shards| {
+            replay_table(w, llc, &default_policies(), None, shards).expect("default policies")
+        };
+        let a = summary(&direct, 1);
+        let b = summary(&replayed, 1);
         assert_eq!(a, b, "{name}: replay output is not byte-identical");
         assert!(a.contains("LRU") && a.contains("Sampler"), "{name}: {a}");
-        let sharded = replay_summary(&replayed, llc, 4);
+        let sharded = summary(&replayed, 4);
         assert_eq!(a, sharded, "{name}: sharded replay output differs");
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -240,8 +240,8 @@ fn assemble(
 /// replacement state still carries across skips in stream order, per
 /// shard. Each segment's measured bits are then re-interleaved by
 /// cursor-walking the original stream (the same merge discipline as
-/// [`merge_shards`](sdbp_cache::kernel::merge_shards) — shard results
-/// are consumed by shard *index*, never by completion order), and the
+/// [`replay_sharded`](sdbp_cache::kernel::replay_sharded) — shard
+/// results are consumed by shard *index*, never by completion order), and the
 /// extrapolation tiles exactly as the serial path does, reporting the
 /// serial `replayed` work count.
 ///
@@ -249,8 +249,9 @@ fn assemble(
 /// `shardable` flag): with per-set state, an access's outcome depends
 /// only on earlier same-set accesses, all of which its shard replays in
 /// order, so the result is bit-identical to [`replay_sampled`] at every
-/// shard count. Callers must fall back to the serial path for policies
-/// with global state (RNG, set dueling, shared predictor tables).
+/// shard count. The replay front door (`sdbp::replay`) falls back to
+/// the serial path for policies with global state (RNG, set dueling,
+/// shared predictor tables).
 ///
 /// # Errors
 ///

@@ -22,10 +22,10 @@
 use crate::error::ServeError;
 use crate::lock_clean;
 use crate::protocol::{ErrorCode, Frame};
-use sdbp_cache::kernel::{replay_sharded, ShardPlan, ThreadRunner};
+use sdbp::replay::{ReplayError, ReplayMode, ReplayRequest};
 use sdbp_cache::recorder::try_record_batches;
-use sdbp_cache::replay::{replay, replay_with_probe, ReplayProbe, ReplayResult, WindowStream};
-use sdbp_cache::{Cache, CacheConfig, LlcAccess};
+use sdbp_cache::replay::WindowStream;
+use sdbp_cache::CacheConfig;
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
 use sdbp_traceio::BufferedTrace;
@@ -58,10 +58,10 @@ pub struct ServerConfig {
     pub server_name: String,
     /// Set shards per replay job (see `DESIGN.md` §13). Jobs of at least
     /// [`shard_min_accesses`](ServerConfig::shard_min_accesses) accesses
-    /// whose policy carries the registry's `shardable` capability flag
-    /// replay set-sharded across this many threads; everything else
-    /// falls back to the serial kernel. Either path produces
-    /// bit-identical frames. Clamped to at least 1.
+    /// ask the replay front door (`sdbp::replay`) for this many shards;
+    /// it shards set-local policies and runs everything else on the
+    /// serial kernel. Either path produces bit-identical frames. Clamped
+    /// to at least 1.
     pub shards: usize,
     /// Smallest job (in LLC accesses) the sharded path takes; defaults
     /// to [`SHARD_MIN_ACCESSES`]. Tests set 0 to shard everything.
@@ -86,13 +86,6 @@ impl Default for ServerConfig {
 /// Smallest job (in LLC accesses) worth set-sharding: below this the
 /// per-shard queue build and thread spawn cost more than they recover.
 pub const SHARD_MIN_ACCESSES: usize = 1 << 20;
-
-/// Sharding knobs threaded from [`ServerConfig`] to the replay path.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ShardKnobs {
-    pub(crate) shards: usize,
-    pub(crate) min_accesses: usize,
-}
 
 /// Signals a parked session thread that its job reached a final frame
 /// (`JobDone` or `ErrorReply`), so the session may resume reading.
@@ -155,7 +148,11 @@ pub(crate) struct Shared {
     pub(crate) trace_dir: Option<PathBuf>,
     pub(crate) max_inline_bytes: u64,
     pub(crate) server_name: String,
-    pub(crate) sharding: ShardKnobs,
+    /// Set shards per big-enough job ([`ServerConfig::shards`]).
+    pub(crate) shards: usize,
+    /// Smallest job that asks for shards
+    /// ([`ServerConfig::shard_min_accesses`]).
+    pub(crate) shard_min_accesses: usize,
     pub(crate) engine: Engine,
 }
 
@@ -204,10 +201,8 @@ impl Server {
             trace_dir: config.trace_dir,
             max_inline_bytes: config.max_inline_bytes,
             server_name: config.server_name,
-            sharding: ShardKnobs {
-                shards: config.shards.max(1),
-                min_accesses: config.shard_min_accesses,
-            },
+            shards: config.shards.max(1),
+            shard_min_accesses: config.shard_min_accesses,
             // Each executor runs one job at a time; the engine's own pool
             // stays serial so telemetry timing reflects the job itself.
             engine: Engine::with_workers(1),
@@ -385,13 +380,12 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
         mut stream,
         gate,
     } = queued;
-    let sharding = shared.sharding;
     let outcome = {
         let results_stream = &mut stream;
         shared.engine.run_one(
             &label,
             Job::new(label.clone(), move || {
-                run_replay(job, &policy, llc, window, &trace, sharding, results_stream)
+                run_replay(job, &policy, llc, window, &trace, shared, results_stream)
             })
             .accesses(instructions)
             .source(source),
@@ -419,19 +413,19 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
     gate.signal();
 }
 
-/// The replay pipeline — identical to `sdbp-repro trace replay`'s, which
-/// is what makes wire results bit-identical to in-process ones. Big jobs
-/// on set-local policies replay set-sharded (see [`replay_trace`]);
-/// since the shard merge drives the window probe in original access
-/// order, the streamed `WindowResult` frames are byte-identical either
-/// way.
+/// The replay pipeline — the same replay front door as `sdbp-repro trace
+/// replay`, which is what makes wire results bit-identical to in-process
+/// ones. Jobs of at least `shard_min_accesses` accesses ask the door for
+/// the server's shard count (it shards only set-local policies); since a
+/// sharded replay drives the window probe in original access order, the
+/// streamed `WindowResult` frames are byte-identical either way.
 fn run_replay(
     job: u64,
     policy: &str,
     llc: CacheConfig,
     window: u32,
     trace: &[u8],
-    sharding: ShardKnobs,
+    shared: &Shared,
     stream: &mut TcpStream,
 ) -> Result<DoneStats, (ErrorCode, String)> {
     // Index the upload in place (no copy of the wire bytes) and record
@@ -445,7 +439,16 @@ fn run_replay(
         .map_err(|e| (ErrorCode::BadTrace, e.to_string()))?;
     let spec: sdbp::registry::PolicySpec =
         policy.parse().map_err(|e: sdbp::SpecError| (ErrorCode::BadSpec, e.to_string()))?;
-    let (result, windows): (ReplayResult, u64) = if window > 0 {
+    let shards = if workload.llc.len() >= shared.shard_min_accesses { shared.shards } else { 1 };
+    let request = |mode| ReplayRequest { stream: &workload.llc, llc, policy: &spec, mode, shards };
+    let failed = |e: ReplayError| {
+        let code = match e {
+            ReplayError::Spec(_) => ErrorCode::BadSpec,
+            ReplayError::Shard(_) | ReplayError::Sample(_) => ErrorCode::Internal,
+        };
+        (code, e.to_string())
+    };
+    let (outcome, windows) = if window > 0 {
         // Stream each completed window as it closes. A dead connection
         // stops the writes but not the replay: the job still completes
         // and its telemetry stays truthful.
@@ -456,58 +459,21 @@ fn run_replay(
                     Frame::WindowResult { job, index, misses }.write_to(stream).is_ok();
             }
         });
-        let r = replay_trace(&workload.llc, llc, &spec, sharding, Some(&mut probe))?;
+        let outcome =
+            request(ReplayMode::Exact { probe: Some(&mut probe) }).run().map_err(failed)?;
         probe.finish();
-        let emitted = probe.windows();
-        (r, emitted)
+        (outcome, probe.windows())
     } else {
-        (replay_trace(&workload.llc, llc, &spec, sharding, None)?, 0)
+        (request(ReplayMode::Exact { probe: None }).run().map_err(failed)?, 0)
     };
-    let ipc = CoreModel::default().simulate(&workload.records, &result.hits).ipc();
+    let ipc = CoreModel::default().simulate(&workload.records, &outcome.hits).ipc();
     Ok(DoneStats {
         workload: workload.name.clone(),
         instructions: workload.instructions(),
         accesses: workload.llc.len() as u64,
-        hits: result.stats.hits,
-        misses: result.stats.misses,
+        hits: outcome.stats.hits,
+        misses: outcome.stats.misses,
         windows,
         ipc_bits: ipc.to_bits(),
-    })
-}
-
-/// Replays `stream` under `spec`, set-sharded when the job is big
-/// enough and the policy carries the registry's `shardable` capability
-/// flag; serial otherwise.
-///
-/// Both paths drive `probe` in original access order and produce
-/// bit-identical [`ReplayResult`]s — the sharded one via the
-/// deterministic merge in `sdbp_cache::kernel` (`DESIGN.md` §13).
-fn replay_trace(
-    stream: &[LlcAccess],
-    llc: CacheConfig,
-    spec: &sdbp::registry::PolicySpec,
-    sharding: ShardKnobs,
-    probe: Option<&mut dyn ReplayProbe>,
-) -> Result<ReplayResult, (ErrorCode, String)> {
-    let registry = sdbp::registry::standard();
-    let built = registry
-        .build(spec, llc, 1)
-        .map_err(|e| (ErrorCode::BadSpec, e.to_string()))?;
-    let shardable = registry.entries().iter().any(|e| e.name == spec.name && e.shardable);
-    if sharding.shards > 1 && shardable && stream.len() >= sharding.min_accesses {
-        let plan = ShardPlan::new(llc.sets, sharding.shards);
-        let registry = &registry;
-        let fresh = move || {
-            // sdbp-allow(no-panic-paths): the same spec/geometry built cleanly above
-            let policy = registry.build(spec, llc, 1).expect("spec validated above");
-            Cache::with_policy(llc, policy)
-        };
-        return replay_sharded(stream, &plan, &fresh, &ThreadRunner, probe)
-            .map_err(|e| (ErrorCode::Internal, format!("shard merge: {e}")));
-    }
-    let mut cache = Cache::with_policy(llc, built);
-    Ok(match probe {
-        Some(p) => replay_with_probe(stream, &mut cache, p),
-        None => replay(stream, &mut cache),
     })
 }

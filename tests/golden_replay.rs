@@ -80,15 +80,14 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
 /// {2, 4, 8} as at 1 — the acceptance property of the set-sharded
 /// replay kernel (`DESIGN.md` §13).
 ///
-/// Rows whose policy carries the registry's `shardable` capability flag
-/// run through `replay_sharded` and must match the serial result bit
-/// for bit (counters *and* per-access hit bits). Rows without the flag
-/// take the same serial fallback the production paths take, so their
-/// sharded output is the serial output by construction; the test pins
-/// that the gate itself matches the registry.
+/// Every row goes through the replay front door (`sdbp::replay`). Rows
+/// whose policy is set-local shard and must match the serial result bit
+/// for bit (counters *and* per-access hit bits). The others must report
+/// one effective shard — the serial fallback — and match too; the test
+/// pins that enough rows actually shard.
 #[test]
 fn golden_rows_are_bit_identical_at_every_shard_count() {
-    use sdbp_suite::cache::kernel::{replay_sharded, SerialRunner, ShardPlan};
+    use sdbp_suite::sdbp::replay::{ReplayMode, ReplayRequest};
 
     let rows = rows();
     let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
@@ -105,12 +104,6 @@ fn golden_rows_are_bit_identical_at_every_shard_count() {
         let llc = CacheConfig::new(row.sets, row.ways);
         let spec: sdbp_suite::sdbp::registry::PolicySpec =
             row.spec.parse().expect("golden spec parses");
-        let shardable =
-            registry.entries().iter().any(|e| e.name == spec.name && e.shardable);
-        if !shardable {
-            continue; // production paths clamp these to the serial kernel
-        }
-        sharded_rows += 1;
         let serial = {
             let policy = registry.build(&spec, llc, 1).expect("golden spec builds");
             replay(&w.llc, &mut Cache::with_policy(llc, policy))
@@ -120,16 +113,23 @@ fn golden_rows_are_bit_identical_at_every_shard_count() {
             continue;
         }
         for shards in [2usize, 4, 8] {
-            let plan = ShardPlan::new(row.sets, shards);
-            let fresh = || {
-                let policy = registry.build(&spec, llc, 1).expect("golden spec builds");
-                Cache::with_policy(llc, policy)
+            let request = ReplayRequest {
+                stream: &w.llc,
+                llc,
+                policy: &spec,
+                mode: ReplayMode::Exact { probe: None },
+                shards,
             };
-            match replay_sharded(&w.llc, &plan, &fresh, &SerialRunner, None) {
-                Ok(result) if result == serial => {}
-                Ok(result) => failures.push(format!(
+            match request.run() {
+                Ok(o) if o.stats == serial.stats && o.hits == serial.hits => {
+                    if o.shards == 1 {
+                        break; // serial fallback: every count runs the same loop
+                    }
+                    sharded_rows += usize::from(shards == 2);
+                }
+                Ok(o) => failures.push(format!(
                     "{} {} at {shards} shards: {} misses vs serial {}",
-                    row.workload, row.spec, result.stats.misses, serial.stats.misses
+                    row.workload, row.spec, o.stats.misses, serial.stats.misses
                 )),
                 Err(e) => failures.push(format!(
                     "{} {} at {shards} shards: {e}",

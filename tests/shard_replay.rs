@@ -2,17 +2,19 @@
 //! on fixed-seed random streams, a sharded replay of any set-local
 //! policy is bit-identical to the serial one — the merged
 //! [`ReplayResult`] *and* the probe's window sequence — at every shard
-//! count, under both runners. A set-dueling policy (DIP) pins the other
-//! side of the contract: its registry entry is not `shardable`, so the
-//! production paths clamp it to the serial kernel and its output never
-//! depends on the requested shard count.
+//! count, under both runners and through the replay front door
+//! (`sdbp::replay`). A set-dueling policy (DIP) pins the other side of
+//! the contract: its registry entry is not `shardable`, so the door
+//! clamps it to the serial kernel and its output never depends on the
+//! requested shard count.
 
 use sdbp_suite::cache::kernel::{replay_sharded, SerialRunner, ShardPlan, ThreadRunner};
 use sdbp_suite::cache::recorder::{InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 use sdbp_suite::cache::replay::{replay_with_probe, WindowMisses};
 use sdbp_suite::cache::{Cache, CacheConfig};
-use sdbp_suite::harness::runner::{policy_shardable, run_policy_sharded, PolicyKind};
+use sdbp_suite::harness::runner::{run_policy, PolicyKind};
 use sdbp_suite::sdbp::registry::{standard, PolicySpec, Registry};
+use sdbp_suite::sdbp::replay::{ReplayMode, ReplayRequest};
 use sdbp_suite::trace::rng::Rng64;
 use sdbp_suite::trace::{AccessKind, BlockAddr, Pc};
 
@@ -59,17 +61,14 @@ fn serial_reference(
 }
 
 /// Every set-local policy replays bit-identically — result and probe
-/// window sequence — at shard counts {1, 3, 7} under the serial runner.
+/// window sequence — at shard counts {1, 3, 7} under the serial runner,
+/// and the replay front door runs it on exactly the requested shards.
 #[test]
 fn sharded_replay_is_bit_identical_for_set_local_policies() {
     let registry = standard();
     let llc = CacheConfig::new(64, 4);
     for name in SET_LOCAL_SPECS {
         let spec: PolicySpec = name.parse().expect("spec parses");
-        assert!(
-            registry.entries().iter().any(|e| e.name == spec.name && e.shardable),
-            "{name} lost its shardable capability flag"
-        );
         let mut rng = Rng64::seed_from_u64(0x5da7_d001);
         for case in 0..CASES {
             let stream = random_llc_stream(&mut rng, 2500);
@@ -89,6 +88,23 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                     serial_windows.as_slice(),
                     "{name} case {case}: {shards}-shard probe window sequence diverged"
                 );
+                let mut door_probe = WindowMisses::new(WINDOW);
+                let outcome = ReplayRequest {
+                    stream: &stream,
+                    llc,
+                    policy: &spec,
+                    mode: ReplayMode::Exact { probe: Some(&mut door_probe) },
+                    shards,
+                }
+                .run()
+                .expect("spec and geometry are valid");
+                assert_eq!(outcome.shards, shards, "{name} lost its shardable capability flag");
+                assert_eq!(
+                    (&outcome.stats, &outcome.hits),
+                    (&serial.stats, &serial.hits),
+                    "{name} case {case}: {shards}-shard door replay diverged from serial"
+                );
+                assert_eq!(door_probe.counts(), serial_windows.as_slice());
             }
         }
     }
@@ -122,20 +138,31 @@ fn thread_runner_matches_serial_runner() {
 }
 
 /// DIP duels two leader-set cohorts through one global PSEL counter, so
-/// its decisions are *not* set-local: the registry must not mark it
-/// shardable, and the production path (`run_policy_sharded`) must clamp
-/// it to the serial kernel so its output is independent of the
-/// requested shard count.
+/// its decisions are *not* set-local: the replay front door must clamp
+/// it to the serial kernel, and the experiment runner's rows
+/// (`run_policy`) must be independent of the requested shard count.
 #[test]
 fn set_dueling_policy_is_clamped_to_the_serial_path() {
-    assert!(
-        !policy_shardable(&PolicyKind::Dip),
-        "dip must stay non-shardable: its PSEL counter spans all sets"
-    );
-
     let llc = CacheConfig::new(64, 4);
     let mut rng = Rng64::seed_from_u64(0x5da7_d003);
     let stream = random_llc_stream(&mut rng, 4000);
+    let dip = PolicyKind::Dip.spec();
+    for shards in [3usize, 7] {
+        let outcome = ReplayRequest {
+            stream: &stream,
+            llc,
+            policy: &dip,
+            mode: ReplayMode::Exact { probe: None },
+            shards,
+        }
+        .run()
+        .expect("dip builds");
+        assert_eq!(
+            outcome.shards, 1,
+            "dip must stay non-shardable: its PSEL counter spans all sets"
+        );
+    }
+
     let workload = RecordedWorkload {
         name: "shard-prop".to_owned(),
         records: stream
@@ -144,9 +171,9 @@ fn set_dueling_policy_is_clamped_to_the_serial_path() {
             .collect(),
         llc: stream,
     };
-    let serial = run_policy_sharded(&workload, &PolicyKind::Dip, llc, 1);
+    let serial = run_policy(&workload, &PolicyKind::Dip, llc, 1);
     for shards in [3usize, 7] {
-        let sharded = run_policy_sharded(&workload, &PolicyKind::Dip, llc, shards);
+        let sharded = run_policy(&workload, &PolicyKind::Dip, llc, shards);
         assert_eq!(
             sharded.stats, serial.stats,
             "dip at {shards} requested shards must take the serial fallback"
