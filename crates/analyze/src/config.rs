@@ -1,52 +1,47 @@
-//! The checked-in policy file (`analyze.toml`): the *audited* exceptions
-//! to the rule set.
+//! The checked-in policy file (`analyze.toml`): the *audited* scope
+//! opt-outs from the rule set.
 //!
-//! Two entry kinds exist, with deliberately different weights:
-//!
-//! - `[[allow]]` suppresses individual findings under a path prefix —
-//!   the finding is still computed and reported in the audit section.
-//! - `[[exempt]]` opts a path out of a rule entirely. Rules apply
-//!   workspace-wide by default (new crates are covered the day they are
-//!   created); an exempt is the explicit, justified statement that a
-//!   rule's invariant does not govern that code at all (e.g. wall-clock
-//!   time in the bench harness, whose *output* is wall-clock time).
+//! Rules apply workspace-wide by default (new crates are covered the day
+//! they are created); an `[[exempt]]` entry is the explicit, justified
+//! statement that a rule's invariant does not govern a path subtree at
+//! all (e.g. nested result matrices in the reporting harness, which are
+//! not per-access metadata). Individual findings are excused in-line
+//! with `// sdbp-allow(rule): reason` escapes instead.
 //!
 //! The format is a deliberately small TOML subset — array headers with
 //! `key = "value"` string pairs — parsed by hand because the workspace
 //! is std-only. Every entry must carry a `reason`; a line without a
 //! justification is itself a config error, so the audit trail can never
 //! silently erode. Unknown rule ids are rejected too, which catches
-//! stale entries when rules are renamed.
+//! stale entries when rules are renamed or retired.
 //!
 //! ```text
 //! # analyze.toml
 //! [[exempt]]
-//! rule = "no-wallclock-in-sim"
-//! path = "crates/bench/src"
-//! reason = "measurement harness; wall-clock time is its output"
+//! rule = "flat-metadata"
+//! path = "crates/harness/src"
+//! reason = "cold result matrices, not per-access metadata"
 //! ```
 
 use std::path::Path;
 
-/// One audited exception: `rule` is permitted under path prefix `path`
+/// One audited opt-out: `rule` does not apply under path prefix `path`
 /// because `reason`.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct AllowEntry {
-    /// Rule id the exception applies to.
+pub struct ExemptEntry {
+    /// Rule id the opt-out applies to.
     pub rule: String,
     /// Workspace-relative path prefix (a file or a directory).
     pub path: String,
-    /// Why this exception is sound. Required.
+    /// Why this opt-out is sound. Required.
     pub reason: String,
 }
 
 /// The parsed policy file.
 #[derive(Clone, Default, Debug)]
 pub struct Config {
-    /// Audited finding suppressions, in file order.
-    pub allows: Vec<AllowEntry>,
     /// Audited rule opt-outs, in file order.
-    pub exempts: Vec<AllowEntry>,
+    pub exempts: Vec<ExemptEntry>,
 }
 
 impl Config {
@@ -58,43 +53,29 @@ impl Config {
     /// entries naming unknown rules; messages carry the line number.
     pub fn parse(text: &str, known_rules: &[&str]) -> Result<Config, String> {
         let mut cfg = Config::default();
-        // (entry, header line, is_exempt)
-        let mut current: Option<(AllowEntry, usize, bool)> = None;
-        let finish =
-            |cfg: &mut Config, cur: (AllowEntry, usize, bool)| -> Result<(), String> {
-                let is_exempt = cur.2;
-                let entry = finish_entry((cur.0, cur.1), known_rules)?;
-                if is_exempt {
-                    cfg.exempts.push(entry);
-                } else {
-                    cfg.allows.push(entry);
-                }
-                Ok(())
-            };
+        // (entry, header line)
+        let mut current: Option<(ExemptEntry, usize)> = None;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            if line == "[[allow]]" || line == "[[exempt]]" {
+            if line == "[[exempt]]" {
                 if let Some(cur) = current.take() {
-                    finish(&mut cfg, cur)?;
+                    cfg.exempts.push(finish_entry(cur, known_rules)?);
                 }
                 current = Some((
-                    AllowEntry { rule: String::new(), path: String::new(), reason: String::new() },
+                    ExemptEntry { rule: String::new(), path: String::new(), reason: String::new() },
                     lineno,
-                    line == "[[exempt]]",
                 ));
                 continue;
             }
             let Some((key, value)) = parse_kv(line) else {
                 return Err(format!("analyze.toml:{lineno}: cannot parse `{line}`"));
             };
-            let Some((entry, _, _)) = current.as_mut() else {
-                return Err(format!(
-                    "analyze.toml:{lineno}: `{key}` outside an [[allow]]/[[exempt]] entry"
-                ));
+            let Some((entry, _)) = current.as_mut() else {
+                return Err(format!("analyze.toml:{lineno}: `{key}` outside an [[exempt]] entry"));
             };
             match key {
                 "rule" => entry.rule = value,
@@ -106,7 +87,7 @@ impl Config {
             }
         }
         if let Some(cur) = current.take() {
-            finish(&mut cfg, cur)?;
+            cfg.exempts.push(finish_entry(cur, known_rules)?);
         }
         Ok(cfg)
     }
@@ -126,15 +107,8 @@ impl Config {
         Self::parse(&text, known_rules)
     }
 
-    /// The entry allowing `rule` at `path`, if any.
-    pub fn allows(&self, rule: &str, path: &str) -> Option<&AllowEntry> {
-        self.allows
-            .iter()
-            .find(|a| a.rule == rule && (path == a.path || path.starts_with(a.path.as_str())))
-    }
-
     /// The entry exempting `path` from `rule`, if any.
-    pub fn exempts(&self, rule: &str, path: &str) -> Option<&AllowEntry> {
+    pub fn exempts(&self, rule: &str, path: &str) -> Option<&ExemptEntry> {
         self.exempts
             .iter()
             .find(|a| a.rule == rule && (path == a.path || path.starts_with(a.path.as_str())))
@@ -155,17 +129,17 @@ fn parse_kv(line: &str) -> Option<(&str, String)> {
 
 /// Validates a completed entry.
 fn finish_entry(
-    (entry, lineno): (AllowEntry, usize),
+    (entry, lineno): (ExemptEntry, usize),
     known_rules: &[&str],
-) -> Result<AllowEntry, String> {
+) -> Result<ExemptEntry, String> {
     if entry.rule.is_empty() || entry.path.is_empty() {
         return Err(format!(
-            "analyze.toml:{lineno}: [[allow]] entry needs both `rule` and `path`"
+            "analyze.toml:{lineno}: [[exempt]] entry needs both `rule` and `path`"
         ));
     }
     if entry.reason.is_empty() {
         return Err(format!(
-            "analyze.toml:{lineno}: [[allow]] for `{}` at `{}` has no `reason` — \
+            "analyze.toml:{lineno}: [[exempt]] for `{}` at `{}` has no `reason` — \
              every exception must be justified",
             entry.rule, entry.path
         ));
@@ -184,64 +158,47 @@ fn finish_entry(
 mod tests {
     use super::*;
 
-    const RULES: &[&str] = &["no-panic-paths", "no-wallclock-in-sim"];
+    const RULES: &[&str] = &["flat-metadata", "seed-discipline"];
 
     #[test]
     fn parses_entries_and_matches_prefixes() {
-        let text = "# comment\n\n[[allow]]\nrule = \"no-wallclock-in-sim\"\n\
-                    path = \"crates/bench/src\"\nreason = \"measurement harness\"\n";
+        let text = "# comment\n\n[[exempt]]\nrule = \"flat-metadata\"\n\
+                    path = \"crates/harness/src\"\nreason = \"cold result matrices\"\n";
         let cfg = Config::parse(text, RULES).expect("parses");
-        assert_eq!(cfg.allows.len(), 1);
-        assert!(cfg.allows("no-wallclock-in-sim", "crates/bench/src/micro.rs").is_some());
-        assert!(cfg.allows("no-wallclock-in-sim", "crates/cache/src/lru.rs").is_none());
-        assert!(cfg.allows("no-panic-paths", "crates/bench/src/micro.rs").is_none());
+        assert_eq!(cfg.exempts.len(), 1);
+        assert!(cfg.exempts("flat-metadata", "crates/harness/src/table.rs").is_some());
+        assert!(cfg.exempts("flat-metadata", "crates/cache/src/lru.rs").is_none());
+        assert!(cfg.exempts("seed-discipline", "crates/harness/src/table.rs").is_none());
     }
 
     #[test]
     fn missing_reason_is_rejected() {
-        let text = "[[allow]]\nrule = \"no-panic-paths\"\npath = \"crates/x\"\n";
+        let text = "[[exempt]]\nrule = \"flat-metadata\"\npath = \"crates/x\"\n";
         let err = Config::parse(text, RULES).expect_err("must fail");
         assert!(err.contains("reason"), "{err}");
     }
 
     #[test]
     fn unknown_rule_is_rejected() {
-        let text = "[[allow]]\nrule = \"no-such-rule\"\npath = \"x\"\nreason = \"y\"\n";
+        let text = "[[exempt]]\nrule = \"no-such-rule\"\npath = \"x\"\nreason = \"y\"\n";
         let err = Config::parse(text, RULES).expect_err("must fail");
         assert!(err.contains("unknown rule"), "{err}");
     }
 
     #[test]
-    fn stray_keys_and_garbage_are_rejected() {
-        assert!(Config::parse("rule = \"no-panic-paths\"", RULES).is_err());
-        assert!(Config::parse("[[allow]]\nnot a kv line", RULES).is_err());
-        assert!(Config::parse("[[allow]]\ncolor = \"red\"", RULES).is_err());
+    fn stray_keys_garbage_and_retired_tables_are_rejected() {
+        assert!(Config::parse("rule = \"flat-metadata\"", RULES).is_err());
+        assert!(Config::parse("[[exempt]]\nnot a kv line", RULES).is_err());
+        assert!(Config::parse("[[exempt]]\ncolor = \"red\"", RULES).is_err());
+        assert!(
+            Config::parse("[[allow]]\nrule = \"flat-metadata\"", RULES).is_err(),
+            "[[allow]] is not an entry kind"
+        );
     }
 
     #[test]
     fn empty_and_comment_only_configs_are_valid() {
-        assert!(Config::parse("", RULES).expect("empty ok").allows.is_empty());
-        assert!(Config::parse("# nothing\n", RULES).expect("ok").allows.is_empty());
-    }
-
-    #[test]
-    fn exempt_entries_parse_and_match_separately_from_allows() {
-        let text = "[[exempt]]\nrule = \"no-wallclock-in-sim\"\n\
-                    path = \"crates/bench/src\"\nreason = \"wall time is the output\"\n\
-                    [[allow]]\nrule = \"no-panic-paths\"\npath = \"crates/engine/src/\"\n\
-                    reason = \"poisoning\"\n";
-        let cfg = Config::parse(text, RULES).expect("parses");
-        assert_eq!(cfg.exempts.len(), 1);
-        assert_eq!(cfg.allows.len(), 1);
-        assert!(cfg.exempts("no-wallclock-in-sim", "crates/bench/src/micro.rs").is_some());
-        assert!(cfg.exempts("no-panic-paths", "crates/engine/src/pool.rs").is_none());
-        assert!(cfg.allows("no-panic-paths", "crates/engine/src/pool.rs").is_some());
-    }
-
-    #[test]
-    fn exempt_without_reason_is_rejected() {
-        let text = "[[exempt]]\nrule = \"no-panic-paths\"\npath = \"crates/x\"\n";
-        let err = Config::parse(text, RULES).expect_err("must fail");
-        assert!(err.contains("reason"), "{err}");
+        assert!(Config::parse("", RULES).expect("empty ok").exempts.is_empty());
+        assert!(Config::parse("# nothing\n", RULES).expect("ok").exempts.is_empty());
     }
 }

@@ -1,25 +1,19 @@
 //! Per-file *facts* and the cross-file workspace graph.
 //!
 //! Per-file rules can only see one file at a time; the contract rules
-//! (`wire-exhaustive`, `registry-coverage`, `result-discipline`) need to
-//! relate declarations in one file to uses in another. The bridge is a
-//! two-phase design:
+//! (`wire-exhaustive`, `registry-coverage`) need to relate declarations
+//! in one file to uses in another. The bridge is a two-phase design:
 //!
-//! 1. **Fact extraction** (parallel, cached): each file is lexed, parsed
-//!    and reduced to a small, serializable [`FileFacts`] — function
-//!    signatures, enum variant sites, `Path::Segment` references with
-//!    their enclosing function, discarded-expression sites, policy-name
-//!    registrations. Everything a cross-file rule could later anchor a
-//!    finding at carries its line/column/snippet *here*, so phase 2
-//!    never needs the source text again.
-//! 2. **Graph assembly** (serial, cheap): the facts of every file are
-//!    joined into a [`Graph`] — e.g. the set of workspace functions
-//!    returning `Result` — and the graph rules run over it.
-//!
-//! Because [`FileFacts`] is a pure function of file content, it is what
-//! the incremental cache (`target/analyze-cache.json`) stores per file:
-//! a warm run skips lexing and parsing entirely and still runs every
-//! cross-file rule against fresh facts.
+//! 1. **Fact extraction**: each file is lexed, parsed and reduced to a
+//!    small [`FileFacts`] — enum variant sites, `Path::Segment`
+//!    references with their enclosing function, policy-name
+//!    registrations, string literals, escape comments. Everything a
+//!    cross-file rule could later anchor a finding at carries its
+//!    line/column/snippet *here*, so phase 2 never needs the source
+//!    text again.
+//! 2. **Graph assembly** (cheap): the facts of every file are joined
+//!    into a [`Graph`] — a per-file reference index — and the graph
+//!    rules run over it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,15 +30,6 @@ pub struct Site {
     pub col: u32,
     /// Trimmed text of the line, for diagnostics.
     pub snippet: String,
-}
-
-/// One function (or method) signature.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FnFact {
-    /// Function name.
-    pub name: String,
-    /// Whether the return type mentions `Result`.
-    pub returns_result: bool,
 }
 
 /// One enum variant declaration site.
@@ -74,19 +59,6 @@ pub struct RefFact {
     pub path: String,
 }
 
-/// One discarded expression statement (`let _ = ...;`) in non-test code.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DiscardFact {
-    /// Names of calls made at the top level of the discarded expression
-    /// (macro callees carry a `!` suffix, e.g. `writeln!`).
-    pub callees: Vec<String>,
-    /// Whether the discarded expression ends in `.ok()` (an explicit
-    /// Result-to-Option drop).
-    pub ends_in_ok: bool,
-    /// The discard site.
-    pub site: Site,
-}
-
 /// One policy registration (`name: "spec"`) in non-test code.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PolicyNameFact {
@@ -97,10 +69,6 @@ pub struct PolicyNameFact {
 }
 
 /// One `sdbp-allow(rule): reason` escape comment.
-///
-/// Extracted into facts (rather than re-read from source at routing
-/// time) so suppression still works when a file's analysis comes from
-/// the incremental cache and the source was never loaded.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EscapeFact {
     /// 1-based line the comment starts on.
@@ -115,17 +83,10 @@ pub struct EscapeFact {
 /// Everything the cross-file rules need to know about one file.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct FileFacts {
-    /// Function signatures (all nesting levels).
-    pub fns: Vec<FnFact>,
     /// Enums with variant declaration sites.
     pub enums: Vec<EnumFact>,
     /// Deduplicated `Type::Segment` references in non-test code.
     pub refs: Vec<RefFact>,
-    /// `let _ = ...;` discard statements in non-test code.
-    pub discards: Vec<DiscardFact>,
-    /// Statement-terminal `.ok();` drops (expression statements only;
-    /// `let`-bound conversions are not drops) in non-test code.
-    pub ok_drops: Vec<Site>,
     /// `name: "literal"` registrations in non-test code.
     pub policy_names: Vec<PolicyNameFact>,
     /// Whether the file iterates a whole registry via `.entries()`.
@@ -137,27 +98,6 @@ pub struct FileFacts {
     pub escapes: Vec<EscapeFact>,
 }
 
-/// Whether a return-type string names the `Result` type itself — as a
-/// standalone identifier, not a substring of e.g. `ReplayResult`.
-fn mentions_result(ret: &str) -> bool {
-    let mut rest = ret;
-    while let Some(pos) = rest.find("Result") {
-        let before_ok = rest[..pos]
-            .chars()
-            .next_back()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        let after_ok = rest[pos + "Result".len()..]
-            .chars()
-            .next()
-            .is_none_or(|c| !c.is_alphanumeric() && c != '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        rest = &rest[pos + "Result".len()..];
-    }
-    false
-}
-
 /// Extracts [`FileFacts`] from a lexed+parsed file.
 pub fn extract(file: &SourceFile) -> FileFacts {
     let mut facts = FileFacts::default();
@@ -167,26 +107,19 @@ pub fn extract(file: &SourceFile) -> FileFacts {
         Site { line, col, snippet: file.line_text(line).trim().to_owned() }
     };
 
-    // Function signatures and enums come straight from the AST.
+    // Enums come straight from the AST.
     for item in file.ast.walk() {
-        match &item.kind {
-            crate::parser::ItemKind::Fn { ret } => facts.fns.push(FnFact {
-                name: item.name.clone(),
-                returns_result: mentions_result(ret),
-            }),
-            crate::parser::ItemKind::Enum { variants } => {
-                if file.in_test(item.start) {
-                    continue;
-                }
-                facts.enums.push(EnumFact {
-                    name: item.name.clone(),
-                    variants: variants
-                        .iter()
-                        .map(|v| VariantFact { name: v.name.clone(), site: site(v.start) })
-                        .collect(),
-                });
+        if let crate::parser::ItemKind::Enum { variants } = &item.kind {
+            if file.in_test(item.start) {
+                continue;
             }
-            _ => {}
+            facts.enums.push(EnumFact {
+                name: item.name.clone(),
+                variants: variants
+                    .iter()
+                    .map(|v| VariantFact { name: v.name.clone(), site: site(v.start) })
+                    .collect(),
+            });
         }
     }
 
@@ -197,11 +130,8 @@ pub fn extract(file: &SourceFile) -> FileFacts {
     };
     let mut refs = BTreeSet::new();
     let mut lits = BTreeSet::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = &toks[i];
+    for (i, t) in toks.iter().enumerate() {
         if file.in_test(t.start) {
-            i += 1;
             continue;
         }
         // `Type::Segment` references (uses and match patterns alike).
@@ -245,31 +175,6 @@ pub fn extract(file: &SourceFile) -> FileFacts {
                 }
             }
         }
-        // `let _ = <expr> ;` discards. The discarded expression's tokens
-        // are still scanned by the other patterns (a `Type::Variant` ref
-        // inside a discard is still a ref — e.g. an error reply built
-        // inside a best-effort write).
-        if t.kind == TokenKind::Ident && text(i) == "let" && text(i + 1) == "_" && is_punct(i + 2, "=")
-        {
-            let (discard, _) = scan_discard(file, i);
-            facts.discards.push(DiscardFact {
-                callees: discard.0,
-                ends_in_ok: discard.1,
-                site: site(t.start),
-            });
-            i += 3;
-            continue;
-        }
-        // Statement-terminal `.ok();` on an expression statement.
-        if is_punct(i, ".") && text(i + 1) == "ok" && is_punct(i + 2, "(") && is_punct(i + 3, ")")
-            && is_punct(i + 4, ";")
-            && !statement_is_let(file, i)
-        {
-            facts.ok_drops.push(site(toks[i].start));
-            i += 5;
-            continue;
-        }
-        i += 1;
     }
     facts.refs = refs.into_iter().collect();
     facts.str_lits = lits.into_iter().collect();
@@ -295,69 +200,6 @@ pub fn extract(file: &SourceFile) -> FileFacts {
     facts
 }
 
-/// Scans the `let _ = <expr>;` starting at token index `let_idx`,
-/// returning `((top-level callees, ends_in_ok), index past the `;`)`.
-fn scan_discard(file: &SourceFile, let_idx: usize) -> ((Vec<String>, bool), usize) {
-    let toks = &file.lexed.tokens;
-    let text = |i: usize| toks.get(i).map_or("", |t| file.text(t));
-    let is_punct = |i: usize, c: &str| {
-        toks.get(i).is_some_and(|t| t.kind == TokenKind::Punct) && text(i) == c
-    };
-    let mut callees = Vec::new();
-    let mut depth = 0usize;
-    let mut j = let_idx + 3; // past `let _ =`
-    let mut last4: [String; 4] = Default::default();
-    while j < toks.len() {
-        if depth == 0 && is_punct(j, ";") {
-            j += 1;
-            break;
-        }
-        if is_punct(j, "(") || is_punct(j, "[") || is_punct(j, "{") {
-            // A call at the top level of the expression?
-            if depth == 0 && is_punct(j, "(") {
-                let prev = toks.get(j.wrapping_sub(1));
-                if prev.is_some_and(|p| p.kind == TokenKind::Ident) {
-                    let name = text(j - 1);
-                    if !matches!(name, "if" | "match" | "while" | "for" | "return") {
-                        callees.push(name.to_owned());
-                    }
-                } else if is_punct(j - 1, "!")
-                    && toks.get(j.wrapping_sub(2)).is_some_and(|p| p.kind == TokenKind::Ident)
-                {
-                    callees.push(format!("{}!", text(j - 2)));
-                }
-            }
-            depth += 1;
-        } else if is_punct(j, ")") || is_punct(j, "]") || is_punct(j, "}") {
-            depth = depth.saturating_sub(1);
-        }
-        last4.rotate_left(1);
-        last4[3] = text(j).to_owned();
-        j += 1;
-    }
-    let ends_in_ok = last4[0] == "." && last4[1] == "ok" && last4[2] == "(" && last4[3] == ")";
-    ((callees, ends_in_ok), j)
-}
-
-/// Whether the statement containing token index `i` starts with `let`
-/// (scanning back to the previous `;`, `{`, or `}`).
-fn statement_is_let(file: &SourceFile, i: usize) -> bool {
-    let toks = &file.lexed.tokens;
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        let text = file.text(t);
-        if t.kind == TokenKind::Punct && matches!(text, ";" | "{" | "}") {
-            return file.lexed.tokens.get(j + 1).is_some_and(|n| file.text(n) == "let");
-        }
-        if j == 0 {
-            break;
-        }
-    }
-    toks.first().is_some_and(|t| file.text(t) == "let")
-}
-
 /// One analyzed file: its path plus extracted facts.
 #[derive(Clone, Debug)]
 pub struct GraphFile {
@@ -372,8 +214,6 @@ pub struct GraphFile {
 pub struct Graph {
     /// Every analyzed file, in sorted path order.
     pub files: Vec<GraphFile>,
-    /// Names of workspace functions whose return type mentions `Result`.
-    pub result_fns: BTreeSet<String>,
     /// For non-test workspace files: path → deduplicated reference set.
     refs_by_file: BTreeMap<String, BTreeSet<RefFact>>,
 }
@@ -382,18 +222,12 @@ impl Graph {
     /// Assembles the graph from per-file facts (must be pre-sorted by
     /// path for deterministic rule output).
     pub fn build(files: Vec<GraphFile>) -> Graph {
-        let mut result_fns = BTreeSet::new();
         let mut refs_by_file = BTreeMap::new();
         for f in &files {
-            for func in &f.facts.fns {
-                if func.returns_result {
-                    result_fns.insert(func.name.clone());
-                }
-            }
             refs_by_file
                 .insert(f.path.clone(), f.facts.refs.iter().cloned().collect::<BTreeSet<_>>());
         }
-        Graph { files, result_fns, refs_by_file }
+        Graph { files, refs_by_file }
     }
 
     /// The facts of `path`, if analyzed.
@@ -431,22 +265,13 @@ mod tests {
     }
 
     #[test]
-    fn fn_and_enum_facts_are_extracted() {
+    fn enum_facts_are_extracted() {
         let f = facts(
             "crates/x/src/lib.rs",
             "pub fn fallible() -> Result<(), String> { Ok(()) }\n\
              fn infallible() -> u32 { 0 }\n\
              pub enum Wire { Ping, Pong }\n",
         );
-        assert_eq!(f.fns.len(), 2);
-        assert!(f.fns[0].returns_result);
-        assert!(!f.fns[1].returns_result);
-        // `Result` must be a standalone identifier, not a substring.
-        assert!(mentions_result("io::Result<()>"));
-        assert!(mentions_result("Result < u32 , E >"));
-        assert!(!mentions_result("ReplayResult"));
-        assert!(!mentions_result("Vec<ResultRow>"));
-        assert!(mentions_result("Vec<Result<u32, E>>"));
         assert_eq!(f.enums.len(), 1);
         assert_eq!(f.enums[0].variants.len(), 2);
         assert_eq!(f.enums[0].variants[1].name, "Pong");
@@ -473,37 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn discards_record_top_level_callees() {
-        let f = facts(
-            "crates/x/src/lib.rs",
-            "fn f() { let _ = frame.write_to(&mut w); let _ = writeln!(out, \"x\"); let _ = inner(helper()); }\n",
-        );
-        assert_eq!(f.discards.len(), 3, "{:?}", f.discards);
-        assert_eq!(f.discards[0].callees, vec!["write_to"]);
-        assert_eq!(f.discards[1].callees, vec!["writeln!"]);
-        assert_eq!(f.discards[2].callees, vec!["inner"], "nested calls are not top-level");
-    }
-
-    #[test]
     fn refs_inside_discarded_expressions_are_still_refs() {
         let f = facts(
             "crates/x/src/lib.rs",
             "fn f() { let _ = Frame::ErrorReply { code: ErrorCode::BadVersion }.write_to(w); }\n",
         );
-        assert_eq!(f.discards.len(), 1);
         assert!(f.refs.iter().any(|r| r.path == "ErrorCode::BadVersion"), "{:?}", f.refs);
         assert!(f.refs.iter().any(|r| r.path == "Frame::ErrorReply"), "{:?}", f.refs);
-    }
-
-    #[test]
-    fn ok_drops_flag_expression_statements_only() {
-        let f = facts(
-            "crates/x/src/lib.rs",
-            "fn f() { sock.shutdown().ok(); let kept = parse().ok(); let _ = send().ok(); }\n",
-        );
-        assert_eq!(f.ok_drops.len(), 1, "{:?}", f.ok_drops);
-        assert_eq!(f.discards.len(), 1);
-        assert!(f.discards[0].ends_in_ok);
     }
 
     #[test]
@@ -522,18 +323,18 @@ mod tests {
     fn escapes_and_string_literals_are_collected() {
         let f = facts(
             "crates/x/src/lib.rs",
-            "// sdbp-allow(no-panic-paths): length checked above\n\
+            "// sdbp-allow(flat-metadata): built once per campaign\n\
              fn f() { let s = \"tdbp\"; } // sdbp-allow(reasonless)\n",
         );
         assert_eq!(f.escapes.len(), 1, "{:?}", f.escapes);
         assert_eq!(f.escapes[0].line, 1);
-        assert_eq!(f.escapes[0].rule, "no-panic-paths");
-        assert_eq!(f.escapes[0].reason, "length checked above");
+        assert_eq!(f.escapes[0].rule, "flat-metadata");
+        assert_eq!(f.escapes[0].reason, "built once per campaign");
         assert!(f.str_lits.contains(&"tdbp".to_owned()));
     }
 
     #[test]
-    fn graph_joins_result_fns_and_refs() {
+    fn graph_joins_refs_across_files() {
         let a = GraphFile {
             path: "crates/a/src/lib.rs".into(),
             facts: facts(
@@ -546,7 +347,7 @@ mod tests {
             facts: facts("crates/b/src/lib.rs", "fn handle() { let _x = Wire::Ping; }\n"),
         };
         let g = Graph::build(vec![a, b]);
-        assert!(g.result_fns.contains("write_to"));
+        assert!(g.file("crates/a/src/lib.rs").is_some());
         assert!(g.references("crates/b/src/lib.rs", "Wire::Ping", Some("handle")));
         assert!(!g.references("crates/b/src/lib.rs", "Wire::Ping", Some("other")));
         assert!(g.referenced_under("crates/b/", "Wire::Ping", "crates/a/src/lib.rs"));

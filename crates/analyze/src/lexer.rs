@@ -4,15 +4,14 @@
 //! stream in which *nothing inside a comment, string literal, char
 //! literal, or raw string* can be mistaken for code. Every rule in
 //! [`crate::rules`] is a pattern over this stream, so the lexer is the
-//! single place where "the word `unwrap` appears in a doc example" is
-//! separated from "the code calls `.unwrap()`".
+//! single place where "the word `seed` appears in a doc example" is
+//! separated from "the code computes `seed + core`".
 //!
 //! The lexer is deliberately lossless about *where* things are: each
 //! token and comment carries its byte span, and [`LineIndex`] converts
 //! spans to 1-based line/column pairs for diagnostics.
 //!
-//! Covered syntax: line and block comments (nested, doc-comment flavors
-//! distinguished, since `pub-api-docs` needs them and `sdbp-allow`
+//! Covered syntax: line and block comments (nested; `sdbp-allow`
 //! escapes live in comments), string/char/byte/raw-string literals
 //! (including `r#".."#` hash counting), lifetimes vs. char literals,
 //! numeric literals (enough structure that `0..4` lexes as two numbers
@@ -49,24 +48,10 @@ pub struct Token {
     pub end: usize,
 }
 
-/// Which comment flavor a [`Comment`] is.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum CommentKind {
-    /// `// ...` or `/* ... */` — plain trivia (where `sdbp-allow`
-    /// escapes live).
-    Plain,
-    /// `/// ...` or `/** ... */` — documents the following item.
-    DocOuter,
-    /// `//! ...` or `/*! ... */` — documents the enclosing item.
-    DocInner,
-}
-
 /// One comment with its byte span; comments are collected out-of-band so
 /// token-stream rules never see them.
 #[derive(Copy, Clone, Debug)]
 pub struct Comment {
-    /// Comment flavor.
-    pub kind: CommentKind,
     /// Byte offset of the leading `/`.
     pub start: usize,
     /// Byte offset one past the end (past the newline-exclusive text for
@@ -194,24 +179,13 @@ pub fn lex(src: &str) -> Lexed {
         match c {
             b' ' | b'\t' | b'\r' | b'\n' => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let kind = match (b.get(i + 2), b.get(i + 3)) {
-                    (Some(b'/'), Some(b'/')) => CommentKind::Plain,
-                    (Some(b'/'), _) => CommentKind::DocOuter,
-                    (Some(b'!'), _) => CommentKind::DocInner,
-                    _ => CommentKind::Plain,
-                };
                 let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                out.comments.push(Comment { kind, start, end: i });
+                out.comments.push(Comment { start, end: i });
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
-                let kind = match b.get(i + 2) {
-                    Some(b'*') if b.get(i + 3) != Some(&b'/') => CommentKind::DocOuter,
-                    Some(b'!') => CommentKind::DocInner,
-                    _ => CommentKind::Plain,
-                };
                 let start = i;
                 let mut depth = 1usize;
                 i += 2;
@@ -226,7 +200,7 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                out.comments.push(Comment { kind, start, end: i });
+                out.comments.push(Comment { start, end: i });
             }
             b'"' => {
                 let start = i;
@@ -322,28 +296,6 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// Parses an integer literal's value (`0x7f`, `255u8`, `1_000`), ignoring
-/// any type suffix. Returns `None` for floats or malformed input.
-pub fn int_literal_value(text: &str) -> Option<u128> {
-    let cleaned: String = text.chars().filter(|&c| c != '_').collect();
-    let (radix, digits) = match cleaned.as_bytes() {
-        [b'0', b'x' | b'X', rest @ ..] => (16, rest),
-        [b'0', b'o' | b'O', rest @ ..] => (8, rest),
-        [b'0', b'b' | b'B', rest @ ..] => (2, rest),
-        _ => (10, cleaned.as_bytes()),
-    };
-    let digits = std::str::from_utf8(digits).ok()?;
-    // Strip a trailing type suffix (u8/i64/usize/...).
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    let (num, suffix) = digits.split_at(end);
-    if num.is_empty() || !matches!(suffix, "" | "u8" | "u16" | "u32" | "u64" | "u128" | "usize" | "i8" | "i16" | "i32" | "i64" | "i128" | "isize") {
-        return None;
-    }
-    u128::from_str_radix(num, radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,22 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn comment_kinds_are_distinguished() {
-        let src = "//! inner\n/// outer\n// plain\n/** block doc */ fn x() {}";
-        let lexed = lex(src);
-        let kinds: Vec<CommentKind> = lexed.comments.iter().map(|c| c.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                CommentKind::DocInner,
-                CommentKind::DocOuter,
-                CommentKind::Plain,
-                CommentKind::DocOuter
-            ]
-        );
-    }
-
-    #[test]
     fn nested_block_comments_close_at_the_right_depth() {
         let src = "/* outer /* inner */ still comment */ code";
         let toks = texts(src);
@@ -426,16 +362,6 @@ mod tests {
         assert_eq!(idx.line_col(src, 4), (2, 2));
         assert_eq!(idx.line_text(src, 2), "cd");
         assert_eq!(idx.line_text(src, 9), "");
-    }
-
-    #[test]
-    fn int_literals_parse_with_radix_and_suffix() {
-        assert_eq!(int_literal_value("0x7f"), Some(0x7f));
-        assert_eq!(int_literal_value("255u8"), Some(255));
-        assert_eq!(int_literal_value("1_000"), Some(1000));
-        assert_eq!(int_literal_value("0b1010"), Some(10));
-        assert_eq!(int_literal_value("1.5"), None);
-        assert_eq!(int_literal_value("xyz"), None);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!   with byte spans;
 //! * every enum's variant list, span-accurate (so `wire-exhaustive` can
 //!   anchor "variant X has no decode arm" at the declaration);
-//! * every function's name and return-type text (so `result-discipline`
-//!   can resolve "does `write_to` return a `Result`?" across files);
-//! * function body token ranges (so statement-level rules like
-//!   `mutex-discipline` can walk one body at a time).
+//! * every function's name and body token range (so a `Type::Variant`
+//!   reference knows which function it sits in — `wire-exhaustive` asks
+//!   "does `decode` match `Frame::Pong`?").
 //!
 //! The parser is deliberately tolerant: anything it does not recognize
 //! is skipped token-by-token, because it runs over code `rustc` already
@@ -33,12 +32,8 @@ pub struct Variant {
 /// What kind of item an [`Item`] is, with per-kind payload.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ItemKind {
-    /// `fn name(...) -> Ret { ... }`; `ret` is the raw return-type text
-    /// (`""` for `-> ()`-less signatures).
-    Fn {
-        /// Raw source text of the return type, `""` when absent.
-        ret: String,
-    },
+    /// `fn name(...) -> Ret { ... }`.
+    Fn,
     /// `enum Name { V1, V2(..), .. }`.
     Enum {
         /// The variants, in declaration order.
@@ -104,7 +99,7 @@ impl Ast {
     pub fn fns(&self) -> Vec<&Item> {
         self.walk()
             .into_iter()
-            .filter(|i| matches!(i.kind, ItemKind::Fn { .. }))
+            .filter(|i| matches!(i.kind, ItemKind::Fn))
             .collect()
     }
 
@@ -121,7 +116,7 @@ impl Ast {
     pub fn enclosing_fn(&self, tok_idx: usize) -> Option<&Item> {
         let mut best: Option<&Item> = None;
         for item in self.walk() {
-            if let (ItemKind::Fn { .. }, Some((lo, hi))) = (&item.kind, item.body) {
+            if let (ItemKind::Fn, Some((lo, hi))) = (&item.kind, item.body) {
                 if tok_idx >= lo && tok_idx < hi {
                     let tighter =
                         best.and_then(|b| b.body).is_none_or(|(blo, _)| lo >= blo);
@@ -341,30 +336,22 @@ impl<'a> Parser<'a> {
         if self.is_punct(self.pos, "(") {
             self.skip_balanced("(", ")");
         }
-        // Return type: raw text between `->` and `{` / `;` / `where`.
-        let mut ret = String::new();
+        // Return type: skip to `{` / `;` / `where`, stepping over `<..>`
+        // groups whole so `Result<Foo, {integer}>`-ish text never
+        // confuses the brace scan.
         if self.is_punct(self.pos, "-") && self.is_punct(self.pos + 1, ">") {
             self.pos += 2;
-            let ret_start = self.start_of(self.pos);
-            let mut ret_end = ret_start;
-            while self.pos < self.toks.len() {
-                let t = self.text(self.pos);
-                if t == "where" || self.is_punct(self.pos, "{") || self.is_punct(self.pos, ";")
-                {
-                    break;
-                }
-                // `<` groups may contain `{`-free tokens only; skip them
-                // wholesale so `Result<Foo, {integer}>`-ish text never
-                // confuses the brace scan.
+            while self.pos < self.toks.len()
+                && self.text(self.pos) != "where"
+                && !self.is_punct(self.pos, "{")
+                && !self.is_punct(self.pos, ";")
+            {
                 if self.is_punct(self.pos, "<") {
                     self.skip_balanced("<", ">");
-                    ret_end = self.end_of(self.pos.saturating_sub(1));
-                    continue;
+                } else {
+                    self.pos += 1;
                 }
-                ret_end = self.end_of(self.pos);
-                self.pos += 1;
             }
-            ret = self.src.get(ret_start..ret_end).unwrap_or("").to_owned();
         }
         // `where` clause: skip until the body brace or `;`.
         while self.pos < self.toks.len()
@@ -382,7 +369,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         Item {
-            kind: ItemKind::Fn { ret },
+            kind: ItemKind::Fn,
             name,
             start,
             end: self.end_of(self.pos.saturating_sub(1)),
@@ -622,7 +609,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_signatures_capture_name_and_return_type() {
+    fn fn_signatures_capture_name_and_skip_the_return_type() {
         let ast = ast_of(
             "fn plain() {}\n\
              pub fn with_ret(x: u32) -> Result<u32, String> { Ok(x) }\n\
@@ -632,17 +619,7 @@ mod tests {
         let fns = ast.fns();
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["plain", "with_ret", "k", "generic"]);
-        let rets: Vec<&str> = fns
-            .iter()
-            .map(|f| match &f.kind {
-                ItemKind::Fn { ret } => ret.as_str(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(rets[0], "");
-        assert!(rets[1].contains("Result"), "{:?}", rets[1]);
-        assert_eq!(rets[2], "usize");
-        assert!(rets[3].contains("Option"), "{:?}", rets[3]);
+        assert!(fns.iter().all(|f| f.body.is_some()), "every body found past its return type");
     }
 
     #[test]

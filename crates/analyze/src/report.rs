@@ -11,17 +11,16 @@ use sdbp_engine::json::JsonWriter;
 use crate::rules::{Finding, RuleInfo};
 
 /// JSON schema identifier, bumped on breaking shape changes.
-pub const REPORT_SCHEMA: &str = "sdbp-analyze-report/v2";
+pub const REPORT_SCHEMA: &str = "sdbp-analyze-report/v3";
 
-/// A finding that was matched by an escape hatch and therefore does not
-/// fail the run, retained for the audit section of the report.
+/// A finding suppressed by a `// sdbp-allow(rule): reason` line escape
+/// and therefore not failing the run, retained for the audit section of
+/// the report.
 #[derive(Clone, Debug)]
 pub struct Allowed {
     /// The suppressed finding.
     pub finding: Finding,
-    /// Where the suppression came from: `"analyze.toml"` or `"line-escape"`.
-    pub source: &'static str,
-    /// The justification text attached to the suppression.
+    /// The justification text attached to the escape.
     pub reason: String,
 }
 
@@ -36,9 +35,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Findings dropped by `[[exempt]]` rule opt-outs.
     pub exempted: usize,
-    /// Files whose phase-1 analysis was reused from the incremental
-    /// cache.
-    pub cache_hits: usize,
 }
 
 /// Sorts findings into the canonical report order.
@@ -68,9 +64,8 @@ pub fn render_human(report: &Report, rules: &[RuleInfo]) -> String {
     per_rule.retain(|(_, n)| *n > 0);
     if per_rule.is_empty() {
         out.push_str(&format!(
-            "analyze: clean — {} files scanned ({} cached), 0 findings ({} allowed, {} exempted)\n",
+            "analyze: clean — {} files scanned, 0 findings ({} allowed, {} exempted)\n",
             report.files_scanned,
-            report.cache_hits,
             report.allowed.len(),
             report.exempted
         ));
@@ -79,9 +74,8 @@ pub fn render_human(report: &Report, rules: &[RuleInfo]) -> String {
             out.push_str(&format!("analyze: {n} finding(s) for {id}\n"));
         }
         out.push_str(&format!(
-            "analyze: FAILED — {} files scanned ({} cached), {} finding(s) ({} allowed, {} exempted)\n",
+            "analyze: FAILED — {} files scanned, {} finding(s) ({} allowed, {} exempted)\n",
             report.files_scanned,
-            report.cache_hits,
             report.findings.len(),
             report.allowed.len(),
             report.exempted
@@ -97,7 +91,6 @@ pub fn render_json(report: &Report, rules: &[RuleInfo]) -> String {
     w.begin_object();
     w.key("schema").string(REPORT_SCHEMA);
     w.key("files_scanned").uint(report.files_scanned as u64);
-    w.key("cache_hits").uint(report.cache_hits as u64);
     w.key("exempted").uint(report.exempted as u64);
     w.key("clean").boolean(report.findings.is_empty());
 
@@ -121,7 +114,6 @@ pub fn render_json(report: &Report, rules: &[RuleInfo]) -> String {
     w.key("allowed").begin_array();
     for a in &report.allowed {
         w.begin_object();
-        w.key("source").string(a.source);
         w.key("reason").string(&a.reason);
         w.key("finding");
         write_finding(&mut w, &a.finding);
@@ -165,13 +157,13 @@ mod tests {
     #[test]
     fn findings_sort_by_path_line_col_rule() {
         let mut v = vec![
-            finding("b.rs", 1, 1, "no-panic-paths"),
-            finding("a.rs", 2, 1, "no-panic-paths"),
+            finding("b.rs", 1, 1, "flat-metadata"),
+            finding("a.rs", 2, 1, "flat-metadata"),
             finding("a.rs", 1, 5, "seed-discipline"),
-            finding("a.rs", 1, 5, "no-panic-paths"),
+            finding("a.rs", 1, 5, "flat-metadata"),
         ];
         sort_findings(&mut v);
-        assert_eq!(v[0].rule, "no-panic-paths");
+        assert_eq!(v[0].rule, "flat-metadata");
         assert_eq!(v[0].path, "a.rs");
         assert_eq!(v[1].rule, "seed-discipline");
         assert_eq!(v[3].path, "b.rs");
@@ -184,7 +176,7 @@ mod tests {
         let human = render_human(&report, &rules);
         assert!(human.contains("clean"), "{human}");
         let json = render_json(&report, &rules);
-        assert!(json.contains("\"schema\":\"sdbp-analyze-report/v2\""));
+        assert!(json.contains("\"schema\":\"sdbp-analyze-report/v3\""));
         assert!(json.contains("\"clean\":true"));
         assert!(json.contains("\"files_scanned\":12"));
     }
@@ -192,11 +184,10 @@ mod tests {
     #[test]
     fn failing_report_lists_findings_in_both_formats() {
         let mut report = Report { files_scanned: 3, ..Report::default() };
-        report.findings.push(finding("crates/x/src/lib.rs", 4, 9, "no-panic-paths"));
+        report.findings.push(finding("crates/x/src/lib.rs", 4, 9, "seed-discipline"));
         report.allowed.push(Allowed {
-            finding: finding("crates/y/src/lib.rs", 1, 1, "no-wallclock-in-sim"),
-            source: "analyze.toml",
-            reason: "telemetry".to_owned(),
+            finding: finding("crates/y/src/lib.rs", 1, 1, "flat-metadata"),
+            reason: "cold report rows".to_owned(),
         });
         let rules = all_rule_info();
         let human = render_human(&report, &rules);
@@ -204,7 +195,6 @@ mod tests {
         assert!(human.contains("FAILED"), "{human}");
         let json = render_json(&report, &rules);
         assert!(json.contains("\"clean\":false"));
-        assert!(json.contains("\"source\":\"analyze.toml\""));
-        assert!(json.contains("\"reason\":\"telemetry\""));
+        assert!(json.contains("\"reason\":\"cold report rows\""));
     }
 }

@@ -1,25 +1,26 @@
 //! The rule engine: each rule is a pattern over the token stream of one
 //! [`SourceFile`], reporting span-accurate [`Finding`]s.
 //!
+//! Only invariants the pinned clippy cannot express live here: this
+//! system's own contracts (wire exhaustiveness, registry coverage, shard
+//! merge order, lock scope, flat metadata, seed forking). The generic
+//! lexical checks — panics, narrowing casts, wall-clock reads, hashed
+//! containers, missing docs, discarded `Result`s — are clippy lints
+//! configured in `Cargo.toml` and `clippy.toml` (DESIGN.md §9).
+//!
 //! Rules are deliberately *lexical*: the workspace is std-only and
 //! offline, so there is no type information to lean on. Each rule is
 //! therefore scoped to the paths where its invariant actually matters
 //! (see each rule's module docs), which keeps the false-positive rate
 //! near zero — and anything residual is handled by the two escape
-//! hatches ([`crate::config`] allowlist entries and `// sdbp-allow(rule)`
-//! line escapes).
+//! hatches ([`crate::config`] `[[exempt]]` entries and
+//! `// sdbp-allow(rule)` line escapes).
 
-mod casts;
-mod det_iter;
-mod docs;
 mod flat_metadata;
 mod mutex_discipline;
-mod panic_paths;
 mod registry_coverage;
-mod result_discipline;
 mod seed;
 mod shard_determinism;
-mod wallclock;
 mod wire_exhaustive;
 
 use std::path::Path;
@@ -27,23 +28,17 @@ use std::path::Path;
 use crate::graph::{Graph, Site};
 use crate::source::SourceFile;
 
-pub use casts::LosslessCodecCasts;
-pub use det_iter::DeterministicIteration;
-pub use docs::PubApiDocs;
 pub use flat_metadata::FlatMetadata;
 pub use mutex_discipline::MutexDiscipline;
-pub use panic_paths::NoPanicPaths;
 pub use registry_coverage::RegistryCoverage;
-pub use result_discipline::ResultDiscipline;
 pub use seed::SeedDiscipline;
 pub use shard_determinism::ShardDeterminism;
-pub use wallclock::NoWallclockInSim;
 pub use wire_exhaustive::WireExhaustive;
 
 /// One diagnostic: where, which rule, and why.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `no-panic-paths`).
+    /// Stable rule identifier (e.g. `seed-discipline`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -59,7 +54,7 @@ pub struct Finding {
 
 /// A single invariant check over one file.
 pub trait Rule {
-    /// Stable identifier used in reports, the allowlist, and
+    /// Stable identifier used in reports, `[[exempt]]` entries, and
     /// `sdbp-allow(...)` escapes.
     fn id(&self) -> &'static str;
 
@@ -76,7 +71,7 @@ pub trait Rule {
 /// the scan), so they can relate declarations in one file to uses in
 /// another — e.g. a wire variant with an encode arm but no decode arm.
 pub trait GraphRule {
-    /// Stable identifier used in reports, the allowlist, and
+    /// Stable identifier used in reports, `[[exempt]]` entries, and
     /// `sdbp-allow(...)` escapes.
     fn id(&self) -> &'static str;
 
@@ -108,12 +103,7 @@ pub struct RuleInfo {
 /// Every per-file rule, in stable report order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(NoPanicPaths),
-        Box::new(DeterministicIteration),
-        Box::new(NoWallclockInSim),
-        Box::new(LosslessCodecCasts),
         Box::new(SeedDiscipline),
-        Box::new(PubApiDocs),
         Box::new(FlatMetadata),
         Box::new(MutexDiscipline),
         Box::new(ShardDeterminism),
@@ -122,7 +112,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 
 /// Every graph rule, in stable report order.
 pub fn graph_rules() -> Vec<Box<dyn GraphRule>> {
-    vec![Box::new(ResultDiscipline), Box::new(WireExhaustive), Box::new(RegistryCoverage)]
+    vec![Box::new(WireExhaustive), Box::new(RegistryCoverage)]
 }
 
 /// Metadata for every rule — per-file first, then graph — in stable

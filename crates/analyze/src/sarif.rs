@@ -99,12 +99,12 @@ mod tests {
     fn sample_report() -> Report {
         let mut report = Report { files_scanned: 2, ..Report::default() };
         report.findings.push(Finding {
-            rule: "no-panic-paths",
-            path: "crates/traceio/src/reader.rs".to_owned(),
+            rule: "seed-discipline",
+            path: "crates/workloads/src/lib.rs".to_owned(),
             line: 14,
             col: 9,
-            message: "`unwrap()` on an I/O path \"quoted\"".to_owned(),
-            snippet: "let x = r.unwrap();".to_owned(),
+            message: "seed arithmetic on `seed` \"quoted\"".to_owned(),
+            snippet: "let s = seed + core;".to_owned(),
         });
         report
     }
@@ -114,10 +114,10 @@ mod tests {
         let doc = render_sarif(&sample_report(), &all_rule_info());
         assert!(doc.contains("\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\""));
         assert!(doc.contains("\"version\":\"2.1.0\""));
-        assert!(doc.contains("\"ruleId\":\"no-panic-paths\""));
+        assert!(doc.contains("\"ruleId\":\"seed-discipline\""));
         assert!(doc.contains("\"startLine\":14"));
         assert!(doc.contains("\"startColumn\":9"));
-        assert!(doc.contains("\"uri\":\"crates/traceio/src/reader.rs\""));
+        assert!(doc.contains("\"uri\":\"crates/workloads/src/lib.rs\""));
         // Message text is escaped, not raw.
         assert!(doc.contains("\\\"quoted\\\""));
         // Every rule is declared in the driver table.
@@ -130,7 +130,7 @@ mod tests {
     fn rule_index_points_into_the_driver_table() {
         let rules = all_rule_info();
         let doc = render_sarif(&sample_report(), &rules);
-        let idx = rules.iter().position(|r| r.id == "no-panic-paths").expect("rule exists");
+        let idx = rules.iter().position(|r| r.id == "seed-discipline").expect("rule exists");
         assert!(doc.contains(&format!("\"ruleIndex\":{idx}")));
     }
 

@@ -9,8 +9,8 @@ use crate::parser::{parse, Ast};
 pub enum FileClass {
     /// Library code under a crate's `src/` — the full rule set applies.
     Library,
-    /// Binary entry points (`src/bin/**`) — CLI code where wall-clock
-    /// progress timing is legitimate.
+    /// Binary entry points (`src/bin/**`) — CLI orchestration, outside
+    /// the library-only rules.
     Binary,
     /// Tests, benches, examples, fixtures — exempt from library rules.
     Test,

@@ -1,31 +1,23 @@
 //! Workspace discovery and the two-phase scan driver.
 //!
-//! **Phase 1 (per file, parallel, cached):** every `.rs` file under the
-//! root is lexed, parsed, run through the per-file rules, and reduced
-//! to [`crate::graph::FileFacts`]. The phase fans out over the
-//! `sdbp-engine` pool; results are aggregated in submission order, so
-//! `--jobs 8` output is byte-identical to `--serial`. Each file's
-//! result is a pure function of its bytes and is reused from
-//! `target/analyze-cache.json` when the content hash matches.
+//! **Phase 1 (per file):** every `.rs` file under the root is lexed,
+//! parsed, run through the per-file rules, and reduced to
+//! [`crate::graph::FileFacts`], one file at a time in sorted path order.
 //!
-//! **Phase 2 (cross-file, serial, always fresh):** the facts are joined
-//! into a [`Graph`] and the graph rules run over it — these are the
-//! contract checks (wire exhaustiveness, registry coverage, Result
-//! discipline) that no single file can decide.
+//! **Phase 2 (cross-file):** the facts are joined into a [`Graph`] and
+//! the graph rules run over it — these are the contract checks (wire
+//! exhaustiveness, registry coverage) that no single file can decide.
 //!
-//! Raw findings from both phases then pass through three routing gates,
+//! Raw findings from both phases then pass through two routing gates,
 //! each demanding a written justification: `analyze.toml` `[[exempt]]`
-//! entries (rule opt-outs — rules apply workspace-wide by default),
-//! `[[allow]]` entries (audited suppressions), and per-line
-//! `// sdbp-allow(rule): reason` escapes. Escapes without a reason text
-//! are ignored — an unexplained suppression is no suppression.
+//! entries (rule opt-outs — rules apply workspace-wide by default) and
+//! per-line `// sdbp-allow(rule): reason` escapes. Escapes without a
+//! reason text are ignored — an unexplained suppression is no
+//! suppression.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use sdbp_engine::{Engine, Job};
-
-use crate::cache::{fnv64, Cache, CacheEntry};
 use crate::config::Config;
 use crate::graph::{extract, EscapeFact, FileFacts, Graph, GraphFile};
 use crate::report::{sort_findings, Allowed, Report};
@@ -40,29 +32,13 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
 const SKIP_PREFIXES: &[&str] = &["crates/analyze/tests/fixtures/"];
 
 /// The phase-1 result for one file: per-file rule findings plus the
-/// facts the graph rules consume. This is the unit the incremental
-/// cache stores.
-#[derive(Clone, Debug)]
+/// facts the graph rules consume.
+#[derive(Debug)]
 pub struct FileAnalysis {
     /// Raw (unrouted) per-file findings.
     pub findings: Vec<Finding>,
     /// Extracted facts.
     pub facts: FileFacts,
-}
-
-/// Scan configuration beyond the rule set.
-#[derive(Debug)]
-pub struct ScanOptions {
-    /// Phase-1 worker threads; `1` is the serial reference path.
-    pub jobs: usize,
-    /// Incremental cache location; `None` disables the cache.
-    pub cache_path: Option<PathBuf>,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions { jobs: 1, cache_path: None }
-    }
 }
 
 /// Finds the workspace root at or above `start`: the nearest ancestor
@@ -149,77 +125,24 @@ pub fn analyze_file(rel_path: &str, src: String) -> FileAnalysis {
 /// # Errors
 ///
 /// File reads fail; individual findings never error.
-pub fn analyze_workspace(
-    root: &Path,
-    config: &Config,
-    opts: &ScanOptions,
-) -> Result<Report, String> {
+pub fn analyze_workspace(root: &Path, config: &Config) -> Result<Report, String> {
     let files = collect_rust_files(root)?;
-    let cache = match &opts.cache_path {
-        Some(p) => Cache::load(p),
-        None => Cache::default(),
-    };
 
-    // Phase 1: per-file analysis over the engine pool. Job results come
-    // back in submission order, which keeps every downstream consumer —
-    // cache serialization, graph assembly, finding order — independent
-    // of the worker count.
-    type FileOutcome = Result<(u64, FileAnalysis, bool), String>;
-    let engine = Engine::with_workers(opts.jobs.max(1));
-    let jobs: Vec<Job<'_, FileOutcome>> = files
-        .iter()
-        .map(|rel| {
-            let rel = rel.clone();
-            let cache = &cache;
-            let abs = root.join(&rel);
-            Job::new(rel.clone(), move || {
-                let bytes = std::fs::read(&abs)
-                    .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-                let hash = fnv64(&bytes);
-                if let Some(entry) = cache.entries.get(&rel) {
-                    if entry.hash == hash {
-                        return Ok((hash, entry.analysis.clone(), true));
-                    }
-                }
-                let src = String::from_utf8(bytes)
-                    .map_err(|e| format!("{}: not UTF-8: {e}", abs.display()))?;
-                Ok((hash, analyze_file(&rel, src), false))
-            })
-        })
-        .collect();
-    let outcomes = engine.run_batch("analyze", jobs).expect_all();
-
-    let mut analyses: Vec<(String, u64, FileAnalysis)> = Vec::with_capacity(files.len());
-    let mut cache_hits = 0usize;
-    for (rel, outcome) in files.iter().zip(outcomes) {
-        let (hash, analysis, hit) = outcome?;
-        cache_hits += usize::from(hit);
-        analyses.push((rel.clone(), hash, analysis));
-    }
-    drop(cache);
-
-    if let Some(p) = &opts.cache_path {
-        let mut next = Cache::default();
-        for (rel, hash, analysis) in &analyses {
-            next.entries.insert(
-                rel.clone(),
-                CacheEntry { hash: *hash, analysis: analysis.clone() },
-            );
-        }
-        if let Err(e) = next.save(p) {
-            eprintln!("sdbp-analyze: warning: {e} (continuing without cache)");
-        }
+    // Phase 1: per-file analysis, in sorted path order.
+    let mut escapes_by_path: BTreeMap<String, Vec<EscapeFact>> = BTreeMap::new();
+    let mut raw: Vec<Finding> = Vec::new();
+    let mut graph_files = Vec::with_capacity(files.len());
+    for rel in &files {
+        let abs = root.join(rel);
+        let src = std::fs::read_to_string(&abs)
+            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        let analysis = analyze_file(rel, src);
+        escapes_by_path.insert(rel.clone(), analysis.facts.escapes.clone());
+        raw.extend(analysis.findings);
+        graph_files.push(GraphFile { path: rel.clone(), facts: analysis.facts });
     }
 
     // Phase 2: graph assembly and cross-file rules.
-    let mut escapes_by_path: BTreeMap<String, Vec<EscapeFact>> = BTreeMap::new();
-    let mut raw: Vec<Finding> = Vec::new();
-    let mut graph_files = Vec::with_capacity(analyses.len());
-    for (rel, _, analysis) in analyses {
-        escapes_by_path.insert(rel.clone(), analysis.facts.escapes.clone());
-        raw.extend(analysis.findings);
-        graph_files.push(GraphFile { path: rel, facts: analysis.facts });
-    }
     let graph = Graph::build(graph_files);
     let ctx = GraphContext { root };
     for rule in graph_rules() {
@@ -227,8 +150,7 @@ pub fn analyze_workspace(
     }
 
     // Routing.
-    let mut report =
-        Report { files_scanned: files.len(), cache_hits, ..Report::default() };
+    let mut report = Report { files_scanned: files.len(), ..Report::default() };
     for finding in raw {
         route_finding(&escapes_by_path, config, finding, &mut report);
     }
@@ -241,7 +163,7 @@ pub fn analyze_workspace(
 }
 
 /// Sends `finding` through the routing gates: exempt (dropped, counted),
-/// allowlist, line escape, or the failing bucket.
+/// line escape (kept for audit), or the failing bucket.
 fn route_finding(
     escapes_by_path: &BTreeMap<String, Vec<EscapeFact>>,
     config: &Config,
@@ -252,17 +174,9 @@ fn route_finding(
         report.exempted += 1;
         return;
     }
-    if let Some(entry) = config.allows(finding.rule, &finding.path) {
-        report.allowed.push(Allowed {
-            finding,
-            source: "analyze.toml",
-            reason: entry.reason.clone(),
-        });
-        return;
-    }
     let escapes = escapes_by_path.get(&finding.path).map_or(&[][..], Vec::as_slice);
     if let Some(reason) = line_escape_reason(escapes, &finding) {
-        report.allowed.push(Allowed { finding, source: "line-escape", reason });
+        report.allowed.push(Allowed { finding, reason });
         return;
     }
     report.findings.push(finding);
@@ -304,70 +218,63 @@ mod tests {
 
     #[test]
     fn line_escape_same_line_and_line_above() {
-        let src = "let a = x.unwrap(); // sdbp-allow(no-panic-paths): checked above\n\
-                   // sdbp-allow(no-panic-paths): slice length proven\n\
-                   let b = y[0];\n\
-                   let c = z.unwrap();\n";
-        let path = "crates/engine/src/lib.rs";
+        let src = "let a: Vec<Vec<u8>>; // sdbp-allow(flat-metadata): cold report rows\n\
+                   // sdbp-allow(flat-metadata): built once per campaign\n\
+                   let b: Vec<Vec<u8>>;\n\
+                   let c: Vec<Vec<u8>>;\n";
+        let path = "crates/sample/src/lib.rs";
         let map = escapes_of(path, src);
         let escapes = map.get(path).expect("escapes recorded");
-        assert!(line_escape_reason(escapes, &finding(path, 1, "no-panic-paths")).is_some());
-        assert!(line_escape_reason(escapes, &finding(path, 3, "no-panic-paths")).is_some());
-        assert!(line_escape_reason(escapes, &finding(path, 4, "no-panic-paths")).is_none());
+        assert!(line_escape_reason(escapes, &finding(path, 1, "flat-metadata")).is_some());
+        assert!(line_escape_reason(escapes, &finding(path, 3, "flat-metadata")).is_some());
+        assert!(line_escape_reason(escapes, &finding(path, 4, "flat-metadata")).is_none());
     }
 
     #[test]
     fn escape_must_name_the_rule_and_carry_a_reason() {
-        let src = "let a = x.unwrap(); // sdbp-allow(seed-discipline): wrong rule\n\
-                   let b = y.unwrap(); // sdbp-allow(no-panic-paths)\n";
-        let path = "crates/engine/src/lib.rs";
+        let src = "let a: Vec<Vec<u8>>; // sdbp-allow(seed-discipline): wrong rule\n\
+                   let b: Vec<Vec<u8>>; // sdbp-allow(flat-metadata)\n";
+        let path = "crates/sample/src/lib.rs";
         let map = escapes_of(path, src);
         let escapes = map.get(path).expect("escapes recorded");
-        assert!(line_escape_reason(escapes, &finding(path, 1, "no-panic-paths")).is_none());
+        assert!(line_escape_reason(escapes, &finding(path, 1, "flat-metadata")).is_none());
         assert!(
-            line_escape_reason(escapes, &finding(path, 2, "no-panic-paths")).is_none(),
+            line_escape_reason(escapes, &finding(path, 2, "flat-metadata")).is_none(),
             "reasonless escape must not suppress"
         );
     }
 
     #[test]
-    fn route_prefers_exempt_then_config_then_escape_then_fails() {
+    fn route_prefers_exempt_then_escape_then_fails() {
         let cfg = Config::parse(
-            "[[exempt]]\nrule = \"no-panic-paths\"\npath = \"crates/bench/\"\n\
-             reason = \"not a sim path\"\n\
-             [[allow]]\nrule = \"no-panic-paths\"\npath = \"crates/engine/src/\"\n\
-             reason = \"poisoning\"\n",
+            "[[exempt]]\nrule = \"flat-metadata\"\npath = \"crates/harness/\"\n\
+             reason = \"cold result matrices\"\n",
             &crate::rules::rule_ids(),
         )
         .expect("valid config");
-        let empty = BTreeMap::new();
+        let path = "crates/sample/src/sampled.rs";
+        let escapes = escapes_of(path, "// sdbp-allow(flat-metadata): built once per campaign\n");
         let mut report = Report::default();
         route_finding(
-            &empty,
+            &escapes,
             &cfg,
-            finding("crates/bench/src/micro.rs", 1, "no-panic-paths"),
+            finding("crates/harness/src/table.rs", 1, "flat-metadata"),
             &mut report,
         );
         assert_eq!(report.exempted, 1);
         assert!(report.allowed.is_empty() && report.findings.is_empty());
 
-        route_finding(
-            &empty,
-            &cfg,
-            finding("crates/engine/src/pool.rs", 1, "no-panic-paths"),
-            &mut report,
-        );
+        route_finding(&escapes, &cfg, finding(path, 2, "flat-metadata"), &mut report);
         assert_eq!(report.allowed.len(), 1);
-        assert_eq!(report.allowed[0].source, "analyze.toml");
         assert!(report.findings.is_empty());
 
         route_finding(
-            &empty,
+            &escapes,
             &cfg,
-            finding("crates/cache/src/recorder.rs", 1, "no-panic-paths"),
+            finding("crates/cache/src/lru.rs", 1, "flat-metadata"),
             &mut report,
         );
-        assert_eq!(report.findings.len(), 1, "no allow entry for cache");
+        assert_eq!(report.findings.len(), 1, "no exempt or escape for cache");
     }
 
     #[test]
@@ -380,73 +287,32 @@ mod tests {
         };
         mk("crates/a/src/lib.rs");
         mk("target/debug/build/generated.rs");
-        mk("crates/analyze/tests/fixtures/bad/panic.rs");
+        mk("crates/analyze/tests/fixtures/bad/seed.rs");
         let files = collect_rust_files(&tmp).expect("walk");
         std::fs::remove_dir_all(&tmp).expect("cleanup");
         assert_eq!(files, vec!["crates/a/src/lib.rs".to_owned()]);
     }
 
     #[test]
-    fn parallel_scan_matches_serial_byte_for_byte() {
-        let tmp = std::env::temp_dir().join(format!("sdbp-analyze-par-{}", std::process::id()));
-        for i in 0..12 {
+    fn analyze_on_real_rules_is_deterministic() {
+        let tmp = std::env::temp_dir().join(format!("sdbp-analyze-det-{}", std::process::id()));
+        for i in 0..4 {
             let p = tmp.join(format!("crates/traceio/src/f{i}.rs"));
             std::fs::create_dir_all(p.parent().expect("parent")).expect("mkdir");
-            std::fs::write(&p, format!("fn f{i}(x: Option<u32>) -> u32 {{ x.unwrap() }}\n"))
+            std::fs::write(&p, format!("fn f{i}(seed: u64) -> u64 {{ seed + {i} }}\n"))
                 .expect("write");
         }
         let cfg = Config::default();
-        let serial = analyze_workspace(&tmp, &cfg, &ScanOptions { jobs: 1, cache_path: None })
-            .expect("serial scan");
-        let parallel = analyze_workspace(&tmp, &cfg, &ScanOptions { jobs: 8, cache_path: None })
-            .expect("parallel scan");
-        std::fs::remove_dir_all(&tmp).expect("cleanup");
-        assert_eq!(serial.findings, parallel.findings);
-        assert_eq!(
-            crate::report::render_json(&serial, &crate::rules::all_rule_info()),
-            crate::report::render_json(&parallel, &crate::rules::all_rule_info()),
-            "parallel report must be byte-identical to serial"
-        );
-        assert_eq!(serial.findings.len(), 12);
-    }
-
-    #[test]
-    fn warm_cache_reuses_every_file_and_detects_edits() {
-        let tmp = std::env::temp_dir().join(format!("sdbp-analyze-warm-{}", std::process::id()));
-        let src_dir = tmp.join("crates/traceio/src");
-        std::fs::create_dir_all(&src_dir).expect("mkdir");
-        std::fs::write(src_dir.join("a.rs"), "fn a(x: Option<u32>) -> u32 { x.unwrap() }\n")
-            .expect("write");
-        std::fs::write(src_dir.join("b.rs"), "/// Fine.\npub fn b() {}\n").expect("write");
-        let cfg = Config::default();
-        let opts = ScanOptions { jobs: 2, cache_path: Some(tmp.join("target/cache.json")) };
-
-        let cold = analyze_workspace(&tmp, &cfg, &opts).expect("cold scan");
-        assert_eq!(cold.cache_hits, 0);
-        let warm = analyze_workspace(&tmp, &cfg, &opts).expect("warm scan");
-        assert_eq!(warm.cache_hits, 2, "all files reused");
-        assert_eq!(cold.findings, warm.findings);
-
-        std::fs::write(src_dir.join("b.rs"), "/// Edited.\npub fn b() -> u32 { 1 }\n")
-            .expect("edit");
-        let edited = analyze_workspace(&tmp, &cfg, &opts).expect("edited scan");
-        std::fs::remove_dir_all(&tmp).expect("cleanup");
-        assert_eq!(edited.cache_hits, 1, "only the untouched file reuses");
-    }
-
-    #[test]
-    fn analyze_on_real_rules_is_deterministic() {
-        let tmp = std::env::temp_dir().join(format!("sdbp-analyze-det-{}", std::process::id()));
-        let p = tmp.join("crates/traceio/src/reader.rs");
-        std::fs::create_dir_all(p.parent().expect("parent")).expect("mkdir");
-        std::fs::write(&p, "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n").expect("write");
-        let cfg = Config::default();
-        let opts = ScanOptions::default();
-        let a = analyze_workspace(&tmp, &cfg, &opts).expect("scan");
-        let b = analyze_workspace(&tmp, &cfg, &opts).expect("scan");
+        let a = analyze_workspace(&tmp, &cfg).expect("scan");
+        let b = analyze_workspace(&tmp, &cfg).expect("scan");
         std::fs::remove_dir_all(&tmp).expect("cleanup");
         assert_eq!(a.findings, b.findings);
-        assert_eq!(a.findings.len(), 1);
-        assert_eq!(a.findings[0].rule, "no-panic-paths");
+        assert_eq!(
+            crate::report::render_json(&a, &crate::rules::all_rule_info()),
+            crate::report::render_json(&b, &crate::rules::all_rule_info()),
+            "two scans of one tree must render byte-identical reports"
+        );
+        assert_eq!(a.findings.len(), 4);
+        assert!(a.findings.iter().all(|f| f.rule == "seed-discipline"));
     }
 }

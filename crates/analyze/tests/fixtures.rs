@@ -1,10 +1,10 @@
 //! Fixture corpus tests: every `bad/` snippet produces the expected
 //! findings for its rule and every `good/` snippet comes back clean,
 //! with each fixture routed through the full pipeline (walk → lex →
-//! rules → allowlist/escape filtering) in a synthetic workspace.
+//! rules → exempt/escape filtering) in a synthetic workspace.
 
 use sdbp_analyze::config::Config;
-use sdbp_analyze::workspace::{analyze_workspace, ScanOptions};
+use sdbp_analyze::workspace::analyze_workspace;
 use std::path::{Path, PathBuf};
 
 /// Builds a synthetic workspace under the test-scoped tmpdir: each
@@ -36,7 +36,7 @@ fn scan_fixture_set(
         }
         std::fs::write(root.join("tests/golden/replay_miss_counts.tsv"), tsv).expect("tsv");
     }
-    analyze_workspace(&root, &Config::default(), &ScanOptions::default()).expect("scan succeeds")
+    analyze_workspace(&root, &Config::default()).expect("scan succeeds")
 }
 
 /// One-file convenience wrapper over [`scan_fixture_set`].
@@ -49,56 +49,6 @@ fn count(report: &sdbp_analyze::report::Report, rule: &str) -> usize {
 }
 
 #[test]
-fn bad_panic_paths_fixture_is_fully_flagged() {
-    let r = scan_fixture("bad-panic", "bad/panic_paths.rs", "crates/traceio/src/fixture.rs");
-    assert_eq!(count(&r, "no-panic-paths"), 5, "{:#?}", r.findings);
-}
-
-#[test]
-fn good_panic_paths_fixture_is_clean_with_escape_recorded() {
-    let r = scan_fixture("good-panic", "good/panic_paths.rs", "crates/traceio/src/fixture.rs");
-    assert_eq!(count(&r, "no-panic-paths"), 0, "{:#?}", r.findings);
-    assert_eq!(r.allowed.len(), 1, "the justified escape is retained for audit");
-    assert_eq!(r.allowed[0].source, "line-escape");
-}
-
-#[test]
-fn bad_det_iter_fixture_flags_every_hash_collection() {
-    let r = scan_fixture("bad-det", "bad/det_iter.rs", "crates/engine/src/fixture.rs");
-    assert_eq!(count(&r, "deterministic-iteration"), 5, "{:#?}", r.findings);
-}
-
-#[test]
-fn good_det_iter_fixture_is_clean() {
-    let r = scan_fixture("good-det", "good/det_iter.rs", "crates/engine/src/fixture.rs");
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-}
-
-#[test]
-fn bad_wallclock_fixture_flags_each_source() {
-    let r = scan_fixture("bad-wall", "bad/wallclock.rs", "crates/cache/src/fixture.rs");
-    assert_eq!(count(&r, "no-wallclock-in-sim"), 3, "{:#?}", r.findings);
-}
-
-#[test]
-fn good_wallclock_fixture_is_clean() {
-    let r = scan_fixture("good-wall", "good/wallclock.rs", "crates/cache/src/fixture.rs");
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-}
-
-#[test]
-fn bad_casts_fixture_flags_unmasked_narrowing() {
-    let r = scan_fixture("bad-casts", "bad/casts.rs", "crates/traceio/src/format.rs");
-    assert_eq!(count(&r, "lossless-codec-casts"), 3, "{:#?}", r.findings);
-}
-
-#[test]
-fn good_casts_fixture_is_clean() {
-    let r = scan_fixture("good-casts", "good/casts.rs", "crates/traceio/src/format.rs");
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-}
-
-#[test]
 fn bad_seed_fixture_flags_each_derivation() {
     let r = scan_fixture("bad-seed", "bad/seed.rs", "crates/workloads/src/fixture.rs");
     assert_eq!(count(&r, "seed-discipline"), 3, "{:#?}", r.findings);
@@ -107,18 +57,6 @@ fn bad_seed_fixture_flags_each_derivation() {
 #[test]
 fn good_seed_fixture_is_clean() {
     let r = scan_fixture("good-seed", "good/seed.rs", "crates/workloads/src/fixture.rs");
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-}
-
-#[test]
-fn bad_docs_fixture_flags_each_undocumented_item() {
-    let r = scan_fixture("bad-docs", "bad/docs.rs", "crates/cache/src/fixture.rs");
-    assert_eq!(count(&r, "pub-api-docs"), 4, "{:#?}", r.findings);
-}
-
-#[test]
-fn good_docs_fixture_is_clean() {
-    let r = scan_fixture("good-docs", "good/docs.rs", "crates/cache/src/fixture.rs");
     assert!(r.findings.is_empty(), "{:#?}", r.findings);
 }
 
@@ -140,31 +78,6 @@ fn good_flat_metadata_fixture_is_clean() {
         "crates/replacement/src/fixture.rs",
     );
     assert_eq!(count(&r, "flat-metadata"), 0, "{:#?}", r.findings);
-}
-
-#[test]
-fn bad_result_discipline_fixture_flags_each_discard_shape() {
-    let r = scan_fixture(
-        "bad-result",
-        "bad/result_discipline.rs",
-        "crates/serve/src/fixture.rs",
-    );
-    assert_eq!(count(&r, "result-discipline"), 4, "{:#?}", r.findings);
-    let ok_drop = r.findings.iter().find(|f| f.message.contains(".ok()")).expect("ok-drop");
-    assert_eq!((ok_drop.line, ok_drop.col), (17, 17), "anchored at the `.ok()` itself");
-}
-
-#[test]
-fn good_result_discipline_fixture_is_clean_with_escape_recorded() {
-    let r = scan_fixture(
-        "good-result",
-        "good/result_discipline.rs",
-        "crates/serve/src/fixture.rs",
-    );
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-    assert_eq!(r.allowed.len(), 1, "the justified discard is retained for audit");
-    assert_eq!(r.allowed[0].source, "line-escape");
-    assert_eq!(r.allowed[0].finding.rule, "result-discipline");
 }
 
 #[test]
@@ -298,11 +211,11 @@ fn injected_violation_fails_the_cli_and_writes_the_report() {
     assert_eq!(sdbp_analyze::run_cli(&args(&["--root", &root_arg, "--quiet"])), 0);
 
     let fixture =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad/panic_paths.rs");
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bad/seed.rs");
     std::fs::copy(&fixture, dir.join("injected.rs")).expect("inject violation");
     assert_eq!(sdbp_analyze::run_cli(&args(&["--root", &root_arg, "--quiet"])), 1);
     let json =
         std::fs::read_to_string(root.join("target/analyze-report.json")).expect("report exists");
     assert!(json.contains("\"clean\":false"));
-    assert!(json.contains("no-panic-paths"));
+    assert!(json.contains("seed-discipline"));
 }

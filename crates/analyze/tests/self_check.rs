@@ -1,43 +1,30 @@
 //! Self-check: the committed tree, scanned with the committed
 //! `analyze.toml`, has zero unsuppressed findings — the same gate CI
-//! applies via `sdbp-repro analyze`.
+//! applies via `sdbp-analyze`.
 
 use sdbp_analyze::config::Config;
 use sdbp_analyze::rules::rule_ids;
-use sdbp_analyze::workspace::{analyze_workspace, collect_rust_files, find_root, ScanOptions};
+use sdbp_analyze::workspace::{analyze_workspace, collect_rust_files, find_root};
 use std::path::Path;
 
 fn committed_scan() -> (std::path::PathBuf, Config, sdbp_analyze::report::Report) {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_root(here).expect("workspace root above crates/analyze");
     let config =
-        Config::load(&root.join("analyze.toml"), &rule_ids()).expect("committed allowlist parses");
-    let report = analyze_workspace(&root, &config, &ScanOptions::default()).expect("scan succeeds");
+        Config::load(&root.join("analyze.toml"), &rule_ids()).expect("committed analyze.toml parses");
+    let report = analyze_workspace(&root, &config).expect("scan succeeds");
     (root, config, report)
 }
 
 #[test]
-fn committed_workspace_is_clean_under_committed_allowlist() {
-    let (_, config, report) = committed_scan();
+fn committed_workspace_is_clean_under_committed_config() {
+    let (_, _, report) = committed_scan();
     assert!(
         report.findings.is_empty(),
         "workspace has unsuppressed findings:\n{:#?}",
         report.findings
     );
     assert!(report.files_scanned > 50, "walk found only {} files", report.files_scanned);
-    // Every allowlist entry must still match something: a stale entry is
-    // an audit hole (the exception outlived the code it excused).
-    for entry in &config.allows {
-        assert!(
-            report.allowed.iter().any(|a| a.source == "analyze.toml"
-                && a.finding.rule == entry.rule
-                && a.finding.path.starts_with(&entry.path)),
-            "stale analyze.toml entry: {} at {} no longer matches anything \
-             (run `sdbp-analyze --prune` to list, `--prune --write` to remove)",
-            entry.rule,
-            entry.path
-        );
-    }
 }
 
 /// Rules apply workspace-wide by default; `[[exempt]]` entries opt code
@@ -49,7 +36,7 @@ fn every_crate_is_covered_by_at_least_one_rule() {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_root(here).expect("workspace root above crates/analyze");
     let config =
-        Config::load(&root.join("analyze.toml"), &rule_ids()).expect("committed allowlist parses");
+        Config::load(&root.join("analyze.toml"), &rule_ids()).expect("committed analyze.toml parses");
     let files = collect_rust_files(&root).expect("walk succeeds");
 
     let mut crates: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
@@ -78,8 +65,8 @@ fn every_crate_is_covered_by_at_least_one_rule() {
     }
 }
 
-/// The committed tree's exempt entries must each drop at least one
-/// finding, for the same reason stale allows are rejected.
+/// The committed tree's exempt entries must each name a path that still
+/// exists: an opt-out that outlived its code is an audit hole.
 #[test]
 fn exempt_entries_point_at_real_paths() {
     let (root, config, _) = committed_scan();

@@ -15,7 +15,6 @@
 //! cargo bench -p sdbp-bench --features criterion
 //! ```
 
-#![warn(missing_docs)]
 
 pub mod micro;
 

@@ -154,6 +154,10 @@ impl Bencher {
     /// Times `routine` for the configured number of iterations.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         for _ in 0..self.iters {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the bench crate measures wall-clock throughput; timing is its deliverable"
+            )]
             let start = Instant::now();
             black_box(routine());
             let dt = start.elapsed();
@@ -167,6 +171,7 @@ impl Bencher {
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
+        /// Runs every bench function of this group.
         pub fn $name() {
             let mut criterion = $crate::micro::Criterion::default();
             $($target(&mut criterion);)+

@@ -43,7 +43,8 @@ impl CacheConfig {
         assert!(ways >= 1, "ways must be at least 1");
         let sets = capacity_bytes / (ways as u64 * BLOCK_BYTES);
         assert!(sets >= 1, "capacity too small for the requested associativity");
-        Self::new(sets as usize, ways)
+        // A count beyond `usize` is no valid geometry; `new` rejects `usize::MAX`.
+        Self::new(usize::try_from(sets).unwrap_or(usize::MAX), ways)
     }
 
     /// The paper's L1 data cache: 32 KB, 8-way.

@@ -7,6 +7,11 @@
 //! Figure 1 greyscale maps and the "blocks are dead on average 86% of the
 //! time" headline statistic.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hot data plane: per-line counters indexed by validated set/way pairs"
+)]
+
 use crate::config::CacheConfig;
 
 /// Per-frame live/total time accounting. Time is measured in cache accesses

@@ -192,7 +192,7 @@ mod tests {
         let llc_cfg = CacheConfig::new(256, 8);
 
         let mut full = FullHierarchy::new(FullHierarchyConfig::default(), Cache::new(llc_cfg));
-        for i in workload_trace(5).take(n as usize) {
+        for i in workload_trace(5).take(usize::try_from(n).unwrap()) {
             full.execute(&i);
         }
 

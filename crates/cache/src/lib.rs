@@ -36,7 +36,15 @@
 //! assert!(llc.access(&a).is_hit()); // now resident
 //! ```
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;

@@ -5,6 +5,11 @@
 //! hit/miss plus dirty-victim information, so they get this specialised
 //! implementation.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hot data plane: recency stack indices are bounded by associativity at construction"
+)]
+
 use crate::config::CacheConfig;
 use sdbp_trace::BlockAddr;
 

@@ -15,6 +15,11 @@
 //! than the `Vec<bool>` it replaced, which matters when the parallel
 //! engine holds one map per (benchmark, policy) cell in flight).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "hot data plane: metadata arrays sized from the validated cache geometry"
+)]
+
 use std::ops::{Index, IndexMut};
 
 /// A contiguous per-set metadata array: `sets` rows of `width` lanes each.

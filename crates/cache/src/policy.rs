@@ -11,6 +11,12 @@
 //! `choose_victim`, then either (`on_evict` if the chosen way was valid,
 //! then `on_fill`) or `on_bypass`.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "hot data plane: policy dispatch over geometry validated at construction"
+)]
+
 use crate::meta::MetaPlane;
 use crate::stats::CacheStats;
 use sdbp_trace::{AccessKind, BlockAddr, Pc};

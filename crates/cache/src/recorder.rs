@@ -155,12 +155,18 @@ where
         core,
     ) {
         Ok(w) => w,
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking wrapper; fallible callers use try_record_for_core"
+        )]
         Err(RecordError::Exhausted { got, .. }) => {
-            // sdbp-allow(no-panic-paths): documented panicking wrapper; fallible callers use try_record_for_core
             panic!("instruction stream for {name} ended at {got}")
         }
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking wrapper; fallible callers use try_record_for_core"
+        )]
         Err(RecordError::TooLong { wanted }) => {
-            // sdbp-allow(no-panic-paths): documented panicking wrapper; fallible callers use try_record_for_core
             panic!("{wanted} instructions exceed the recordable u32 ordinal space")
         }
         Err(RecordError::Source(e)) => match e {},
@@ -230,7 +236,7 @@ where
         return Err(RecordError::TooLong { wanted: instructions });
     }
     let mut upper = UpperLevels::new();
-    let mut records = Vec::with_capacity(instructions as usize);
+    let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
     let mut llc = Vec::new();
     let mut iter = instrs.into_iter();
     for i in 0..instructions {
@@ -251,7 +257,10 @@ where
                             block: BlockAddr::new(tag_block(m.addr.block().raw(), core)),
                             kind: m.kind,
                             core,
-                            // sdbp-allow(lossless-codec-casts): i < instructions <= u32::MAX, guarded at entry
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "i < instructions <= u32::MAX, guarded at entry"
+                            )]
                             instr: i as u32,
                         });
                         InstrKind::Llc
@@ -287,7 +296,7 @@ pub fn try_record_batches(
         return Err(RecordError::TooLong { wanted: instructions });
     }
     let mut upper = UpperLevels::new();
-    let mut records = Vec::with_capacity(instructions as usize);
+    let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
     let mut llc = Vec::new();
     let mut taken: u64 = 0;
     while taken < instructions {
@@ -320,7 +329,10 @@ pub fn try_record_batches(
                             block: BlockAddr::new(tag_block(block.raw(), core)),
                             kind: if is_write { AccessKind::Write } else { AccessKind::Read },
                             core,
-                            // sdbp-allow(lossless-codec-casts): taken < instructions <= u32::MAX, guarded at entry
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "taken < instructions <= u32::MAX, guarded at entry"
+                            )]
                             instr: taken as u32,
                         });
                         InstrKind::Llc

@@ -259,12 +259,18 @@ pub struct WindowFingerprint {
     set_stamp: Vec<u64>,
     distinct_sets: usize,
     /// Last window that touched each PC.
-    // sdbp-allow(deterministic-iteration): stamp lookups only; counters derive per access, never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "stamp lookups only; counters derive per access, never iterated"
+    )]
     pc_stamp: std::collections::HashMap<u64, u64>,
     distinct_pcs: usize,
     /// Stream index of the last touch of each block (whole-stream, so
     /// reuse arcs crossing window boundaries are still observed).
-    // sdbp-allow(deterministic-iteration): insert/lookup only; reuse histogram is order-free
+    #[expect(
+        clippy::disallowed_types,
+        reason = "insert/lookup only; reuse histogram is order-free"
+    )]
     last_touch: std::collections::HashMap<u64, u64>,
     fingerprints: Vec<Fingerprint>,
     miss_counts: Vec<u64>,
@@ -292,10 +298,10 @@ impl WindowFingerprint {
             reuse: [0; REUSE_EDGES.len() + 1],
             set_stamp: vec![u64::MAX; sets],
             distinct_sets: 0,
-            // sdbp-allow(deterministic-iteration): stamp lookups only; never iterated
+            #[expect(clippy::disallowed_types, reason = "stamp lookups only; never iterated")]
             pc_stamp: std::collections::HashMap::new(),
             distinct_pcs: 0,
-            // sdbp-allow(deterministic-iteration): insert/lookup only; never iterated
+            #[expect(clippy::disallowed_types, reason = "insert/lookup only; never iterated")]
             last_touch: std::collections::HashMap::new(),
             fingerprints: Vec::new(),
             miss_counts: Vec::new(),

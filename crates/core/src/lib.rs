@@ -32,7 +32,6 @@
 //! assert_eq!(cache.policy().name(), "LRU+sampler-dbrb");
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod config;

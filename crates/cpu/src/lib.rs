@@ -33,7 +33,7 @@
 //! assert!((t.ipc() - 4.0).abs() < 0.1); // pure ALU code runs at width
 //! ```
 
-#![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_debug_implementations)]
 
 use sdbp_cache::config::Latencies;

@@ -57,6 +57,10 @@ impl<'env, T> Job<'env, T> {
     /// Runs the job with panic isolation, timing it relative to
     /// `submitted` (the batch submission instant, for queue-wait time).
     pub(crate) fn run(self, submitted: Instant) -> JobOutcome<T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "job telemetry: timestamps wall-clock queue/run durations around the job closure; results never depend on them"
+        )]
         let started = Instant::now();
         let queued_for = started.duration_since(submitted);
         let name = self.name;

@@ -81,7 +81,10 @@ impl JsonWriter {
     /// Emits an unsigned integer value.
     pub fn uint(&mut self, value: u64) -> &mut Self {
         self.pre_value();
-        // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = write!(self.out, "{value}");
         self
     }
@@ -90,7 +93,10 @@ impl JsonWriter {
     pub fn float(&mut self, value: f64) -> &mut Self {
         self.pre_value();
         if value.is_finite() {
-            // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write into a String is infallible"
+            )]
             let _ = write!(self.out, "{value:.6}");
         } else {
             self.out.push('0');
@@ -115,7 +121,10 @@ impl JsonWriter {
                 '\r' => self.out.push_str("\\r"),
                 '\t' => self.out.push_str("\\t"),
                 c if (c as u32) < 0x20 => {
-                    // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "fmt::Write into a String is infallible"
+                    )]
                     let _ = write!(self.out, "\\u{:04x}", c as u32);
                 }
                 c => self.out.push(c),

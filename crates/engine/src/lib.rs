@@ -34,7 +34,14 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod job;
@@ -128,6 +135,10 @@ impl Engine {
     /// still run. Batch timing is recorded in the engine's telemetry
     /// under `label`.
     pub fn run_batch<T: Send>(&self, label: &str, jobs: Vec<Job<'_, T>>) -> Batch<T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "batch telemetry: wall-clock elapsed time is the engine's own reporting output, not simulation state"
+        )]
         let started = Instant::now();
         let outcomes = pool::execute(self.workers, jobs);
         let elapsed = started.elapsed();
@@ -152,7 +163,10 @@ impl Engine {
             accesses: per_job.iter().map(|j| j.accesses).sum(),
             per_job,
         };
-        // sdbp-allow(no-panic-paths): telemetry mutex poisons only if a prior batch panicked mid-push
+        #[expect(
+            clippy::expect_used,
+            reason = "telemetry mutex poisons only if a prior batch panicked mid-push"
+        )]
         self.telemetry.lock().expect("telemetry poisoned").batches.push(stats.clone());
         Batch { results, stats }
     }
@@ -196,8 +210,11 @@ impl Engine {
 
     /// Snapshot of everything this engine has run.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "telemetry mutex poisons only if a prior batch panicked mid-push"
+    )]
     pub fn telemetry(&self) -> EngineTelemetry {
-        // sdbp-allow(no-panic-paths): telemetry mutex poisons only if a prior batch panicked mid-push
         self.telemetry.lock().expect("telemetry poisoned").clone()
     }
 
@@ -262,7 +279,10 @@ impl<T> Batch<T> {
             .into_iter()
             .map(|r| match r {
                 Ok(v) => v,
-                // sdbp-allow(no-panic-paths): documented panicking accessor; fallible callers use successes()
+                #[expect(
+                    clippy::panic,
+                    reason = "documented panicking accessor; fallible callers use successes()"
+                )]
                 Err(e) => panic!("{e}"),
             })
             .collect()

@@ -17,7 +17,12 @@ use std::time::Instant;
 
 /// Runs `jobs` on `workers` threads (1 = inline serial execution) and
 /// returns their outcomes in submission order.
+#[expect(clippy::expect_used, reason = "a lost result is an engine bug, not a recoverable state")]
 pub(crate) fn execute<T: Send>(workers: usize, jobs: Vec<Job<'_, T>>) -> Vec<JobOutcome<T>> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "batch telemetry: records submission time so per-job queueing delay can be reported"
+    )]
     let submitted = Instant::now();
     let n = jobs.len();
     if workers <= 1 || n <= 1 {
@@ -39,7 +44,10 @@ pub(crate) fn execute<T: Send>(workers: usize, jobs: Vec<Job<'_, T>>) -> Vec<Job
                 loop {
                     // The lock only wraps `pop_front`, so poisoning means
                     // another worker panicked outside a job — already fatal.
-                    // sdbp-allow(no-panic-paths): propagating mutex poisoning after a worker panic is deliberate
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "propagating mutex poisoning after a worker panic is deliberate"
+                    )]
                     let next = queue.lock().expect("job queue poisoned").pop_front();
                     let Some((index, job)) = next else { break };
                     // Job panics are caught inside `run`; a send failure
@@ -68,7 +76,6 @@ pub(crate) fn execute<T: Send>(workers: usize, jobs: Vec<Job<'_, T>>) -> Vec<Job
         .into_iter()
         // Every queued job sends exactly one tagged result before the
         // scope joins, so each slot is filled.
-        // sdbp-allow(no-panic-paths): a lost result is an engine bug, not a recoverable state
         .map(|s| s.expect("worker pool lost a job result"))
         .collect()
 }

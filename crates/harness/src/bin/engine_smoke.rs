@@ -19,6 +19,11 @@
 //! SDBP_TRACEIO_ACCESSES=1000000 engine-smoke   # smaller trace bench
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmark binary: serial-vs-parallel and trace I/O wall-clock throughput is its output"
+)]
+
 use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::runner::{run_matrix, PolicyKind, RecordStore, SingleResult};
 use sdbp_harness::table::result_line;
@@ -220,7 +225,10 @@ fn traceio_bench(accesses: u64) -> String {
     assert_eq!(v2_decode_hash, encode_hash, "v1->v2->decode is not bit-exact");
 
     for p in [&v1_path, &v2_path, &conv_path] {
-        // sdbp-allow(result-discipline): best-effort tmpfile cleanup; a leak is harmless
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort tmpfile cleanup; a leak is harmless"
+        )]
         std::fs::remove_file(p).ok();
     }
 

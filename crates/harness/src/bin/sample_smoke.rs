@@ -15,6 +15,11 @@
 //! SDBP_SAMPLE_INSTRUCTIONS=2000000 sample-smoke   # smaller CI run
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmark binary: the exact-vs-sampled wall-time comparison is its output"
+)]
+
 use sdbp::registry::PolicySpec;
 use sdbp_cache::recorder::{record, RecordedWorkload};
 use sdbp_cache::replay::replay;
@@ -218,7 +223,10 @@ fn main() {
 
     let mut policies_json = String::new();
     for (i, r) in rows.iter().enumerate() {
-        // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = writeln!(
             policies_json,
             "    {{\"policy\": \"{}\", \"exact_misses\": {}, \"estimated\": {}, \

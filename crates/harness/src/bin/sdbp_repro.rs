@@ -35,6 +35,11 @@
 //! `target/engine-report.json` (override with the `SDBP_ENGINE_REPORT`
 //! environment variable) after the run.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CLI progress: per-experiment elapsed time goes to stderr, never into results"
+)]
+
 use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::experiments::{self, Context, ALL_EXPERIMENTS};
 use std::io::Write as _;

@@ -19,6 +19,11 @@
 //! SDBP_SHARD_BENCH_ACCESSES=1000000 shard-smoke   # CI sizing
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmark binary: per-phase replay wall time is its output"
+)]
+
 use sdbp_cache::kernel::{replay_sharded, ShardPlan, ThreadRunner};
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::replay::{replay, ReplayResult};
@@ -121,7 +126,10 @@ fn main() {
     let speedup = |s: f64| if s > 0.0 { serial_s / s } else { 1.0 };
     let mut sweep_json = String::new();
     for (i, p) in points.iter().enumerate() {
-        // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = write!(
             sweep_json,
             "    {{\n      \"shards\": {},\n      \"elapsed_s\": {:.6},\n      \

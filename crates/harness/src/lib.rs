@@ -8,7 +8,6 @@
 //! Run `cargo run --release -p sdbp-harness --bin sdbp-repro -- list` for
 //! the experiment index.
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod experiments;

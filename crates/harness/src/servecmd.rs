@@ -141,7 +141,10 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
 
     let server = Server::start(config).map_err(|e| e.to_string())?;
     println!("listening on {}", server.local_addr());
-    // sdbp-allow(result-discipline): best-effort flush so wrappers see the addr promptly
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort flush so wrappers see the addr promptly"
+    )]
     let _ = std::io::stdout().flush();
     eprintln!("[serve: stop with {}]", match &shutdown_file {
         Some(p) => format!("`touch {}` or EOF on stdin", p.display()),
@@ -159,7 +162,10 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
             // /dev/null (immediate EOF is wrong there, so wrappers should
             // prefer --shutdown-file); interactive use stops on ^D.
             let mut sink = Vec::new();
-            // sdbp-allow(result-discipline): parking until EOF — error and EOF both mean wake
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "parking until EOF — error and EOF both mean wake"
+            )]
             let _ = std::io::stdin().lock().read_to_end(&mut sink);
         }
     }

@@ -63,10 +63,16 @@ impl TextTable {
                     out.push_str("  ");
                 }
                 if i == 0 {
-                    // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "fmt::Write into a String is infallible"
+                    )]
                     let _ = write!(out, "{cell:<width$}", width = widths[i]);
                 } else {
-                    // sdbp-allow(result-discipline): fmt::Write into a String is infallible
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "fmt::Write into a String is infallible"
+                    )]
                     let _ = write!(out, "{cell:>width$}", width = widths[i]);
                 }
             }

@@ -167,6 +167,10 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     let core = core_id(&flags)?;
     let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI progress and throughput reporting for trace record/replay; stderr only"
+    )]
     let started = Instant::now();
     let meta = TraceMeta::new(bench.name, bench.stream_seed(u64::from(core)));
     let mut writer =
@@ -358,6 +362,10 @@ fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), Strin
         return Err("--window must be positive".into());
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI progress and throughput reporting for trace record/replay; stderr only"
+    )]
     let started = Instant::now();
     let workload = workload_from_file(trace, core)?;
     let llc = CacheConfig::llc_2mb();
@@ -439,6 +447,10 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
             .unwrap_or_else(|| "imported".to_owned()),
     };
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI progress and throughput reporting for trace record/replay; stderr only"
+    )]
     let started = Instant::now();
     let reader = std::fs::File::open(&input)
         .map(std::io::BufReader::new)
@@ -461,6 +473,10 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         None => FORMAT_V2,
         Some(v) => u32::try_from(v).map_err(|_| format!("--to must be 1 or 2, got {v}"))?,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI progress and throughput reporting for trace record/replay; stderr only"
+    )]
     let started = Instant::now();
     let summary = convert_path(Path::new(src), &out, to).map_err(|e| format!("{src}: {e}"))?;
     let secs = started.elapsed().as_secs_f64();

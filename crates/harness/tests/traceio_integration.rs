@@ -64,6 +64,10 @@ fn replay_is_byte_identical_to_direct_run_for_three_kernels() {
         let sharded = summary(&replayed, 4);
         assert_eq!(a, sharded, "{name}: sharded replay output differs");
     }
+    #[expect(
+        clippy::unused_result_ok,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -102,6 +106,10 @@ fn record_store_replays_archives_when_trace_dir_is_set() {
     });
     std::env::remove_var("SDBP_TRACE_DIR");
     std::env::remove_var("SDBP_INSTRUCTIONS");
+    #[expect(
+        clippy::unused_result_ok,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
     std::fs::remove_dir_all(&dir).ok();
     if let Err(e) = outcome {
         std::panic::resume_unwind(e);

@@ -26,12 +26,12 @@
 //! assert_eq!(r.bypasses, 1);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_debug_implementations)]
 
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
-// sdbp-allow(deterministic-iteration): next-use precomputation is keyed lookup/insert only
+#[expect(clippy::disallowed_types, reason = "next-use precomputation is keyed lookup/insert only")]
 use std::collections::HashMap;
 
 /// Sentinel meaning "never referenced again".
@@ -62,7 +62,7 @@ impl OptimalResult {
 /// ([`NEVER`] if none). One backward pass, O(n) expected.
 pub fn next_use_distances(stream: &[LlcAccess]) -> Vec<u64> {
     let mut next = vec![NEVER; stream.len()];
-    // sdbp-allow(deterministic-iteration): keyed lookup/insert only; never iterated
+    #[expect(clippy::disallowed_types, reason = "keyed lookup/insert only; never iterated")]
     let mut last_seen: HashMap<u64, u64> = HashMap::new();
     for (i, a) in stream.iter().enumerate().rev() {
         let key = a.block.raw();
@@ -177,9 +177,9 @@ mod tests {
             refs.extend_from_slice(&loop_blocks);
         }
         let s = stream(&refs);
-        let r = simulate(&s, CacheConfig::new(1, n as usize));
+        let r = simulate(&s, CacheConfig::new(1, usize::try_from(n).unwrap()));
         // LRU baseline for comparison.
-        let mut lru = sdbp_cache::Cache::new(CacheConfig::new(1, n as usize));
+        let mut lru = sdbp_cache::Cache::new(CacheConfig::new(1, usize::try_from(n).unwrap()));
         let lru_res = sdbp_cache::replay(&s, &mut lru);
         assert_eq!(lru_res.stats.hits, 0, "LRU must thrash");
         // MIN retains n-1 of the 2n blocks: hit rate ≈ (n-1)/2n.

@@ -10,7 +10,15 @@
 //! rough magnitudes of Table II (see DESIGN.md §3 for the substitution
 //! rationale and EXPERIMENTS.md for measured-vs-paper values).
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod power;

@@ -19,7 +19,7 @@ use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
 use sdbp_trace::BlockAddr;
 use std::any::Any;
 use std::borrow::Cow;
-// sdbp-allow(deterministic-iteration): shadow tag store is lookup/remove/retain only
+#[expect(clippy::disallowed_types, reason = "shadow tag store is lookup/remove/retain only")]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -51,7 +51,10 @@ pub struct DeadBlockReplacement<P> {
     stats: PredictorStats,
     /// Blocks recently bypassed or evicted-as-dead, with the clock at which
     /// that happened; re-access within the window counts a false positive.
-    // sdbp-allow(deterministic-iteration): lookup/remove only; retain is an order-free filter
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup/remove only; retain is an order-free filter"
+    )]
     shadow: HashMap<BlockAddr, u64>,
     shadow_window: u64,
 }
@@ -88,7 +91,10 @@ impl<P: DeadBlockPredictor> DeadBlockReplacement<P> {
             stats: PredictorStats::default(),
             // "Soon" = one cache's worth of LLC accesses, a standard
             // proxy for "would still have been resident".
-            // sdbp-allow(deterministic-iteration): lookup/remove only; never iterated into output
+            #[expect(
+                clippy::disallowed_types,
+                reason = "lookup/remove only; never iterated into output"
+            )]
             shadow: HashMap::new(),
             shadow_window: cache.lines() as u64,
         }

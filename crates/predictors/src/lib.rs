@@ -14,7 +14,6 @@
 //!   paper §V: prefer a predicted-dead victim, fall back to the default
 //!   policy (LRU or random), and bypass dead-on-arrival fills.
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod counting;

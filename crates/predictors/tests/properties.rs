@@ -84,6 +84,10 @@ fn dbrb_stats_invariants() {
 /// Disabling bypass can only change *which* misses occur, never break the
 /// residency model: a hit must follow a fill of the same block.
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the reference residency model is a membership set; its order never reaches an assertion"
+)]
 fn dbrb_hits_are_always_justified() {
     let mut rng = Rng64::seed_from_u64(0xbdb_0003);
     for _ in 0..CASES {

@@ -18,7 +18,7 @@
 //! deterministic given their constructor inputs (randomized policies take a
 //! seed).
 
-#![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_debug_implementations)]
 
 pub mod dip;

@@ -157,7 +157,7 @@ pub fn build_plan(
     let rep_stats: Vec<(u64, u32)> = representatives
         .iter()
         .map(|&r| {
-            let r = r as usize;
+            let r = usize::try_from(r).unwrap_or(usize::MAX);
             let m = miss_counts.get(r).copied().unwrap_or(0);
             let l = lens.get(r).copied().unwrap_or(1).max(1);
             (m, l)
@@ -261,7 +261,7 @@ mod tests {
             !w.llc.len().is_multiple_of(window),
             "fixture must have a partial tail"
         );
-        let cfg = PlanConfig::default().with_window(window as u32).with_k(4);
+        let cfg = PlanConfig::default().with_window(u32::try_from(window).unwrap()).with_k(4);
         let plan = build_plan(&w, CacheConfig::new(64, 8), &cfg);
         let tail = (plan.num_windows() - 1) as u64;
         let tail_cluster = plan.assignment.last().copied().expect("windows exist");

@@ -34,7 +34,15 @@
 //! same trace, seed, and config reproduce the same plan and the same
 //! estimate bit for bit.
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod builder;

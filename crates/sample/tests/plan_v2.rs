@@ -51,7 +51,15 @@ fn plans_are_identical_across_container_formats() {
 
     let from_v1 = record_file(&v1_path);
     let from_v2 = record_file(&v2_path);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
     let _ = std::fs::remove_file(&v1_path);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
     let _ = std::fs::remove_file(&v2_path);
 
     // The recorded LLC streams must already agree access for access...

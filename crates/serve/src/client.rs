@@ -116,6 +116,10 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Client, ServeError> {
         let stream = TcpStream::connect(addr)
             .map_err(|e| ServeError::Local(format!("connect {addr}: {e}")))?;
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "disabling Nagle is a latency hint; a socket that refuses it still carries frames"
+        )]
         let _ = stream.set_nodelay(true);
         let writer = stream
             .try_clone()

@@ -23,7 +23,15 @@
 //! uses, and floats travel the wire as `f64::to_bits`, so nothing is
 //! lost to text formatting.
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod client;

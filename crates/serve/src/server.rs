@@ -258,7 +258,10 @@ impl Server {
         self.shared.queue_cv.notify_all();
         let executors: Vec<JoinHandle<()>> = lock_clean(&self.executors).drain(..).collect();
         for h in executors {
-            // sdbp-allow(result-discipline): join Err means the executor panicked; teardown proceeds
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "join Err means the executor panicked; teardown proceeds"
+            )]
             let _ = h.join();
         }
         // With no executors (workers = 0), queued jobs are aborted here.
@@ -267,7 +270,10 @@ impl Server {
         let leftovers: Vec<QueuedJob> = lock_clean(&self.shared.queue).drain(..).collect();
         for q in leftovers {
             let mut stream = q.stream;
-            // sdbp-allow(result-discipline): best-effort abort notice; the peer may be gone
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort abort notice; the peer may be gone"
+            )]
             let _ = Frame::ErrorReply {
                 code: ErrorCode::Shutdown,
                 detail: "server is shutting down".to_owned(),
@@ -276,20 +282,32 @@ impl Server {
             q.gate.signal();
         }
         // Wake the blocking accept() and join the accept thread.
-        // sdbp-allow(result-discipline): wake-up poke; a failed connect means accept() is gone
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "wake-up poke; a failed connect means accept() is gone"
+        )]
         let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = lock_clean(&self.accept).take() {
-            // sdbp-allow(result-discipline): join Err means the accept thread panicked; teardown proceeds
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "join Err means the accept thread panicked; teardown proceeds"
+            )]
             let _ = h.join();
         }
         // Unblock session reads and join the session threads.
         let slots: Vec<SessionSlot> = lock_clean(&self.sessions).drain(..).collect();
         for s in &slots {
-            // sdbp-allow(result-discipline): socket may already be closed; that is the goal state
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "socket may already be closed; that is the goal state"
+            )]
             let _ = s.stream.shutdown(std::net::Shutdown::Both);
         }
         for s in slots {
-            // sdbp-allow(result-discipline): join Err means the session panicked; teardown proceeds
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "join Err means the session panicked; teardown proceeds"
+            )]
             let _ = s.handle.join();
         }
     }
@@ -408,7 +426,10 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
             detail: failure.to_string(),
         },
     };
-    // sdbp-allow(result-discipline): best-effort result delivery; a vanished client keeps the server up
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort result delivery; a vanished client keeps the server up"
+    )]
     let _ = final_frame.write_to(&mut stream);
     gate.signal();
 }

@@ -39,6 +39,10 @@ struct Submission {
 /// Runs one connection to completion. Never panics; every exit path
 /// leaves the shared queue consistent.
 pub(crate) fn run_session(shared: &Arc<Shared>, stream: TcpStream, session: u64) {
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "disabling Nagle is a latency hint; a socket that refuses it still carries frames"
+    )]
     let _ = stream.set_nodelay(true);
     let Ok(mut writer) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
@@ -47,7 +51,10 @@ pub(crate) fn run_session(shared: &Arc<Shared>, stream: TcpStream, session: u64)
     // read at shutdown), so dropping our halves is not enough to close
     // the connection — shut it down explicitly so the peer sees EOF as
     // soon as the session ends.
-    // sdbp-allow(result-discipline): socket may already be closed; that is the goal state
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "socket may already be closed; that is the goal state"
+    )]
     let _ = writer.shutdown(std::net::Shutdown::Both);
 }
 
@@ -63,7 +70,10 @@ fn serve_connection(
     match Frame::read_from(&mut reader) {
         Ok(Some(Frame::Hello { version, client: _ })) => {
             if version != PROTOCOL_VERSION {
-                // sdbp-allow(result-discipline): best-effort rejection notice before closing
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort rejection notice before closing"
+                )]
                 let _ = Frame::ErrorReply {
                     code: ErrorCode::BadVersion,
                     detail: format!(
@@ -83,7 +93,10 @@ fn serve_connection(
             }
         }
         Ok(Some(other)) => {
-            // sdbp-allow(result-discipline): best-effort rejection notice before closing
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort rejection notice before closing"
+            )]
             let _ = Frame::ErrorReply {
                 code: ErrorCode::Protocol,
                 detail: format!("expected Hello, got {}", other.name()),
@@ -122,7 +135,10 @@ fn serve_connection(
                 // unknown kind, garbage body) — there is no way to
                 // resynchronize, so answer if the socket still works and
                 // close. The queue is untouched: nothing was in flight.
-                // sdbp-allow(result-discipline): best-effort diagnosis on a broken stream
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort diagnosis on a broken stream"
+                )]
                 let _ = Frame::ErrorReply {
                     code: ErrorCode::Protocol,
                     detail: e.to_string(),
@@ -315,7 +331,10 @@ fn receive_inline(
             Ok(Some(other)) => {
                 // Anything else mid-transfer leaves the conversation
                 // ambiguous; report and close.
-                // sdbp-allow(result-discipline): best-effort diagnosis before closing
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort diagnosis before closing"
+                )]
                 let _ = Frame::ErrorReply {
                     code: ErrorCode::Protocol,
                     detail: format!("expected TraceChunk or TraceEnd, got {}", other.name()),

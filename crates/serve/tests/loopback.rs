@@ -294,6 +294,10 @@ fn archive_submissions_resolve_against_the_trace_dir() {
     assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "IPC crosses the wire bit-exactly");
 
     server.shutdown();
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
 }
 

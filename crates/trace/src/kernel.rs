@@ -835,6 +835,10 @@ impl Kernel for StackDistanceKernel {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only oracles: membership and grouping checks whose iteration order never reaches an output"
+)]
 mod tests {
     use super::*;
     fn rng() -> Rng64 {

@@ -33,7 +33,6 @@
 //! assert_eq!(instrs.len(), 1000);
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod access;

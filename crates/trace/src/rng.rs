@@ -161,6 +161,10 @@ impl SampleRange for f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only oracles: membership and grouping checks whose iteration order never reaches an output"
+)]
 mod tests {
     use super::*;
 

@@ -1,7 +1,7 @@
 //! Summary statistics over instruction streams.
 
 use crate::access::{Instr, BLOCK_BYTES};
-// sdbp-allow(deterministic-iteration): distinct-block counting is insert + len only
+#[expect(clippy::disallowed_types, reason = "distinct-block counting is insert + len only")]
 use std::collections::HashSet;
 
 /// Aggregate statistics for a finite prefix of an instruction stream.
@@ -33,7 +33,7 @@ impl TraceStats {
     /// Consumes an instruction stream and accumulates statistics.
     pub fn measure<I: IntoIterator<Item = Instr>>(instrs: I) -> Self {
         let mut stats = TraceStats::default();
-        // sdbp-allow(deterministic-iteration): insert + len only; never iterated
+        #[expect(clippy::disallowed_types, reason = "insert + len only; never iterated")]
         let mut blocks: HashSet<u64> = HashSet::new();
         for i in instrs {
             stats.instructions += 1;

@@ -212,6 +212,10 @@ impl Iterator for SyntheticTrace {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only oracles: membership and grouping checks whose iteration order never reaches an output"
+)]
 mod tests {
     use super::*;
     use crate::access::AccessKind;

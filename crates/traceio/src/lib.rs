@@ -70,7 +70,15 @@
 //! assert_eq!(replayed, original);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod buffered;

@@ -313,17 +313,6 @@ impl<R: Read> Iterator for TraceReader<R> {
             }
         }
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.meta.count - self.decoded) as usize;
-        if self.done {
-            (0, Some(0))
-        } else {
-            // Corruption may end the stream early, so `left` is only an
-            // upper bound.
-            (0, Some(left.saturating_add(1)))
-        }
-    }
 }
 
 /// `read_exact` with truncation mapped to the typed error.

@@ -105,6 +105,10 @@ mod tests {
             src.open().unwrap().collect::<Result<_, _>>().expect("clean stream");
         assert_eq!(a, instrs);
         assert_eq!(a, b);
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort temp cleanup; a leftover file is harmless"
+        )]
         std::fs::remove_file(&path).ok();
     }
 
@@ -131,6 +135,10 @@ mod tests {
         }
         assert_eq!(batched, streamed);
         assert_eq!(batched, instrs);
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort temp cleanup; a leftover file is harmless"
+        )]
         std::fs::remove_file(&path).ok();
     }
 

@@ -147,6 +147,29 @@ fn corrupted_count_field_is_detected_at_end_of_stream() {
 }
 
 #[test]
+fn undercounting_header_is_a_typed_error_when_collected() {
+    // A header claiming fewer records than the file holds: `collect`
+    // consults `size_hint` as it grows the vector, so the reader must
+    // not assume `decoded <= count`.
+    for header in [0u64, 2] {
+        let mut bytes = healthy_bytes();
+        bytes[20..28].copy_from_slice(&header.to_le_bytes());
+        patch_header_checksum(&mut bytes);
+        for integrity in [Integrity::Validate, Integrity::Fast] {
+            let reader = TraceReader::with_integrity(Cursor::new(bytes.clone()), integrity)
+                .expect("header parses");
+            match reader.collect::<Result<Vec<_>, _>>() {
+                Err(TraceIoError::CountMismatch { header: h, decoded }) => {
+                    assert_eq!(h, header);
+                    assert_eq!(decoded, RECORDS as u64);
+                }
+                other => panic!("{integrity:?}, count {header}: expected CountMismatch, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn errors_fuse_the_iterator() {
     let full = healthy_bytes();
     let mut reader =

@@ -22,7 +22,7 @@
 //! assert!(subset_names().contains(&"456.hmmer"));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_debug_implementations)]
 
 pub mod mixes;
@@ -299,6 +299,10 @@ pub fn subset() -> Vec<Benchmark> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only oracles: membership and grouping checks whose iteration order never reaches an output"
+)]
 mod tests {
     use super::*;
     use sdbp_trace::stats::TraceStats;

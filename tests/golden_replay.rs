@@ -189,7 +189,15 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
             let recorded =
                 try_record_batches(bench.name, &mut batches, row.instructions, 0)
                     .expect("record from v2 batches");
+            #[expect(
+                clippy::unused_result_ok,
+                reason = "best-effort temp cleanup; a leftover file is harmless"
+            )]
             std::fs::remove_file(&v1).ok();
+            #[expect(
+                clippy::unused_result_ok,
+                reason = "best-effort temp cleanup; a leftover file is harmless"
+            )]
             std::fs::remove_file(&v2).ok();
             recorded
         });
