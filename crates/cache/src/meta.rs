@@ -193,6 +193,13 @@ impl HitMap {
         self.words.get(index / 64).map(|w| (w >> (index % 64)) & 1 == 1)
     }
 
+    /// The packed words: access `i` is bit `i % 64` of word `i / 64`.
+    /// Bits past [`len`](Self::len) are zero, so a reader that runs off
+    /// the end of the map reads misses.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of accesses recorded.
     pub const fn len(&self) -> usize {
         self.len
@@ -300,6 +307,18 @@ mod tests {
             assert_eq!(ones, pushed, "length {len}");
             assert_eq!(HitMap::repeat(false, len), (0..len).map(|_| false).collect());
         }
+    }
+
+    #[test]
+    fn hitmap_words_pack_bits_and_zero_the_tail() {
+        let bools: Vec<bool> = (0..130).map(|i| i % 5 != 0).collect();
+        let map = HitMap::from_bools(&bools);
+        assert_eq!(map.words().len(), 3);
+        for (i, &b) in bools.iter().enumerate() {
+            assert_eq!((map.words()[i / 64] >> (i % 64)) & 1 == 1, b, "bit {i}");
+        }
+        assert_eq!(map.words()[2] >> 2, 0, "bits past len must read as misses");
+        assert_eq!(HitMap::repeat(true, 70).words()[1], 0b11_1111);
     }
 
     #[test]

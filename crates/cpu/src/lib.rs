@@ -87,61 +87,88 @@ impl CoreModel {
     /// [`sdbp_cache::replay()`]. Accesses beyond the end of `llc_hits` are
     /// treated as misses (useful for quick what-if runs).
     ///
+    /// The loop has no data-dependent branch: the front-end lane and MSHR
+    /// slot are wrapping counters, the window ring is walked once per
+    /// `window` instructions, the latency comes from one table indexed by
+    /// (kind, hit), the hit bit is read straight from the map's packed
+    /// words, and the MSHR and load-completion updates are masks and
+    /// selects rather than branches.
+    ///
     /// # Panics
     ///
-    /// Panics if `width` or `window` is zero.
+    /// Panics if `width`, `window` or `mshrs` is zero.
     pub fn simulate(&self, records: &[InstrRecord], llc_hits: &HitMap) -> Timing {
         assert!(self.width >= 1, "width must be at least 1");
         assert!(self.window >= 1, "window must be at least 1");
         assert!(self.mshrs >= 1, "mshrs must be at least 1");
         let lat = self.latencies;
-        // Completion cycle of the instruction `window` slots ago.
-        let mut retire = vec![0u64; self.window];
-        // Completion cycle of the miss `mshrs` misses ago.
-        let mut mshr = vec![0u64; self.mshrs];
-        let mut miss_index = 0usize;
-        let mut llc_cursor = 0usize;
-        let mut prev_load_done = 0u64;
-        let mut prev_was_dependent = false;
-        let mut max_complete = 0u64;
+        // Latency by `kind_index(kind) << 1 | hit`; only LLC accesses hit.
+        let latency = [1, 1, lat.l1, lat.l1, lat.l2, lat.l2, lat.memory, lat.llc].map(u64::from);
+        let hit_words = llc_hits.words();
+        // Per window slot, the completion cycle of the instruction `window`
+        // slots ago; per MSHR, that of the miss `mshrs` misses ago; last, a
+        // sink entry that takes the store of every non-miss.
+        let mut rings = vec![0u64; self.window + self.mshrs + 1];
+        let (retire, mshr) = rings.split_at_mut(self.window);
+        let sink = self.mshrs;
 
-        for (i, r) in records.iter().enumerate() {
-            // Front end: at most `width` instructions begin per cycle.
-            let fetch = (i as u64) / u64::from(self.width);
-            // Window: wait for the instruction `window` ago to complete.
-            let slot = i % self.window;
-            let mut start = fetch.max(retire[slot]);
-            // Dependent-load serialization.
-            if prev_was_dependent {
-                start = start.max(prev_load_done);
+        let (mut fetch, mut lane, mut mshr_slot, mut llc_cursor) = (0u64, 0u32, 0usize, 0usize);
+        let mut prev_load_done = 0u64;
+        // All ones when the previous instruction was a dependent load.
+        let mut dependent_mask = 0u64;
+
+        // Each chunk of `window` instructions walks the window ring once.
+        for chunk in records.chunks(self.window) {
+            for (r, retired) in chunk.iter().zip(retire.iter_mut()) {
+                let kind = kind_index(r.kind());
+                let is_llc = kind == kind_index(InstrKind::Llc);
+                // Past the map's end every bit reads zero: a miss.
+                let word = hit_words.get(llc_cursor / 64).copied().unwrap_or(0);
+                let hit = is_llc & ((word >> (llc_cursor % 64)) & 1 == 1);
+                llc_cursor += usize::from(is_llc);
+                let is_miss = is_llc & !hit;
+
+                // Front end, window, dependent-load serialization and a
+                // free MSHR (misses only) all bound the start cycle.
+                let start = fetch
+                    .max(*retired)
+                    .max((prev_load_done & dependent_mask).max(mshr[mshr_slot] & mask(is_miss)));
+                let complete = start + latency[kind << 1 | usize::from(hit)];
+                *retired = complete;
+                mshr[if is_miss { mshr_slot } else { sink }] = complete;
+                let is_mem = kind != kind_index(InstrKind::NonMem);
+                prev_load_done = if is_mem { complete } else { prev_load_done };
+                dependent_mask = mask(is_mem & r.dependent());
+
+                // At most `width` instructions begin per cycle.
+                lane += 1;
+                let next_cycle = lane == self.width;
+                fetch += u64::from(next_cycle);
+                lane = if next_cycle { 0 } else { lane };
+                mshr_slot += usize::from(is_miss);
+                mshr_slot = if mshr_slot == sink { 0 } else { mshr_slot };
             }
-            let (latency, is_mem, is_miss) = match r.kind() {
-                InstrKind::NonMem => (1, false, false),
-                InstrKind::L1Hit => (u64::from(lat.l1), true, false),
-                InstrKind::L2Hit => (u64::from(lat.l2), true, false),
-                InstrKind::Llc => {
-                    let hit = llc_hits.get(llc_cursor).unwrap_or(false);
-                    llc_cursor += 1;
-                    (u64::from(if hit { lat.llc } else { lat.memory }), true, !hit)
-                }
-            };
-            if is_miss {
-                // An MSHR must be free: wait for the miss `mshrs` ago.
-                let slot = miss_index % self.mshrs;
-                start = start.max(mshr[slot]);
-                mshr[slot] = start + latency;
-                miss_index += 1;
-            }
-            let complete = start + latency;
-            retire[slot] = complete;
-            if is_mem {
-                prev_load_done = complete;
-            }
-            prev_was_dependent = is_mem && r.dependent();
-            max_complete = max_complete.max(complete);
         }
-        Timing { instructions: records.len() as u64, cycles: max_complete }
+        // Each instruction completes after the one `window` slots before
+        // it, so the last `window` completions include the latest.
+        let cycles = retire.iter().copied().max().unwrap_or(0);
+        Timing { instructions: records.len() as u64, cycles }
     }
+}
+
+/// Row of an instruction kind in the (kind, hit) latency table.
+const fn kind_index(kind: InstrKind) -> usize {
+    match kind {
+        InstrKind::NonMem => 0,
+        InstrKind::L1Hit => 1,
+        InstrKind::L2Hit => 2,
+        InstrKind::Llc => 3,
+    }
+}
+
+/// All ones if `bit`, else zero.
+const fn mask(bit: bool) -> u64 {
+    0u64.wrapping_sub(bit as u64)
 }
 
 /// Weighted speedup of a multi-programmed run, the paper's multi-core
@@ -165,6 +192,86 @@ mod tests {
 
     fn non_mem(n: usize) -> Vec<InstrRecord> {
         vec![InstrRecord::new(InstrKind::NonMem, false); n]
+    }
+
+    /// The timing model as a direct transcription of the rules: the front
+    /// end and window by division and modulo on the instruction index,
+    /// each MSHR slot by modulo on the miss count, and a branch per rule.
+    fn reference(m: &CoreModel, records: &[InstrRecord], llc_hits: &HitMap) -> Timing {
+        let lat = m.latencies;
+        let mut retire = vec![0u64; m.window];
+        let mut mshr = vec![0u64; m.mshrs];
+        let mut miss_index = 0usize;
+        let mut llc_cursor = 0usize;
+        let mut prev_load_done = 0u64;
+        let mut prev_was_dependent = false;
+        let mut max_complete = 0u64;
+        for (i, r) in records.iter().enumerate() {
+            let fetch = (i as u64) / u64::from(m.width);
+            let slot = i % m.window;
+            let mut start = fetch.max(retire[slot]);
+            if prev_was_dependent {
+                start = start.max(prev_load_done);
+            }
+            let (latency, is_mem, is_miss) = match r.kind() {
+                InstrKind::NonMem => (1, false, false),
+                InstrKind::L1Hit => (u64::from(lat.l1), true, false),
+                InstrKind::L2Hit => (u64::from(lat.l2), true, false),
+                InstrKind::Llc => {
+                    let hit = llc_hits.get(llc_cursor).unwrap_or(false);
+                    llc_cursor += 1;
+                    (u64::from(if hit { lat.llc } else { lat.memory }), true, !hit)
+                }
+            };
+            if is_miss {
+                let slot = miss_index % m.mshrs;
+                start = start.max(mshr[slot]);
+                mshr[slot] = start + latency;
+                miss_index += 1;
+            }
+            let complete = start + latency;
+            retire[slot] = complete;
+            if is_mem {
+                prev_load_done = complete;
+            }
+            prev_was_dependent = is_mem && r.dependent();
+            max_complete = max_complete.max(complete);
+        }
+        Timing { instructions: records.len() as u64, cycles: max_complete }
+    }
+
+    #[test]
+    fn branch_free_model_matches_reference() {
+        use sdbp_trace::rng::Rng64;
+        let kinds = [InstrKind::NonMem, InstrKind::L1Hit, InstrKind::L2Hit, InstrKind::Llc];
+        let models = [
+            CoreModel::default(),
+            CoreModel { width: 3, window: 100, mshrs: 1, ..CoreModel::default() },
+            CoreModel { width: 1, window: 1, mshrs: 3, ..CoreModel::default() },
+            CoreModel {
+                width: 5,
+                window: 7,
+                mshrs: 2,
+                latencies: sdbp_cache::config::Latencies { l1: 2, l2: 9, llc: 41, memory: 333 },
+            },
+        ];
+        let mut rng = Rng64::seed_from_u64(0x71_313e);
+        for _ in 0..40 {
+            let records: Vec<InstrRecord> = (0..rng.gen_range(0usize..3000))
+                .map(|_| {
+                    let kind = kinds[rng.gen_range(0usize..4)];
+                    InstrRecord::new(kind, kind != InstrKind::NonMem && rng.gen_bool(0.4))
+                })
+                .collect();
+            let llc = records.iter().filter(|r| r.kind() == InstrKind::Llc).count();
+            // Hit maps shorter than, as long as and longer than the LLC count.
+            for len in [0, llc / 2, llc.saturating_sub(1), llc, llc + 1, llc + 100] {
+                let hits: HitMap = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+                for m in &models {
+                    assert_eq!(m.simulate(&records, &hits), reference(m, &records, &hits), "{m:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,35 @@
 //! accesses of *every* block in the set, the block is not placed at all.
 //! The paper reports miss counts (not speedups) for this policy, as do we.
 //!
-//! Implementation: one backward pass over the stream links each access to
-//! the same block's next access ([`next_use_distances`]); a forward pass
-//! then simulates each set exactly ([`simulate`]).
+//! # Implementation
+//!
+//! MIN is exact per set: a set's hits, evictions and bypasses depend only
+//! on the accesses that map to it. [`simulate`] therefore never builds a
+//! whole-stream map. It counting-sorts the stream's block tags by set
+//! index (two sequential passes; the sort is stable, so every set keeps
+//! its accesses in stream order) and then handles one set at a time:
+//!
+//! 1. A backward pass links each access to the same block's next access
+//!    in the set, through an open-addressing table sized to that set's
+//!    substream. The table is allocated once and reused across sets, so
+//!    it stays cache-resident.
+//! 2. A forward pass keeps one `ways`-wide frame of next-use positions. A
+//!    block is resident exactly when a frame holds the position of the
+//!    access now being served, so frames never store the block itself,
+//!    and an index from each pending position to its frame makes the
+//!    residency test one lookup.
+//!
+//! Positions are `u32` indices local to the set, with `u32::MAX` meaning
+//! "never referenced again"; one set may receive at most `u32::MAX - 1`
+//! accesses. Local positions keep the stream's relative order, so the
+//! bypass rule compares exactly as it would on global indices: a miss in
+//! a full set is bypassed when `incoming_next >= victim_next`, where the
+//! victim is the frame reused farthest in the future. Ties favour bypass
+//! (equal distances mean equal misses, and bypassing avoids a fill); the
+//! only possible tie is between blocks never referenced again.
+//!
+//! [`next_use_distances`] runs the same backward pass on the same kind of
+//! partition and maps the links back to global stream indices.
 //!
 //! # Example
 //!
@@ -31,11 +57,18 @@
 
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::CacheConfig;
-#[expect(clippy::disallowed_types, reason = "next-use precomputation is keyed lookup/insert only")]
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel meaning "never referenced again".
 pub const NEVER: u64 = u64::MAX;
+
+/// [`NEVER`] for a set-local position.
+const LOCAL_NEVER: u32 = u32::MAX;
+
+/// Sets [`next_use_distances`] partitions by. Any power of two yields the
+/// same links (a block maps to exactly one set); this one is the paper's
+/// LLC, which keeps each set's table small.
+const NEXT_USE_SETS: usize = 2048;
 
 /// Result of an optimal-policy simulation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -58,24 +91,140 @@ impl OptimalResult {
     }
 }
 
-/// For each access, the index of the next access to the same block
-/// ([`NEVER`] if none). One backward pass, O(n) expected.
-pub fn next_use_distances(stream: &[LlcAccess]) -> Vec<u64> {
-    let mut next = vec![NEVER; stream.len()];
-    #[expect(clippy::disallowed_types, reason = "keyed lookup/insert only; never iterated")]
-    let mut last_seen: HashMap<u64, u64> = HashMap::new();
-    for (i, a) in stream.iter().enumerate().rev() {
-        let key = a.block.raw();
-        if let Some(&j) = last_seen.get(&key) {
-            next[i] = j;
+/// A stream's block tags counting-sorted by set index: set `s` owns
+/// `tags[starts[s]..starts[s + 1]]`, in stream order.
+struct SetPartition {
+    sets: usize,
+    starts: Vec<usize>,
+    tags: Vec<u64>,
+}
+
+impl SetPartition {
+    /// Counts each set's accesses, then scatters every tag to its set's
+    /// next free slot.
+    fn new(stream: &[LlcAccess], sets: usize) -> Self {
+        let mut starts = vec![0usize; sets + 1];
+        for a in stream {
+            starts[a.block.set_index(sets) + 1] += 1;
         }
-        last_seen.insert(key, i as u64);
+        for s in 0..sets {
+            starts[s + 1] += starts[s];
+        }
+        let mut cursor = starts.clone();
+        let mut tags = vec![0u64; stream.len()];
+        for a in stream {
+            let slot = &mut cursor[a.block.set_index(sets)];
+            tags[*slot] = a.block.tag(sets);
+            *slot += 1;
+        }
+        SetPartition { sets, starts, tags }
+    }
+
+    /// The stream index of every partitioned slot (the sort's permutation).
+    fn origins(&self, stream: &[LlcAccess]) -> Vec<usize> {
+        let mut cursor = self.starts.clone();
+        let mut origin = vec![0usize; stream.len()];
+        for (i, a) in stream.iter().enumerate() {
+            let slot = &mut cursor[a.block.set_index(self.sets)];
+            origin[*slot] = i;
+            *slot += 1;
+        }
+        origin
+    }
+
+    /// Each set's slot range, in set order.
+    fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.starts.windows(2).map(|w| w[0]..w[1])
+    }
+}
+
+/// The backward next-use pass over one set's substream, with its
+/// open-addressing table of `(tag, latest position)` slots reused across
+/// sets. A slot whose position is [`LOCAL_NEVER`] is empty.
+#[derive(Default)]
+struct NextUse {
+    slots: Vec<(u64, u32)>,
+    next: Vec<u32>,
+}
+
+impl NextUse {
+    /// Links each of `tags` to the set-local position of the same tag's
+    /// next occurrence, [`LOCAL_NEVER`] if none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tags` holds `u32::MAX` or more entries.
+    fn link(&mut self, tags: &[u64]) -> &[u32] {
+        let len = u32::try_from(tags.len())
+            .ok()
+            .filter(|&n| n < LOCAL_NEVER)
+            .expect("one set receives fewer than u32::MAX accesses");
+        // Load factor at most 1/2, so probe runs stay short; at least two
+        // slots, so the hash shift stays below 64.
+        let capacity = (2 * tags.len()).next_power_of_two().max(2);
+        let shift = 64 - capacity.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(capacity, (0, LOCAL_NEVER));
+        self.next.clear();
+        self.next.resize(tags.len(), LOCAL_NEVER);
+        for i in (0..len).rev() {
+            let tag = tags[i as usize];
+            let mut h = home_slot(tag, shift);
+            loop {
+                let slot = &mut self.slots[h];
+                if slot.1 == LOCAL_NEVER {
+                    *slot = (tag, i);
+                    break;
+                }
+                if slot.0 == tag {
+                    self.next[i as usize] = slot.1;
+                    slot.1 = i;
+                    break;
+                }
+                h = (h + 1) & (capacity - 1);
+            }
+        }
+        &self.next
+    }
+}
+
+/// Fibonacci hashing: the top `64 - shift` bits of `tag × 2^64/φ`. Tags
+/// in one set differ in any bits, low ones included, and every tag bit
+/// reaches the top of the product. The tags come from traces; a crafted
+/// trace can make one set's pass quadratic, never wrong.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the shifted hash is below the table capacity, a usize"
+)]
+const fn home_slot(tag: u64, shift: u32) -> usize {
+    (tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
+}
+
+/// For each access, the index of the next access to the same block
+/// ([`NEVER`] if none). O(n): a stable set partition, then one backward
+/// pass per set.
+pub fn next_use_distances(stream: &[LlcAccess]) -> Vec<u64> {
+    let partition = SetPartition::new(stream, NEXT_USE_SETS);
+    let origin = partition.origins(stream);
+    let mut links = NextUse::default();
+    let mut next = vec![NEVER; stream.len()];
+    for range in partition.ranges() {
+        let origin = &origin[range.clone()];
+        for (&at, &n) in origin.iter().zip(links.link(&partition.tags[range])) {
+            if n != LOCAL_NEVER {
+                next[at] = origin[n as usize] as u64;
+            }
+        }
     }
     next
 }
 
 /// Simulates MIN-with-bypass exactly over `stream` for an LLC of geometry
 /// `config` (the paper's optimal policy).
+///
+/// # Panics
+///
+/// Panics if one set receives `u32::MAX` or more accesses.
 pub fn simulate(stream: &[LlcAccess], config: CacheConfig) -> OptimalResult {
     simulate_with_options(stream, config, true)
 }
@@ -83,50 +232,67 @@ pub fn simulate(stream: &[LlcAccess], config: CacheConfig) -> OptimalResult {
 /// Classic Belady MIN without the bypass enhancement: every miss is
 /// placed, evicting the resident block reused farthest in the future.
 /// Comparing against [`simulate`] isolates the benefit of optimal bypass.
+///
+/// # Panics
+///
+/// Panics if one set receives `u32::MAX` or more accesses.
 pub fn simulate_no_bypass(stream: &[LlcAccess], config: CacheConfig) -> OptimalResult {
     simulate_with_options(stream, config, false)
 }
 
 /// Shared implementation for the two optimal variants.
+///
+/// # Panics
+///
+/// Panics if one set receives `u32::MAX` or more accesses.
 pub fn simulate_with_options(
     stream: &[LlcAccess],
     config: CacheConfig,
     bypass: bool,
 ) -> OptimalResult {
-    let next = next_use_distances(stream);
-    // Per-set frames: (block, next_use).
-    // sdbp-allow(flat-metadata): offline oracle; per-set frames built once, not per-access metadata
-    let mut frames: Vec<Vec<(u64, u64)>> = vec![Vec::new(); config.sets];
+    let partition = SetPartition::new(stream, config.sets);
+    let mut links = NextUse::default();
+    // The resident blocks' next-use positions, one set at a time, and for
+    // each position the frame that last took it. The last entry is a sink
+    // for `LOCAL_NEVER`; an entry whose frame has since moved on fails the
+    // `frames[k] == i` check, as no other access shares its position.
+    let mut frames: Vec<u32> = Vec::with_capacity(config.ways);
+    let mut holder: Vec<usize> = Vec::new();
     let mut result =
         OptimalResult { accesses: stream.len() as u64, hits: 0, misses: 0, bypasses: 0 };
 
-    for (i, a) in stream.iter().enumerate() {
-        let set = &mut frames[a.block.set_index(config.sets)];
-        let block = a.block.raw();
-        if let Some(f) = set.iter_mut().find(|f| f.0 == block) {
-            result.hits += 1;
-            f.1 = next[i];
-            continue;
-        }
-        result.misses += 1;
-        let incoming_next = next[i];
-        if set.len() < config.ways {
-            set.push((block, incoming_next));
-            continue;
-        }
-        // Full set: find the frame with the farthest next use.
-        let (victim_idx, &(_, victim_next)) = set
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, f)| f.1)
-            .expect("full set is non-empty");
-        if bypass && incoming_next >= victim_next {
-            // Incoming is re-used no sooner than every resident block:
-            // placing it cannot help. (Ties favour bypass: equal distances
-            // mean equal misses, and bypassing avoids a fill.)
-            result.bypasses += 1;
-        } else {
-            set[victim_idx] = (block, incoming_next);
+    for range in partition.ranges() {
+        let next = links.link(&partition.tags[range]);
+        frames.clear();
+        holder.clear();
+        holder.resize(next.len() + 1, 0);
+        let sink = next.len();
+        for (i, &incoming_next) in (0u32..).zip(next) {
+            let park = (incoming_next as usize).min(sink);
+            // The frame that expected this access holds its block.
+            let k = holder[i as usize];
+            if frames.get(k) == Some(&i) {
+                result.hits += 1;
+                frames[k] = incoming_next;
+                holder[park] = k;
+                continue;
+            }
+            result.misses += 1;
+            if frames.len() < config.ways {
+                holder[park] = frames.len();
+                frames.push(incoming_next);
+                continue;
+            }
+            // Full set: the victim is the frame with the farthest next use.
+            let victim_next = frames.iter().copied().max().unwrap_or(LOCAL_NEVER);
+            if bypass && incoming_next >= victim_next {
+                // Incoming is re-used no sooner than every resident block:
+                // placing it cannot help.
+                result.bypasses += 1;
+            } else if let Some(k) = frames.iter().position(|&f| f == victim_next) {
+                frames[k] = incoming_next;
+                holder[park] = k;
+            }
         }
     }
     result
@@ -273,6 +439,97 @@ mod tests {
         let without = simulate_no_bypass(&s, cfg);
         assert!(with.misses <= without.misses);
         assert!(with.bypasses > 0);
+    }
+
+    /// Brute-force MIN sharing no code with the crate: each next use is a
+    /// forward scan of the whole stream, and each set's frames are a plain
+    /// `Vec` of `(block, next)` searched by block. Quadratic in the stream.
+    fn reference(stream: &[LlcAccess], config: CacheConfig, bypass: bool) -> OptimalResult {
+        let blocks: Vec<u64> = stream.iter().map(|a| a.block.raw()).collect();
+        let next_of = |i: usize| {
+            (i + 1..blocks.len()).find(|&j| blocks[j] == blocks[i]).map_or(NEVER, |j| j as u64)
+        };
+        let mut frames: Vec<Vec<(u64, u64)>> = vec![Vec::new(); config.sets];
+        let mut r =
+            OptimalResult { accesses: blocks.len() as u64, hits: 0, misses: 0, bypasses: 0 };
+        for (i, &block) in blocks.iter().enumerate() {
+            let set = &mut frames[usize::try_from(block % config.sets as u64).unwrap()];
+            let next = next_of(i);
+            if let Some(f) = set.iter_mut().find(|f| f.0 == block) {
+                r.hits += 1;
+                f.1 = next;
+            } else if set.len() < config.ways {
+                r.misses += 1;
+                set.push((block, next));
+            } else {
+                r.misses += 1;
+                let victim = (0..set.len()).max_by_key(|&k| set[k].1).unwrap();
+                if bypass && next >= set[victim].1 {
+                    r.bypasses += 1;
+                } else {
+                    set[victim] = (block, next);
+                }
+            }
+        }
+        r
+    }
+
+    /// Seeded streams in four shapes: a mixed footprint, mostly one-shot
+    /// blocks (many `NEVER` ties), blocks confined to a few sets (the rest
+    /// stay empty), and blocks that share their low bits but differ high.
+    fn differential_streams() -> Vec<Vec<u64>> {
+        use sdbp_trace::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x0b7_1de5);
+        let mut streams = vec![Vec::new(), vec![7]];
+        for _ in 0..6 {
+            let len = rng.gen_range(1usize..1500);
+            let footprint = rng.gen_range(1u64..600);
+            streams.push((0..len).map(|_| rng.gen_range(0..footprint)).collect());
+            streams.push(
+                (0..len)
+                    .map(|i| if rng.gen_bool(0.2) { rng.gen_range(0..8) } else { 1_000 + i as u64 })
+                    .collect(),
+            );
+            streams.push((0..len).map(|_| 128 * rng.gen_range(0..footprint)).collect());
+            streams.push(
+                (0..len)
+                    .map(|_| (rng.gen_range(0..footprint) << 40) | rng.gen_range(0..4))
+                    .collect(),
+            );
+        }
+        streams
+    }
+
+    #[test]
+    fn set_partitioned_min_matches_brute_force_reference() {
+        for blocks in differential_streams() {
+            let s = stream(&blocks);
+            for sets in [1, 8, 64] {
+                for ways in [1, 2, 16] {
+                    let cfg = CacheConfig::new(sets, ways);
+                    assert_eq!(simulate(&s, cfg), reference(&s, cfg, true), "{sets}x{ways} bypass");
+                    assert_eq!(
+                        simulate_no_bypass(&s, cfg),
+                        reference(&s, cfg, false),
+                        "{sets}x{ways} no bypass"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_use_links_match_forward_scan() {
+        for blocks in differential_streams() {
+            let expect: Vec<u64> = (0..blocks.len())
+                .map(|i| {
+                    (i + 1..blocks.len())
+                        .find(|&j| blocks[j] == blocks[i])
+                        .map_or(NEVER, |j| j as u64)
+                })
+                .collect();
+            assert_eq!(next_use_distances(&stream(&blocks)), expect);
+        }
     }
 
     #[test]

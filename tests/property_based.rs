@@ -119,8 +119,8 @@ fn hits_match_reference_residency_model() {
     }
 }
 
-/// Belady MIN with bypass never misses more than LRU, and its next-use
-/// links are sound.
+/// Belady MIN with bypass never misses more than any policy, nor more
+/// than MIN without bypass, and its next-use links are sound.
 #[test]
 fn min_is_optimal_and_next_use_links_sound() {
     let mut rng = Rng64::seed_from_u64(0x5017_0003);
@@ -141,9 +141,13 @@ fn min_is_optimal_and_next_use_links_sound() {
             }
         }
         let min = optimal::simulate(&stream, cfg);
-        let mut lru = Cache::new(cfg);
-        let lru_result = sdbp_suite::cache::replay(&stream, &mut lru);
-        assert!(min.misses <= lru_result.stats.misses);
+        for policy in policy_set() {
+            let mut cache = Cache::with_policy(cfg, policy.build(cfg, 1));
+            let misses = sdbp_suite::cache::replay(&stream, &mut cache).stats.misses;
+            assert!(min.misses <= misses, "{}: {misses} below MIN {}", policy.label(), min.misses);
+        }
+        let no_bypass = optimal::simulate_no_bypass(&stream, cfg);
+        assert!(min.misses <= no_bypass.misses, "bypass made MIN worse");
         assert_eq!(min.hits + min.misses, stream.len() as u64);
     }
 }
@@ -167,29 +171,39 @@ fn lru_inclusion_across_associativities() {
 }
 
 /// The timing model is monotone: turning misses into hits never increases
-/// cycles.
+/// cycles, with and without dependent-load serialization.
+///
+/// The dependent leg gives every miss its own MSHR. With a bounded MSHR
+/// ring and dependent loads the model is *not* monotone: each miss waits
+/// for the miss `mshrs` misses earlier, and a hit shifts that pairing onto
+/// a miss that can complete later. Smallest case found, 2 MSHRs:
+/// `[L1Hit*, Llc, Llc*, Llc, Llc*, L2Hit]` (`*` = dependent) takes 410
+/// cycles all-miss and 411 with the second LLC access a hit.
 #[test]
 fn timing_is_monotone_in_hits() {
     use sdbp_suite::cache::recorder::{InstrKind, InstrRecord};
     use sdbp_suite::cpu::CoreModel;
     let mut rng = Rng64::seed_from_u64(0x5017_0005);
     for _ in 0..CASES {
-        let kinds: Vec<u8> =
-            (0..rng.gen_range(1usize..400)).map(|_| rng.gen_range(0u64..4) as u8).collect();
-        let flip = rng.next_u64() as u16;
-        let records: Vec<InstrRecord> = kinds
-            .iter()
-            .map(|&k| {
-                let kind = match k {
-                    0 => InstrKind::NonMem,
-                    1 => InstrKind::L1Hit,
-                    2 => InstrKind::L2Hit,
-                    _ => InstrKind::Llc,
-                };
-                InstrRecord::new(kind, false)
-            })
+        let kinds: Vec<(u8, bool)> = (0..rng.gen_range(1usize..400))
+            .map(|_| (rng.gen_range(0u64..4) as u8, rng.gen_bool(0.3)))
             .collect();
-        let llc_count = records.iter().filter(|r| r.kind() == InstrKind::Llc).count();
+        let flip = rng.next_u64() as u16;
+        let records = |with_dependence: bool| -> Vec<InstrRecord> {
+            kinds
+                .iter()
+                .map(|&(k, dependent)| {
+                    let kind = match k {
+                        0 => InstrKind::NonMem,
+                        1 => InstrKind::L1Hit,
+                        2 => InstrKind::L2Hit,
+                        _ => InstrKind::Llc,
+                    };
+                    InstrRecord::new(kind, dependent && with_dependence)
+                })
+                .collect()
+        };
+        let llc_count = kinds.iter().filter(|&&(k, _)| k == 3).count();
         let mut hit_bools = vec![false; llc_count];
         let all_miss: HitMap = hit_bools.iter().copied().collect();
         if llc_count > 0 {
@@ -197,10 +211,15 @@ fn timing_is_monotone_in_hits() {
             hit_bools[idx] = true;
         }
         let one_hit: HitMap = hit_bools.into_iter().collect();
-        let model = CoreModel::default();
-        let miss_cycles = model.simulate(&records, &all_miss).cycles;
-        let hit_cycles = model.simulate(&records, &one_hit).cycles;
-        assert!(hit_cycles <= miss_cycles);
+        let legs = [
+            (records(false), CoreModel::default()),
+            (records(true), CoreModel { mshrs: llc_count.max(1), ..CoreModel::default() }),
+        ];
+        for (records, model) in &legs {
+            let miss_cycles = model.simulate(records, &all_miss).cycles;
+            let hit_cycles = model.simulate(records, &one_hit).cycles;
+            assert!(hit_cycles <= miss_cycles, "{model:?}: {hit_cycles} > {miss_cycles}");
+        }
     }
 }
 
