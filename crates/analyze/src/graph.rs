@@ -1,16 +1,15 @@
 //! Per-file *facts* and the cross-file workspace graph.
 //!
-//! Per-file rules can only see one file at a time; the contract rules
-//! (`wire-exhaustive`, `registry-coverage`) need to relate declarations
-//! in one file to uses in another. The bridge is a two-phase design:
+//! Per-file rules can only see one file at a time; the contract rule
+//! `wire-exhaustive` needs to relate declarations in one file to uses
+//! in another. The bridge is a two-phase design:
 //!
 //! 1. **Fact extraction**: each file is lexed, parsed and reduced to a
 //!    small [`FileFacts`] — enum variant sites, `Path::Segment`
-//!    references with their enclosing function, policy-name
-//!    registrations, string literals, escape comments. Everything a
-//!    cross-file rule could later anchor a finding at carries its
-//!    line/column/snippet *here*, so phase 2 never needs the source
-//!    text again.
+//!    references with their enclosing function, escape comments.
+//!    Everything a cross-file rule could later anchor a finding at
+//!    carries its line/column/snippet *here*, so phase 2 never needs
+//!    the source text again.
 //! 2. **Graph assembly** (cheap): the facts of every file are joined
 //!    into a [`Graph`] — a per-file reference index — and the graph
 //!    rules run over it.
@@ -59,15 +58,6 @@ pub struct RefFact {
     pub path: String,
 }
 
-/// One policy registration (`name: "spec"`) in non-test code.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PolicyNameFact {
-    /// The registered spec name.
-    pub name: String,
-    /// The registration site.
-    pub site: Site,
-}
-
 /// One `sdbp-allow(rule): reason` escape comment.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EscapeFact {
@@ -87,13 +77,6 @@ pub struct FileFacts {
     pub enums: Vec<EnumFact>,
     /// Deduplicated `Type::Segment` references in non-test code.
     pub refs: Vec<RefFact>,
-    /// `name: "literal"` registrations in non-test code.
-    pub policy_names: Vec<PolicyNameFact>,
-    /// Whether the file iterates a whole registry via `.entries()`.
-    pub iterates_registry: bool,
-    /// Deduplicated short plain string literals in non-test code (for
-    /// coverage checks like "does `sample_smoke` name this policy").
-    pub str_lits: Vec<String>,
     /// `sdbp-allow` escape comments, for finding suppression.
     pub escapes: Vec<EscapeFact>,
 }
@@ -129,7 +112,6 @@ pub fn extract(file: &SourceFile) -> FileFacts {
         toks.get(i).is_some_and(|t| t.kind == TokenKind::Punct) && text(i) == c
     };
     let mut refs = BTreeSet::new();
-    let mut lits = BTreeSet::new();
     for (i, t) in toks.iter().enumerate() {
         if file.in_test(t.start) {
             continue;
@@ -146,38 +128,8 @@ pub fn extract(file: &SourceFile) -> FileFacts {
                 file.ast.enclosing_fn(i).map(|f| f.name.clone()).unwrap_or_default();
             refs.insert(RefFact { context_fn, path: format!("{}::{}", text(i), text(i + 3)) });
         }
-        // `name: "literal"` policy registrations.
-        if t.kind == TokenKind::Ident
-            && text(i) == "name"
-            && is_punct(i + 1, ":")
-            && !is_punct(i + 2, ":")
-            && toks.get(i + 2).is_some_and(|n| n.kind == TokenKind::Str)
-        {
-            let lit = text(i + 2);
-            let inner = lit.trim_matches('"');
-            if !inner.is_empty() && inner.len() + 2 == lit.len() {
-                facts.policy_names.push(PolicyNameFact {
-                    name: inner.to_owned(),
-                    site: site(toks[i + 2].start),
-                });
-            }
-        }
-        // `.entries()` whole-registry iteration.
-        if is_punct(i, ".") && text(i + 1) == "entries" && is_punct(i + 2, "(") {
-            facts.iterates_registry = true;
-        }
-        // Short plain string literals, for coverage checks.
-        if t.kind == TokenKind::Str {
-            let lit = text(i);
-            if let Some(inner) = lit.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-                if !inner.is_empty() && inner.len() <= 64 && !inner.contains('\\') {
-                    lits.insert(inner.to_owned());
-                }
-            }
-        }
     }
     facts.refs = refs.into_iter().collect();
-    facts.str_lits = lits.into_iter().collect();
 
     // `sdbp-allow(rule): reason` escapes, from the comment stream.
     for c in &file.lexed.comments {
@@ -308,19 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_and_registry_iteration() {
-        let f = facts(
-            "crates/core/src/registry.rs",
-            "fn standard() { r.register(PolicyEntry { name: \"tdbp\", label: \"TDBP\" }); \
-             for e in registry.entries() {} }\n",
-        );
-        assert_eq!(f.policy_names.len(), 1);
-        assert_eq!(f.policy_names[0].name, "tdbp");
-        assert!(f.iterates_registry);
-    }
-
-    #[test]
-    fn escapes_and_string_literals_are_collected() {
+    fn escapes_are_collected() {
         let f = facts(
             "crates/x/src/lib.rs",
             "// sdbp-allow(flat-metadata): built once per campaign\n\
@@ -330,7 +270,6 @@ mod tests {
         assert_eq!(f.escapes[0].line, 1);
         assert_eq!(f.escapes[0].rule, "flat-metadata");
         assert_eq!(f.escapes[0].reason, "built once per campaign");
-        assert!(f.str_lits.contains(&"tdbp".to_owned()));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! and `clippy.toml` (DESIGN.md §9). This crate keeps only the rules
 //! clippy cannot express, because they encode this system's own
 //! contracts: every wire variant must have an encode arm, a decode arm,
-//! and a handler; every registered policy must be gated by the golden
-//! fixture and the sampling smoke test; shard results merge in shard
-//! order. It walks every `.rs` file in the workspace with a hand-rolled,
-//! span-tracking lexer and item parser (the workspace is std-only, so
-//! no `syn`), joins the per-file facts into a workspace graph, and
-//! enforces the invariants as lint rules:
+//! and a handler; shard results merge in shard order. It walks every
+//! `.rs` file in the workspace with a hand-rolled, span-tracking lexer
+//! and item parser (the workspace is std-only, so no `syn`), joins the
+//! per-file facts into a workspace graph, and enforces the invariants
+//! as lint rules:
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -23,7 +22,6 @@
 //! | `mutex-discipline` | no lock guard held across a blocking call |
 //! | `shard-determinism` | shard results merge in shard order, not arrival order |
 //! | `wire-exhaustive` | wire enum variants encode, decode, and are handled |
-//! | `registry-coverage` | registered policies are gated by golden + smoke |
 //!
 //! Rules apply workspace-wide by default; `analyze.toml` `[[exempt]]`
 //! entries opt a path out with a written reason, and

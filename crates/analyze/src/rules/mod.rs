@@ -2,11 +2,11 @@
 //! [`SourceFile`], reporting span-accurate [`Finding`]s.
 //!
 //! Only invariants the pinned clippy cannot express live here: this
-//! system's own contracts (wire exhaustiveness, registry coverage, shard
-//! merge order, lock scope, flat metadata, seed forking). The generic
-//! lexical checks — panics, narrowing casts, wall-clock reads, hashed
-//! containers, missing docs, discarded `Result`s — are clippy lints
-//! configured in `Cargo.toml` and `clippy.toml` (DESIGN.md §9).
+//! system's own contracts (wire exhaustiveness, shard merge order, lock
+//! scope, flat metadata, seed forking). The generic lexical checks —
+//! panics, narrowing casts, wall-clock reads, hashed containers, missing
+//! docs, discarded `Result`s — are clippy lints configured in
+//! `Cargo.toml` and `clippy.toml` (DESIGN.md §9).
 //!
 //! Rules are deliberately *lexical*: the workspace is std-only and
 //! offline, so there is no type information to lean on. Each rule is
@@ -18,19 +18,15 @@
 
 mod flat_metadata;
 mod mutex_discipline;
-mod registry_coverage;
 mod seed;
 mod shard_determinism;
 mod wire_exhaustive;
-
-use std::path::Path;
 
 use crate::graph::{Graph, Site};
 use crate::source::SourceFile;
 
 pub use flat_metadata::FlatMetadata;
 pub use mutex_discipline::MutexDiscipline;
-pub use registry_coverage::RegistryCoverage;
 pub use seed::SeedDiscipline;
 pub use shard_determinism::ShardDeterminism;
 pub use wire_exhaustive::WireExhaustive;
@@ -79,15 +75,7 @@ pub trait GraphRule {
     fn summary(&self) -> &'static str;
 
     /// Scans `graph`, appending findings to `out`.
-    fn check(&self, graph: &Graph, ctx: &GraphContext, out: &mut Vec<Finding>);
-}
-
-/// Ambient workspace information graph rules may consult beyond the
-/// Rust sources (e.g. the golden replay fixture).
-#[derive(Debug)]
-pub struct GraphContext<'a> {
-    /// Workspace root directory.
-    pub root: &'a Path,
+    fn check(&self, graph: &Graph, out: &mut Vec<Finding>);
 }
 
 /// Rule metadata shared by per-file and graph rules, for reports,
@@ -112,7 +100,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 
 /// Every graph rule, in stable report order.
 pub fn graph_rules() -> Vec<Box<dyn GraphRule>> {
-    vec![Box::new(WireExhaustive), Box::new(RegistryCoverage)]
+    vec![Box::new(WireExhaustive)]
 }
 
 /// Metadata for every rule — per-file first, then graph — in stable

@@ -17,7 +17,7 @@
 //! `protocol.rs`. Each missing leg is one finding, anchored at the
 //! variant's declaration.
 
-use super::{finding_at_site, Finding, GraphContext, GraphRule};
+use super::{finding_at_site, Finding, GraphRule};
 use crate::graph::Graph;
 
 /// The wire contract lives here.
@@ -49,7 +49,7 @@ impl GraphRule for WireExhaustive {
         "wire enum variant missing an encode arm, decode arm, or session handler"
     }
 
-    fn check(&self, graph: &Graph, _ctx: &GraphContext, out: &mut Vec<Finding>) {
+    fn check(&self, graph: &Graph, out: &mut Vec<Finding>) {
         let Some(proto) = graph.file(PROTOCOL) else { return };
         for &(enum_name, enc_fn, dec_fn) in CONTRACTS {
             let Some(e) = proto.facts.enums.iter().find(|e| e.name == enum_name) else {
@@ -96,7 +96,6 @@ mod tests {
     use super::*;
     use crate::graph::{extract, GraphFile};
     use crate::source::SourceFile;
-    use std::path::Path;
 
     fn scan(files: &[(&str, &str)]) -> Vec<Finding> {
         let graph = Graph::build(
@@ -109,7 +108,7 @@ mod tests {
                 .collect(),
         );
         let mut out = Vec::new();
-        WireExhaustive.check(&graph, &GraphContext { root: Path::new(".") }, &mut out);
+        WireExhaustive.check(&graph, &mut out);
         out
     }
 

@@ -5,8 +5,8 @@
 //! [`crate::graph::FileFacts`], one file at a time in sorted path order.
 //!
 //! **Phase 2 (cross-file):** the facts are joined into a [`Graph`] and
-//! the graph rules run over it — these are the contract checks (wire
-//! exhaustiveness, registry coverage) that no single file can decide.
+//! the graph rules run over it — contract checks such as wire
+//! exhaustiveness that no single file can decide.
 //!
 //! Raw findings from both phases then pass through two routing gates,
 //! each demanding a written justification: `analyze.toml` `[[exempt]]`
@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use crate::config::Config;
 use crate::graph::{extract, EscapeFact, FileFacts, Graph, GraphFile};
 use crate::report::{sort_findings, Allowed, Report};
-use crate::rules::{all_rules, graph_rules, Finding, GraphContext};
+use crate::rules::{all_rules, graph_rules, Finding};
 use crate::source::SourceFile;
 
 /// Directory names never descended into.
@@ -144,9 +144,8 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> Result<Report, String>
 
     // Phase 2: graph assembly and cross-file rules.
     let graph = Graph::build(graph_files);
-    let ctx = GraphContext { root };
     for rule in graph_rules() {
-        rule.check(&graph, &ctx, &mut raw);
+        rule.check(&graph, &mut raw);
     }
 
     // Routing.

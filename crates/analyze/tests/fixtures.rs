@@ -7,15 +7,9 @@ use sdbp_analyze::config::Config;
 use sdbp_analyze::workspace::analyze_workspace;
 use std::path::{Path, PathBuf};
 
-/// Builds a synthetic workspace under the test-scoped tmpdir: each
-/// `(fixture, scan_path)` pair is copied in, and `golden_specs` (when
-/// given) becomes a `tests/golden/replay_miss_counts.tsv` with one row
-/// per spec — the shape the registry-coverage rule reads.
-fn scan_fixture_set(
-    case: &str,
-    files: &[(&str, &str)],
-    golden_specs: Option<&[&str]>,
-) -> sdbp_analyze::report::Report {
+/// Builds a synthetic workspace under the test-scoped tmpdir, with each
+/// `(fixture, scan_path)` pair copied in.
+fn scan_fixture_set(case: &str, files: &[(&str, &str)]) -> sdbp_analyze::report::Report {
     let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fixture-{case}"));
     if root.exists() {
         std::fs::remove_dir_all(&root).expect("clean slate");
@@ -28,20 +22,12 @@ fn scan_fixture_set(
         let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(fixture);
         std::fs::copy(&src, &dest).expect("fixture copied");
     }
-    if let Some(specs) = golden_specs {
-        std::fs::create_dir_all(root.join("tests/golden")).expect("mkdir golden");
-        let mut tsv = String::from("# workload\taccesses\tsets\tways\tspec\tmisses\n");
-        for s in specs {
-            tsv.push_str(&format!("wl\t1000\t256\t16\t{s}\t42\n"));
-        }
-        std::fs::write(root.join("tests/golden/replay_miss_counts.tsv"), tsv).expect("tsv");
-    }
     analyze_workspace(&root, &Config::default()).expect("scan succeeds")
 }
 
 /// One-file convenience wrapper over [`scan_fixture_set`].
 fn scan_fixture(case: &str, fixture: &str, scan_path: &str) -> sdbp_analyze::report::Report {
-    scan_fixture_set(case, &[(fixture, scan_path)], None)
+    scan_fixture_set(case, &[(fixture, scan_path)])
 }
 
 fn count(report: &sdbp_analyze::report::Report, rule: &str) -> usize {
@@ -88,7 +74,6 @@ fn bad_wire_protocol_fixture_is_one_finding_at_the_variant() {
             ("bad/wire_protocol.rs", "crates/serve/src/protocol.rs"),
             ("good/wire_handler.rs", "crates/serve/src/session.rs"),
         ],
-        None,
     );
     assert_eq!(count(&r, "wire-exhaustive"), 1, "{:#?}", r.findings);
     let f = r.findings.iter().find(|f| f.rule == "wire-exhaustive").expect("finding");
@@ -106,37 +91,6 @@ fn good_wire_protocol_fixture_is_clean() {
             ("good/wire_protocol.rs", "crates/serve/src/protocol.rs"),
             ("good/wire_handler.rs", "crates/serve/src/session.rs"),
         ],
-        None,
-    );
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-}
-
-#[test]
-fn bad_registry_fixture_flags_the_uncovered_policy_at_its_registration() {
-    let r = scan_fixture_set(
-        "bad-registry",
-        &[
-            ("bad/registry.rs", "crates/core/src/registry.rs"),
-            ("good/sample_smoke.rs", "crates/harness/src/bin/sample_smoke.rs"),
-        ],
-        Some(&["lru", "sampler:32"]),
-    );
-    assert_eq!(count(&r, "registry-coverage"), 1, "{:#?}", r.findings);
-    let f = r.findings.iter().find(|f| f.rule == "registry-coverage").expect("finding");
-    assert!(f.message.contains("`tdbp`"), "{}", f.message);
-    assert!(f.message.contains("no row in"), "{}", f.message);
-    assert_eq!(f.line, 8, "anchored at the `name:` literal");
-}
-
-#[test]
-fn good_registry_fixture_is_clean_when_the_golden_tsv_covers_it() {
-    let r = scan_fixture_set(
-        "good-registry",
-        &[
-            ("bad/registry.rs", "crates/core/src/registry.rs"),
-            ("good/sample_smoke.rs", "crates/harness/src/bin/sample_smoke.rs"),
-        ],
-        Some(&["lru", "tdbp:tables=2"]),
     );
     assert!(r.findings.is_empty(), "{:#?}", r.findings);
 }

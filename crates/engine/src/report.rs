@@ -1,6 +1,6 @@
 //! Exports the engine's accumulated telemetry as a machine-readable JSON
-//! report (`target/engine-report.json` by convention) — the seed of the
-//! repo's `BENCH_*.json` performance trajectory.
+//! report (`target/engine-report.json` by convention): per-job and
+//! per-batch timings of one engine run.
 
 use crate::json::JsonWriter;
 use crate::telemetry::EngineTelemetry;

@@ -76,7 +76,8 @@ pub fn convert_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{FORMAT_V1, FORMAT_V2};
+    use crate::buffered::BufferedTrace;
+    use crate::format::{DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2};
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::{Instr, TraceBuilder};
     use std::io::Cursor;
@@ -105,9 +106,14 @@ mod tests {
         (meta, reader.collect::<Result<_, _>>().unwrap())
     }
 
+    /// The v1 -> v2 -> batch-decode -> v1 pipeline at the default
+    /// chunking, over two full chunks plus a partial one, so every
+    /// chunk seam is crossed in both codecs.
     #[test]
     fn v1_to_v2_and_back_is_lossless() {
-        let v1 = encode_v1(5000);
+        let n = 2 * DEFAULT_CHUNK_RECORDS as usize + 1234;
+        let original = instrs(n);
+        let v1 = encode_v1(n);
         let mut v2 = Cursor::new(Vec::new());
         let up = convert_stream(
             TraceReader::new(Cursor::new(&v1)).unwrap(),
@@ -116,21 +122,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!((up.from_version, up.to_version), (FORMAT_V1, FORMAT_V2));
-        assert_eq!(up.write.instructions, 5000);
+        assert_eq!(up.write.instructions, n as u64);
         let v2 = v2.into_inner();
 
         let (meta2, records2) = decode(&v2);
         assert_eq!(meta2.version, FORMAT_V2);
         assert_eq!(meta2.name, "conv");
         assert_eq!(meta2.seed, 0xc0dec);
-        assert_eq!(records2, instrs(5000));
+        assert_eq!(records2, original);
+
+        let buffered = BufferedTrace::from_slice(&v2).unwrap();
+        assert!(buffered.chunk_count() > 1, "the v2 file must span several chunks");
+        let mut batches = buffered.batches();
+        let mut batched = Vec::with_capacity(n);
+        while let Some(batch) = batches.try_next().unwrap() {
+            batched.extend(batch.iter());
+        }
+        assert_eq!(batched, original, "batch decode must reproduce the stream");
 
         let mut back = Cursor::new(Vec::new());
         convert_stream(TraceReader::new(Cursor::new(&v2)).unwrap(), &mut back, FORMAT_V1)
             .unwrap();
-        let (meta1, records1) = decode(&back.into_inner());
-        assert_eq!(meta1.version, FORMAT_V1);
-        assert_eq!(records1, records2);
+        assert_eq!(back.into_inner(), v1, "v1 -> v2 -> v1 must reproduce the v1 bytes");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct WriteSummary {
 
 impl WriteSummary {
     /// Encoded bytes per instruction record, the headline compression
-    /// figure for `BENCH_traceio.json`.
+    /// figure `trace record` and `trace convert` report.
     pub fn bytes_per_access(&self) -> f64 {
         if self.instructions == 0 {
             0.0

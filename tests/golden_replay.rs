@@ -76,6 +76,29 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
     assert!(failures.is_empty(), "golden drift:\n{}", failures.join("\n"));
 }
 
+/// The gate above only covers policies the fixture names, so a newly
+/// registered policy must come with a golden row: every `standard()`
+/// entry appears as a bare spec or as `name:params`.
+#[test]
+fn every_registry_policy_has_a_golden_row() {
+    let rows = rows();
+    let missing: Vec<&str> = standard()
+        .entries()
+        .iter()
+        .map(|e| e.name)
+        .filter(|name| {
+            !rows.iter().any(|r| {
+                r.spec.strip_prefix(name).is_some_and(|rest| rest.is_empty() || rest.starts_with(':'))
+            })
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "registered policies without a golden row: {missing:?} — regenerate \
+         tests/golden/replay_miss_counts.tsv with examples/golden_gen.rs"
+    );
+}
+
 /// Every golden row must replay to the same miss count at shard counts
 /// {2, 4, 8} as at 1 — the acceptance property of the set-sharded
 /// replay kernel (`DESIGN.md` §13).
