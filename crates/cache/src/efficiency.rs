@@ -97,15 +97,6 @@ impl EfficiencyTracker {
             live as f64 / total as f64
         }
     }
-
-    /// A sets × ways matrix of per-frame efficiencies, for greyscale
-    /// rendering (Figure 1).
-    // sdbp-allow(flat-metadata): cold reporting accessor building rows for rendering, not per-access state
-    pub fn matrix(&self) -> Vec<Vec<f64>> {
-        (0..self.config.sets)
-            .map(|s| (0..self.config.ways).map(|w| self.frame_efficiency(s, w)).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -161,13 +152,5 @@ mod tests {
         t.on_evict(0, 1, 99);
         assert!(!t.used(0, 1));
         assert_eq!(t.overall(), 0.0);
-    }
-
-    #[test]
-    fn matrix_shape_matches_geometry() {
-        let t = EfficiencyTracker::new(CacheConfig::new(4, 3));
-        let m = t.matrix();
-        assert_eq!(m.len(), 4);
-        assert!(m.iter().all(|row| row.len() == 3));
     }
 }

@@ -20,8 +20,6 @@
 //! sdbp-repro trace info hmmer.sdbt
 //! sdbp-repro trace replay hmmer.sdbt --policy rrip --policy sampler:assoc=16
 //! sdbp-repro list-policies             # print the policy registry
-//! sdbp-repro analyze                   # workspace invariant linter
-//! sdbp-repro analyze --list-rules
 //! sdbp-repro serve --addr 127.0.0.1:0  # policy-evaluation daemon
 //! sdbp-repro submit --addr HOST:PORT --policy sampler hmmer.sdbt
 //! ```
@@ -51,11 +49,6 @@ fn main() {
     // before the experiment flag loop touches anything.
     if args.first().map(String::as_str) == Some("trace") {
         std::process::exit(sdbp_harness::tracecmd::run(&args[1..]));
-    }
-    // Same for the workspace linter: its flags (--root, --json, ...) are
-    // its own.
-    if args.first().map(String::as_str) == Some("analyze") {
-        std::process::exit(sdbp_analyze::run_cli(&args[1..]));
     }
     // And for the policy-evaluation daemon and its client.
     if args.first().map(String::as_str) == Some("serve") {

@@ -19,15 +19,14 @@ fn shade(efficiency: f64) -> char {
 /// sets, one column per way).
 fn render_map(cache: &Cache) -> String {
     let eff = cache.efficiency().expect("efficiency tracking enabled");
-    let matrix = eff.matrix();
+    let CacheConfig { sets, ways } = cache.config();
     let rows = 32usize;
-    let group = matrix.len() / rows;
+    let group = sets / rows;
     let mut out = String::new();
     for r in 0..rows {
-        for way in 0..matrix[0].len() {
-            let mean: f64 = matrix[r * group..(r + 1) * group]
-                .iter()
-                .map(|row| row[way])
+        for way in 0..ways {
+            let mean: f64 = (r * group..(r + 1) * group)
+                .map(|set| eff.frame_efficiency(set, way))
                 .sum::<f64>()
                 / group as f64;
             out.push(shade(mean));

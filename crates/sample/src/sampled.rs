@@ -107,7 +107,6 @@ pub fn replay_sampled<F: FnMut() -> Cache>(
 ) -> Result<SampledReplayResult, SampleError> {
     let (segments, replayed) = segment_schedule(stream.len(), plan)?;
 
-    // sdbp-allow(flat-metadata): per-representative hit patterns, assembled once per campaign
     let mut patterns: Vec<Vec<bool>> = vec![Vec::new(); plan.representatives.len()];
     let mut cache = fresh();
     for seg in &segments {
@@ -293,12 +292,10 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
     // persistent cache, returning per-segment measured bits in shard-
     // local stream order.
     let segments = &segments;
-    // sdbp-allow(flat-metadata): per-shard, per-segment hit bits — variable-length, built once per call
     let tasks: Vec<Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>> = (0..shard_plan.shards())
         .map(|shard| {
             Box::new(move || {
                 let mut cache = fresh();
-                // sdbp-allow(flat-metadata): per-segment bit runs, not set×lane metadata
                 let mut measured: Vec<Vec<bool>> = Vec::with_capacity(segments.len());
                 for seg in segments {
                     let mut bits = Vec::new();
@@ -320,7 +317,6 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
                     measured.push(bits);
                 }
                 measured
-                // sdbp-allow(flat-metadata): per-segment bit runs, not set×lane metadata
             }) as Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>
         })
         .collect();
@@ -328,7 +324,6 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
 
     // Merge each segment's measured window by cursor-walking the
     // original stream, consuming shard results strictly by shard index.
-    // sdbp-allow(flat-metadata): per-representative hit patterns, assembled once per campaign
     let mut patterns: Vec<Vec<bool>> = vec![Vec::new(); plan.representatives.len()];
     for (seg_index, seg) in segments.iter().enumerate() {
         let mut cursors = vec![0usize; shard_bits.len()];

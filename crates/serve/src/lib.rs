@@ -45,12 +45,29 @@ pub use error::{FrameError, ServeError};
 pub use protocol::{Frame, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, SHARD_MIN_ACCESSES};
 
-/// Locks a mutex, recovering the guard if a previous holder panicked.
+use std::sync::{Condvar, Mutex, PoisonError};
+
+/// Runs `f` on the mutex's data and releases the lock when `f` returns —
+/// the only way serve takes a lock, so no guard can outlive the closure
+/// and reach a socket write.
 ///
-/// Job closures run under the engine's panic isolation, so a poisoned
-/// mutex here means the data is still structurally sound — the panic was
-/// contained and reported as a `JobFailure`. Recovering keeps the
-/// session layer reusable instead of cascading the poison.
-pub(crate) fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// A poisoned mutex is recovered: job closures run under the engine's
+/// panic isolation, so a poisoned lock here means the data is still
+/// structurally sound (the panic was contained and reported as a
+/// `JobFailure`), and recovering keeps the session layer reusable.
+pub(crate) fn with_lock<T, R>(m: &Mutex<T>, f: impl FnOnce(&mut T) -> R) -> R {
+    f(&mut m.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// Blocks on `cv` while `blocked` holds, then runs `f` under the same
+/// lock and releases it when `f` returns; poisoning is recovered as in
+/// [`with_lock`].
+pub(crate) fn wait_then<T, R>(
+    m: &Mutex<T>,
+    cv: &Condvar,
+    blocked: impl FnMut(&mut T) -> bool,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+    f(&mut cv.wait_while(guard, blocked).unwrap_or_else(PoisonError::into_inner))
 }

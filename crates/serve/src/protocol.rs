@@ -548,7 +548,66 @@ fn get_str(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<String,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::io::Cursor;
+
+    /// Number of `Frame` variants, i.e. of arms in [`frame_variant`].
+    const FRAME_VARIANTS: usize = 11;
+
+    /// Position of `f`'s variant. No wildcard: a new `Frame` variant does
+    /// not compile until it is numbered here, and
+    /// `every_variant_has_an_exemplar_and_no_other_kind_decodes` then
+    /// fails until [`every_frame`] holds an exemplar of it.
+    fn frame_variant(f: &Frame) -> usize {
+        match f {
+            Frame::Hello { .. } => 0,
+            Frame::HelloAck { .. } => 1,
+            Frame::SubmitJob { .. } => 2,
+            Frame::TraceChunk { .. } => 3,
+            Frame::TraceEnd => 4,
+            Frame::JobAccepted { .. } => 5,
+            Frame::Busy { .. } => 6,
+            Frame::WindowResult { .. } => 7,
+            Frame::JobDone { .. } => 8,
+            Frame::ErrorReply { .. } => 9,
+            Frame::Goodbye => 10,
+        }
+    }
+
+    /// Every `ErrorCode`, in the order [`code_variant`] numbers them.
+    const EVERY_CODE: [ErrorCode; 8] = [
+        ErrorCode::BadVersion,
+        ErrorCode::BadSpec,
+        ErrorCode::BadGeometry,
+        ErrorCode::BadTrace,
+        ErrorCode::BadArchive,
+        ErrorCode::Protocol,
+        ErrorCode::Shutdown,
+        ErrorCode::Internal,
+    ];
+
+    /// Position of `c` in [`EVERY_CODE`]. No wildcard: a new code does
+    /// not compile until it is numbered here.
+    fn code_variant(c: ErrorCode) -> usize {
+        match c {
+            ErrorCode::BadVersion => 0,
+            ErrorCode::BadSpec => 1,
+            ErrorCode::BadGeometry => 2,
+            ErrorCode::BadTrace => 3,
+            ErrorCode::BadArchive => 4,
+            ErrorCode::Protocol => 5,
+            ErrorCode::Shutdown => 6,
+            ErrorCode::Internal => 7,
+        }
+    }
+
+    /// The wire tag of each `TraceRef` variant (no wildcard).
+    fn trace_tag(t: &TraceRef) -> u8 {
+        match t {
+            TraceRef::Archive { .. } => TRACE_REF_ARCHIVE,
+            TraceRef::Inline { .. } => TRACE_REF_INLINE,
+        }
+    }
 
     fn every_frame() -> Vec<Frame> {
         vec![
@@ -587,6 +646,44 @@ mod tests {
             Frame::ErrorReply { code: ErrorCode::BadSpec, detail: "unknown policy 'x'".into() },
             Frame::Goodbye,
         ]
+    }
+
+    #[test]
+    fn every_variant_has_an_exemplar_and_no_other_kind_decodes() {
+        let frames = every_frame();
+        let variants: BTreeSet<usize> = frames.iter().map(frame_variant).collect();
+        assert_eq!(variants, (0..FRAME_VARIANTS).collect(), "a Frame variant lacks an exemplar");
+        let kinds: BTreeSet<u8> =
+            frames.iter().filter_map(|f| f.encode().first().copied()).collect();
+        for kind in (0..=u8::MAX).filter(|k| !kinds.contains(k)) {
+            match Frame::decode(&[kind]) {
+                Err(FrameError::UnknownKind { kind: k }) if k == kind => {}
+                other => panic!("kind byte {kind:#04x} has no exemplar, decodes to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_trace_tag_has_an_exemplar_and_no_other_tag_decodes() {
+        let tags: BTreeSet<u8> = every_frame()
+            .iter()
+            .filter_map(|f| match f {
+                Frame::SubmitJob { trace, .. } => Some(trace_tag(trace)),
+                _ => None,
+            })
+            .collect();
+        let every_tag = BTreeSet::from([TRACE_REF_ARCHIVE, TRACE_REF_INLINE]);
+        assert_eq!(tags, every_tag, "a TraceRef variant lacks an exemplar");
+        let mut prefix = vec![KIND_SUBMIT];
+        put_str(&mut prefix, "lru");
+        [256, 16, 0].into_iter().for_each(|v| put_varint(&mut prefix, v));
+        for tag in (0..=u8::MAX).filter(|t| !tags.contains(t)) {
+            let payload = [prefix.as_slice(), &[tag, 0]].concat();
+            assert!(matches!(
+                Frame::decode(&payload),
+                Err(FrameError::Malformed { context: "SubmitJob.trace_tag" })
+            ));
+        }
     }
 
     #[test]
@@ -713,21 +810,16 @@ mod tests {
     }
 
     #[test]
-    fn error_codes_round_trip() {
-        for code in [
-            ErrorCode::BadVersion,
-            ErrorCode::BadSpec,
-            ErrorCode::BadGeometry,
-            ErrorCode::BadTrace,
-            ErrorCode::BadArchive,
-            ErrorCode::Protocol,
-            ErrorCode::Shutdown,
-            ErrorCode::Internal,
-        ] {
+    fn error_codes_round_trip_and_no_other_byte_decodes() {
+        for (i, code) in EVERY_CODE.into_iter().enumerate() {
+            assert_eq!(code_variant(code), i, "EVERY_CODE is out of order");
             assert_eq!(ErrorCode::from_byte(code.to_byte()), Some(code));
             assert!(!code.to_string().is_empty());
         }
-        assert_eq!(ErrorCode::from_byte(200), None);
+        let bytes: BTreeSet<u8> = EVERY_CODE.iter().map(|c| c.to_byte()).collect();
+        for b in (0..=u8::MAX).filter(|b| !bytes.contains(b)) {
+            assert_eq!(ErrorCode::from_byte(b), None, "code byte {b} decodes but is not listed");
+        }
     }
 
     #[test]

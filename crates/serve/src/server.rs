@@ -20,8 +20,8 @@
 //! `process::exit`.
 
 use crate::error::ServeError;
-use crate::lock_clean;
 use crate::protocol::{ErrorCode, Frame};
+use crate::{wait_then, with_lock};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayRequest};
 use sdbp_cache::recorder::try_record_batches;
 use sdbp_cache::replay::WindowStream;
@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Everything a [`Server`] needs to start.
@@ -87,26 +87,26 @@ impl Default for ServerConfig {
 /// per-shard queue build and thread spawn cost more than they recover.
 pub const SHARD_MIN_ACCESSES: usize = 1 << 20;
 
-/// Signals a parked session thread that its job reached a final frame
-/// (`JobDone` or `ErrorReply`), so the session may resume reading.
+/// A one-shot latch between a session and whoever writes its job's
+/// frames. Each job has two: `accepted` opens once the session has put
+/// `JobAccepted` on the wire (so the executor or the shutdown drain may
+/// write the job's frames), `done` once the job reached a final frame
+/// (`JobDone` or `ErrorReply`, so the session may resume reading).
 #[derive(Debug, Default)]
 pub(crate) struct JobGate {
-    done: Mutex<bool>,
+    open: Mutex<bool>,
     cv: Condvar,
 }
 
 impl JobGate {
-    /// Blocks until [`signal`](JobGate::signal).
-    pub(crate) fn wait(&self) {
-        let mut done = lock_clean(&self.done);
-        while !*done {
-            done = self.cv.wait(done).unwrap_or_else(PoisonError::into_inner);
-        }
+    /// Blocks until the gate is [`open`](JobGate::open).
+    pub(crate) fn pass(&self) {
+        wait_then(&self.open, &self.cv, |open| !*open, |_| ());
     }
 
-    /// Releases every waiter.
-    pub(crate) fn signal(&self) {
-        *lock_clean(&self.done) = true;
+    /// Opens the gate for every current and later [`pass`](JobGate::pass).
+    pub(crate) fn open(&self) {
+        with_lock(&self.open, |open| *open = true);
         self.cv.notify_all();
     }
 }
@@ -133,8 +133,10 @@ pub(crate) struct QueuedJob {
     pub(crate) source: String,
     /// Write half of the submitting connection.
     pub(crate) stream: TcpStream,
-    /// Gate the submitting session is parked on.
-    pub(crate) gate: Arc<JobGate>,
+    /// Opened by the session once `JobAccepted` is on the wire.
+    pub(crate) accepted: Arc<JobGate>,
+    /// Opened here once the job's final frame is on the wire.
+    pub(crate) done: Arc<JobGate>,
 }
 
 /// State shared by the accept loop, sessions, and executors.
@@ -253,10 +255,12 @@ impl Server {
     /// aborts the rest with `Shutdown` error frames, unblocks every
     /// session, and joins all threads. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock, so an executor between its emptiness
+        // check and its wait cannot miss the wake-up below.
+        with_lock(&self.shared.queue, |_| self.shared.shutdown.store(true, Ordering::SeqCst));
         // Executors drain whatever is already queued, then exit.
         self.shared.queue_cv.notify_all();
-        let executors: Vec<JoinHandle<()>> = lock_clean(&self.executors).drain(..).collect();
+        let executors: Vec<JoinHandle<()>> = with_lock(&self.executors, std::mem::take);
         for h in executors {
             #[expect(
                 clippy::let_underscore_must_use,
@@ -267,8 +271,9 @@ impl Server {
         // With no executors (workers = 0), queued jobs are aborted here.
         // Sessions can no longer enqueue: the submit path re-checks the
         // shutdown flag under the queue lock.
-        let leftovers: Vec<QueuedJob> = lock_clean(&self.shared.queue).drain(..).collect();
+        let leftovers: VecDeque<QueuedJob> = with_lock(&self.shared.queue, std::mem::take);
         for q in leftovers {
+            q.accepted.pass();
             let mut stream = q.stream;
             #[expect(
                 clippy::let_underscore_must_use,
@@ -279,7 +284,7 @@ impl Server {
                 detail: "server is shutting down".to_owned(),
             }
             .write_to(&mut stream);
-            q.gate.signal();
+            q.done.open();
         }
         // Wake the blocking accept() and join the accept thread.
         #[expect(
@@ -287,7 +292,7 @@ impl Server {
             reason = "wake-up poke; a failed connect means accept() is gone"
         )]
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = lock_clean(&self.accept).take() {
+        if let Some(h) = with_lock(&self.accept, Option::take) {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "join Err means the accept thread panicked; teardown proceeds"
@@ -295,7 +300,7 @@ impl Server {
             let _ = h.join();
         }
         // Unblock session reads and join the session threads.
-        let slots: Vec<SessionSlot> = lock_clean(&self.sessions).drain(..).collect();
+        let slots: Vec<SessionSlot> = with_lock(&self.sessions, std::mem::take);
         for s in &slots {
             #[expect(
                 clippy::let_underscore_must_use,
@@ -338,37 +343,24 @@ fn accept_loop(
         let spawned = std::thread::Builder::new()
             .name(format!("sdbp-serve-session-{session}"))
             .spawn(move || crate::session::run_session(&shared, stream, session));
-        let mut slots = lock_clean(sessions);
-        // Closed connections leave finished threads behind; reap them so
-        // a long-lived daemon's slot list stays proportional to live
-        // sessions.
-        slots.retain(|s| !s.handle.is_finished());
-        if let Ok(handle) = spawned {
-            slots.push(SessionSlot { stream: peer, handle });
-        }
+        with_lock(sessions, |slots| {
+            // Closed connections leave finished threads behind; reap them
+            // so a long-lived daemon's slot list stays proportional to
+            // live sessions.
+            slots.retain(|s| !s.handle.is_finished());
+            if let Ok(handle) = spawned {
+                slots.push(SessionSlot { stream: peer, handle });
+            }
+        });
     }
 }
 
 /// Pops and executes queued jobs; exits once the queue is empty after
 /// shutdown.
 fn executor_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = lock_clean(&shared.queue);
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break Some(j);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                q = shared.queue_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        match job {
-            Some(j) => execute_job(shared, j),
-            None => return,
-        }
+    let idle = |q: &mut VecDeque<_>| q.is_empty() && !shared.shutdown.load(Ordering::SeqCst);
+    while let Some(job) = wait_then(&shared.queue, &shared.queue_cv, idle, VecDeque::pop_front) {
+        execute_job(shared, job);
     }
 }
 
@@ -396,8 +388,11 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
         instructions,
         source,
         mut stream,
-        gate,
+        accepted,
+        done,
     } = queued;
+    // JobAccepted precedes every frame of the job.
+    accepted.pass();
     let outcome = {
         let results_stream = &mut stream;
         shared.engine.run_one(
@@ -431,7 +426,7 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
         reason = "best-effort result delivery; a vanished client keeps the server up"
     )]
     let _ = final_frame.write_to(&mut stream);
-    gate.signal();
+    done.open();
 }
 
 /// The replay pipeline — the same replay front door as `sdbp-repro trace
@@ -497,4 +492,61 @@ fn run_replay(
         windows,
         ipc_bits: ipc.to_bits(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::time::Duration;
+
+    /// The executor writes no frame of a job until the session opens its
+    /// `accepted` gate, so `JobAccepted` always comes first on the wire.
+    #[test]
+    fn executor_writes_nothing_before_the_job_is_accepted() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let shared = Shared {
+            shutdown: AtomicBool::new(false),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            queue_depth: 1,
+            next_job: AtomicU64::new(1),
+            trace_dir: None,
+            max_inline_bytes: 0,
+            server_name: String::new(),
+            shards: 1,
+            shard_min_accesses: SHARD_MIN_ACCESSES,
+            engine: Engine::with_workers(1),
+        };
+        let (accepted, done) = (Arc::new(JobGate::default()), Arc::new(JobGate::default()));
+        let job = QueuedJob {
+            job: 1,
+            label: "gate".to_owned(),
+            policy: "lru".to_owned(),
+            llc: CacheConfig { sets: 1, ways: 1 },
+            window: 0,
+            // Not a trace: the job fails at once with a BadTrace reply.
+            trace: vec![0u8; 8],
+            instructions: 0,
+            source: "test".to_owned(),
+            stream,
+            accepted: Arc::clone(&accepted),
+            done: Arc::clone(&done),
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| execute_job(&shared, job));
+            client.set_read_timeout(Some(Duration::from_millis(300))).expect("timeout");
+            let early = client.read(&mut [0u8; 1]);
+            assert!(early.is_err(), "a frame was written before JobAccepted: {early:?}");
+            accepted.open();
+            client.set_read_timeout(None).expect("blocking");
+            match Frame::read_from(&mut client).expect("readable") {
+                Some(Frame::ErrorReply { code: ErrorCode::BadTrace, .. }) => {}
+                other => panic!("expected the job's BadTrace reply, got {other:?}"),
+            }
+            done.pass();
+        });
+    }
 }

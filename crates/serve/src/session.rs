@@ -2,18 +2,18 @@
 //! trace transfer, and the enqueue/backpressure decision.
 //!
 //! A session owns the read half of its connection and parses one request
-//! at a time. While a job runs, the session parks on its [`JobGate`];
-//! the executor writes the result frames directly, so the connection
-//! never sees interleaved writers. Peer mistakes are answered with typed
-//! `ErrorReply` frames where the stream is still in sync, and by closing
-//! the connection where it cannot be (framing corruption, a wrong frame
-//! mid-transfer). Nothing a client sends can poison a queue slot: a job
+//! at a time. While a job runs, the session parks on the job's `done`
+//! [`JobGate`]; the executor writes the result frames directly, so the
+//! connection never sees interleaved writers. Peer mistakes are answered
+//! with typed `ErrorReply` frames where the stream is still in sync, and
+//! by closing the connection where it cannot be (framing corruption, a
+//! wrong frame mid-transfer). Nothing a client sends can poison a queue slot: a job
 //! is enqueued only after its submission — including every inline trace
 //! byte — has been received and validated.
 
-use crate::lock_clean;
 use crate::protocol::{ErrorCode, Frame, TraceRef, PROTOCOL_VERSION};
 use crate::server::{JobGate, QueuedJob, Shared};
+use crate::with_lock;
 use sdbp_cache::CacheConfig;
 use sdbp_traceio::TraceReader;
 use std::io::{BufReader, Cursor};
@@ -25,6 +25,13 @@ use std::sync::Arc;
 enum Flow {
     Continue,
     Close,
+}
+
+/// What the queue's critical section decided for one submission.
+enum Decision {
+    Shutdown,
+    Busy,
+    Accepted(u64),
 }
 
 /// A parsed `SubmitJob` frame.
@@ -117,7 +124,19 @@ fn serve_connection(
                 }
             }
             Ok(Some(Frame::Goodbye)) | Ok(None) => return,
-            Ok(Some(other)) => {
+            // No wildcard: a new frame kind does not compile until it is
+            // placed in one of these arms.
+            Ok(Some(
+                other @ (Frame::Hello { .. }
+                | Frame::HelloAck { .. }
+                | Frame::TraceChunk { .. }
+                | Frame::TraceEnd
+                | Frame::JobAccepted { .. }
+                | Frame::Busy { .. }
+                | Frame::WindowResult { .. }
+                | Frame::JobDone { .. }
+                | Frame::ErrorReply { .. }),
+            )) => {
                 // Wire-valid but out of place (a TraceChunk with no
                 // pending submission, a server-side frame, a second
                 // Hello). The stream is still frame-aligned, so report
@@ -231,35 +250,23 @@ fn handle_submit(
         return reply_error(writer, ErrorCode::BadTrace, "trace holds no records".to_owned());
     }
 
-    let gate = Arc::new(JobGate::default());
-    {
-        // One lock scope makes the depth check, the acceptance reply and
-        // the enqueue atomic: an executor cannot observe the job (and
-        // start writing result frames) before JobAccepted is on the wire.
-        let mut q = lock_clean(&shared.queue);
+    let Ok(job_stream) = writer.try_clone() else {
+        return Flow::Close;
+    };
+    let accepted = Arc::new(JobGate::default());
+    let done = Arc::new(JobGate::default());
+    // The shutdown check, the depth check and the enqueue are one
+    // critical section; every write happens after it. The executor (or
+    // the shutdown drain) passes `accepted` before writing any frame of
+    // the job, so JobAccepted still precedes them on the wire.
+    let decision = with_lock(&shared.queue, |q| {
         if shared.shutdown.load(Ordering::SeqCst) {
-            drop(q);
-            return reply_error(
-                writer,
-                ErrorCode::Shutdown,
-                "server is shutting down".to_owned(),
-            );
+            return Decision::Shutdown;
         }
         if q.len() >= shared.queue_depth {
-            drop(q);
-            let busy = Frame::Busy {
-                queue_depth: u32::try_from(shared.queue_depth).unwrap_or(u32::MAX),
-            };
-            return if busy.write_to(writer).is_ok() { Flow::Continue } else { Flow::Close };
+            return Decision::Busy;
         }
         let job = shared.next_job.fetch_add(1, Ordering::SeqCst);
-        let Ok(job_stream) = writer.try_clone() else {
-            return Flow::Close;
-        };
-        let accepted = Frame::JobAccepted { job };
-        if accepted.write_to(writer).is_err() {
-            return Flow::Close;
-        }
         q.push_back(QueuedJob {
             job,
             label: format!("serve/s{session}-j{job}/{}", sub.policy),
@@ -270,11 +277,30 @@ fn handle_submit(
             instructions: meta.count,
             source,
             stream: job_stream,
-            gate: Arc::clone(&gate),
+            accepted: Arc::clone(&accepted),
+            done: Arc::clone(&done),
         });
         shared.queue_cv.notify_one();
+        Decision::Accepted(job)
+    });
+    let job = match decision {
+        Decision::Shutdown => {
+            return reply_error(writer, ErrorCode::Shutdown, "server is shutting down".to_owned())
+        }
+        Decision::Busy => {
+            let busy = Frame::Busy {
+                queue_depth: u32::try_from(shared.queue_depth).unwrap_or(u32::MAX),
+            };
+            return if busy.write_to(writer).is_ok() { Flow::Continue } else { Flow::Close };
+        }
+        Decision::Accepted(job) => job,
+    };
+    let sent = Frame::JobAccepted { job }.write_to(writer).is_ok();
+    accepted.open();
+    if !sent {
+        return Flow::Close;
     }
-    gate.wait();
+    done.pass();
     Flow::Continue
 }
 

@@ -55,32 +55,76 @@ fn start(config: ServerConfig) -> (Server, String) {
 
 #[test]
 fn wire_replay_matches_the_golden_fixture_bit_exactly() {
-    let trace = trace_bytes(INSTRUCTIONS);
-    let (server, addr) = start(ServerConfig::default());
-    let mut client = Client::connect(&addr).expect("connect");
-    assert_eq!(client.server_name(), "sdbp-serve");
+    use sdbp_serve::protocol::{Frame, TraceRef, PROTOCOL_VERSION, TRACE_CHUNK_BYTES};
+    use std::net::TcpStream;
 
-    for spec in ["lru", "sampler"] {
-        let request = JobRequest {
+    let trace = trace_bytes(INSTRUCTIONS);
+    // Sixteen back-to-back windowed jobs on one connection with one
+    // executor, driven frame by frame: the executor may pick a job up the
+    // moment it is queued, yet JobAccepted must reach the client before
+    // any WindowResult or JobDone of that job.
+    let (server, addr) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    Frame::Hello { version: PROTOCOL_VERSION, client: "ordering".to_owned() }
+        .write_to(&mut conn)
+        .expect("hello");
+    match Frame::read_from(&mut &conn).expect("ack readable") {
+        Some(Frame::HelloAck { server, .. }) => assert_eq!(server, "sdbp-serve"),
+        other => panic!("expected HelloAck, got {other:?}"),
+    }
+
+    for (i, spec) in ["lru", "sampler"].into_iter().cycle().take(16).enumerate() {
+        Frame::SubmitJob {
             policy: spec.to_owned(),
             sets: SETS,
             ways: WAYS,
-            window: 0,
-            trace: TraceSubmission::Bytes(trace.clone()),
+            window: 25_000,
+            trace: TraceRef::Inline { total: trace.len() as u64 },
+        }
+        .write_to(&mut conn)
+        .expect("submit");
+        for chunk in trace.chunks(TRACE_CHUNK_BYTES) {
+            Frame::TraceChunk { bytes: chunk.to_vec() }.write_to(&mut conn).expect("chunk");
+        }
+        Frame::TraceEnd.write_to(&mut conn).expect("end");
+
+        let job = match Frame::read_from(&mut &conn).expect("readable") {
+            Some(Frame::JobAccepted { job }) => job,
+            other => panic!("job {i} ({spec}): expected JobAccepted first, got {other:?}"),
         };
-        let reply = client.submit(&request, |_, _| {}).expect("submit");
-        let SubmitReply::Done(outcome) = reply else {
-            panic!("{spec}: unexpected Busy from an idle server")
-        };
-        assert_eq!(outcome.misses, golden_misses(spec), "{spec}: wire misses drifted");
-        assert_eq!(outcome.workload, WORKLOAD);
-        assert_eq!(outcome.instructions, INSTRUCTIONS);
-        assert_eq!(outcome.accesses, outcome.hits + outcome.misses, "{spec}");
-        assert_eq!(outcome.windows, 0, "{spec}: windowing was off");
-        assert!(outcome.ipc > 0.0, "{spec}");
-        assert!(outcome.mpki() > 0.0, "{spec}");
+        let (mut streamed, mut streamed_misses) = (0u64, 0u64);
+        loop {
+            match Frame::read_from(&mut &conn).expect("readable") {
+                Some(Frame::WindowResult { job: j, index, misses }) => {
+                    assert_eq!((j, index), (job, streamed), "job {i} ({spec}): stray window");
+                    streamed += 1;
+                    streamed_misses += misses;
+                }
+                Some(Frame::JobDone {
+                    job: j,
+                    workload,
+                    instructions,
+                    accesses,
+                    hits,
+                    misses,
+                    windows,
+                    ipc_bits,
+                }) => {
+                    assert_eq!(j, job, "job {i} ({spec})");
+                    assert_eq!(misses, golden_misses(spec), "{spec}: wire misses drifted");
+                    assert_eq!(workload, WORKLOAD);
+                    assert_eq!(instructions, INSTRUCTIONS);
+                    assert_eq!(accesses, hits + misses, "{spec}");
+                    assert_eq!((windows, streamed_misses), (streamed, misses), "{spec}");
+                    assert!(windows > 1, "{spec}: the cell spans multiple windows");
+                    assert!(f64::from_bits(ipc_bits) > 0.0, "{spec}");
+                    break;
+                }
+                other => panic!("job {i} ({spec}): expected a result frame, got {other:?}"),
+            }
+        }
     }
-    client.goodbye().expect("goodbye");
+    Frame::Goodbye.write_to(&mut conn).expect("goodbye");
     server.shutdown();
 }
 
