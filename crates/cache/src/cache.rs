@@ -7,7 +7,9 @@
 
 use crate::config::CacheConfig;
 use crate::efficiency::EfficiencyTracker;
-use crate::policy::{Access, LineState, Lru, ReplacementPolicy, Victim};
+use crate::policy::{Access, Lru, ReplacementPolicy, Victim};
+use crate::recorder::LlcAccess;
+use crate::replay::Outcomes;
 use crate::stats::CacheStats;
 use sdbp_trace::BlockAddr;
 use std::fmt;
@@ -38,6 +40,186 @@ impl AccessOutcome {
     }
 }
 
+/// Tag value of an empty frame. Real block addresses are byte addresses
+/// shifted right by six, so they never reach it; a lookup of this exact
+/// value still consults the valid mask, so even `BlockAddr::new(u64::MAX)`
+/// is exact.
+const INVALID_TAG: u64 = u64::MAX;
+
+/// The tag store and counters of a [`Cache`]: everything but the policy.
+///
+/// Structure of arrays: one `u64` tag per frame (`set * ways + way`, with
+/// `INVALID_TAG` in empty frames), and per set a valid mask and a dirty
+/// mask of `ways.div_ceil(64)` words each. A lookup compares only the
+/// set's tags; the first free way is one `trailing_ones` on the valid
+/// mask.
+///
+/// [`CacheCore::access`] is the one implementation of an LLC access,
+/// generic over the policy type; [`CacheCore::run`] loops it over a
+/// stream. See the [`policy`](crate::policy) module docs for why the loop
+/// lives behind [`ReplacementPolicy::run_stream`].
+#[derive(Clone, Debug)]
+pub struct CacheCore {
+    config: CacheConfig,
+    tags: Vec<u64>,
+    valid: Vec<u64>,
+    dirty: Vec<u64>,
+    /// Mask words per set.
+    words: usize,
+    stats: CacheStats,
+    efficiency: Option<EfficiencyTracker>,
+    now: u64,
+}
+
+impl CacheCore {
+    fn new(config: CacheConfig) -> Self {
+        let words = config.ways.div_ceil(64);
+        CacheCore {
+            config,
+            tags: vec![INVALID_TAG; config.lines()],
+            valid: vec![0; config.sets * words],
+            dirty: vec![0; config.sets * words],
+            words,
+            stats: CacheStats::default(),
+            efficiency: None,
+            now: 0,
+        }
+    }
+
+    fn mask_bit(&self, set: usize, way: usize) -> (usize, u64) {
+        (set * self.words + way / 64, 1u64 << (way % 64))
+    }
+
+    fn is_valid(&self, set: usize, way: usize) -> bool {
+        let (word, bit) = self.mask_bit(set, way);
+        self.valid[word] & bit != 0
+    }
+
+    /// The way of `set` holding `block`, if resident.
+    #[inline]
+    fn find(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        let base = set * self.config.ways;
+        let tags = &self.tags[base..base + self.config.ways];
+        let raw = block.raw();
+        let way = tags.iter().position(|&t| t == raw)?;
+        if raw != INVALID_TAG {
+            return Some(way);
+        }
+        (way..tags.len()).find(|&w| tags[w] == raw && self.is_valid(set, w))
+    }
+
+    /// The lowest invalid way of `set`, if any. Mask bits past `ways` are
+    /// never set, so the first clear bit of a full set's last word lands
+    /// on `ways`.
+    #[inline]
+    fn first_free(&self, set: usize) -> Option<usize> {
+        let row = &self.valid[set * self.words..(set + 1) * self.words];
+        let (i, word) = row.iter().enumerate().find(|(_, &w)| w != u64::MAX)?;
+        let way = i * 64 + word.trailing_ones() as usize;
+        (way < self.config.ways).then_some(way)
+    }
+
+    /// Presents one access under `policy`; performs lookup, policy
+    /// callbacks, fill or bypass, and all statistics updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy chooses a way outside the set.
+    #[inline(always)]
+    pub fn access<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        access: &Access,
+    ) -> AccessOutcome {
+        self.now += 1;
+        self.stats.accesses += 1;
+        let set = access.block.set_index(self.config.sets);
+
+        if let Some(way) = self.find(set, access.block) {
+            self.stats.hits += 1;
+            if access.kind.is_write() {
+                let (word, bit) = self.mask_bit(set, way);
+                self.dirty[word] |= bit;
+            }
+            policy.on_hit(set, way, access);
+            if let Some(eff) = &mut self.efficiency {
+                eff.on_hit(set, way, self.now);
+            }
+            return AccessOutcome::Hit;
+        }
+
+        self.stats.misses += 1;
+        policy.on_miss(set, access);
+        let free = self.first_free(set);
+        let way = match policy.choose_victim(set, free, access) {
+            Victim::Bypass => {
+                self.stats.bypasses += 1;
+                policy.on_bypass(set, access);
+                return AccessOutcome::Bypassed;
+            }
+            Victim::Way(way) => way,
+        };
+        assert!(
+            way < self.config.ways,
+            "policy {} chose way {way} in a {}-way cache",
+            policy.name(),
+            self.config.ways
+        );
+        let (word, bit) = self.mask_bit(set, way);
+        let line = set * self.config.ways + way;
+        let evicted = if self.valid[word] & bit != 0 {
+            let victim = BlockAddr::new(self.tags[line]);
+            self.stats.evictions += 1;
+            if self.dirty[word] & bit != 0 {
+                self.stats.writebacks += 1;
+            }
+            policy.on_evict(set, way, victim, access);
+            if let Some(eff) = &mut self.efficiency {
+                eff.on_evict(set, way, self.now);
+            }
+            Some(victim)
+        } else {
+            None
+        };
+        self.tags[line] = access.block.raw();
+        self.valid[word] |= bit;
+        if access.kind.is_write() {
+            self.dirty[word] |= bit;
+        } else {
+            self.dirty[word] &= !bit;
+        }
+        self.stats.fills += 1;
+        policy.on_fill(set, way, access);
+        if let Some(eff) = &mut self.efficiency {
+            eff.on_fill(set, way, self.now);
+        }
+        AccessOutcome::Filled { evicted }
+    }
+
+    /// Presents every access of `stream` under `policy`, in order, sending
+    /// each outcome to `outcomes`: the replay kernel. Called with
+    /// `P = Self` from [`ReplacementPolicy::run_stream`], so the whole loop
+    /// is monomorphised per policy type.
+    pub fn run<P: ReplacementPolicy + ?Sized>(
+        &mut self,
+        policy: &mut P,
+        stream: &[LlcAccess],
+        mut outcomes: Outcomes<'_>,
+    ) {
+        for (index, a) in stream.iter().enumerate() {
+            let hit = self.access(policy, &Access::from(a)).is_hit();
+            match &mut outcomes {
+                Outcomes::Discard => {}
+                Outcomes::Record(hits) => hits.push(hit),
+                Outcomes::Probe(hits, probe) => {
+                    probe.on_access_detail(index, a, hit);
+                    hits.push(hit);
+                }
+            }
+        }
+    }
+}
+
 /// A set-associative, write-back cache whose replacement and bypass
 /// behaviour is delegated to a [`ReplacementPolicy`].
 ///
@@ -45,26 +227,26 @@ impl AccessOutcome {
 /// use the leaner [`crate::lru::LruArray`]. See the
 /// [crate docs](crate) for a usage example.
 pub struct Cache {
-    config: CacheConfig,
-    lines: Vec<LineState>,
+    core: CacheCore,
     policy: Box<dyn ReplacementPolicy>,
-    stats: CacheStats,
-    efficiency: Option<EfficiencyTracker>,
-    now: u64,
 }
 
 impl fmt::Debug for Cache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cache")
-            .field("config", &self.config)
+            .field("config", &self.core.config)
             .field("policy", &self.policy.name())
-            .field("stats", &self.stats)
+            .field("stats", &self.core.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl Cache {
     /// Creates a cache with the built-in true-LRU policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics above 256 ways (see [`Lru::new`]).
     pub fn new(config: CacheConfig) -> Self {
         let lru = Lru::new(config.sets, config.ways);
         Self::with_policy(config, Box::new(lru))
@@ -72,40 +254,30 @@ impl Cache {
 
     /// Creates a cache driven by an arbitrary policy.
     pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Cache {
-            config,
-            lines: vec![
-                LineState { valid: false, block: BlockAddr::new(0), dirty: false };
-                config.lines()
-            ],
-            policy,
-            stats: CacheStats::default(),
-            efficiency: None,
-            now: 0,
-        }
+        Cache { core: CacheCore::new(config), policy }
     }
 
     /// Enables live/dead-time accounting (costs one pass of bookkeeping per
     /// access; used for the paper's Figure 1).
     pub fn track_efficiency(&mut self) {
-        self.efficiency = Some(EfficiencyTracker::new(self.config));
+        self.core.efficiency = Some(EfficiencyTracker::new(self.core.config));
     }
 
     /// The cache's geometry.
     pub const fn config(&self) -> CacheConfig {
-        self.config
+        self.core.config
     }
 
     /// Accumulated counters (predictor counters are exported on read).
     pub fn stats(&self) -> CacheStats {
-        let mut stats = self.stats.clone();
+        let mut stats = self.core.stats.clone();
         self.policy.export_stats(&mut stats);
         stats
     }
 
     /// The efficiency tracker, if [`Cache::track_efficiency`] was called.
     pub fn efficiency(&self) -> Option<&EfficiencyTracker> {
-        self.efficiency.as_ref()
+        self.core.efficiency.as_ref()
     }
 
     /// The driving policy (downcast via
@@ -116,100 +288,41 @@ impl Cache {
 
     /// Set index for a block in this cache.
     pub fn set_of(&self, block: BlockAddr) -> usize {
-        block.set_index(self.config.sets)
+        block.set_index(self.core.config.sets)
     }
 
     /// Whether `block` is currently resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some()
-    }
-
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_of(block);
-        let base = set * self.config.ways;
-        self.lines[base..base + self.config.ways]
-            .iter()
-            .position(|l| l.valid && l.block == block)
+        self.core.find(self.set_of(block), block).is_some()
     }
 
     /// Presents one access; performs lookup, policy callbacks, fill or
-    /// bypass, and all statistics updates.
+    /// bypass, and all statistics updates. Each callback is a virtual
+    /// call; replay whole streams with [`Cache::run`] instead.
     pub fn access(&mut self, access: &Access) -> AccessOutcome {
-        self.now += 1;
-        self.stats.accesses += 1;
-        let set = self.set_of(access.block);
-        let base = set * self.config.ways;
+        self.core.access(&mut *self.policy, access)
+    }
 
-        if let Some(way) = self.find(access.block) {
-            self.stats.hits += 1;
-            if access.kind.is_write() {
-                self.lines[base + way].dirty = true;
-            }
-            self.policy.on_hit(set, way, access);
-            if let Some(eff) = &mut self.efficiency {
-                eff.on_hit(set, way, self.now);
-            }
-            return AccessOutcome::Hit;
-        }
-
-        self.stats.misses += 1;
-        self.policy.on_miss(set, access);
-        let set_lines = &self.lines[base..base + self.config.ways];
-        match self.policy.choose_victim(set, set_lines, access) {
-            Victim::Bypass => {
-                self.stats.bypasses += 1;
-                self.policy.on_bypass(set, access);
-                AccessOutcome::Bypassed
-            }
-            Victim::Way(way) => {
-                assert!(
-                    way < self.config.ways,
-                    "policy {} chose way {way} in a {}-way cache",
-                    self.policy.name(),
-                    self.config.ways
-                );
-                let line = self.lines[base + way];
-                let evicted = if line.valid {
-                    self.stats.evictions += 1;
-                    if line.dirty {
-                        self.stats.writebacks += 1;
-                    }
-                    self.policy.on_evict(set, way, line.block, access);
-                    if let Some(eff) = &mut self.efficiency {
-                        eff.on_evict(set, way, self.now);
-                    }
-                    Some(line.block)
-                } else {
-                    None
-                };
-                self.lines[base + way] = LineState {
-                    valid: true,
-                    block: access.block,
-                    dirty: access.kind.is_write(),
-                };
-                self.stats.fills += 1;
-                self.policy.on_fill(set, way, access);
-                if let Some(eff) = &mut self.efficiency {
-                    eff.on_fill(set, way, self.now);
-                }
-                AccessOutcome::Filled { evicted }
-            }
-        }
+    /// Presents every access of `stream` in order, sending each outcome to
+    /// `outcomes`, with one virtual call into the policy's monomorphised
+    /// kernel ([`ReplacementPolicy::run_stream`]). Equivalent to calling
+    /// [`Cache::access`] on each element.
+    pub fn run(&mut self, stream: &[LlcAccess], outcomes: Outcomes<'_>) {
+        self.policy.run_stream(&mut self.core, stream, outcomes);
     }
 
     /// Flushes residency bookkeeping at the end of a run so that
     /// still-resident blocks contribute their in-cache time to the
     /// efficiency accounting.
     pub fn finish(&mut self) {
-        let now = self.now;
-        if let Some(eff) = &mut self.efficiency {
-            for set in 0..self.config.sets {
-                for way in 0..self.config.ways {
-                    if self.lines[set * self.config.ways + way].valid {
-                        eff.on_evict(set, way, now);
-                    }
+        let core = &mut self.core;
+        if let Some(mut eff) = core.efficiency.take() {
+            for set in 0..core.config.sets {
+                for way in (0..core.config.ways).filter(|&way| core.is_valid(set, way)) {
+                    eff.on_evict(set, way, core.now);
                 }
             }
+            core.efficiency = Some(eff);
         }
     }
 }
@@ -294,7 +407,7 @@ mod tests {
                 "bypass".into()
             }
             fn on_hit(&mut self, _: usize, _: usize, _: &Access) {}
-            fn choose_victim(&mut self, _: usize, _: &[LineState], _: &Access) -> Victim {
+            fn choose_victim(&mut self, _: usize, _: Option<usize>, _: &Access) -> Victim {
                 Victim::Bypass
             }
             fn on_fill(&mut self, _: usize, _: usize, _: &Access) {}

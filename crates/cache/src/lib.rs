@@ -61,7 +61,7 @@ pub mod replay;
 pub mod sampling;
 pub mod stats;
 
-pub use cache::{AccessOutcome, Cache};
+pub use cache::{AccessOutcome, Cache, CacheCore};
 pub use config::CacheConfig;
 pub use kernel::{
     replay_sharded, SerialRunner, ShardError, ShardPlan, ShardRunner, ThreadRunner,
@@ -70,7 +70,7 @@ pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 pub use replay::{
-    replay, replay_segment, replay_with_probe, Fingerprint, ReplayProbe, ReplayResult,
+    replay, replay_segment, replay_with_probe, Fingerprint, Outcomes, ReplayProbe, ReplayResult,
     SampledReplayResult, SegmentError, SplitHitsError, WindowFingerprint,
     FINGERPRINT_FEATURES,
 };

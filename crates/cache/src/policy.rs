@@ -1,23 +1,34 @@
 //! The replacement-policy interface and the built-in true-LRU policy.
 //!
-//! A [`ReplacementPolicy`] owns all of its own state (recency stamps, RRPVs,
+//! A [`ReplacementPolicy`] owns all of its own state (recency ranks, RRPVs,
 //! dead bits, predictor tables, ...) indexed by `(set, way)`; the
-//! [`Cache`](crate::Cache) owns only the tag array. On a miss the policy is
-//! always consulted via [`ReplacementPolicy::choose_victim`] and may answer
-//! [`Victim::Bypass`], which is how dead-block bypass and optimal bypass are
-//! expressed.
+//! [`Cache`](crate::Cache) owns only the tag store ([`CacheCore`]). On a
+//! miss the policy is always consulted via
+//! [`ReplacementPolicy::choose_victim`] and may answer [`Victim::Bypass`],
+//! which is how dead-block bypass and optimal bypass are expressed.
 //!
 //! Call order on a hit: `on_hit`. On a miss: `on_miss`, then
 //! `choose_victim`, then either (`on_evict` if the chosen way was valid,
 //! then `on_fill`) or `on_bypass`.
+//!
+//! The per-access loop lives behind the policy:
+//! [`ReplacementPolicy::run_stream`] is a provided method whose body runs
+//! [`CacheCore::run`] with `Self` as the policy type, so it is compiled
+//! once per implementing type and every callback above is a static,
+//! inlinable call. A replay through a `Box<dyn ReplacementPolicy>` makes
+//! one virtual call per stream; [`Cache::access`](crate::Cache::access)
+//! keeps the single-access API on the same body, dispatching each callback
+//! through the vtable.
 
 #![expect(
-    clippy::expect_used,
     clippy::indexing_slicing,
     reason = "hot data plane: policy dispatch over geometry validated at construction"
 )]
 
+use crate::cache::CacheCore;
 use crate::meta::MetaPlane;
+use crate::recorder::LlcAccess;
+use crate::replay::Outcomes;
 use crate::stats::CacheStats;
 use sdbp_trace::{AccessKind, BlockAddr, Pc};
 use std::any::Any;
@@ -44,15 +55,10 @@ impl Access {
     }
 }
 
-/// State of one block frame, exposed to policies during victim selection.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct LineState {
-    /// Whether the frame holds a block.
-    pub valid: bool,
-    /// The resident block (meaningless when `valid` is false).
-    pub block: BlockAddr,
-    /// Whether the resident block is dirty.
-    pub dirty: bool,
+impl From<&LlcAccess> for Access {
+    fn from(a: &LlcAccess) -> Self {
+        Access::demand(a.pc, a.block, a.kind, a.core)
+    }
 }
 
 /// A policy's answer to "which way should the incoming block replace?".
@@ -62,12 +68,6 @@ pub enum Victim {
     Way(usize),
     /// Do not place the incoming block at all.
     Bypass,
-}
-
-/// Returns the first invalid way, the conventional first choice of every
-/// non-bypassing policy.
-pub fn first_invalid(lines: &[LineState]) -> Option<usize> {
-    lines.iter().position(|l| !l.valid)
 }
 
 /// An LLC replacement (and optionally bypass) policy.
@@ -91,9 +91,10 @@ pub trait ReplacementPolicy {
 
     /// Chooses a victim frame for the incoming block, or declines placement.
     ///
-    /// `lines` describes the current contents of the set. Policies should
-    /// normally prefer an invalid way (see [`first_invalid`]).
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], access: &Access) -> Victim;
+    /// `free` is the set's lowest invalid way, or `None` when every way
+    /// holds a block. Every built-in policy fills `free` when it is given
+    /// (or bypasses), so a set's valid ways only ever grow.
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, access: &Access) -> Victim;
 
     /// The incoming block was placed in `(set, way)`.
     fn on_fill(&mut self, set: usize, way: usize, access: &Access);
@@ -119,16 +120,33 @@ pub trait ReplacementPolicy {
     /// state (e.g. predictor accuracy counters) behind `Box<dyn
     /// ReplacementPolicy>`.
     fn as_any(&self) -> &dyn Any;
+
+    /// Presents every access of `stream` to `core` under this policy, in
+    /// order, sending each outcome to `outcomes`.
+    ///
+    /// The provided body is the replay kernel ([`CacheCore::run`]
+    /// instantiated for `Self`); implementations should not override it.
+    /// Behind a `dyn ReplacementPolicy` this is the one virtual call a
+    /// replay makes.
+    fn run_stream(&mut self, core: &mut CacheCore, stream: &[LlcAccess], outcomes: Outcomes<'_>) {
+        core.run(self, stream, outcomes);
+    }
 }
 
 /// True least-recently-used replacement.
 ///
-/// The paper's baseline for every single-thread experiment. Implemented
-/// with per-line 64-bit recency stamps (a per-set counter), which is exact
-/// and O(ways) per victim choice.
+/// The paper's baseline for every single-thread experiment. Each set keeps
+/// a `u8` recency rank per way (0 = MRU, `ways - 1` = LRU), a permutation
+/// of `0..ways` from construction on; a touch ages every way more recent
+/// than the touched one, and the victim is the way holding rank
+/// `ways - 1`. Both scans run over the set's ranks in fixed-width chunks.
+///
+/// The order is exact whenever it is consulted: a cold set fills its ways
+/// in index order, each fill is a touch, and the victim is only asked for
+/// once every way has been filled.
 ///
 /// ```
-/// use sdbp_cache::policy::{Access, LineState, Lru, ReplacementPolicy, Victim};
+/// use sdbp_cache::policy::{Access, Lru, ReplacementPolicy, Victim};
 /// use sdbp_trace::{AccessKind, BlockAddr, Pc};
 ///
 /// let mut lru = Lru::new(1, 2);
@@ -136,77 +154,75 @@ pub trait ReplacementPolicy {
 /// lru.on_fill(0, 0, &a);
 /// lru.on_fill(0, 1, &a);
 /// lru.on_hit(0, 0, &a); // way 1 is now least recent
-/// let lines = [
-///     LineState { valid: true, block: BlockAddr::new(1), dirty: false },
-///     LineState { valid: true, block: BlockAddr::new(2), dirty: false },
-/// ];
-/// assert_eq!(lru.choose_victim(0, &lines, &a), Victim::Way(1));
+/// assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(1));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lru {
-    stamps: MetaPlane<u64>,
-    clock: u64,
+    ranks: MetaPlane<u8>,
 }
+
+/// Ways per chunk of the rank scans: one 16-byte vector compare.
+const RANK_CHUNK: usize = 16;
 
 impl Lru {
     /// Creates LRU state for a `sets` × `ways` cache.
-    pub fn new(sets: usize, ways: usize) -> Self {
-        Lru { stamps: MetaPlane::new(sets, ways, 0), clock: 0 }
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[(set, way)] = self.clock;
-    }
-
-    /// The least recently used valid way of `set` (ignoring invalid ways).
     ///
     /// # Panics
     ///
-    /// Panics if `lines` contains no valid way.
-    pub fn lru_way(&self, set: usize, lines: &[LineState]) -> usize {
-        let stamps = self.stamps.row(set);
-        lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.valid)
-            .min_by_key(|&(w, _)| stamps[w])
-            .map(|(w, _)| w)
-            .expect("lru_way called on a set with no valid lines")
-    }
-
-    /// Recency rank of each way: 0 = MRU, `ways - 1` = LRU. Used by
-    /// policies that need the full LRU stack ordering (e.g. DIP's BIP
-    /// insertion, dead-block victim tie-breaking).
-    pub fn ranks(&self, set: usize) -> Vec<usize> {
-        let stamps = self.stamps.row(set);
-        let mut order: Vec<usize> = (0..stamps.len()).collect();
-        order.sort_by_key(|&w| std::cmp::Reverse(stamps[w]));
-        let mut ranks = vec![0; stamps.len()];
-        for (rank, &w) in order.iter().enumerate() {
-            ranks[w] = rank;
+    /// Panics if `ways` is zero or exceeds 256 (ranks are `u8`).
+    pub fn new(sets: usize, ways: usize) -> Self {
+        assert!(
+            (1..=256).contains(&ways),
+            "true LRU keeps u8 ranks: 1..=256 ways, got {ways}"
+        );
+        let mut ranks = MetaPlane::new(sets, ways, 0u8);
+        for set in 0..sets {
+            for (way, rank) in ranks.row_mut(set).iter_mut().enumerate() {
+                *rank = u8::try_from(way).unwrap_or(u8::MAX);
+            }
         }
-        ranks
+        Lru { ranks }
     }
 
     /// Moves `(set, way)` to the MRU position.
-    pub fn promote(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let row = self.ranks.row_mut(set);
+        let old = row[way];
+        let mut chunks = row.chunks_exact_mut(RANK_CHUNK);
+        for chunk in chunks.by_ref() {
+            for rank in chunk {
+                *rank += u8::from(*rank < old);
+            }
+        }
+        for rank in chunks.into_remainder() {
+            *rank += u8::from(*rank < old);
+        }
+        row[way] = 0;
     }
 
-    /// Inserts `(set, way)` at the LRU position (for BIP/LIP-style
-    /// insertion): gives it a stamp older than every other line in the set.
-    pub fn demote_to_lru(&mut self, set: usize, way: usize) {
-        let min = self
-            .stamps
-            .row(set)
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != way)
-            .map(|(_, &s)| s)
-            .min()
-            .unwrap_or(0);
-        self.stamps[(set, way)] = min.saturating_sub(1);
+    /// The least recently used way of `set`.
+    #[inline]
+    pub fn lru_way(&self, set: usize) -> usize {
+        let row = self.ranks.row(set);
+        let last = u8::try_from(row.len() - 1).unwrap_or(u8::MAX);
+        let mut chunks = row.chunks_exact(RANK_CHUNK);
+        for (i, chunk) in chunks.by_ref().enumerate() {
+            let mut hits = 0u32;
+            for (lane, &rank) in chunk.iter().enumerate() {
+                hits |= u32::from(rank == last) << lane;
+            }
+            if hits != 0 {
+                return i * RANK_CHUNK + hits.trailing_zeros() as usize;
+            }
+        }
+        let tail = row.len() - chunks.remainder().len();
+        tail + chunks.remainder().iter().position(|&rank| rank == last).unwrap_or(0)
+    }
+
+    /// Recency rank of each way of `set`: 0 = MRU, `ways - 1` = LRU.
+    pub fn ranks(&self, set: usize) -> &[u8] {
+        self.ranks.row(set)
     }
 }
 
@@ -215,17 +231,17 @@ impl ReplacementPolicy for Lru {
         Cow::Borrowed("LRU")
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.lru_way(set, lines)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        Victim::Way(free.unwrap_or_else(|| self.lru_way(set)))
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
         self.touch(set, way);
     }
@@ -243,26 +259,47 @@ mod tests {
         Access::demand(Pc::new(0x400), BlockAddr::new(block), AccessKind::Read, 0)
     }
 
-    fn valid_lines(n: usize) -> Vec<LineState> {
-        (0..n)
-            .map(|i| LineState { valid: true, block: BlockAddr::new(i as u64), dirty: false })
-            .collect()
-    }
-
-    #[test]
-    fn first_invalid_finds_hole() {
-        let mut lines = valid_lines(4);
-        assert_eq!(first_invalid(&lines), None);
-        lines[2].valid = false;
-        assert_eq!(first_invalid(&lines), Some(2));
-    }
-
     #[test]
     fn lru_prefers_invalid_ways() {
         let mut lru = Lru::new(1, 4);
-        let mut lines = valid_lines(4);
-        lines[3].valid = false;
-        assert_eq!(lru.choose_victim(0, &lines, &acc(9)), Victim::Way(3));
+        assert_eq!(lru.choose_victim(0, Some(3), &acc(9)), Victim::Way(3));
+    }
+
+    /// The `free` argument is the set's lowest hole: it walks 0, 1, 2, 3
+    /// while a 4-way set fills, then stays `None`.
+    #[test]
+    fn first_invalid_finds_hole() {
+        struct Spy {
+            lru: Lru,
+            seen: Vec<Option<usize>>,
+        }
+        impl ReplacementPolicy for Spy {
+            fn name(&self) -> Cow<'static, str> {
+                "spy".into()
+            }
+            fn on_hit(&mut self, set: usize, way: usize, access: &Access) {
+                self.lru.on_hit(set, way, access);
+            }
+            fn choose_victim(&mut self, set: usize, free: Option<usize>, a: &Access) -> Victim {
+                self.seen.push(free);
+                self.lru.choose_victim(set, free, a)
+            }
+            fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
+                self.lru.on_fill(set, way, access);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let mut cache = crate::Cache::with_policy(
+            crate::CacheConfig::new(1, 4),
+            Box::new(Spy { lru: Lru::new(1, 4), seen: Vec::new() }),
+        );
+        for block in [0, 1, 0, 2, 3, 4, 5] {
+            cache.access(&acc(block));
+        }
+        let spy = cache.policy().as_any().downcast_ref::<Spy>().map(|s| s.seen.clone());
+        assert_eq!(spy, Some(vec![Some(0), Some(1), Some(2), Some(3), None, None]));
     }
 
     #[test]
@@ -275,7 +312,7 @@ mod tests {
         lru.on_hit(0, 0, &a);
         lru.on_hit(0, 1, &a);
         // Way 2 is now the least recently touched.
-        assert_eq!(lru.choose_victim(0, &valid_lines(4), &a), Victim::Way(2));
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(2));
     }
 
     #[test]
@@ -292,17 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn demote_to_lru_makes_way_next_victim() {
-        let mut lru = Lru::new(1, 4);
-        let a = acc(0);
-        for w in 0..4 {
-            lru.on_fill(0, w, &a);
-        }
-        lru.demote_to_lru(0, 3);
-        assert_eq!(lru.choose_victim(0, &valid_lines(4), &a), Victim::Way(3));
-    }
-
-    #[test]
     fn sets_are_independent() {
         let mut lru = Lru::new(2, 2);
         let a = acc(0);
@@ -310,16 +336,37 @@ mod tests {
         lru.on_fill(0, 1, &a);
         lru.on_fill(1, 1, &a);
         lru.on_fill(1, 0, &a);
-        assert_eq!(lru.choose_victim(0, &valid_lines(2), &a), Victim::Way(0));
-        assert_eq!(lru.choose_victim(1, &valid_lines(2), &a), Victim::Way(1));
+        assert_eq!(lru.choose_victim(0, None, &a), Victim::Way(0));
+        assert_eq!(lru.choose_victim(1, None, &a), Victim::Way(1));
+    }
+
+    /// The chunked rank scans agree with a stamp model at widths below,
+    /// at and across the chunk size.
+    #[test]
+    fn ranks_match_a_stamp_model_at_every_width() {
+        use sdbp_trace::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x1a0);
+        for ways in [1usize, 3, 15, 16, 17, 33, 256] {
+            let mut lru = Lru::new(1, ways);
+            let mut stamps = vec![0u64; ways];
+            let a = acc(0);
+            for (clock, way) in (0..ways).enumerate() {
+                lru.on_fill(0, way, &a);
+                stamps[way] = clock as u64 + 1;
+            }
+            for clock in ways as u64 + 1..ways as u64 + 2000 {
+                let way = rng.gen_range(0..ways);
+                lru.on_hit(0, way, &a);
+                stamps[way] = clock;
+                let oldest = (0..ways).min_by_key(|&w| stamps[w]).unwrap_or(0);
+                assert_eq!(lru.lru_way(0), oldest, "{ways} ways");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "no valid lines")]
-    fn lru_way_panics_on_empty_set() {
-        let lru = Lru::new(1, 2);
-        let lines =
-            [LineState { valid: false, block: BlockAddr::new(0), dirty: false }; 2];
-        let _ = lru.lru_way(0, &lines);
+    #[should_panic(expected = "1..=256 ways")]
+    fn lru_rejects_more_ways_than_u8_ranks() {
+        let _ = Lru::new(1, 257);
     }
 }

@@ -5,7 +5,6 @@
 
 use crate::cache::Cache;
 use crate::meta::HitMap;
-use crate::policy::Access;
 use crate::recorder::LlcAccess;
 use crate::stats::CacheStats;
 
@@ -426,15 +425,33 @@ impl ReplayProbe for WindowFingerprint {
     }
 }
 
+/// Where a batch replay ([`Cache::run`]) sends each access's outcome.
+pub enum Outcomes<'a> {
+    /// Drop the outcomes (warm-up only populates the cache's state).
+    Discard,
+    /// Append each outcome to the map.
+    Record(&'a mut HitMap),
+    /// Append each outcome to the map and report it, with its index in the
+    /// replayed slice and the access itself, to the probe.
+    Probe(&'a mut HitMap, &'a mut dyn ReplayProbe),
+}
+
+impl std::fmt::Debug for Outcomes<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Outcomes::Discard => "Discard",
+            Outcomes::Record(_) => "Record",
+            Outcomes::Probe(..) => "Probe",
+        })
+    }
+}
+
 /// Replays `stream` against `cache`, returning statistics and the
 /// per-access hit map. The cache's policy sees every access exactly as the
 /// LLC would during execution.
 pub fn replay(stream: &[LlcAccess], cache: &mut Cache) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
-    for a in stream {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        hits.push(cache.access(&access).is_hit());
-    }
+    cache.run(stream, Outcomes::Record(&mut hits));
     cache.finish();
     ReplayResult { stats: cache.stats(), hits }
 }
@@ -446,12 +463,7 @@ pub fn replay_with_probe(
     probe: &mut dyn ReplayProbe,
 ) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
-    for (i, a) in stream.iter().enumerate() {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        let hit = cache.access(&access).is_hit();
-        probe.on_access_detail(i, a, hit);
-        hits.push(hit);
-    }
+    cache.run(stream, Outcomes::Probe(&mut hits, probe));
     cache.finish();
     ReplayResult { stats: cache.stats(), hits }
 }
@@ -511,15 +523,9 @@ pub fn replay_segment(
     }
     let warmup = stream.get(warmup_start..measure_start).ok_or(misfit)?;
     let measured = stream.get(measure_start..measure_end).ok_or(misfit)?;
-    for a in warmup {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        cache.access(&access);
-    }
+    cache.run(warmup, Outcomes::Discard);
     let mut hits = HitMap::with_capacity(measured.len());
-    for a in measured {
-        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-        hits.push(cache.access(&access).is_hit());
-    }
+    cache.run(measured, Outcomes::Record(&mut hits));
     cache.finish();
     Ok(hits)
 }

@@ -1,6 +1,10 @@
 //! Configuration of the sampling predictor and its ablation variants.
 
 use sdbp_cache::CacheConfig;
+use sdbp_predictors::hash::SKEWED_TABLES_MAX;
+
+/// Largest sampler associativity: each entry's recency rank is a `u8`.
+pub const SAMPLER_ASSOC_MAX: usize = 256;
 
 /// Geometry of the prediction table(s).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -43,6 +47,14 @@ impl TableConfig {
     /// Panics if any field is degenerate.
     pub fn validate(&self) {
         assert!(self.tables >= 1, "need at least one table");
+        assert!(
+            self.tables <= SKEWED_TABLES_MAX,
+            "at most {SKEWED_TABLES_MAX} skewed tables have distinct hashes"
+        );
+        assert!(
+            self.tables == 1 || (2..=1 << 32).contains(&self.entries_per_table),
+            "skewed tables need 2..=2^32 entries"
+        );
         assert!(
             self.entries_per_table.is_power_of_two(),
             "entries_per_table must be a power of two"
@@ -98,6 +110,10 @@ impl SamplerConfig {
     pub fn validate(&self) {
         assert!(self.sets >= 1, "sampler needs at least one set");
         assert!(self.assoc >= 1, "sampler needs at least one way");
+        assert!(
+            self.assoc <= SAMPLER_ASSOC_MAX,
+            "sampler recency ranks are u8: at most {SAMPLER_ASSOC_MAX} ways"
+        );
         assert!(
             (1..=32).contains(&self.tag_bits) && (1..=32).contains(&self.pc_bits),
             "partial widths must be in 1..=32"

@@ -17,12 +17,12 @@ use sdbp_replacement::Random;
 /// experiments; fixed so runs are reproducible.
 const RANDOM_SEED: u64 = 0x5db9;
 
-fn lru(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(Lru::new(llc.sets, llc.ways))
+fn lru(llc: CacheConfig) -> Lru {
+    Lru::new(llc.sets, llc.ways)
 }
 
-fn random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(Random::new(llc, RANDOM_SEED))
+fn random(llc: CacheConfig) -> Random {
+    Random::new(llc, RANDOM_SEED)
 }
 
 /// "Sampler": SDBP-driven dead block replacement and bypass over default

@@ -14,13 +14,14 @@
 //! lives here too; [`PolicyKind::build`] goes through the registry, so the
 //! enum and the spec strings can never drift apart.
 
-use crate::config::{SamplerConfig, SdbpConfig, TableConfig};
+use crate::config::{SamplerConfig, SdbpConfig, TableConfig, SAMPLER_ASSOC_MAX};
 use crate::policies;
 use crate::predictor::SamplingPredictor;
 use sdbp_cache::policy::{Lru, ReplacementPolicy};
 use sdbp_cache::CacheConfig;
 use sdbp_predictors::counting::Aip;
 use sdbp_predictors::dbrb::{DbrbConfig, DeadBlockReplacement};
+use sdbp_predictors::hash::SKEWED_TABLES_MAX;
 use sdbp_predictors::reftrace::{BurstMode, RefTrace};
 use sdbp_replacement::Srrip;
 
@@ -89,7 +90,7 @@ pub fn standard() -> Registry {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Lru::new(llc.sets, llc.ways)),
+                Lru::new(llc.sets, llc.ways),
                 RefTrace::with_mode(llc, BurstMode::Bursts),
                 DbrbConfig::default(),
             )))
@@ -104,7 +105,7 @@ pub fn standard() -> Registry {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Lru::new(llc.sets, llc.ways)),
+                Lru::new(llc.sets, llc.ways),
                 Aip::new(llc),
                 DbrbConfig::default(),
             )))
@@ -119,7 +120,7 @@ pub fn standard() -> Registry {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(
                 llc,
-                Box::new(Srrip::new(llc)),
+                Srrip::new(llc),
                 SamplingPredictor::paper(llc),
                 DbrbConfig::default(),
             )))
@@ -211,6 +212,14 @@ pub fn parse_sdbp(spec: &PolicySpec) -> Result<SdbpConfig, SpecError> {
     if t.tables < 1 || !t.entries_per_table.is_power_of_two() || t.counter_max < 1 {
         return Err(invalid("tables", &format!("{}x{}", t.tables, t.entries_per_table)));
     }
+    // Tables past the hash's salt count would alias table 0's index stream.
+    if t.tables > SKEWED_TABLES_MAX {
+        return Err(invalid("tables", &t.tables.to_string()));
+    }
+    // A skewed bank hashes into 1..=32 index bits.
+    if t.tables > 1 && !(2..=1 << 32).contains(&t.entries_per_table) {
+        return Err(invalid("entries", &t.entries_per_table.to_string()));
+    }
     let max_sum = t.tables as u32 * u32::from(t.counter_max);
     if t.threshold < 1 || t.threshold > max_sum {
         return Err(invalid("threshold", &t.threshold.to_string()));
@@ -218,6 +227,10 @@ pub fn parse_sdbp(spec: &PolicySpec) -> Result<SdbpConfig, SpecError> {
     if !sampler_none {
         if s.sets < 1 || s.assoc < 1 {
             return Err(invalid("sets", &format!("{}x{}", s.sets, s.assoc)));
+        }
+        // The sampler's recency order is a u8 rank per entry.
+        if s.assoc > SAMPLER_ASSOC_MAX {
+            return Err(invalid("assoc", &s.assoc.to_string()));
         }
         if !(1..=16).contains(&s.tag_bits) || !(1..=16).contains(&s.pc_bits) {
             return Err(invalid("tag-bits", &format!("{}/{}", s.tag_bits, s.pc_bits)));
@@ -442,6 +455,43 @@ mod tests {
         assert!(parse("sampler:threshold=100").is_err(), "unreachable threshold");
         assert!(parse("sampler:entries=4000").is_err(), "non-power-of-two entries");
         assert!(parse("sampler:tag-bits=30").is_err(), "tag wider than its storage");
+    }
+
+    /// Specs that used to parse and then misbehave: a one-entry skewed
+    /// table panicked on the first access, a ninth table reused table 0's
+    /// salt, and a 300-way sampler truncated its u8 recency ranks.
+    #[test]
+    fn sampler_rejects_specs_the_tables_and_sampler_cannot_hold() {
+        let parse = |s: &str| parse_sdbp(&s.parse().expect("well-formed"));
+        let invalid = |key: &str, value: &str| {
+            Err(SpecError::InvalidValue { key: key.into(), value: value.into() })
+        };
+        assert_eq!(parse("sampler:entries=1"), invalid("entries", "1"));
+        assert_eq!(parse("sampler:tables=9"), invalid("tables", "9"));
+        assert_eq!(parse("sampler:assoc=300"), invalid("assoc", "300"));
+        // The limits themselves still build, and so does an unskewed
+        // one-entry table (direct indexing needs no hash bits).
+        for ok in [
+            "sampler:tables=8",
+            "sampler:assoc=256",
+            "sampler:entries=2",
+            "sampler:tables=1,entries=1,threshold=2",
+        ] {
+            let spec: PolicySpec = ok.parse().expect("well-formed");
+            let mut cache = sdbp_cache::Cache::with_policy(
+                llc(),
+                standard().build(&spec, llc(), 1).expect("limit builds"),
+            );
+            for b in 0..2_000u64 {
+                cache.access(&sdbp_cache::Access::demand(
+                    sdbp_trace::Pc::new(0x400 + (b % 7) * 4),
+                    sdbp_trace::BlockAddr::new(b % 700),
+                    sdbp_trace::AccessKind::Read,
+                    0,
+                ));
+            }
+            assert_eq!(cache.stats().predictions, 2_000, "{ok}");
+        }
     }
 
     #[test]

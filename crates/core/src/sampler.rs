@@ -78,7 +78,14 @@ impl Sampler {
 
     /// Maps an LLC set to its sampler set, if sampled.
     pub fn sampler_set(&self, llc_set: usize) -> Option<usize> {
-        if llc_set.is_multiple_of(self.stride) {
+        // Every LLC access asks; the paper geometries have a power-of-two
+        // stride, where the test is a mask rather than a division.
+        let sampled = if self.stride.is_power_of_two() {
+            llc_set & (self.stride - 1) == 0
+        } else {
+            llc_set.is_multiple_of(self.stride)
+        };
+        if sampled {
             let s = llc_set / self.stride;
             (s < self.config.sets).then_some(s)
         } else {

@@ -76,11 +76,13 @@ impl DeadBlockPredictor for Lvp {
         Cow::Borrowed("counting")
     }
 
+    #[inline]
     fn on_hit(&mut self, _set: usize, line: usize, access: &Access) -> bool {
         self.count[line] = (self.count[line] + 1).min(COUNT_MAX);
         self.predict(line, access.block)
     }
 
+    #[inline]
     fn on_miss(&mut self, _set: usize, access: &Access) -> bool {
         // Dead on arrival: previous generations were never re-accessed
         // after the fill.
@@ -88,11 +90,13 @@ impl DeadBlockPredictor for Lvp {
         e.confident && e.threshold == 1
     }
 
+    #[inline]
     fn on_fill(&mut self, _set: usize, line: usize, access: &Access) {
         self.fill_pc[line] = access.pc;
         self.count[line] = 1; // the fill counts as the first access
     }
 
+    #[inline]
     fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &Access) {
         let idx = table_index(self.fill_pc[line], victim);
         let e = &mut self.table[idx];
@@ -147,6 +151,7 @@ impl DeadBlockPredictor for Aip {
         Cow::Borrowed("aip")
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, line: usize, access: &Access) -> bool {
         self.set_tick[set] += 1;
         let now = self.set_tick[set];
@@ -157,11 +162,13 @@ impl DeadBlockPredictor for Aip {
         false // deadness only manifests through reassess()
     }
 
+    #[inline]
     fn on_miss(&mut self, set: usize, _access: &Access) -> bool {
         self.set_tick[set] += 1;
         false // AIP does not predict dead-on-arrival
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, line: usize, access: &Access) {
         self.fill_pc[line] = access.pc;
         self.block_of[line] = access.block;
@@ -169,6 +176,7 @@ impl DeadBlockPredictor for Aip {
         self.max_interval[line] = 0;
     }
 
+    #[inline]
     fn on_evict(&mut self, _set: usize, line: usize, victim: BlockAddr, _access: &Access) {
         let idx = table_index(self.fill_pc[line], victim);
         let e = &mut self.table[idx];
@@ -179,6 +187,7 @@ impl DeadBlockPredictor for Aip {
         e.interval = new;
     }
 
+    #[inline]
     fn reassess(&mut self, _set: usize, line: usize) -> Option<bool> {
         let set = self.set_of_line(line);
         let e = self.table[table_index(self.fill_pc[line], self.block_of[line])];

@@ -16,38 +16,50 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Folds a 64-bit value down to `bits` bits by XOR of all `bits`-wide
 /// chunks.
 ///
+/// The chunks are combined by doubling shifts (`bits`, `2 * bits`,
+/// `4 * bits`, ...) until the shift reaches 64, so the step count is
+/// `ceil(log2(64 / bits))` whatever `x` is: three steps for the paper's
+/// 12-bit tables, with no data-dependent branch.
+///
 /// # Panics
 ///
 /// Panics if `bits` is zero or greater than 32.
 #[inline]
 pub fn fold(x: u64, bits: u32) -> u64 {
     assert!((1..=32).contains(&bits), "fold width must be in 1..=32");
-    let mask = (1u64 << bits) - 1;
-    let mut v = x;
-    let mut out = 0;
-    while v != 0 {
-        out ^= v & mask;
-        v >>= bits;
+    let mut folded = x;
+    let mut shift = bits;
+    while shift < 64 {
+        folded ^= folded >> shift;
+        shift *= 2;
     }
-    out
+    folded & ((1u64 << bits) - 1)
 }
 
+/// Per-table salts of [`skewed_hash`]; a skewed organization has at most
+/// this many tables.
+const SALTS: [u64; 8] = [
+    0x9e3779b97f4a7c15,
+    0xc2b2ae3d27d4eb4f,
+    0x165667b19e3779f9,
+    0x27d4eb2f165667c5,
+    0x85ebca6b1f8f296b,
+    0xd6e8feb86659fd93,
+    0xa0761d6478bd642f,
+    0xe7037ed1a0b428db,
+];
+
+/// Most tables [`skewed_hash`] gives independent index streams: table `t`
+/// and table `t + SKEWED_TABLES_MAX` share a salt.
+pub const SKEWED_TABLES_MAX: usize = SALTS.len();
+
 /// One of a family of independent hashes of `x` into `bits` bits.
-/// Different `table` values give (empirically) independent index streams,
-/// which is what the skewed organization needs to break conflicts.
+/// Different `table` values below [`SKEWED_TABLES_MAX`] give (empirically)
+/// independent index streams, which is what the skewed organization needs
+/// to break conflicts.
 #[inline]
 pub fn skewed_hash(x: u64, table: u32, bits: u32) -> usize {
     // Salt the input per table, then mix and fold.
-    const SALTS: [u64; 8] = [
-        0x9e3779b97f4a7c15,
-        0xc2b2ae3d27d4eb4f,
-        0x165667b19e3779f9,
-        0x27d4eb2f165667c5,
-        0x85ebca6b1f8f296b,
-        0xd6e8feb86659fd93,
-        0xa0761d6478bd642f,
-        0xe7037ed1a0b428db,
-    ];
     let salt = SALTS[(table as usize) % SALTS.len()];
     fold(mix64(x ^ salt), bits) as usize
 }
@@ -61,6 +73,25 @@ mod tests {
         for bits in [1u32, 4, 8, 12, 15, 16, 32] {
             for x in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d] {
                 assert!(fold(x, bits) < (1 << bits));
+            }
+        }
+    }
+
+    /// The doubling-shift fold equals the chunk-at-a-time loop it replaced.
+    #[test]
+    fn fold_matches_the_stop_at_zero_loop() {
+        fn reference(x: u64, bits: u32) -> u64 {
+            let mask = (1u64 << bits) - 1;
+            let (mut v, mut out) = (x, 0);
+            while v != 0 {
+                out ^= v & mask;
+                v >>= bits;
+            }
+            out
+        }
+        for bits in 1..=32 {
+            for x in [0u64, 1, 0xfff, u64::MAX, 0xdead_beef_cafe_f00d, mix64(u64::from(bits))] {
+                assert_eq!(fold(x, bits), reference(x, bits), "x {x:#x}, {bits} bits");
             }
         }
     }

@@ -108,11 +108,13 @@ impl CounterTable {
     }
 
     /// Current value of entry `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> u8 {
         self.counters[i]
     }
 
     /// Saturating increment ("trained dead").
+    #[inline]
     pub fn increment(&mut self, i: usize) {
         let c = &mut self.counters[i];
         *c = c.saturating_add(1).min(self.max);
@@ -120,6 +122,7 @@ impl CounterTable {
     }
 
     /// Saturating decrement ("trained live").
+    #[inline]
     pub fn decrement(&mut self, i: usize) {
         let c = &mut self.counters[i];
         *c = c.saturating_sub(1);

@@ -87,15 +87,18 @@ impl RefTrace {
         }
     }
 
+    #[inline]
     fn pc_term(pc: Pc) -> u16 {
         // PCs are 4-byte aligned; drop the always-zero bits for entropy.
         ((pc.raw() >> 2) & ((1 << SIGNATURE_BITS) - 1)) as u16
     }
 
+    #[inline]
     fn extend(sig: u16, pc: Pc) -> u16 {
         (sig.wrapping_add(Self::pc_term(pc))) & ((1 << SIGNATURE_BITS) - 1)
     }
 
+    #[inline]
     fn predict(&self, sig: u16) -> bool {
         self.table.get(sig as usize) >= self.threshold
     }
@@ -109,6 +112,7 @@ impl DeadBlockPredictor for RefTrace {
         }
     }
 
+    #[inline]
     fn on_hit(&mut self, _set: usize, line: usize, access: &Access) -> bool {
         let pc_term = Self::pc_term(access.pc);
         if self.mode == BurstMode::Bursts && self.last_pc[line] == pc_term {
@@ -122,17 +126,20 @@ impl DeadBlockPredictor for RefTrace {
         self.predict(self.signatures[line])
     }
 
+    #[inline]
     fn on_miss(&mut self, _set: usize, access: &Access) -> bool {
         // Dead-on-arrival check: the incoming block's signature would start
         // with just this PC.
         self.predict(Self::pc_term(access.pc))
     }
 
+    #[inline]
     fn on_fill(&mut self, _set: usize, line: usize, access: &Access) {
         self.signatures[line] = Self::pc_term(access.pc);
         self.last_pc[line] = Self::pc_term(access.pc);
     }
 
+    #[inline]
     fn on_evict(&mut self, _set: usize, line: usize, _victim: BlockAddr, _access: &Access) {
         // The trace accumulated by the dying block led to its death.
         self.table.increment(self.signatures[line] as usize);

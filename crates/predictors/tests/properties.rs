@@ -13,7 +13,7 @@ use sdbp_trace::{AccessKind, BlockAddr, Pc};
 const CASES: u64 = 48;
 
 fn dbrb_caches(cfg: CacheConfig, bypass: bool) -> Vec<Cache> {
-    let lru = || Box::new(sdbp_cache::policy::Lru::new(cfg.sets, cfg.ways));
+    let lru = || sdbp_cache::policy::Lru::new(cfg.sets, cfg.ways);
     let c = DbrbConfig { bypass };
     vec![
         Cache::with_policy(

@@ -8,8 +8,8 @@
 
 use crate::dueling::{DuelingMap, Psel, Role};
 use sdbp_trace::rng::Rng64;
-use sdbp_cache::policy::{first_invalid, Access, LineState, Lru, ReplacementPolicy, Victim};
-use sdbp_cache::CacheConfig;
+use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
+use sdbp_cache::{CacheConfig, MetaPlane};
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -27,10 +27,61 @@ enum Insertion {
     Bip,
 }
 
+/// DIP's LRU stack: a 64-bit recency stamp per line.
+///
+/// Not [`sdbp_cache::policy::Lru`]'s rank permutation: BIP inserts "older
+/// than every other line in the set", which in a cold set means stamp
+/// `0 - 1`, saturated to 0. Demoted ways of a cold set therefore tie with
+/// the never-filled ones, and the lowest way of a tie is the victim. A
+/// rank order cannot express the tie, and the golden dip/tadip rows pin
+/// it.
+#[derive(Clone, Debug)]
+struct Stamps {
+    stamps: MetaPlane<u64>,
+    clock: u64,
+}
+
+impl Stamps {
+    fn new(config: CacheConfig) -> Self {
+        Stamps { stamps: MetaPlane::new(config.sets, config.ways, 0), clock: 0 }
+    }
+
+    /// Moves `(set, way)` to the MRU position.
+    fn promote(&mut self, set: usize, way: usize) {
+        self.clock += 1;
+        self.stamps[(set, way)] = self.clock;
+    }
+
+    /// Inserts `(set, way)` at the LRU position: one below the oldest
+    /// other stamp of the set, saturating at 0.
+    fn demote(&mut self, set: usize, way: usize) {
+        let min = self
+            .stamps
+            .row(set)
+            .iter()
+            .enumerate()
+            .filter(|&(w, _)| w != way)
+            .map(|(_, &s)| s)
+            .min()
+            .unwrap_or(0);
+        self.stamps[(set, way)] = min.saturating_sub(1);
+    }
+
+    /// The oldest way of a full set; the lowest way wins a tie.
+    fn lru_way(&self, set: usize) -> usize {
+        let row = self.stamps.row(set);
+        (0..row.len()).min_by_key(|&w| row[w]).unwrap_or(0)
+    }
+
+    fn victim(&self, set: usize, free: Option<usize>) -> Victim {
+        Victim::Way(free.unwrap_or_else(|| self.lru_way(set)))
+    }
+}
+
 /// Shared machinery for DIP/TADIP.
 #[derive(Clone, Debug)]
 struct InsertionDueler {
-    lru: Lru,
+    lru: Stamps,
     map: DuelingMap,
     psels: Vec<Psel>,
     rng: Rng64,
@@ -52,7 +103,7 @@ impl InsertionDueler {
     fn new(config: CacheConfig, cores: usize, seed: u64) -> Self {
         let leaders = fit_leaders(config.sets, cores, LEADER_SETS);
         InsertionDueler {
-            lru: Lru::new(config.sets, config.ways),
+            lru: Stamps::new(config),
             map: DuelingMap::new(config.sets, cores, leaders),
             psels: vec![Psel::new(PSEL_BITS); cores],
             rng: Rng64::seed_from_u64(seed),
@@ -98,7 +149,7 @@ impl InsertionDueler {
                 if self.rng.gen_bool(BIP_EPSILON) {
                     self.lru.promote(set, way);
                 } else {
-                    self.lru.demote_to_lru(set, way);
+                    self.lru.demote(set, way);
                 }
             }
         }
@@ -139,11 +190,8 @@ impl ReplacementPolicy for Dip {
         self.inner.on_miss(set, access);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.inner.lru.lru_way(set, lines)),
-        }
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        self.inner.lru.victim(set, free)
     }
 
     fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
@@ -181,11 +229,8 @@ impl ReplacementPolicy for Tadip {
         self.inner.on_miss(set, access);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.inner.lru.lru_way(set, lines)),
-        }
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        self.inner.lru.victim(set, free)
     }
 
     fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
@@ -283,6 +328,60 @@ mod tests {
         }
         let rate = friendly_hits as f64 / friendly_refs as f64;
         assert!(rate > 0.5, "friendly core hit rate {rate} too low under TADIP");
+    }
+
+    #[test]
+    fn demote_makes_way_next_victim() {
+        let mut lru = Stamps::new(CacheConfig::new(1, 4));
+        for way in 0..4 {
+            lru.promote(0, way);
+        }
+        lru.demote(0, 3);
+        assert_eq!(lru.victim(0, None), Victim::Way(3));
+    }
+
+    /// BIP insertion into a cold set: every demoted way ties at stamp 0
+    /// with the still-empty ways, so the lowest way is the victim, not the
+    /// way demoted last. A rank-only LRU would pick way 3 here.
+    #[test]
+    fn bip_fills_of_a_cold_set_tie_at_the_bottom() {
+        let mut lru = Stamps::new(CacheConfig::new(1, 4));
+        for way in 0..4 {
+            lru.demote(0, way);
+        }
+        assert_eq!(lru.stamps.row(0), &[0, 0, 0, 0]);
+        assert_eq!(lru.victim(0, None), Victim::Way(0));
+        lru.promote(0, 0);
+        assert_eq!(lru.victim(0, None), Victim::Way(1));
+        // A demotion below a promoted way still ties at 0 with ways 2 and 3.
+        lru.demote(0, 1);
+        assert_eq!(lru.victim(0, None), Victim::Way(1));
+        assert_eq!(lru.victim(0, Some(2)), Victim::Way(2));
+    }
+
+    /// The same tie through the policy: a challenger (BIP) leader set of a
+    /// cold 4-way cache filled by four misses evicts way 0 on the fifth.
+    #[test]
+    fn dip_challenger_set_evicts_the_lowest_tied_way() {
+        let cfg = CacheConfig::new(64, 4);
+        let dip = Dip::new(cfg, 3);
+        let set = (0..cfg.sets)
+            .find(|&s| dip.inner.map.role(s, 0) == Role::LeaderChallenger)
+            .expect("DIP has challenger leader sets");
+        let blocks: Vec<u64> = (0..5).map(|i| (set + i * cfg.sets) as u64).collect();
+        // The four fills are the only draws on the insertion RNG; with this
+        // seed none of them takes BIP's 1/32 promotion.
+        let mut draws = dip.inner.rng.clone();
+        assert!((0..4).all(|_| !draws.gen_bool(BIP_EPSILON)));
+        let mut cache = Cache::with_policy(cfg, Box::new(dip));
+        for &b in &blocks[..4] {
+            cache.access(&acc(b));
+        }
+        assert_eq!(
+            cache.access(&acc(blocks[4])),
+            sdbp_cache::AccessOutcome::Filled { evicted: Some(BlockAddr::new(blocks[0])) },
+            "the lowest tied way is the victim"
+        );
     }
 
     #[test]

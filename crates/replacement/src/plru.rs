@@ -8,7 +8,7 @@
 //! with, and a useful third baseline between true LRU and random.
 
 use sdbp_cache::meta::MetaPlane;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
 use sdbp_cache::CacheConfig;
 use std::any::Any;
 use std::borrow::Cow;
@@ -92,11 +92,8 @@ impl ReplacementPolicy for PseudoLru {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.victim_way(set)),
-        }
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        Victim::Way(free.unwrap_or_else(|| self.victim_way(set)))
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {

@@ -1,7 +1,7 @@
 //! Random replacement — the cheap default policy of paper §V-A.
 
 use sdbp_trace::rng::Rng64;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -36,15 +36,15 @@ impl ReplacementPolicy for Random {
         Cow::Borrowed("Random")
     }
 
+    #[inline]
     fn on_hit(&mut self, _set: usize, _way: usize, _access: &Access) {}
 
-    fn choose_victim(&mut self, _set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        match first_invalid(lines) {
-            Some(w) => Victim::Way(w),
-            None => Victim::Way(self.rng.gen_range(0..self.ways)),
-        }
+    #[inline]
+    fn choose_victim(&mut self, _set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        Victim::Way(free.unwrap_or_else(|| self.rng.gen_range(0..self.ways)))
     }
 
+    #[inline]
     fn on_fill(&mut self, _set: usize, _way: usize, _access: &Access) {}
 
     fn as_any(&self) -> &dyn Any {

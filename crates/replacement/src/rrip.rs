@@ -10,7 +10,7 @@
 use crate::dueling::{DuelingMap, Psel, Role};
 use sdbp_trace::rng::Rng64;
 use sdbp_cache::meta::MetaPlane;
-use sdbp_cache::policy::{first_invalid, Access, LineState, ReplacementPolicy, Victim};
+use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
 use sdbp_cache::CacheConfig;
 use std::any::Any;
 use std::borrow::Cow;
@@ -37,18 +37,22 @@ impl RrpvArray {
         RrpvArray { rrpv: MetaPlane::new(config.sets, config.ways, RRPV_MAX) }
     }
 
+    #[inline]
     fn promote(&mut self, set: usize, way: usize) {
         self.rrpv[(set, way)] = 0;
     }
 
+    #[inline]
     fn insert(&mut self, set: usize, way: usize, rrpv: u8) {
         self.rrpv[(set, way)] = rrpv;
     }
 
-    /// SRRIP victim search: first distant line, aging the set until one
-    /// exists. Terminates because aging strictly increases some RRPV.
-    fn victim(&mut self, set: usize, lines: &[LineState]) -> usize {
-        if let Some(w) = first_invalid(lines) {
+    /// SRRIP victim search: the free way if any, else the first distant
+    /// line, aging the set until one exists. Terminates because aging
+    /// strictly increases some RRPV.
+    #[inline]
+    fn victim(&mut self, set: usize, free: Option<usize>) -> usize {
+        if let Some(w) = free {
             return w;
         }
         let row = self.rrpv.row_mut(set);
@@ -89,14 +93,17 @@ impl ReplacementPolicy for Srrip {
         Cow::Borrowed("SRRIP")
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
         self.rrpv.promote(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        Victim::Way(self.rrpv.victim(set, lines))
+    #[inline]
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        Victim::Way(self.rrpv.victim(set, free))
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
         self.rrpv.insert(set, way, RRPV_LONG);
     }
@@ -152,10 +159,12 @@ impl ReplacementPolicy for Drrip {
         }
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
         self.rrpv.promote(set, way);
     }
 
+    #[inline]
     fn on_miss(&mut self, set: usize, _access: &Access) {
         // All cores' misses in a leader set train the owner's PSEL (see
         // InsertionDueler::on_miss for rationale).
@@ -168,10 +177,12 @@ impl ReplacementPolicy for Drrip {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, lines: &[LineState], _access: &Access) -> Victim {
-        Victim::Way(self.rrpv.victim(set, lines))
+    #[inline]
+    fn choose_victim(&mut self, set: usize, free: Option<usize>, _access: &Access) -> Victim {
+        Victim::Way(self.rrpv.victim(set, free))
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
         let core = self.core_index(access);
         let use_brrip = match self.map.role(set, core) {
@@ -203,13 +214,12 @@ mod tests {
         let cfg = CacheConfig::new(1, 4);
         let mut s = Srrip::new(cfg);
         let a = acc(0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 4];
         for w in 0..4 {
             s.on_fill(0, w, &a); // all RRPV = 2
         }
         s.on_hit(0, 2, &a); // way 2 RRPV = 0
         // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
-        let v = s.choose_victim(0, &lines, &a);
+        let v = s.choose_victim(0, None, &a);
         assert!(matches!(v, Victim::Way(w) if w != 2));
     }
 
@@ -296,12 +306,11 @@ mod tests {
         let cfg = CacheConfig::new(1, 8);
         let mut s = Srrip::new(cfg);
         let a = acc(0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 8];
         for w in 0..8 {
             s.on_fill(0, w, &a);
             s.on_hit(0, w, &a); // all RRPV = 0
         }
-        match s.choose_victim(0, &lines, &a) {
+        match s.choose_victim(0, None, &a) {
             Victim::Way(w) => assert!(w < 8),
             Victim::Bypass => panic!("SRRIP never bypasses"),
         }

@@ -97,7 +97,7 @@ fn dueling_map_partitions_sets() {
 /// PLRU victims are always valid ways and never the way just touched.
 #[test]
 fn plru_victim_is_sane() {
-    use sdbp_cache::policy::{LineState, ReplacementPolicy, Victim};
+    use sdbp_cache::policy::{ReplacementPolicy, Victim};
     let mut rng = Rng64::seed_from_u64(0x9e9_0004);
     for _ in 0..CASES {
         let touches: Vec<usize> =
@@ -105,13 +105,12 @@ fn plru_victim_is_sane() {
         let cfg = CacheConfig::new(1, 8);
         let mut p = PseudoLru::new(cfg);
         let a = Access::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
-        let lines = [LineState { valid: true, block: BlockAddr::new(0), dirty: false }; 8];
         for w in 0..8 {
             p.on_fill(0, w, &a);
         }
         for &t in &touches {
             p.on_hit(0, t, &a);
-            match p.choose_victim(0, &lines, &a) {
+            match p.choose_victim(0, None, &a) {
                 Victim::Way(w) => {
                     assert!(w < 8);
                     assert_ne!(w, t, "PLRU chose the way just touched");

@@ -75,7 +75,8 @@ pub enum ErrorCode {
     BadVersion,
     /// The policy spec did not parse or names an unknown policy.
     BadSpec,
-    /// The cache geometry is invalid (sets not a power of two, zero ways).
+    /// The cache geometry is invalid (sets not a power of two, ways
+    /// outside 1..=256).
     BadGeometry,
     /// The submitted trace bytes are not a valid `.sdbt` stream.
     BadTrace,

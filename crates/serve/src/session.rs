@@ -227,12 +227,13 @@ fn handle_submit(
 
     let sets = sub.sets as usize;
     let ways = sub.ways as usize;
-    if sets == 0 || !sets.is_power_of_two() || ways == 0 {
+    // True LRU, the base of most registry policies, ranks ways in a `u8`.
+    if sets == 0 || !sets.is_power_of_two() || !(1..=256).contains(&ways) {
         return reply_error(
             writer,
             ErrorCode::BadGeometry,
             format!(
-                "invalid geometry sets={} ways={}: sets must be a power of two, ways >= 1",
+                "invalid geometry sets={} ways={}: sets must be a power of two, ways in 1..=256",
                 sub.sets, sub.ways
             ),
         );

@@ -224,8 +224,16 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
         other => panic!("expected BadGeometry, got {other:?}"),
     }
 
-    // Garbage trace bytes.
+    // More ways than true LRU can rank.
     request.sets = 256;
+    request.ways = 300;
+    match client.submit(&request, |_, _| {}) {
+        Err(ServeError::Remote { code: ErrorCode::BadGeometry, .. }) => {}
+        other => panic!("expected BadGeometry, got {other:?}"),
+    }
+
+    // Garbage trace bytes.
+    request.ways = 16;
     request.trace = TraceSubmission::Bytes(vec![0u8; 64]);
     match client.submit(&request, |_, _| {}) {
         Err(ServeError::Remote { code: ErrorCode::BadTrace, .. }) => {}

@@ -1,6 +1,9 @@
 //! Regenerates `tests/golden/replay_miss_counts.tsv`, the fixture behind
 //! the registry golden test (`tests/golden_replay.rs`) and the CI golden
-//! gate: per-policy LLC miss counts on fixed-seed workloads.
+//! gate: per-policy LLC miss counts on fixed-seed workloads. It also
+//! writes `tests/golden/predictor_counters.tsv`: the paper's §VII-C
+//! counters (predictions, dead predictions, false positives) of every
+//! row whose policy consults a dead block predictor.
 //!
 //! Every row is keyed by the policy's registry spec string and every
 //! policy is built through `sdbp::registry::standard()` — the same path
@@ -53,6 +56,10 @@ const SPECS: &[&str] = &[
 
 fn main() {
     let registry = standard();
+    let mut counters = String::from(
+        "# Golden §VII-C predictor counters (see examples/golden_gen.rs).\n\
+         # workload\tinstructions\tsets\tways\tspec\tpredictions\tpredictions_dead\tfalse_positives\n",
+    );
     let mut out = String::from(
         "# Golden per-policy LLC miss counts (see examples/golden_gen.rs).\n\
          # workload\tinstructions\tsets\tways\tspec\tmisses\n",
@@ -64,16 +71,25 @@ fn main() {
         for spec in SPECS {
             let policy = registry.build_str(spec, llc, 1).expect("golden spec builds");
             let mut cache = Cache::with_policy(llc, policy);
-            let misses = replay(&w.llc, &mut cache).stats.misses;
+            let stats = replay(&w.llc, &mut cache).stats;
+            let misses = stats.misses;
             out.push_str(&format!(
                 "{name}\t{instructions}\t{sets}\t{ways}\t{spec}\t{misses}\n"
             ));
+            if stats.predictions > 0 {
+                counters.push_str(&format!(
+                    "{name}\t{instructions}\t{sets}\t{ways}\t{spec}\t{}\t{}\t{}\n",
+                    stats.predictions, stats.predictions_dead, stats.false_positives
+                ));
+            }
             println!("{name} {sets}x{ways} {spec}: {misses}");
         }
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/replay_miss_counts.tsv");
-    std::fs::create_dir_all(std::path::Path::new(path).parent().expect("has parent"))
-        .expect("create tests/golden");
-    std::fs::write(path, out).expect("write fixture");
-    println!("wrote {path}");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    std::fs::create_dir_all(dir).expect("create tests/golden");
+    for (file, body) in [("replay_miss_counts.tsv", out), ("predictor_counters.tsv", counters)] {
+        let path = format!("{dir}/{file}");
+        std::fs::write(&path, body).expect("write fixture");
+        println!("wrote {path}");
+    }
 }

@@ -1,6 +1,8 @@
 //! The golden miss-count gate: every policy in
 //! `tests/golden/replay_miss_counts.tsv` — built purely from its registry
-//! spec string — must reproduce the recorded LLC miss count exactly.
+//! spec string — must reproduce the recorded LLC miss count exactly, and
+//! every row whose policy consults a dead block predictor must reproduce
+//! the paper's §VII-C counters in `tests/golden/predictor_counters.tsv`.
 //!
 //! The fixture was generated by `examples/golden_gen.rs` *before* the
 //! data-plane/policy-plane refactor, so this test is the proof that the
@@ -15,6 +17,31 @@ use sdbp_suite::sdbp::registry::standard;
 use std::collections::BTreeMap;
 
 const FIXTURE: &str = include_str!("golden/replay_miss_counts.tsv");
+const COUNTERS: &str = include_str!("golden/predictor_counters.tsv");
+
+/// A fixture row's key: workload, instructions, sets, ways, spec.
+type RowKey = (String, u64, usize, usize, String);
+
+/// `predictions`, `predictions_dead` and `false_positives` per row key.
+fn counter_rows() -> BTreeMap<RowKey, [u64; 3]> {
+    COUNTERS
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|line| {
+            let f: Vec<&str> = line.split('\t').collect();
+            assert_eq!(f.len(), 8, "malformed counter line: {line:?}");
+            let num = |i: usize| f[i].parse::<u64>().expect("counter field");
+            let key = (
+                f[0].to_owned(),
+                num(1),
+                f[2].parse().expect("sets"),
+                f[3].parse().expect("ways"),
+                f[4].to_owned(),
+            );
+            (key, [num(5), num(6), num(7)])
+        })
+        .collect()
+}
 
 struct Row {
     workload: String,
@@ -48,6 +75,8 @@ fn rows() -> Vec<Row> {
 fn every_golden_spec_replays_to_the_recorded_miss_count() {
     let rows = rows();
     assert_eq!(rows.len(), 60, "fixture shape changed — regenerate deliberately");
+    let mut counters = counter_rows();
+    assert_eq!(counters.len(), 39, "counter fixture shape changed — regenerate deliberately");
 
     // One recording per (workload, instructions); replays share it.
     let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
@@ -65,14 +94,29 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
             .build_str(&row.spec, llc, 1)
             .unwrap_or_else(|e| panic!("golden spec {:?} must build: {e}", row.spec));
         let mut cache = Cache::with_policy(llc, policy);
-        let misses = replay(&w.llc, &mut cache).stats.misses;
-        if misses != row.misses {
+        let stats = replay(&w.llc, &mut cache).stats;
+        if stats.misses != row.misses {
             failures.push(format!(
-                "{} {}x{} {}: expected {} misses, got {misses}",
-                row.workload, row.sets, row.ways, row.spec, row.misses
+                "{} {}x{} {}: expected {} misses, got {}",
+                row.workload, row.sets, row.ways, row.spec, row.misses, stats.misses
             ));
         }
+        let key = (row.workload.clone(), row.instructions, row.sets, row.ways, row.spec.clone());
+        let got = [stats.predictions, stats.predictions_dead, stats.false_positives];
+        match counters.remove(&key) {
+            Some(expected) if expected == got => {}
+            Some(expected) => failures.push(format!(
+                "{} {}x{} {}: expected predictions/dead/false positives {expected:?}, got {got:?}",
+                row.workload, row.sets, row.ways, row.spec
+            )),
+            None if stats.predictions > 0 => failures.push(format!(
+                "{} {}x{} {}: predictor counters {got:?} have no golden row",
+                row.workload, row.sets, row.ways, row.spec
+            )),
+            None => {}
+        }
     }
+    assert!(counters.is_empty(), "counter rows without a miss-count row: {:?}", counters.keys());
     assert!(failures.is_empty(), "golden drift:\n{}", failures.join("\n"));
 }
 
