@@ -231,8 +231,10 @@ fn merge_shards(
 }
 
 /// Executes a sharded replay's per-shard tasks, returning their results
-/// **indexed by task order** (never completion order — the
-/// `shard-determinism` analyze rule pins this discipline).
+/// **indexed by task order** (never completion order — the tests
+/// `kernel::tests::thread_runner_matches_serial_runner` and
+/// `golden_rows_are_bit_identical_at_every_shard_count` pin this
+/// discipline).
 ///
 /// The kernel stays thread-agnostic through this trait: the replay front
 /// door uses [`ThreadRunner`], tests use [`SerialRunner`].

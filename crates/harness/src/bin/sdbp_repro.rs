@@ -183,8 +183,8 @@ fn main() {
 
     let engine = Engine::new(parallelism);
     if shards_auto {
-        // One shard per worker: a lone big replay then spreads across
-        // the whole pool via the engine's shard-subtask fan-out.
+        // One shard per worker: each cell's replay asks for as many set
+        // shards as the engine has workers.
         std::env::set_var(sdbp_harness::runner::SHARDS_ENV, engine.workers().to_string());
     }
     eprintln!(

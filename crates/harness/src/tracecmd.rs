@@ -40,7 +40,7 @@ use sdbp_cache::{Cache, CacheConfig};
 use sdbp_cpu::CoreModel;
 use sdbp_sample::{build_plan, calibrate_bound, PlanConfig, SamplingPlan};
 use sdbp_traceio::{
-    convert_path, import_text, ChunkStat, FileSource, TraceMeta, TraceReader, TraceWriter,
+    convert_path, import_text, BufferedTrace, ChunkStat, FileSource, TraceMeta, TraceWriter,
     WriteSummary, FORMAT_V1, FORMAT_V2,
 };
 use sdbp_workloads::{benchmark, instructions};
@@ -553,13 +553,11 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let path = Path::new(path);
-    let bytes = std::fs::metadata(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .len();
-    let mut reader =
-        TraceReader::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let meta = reader.meta().clone();
-    // Stream every record so checksums and counts are fully validated.
+    let io = |e: sdbp_traceio::TraceIoError| format!("{}: {e}", path.display());
+    // Loading validates every checksum and the record count.
+    let trace = BufferedTrace::load(path).map_err(io)?;
+    let meta = trace.meta();
+    let bytes = trace.byte_len() as u64;
     // Tee each record through both codecs into byte-counting sinks, so
     // the cross-version size report reflects real encodes of this exact
     // stream, not a nominal formula.
@@ -567,29 +565,31 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
         CountBytes::default(),
         TraceMeta::new(&meta.name, meta.seed).with_version(FORMAT_V1),
     )
-    .map_err(|e| format!("{}: {e}", path.display()))?;
+    .map_err(io)?;
     let mut v2_count = TraceWriter::new(
         CountBytes::default(),
         TraceMeta::new(&meta.name, meta.seed).with_version(FORMAT_V2),
     )
-    .map_err(|e| format!("{}: {e}", path.display()))?;
+    .map_err(io)?;
     let mut records: u64 = 0;
     let mut mem: u64 = 0;
     let mut writes: u64 = 0;
     let mut set_counts = hist_sets.map(|s| vec![0u64; s]);
-    for item in reader.by_ref() {
-        let instr = item.map_err(|e| format!("{}: {e}", path.display()))?;
-        v1_count.write(&instr).map_err(|e| format!("{}: {e}", path.display()))?;
-        v2_count.write(&instr).map_err(|e| format!("{}: {e}", path.display()))?;
-        records += 1;
-        if let Some(m) = instr.mem {
-            mem += 1;
-            if m.kind == sdbp_trace::AccessKind::Write {
-                writes += 1;
-            }
-            if let Some(counts) = set_counts.as_mut() {
-                let sets = counts.len();
-                counts[m.addr.block().set_index(sets)] += 1;
+    let mut batches = trace.batches();
+    while let Some(batch) = batches.try_next().map_err(io)? {
+        for instr in batch.iter() {
+            v1_count.write(&instr).map_err(io)?;
+            v2_count.write(&instr).map_err(io)?;
+            records += 1;
+            if let Some(m) = instr.mem {
+                mem += 1;
+                if m.kind == sdbp_trace::AccessKind::Write {
+                    writes += 1;
+                }
+                if let Some(counts) = set_counts.as_mut() {
+                    let sets = counts.len();
+                    counts[m.addr.block().set_index(sets)] += 1;
+                }
             }
         }
     }
@@ -599,9 +599,9 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("seed:         {:#018x}", meta.seed);
     println!("instructions: {records}");
     println!("memory refs:  {mem} ({writes} writes)");
-    println!("chunks:       {}", reader.chunks_read());
+    println!("chunks:       {}", trace.chunk_count());
     println!("bytes:        {bytes} ({:.2}/access)", bytes as f64 / records.max(1) as f64);
-    let stats = reader.chunk_stats();
+    let stats = trace.chunk_stats();
     let encoded: u64 = stats.iter().map(|s| u64::from(s.payload_bytes)).sum();
     let nominal: u64 =
         stats.iter().map(|s| u64::from(s.records) * ChunkStat::NOMINAL_RECORD_BYTES).sum();
@@ -613,17 +613,15 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     // The columnar layout's per-column byte footprint is exact: 8 bytes
     // per pc, 8 per address, 1 per flags byte, plus a 24-byte checksum
     // preamble per chunk (DESIGN.md §14).
-    let chunks = reader.chunks_read();
+    let chunks = trace.chunk_count() as u64;
     println!(
         "columns (v2): pcs {} B, addrs {} B, flags {records} B, checksums {} B",
         records * 8,
         records * 8,
         chunks * 24
     );
-    let v1_bytes =
-        v1_count.finish().map_err(|e| format!("{}: {e}", path.display()))?.bytes;
-    let v2_bytes =
-        v2_count.finish().map_err(|e| format!("{}: {e}", path.display()))?.bytes;
+    let v1_bytes = v1_count.finish().map_err(io)?.bytes;
+    let v2_bytes = v2_count.finish().map_err(io)?.bytes;
     println!(
         "v2 vs v1:     {v2_bytes} vs {v1_bytes} bytes ({:.3}x) for this stream",
         v2_bytes as f64 / v1_bytes.max(1) as f64

@@ -15,8 +15,8 @@ use crate::protocol::{ErrorCode, Frame, TraceRef, PROTOCOL_VERSION};
 use crate::server::{JobGate, QueuedJob, Shared};
 use crate::with_lock;
 use sdbp_cache::CacheConfig;
-use sdbp_traceio::TraceReader;
-use std::io::{BufReader, Cursor};
+use sdbp_traceio::read_header;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -243,8 +243,8 @@ fn handle_submit(
     // Validate the trace header before accepting, so a malformed trace
     // is a pre-acceptance error and the telemetry label can carry the
     // real instruction count.
-    let meta = match TraceReader::new(Cursor::new(trace.as_slice())) {
-        Ok(r) => r.meta().clone(),
+    let meta = match read_header(&mut trace.as_slice()) {
+        Ok(meta) => meta,
         Err(e) => return reply_error(writer, ErrorCode::BadTrace, e.to_string()),
     };
     if meta.count == 0 {

@@ -1,13 +1,11 @@
-//! Fully-buffered `.sdbt` reading: whole decoded batches borrowed from
-//! one in-memory byte buffer.
+//! Reading `.sdbt` traces: whole decoded batches borrowed from one
+//! in-memory byte buffer. This is the crate's only decoder.
 //!
-//! [`TraceReader`](crate::TraceReader) streams records one at a time —
-//! right for bounded memory, wrong for throughput: at v2 decode rates the
-//! per-record iterator machinery costs more than the decode itself.
-//! [`BufferedTrace`] is the other point in the space: the entire file
-//! lives in memory (read once from disk, or handed over as bytes by
-//! `sdbp-serve`'s inline transfer), a chunk index is built and validated
-//! up front, and consumers pull **whole chunks as column batches**:
+//! The entire file lives in memory (read once from disk, or handed over
+//! as bytes by `sdbp-serve`'s inline transfer), a chunk index is built
+//! and validated up front, and consumers pull **whole chunks as column
+//! batches** — per-record iterator machinery would cost more than the
+//! v2 decode itself:
 //!
 //! * the flags column of a v2 chunk is borrowed straight from the file
 //!   bytes — zero copy;
@@ -19,24 +17,58 @@
 //!   the batch API is format-agnostic and v1 stays a valid (if slower)
 //!   archival input.
 //!
-//! `BufferedTrace` is `Sync` and `batch` takes `&self`: different threads
-//! can decode **disjoint chunk ranges of the same buffer** concurrently,
-//! each with its own scratch ([`BufferedTrace::range_batches`]), which is
-//! what lets one trace feed every replay shard without duplicating the
-//! file. All corruption — truncated columns, length mismatches, flipped
-//! bits — surfaces as a typed [`TraceIoError`], never a panic.
+//! Indexing checks every frame, chunk checksum (v1) or column checksum
+//! (v2), the whole-file checksum and the header's record count, so all
+//! corruption — truncation, length mismatches, flipped bits — surfaces
+//! as a typed [`TraceIoError`] before the first batch, never a panic.
+//! `BufferedTrace` is `Sync` and `batch` takes `&self`, so one buffer
+//! can be shared by threads that each own their scratch.
 
 use crate::error::TraceIoError;
 use crate::format::{
-    fnv1a, fnv1a_words, fnv1a_words_pair, split_v2_payload, v2_payload_len, DeltaState, GlobalChecksum,
-    TraceMeta, FLAG_MASK, FORMAT_V2,
+    fnv1a, fnv1a_words, fnv1a_words_pair, read_header, read_u32, read_u64, split_v2_payload,
+    v2_payload_len, widen_column, DeltaState, GlobalChecksum, TraceMeta, V2Columns, FLAG_MASK,
+    FORMAT_V2,
 };
-use crate::reader::{read_header, ChunkStat, Integrity};
 use sdbp_trace::batch::{InstrBatch, InstrBatcher};
 use sdbp_trace::Instr;
 use std::borrow::Cow;
 use std::ops::Range;
 use std::path::Path;
+
+/// Shape of one data chunk, from its frame.
+///
+/// `payload_bytes / (16 * records)` is the chunk's compression ratio
+/// against the 16-byte nominal record (8-byte PC + 8-byte address a
+/// fixed-width encoding would spend); see
+/// [`NOMINAL_RECORD_BYTES`](ChunkStat::NOMINAL_RECORD_BYTES).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct ChunkStat {
+    /// Records the chunk frame declared.
+    pub records: u32,
+    /// Encoded payload size in bytes.
+    pub payload_bytes: u32,
+}
+
+impl ChunkStat {
+    /// Bytes per record of the fixed-width baseline the delta codec is
+    /// measured against: an 8-byte PC plus an 8-byte address.
+    pub const NOMINAL_RECORD_BYTES: u64 = 16;
+
+    /// Encoded bytes per record.
+    #[must_use]
+    pub fn bytes_per_record(&self) -> f64 {
+        f64::from(self.payload_bytes) / f64::from(self.records.max(1))
+    }
+
+    /// Compression ratio: encoded bytes over the 16-byte nominal
+    /// fixed-width encoding (lower is better; 1.0 means no gain).
+    #[must_use]
+    pub fn compression_ratio(&self) -> f64 {
+        let nominal = u64::from(self.records.max(1)) * Self::NOMINAL_RECORD_BYTES;
+        f64::from(self.payload_bytes) / nominal as f64
+    }
+}
 
 /// One indexed chunk: where its payload lives in the buffer.
 #[derive(Clone, Debug)]
@@ -69,92 +101,67 @@ pub struct BufferedTrace<'b> {
 }
 
 impl BufferedTrace<'static> {
-    /// Reads `path` fully into memory and indexes it in the default
-    /// [`Integrity::Validate`] mode.
+    /// Reads `path` fully into memory and indexes it.
     ///
     /// # Errors
     ///
-    /// Filesystem errors plus everything [`from_bytes`]
-    /// (BufferedTrace::from_bytes) reports.
+    /// Filesystem errors plus everything
+    /// [`from_bytes`](BufferedTrace::from_bytes) reports.
     pub fn load(path: &Path) -> Result<Self, TraceIoError> {
-        Self::load_with(path, Integrity::Validate)
+        Self::from_bytes(std::fs::read(path)?)
     }
 
-    /// Reads `path` fully into memory with an explicit integrity mode.
+    /// Indexes an owned in-memory `.sdbt` image.
     ///
     /// # Errors
     ///
-    /// As [`load`](BufferedTrace::load).
-    pub fn load_with(path: &Path, integrity: Integrity) -> Result<Self, TraceIoError> {
-        Self::from_bytes_with(std::fs::read(path)?, integrity)
-    }
-
-    /// Indexes an owned in-memory `.sdbt` image in the default
-    /// [`Integrity::Validate`] mode.
-    ///
-    /// # Errors
-    ///
-    /// Any header or frame defect, as a typed [`TraceIoError`].
+    /// Any header, frame, checksum or record-count defect, as a typed
+    /// [`TraceIoError`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TraceIoError> {
-        Self::from_bytes_with(bytes, Integrity::Validate)
+        Self::index(Cow::Owned(bytes))
     }
 
-    /// Indexes an owned in-memory `.sdbt` image with an explicit
-    /// integrity mode.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_bytes`](BufferedTrace::from_bytes).
-    pub fn from_bytes_with(
-        bytes: Vec<u8>,
-        integrity: Integrity,
-    ) -> Result<Self, TraceIoError> {
-        Self::index(Cow::Owned(bytes), integrity)
-    }
-
-    /// Consumes the trace into an owned batch cursor (for
+    /// Consumes the trace into a batch cursor that owns it (for
     /// [`TraceSource::open_batched`](sdbp_trace::TraceSource::open_batched),
     /// which cannot lend out a borrow of a local).
-    pub fn into_batches(self) -> OwnedBatches {
-        let end = self.chunks.len();
-        OwnedBatches { trace: self, scratch: ColumnScratch::default(), next: 0, end }
+    pub fn into_batches(self) -> Batches<'static> {
+        Batches { trace: Cow::Owned(self), scratch: ColumnScratch::default(), next: 0 }
     }
 }
 
 impl<'b> BufferedTrace<'b> {
-    /// Indexes a **borrowed** `.sdbt` image in the default
-    /// [`Integrity::Validate`] mode — zero-copy over bytes someone else
-    /// owns (an inline wire transfer, a memory-mapped region).
+    /// Indexes a **borrowed** `.sdbt` image — zero-copy over bytes
+    /// someone else owns (an inline wire transfer, a memory-mapped
+    /// region).
     ///
     /// # Errors
     ///
     /// As [`from_bytes`](BufferedTrace::from_bytes).
     pub fn from_slice(bytes: &'b [u8]) -> Result<Self, TraceIoError> {
-        Self::index(Cow::Borrowed(bytes), Integrity::Validate)
+        Self::index(Cow::Borrowed(bytes))
     }
 
     /// Indexes an in-memory `.sdbt` image. Frame structure, chunk/column
-    /// checksums (in validating mode), the whole-file checksum and the
-    /// header record count are all verified here, so `batch` failures
-    /// afterwards are limited to record-level defects.
-    fn index(bytes: Cow<'b, [u8]>, integrity: Integrity) -> Result<Self, TraceIoError> {
-        let mut src = bytes.as_ref();
+    /// checksums, the whole-file checksum and the header record count
+    /// are all verified here, so `batch` failures afterwards are limited
+    /// to record-level defects.
+    fn index(bytes: Cow<'b, [u8]>) -> Result<Self, TraceIoError> {
+        let mut src: &[u8] = &bytes;
         let meta = read_header(&mut src)?;
-        let mut pos = bytes.len() - src.len();
         let mut chunks = Vec::new();
         let mut global = GlobalChecksum::new();
         let mut records_total: u64 = 0;
-        let mut chunk_index: u64 = 0;
         loop {
-            let payload_len = get_u32(&bytes, &mut pos, "chunk frame")?;
-            let records = get_u32(&bytes, &mut pos, "chunk frame")?;
-            let checksum = get_u64(&bytes, &mut pos, "chunk frame")?;
+            let chunk = chunks.len() as u64;
+            let payload_len = read_u32(&mut src, "chunk frame")? as usize;
+            let records = read_u32(&mut src, "chunk frame")?;
+            let checksum = read_u64(&mut src, "chunk frame")?;
             if payload_len == 0 {
                 // End marker: checksum slot carries the whole-file value.
                 if records != 0 {
                     return Err(TraceIoError::Truncated { context: "end marker" });
                 }
-                if integrity == Integrity::Validate && checksum != global.value() {
+                if checksum != global.value() {
                     return Err(TraceIoError::TrailerChecksum);
                 }
                 if records_total != meta.count {
@@ -166,10 +173,10 @@ impl<'b> BufferedTrace<'b> {
                 break;
             }
             if records == 0 {
-                return Err(TraceIoError::CorruptRecord { chunk: chunk_index });
+                return Err(TraceIoError::CorruptRecord { chunk });
             }
-            let payload = bytes
-                .get(pos..pos + payload_len as usize)
+            let (payload, rest) = src
+                .split_at_checked(payload_len)
                 .ok_or(TraceIoError::Truncated { context: "chunk payload" })?;
             if meta.version >= FORMAT_V2 {
                 // v2 chunks carry per-column checksums covering every
@@ -177,24 +184,19 @@ impl<'b> BufferedTrace<'b> {
                 // only one hash pass: verify the columns, chain the
                 // *declared* chunk checksum into the global, and let a
                 // forged declared value surface as a trailer mismatch.
-                if integrity == Integrity::Validate {
-                    global.fold(checksum);
-                }
-                validate_v2_chunk(payload, records, chunk_index, integrity)?;
-            } else if integrity == Integrity::Validate {
+                global.fold(checksum);
+                validate_v2_columns(&v2_columns(payload, records, chunk)?, chunk)?;
+            } else {
                 let actual = fnv1a(payload);
                 if actual != checksum {
-                    return Err(TraceIoError::ChunkChecksum { chunk: chunk_index });
+                    return Err(TraceIoError::ChunkChecksum { chunk });
                 }
                 global.fold(actual);
             }
-            chunks.push(ChunkEntry {
-                payload: pos..pos + payload_len as usize,
-                records,
-            });
-            pos += payload_len as usize;
+            let start = bytes.len() - src.len();
+            chunks.push(ChunkEntry { payload: start..start + payload_len, records });
+            src = rest;
             records_total += u64::from(records);
-            chunk_index += 1;
         }
         Ok(BufferedTrace { bytes, meta, chunks })
     }
@@ -209,18 +211,15 @@ impl<'b> BufferedTrace<'b> {
         self.chunks.len()
     }
 
-    /// Records in chunk `index`, or `None` past the end.
-    pub fn records_in(&self, index: usize) -> Option<u32> {
-        self.chunks.get(index).map(|c| c.records)
-    }
-
     /// Total buffered file size in bytes.
     pub fn byte_len(&self) -> usize {
         self.bytes.len()
     }
 
-    /// Per-chunk shapes in file order (same figures the streaming
-    /// reader accumulates, available here without a decode pass).
+    /// Per-chunk shapes in file order, straight from the index (no
+    /// decode pass). This is how `sdbp-repro trace info` sizes
+    /// wire-transfer chunk limits: the largest encoded chunk bounds what
+    /// one transfer frame must carry.
     pub fn chunk_stats(&self) -> Vec<ChunkStat> {
         self.chunks
             .iter()
@@ -238,7 +237,7 @@ impl<'b> BufferedTrace<'b> {
     /// The returned columns borrow from `self` (v2 flags — zero copy)
     /// and from `scratch` (everything that needed widening or varint
     /// decode). `&self` access plus caller-owned scratch is what makes
-    /// disjoint-range concurrent decode safe.
+    /// concurrent decode of one buffer safe.
     ///
     /// # Errors
     ///
@@ -250,31 +249,23 @@ impl<'b> BufferedTrace<'b> {
         index: usize,
         scratch: &'s mut ColumnScratch,
     ) -> Result<InstrBatch<'s>, TraceIoError> {
-        let entry = self.chunks.get(index).ok_or(TraceIoError::CorruptRecord {
-            chunk: index as u64,
-        })?;
         let chunk = index as u64;
+        let entry = self.chunks.get(index).ok_or(TraceIoError::CorruptRecord { chunk })?;
         let payload = self.bytes.get(entry.payload.clone()).ok_or(
             // Unreachable: ranges were bounds-checked at construction.
             TraceIoError::Truncated { context: "chunk payload" },
         )?;
-        let records = entry.records as usize;
         if self.meta.version >= FORMAT_V2 {
-            let cols = split_v2_payload(payload, records).ok_or(
-                TraceIoError::ColumnLength {
-                    chunk,
-                    expected: v2_payload_len(records) as u64,
-                    found: payload.len() as u64,
-                },
-            )?;
+            let cols = v2_columns(payload, entry.records, chunk)?;
             if cols.flags.iter().any(|f| f & !FLAG_MASK != 0) {
                 return Err(TraceIoError::CorruptRecord { chunk });
             }
-            crate::format::widen_column(cols.pcs_bytes, &mut scratch.pcs);
-            crate::format::widen_column(cols.addrs_bytes, &mut scratch.addrs);
+            widen_column(cols.pcs_bytes, &mut scratch.pcs);
+            widen_column(cols.addrs_bytes, &mut scratch.addrs);
             InstrBatch::new(cols.flags, &scratch.pcs, &scratch.addrs)
                 .ok_or(TraceIoError::CorruptRecord { chunk })
         } else {
+            let records = entry.records as usize;
             scratch.flags.clear();
             scratch.pcs.clear();
             scratch.addrs.clear();
@@ -301,64 +292,8 @@ impl<'b> BufferedTrace<'b> {
 
     /// A batch cursor over every chunk, in file order.
     pub fn batches(&self) -> Batches<'_> {
-        self.range_batches(0..self.chunks.len())
+        Batches { trace: Cow::Borrowed(self), scratch: ColumnScratch::default(), next: 0 }
     }
-
-    /// A batch cursor over the chunk range `range` (clamped to the chunk
-    /// count). Hand disjoint ranges to different threads to decode one
-    /// buffer concurrently.
-    pub fn range_batches(&self, range: Range<usize>) -> Batches<'_> {
-        let end = range.end.min(self.chunks.len());
-        Batches {
-            trace: self,
-            scratch: ColumnScratch::default(),
-            next: range.start.min(end),
-            end,
-        }
-    }
-
-    /// Splits the chunk index into `parts` near-equal contiguous ranges
-    /// (fewer when there are fewer chunks than parts) — the fan-out
-    /// helper for concurrent decode.
-    pub fn split_ranges(&self, parts: usize) -> Vec<Range<usize>> {
-        let n = self.chunks.len();
-        let parts = parts.max(1).min(n.max(1));
-        let base = n / parts;
-        let extra = n % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for i in 0..parts {
-            let len = base + usize::from(i < extra);
-            if len == 0 {
-                continue;
-            }
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
-
-}
-
-/// Reads a little-endian `u32` at `*pos`, advancing it; a short buffer
-/// is a typed [`TraceIoError::Truncated`], never a panic.
-fn get_u32(bytes: &[u8], pos: &mut usize, context: &'static str) -> Result<u32, TraceIoError> {
-    let part = bytes
-        .get(*pos..*pos + 4)
-        .and_then(|b| <[u8; 4]>::try_from(b).ok())
-        .ok_or(TraceIoError::Truncated { context })?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(part))
-}
-
-/// Reads a little-endian `u64`; see [`get_u32`].
-fn get_u64(bytes: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, TraceIoError> {
-    let part = bytes
-        .get(*pos..*pos + 8)
-        .and_then(|b| <[u8; 8]>::try_from(b).ok())
-        .ok_or(TraceIoError::Truncated { context })?;
-    *pos += 8;
-    Ok(u64::from_le_bytes(part))
 }
 
 fn push_instr(scratch: &mut ColumnScratch, instr: &Instr) {
@@ -367,53 +302,53 @@ fn push_instr(scratch: &mut ColumnScratch, instr: &Instr) {
     scratch.addrs.push(instr.mem.map_or(0, |m| m.addr.raw()));
 }
 
-/// Layout + column-checksum validation for one v2 chunk payload.
-fn validate_v2_chunk(
-    payload: &[u8],
-    records: u32,
-    chunk: u64,
-    integrity: Integrity,
-) -> Result<(), TraceIoError> {
+/// Splits one v2 chunk payload into its columns; a payload whose length
+/// does not fit `records` fixed-width records is
+/// [`TraceIoError::ColumnLength`].
+fn v2_columns(payload: &[u8], records: u32, chunk: u64) -> Result<V2Columns<'_>, TraceIoError> {
     let records = records as usize;
-    let cols = split_v2_payload(payload, records).ok_or(TraceIoError::ColumnLength {
+    split_v2_payload(payload, records).ok_or(TraceIoError::ColumnLength {
         chunk,
         expected: v2_payload_len(records) as u64,
         found: payload.len() as u64,
-    })?;
-    if integrity == Integrity::Validate {
-        // Word-folded FNV, with the two u64 columns fused into one pass
-        // so their serial hash chains overlap in the pipeline.
-        let (pcs_actual, addrs_actual) = fnv1a_words_pair(cols.pcs_bytes, cols.addrs_bytes);
-        for (declared, actual, column) in [
-            (cols.pcs_fnv, pcs_actual, "pcs"),
-            (cols.addrs_fnv, addrs_actual, "addrs"),
-            (cols.flags_fnv, fnv1a_words(cols.flags), "flags"),
-        ] {
-            if actual != declared {
-                return Err(TraceIoError::ColumnChecksum { chunk, column });
-            }
+    })
+}
+
+/// Checks one v2 chunk's three declared column checksums.
+fn validate_v2_columns(cols: &V2Columns<'_>, chunk: u64) -> Result<(), TraceIoError> {
+    // Word-folded FNV, with the two u64 columns fused into one pass so
+    // their serial hash chains overlap in the pipeline.
+    let (pcs_actual, addrs_actual) = fnv1a_words_pair(cols.pcs_bytes, cols.addrs_bytes);
+    for (declared, actual, column) in [
+        (cols.pcs_fnv, pcs_actual, "pcs"),
+        (cols.addrs_fnv, addrs_actual, "addrs"),
+        (cols.flags_fnv, fnv1a_words(cols.flags), "flags"),
+    ] {
+        if actual != declared {
+            return Err(TraceIoError::ColumnChecksum { chunk, column });
         }
     }
     Ok(())
 }
 
-/// A borrowing batch cursor over a chunk range of a [`BufferedTrace`].
+/// A batch cursor over a [`BufferedTrace`], in file order: borrowing
+/// ([`BufferedTrace::batches`]) or owning the trace
+/// ([`BufferedTrace::into_batches`], movable across threads).
 #[derive(Debug)]
 pub struct Batches<'a> {
-    trace: &'a BufferedTrace<'a>,
+    trace: Cow<'a, BufferedTrace<'a>>,
     scratch: ColumnScratch,
     next: usize,
-    end: usize,
 }
 
 impl Batches<'_> {
-    /// Decodes the next chunk, or `Ok(None)` past the end of the range.
+    /// Decodes the next chunk, or `Ok(None)` past the last one.
     ///
     /// # Errors
     ///
     /// As [`BufferedTrace::batch`].
     pub fn try_next(&mut self) -> Result<Option<InstrBatch<'_>>, TraceIoError> {
-        if self.next >= self.end {
+        if self.next >= self.trace.chunk_count() {
             return Ok(None);
         }
         let index = self.next;
@@ -423,43 +358,6 @@ impl Batches<'_> {
 }
 
 impl InstrBatcher for Batches<'_> {
-    fn next_batch(&mut self) -> Result<Option<InstrBatch<'_>>, String> {
-        self.try_next().map_err(|e| e.to_string())
-    }
-}
-
-/// An owning batch cursor: the whole trace plus its scratch, movable
-/// across threads (what `FileSource::open_batched` returns).
-#[derive(Debug)]
-pub struct OwnedBatches {
-    trace: BufferedTrace<'static>,
-    scratch: ColumnScratch,
-    next: usize,
-    end: usize,
-}
-
-impl OwnedBatches {
-    /// The buffered trace's header metadata.
-    pub fn meta(&self) -> &TraceMeta {
-        self.trace.meta()
-    }
-
-    /// Decodes the next chunk, or `Ok(None)` at end of trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`BufferedTrace::batch`].
-    pub fn try_next(&mut self) -> Result<Option<InstrBatch<'_>>, TraceIoError> {
-        if self.next >= self.end {
-            return Ok(None);
-        }
-        let index = self.next;
-        self.next += 1;
-        self.trace.batch(index, &mut self.scratch).map(Some)
-    }
-}
-
-impl InstrBatcher for OwnedBatches {
     fn next_batch(&mut self) -> Result<Option<InstrBatch<'_>>, String> {
         self.try_next().map_err(|e| e.to_string())
     }
@@ -498,7 +396,7 @@ mod tests {
     #[test]
     fn buffered_trace_is_shareable_across_threads() {
         assert_sync::<BufferedTrace>();
-        assert_sync::<OwnedBatches>();
+        assert_sync::<Batches<'static>>();
     }
 
     #[test]
@@ -509,52 +407,21 @@ mod tests {
                 BufferedTrace::from_bytes(encode(version, 1000, 128)).unwrap();
             assert_eq!(trace.meta().count, 1000);
             assert_eq!(trace.chunk_count(), 8);
-            assert_eq!(trace.records_in(0), Some(128));
+            assert_eq!(trace.chunk_stats()[0].records, 128);
             let mut got = Vec::new();
             let mut cur = trace.batches();
             while let Some(batch) = cur.try_next().unwrap() {
                 got.extend(batch.iter());
             }
             assert_eq!(got, want, "version {version}");
+            // The owning cursor walks the same chunks.
+            let mut owned = Vec::new();
+            let mut cur = trace.into_batches();
+            while let Some(batch) = cur.try_next().unwrap() {
+                owned.extend(batch.iter());
+            }
+            assert_eq!(owned, want, "version {version}, owned cursor");
         }
-    }
-
-    #[test]
-    fn disjoint_ranges_cover_the_file_concurrently() {
-        let trace = BufferedTrace::from_bytes(encode(FORMAT_V2, 4096, 256)).unwrap();
-        let ranges = trace.split_ranges(3);
-        assert_eq!(ranges.len(), 3);
-        assert_eq!(ranges.iter().map(|r| r.len()).sum::<usize>(), trace.chunk_count());
-        let pieces: Vec<Vec<Instr>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let trace = &trace;
-                    let r = r.clone();
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut cur = trace.range_batches(r);
-                        while let Some(batch) = cur.try_next().unwrap() {
-                            out.extend(batch.iter());
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let merged: Vec<Instr> = pieces.into_iter().flatten().collect();
-        assert_eq!(merged, instrs(4096));
-    }
-
-    #[test]
-    fn split_ranges_handles_degenerate_shapes() {
-        let trace = BufferedTrace::from_bytes(encode(FORMAT_V2, 10, 4)).unwrap();
-        assert_eq!(trace.chunk_count(), 3);
-        // More parts than chunks collapses to one range per chunk.
-        let ranges = trace.split_ranges(8);
-        assert_eq!(ranges.len(), 3);
-        assert_eq!(trace.split_ranges(0).len(), 1);
     }
 
     #[test]
@@ -585,11 +452,13 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_surface_typed_errors_never_panics() {
-        let healthy = encode(FORMAT_V2, 200, 64);
-        // Structured sweep: truncate at every prefix length.
-        for len in 0..healthy.len() {
-            let r = BufferedTrace::from_bytes(healthy[..len].to_vec());
-            assert!(r.is_err(), "prefix of {len} bytes must not index cleanly");
+        for version in [FORMAT_V1, FORMAT_V2] {
+            let healthy = encode(version, 200, 64);
+            // Structured sweep: truncate at every prefix length.
+            for len in 0..healthy.len() {
+                let r = BufferedTrace::from_slice(&healthy[..len]);
+                assert!(r.is_err(), "v{version}: prefix of {len} bytes must not index cleanly");
+            }
         }
     }
 }

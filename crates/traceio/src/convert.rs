@@ -8,11 +8,12 @@
 //! v2 is the fixed-width columnar replay form (17 bytes/access, decoded
 //! in bulk). `sdbp-repro trace convert` is the CLI front end.
 
+use crate::buffered::BufferedTrace;
 use crate::error::TraceIoError;
 use crate::format::TraceMeta;
-use crate::reader::TraceReader;
 use crate::writer::{TraceWriter, WriteSummary};
-use std::io::{Read, Seek, Write};
+use std::fs::File;
+use std::io::{BufWriter, Seek, Write};
 use std::path::Path;
 
 /// What a conversion amounted to.
@@ -26,57 +27,50 @@ pub struct ConvertSummary {
     pub write: WriteSummary,
 }
 
-/// Streams every record of `reader` into a fresh container of
+/// Re-encodes every record of `trace` into a fresh container of
 /// `target_version` written to `out`.
 ///
 /// # Errors
 ///
-/// Any decode error from the source (it is fully validated on the way
-/// through) and any write error from the sink; an unencodable
-/// `target_version` is rejected up front as
-/// [`TraceIoError::UnsupportedVersion`].
-pub fn convert_stream<R: Read, W: Write + Seek>(
-    mut reader: TraceReader<R>,
+/// Any record-level decode error from the source (its frames and
+/// checksums were validated when it was indexed) and any write error
+/// from the sink; an unencodable `target_version` is rejected up front
+/// as [`TraceIoError::UnsupportedVersion`].
+pub fn convert_stream<W: Write + Seek>(
+    trace: &BufferedTrace<'_>,
     out: W,
     target_version: u32,
 ) -> Result<ConvertSummary, TraceIoError> {
-    let from_version = reader.meta().version;
-    let meta = TraceMeta::new(reader.meta().name.clone(), reader.meta().seed)
-        .with_version(target_version);
+    let from = trace.meta();
+    let meta = TraceMeta::new(from.name.clone(), from.seed).with_version(target_version);
     let mut writer = TraceWriter::new(out, meta)?;
-    for record in reader.by_ref() {
-        writer.write(&record?)?;
+    let mut batches = trace.batches();
+    while let Some(batch) = batches.try_next()? {
+        writer.write_all(batch.iter())?;
     }
     let write = writer.finish()?;
-    Ok(ConvertSummary { from_version, to_version: target_version, write })
+    Ok(ConvertSummary { from_version: from.version, to_version: target_version, write })
 }
 
-/// Converts the file at `src` into `dst` with `target_version`.
+/// Converts the file at `src` into `dst` with `target_version`. `src`
+/// is loaded whole before `dst` is created, so converting a file onto
+/// itself is safe.
 ///
 /// # Errors
 ///
-/// As [`convert_stream`], plus filesystem errors opening either path.
+/// As [`convert_stream`], plus filesystem errors on either path.
 pub fn convert_path(
     src: &Path,
     dst: &Path,
     target_version: u32,
 ) -> Result<ConvertSummary, TraceIoError> {
-    let mut reader = TraceReader::open(src)?;
-    let from_version = reader.meta().version;
-    let meta = TraceMeta::new(reader.meta().name.clone(), reader.meta().seed)
-        .with_version(target_version);
-    let mut writer = TraceWriter::create(dst, meta)?;
-    for record in reader.by_ref() {
-        writer.write(&record?)?;
-    }
-    let write = writer.finish()?;
-    Ok(ConvertSummary { from_version, to_version: target_version, write })
+    let trace = BufferedTrace::load(src)?;
+    convert_stream(&trace, BufWriter::new(File::create(dst)?), target_version)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffered::BufferedTrace;
     use crate::format::{DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2};
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::{Instr, TraceBuilder};
@@ -101,9 +95,17 @@ mod tests {
     }
 
     fn decode(bytes: &[u8]) -> (TraceMeta, Vec<Instr>) {
-        let reader = TraceReader::new(Cursor::new(bytes)).unwrap();
-        let meta = reader.meta().clone();
-        (meta, reader.collect::<Result<_, _>>().unwrap())
+        let trace = BufferedTrace::from_slice(bytes).unwrap();
+        let mut records = Vec::new();
+        let mut batches = trace.batches();
+        while let Some(batch) = batches.try_next().unwrap() {
+            records.extend(batch.iter());
+        }
+        (trace.meta().clone(), records)
+    }
+
+    fn buffered(bytes: &[u8]) -> BufferedTrace<'_> {
+        BufferedTrace::from_slice(bytes).unwrap()
     }
 
     /// The v1 -> v2 -> batch-decode -> v1 pipeline at the default
@@ -115,12 +117,7 @@ mod tests {
         let original = instrs(n);
         let v1 = encode_v1(n);
         let mut v2 = Cursor::new(Vec::new());
-        let up = convert_stream(
-            TraceReader::new(Cursor::new(&v1)).unwrap(),
-            &mut v2,
-            FORMAT_V2,
-        )
-        .unwrap();
+        let up = convert_stream(&buffered(&v1), &mut v2, FORMAT_V2).unwrap();
         assert_eq!((up.from_version, up.to_version), (FORMAT_V1, FORMAT_V2));
         assert_eq!(up.write.instructions, n as u64);
         let v2 = v2.into_inner();
@@ -131,30 +128,33 @@ mod tests {
         assert_eq!(meta2.seed, 0xc0dec);
         assert_eq!(records2, original);
 
-        let buffered = BufferedTrace::from_slice(&v2).unwrap();
-        assert!(buffered.chunk_count() > 1, "the v2 file must span several chunks");
-        let mut batches = buffered.batches();
-        let mut batched = Vec::with_capacity(n);
-        while let Some(batch) = batches.try_next().unwrap() {
-            batched.extend(batch.iter());
-        }
-        assert_eq!(batched, original, "batch decode must reproduce the stream");
+        assert!(buffered(&v2).chunk_count() > 1, "the v2 file must span several chunks");
 
         let mut back = Cursor::new(Vec::new());
-        convert_stream(TraceReader::new(Cursor::new(&v2)).unwrap(), &mut back, FORMAT_V1)
-            .unwrap();
+        convert_stream(&buffered(&v2), &mut back, FORMAT_V1).unwrap();
         assert_eq!(back.into_inner(), v1, "v1 -> v2 -> v1 must reproduce the v1 bytes");
+    }
+
+    #[test]
+    fn converting_a_file_onto_itself_is_safe() {
+        let path = std::env::temp_dir()
+            .join(format!("sdbt-convert-{}-in-place.sdbt", std::process::id()));
+        std::fs::write(&path, encode_v1(5000)).unwrap();
+        convert_path(&path, &path, FORMAT_V2).unwrap();
+        let (meta, records) = decode(&std::fs::read(&path).unwrap());
+        assert_eq!(meta.version, FORMAT_V2);
+        assert_eq!(records, instrs(5000));
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort temp cleanup; a leftover file is harmless"
+        )]
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn conversion_to_unknown_version_is_rejected() {
         let v1 = encode_v1(10);
-        let err = convert_stream(
-            TraceReader::new(Cursor::new(&v1)).unwrap(),
-            Cursor::new(Vec::new()),
-            7,
-        )
-        .unwrap_err();
+        let err = convert_stream(&buffered(&v1), Cursor::new(Vec::new()), 7).unwrap_err();
         assert!(matches!(err, TraceIoError::UnsupportedVersion { found: 7, .. }));
     }
 
@@ -163,12 +163,7 @@ mod tests {
         let n = 3000usize;
         let v1 = encode_v1(n);
         let mut v2 = Cursor::new(Vec::new());
-        let up = convert_stream(
-            TraceReader::new(Cursor::new(&v1)).unwrap(),
-            &mut v2,
-            FORMAT_V2,
-        )
-        .unwrap();
+        let up = convert_stream(&buffered(&v1), &mut v2, FORMAT_V2).unwrap();
         // 17 bytes per record plus header/framing: columnar trades size
         // for decode speed, which is why v1 stays the archival format.
         assert!(up.write.bytes_per_access() > 17.0);

@@ -40,8 +40,10 @@
 //! so validation scales with records, not bytes. See DESIGN.md §14 for
 //! the borrow rules and why v1 stays the archival default.
 
+use crate::error::TraceIoError;
 use sdbp_trace::batch::ColumnBuf;
 use sdbp_trace::{AccessKind, Addr, Instr, MemRef, Pc};
+use std::io::Read;
 
 /// Magic bytes identifying an `.sdbt` file.
 pub const MAGIC: [u8; 8] = *b"SDBTRACE";
@@ -413,6 +415,85 @@ impl TraceMeta {
         out.extend_from_slice(&fnv.to_le_bytes());
         out
     }
+}
+
+/// Reads and validates an `.sdbt` header from `src`, leaving it at the
+/// first chunk frame. Reads nothing past the header, so a caller that
+/// only needs the metadata (a file's record count, an upload's label)
+/// never touches the records.
+///
+/// # Errors
+///
+/// [`TraceIoError::BadMagic`], [`TraceIoError::UnsupportedVersion`],
+/// [`TraceIoError::HeaderCorrupt`] (bad checksum, version 0, implausible
+/// name length, non-UTF-8 name), [`TraceIoError::Truncated`] on a short
+/// source, or the source's own I/O error.
+pub fn read_header<R: Read>(src: &mut R) -> Result<TraceMeta, TraceIoError> {
+    let mut magic = [0u8; 8];
+    read_exact(src, &mut magic, "header magic")?;
+    if magic != MAGIC {
+        return Err(TraceIoError::BadMagic { found: magic });
+    }
+    let version = read_u32(src, "header fields")?;
+    let seed = read_u64(src, "header fields")?;
+    let count = read_u64(src, "header fields")?;
+    let name_len = read_u32(src, "header fields")?;
+    if version > FORMAT_VERSION {
+        return Err(TraceIoError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
+    if version == 0 {
+        return Err(TraceIoError::HeaderCorrupt { detail: "version 0".into() });
+    }
+    if name_len as usize > MAX_NAME_LEN {
+        return Err(TraceIoError::HeaderCorrupt {
+            detail: format!("implausible name length {name_len}"),
+        });
+    }
+    let mut name_bytes = vec![0u8; name_len as usize];
+    read_exact(src, &mut name_bytes, "header name")?;
+    let fnv = read_u64(src, "header checksum")?;
+    let name = String::from_utf8(name_bytes)
+        .map_err(|_| TraceIoError::HeaderCorrupt { detail: "name is not UTF-8".into() })?;
+    let meta = TraceMeta { name, seed, count, version };
+    // The encoding is canonical little-endian, so re-serializing the
+    // parsed fields reproduces the bytes just read, checksum included.
+    if !meta.to_bytes().ends_with(&fnv.to_le_bytes()) {
+        return Err(TraceIoError::HeaderCorrupt { detail: "checksum mismatch".into() });
+    }
+    Ok(meta)
+}
+
+/// `read_exact` with running out of bytes mapped to the typed
+/// [`TraceIoError::Truncated`], never a panic.
+pub(crate) fn read_exact<R: Read>(
+    src: &mut R,
+    buf: &mut [u8],
+    context: &'static str,
+) -> Result<(), TraceIoError> {
+    src.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            TraceIoError::Truncated { context }
+        } else {
+            TraceIoError::Io(e)
+        }
+    })
+}
+
+/// Reads a little-endian `u32`; see [`read_exact`].
+pub(crate) fn read_u32<R: Read>(src: &mut R, context: &'static str) -> Result<u32, TraceIoError> {
+    let mut buf = [0u8; 4];
+    read_exact(src, &mut buf, context)?;
+    Ok(u32::from_le_bytes(buf))
+}
+
+/// Reads a little-endian `u64`; see [`read_exact`].
+pub(crate) fn read_u64<R: Read>(src: &mut R, context: &'static str) -> Result<u64, TraceIoError> {
+    let mut buf = [0u8; 8];
+    read_exact(src, &mut buf, context)?;
+    Ok(u64::from_le_bytes(buf))
 }
 
 #[cfg(test)]

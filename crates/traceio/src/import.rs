@@ -87,7 +87,7 @@ pub fn import_text<R: BufRead, W: Write + Seek>(
 mod tests {
     use super::*;
     use crate::format::TraceMeta;
-    use crate::reader::TraceReader;
+    use crate::buffered::BufferedTrace;
     use std::io::Cursor;
 
     #[test]
@@ -134,11 +134,11 @@ mod tests {
         let summary = import_text(Cursor::new(text), writer).unwrap();
         assert_eq!(summary.instructions, 2);
 
-        buf.set_position(0);
-        let reader = TraceReader::new(buf).unwrap();
-        assert_eq!(reader.meta().name, "imported");
-        assert_eq!(reader.meta().seed, 0);
-        let instrs: Vec<Instr> = reader.collect::<Result<_, _>>().unwrap();
+        let trace = BufferedTrace::from_bytes(buf.into_inner()).unwrap();
+        assert_eq!(trace.meta().name, "imported");
+        assert_eq!(trace.meta().seed, 0);
+        let mut batches = trace.batches();
+        let instrs: Vec<Instr> = batches.try_next().unwrap().unwrap().iter().collect();
         assert_eq!(instrs.len(), 2);
         assert_eq!(instrs[1].mem.unwrap().kind, AccessKind::Write);
     }

@@ -29,26 +29,26 @@
 //!
 //! * [`TraceWriter`] buffers one chunk at a time (O(chunk) memory) and
 //!   writes either format ([`TraceMeta::with_version`]).
-//! * [`TraceReader`] streams chunk-by-chunk, validating checksums in its
-//!   default [`Integrity::Validate`] mode; every defect — truncation, bad
-//!   magic, a flipped bit, a version from the future — surfaces as a
-//!   typed [`TraceIoError`], never a panic.
-//! * [`BufferedTrace`] indexes a fully-buffered (owned or borrowed)
-//!   image and lends whole decoded [`InstrBatch`](sdbp_trace::batch::InstrBatch)es
-//!   per chunk — the zero-copy v2 fast path; it is `Sync`, and
-//!   [`BufferedTrace::split_ranges`] hands disjoint chunk ranges of one
-//!   buffer to concurrent shards.
+//! * [`BufferedTrace`] is the one decoder: it holds a whole (owned or
+//!   borrowed) image in memory, validates every frame and checksum when
+//!   it indexes it, and lends whole decoded
+//!   [`InstrBatch`](sdbp_trace::batch::InstrBatch)es per chunk — zero
+//!   copy for the v2 flags column. Every defect — truncation, bad magic,
+//!   a flipped bit, a version from the future — surfaces as a typed
+//!   [`TraceIoError`], never a panic.
+//! * [`read_header`] reads and validates just the header, for callers
+//!   that need a trace's metadata without its records.
 //! * [`import`] turns ChampSim-style `pc addr is_write` text traces into
 //!   `.sdbt` workloads.
 //! * [`FileSource`] plugs a trace file into the
 //!   [`TraceSource`](sdbp_trace::TraceSource) abstraction, so the harness
 //!   and every `sdbp-engine` job run from a file exactly as they run from
-//!   a synthetic generator — batched automatically when the file is v2.
+//!   a synthetic generator.
 //!
 //! # Example
 //!
 //! ```
-//! use sdbp_traceio::{TraceMeta, TraceReader, TraceWriter};
+//! use sdbp_traceio::{BufferedTrace, TraceMeta, TraceWriter};
 //! use sdbp_trace::{kernel::KernelSpec, TraceBuilder};
 //! use std::io::Cursor;
 //!
@@ -60,11 +60,15 @@
 //! let summary = writer.finish().unwrap();
 //! assert_eq!(summary.instructions, 10_000);
 //!
-//! // ...and replay them bit-exactly.
-//! buf.set_position(0);
-//! let reader = TraceReader::new(buf).unwrap();
-//! assert_eq!(reader.meta().count, 10_000);
-//! let replayed = reader.collect::<Result<Vec<_>, _>>().unwrap();
+//! // ...and replay them bit-exactly, one decoded chunk at a time.
+//! let bytes = buf.into_inner();
+//! let trace = BufferedTrace::from_slice(&bytes).unwrap();
+//! assert_eq!(trace.meta().count, 10_000);
+//! let mut replayed = Vec::new();
+//! let mut batches = trace.batches();
+//! while let Some(batch) = batches.try_next().unwrap() {
+//!     replayed.extend(batch.iter());
+//! }
 //! let original: Vec<_> =
 //!     TraceBuilder::new(7).kernel(KernelSpec::hot_set(1 << 14)).build().take(10_000).collect();
 //! assert_eq!(replayed, original);
@@ -86,17 +90,15 @@ pub mod convert;
 pub mod error;
 pub mod format;
 pub mod import;
-pub mod reader;
 pub mod source;
 pub mod writer;
 
-pub use buffered::{Batches, BufferedTrace, ColumnScratch, OwnedBatches};
+pub use buffered::{Batches, BufferedTrace, ChunkStat, ColumnScratch};
 pub use convert::{convert_path, convert_stream, ConvertSummary};
 pub use error::TraceIoError;
 pub use format::{
-    TraceMeta, DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAGIC,
+    read_header, TraceMeta, DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAGIC,
 };
 pub use import::{import_text, parse_line};
-pub use reader::{ChunkStat, Integrity, TraceReader};
 pub use source::FileSource;
 pub use writer::{TraceWriter, WriteSummary};

@@ -1,21 +1,22 @@
 //! [`FileSource`] — a recorded `.sdbt` file as a re-openable
-//! [`TraceSource`], the streamed-file half of the generator-or-file
-//! choice.
+//! [`TraceSource`], the file half of the generator-or-file choice.
 
 use crate::buffered::BufferedTrace;
 use crate::error::TraceIoError;
-use crate::format::TraceMeta;
-use crate::reader::{Integrity, TraceReader};
+use crate::format::{read_header, TraceMeta};
 use sdbp_trace::{BatchStream, InstrStream, TraceSource};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 /// A trace file as a workload source.
 ///
-/// Construction validates the header once (so a missing or foreign file
-/// fails loudly, up front); each [`TraceSource::open`] then streams a
-/// fresh validating pass over the records with O(chunk) memory. Typed
-/// errors degrade to strings at this boundary — callers who need the
-/// full [`TraceIoError`] taxonomy use [`TraceReader`] directly.
+/// Construction reads and validates only the header (so a missing or
+/// foreign file fails loudly, up front, without loading the records);
+/// each pass then loads and validates the whole file through
+/// [`BufferedTrace`]. Typed errors degrade to strings at this boundary —
+/// callers who need the full [`TraceIoError`] taxonomy use
+/// [`BufferedTrace`] directly.
 #[derive(Clone, Debug)]
 pub struct FileSource {
     path: PathBuf,
@@ -27,10 +28,16 @@ impl FileSource {
     ///
     /// # Errors
     ///
-    /// Any header defect or filesystem error, as [`TraceReader::open`].
+    /// Any header defect or filesystem error, as [`read_header`].
     pub fn new(path: &Path) -> Result<Self, TraceIoError> {
-        let reader = TraceReader::open_with(path, Integrity::Fast)?;
-        Ok(FileSource { path: path.to_path_buf(), meta: reader.meta().clone() })
+        let meta = read_header(&mut BufReader::new(File::open(path)?))?;
+        Ok(FileSource { path: path.to_path_buf(), meta })
+    }
+
+    /// Loads the whole file as a validated [`BufferedTrace`], with errors
+    /// naming the path.
+    fn load(&self) -> Result<BufferedTrace<'static>, String> {
+        BufferedTrace::load(&self.path).map_err(|e| format!("{}: {e}", self.path.display()))
     }
 
     /// The validated trace metadata.
@@ -54,22 +61,33 @@ impl TraceSource for FileSource {
     }
 
     fn open(&self) -> Result<InstrStream<'_>, String> {
-        let reader = TraceReader::open(&self.path)
-            .map_err(|e| format!("{}: {e}", self.path.display()))?;
-        let path = self.path.clone();
-        Ok(Box::new(
-            reader.map(move |r| r.map_err(|e| format!("{}: {e}", path.display()))),
-        ))
+        // Records are handed out one decoded chunk at a time; the cursor
+        // is dropped at the end or after the first error, which fuses
+        // the stream.
+        let mut batches = Some(self.load()?.into_batches());
+        let mut chunk = Vec::new().into_iter();
+        Ok(Box::new(std::iter::from_fn(move || loop {
+            if let Some(instr) = chunk.next() {
+                return Some(Ok(instr));
+            }
+            let last = match batches.as_mut()?.try_next() {
+                Ok(Some(batch)) => {
+                    chunk = batch.iter().collect::<Vec<_>>().into_iter();
+                    continue;
+                }
+                Ok(None) => None,
+                Err(e) => Some(Err(format!("{}: {e}", self.path.display()))),
+            };
+            batches = None;
+            return last;
+        })))
     }
 
     fn open_batched(&self) -> Result<Option<BatchStream<'_>>, String> {
-        // Buffer the whole file and hand out column batches: the fast
-        // door for both layouts (v2 decodes zero-copy, v1 through the
-        // varint codec into scratch). Validation happens at load, so
-        // most corruption fails here rather than mid-replay.
-        let trace = BufferedTrace::load(&self.path)
-            .map_err(|e| format!("{}: {e}", self.path.display()))?;
-        Ok(Some(Box::new(trace.into_batches())))
+        // The fast door for both layouts (v2 decodes zero-copy, v1
+        // through the varint codec into scratch). Validation happens at
+        // load, so corruption fails here rather than mid-replay.
+        Ok(Some(Box::new(self.load()?.into_batches())))
     }
 }
 

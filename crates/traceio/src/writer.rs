@@ -42,7 +42,7 @@ impl WriteSummary {
 /// and `Cursor<Vec<u8>>` qualify.
 ///
 /// ```
-/// use sdbp_traceio::{TraceMeta, TraceReader, TraceWriter};
+/// use sdbp_traceio::{BufferedTrace, TraceMeta, TraceWriter};
 /// use sdbp_trace::{Addr, Instr, MemRef, Pc};
 /// use std::io::Cursor;
 ///
@@ -52,9 +52,8 @@ impl WriteSummary {
 /// let summary = w.finish().unwrap();
 /// assert_eq!(summary.instructions, 1);
 ///
-/// buf.set_position(0);
-/// let instrs: Vec<_> = TraceReader::new(buf).unwrap().collect::<Result<_, _>>().unwrap();
-/// assert_eq!(instrs.len(), 1);
+/// let trace = BufferedTrace::from_bytes(buf.into_inner()).unwrap();
+/// assert_eq!(trace.meta().count, 1);
 /// ```
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {

@@ -1,21 +1,22 @@
 //! Corrupted-input tests: every class of damage — truncation at any byte,
-//! wrong magic, a flipped payload bit, a format version from the future —
-//! must surface as a typed [`TraceIoError`] from the streaming reader,
-//! never a panic and never silently-wrong records.
+//! wrong magic, a flipped payload bit, a format version from the future,
+//! a header that miscounts its records — must surface as a typed
+//! [`TraceIoError`] from [`BufferedTrace`], for both container versions,
+//! never a panic and never silently-wrong records. The v2-only column
+//! checks live in `corruption_v2.rs`.
 
 use sdbp_trace::kernel::KernelSpec;
 use sdbp_trace::TraceBuilder;
-use sdbp_traceio::{Integrity, TraceIoError, TraceMeta, TraceReader, TraceWriter};
+use sdbp_traceio::{BufferedTrace, TraceIoError, TraceMeta, TraceWriter, FORMAT_V1, FORMAT_V2};
 use std::io::Cursor;
 
 const RECORDS: usize = 5000;
 
-/// A small healthy trace spanning several chunks.
-fn healthy_bytes() -> Vec<u8> {
+/// A small healthy trace spanning several chunks, in the given format.
+fn healthy_bytes(version: u32) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
-    let mut writer = TraceWriter::new(&mut buf, TraceMeta::new("victim", 42))
-        .unwrap()
-        .chunk_records(512);
+    let meta = TraceMeta::new("victim", 42).with_version(version);
+    let mut writer = TraceWriter::new(&mut buf, meta).unwrap().chunk_records(512);
     let trace = TraceBuilder::new(42).kernel(KernelSpec::generational(1 << 16, 3, 32)).build();
     writer.write_all(trace.take(RECORDS)).unwrap();
     let summary = writer.finish().unwrap();
@@ -23,86 +24,98 @@ fn healthy_bytes() -> Vec<u8> {
     buf.into_inner()
 }
 
-/// Drains a reader over `bytes`, returning either the clean record count
-/// or the first error. The point: this must never panic.
-fn drain(bytes: Vec<u8>, integrity: Integrity) -> Result<usize, TraceIoError> {
-    let reader = TraceReader::with_integrity(Cursor::new(bytes), integrity)?;
+/// Indexes and batch-drains `bytes`, returning either the clean record
+/// count or the first error. The point: this must never panic.
+fn drain(bytes: &[u8]) -> Result<usize, TraceIoError> {
+    let trace = BufferedTrace::from_slice(bytes)?;
+    let mut batches = trace.batches();
     let mut n = 0;
-    for item in reader {
-        item?;
-        n += 1;
+    while let Some(batch) = batches.try_next()? {
+        n += batch.len();
     }
     Ok(n)
 }
 
 #[test]
 fn healthy_file_baseline() {
-    assert_eq!(drain(healthy_bytes(), Integrity::Validate).unwrap(), RECORDS);
-    assert_eq!(drain(healthy_bytes(), Integrity::Fast).unwrap(), RECORDS);
+    for version in [FORMAT_V1, FORMAT_V2] {
+        assert_eq!(drain(&healthy_bytes(version)).unwrap(), RECORDS, "v{version}");
+    }
 }
 
 #[test]
 fn truncation_at_every_prefix_is_a_typed_error_not_a_panic() {
-    let full = healthy_bytes();
-    // Sweep a prefix through the header, first chunks, and the tail; step
-    // coarsely through the middle so the test stays fast.
-    let mut cuts: Vec<usize> = (0..200.min(full.len())).collect();
-    cuts.extend((200..full.len()).step_by(97));
-    cuts.push(full.len() - 1);
-    for cut in cuts {
-        let err = drain(full[..cut].to_vec(), Integrity::Validate)
-            .expect_err(&format!("cut at {cut} must fail"));
-        assert!(
-            matches!(
-                err,
-                TraceIoError::Truncated { .. }
-                    | TraceIoError::HeaderCorrupt { .. }
-                    | TraceIoError::BadMagic { .. }
-            ),
-            "cut at {cut}: unexpected error class {err}"
-        );
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let full = healthy_bytes(version);
+        // Sweep a prefix through the header, first chunks, and the tail;
+        // step coarsely through the middle so the test stays fast.
+        let mut cuts: Vec<usize> = (0..200.min(full.len())).collect();
+        cuts.extend((200..full.len()).step_by(97));
+        cuts.push(full.len() - 1);
+        for cut in cuts {
+            let err = drain(&full[..cut])
+                .expect_err(&format!("v{version}: cut at {cut} must fail"));
+            assert!(
+                matches!(
+                    err,
+                    TraceIoError::Truncated { .. }
+                        | TraceIoError::HeaderCorrupt { .. }
+                        | TraceIoError::BadMagic { .. }
+                ),
+                "v{version}: cut at {cut}: unexpected error class {err}"
+            );
+        }
     }
 }
 
 #[test]
 fn bad_magic_is_rejected_up_front() {
-    let mut bytes = healthy_bytes();
-    bytes[0..8].copy_from_slice(b"NOTATRCE");
-    match drain(bytes, Integrity::Validate) {
-        Err(TraceIoError::BadMagic { found }) => assert_eq!(&found, b"NOTATRCE"),
-        other => panic!("expected BadMagic, got {other:?}"),
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let mut bytes = healthy_bytes(version);
+        bytes[0..8].copy_from_slice(b"NOTATRCE");
+        match drain(&bytes) {
+            Err(TraceIoError::BadMagic { found }) => assert_eq!(&found, b"NOTATRCE"),
+            other => panic!("v{version}: expected BadMagic, got {other:?}"),
+        }
     }
 }
 
 #[test]
 fn future_format_version_is_rejected_with_both_versions_named() {
-    let mut bytes = healthy_bytes();
-    // Version field sits right after the 8-byte magic.
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    // Keep the header checksum consistent so the *version* check fires,
-    // not the checksum check: recompute it over magic..name.
-    patch_header_checksum(&mut bytes);
-    match drain(bytes, Integrity::Validate) {
-        Err(TraceIoError::UnsupportedVersion { found: 99, supported }) => {
-            assert_eq!(supported, sdbp_traceio::FORMAT_VERSION);
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let mut bytes = healthy_bytes(version);
+        // Version field sits right after the 8-byte magic.
+        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+        // Keep the header checksum consistent so the *version* check
+        // fires, not the checksum check: recompute it over magic..name.
+        patch_header_checksum(&mut bytes);
+        match drain(&bytes) {
+            Err(TraceIoError::UnsupportedVersion { found: 99, supported }) => {
+                assert_eq!(supported, sdbp_traceio::FORMAT_VERSION);
+            }
+            other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 }
 
 #[test]
 fn tampered_header_fails_its_checksum() {
-    let mut bytes = healthy_bytes();
-    bytes[12] ^= 0x01; // seed byte
-    match drain(bytes, Integrity::Validate) {
-        Err(TraceIoError::HeaderCorrupt { .. }) => {}
-        other => panic!("expected HeaderCorrupt, got {other:?}"),
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let mut bytes = healthy_bytes(version);
+        bytes[12] ^= 0x01; // seed byte
+        match drain(&bytes) {
+            Err(TraceIoError::HeaderCorrupt { .. }) => {}
+            other => panic!("v{version}: expected HeaderCorrupt, got {other:?}"),
+        }
     }
 }
 
 #[test]
 fn flipped_payload_bit_fails_the_chunk_checksum() {
-    let full = healthy_bytes();
+    // v1 checksums each chunk payload whole; the v2 equivalent (a
+    // per-column checksum naming the column) is pinned in
+    // `corruption_v2.rs`.
+    let full = healthy_bytes(FORMAT_V1);
     let header_len = header_len(&full);
     // Flip one bit somewhere inside the second chunk's payload.
     let mut bytes = full.clone();
@@ -111,79 +124,52 @@ fn flipped_payload_bit_fails_the_chunk_checksum() {
     let second_chunk_start = header_len + 16 + first_payload_len;
     let target = second_chunk_start + 16 + 10;
     bytes[target] ^= 0x40;
-    match drain(bytes, Integrity::Validate) {
+    match drain(&bytes) {
         Err(TraceIoError::ChunkChecksum { chunk: 1 }) => {}
         other => panic!("expected ChunkChecksum on chunk 1, got {other:?}"),
     }
 }
 
 #[test]
-fn fast_mode_still_catches_structural_damage() {
-    // Fast mode skips checksums, so a flipped bit may decode (garbage in,
-    // garbage out) — but truncation must still be typed, never a panic.
-    let full = healthy_bytes();
-    let err = drain(full[..full.len() / 2].to_vec(), Integrity::Fast).unwrap_err();
-    assert!(matches!(err, TraceIoError::Truncated { .. }), "{err}");
-}
-
-#[test]
 fn corrupted_count_field_is_detected_at_end_of_stream() {
-    let mut bytes = healthy_bytes();
-    // Count sits at offset 20 (magic 8 + version 4 + seed 8).
-    let wrong = (RECORDS as u64 + 1).to_le_bytes();
-    bytes[20..28].copy_from_slice(&wrong);
-    patch_header_checksum(&mut bytes);
-    // The records themselves are intact, so the count mismatch surfaces at
-    // the end marker. In Fast mode too — it is structural, not a checksum.
-    for integrity in [Integrity::Validate, Integrity::Fast] {
-        match drain(bytes.clone(), integrity) {
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let mut bytes = healthy_bytes(version);
+        // Count sits at offset 20 (magic 8 + version 4 + seed 8).
+        let wrong = (RECORDS as u64 + 1).to_le_bytes();
+        bytes[20..28].copy_from_slice(&wrong);
+        patch_header_checksum(&mut bytes);
+        // The records themselves are intact, so the count mismatch
+        // surfaces at the end marker.
+        match drain(&bytes) {
             Err(TraceIoError::CountMismatch { header, decoded }) => {
                 assert_eq!(header, RECORDS as u64 + 1);
                 assert_eq!(decoded, RECORDS as u64);
             }
-            other => panic!("{integrity:?}: expected CountMismatch, got {other:?}"),
+            other => panic!("v{version}: expected CountMismatch, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn undercounting_header_is_a_typed_error_when_collected() {
-    // A header claiming fewer records than the file holds: `collect`
-    // consults `size_hint` as it grows the vector, so the reader must
-    // not assume `decoded <= count`.
-    for header in [0u64, 2] {
-        let mut bytes = healthy_bytes();
-        bytes[20..28].copy_from_slice(&header.to_le_bytes());
-        patch_header_checksum(&mut bytes);
-        for integrity in [Integrity::Validate, Integrity::Fast] {
-            let reader = TraceReader::with_integrity(Cursor::new(bytes.clone()), integrity)
-                .expect("header parses");
-            match reader.collect::<Result<Vec<_>, _>>() {
+    // A header claiming fewer records than the file holds: the decoder
+    // must not assume the file stops where the header says it does.
+    for version in [FORMAT_V1, FORMAT_V2] {
+        for header in [0u64, 2] {
+            let mut bytes = healthy_bytes(version);
+            bytes[20..28].copy_from_slice(&header.to_le_bytes());
+            patch_header_checksum(&mut bytes);
+            match drain(&bytes) {
                 Err(TraceIoError::CountMismatch { header: h, decoded }) => {
                     assert_eq!(h, header);
                     assert_eq!(decoded, RECORDS as u64);
                 }
-                other => panic!("{integrity:?}, count {header}: expected CountMismatch, got {other:?}"),
+                other => {
+                    panic!("v{version}, count {header}: expected CountMismatch, got {other:?}")
+                }
             }
         }
     }
-}
-
-#[test]
-fn errors_fuse_the_iterator() {
-    let full = healthy_bytes();
-    let mut reader =
-        TraceReader::new(Cursor::new(full[..full.len() / 2].to_vec())).unwrap();
-    let mut saw_err = false;
-    for item in reader.by_ref() {
-        if item.is_err() {
-            saw_err = true;
-            break;
-        }
-    }
-    assert!(saw_err);
-    assert!(reader.next().is_none(), "iterator must fuse after an error");
-    assert!(reader.next().is_none());
 }
 
 /// Byte length of the header (through its trailing checksum).

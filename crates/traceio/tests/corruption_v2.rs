@@ -2,9 +2,8 @@
 //! truncated column array, a records/payload-length mismatch, a bad
 //! per-column checksum, a v2 header over a v1 body, a forged chunk
 //! checksum, and a fixed-seed byte-flip fuzz sweep — every one must
-//! surface as a typed [`TraceIoError`] from *both* decode paths (the
-//! streaming [`TraceReader`] and the borrowed [`BufferedTrace`] batch
-//! path), never a panic and never silently-wrong records.
+//! surface as a typed [`TraceIoError`] from [`BufferedTrace`], never a
+//! panic and never silently-wrong records.
 //!
 //! v2 validation is single-pass: the three column checksums cover every
 //! payload byte after the preamble, and the *declared* chunk checksum is
@@ -18,9 +17,7 @@ use sdbp_trace::kernel::KernelSpec;
 use sdbp_trace::rng::Rng64;
 use sdbp_trace::TraceBuilder;
 use sdbp_traceio::format::{V2_PREAMBLE_LEN, V2_RECORD_BYTES};
-use sdbp_traceio::{
-    BufferedTrace, Integrity, TraceIoError, TraceMeta, TraceReader, TraceWriter, FORMAT_V2,
-};
+use sdbp_traceio::{BufferedTrace, TraceIoError, TraceMeta, TraceWriter, FORMAT_V1, FORMAT_V2};
 use std::io::Cursor;
 
 const RECORDS: usize = 5000;
@@ -38,20 +35,10 @@ fn healthy_bytes(version: u32) -> Vec<u8> {
     buf.into_inner()
 }
 
-/// Drains the streaming reader; must never panic.
-fn drain_reader(bytes: &[u8], integrity: Integrity) -> Result<usize, TraceIoError> {
-    let reader = TraceReader::with_integrity(Cursor::new(bytes.to_vec()), integrity)?;
-    let mut n = 0;
-    for item in reader {
-        item?;
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// Indexes and batch-drains the buffered zero-copy path; must never panic.
-fn drain_buffered(bytes: &[u8], integrity: Integrity) -> Result<usize, TraceIoError> {
-    let trace = BufferedTrace::from_bytes_with(bytes.to_vec(), integrity)?;
+/// Indexes and batch-drains `bytes` through the borrowing cursor; must
+/// never panic.
+fn drain(bytes: &[u8]) -> Result<usize, TraceIoError> {
+    let trace = BufferedTrace::from_slice(bytes)?;
     let mut batches = trace.batches();
     let mut n = 0;
     while let Some(batch) = batches.try_next()? {
@@ -104,10 +91,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn healthy_v2_baseline_on_both_decode_paths() {
     let bytes = healthy_bytes(FORMAT_V2);
-    for integrity in [Integrity::Validate, Integrity::Fast] {
-        assert_eq!(drain_reader(&bytes, integrity).unwrap(), RECORDS, "{integrity:?}");
-        assert_eq!(drain_buffered(&bytes, integrity).unwrap(), RECORDS, "{integrity:?}");
+    assert_eq!(drain(&bytes).unwrap(), RECORDS);
+    // The owning cursor (what `FileSource` hands the engine) decodes the
+    // same records as the borrowing one.
+    let mut owned = BufferedTrace::from_bytes(bytes).unwrap().into_batches();
+    let mut n = 0;
+    while let Some(batch) = owned.try_next().unwrap() {
+        n += batch.len();
     }
+    assert_eq!(n, RECORDS);
 }
 
 #[test]
@@ -119,16 +111,9 @@ fn truncated_column_array_is_a_typed_error() {
     // Cut the file three bytes short of the first chunk's flags column
     // end — the frame header still promises the full payload.
     let cut = first + 16 + payload_len - 3;
-    for integrity in [Integrity::Validate, Integrity::Fast] {
-        for (path, result) in [
-            ("reader", drain_reader(&full[..cut], integrity)),
-            ("buffered", drain_buffered(&full[..cut], integrity)),
-        ] {
-            match result {
-                Err(TraceIoError::Truncated { .. }) => {}
-                other => panic!("{path}/{integrity:?}: expected Truncated, got {other:?}"),
-            }
-        }
+    match drain(&full[..cut]) {
+        Err(TraceIoError::Truncated { .. }) => {}
+        other => panic!("expected Truncated, got {other:?}"),
     }
 }
 
@@ -141,25 +126,15 @@ fn column_length_mismatch_with_record_count_is_typed() {
     let mut bytes = full.clone();
     let records = u32::from_le_bytes(bytes[first + 4..first + 8].try_into().unwrap());
     bytes[first + 4..first + 8].copy_from_slice(&(records + 1).to_le_bytes());
-    for (path, result) in [
-        ("reader", drain_reader(&bytes, Integrity::Validate)),
-        ("buffered", drain_buffered(&bytes, Integrity::Validate)),
-    ] {
-        match result {
-            Err(TraceIoError::ColumnLength { chunk: 0, expected, found }) => {
-                assert_eq!(found, u64::from(records) * V2_RECORD_BYTES as u64
-                    + V2_PREAMBLE_LEN as u64, "{path}");
-                assert_eq!(expected, found + V2_RECORD_BYTES as u64, "{path}");
-            }
-            other => panic!("{path}: expected ColumnLength on chunk 0, got {other:?}"),
+    match drain(&bytes) {
+        Err(TraceIoError::ColumnLength { chunk: 0, expected, found }) => {
+            assert_eq!(
+                found,
+                u64::from(records) * V2_RECORD_BYTES as u64 + V2_PREAMBLE_LEN as u64
+            );
+            assert_eq!(expected, found + V2_RECORD_BYTES as u64);
         }
-    }
-    // Fast mode skips checksums, not structure: still a typed error.
-    for (path, result) in [
-        ("reader", drain_reader(&bytes, Integrity::Fast)),
-        ("buffered", drain_buffered(&bytes, Integrity::Fast)),
-    ] {
-        assert!(result.is_err(), "{path}: fast mode must still reject the layout");
+        other => panic!("expected ColumnLength on chunk 0, got {other:?}"),
     }
 }
 
@@ -185,18 +160,11 @@ fn bad_per_column_checksum_names_the_column() {
     for (target, column) in cases {
         let mut bytes = full.clone();
         bytes[target] ^= 0x02;
-        for (path, result) in [
-            ("reader", drain_reader(&bytes, Integrity::Validate)),
-            ("buffered", drain_buffered(&bytes, Integrity::Validate)),
-        ] {
-            match result {
-                Err(TraceIoError::ColumnChecksum { chunk: 1, column: got }) => {
-                    assert_eq!(got, column, "{path}: wrong column named for byte {target}");
-                }
-                other => panic!(
-                    "{path}: byte {target} expected ColumnChecksum({column}), got {other:?}"
-                ),
+        match drain(&bytes) {
+            Err(TraceIoError::ColumnChecksum { chunk: 1, column: got }) => {
+                assert_eq!(got, column, "wrong column named for byte {target}");
             }
+            other => panic!("byte {target} expected ColumnChecksum({column}), got {other:?}"),
         }
     }
 }
@@ -210,19 +178,10 @@ fn forged_chunk_checksum_surfaces_at_the_trailer() {
     let first = chunk_starts(&full)[0];
     let mut bytes = full.clone();
     bytes[first + 8] ^= 0x80; // low byte of the declared payload FNV
-    for (path, result) in [
-        ("reader", drain_reader(&bytes, Integrity::Validate)),
-        ("buffered", drain_buffered(&bytes, Integrity::Validate)),
-    ] {
-        match result {
-            Err(TraceIoError::TrailerChecksum) => {}
-            other => panic!("{path}: expected TrailerChecksum, got {other:?}"),
-        }
+    match drain(&bytes) {
+        Err(TraceIoError::TrailerChecksum) => {}
+        other => panic!("expected TrailerChecksum, got {other:?}"),
     }
-    // Fast mode checks no hashes at all; the records themselves are
-    // intact, so it decodes cleanly — that is the documented tradeoff.
-    assert_eq!(drain_reader(&bytes, Integrity::Fast).unwrap(), RECORDS);
-    assert_eq!(drain_buffered(&bytes, Integrity::Fast).unwrap(), RECORDS);
 }
 
 #[test]
@@ -230,23 +189,12 @@ fn v2_magic_over_a_v1_body_is_rejected() {
     // A v1 varint body re-labelled as v2: the chunk payload lengths can
     // never satisfy the fixed-width column math, so the mismatch is
     // caught on the first chunk — typed, before any record decodes.
-    let mut bytes = healthy_bytes(1);
+    let mut bytes = healthy_bytes(FORMAT_V1);
     bytes[8..12].copy_from_slice(&FORMAT_V2.to_le_bytes());
     patch_header_checksum(&mut bytes);
-    for (path, result) in [
-        ("reader", drain_reader(&bytes, Integrity::Validate)),
-        ("buffered", drain_buffered(&bytes, Integrity::Validate)),
-    ] {
-        match result {
-            Err(TraceIoError::ColumnLength { chunk: 0, .. }) => {}
-            other => panic!("{path}: expected ColumnLength on chunk 0, got {other:?}"),
-        }
-    }
-    for (path, result) in [
-        ("reader", drain_reader(&bytes, Integrity::Fast)),
-        ("buffered", drain_buffered(&bytes, Integrity::Fast)),
-    ] {
-        assert!(result.is_err(), "{path}: fast mode must not decode a v1 body as v2");
+    match drain(&bytes) {
+        Err(TraceIoError::ColumnLength { chunk: 0, .. }) => {}
+        other => panic!("expected ColumnLength on chunk 0, got {other:?}"),
     }
 }
 
@@ -254,33 +202,21 @@ fn v2_magic_over_a_v1_body_is_rejected() {
 fn byte_flip_fuzz_never_panics_and_validate_never_lies() {
     // Fixed-seed single-bit flips across the whole file. Every byte of a
     // v2 file is covered by some check (header FNV, column FNVs, frame
-    // fields, trailer fold), so Validate mode must error on every flip;
-    // Fast mode may decode garbage but must still return, not panic.
-    let full = healthy_bytes(FORMAT_V2);
-    let mut rng = Rng64::seed_from_u64(0xf1b);
-    for round in 0..400 {
-        let pos = rng.gen_range(0..full.len() as u64) as usize;
-        let bit = 1u8 << rng.gen_range(0..8u64);
-        let mut bytes = full.clone();
-        bytes[pos] ^= bit;
-        for (path, result) in [
-            ("reader", drain_reader(&bytes, Integrity::Validate)),
-            ("buffered", drain_buffered(&bytes, Integrity::Validate)),
-        ] {
+    // fields, trailer fold), and so is every byte of a v1 file (header
+    // FNV, chunk FNVs, frame record counts against the header count), so
+    // every flip must be an error — not a panic and not a clean decode.
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let full = healthy_bytes(version);
+        let mut rng = Rng64::seed_from_u64(0xf1b);
+        for round in 0..400 {
+            let pos = rng.gen_range(0..full.len() as u64) as usize;
+            let bit = 1u8 << rng.gen_range(0..8u64);
+            let mut bytes = full.clone();
+            bytes[pos] ^= bit;
             assert!(
-                result.is_err(),
-                "{path}: round {round} flipped bit {bit:#04x} at byte {pos} undetected"
+                drain(&bytes).is_err(),
+                "v{version}: round {round} flipped bit {bit:#04x} at byte {pos} undetected"
             );
         }
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "Fast mode may or may not catch the flip; it only must not panic"
-        )]
-        let _ = drain_reader(&bytes, Integrity::Fast);
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "Fast mode may or may not catch the flip; it only must not panic"
-        )]
-        let _ = drain_buffered(&bytes, Integrity::Fast);
     }
 }

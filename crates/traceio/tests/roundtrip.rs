@@ -12,7 +12,7 @@ use sdbp_cache::{Cache, CacheConfig};
 use sdbp_trace::kernel::KernelSpec;
 use sdbp_trace::rng::Rng64;
 use sdbp_trace::{Instr, TraceBuilder};
-use sdbp_traceio::{TraceMeta, TraceReader, TraceWriter};
+use sdbp_traceio::{BufferedTrace, TraceMeta, TraceWriter};
 use std::io::Cursor;
 
 const CASES: u64 = 24;
@@ -39,7 +39,7 @@ fn kernel_archetypes() -> Vec<(&'static str, KernelSpec)> {
     ]
 }
 
-/// Writes `instrs` into an in-memory `.sdbt` and streams them back out.
+/// Writes `instrs` into an in-memory `.sdbt` and decodes them back out.
 fn container_round_trip(name: &str, seed: u64, instrs: &[Instr]) -> Vec<Instr> {
     let mut buf = Cursor::new(Vec::new());
     let mut writer = TraceWriter::new(&mut buf, TraceMeta::new(name, seed))
@@ -51,12 +51,21 @@ fn container_round_trip(name: &str, seed: u64, instrs: &[Instr]) -> Vec<Instr> {
     assert_eq!(summary.instructions, instrs.len() as u64, "{name}");
     assert!(summary.chunks >= 1, "{name}");
 
-    buf.set_position(0);
-    let reader = TraceReader::new(buf).expect("header reads");
-    assert_eq!(reader.meta().name, name);
-    assert_eq!(reader.meta().seed, seed);
-    assert_eq!(reader.meta().count, instrs.len() as u64);
-    reader.collect::<Result<Vec<_>, _>>().expect("clean replay")
+    let trace = BufferedTrace::from_bytes(buf.into_inner()).expect("trace indexes");
+    assert_eq!(trace.meta().name, name);
+    assert_eq!(trace.meta().seed, seed);
+    assert_eq!(trace.meta().count, instrs.len() as u64);
+    decode_all(&trace)
+}
+
+/// Every record of `trace`, in file order.
+fn decode_all(trace: &BufferedTrace<'_>) -> Vec<Instr> {
+    let mut out = Vec::new();
+    let mut batches = trace.batches();
+    while let Some(batch) = batches.try_next().expect("clean replay") {
+        out.extend(batch.iter());
+    }
+    out
 }
 
 #[test]
@@ -144,19 +153,15 @@ fn chunk_stats_account_for_every_record_and_byte() {
     writer.write_all(original.iter().copied()).expect("records write");
     let summary = writer.finish().expect("finish");
 
-    buf.set_position(0);
-    let mut reader = TraceReader::new(buf).expect("header reads");
-    // Stats accumulate as chunks stream past, so drain first.
-    assert!(reader.chunk_stats().is_empty());
-    let replayed: Vec<Instr> =
-        reader.by_ref().collect::<Result<Vec<_>, _>>().expect("clean replay");
-    assert_eq!(replayed, original);
+    let trace = BufferedTrace::from_bytes(buf.into_inner()).expect("trace indexes");
+    assert_eq!(decode_all(&trace), original);
 
-    let stats = reader.chunk_stats();
+    let stats = trace.chunk_stats();
+    assert_eq!(stats.len(), trace.chunk_count());
     assert_eq!(stats.len() as u64, summary.chunks);
     let records: u64 = stats.iter().map(|s| u64::from(s.records)).sum();
     assert_eq!(records, original.len() as u64);
-    for stat in stats {
+    for stat in &stats {
         assert!(stat.records > 0 && stat.payload_bytes > 0);
         assert!(stat.bytes_per_record() > 0.0);
         // The delta codec beats the 16-byte fixed-width baseline on a
