@@ -136,9 +136,7 @@ impl FullHierarchy {
         }
         if let Some(wb) = l1_out.writeback {
             // L1 dirty victim updates the L2 if present (no allocation).
-            if self.l2.contains(wb) {
-                self.l2.access(wb, true);
-            }
+            self.l2.write_back(wb);
         }
         let l2_out = self.l2.access(block, m.kind.is_write());
         if let Some(wb) = l2_out.writeback {

@@ -62,8 +62,7 @@ impl UpperLevels {
         // L1 dirty victim is written back into the L2 (no allocate on miss:
         // the probe only updates recency/dirty state if present).
         if let Some(wb) = l1_out.writeback {
-            if self.l2.contains(wb) {
-                self.l2.access(wb, true);
+            if self.l2.write_back(wb) {
                 self.writebacks_to_l2 += 1;
             }
         }

@@ -58,6 +58,7 @@ pub mod meta;
 pub mod policy;
 pub mod recorder;
 pub mod replay;
+pub mod reuse;
 pub mod sampling;
 pub mod stats;
 

@@ -6,7 +6,9 @@
 use crate::cache::Cache;
 use crate::meta::HitMap;
 use crate::recorder::LlcAccess;
+use crate::reuse::{home_slot, NextUse, SetPartition};
 use crate::stats::CacheStats;
+use sdbp_trace::BlockAddr;
 
 /// Outcome of replaying one LLC stream against one policy.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -217,6 +219,12 @@ pub type Fingerprint = [f64; FINGERPRINT_FEATURES];
 /// is unbounded).
 const REUSE_EDGES: [u64; 4] = [16, 256, 4096, 65536];
 
+/// Reuse-distance buckets per window.
+const REUSE_BUCKETS: usize = REUSE_EDGES.len() + 1;
+
+/// Index of the first-touch feature; the reuse buckets follow it.
+const FIRST_TOUCH_FEATURE: usize = 4;
+
 /// A [`ReplayProbe`] computing a cheap behavioural [`Fingerprint`] per
 /// fixed-size access window, alongside the window's miss count.
 ///
@@ -227,6 +235,14 @@ const REUSE_EDGES: [u64; 4] = [16, 256, 4096, 65536];
 /// PC diversity, write mix and reuse-distance shape are properties of the
 /// stream itself — so a plan fingerprinted on one policy transfers to
 /// others.
+///
+/// The per-access features (misses, sets, PCs, writes) are counted as the
+/// replay runs. The first-touch and reuse-distance features need each
+/// access's previous touch of its block, across window boundaries: the
+/// probe keeps every access's block and [`finish`](Self::finish) links
+/// them in one set-partitioned [`reuse`](crate::reuse) pass. So a
+/// fingerprint is complete, and listed by
+/// [`fingerprints`](Self::fingerprints), only after `finish`.
 ///
 /// ```
 /// use sdbp_cache::replay::{replay_with_probe, WindowFingerprint};
@@ -239,6 +255,7 @@ const REUSE_EDGES: [u64; 4] = [16, 256, 4096, 65536];
 /// let config = CacheConfig::new(64, 8);
 /// let mut probe = WindowFingerprint::new(1000, config.sets);
 /// replay_with_probe(&w.llc, &mut Cache::new(config), &mut probe);
+/// assert!(probe.fingerprints().is_empty(), "reuse features wait for finish()");
 /// probe.finish();
 /// assert_eq!(probe.fingerprints().len(), w.llc.len().div_ceil(1000));
 /// ```
@@ -252,26 +269,19 @@ pub struct WindowFingerprint {
     in_window: usize,
     misses: u64,
     writes: u64,
-    first_touches: u64,
-    reuse: [u64; REUSE_EDGES.len() + 1],
     /// Last window that touched each set (`u64::MAX` = never).
     set_stamp: Vec<u64>,
     distinct_sets: usize,
     /// Last window that touched each PC.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "stamp lookups only; counters derive per access, never iterated"
-    )]
-    pc_stamp: std::collections::HashMap<u64, u64>,
+    pc_stamp: PcStamps,
     distinct_pcs: usize,
-    /// Stream index of the last touch of each block (whole-stream, so
-    /// reuse arcs crossing window boundaries are still observed).
-    #[expect(
-        clippy::disallowed_types,
-        reason = "insert/lookup only; reuse histogram is order-free"
-    )]
-    last_touch: std::collections::HashMap<u64, u64>,
+    /// The block of every access so far, in stream order, until
+    /// [`finish`](Self::finish) links them.
+    blocks: Vec<u64>,
+    /// One vector per flushed window; the first-touch and reuse features
+    /// stay zero until `finish`.
     fingerprints: Vec<Fingerprint>,
+    finished: bool,
     miss_counts: Vec<u64>,
     window_lens: Vec<u32>,
 }
@@ -293,16 +303,13 @@ impl WindowFingerprint {
             in_window: 0,
             misses: 0,
             writes: 0,
-            first_touches: 0,
-            reuse: [0; REUSE_EDGES.len() + 1],
             set_stamp: vec![u64::MAX; sets],
             distinct_sets: 0,
-            #[expect(clippy::disallowed_types, reason = "stamp lookups only; never iterated")]
-            pc_stamp: std::collections::HashMap::new(),
+            pc_stamp: PcStamps::default(),
             distinct_pcs: 0,
-            #[expect(clippy::disallowed_types, reason = "insert/lookup only; never iterated")]
-            last_touch: std::collections::HashMap::new(),
+            blocks: Vec::new(),
             fingerprints: Vec::new(),
+            finished: false,
             miss_counts: Vec::new(),
             window_lens: Vec::new(),
         }
@@ -313,9 +320,14 @@ impl WindowFingerprint {
         self.window
     }
 
-    /// Completed fingerprints, in stream order.
+    /// Completed fingerprints, in stream order: every window's once
+    /// [`finish`](Self::finish) has run, none before.
     pub fn fingerprints(&self) -> &[Fingerprint] {
-        &self.fingerprints
+        if self.finished {
+            &self.fingerprints
+        } else {
+            &[]
+        }
     }
 
     /// Miss count of each completed window, in stream order.
@@ -329,11 +341,55 @@ impl WindowFingerprint {
         &self.window_lens
     }
 
-    /// Flushes a partial final window, if any accesses are buffered.
-    /// Idempotent once the buffer is empty.
+    /// Ends the stream: flushes a partial final window, then fills in
+    /// every window's first-touch and reuse-distance features from one
+    /// set-partitioned reuse pass over the kept blocks, and frees them.
+    /// Idempotent; the probe takes no further accesses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probe saw `u32::MAX` or more accesses.
     pub fn finish(&mut self) {
+        if self.finished {
+            return;
+        }
         if self.in_window > 0 {
             self.flush();
+        }
+        self.finished = true;
+        let blocks = std::mem::take(&mut self.blocks);
+        let total = blocks.len();
+        let partition =
+            SetPartition::with_origins(blocks.iter().map(|&b| BlockAddr::new(b)), self.sets);
+        drop(blocks);
+        // Each link joins an access to the next touch of its block, so it
+        // gives the later access its reuse distance; an access no link
+        // reaches is a first touch.
+        let mut reuse = vec![[0u64; REUSE_BUCKETS]; self.fingerprints.len()];
+        let mut links = NextUse::default();
+        for (tags, origins) in partition.sets() {
+            for (&earlier, &n) in origins.iter().zip(links.link(tags)) {
+                // `NEVER` lies past every set's end: no later touch.
+                let Some(&later) = origins.get(n as usize) else { continue };
+                let distance = u64::from(later - earlier);
+                let bucket = REUSE_EDGES
+                    .iter()
+                    .position(|&edge| distance <= edge)
+                    .unwrap_or(REUSE_EDGES.len());
+                if let Some(count) =
+                    reuse.get_mut(later as usize / self.window).and_then(|r| r.get_mut(bucket))
+                {
+                    *count += 1;
+                }
+            }
+        }
+        for (w, (features, counts)) in self.fingerprints.iter_mut().zip(&reuse).enumerate() {
+            let len = self.window.min(total - w * self.window);
+            let first_touches = len as u64 - counts.iter().sum::<u64>();
+            let fracs = std::iter::once(first_touches).chain(counts.iter().copied());
+            for (slot, n) in features.iter_mut().skip(FIRST_TOUCH_FEATURE).zip(fracs) {
+                *slot = n as f64 / len as f64;
+            }
         }
     }
 
@@ -351,10 +407,6 @@ impl WindowFingerprint {
         put(self.distinct_sets as f64 / self.sets as f64);
         put(self.distinct_pcs as f64 / len);
         put(frac(self.writes));
-        put(frac(self.first_touches));
-        for bucket in self.reuse {
-            put(frac(bucket));
-        }
         self.fingerprints.push(features);
         self.miss_counts.push(self.misses);
         // Windows are bounded by the (usize) stream position, so the
@@ -365,8 +417,6 @@ impl WindowFingerprint {
         self.in_window = 0;
         self.misses = 0;
         self.writes = 0;
-        self.first_touches = 0;
-        self.reuse = [0; REUSE_EDGES.len() + 1];
         self.distinct_sets = 0;
         self.distinct_pcs = 0;
     }
@@ -380,7 +430,7 @@ impl ReplayProbe for WindowFingerprint {
         // supplies the access.
         let blank = LlcAccess {
             pc: sdbp_trace::Pc::new(0),
-            block: sdbp_trace::BlockAddr::new(0),
+            block: BlockAddr::new(0),
             kind: sdbp_trace::AccessKind::Read,
             core: 0,
             instr: 0,
@@ -388,7 +438,16 @@ impl ReplayProbe for WindowFingerprint {
         self.on_access_detail(index, &blank, hit);
     }
 
-    fn on_access_detail(&mut self, index: usize, access: &LlcAccess, hit: bool) {
+    /// Counts the access into the current window. Reuse distances are
+    /// counted in accesses seen by the probe, which equal the `index`
+    /// differences of every caller in the workspace (each numbers a stream
+    /// from 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called after [`finish`](WindowFingerprint::finish).
+    fn on_access_detail(&mut self, _index: usize, access: &LlcAccess, hit: bool) {
+        assert!(!self.finished, "WindowFingerprint takes no access after finish()");
         if !hit {
             self.misses += 1;
         }
@@ -402,25 +461,70 @@ impl ReplayProbe for WindowFingerprint {
                 self.distinct_sets += 1;
             }
         }
-        let pc_stamp = self.pc_stamp.entry(access.pc.raw()).or_insert(u64::MAX);
-        if *pc_stamp != self.current {
-            *pc_stamp = self.current;
+        if self.pc_stamp.stamp(access.pc.raw(), self.current) {
             self.distinct_pcs += 1;
         }
-        match self.last_touch.insert(access.block.raw(), index as u64) {
-            Some(prev) => {
-                let distance = (index as u64).saturating_sub(prev);
-                let bucket = REUSE_EDGES.iter().position(|&edge| distance <= edge);
-                let slot = bucket.unwrap_or(REUSE_EDGES.len());
-                if let Some(count) = self.reuse.get_mut(slot) {
-                    *count += 1;
-                }
-            }
-            None => self.first_touches += 1,
-        }
+        self.blocks.push(access.block.raw());
         self.in_window += 1;
         if self.in_window == self.window {
             self.flush();
+        }
+    }
+}
+
+/// Slot stamp of an empty [`PcStamps`] slot; window ordinals never reach it.
+const EMPTY_STAMP: u64 = u64::MAX;
+
+/// The last window that touched each PC: an open-addressing table of
+/// `(pc, window)` slots (Fibonacci-hashed, linear probing, load at most
+/// 1/2, doubled as it fills). Traces touch thousands of PCs, not
+/// millions, so the table stays cache-resident.
+#[derive(Debug)]
+struct PcStamps {
+    slots: Vec<(u64, u64)>,
+    len: usize,
+}
+
+impl Default for PcStamps {
+    fn default() -> Self {
+        PcStamps { slots: vec![(0, EMPTY_STAMP); 64], len: 0 }
+    }
+}
+
+#[expect(
+    clippy::indexing_slicing,
+    reason = "probe positions are masked to the table's power-of-two capacity"
+)]
+impl PcStamps {
+    /// Stamps `pc` with window `current`, returning whether it carried
+    /// another stamp (or none) before: its first touch in the window.
+    fn stamp(&mut self, pc: u64, current: u64) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut h = home_slot(pc, 64 - self.slots.len().trailing_zeros());
+        loop {
+            let slot = &mut self.slots[h];
+            if slot.1 == EMPTY_STAMP {
+                *slot = (pc, current);
+                self.len += 1;
+                if 2 * self.len > self.slots.len() {
+                    self.grow();
+                }
+                return true;
+            }
+            if slot.0 == pc {
+                return std::mem::replace(&mut slot.1, current) != current;
+            }
+            h = (h + 1) & mask;
+        }
+    }
+
+    /// Doubles the table and re-inserts every slot.
+    fn grow(&mut self) {
+        let capacity = 2 * self.slots.len();
+        let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY_STAMP); capacity]);
+        self.len = 0;
+        for (pc, stamp) in old.into_iter().filter(|s| s.1 != EMPTY_STAMP) {
+            self.stamp(pc, stamp);
         }
     }
 }

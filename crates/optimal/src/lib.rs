@@ -10,19 +10,14 @@
 //!
 //! MIN is exact per set: a set's hits, evictions and bypasses depend only
 //! on the accesses that map to it. [`simulate`] therefore never builds a
-//! whole-stream map. It counting-sorts the stream's block tags by set
-//! index (two sequential passes; the sort is stable, so every set keeps
-//! its accesses in stream order) and then handles one set at a time:
-//!
-//! 1. A backward pass links each access to the same block's next access
-//!    in the set, through an open-addressing table sized to that set's
-//!    substream. The table is allocated once and reused across sets, so
-//!    it stays cache-resident.
-//! 2. A forward pass keeps one `ways`-wide frame of next-use positions. A
-//!    block is resident exactly when a frame holds the position of the
-//!    access now being served, so frames never store the block itself,
-//!    and an index from each pending position to its frame makes the
-//!    residency test one lookup.
+//! whole-stream map. It runs the shared set-partitioned reuse-link pass
+//! of [`sdbp_cache::reuse`] (a stable counting sort of the block tags by
+//! set, then one backward next-use pass per set) and, per set, a forward
+//! pass that keeps one `ways`-wide frame of next-use positions. A block
+//! is resident exactly when a frame holds the position of the access now
+//! being served, so frames never store the block itself, and an index
+//! from each pending position to its frame makes the residency test one
+//! lookup.
 //!
 //! Positions are `u32` indices local to the set, with `u32::MAX` meaning
 //! "never referenced again"; one set may receive at most `u32::MAX - 1`
@@ -33,8 +28,8 @@
 //! (equal distances mean equal misses, and bypassing avoids a fill); the
 //! only possible tie is between blocks never referenced again.
 //!
-//! [`next_use_distances`] runs the same backward pass on the same kind of
-//! partition and maps the links back to global stream indices.
+//! [`next_use_distances`] runs the same pass with each slot's stream
+//! position kept, and maps the links back to global stream indices.
 //!
 //! # Example
 //!
@@ -56,14 +51,11 @@
 #![warn(missing_debug_implementations)]
 
 use sdbp_cache::recorder::LlcAccess;
+use sdbp_cache::reuse::{NextUse, SetPartition, NEVER as LOCAL_NEVER};
 use sdbp_cache::CacheConfig;
-use std::ops::Range;
 
 /// Sentinel meaning "never referenced again".
 pub const NEVER: u64 = u64::MAX;
-
-/// [`NEVER`] for a set-local position.
-const LOCAL_NEVER: u32 = u32::MAX;
 
 /// Sets [`next_use_distances`] partitions by. Any power of two yields the
 /// same links (a block maps to exactly one set); this one is the paper's
@@ -91,128 +83,21 @@ impl OptimalResult {
     }
 }
 
-/// A stream's block tags counting-sorted by set index: set `s` owns
-/// `tags[starts[s]..starts[s + 1]]`, in stream order.
-struct SetPartition {
-    sets: usize,
-    starts: Vec<usize>,
-    tags: Vec<u64>,
-}
-
-impl SetPartition {
-    /// Counts each set's accesses, then scatters every tag to its set's
-    /// next free slot.
-    fn new(stream: &[LlcAccess], sets: usize) -> Self {
-        let mut starts = vec![0usize; sets + 1];
-        for a in stream {
-            starts[a.block.set_index(sets) + 1] += 1;
-        }
-        for s in 0..sets {
-            starts[s + 1] += starts[s];
-        }
-        let mut cursor = starts.clone();
-        let mut tags = vec![0u64; stream.len()];
-        for a in stream {
-            let slot = &mut cursor[a.block.set_index(sets)];
-            tags[*slot] = a.block.tag(sets);
-            *slot += 1;
-        }
-        SetPartition { sets, starts, tags }
-    }
-
-    /// The stream index of every partitioned slot (the sort's permutation).
-    fn origins(&self, stream: &[LlcAccess]) -> Vec<usize> {
-        let mut cursor = self.starts.clone();
-        let mut origin = vec![0usize; stream.len()];
-        for (i, a) in stream.iter().enumerate() {
-            let slot = &mut cursor[a.block.set_index(self.sets)];
-            origin[*slot] = i;
-            *slot += 1;
-        }
-        origin
-    }
-
-    /// Each set's slot range, in set order.
-    fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        self.starts.windows(2).map(|w| w[0]..w[1])
-    }
-}
-
-/// The backward next-use pass over one set's substream, with its
-/// open-addressing table of `(tag, latest position)` slots reused across
-/// sets. A slot whose position is [`LOCAL_NEVER`] is empty.
-#[derive(Default)]
-struct NextUse {
-    slots: Vec<(u64, u32)>,
-    next: Vec<u32>,
-}
-
-impl NextUse {
-    /// Links each of `tags` to the set-local position of the same tag's
-    /// next occurrence, [`LOCAL_NEVER`] if none.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tags` holds `u32::MAX` or more entries.
-    fn link(&mut self, tags: &[u64]) -> &[u32] {
-        let len = u32::try_from(tags.len())
-            .ok()
-            .filter(|&n| n < LOCAL_NEVER)
-            .expect("one set receives fewer than u32::MAX accesses");
-        // Load factor at most 1/2, so probe runs stay short; at least two
-        // slots, so the hash shift stays below 64.
-        let capacity = (2 * tags.len()).next_power_of_two().max(2);
-        let shift = 64 - capacity.trailing_zeros();
-        self.slots.clear();
-        self.slots.resize(capacity, (0, LOCAL_NEVER));
-        self.next.clear();
-        self.next.resize(tags.len(), LOCAL_NEVER);
-        for i in (0..len).rev() {
-            let tag = tags[i as usize];
-            let mut h = home_slot(tag, shift);
-            loop {
-                let slot = &mut self.slots[h];
-                if slot.1 == LOCAL_NEVER {
-                    *slot = (tag, i);
-                    break;
-                }
-                if slot.0 == tag {
-                    self.next[i as usize] = slot.1;
-                    slot.1 = i;
-                    break;
-                }
-                h = (h + 1) & (capacity - 1);
-            }
-        }
-        &self.next
-    }
-}
-
-/// Fibonacci hashing: the top `64 - shift` bits of `tag × 2^64/φ`. Tags
-/// in one set differ in any bits, low ones included, and every tag bit
-/// reaches the top of the product. The tags come from traces; a crafted
-/// trace can make one set's pass quadratic, never wrong.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the shifted hash is below the table capacity, a usize"
-)]
-const fn home_slot(tag: u64, shift: u32) -> usize {
-    (tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize
-}
-
 /// For each access, the index of the next access to the same block
-/// ([`NEVER`] if none). O(n): a stable set partition, then one backward
-/// pass per set.
+/// ([`NEVER`] if none). O(n): a stable set partition that keeps each
+/// slot's `u32` stream position, then one backward pass per set.
+///
+/// # Panics
+///
+/// Panics if `stream` holds `u32::MAX` or more accesses.
 pub fn next_use_distances(stream: &[LlcAccess]) -> Vec<u64> {
-    let partition = SetPartition::new(stream, NEXT_USE_SETS);
-    let origin = partition.origins(stream);
+    let partition = SetPartition::with_origins(stream.iter().map(|a| a.block), NEXT_USE_SETS);
     let mut links = NextUse::default();
     let mut next = vec![NEVER; stream.len()];
-    for range in partition.ranges() {
-        let origin = &origin[range.clone()];
-        for (&at, &n) in origin.iter().zip(links.link(&partition.tags[range])) {
+    for (tags, origins) in partition.sets() {
+        for (&at, &n) in origins.iter().zip(links.link(tags)) {
             if n != LOCAL_NEVER {
-                next[at] = origin[n as usize] as u64;
+                next[at as usize] = u64::from(origins[n as usize]);
             }
         }
     }
@@ -250,7 +135,7 @@ pub fn simulate_with_options(
     config: CacheConfig,
     bypass: bool,
 ) -> OptimalResult {
-    let partition = SetPartition::new(stream, config.sets);
+    let partition = SetPartition::new(stream.iter().map(|a| a.block), config.sets);
     let mut links = NextUse::default();
     // The resident blocks' next-use positions, one set at a time, and for
     // each position the frame that last took it. The last entry is a sink
@@ -261,8 +146,8 @@ pub fn simulate_with_options(
     let mut result =
         OptimalResult { accesses: stream.len() as u64, hits: 0, misses: 0, bypasses: 0 };
 
-    for range in partition.ranges() {
-        let next = links.link(&partition.tags[range]);
+    for (tags, _) in partition.sets() {
+        let next = links.link(tags);
         frames.clear();
         holder.clear();
         holder.resize(next.len() + 1, 0);

@@ -3,7 +3,10 @@
 //! bound.
 //!
 //! The fingerprint pass replays the LLC stream once against the baseline
-//! (built-in LRU) cache with a [`WindowFingerprint`] probe attached. Its
+//! (built-in LRU) cache with a [`WindowFingerprint`] probe attached; its
+//! `finish()` then resolves every window's first-touch and reuse-distance
+//! features in one set-partitioned link pass ([`sdbp_cache::reuse`]),
+//! so the fingerprints are read only after it. Its
 //! per-window miss counts double as the calibration data for the plan's
 //! error bound: the bound covers both the relative miss-mass
 //! misassignment the clustering itself commits on the baseline (how far
@@ -101,7 +104,8 @@ pub fn build_plan(
     let window = cfg.window.max(1);
     let k = cfg.k.max(1);
 
-    // Pass 1: fingerprint every window on the baseline cache.
+    // Pass 1: fingerprint every window on the baseline cache; `finish`
+    // completes the reuse features.
     let mut probe = WindowFingerprint::new(window as usize, llc.sets);
     replay_with_probe(&workload.llc, &mut Cache::new(llc), &mut probe);
     probe.finish();

@@ -11,8 +11,12 @@
 //! 1. **Fingerprint** ([`builder`]): one replay pass with the
 //!    [`WindowFingerprint`](sdbp_cache::WindowFingerprint) probe turns
 //!    each fixed-size access window into a 10-feature behavioural vector
-//!    (miss rate, set footprint, PC diversity, write mix, reuse-distance
-//!    histogram). File traces reach this pass through `sdbp-traceio`'s
+//!    (miss rate, set footprint, PC diversity, write mix, first-touch
+//!    fraction, reuse-distance histogram). The reuse features come from
+//!    one set-partitioned link pass over the whole stream
+//!    ([`sdbp_cache::reuse`], shared with MIN) when the probe finishes,
+//!    so windows are fingerprinted in full only after the replay.
+//!    File traces reach this pass through `sdbp-traceio`'s
 //!    columnar v2 batch decoder, so fingerprinting a long trace is
 //!    replay-bound, not decode-bound — and the resulting plan is
 //!    container-independent: the same stream encoded as v1 or v2
