@@ -2,7 +2,7 @@
 //! with configurable inclusion and writeback handling.
 //!
 //! The experiment pipeline uses the faster record-once/replay-per-policy
-//! path ([`crate::recorder`]/[`crate::replay`]), which is exact for a
+//! path ([`crate::recorder`]/[`mod@crate::replay`]), which is exact for a
 //! non-inclusive hierarchy. This module provides:
 //!
 //! * the same non-inclusive behaviour in one pass — used by tests to prove

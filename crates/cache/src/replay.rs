@@ -423,19 +423,16 @@ impl WindowFingerprint {
 }
 
 impl ReplayProbe for WindowFingerprint {
-    fn on_access(&mut self, index: usize, hit: bool) {
-        // Outcome-only driving loses the access; synthesize a blank one so
-        // the miss-rate feature (and windowing) still advance. Callers
-        // should drive this probe through `replay_with_probe`, which always
-        // supplies the access.
-        let blank = LlcAccess {
-            pc: sdbp_trace::Pc::new(0),
-            block: BlockAddr::new(0),
-            kind: sdbp_trace::AccessKind::Read,
-            core: 0,
-            instr: 0,
-        };
-        self.on_access_detail(index, &blank, hit);
+    /// Outcome-only driving carries no block or PC, so there is nothing
+    /// to fingerprint.
+    ///
+    /// # Panics
+    ///
+    /// Always: drive this probe through [`replay_with_probe`], which
+    /// calls [`on_access_detail`](ReplayProbe::on_access_detail).
+    #[expect(clippy::panic, reason = "a probe fed no accesses would fingerprint nothing")]
+    fn on_access(&mut self, _index: usize, _hit: bool) {
+        panic!("WindowFingerprint needs each access: drive it through replay_with_probe");
     }
 
     /// Counts the access into the current window. Reuse distances are
@@ -832,6 +829,12 @@ mod tests {
         assert_eq!(counts, accumulated.counts(), "streamed windows must equal accumulated ones");
         assert!(streamed.iter().enumerate().all(|(i, &(j, _))| i as u64 == j));
         assert_eq!(counts.iter().sum::<u64>(), b.stats.misses);
+    }
+
+    #[test]
+    #[should_panic(expected = "drive it through replay_with_probe")]
+    fn fingerprint_refuses_outcome_only_driving() {
+        WindowFingerprint::new(4, 8).on_access(0, false);
     }
 
     #[test]

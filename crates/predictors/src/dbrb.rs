@@ -17,30 +17,52 @@
 //! # The shadow table
 //!
 //! "Shortly after" means within `window` DBRB clock ticks, `window` being
-//! the cache's line count. The table maps a block to the clock at which it
-//! was bypassed or evicted as dead:
+//! the cache's line count. The table records which block was bypassed or
+//! evicted as dead at which tick, as hash chains threaded through a ring
+//! indexed by tick:
 //!
-//! - **Slots.** One flat array of 16-byte `(block, clock)` slots, a power
-//!   of two at most twice the live bound, linear probing from a
-//!   multiplicative (Fibonacci) hash of the block, and backward-shift
-//!   deletion, so no tombstones build up. An empty slot holds the clock
-//!   `u64::MAX`. At 2048 × 16 the slots take 1 MiB.
-//! - **Expiry.** A FIFO ring, indexed by insertion clock, holds the slot
-//!   of the entry each clock inserted (at most one: a DBRB access makes
-//!   one insert at most, and every access advances the clock). Deletion
-//!   shifts keep it current, so expiring an entry needs no hash or probe.
-//!   Before each insert every entry older than the window is deleted, so
-//!   at most `window + 1` entries are live and the load factor stays at
-//!   or below one half. At 2048 × 16 the ring takes 256 KiB.
+//! - **Ring.** `R = next_pow2(window + 1)` entries. Entry `t & (R - 1)`
+//!   holds the block recorded at tick `t` and the age back to the previous
+//!   tick recorded in the same hash bucket (0 ends the chain). A DBRB
+//!   access records at most one block and every access advances the
+//!   clock, so each tick owns at most one entry.
+//! - **Heads.** `R / 2` buckets, chosen by a multiplicative (Fibonacci)
+//!   hash of the block, each holding the newest tick recorded in it.
+//! - **Insert** makes the new tick its bucket's head and links it back to
+//!   the old head.
+//! - **Recall** walks the bucket's chain from newest to oldest while the
+//!   entry's age is at most `window`. A matching entry is tombstoned (its
+//!   block becomes `u64::MAX`, above every trace block, which is a byte
+//!   address shifted right by the block offset) and counts a false
+//!   positive.
 //!
-//! It reproduces the `HashMap` it replaced exactly. That map removed an
-//! entry when its block missed again, counting a false positive if the
-//! entry was at most `window` ticks old, and occasionally dropped every
-//! entry at least `window` ticks old. An entry older than `window` can
-//! never count again, since the clock only grows, and a later insert of
-//! its block overwrites it. So deleting it at any moment, as the ring
-//! does, changes no count; the age test on removal alone decides them,
-//! which is why a recall need not expire anything first.
+//! Nothing ever expires an entry and nothing is deleted or shifted, and
+//! the walk is exact:
+//!
+//! - Ticks fall strictly along a chain, so once one entry is older than
+//!   the window every later one is too, and the clock only grows: such an
+//!   entry is never visited again. Recall would not have counted it anyway,
+//!   since the age test alone decides old entries (see below).
+//! - An entry's ring slot is reused only by a tick at least `R > window`
+//!   later, when the entry is already older than the window. So the walk,
+//!   which tests a tick's age before reading its slot, never reads a slot
+//!   that a younger tick has taken over.
+//!
+//! Every array starts zeroed (tick 0 never occurs, so a zero head means an
+//! empty bucket), which leaves untouched pages unmapped. At 2048 × 16
+//! lines the ring takes 512 KiB of blocks and 256 KiB of ages, and the
+//! heads 256 KiB: 1 MiB in all.
+//!
+//! It reproduces the `HashMap` the first table replaced exactly. That map
+//! removed an entry when its block missed again, counting a false positive
+//! if the entry was at most `window` ticks old, overwrote an entry when its
+//! block was recorded again, and occasionally dropped every entry at least
+//! `window` ticks old. An entry older than `window` can never count again,
+//! since the clock only grows, so leaving it in place changes no count.
+//! A block recorded twice without a recall in between (which DBRB never
+//! does: a block is recalled by the miss that precedes each of its
+//! records) leaves two entries in one chain; recall meets the newer first
+//! and tombstones both, as the overwrite would have kept only the newer.
 
 use crate::predictor::{DeadBlockPredictor, PredictorStats};
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
@@ -63,149 +85,84 @@ impl Default for DbrbConfig {
     }
 }
 
-/// One shadow-table slot: a block and the clock it was recorded at.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Slot {
-    block: u64,
-    when: u64,
-}
-
-/// `Slot::when` of an empty slot; the DBRB clock never reaches it.
-const EMPTY: u64 = u64::MAX;
-
-/// Ring value of a clock that inserted nothing, or whose entry expired.
-const NO_SLOT: u32 = u32::MAX;
-
-impl Slot {
-    const VACANT: Slot = Slot { block: 0, when: EMPTY };
-}
+/// A recalled entry's block. Trace blocks are byte addresses shifted
+/// right by the block offset, so none reaches it.
+const TOMB: u64 = u64::MAX;
 
 /// The §VII-C shadow table. See the [module docs](self#the-shadow-table).
 #[derive(Clone, Debug)]
 struct ShadowTable {
-    slots: Vec<Slot>,
-    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
-    shift: u32,
-    len: usize,
     window: u64,
-    /// Slot of the entry inserted at each clock, at
-    /// `clock & (ring.len() - 1)`; [`NO_SLOT`] once expired. Kept current
-    /// as deletions shift entries, so expiry never hashes or probes.
-    ring: Vec<u32>,
-    /// Insertions before this clock have been expired.
-    expired_before: u64,
+    /// The block recorded at each tick `t`, at `t & (R - 1)`.
+    blocks: Vec<u64>,
+    /// Ticks back from the entry at each slot to the previous one in its
+    /// bucket; 0 ends the chain.
+    back: Vec<u32>,
+    /// The newest tick recorded in each bucket; 0 when there is none.
+    heads: Vec<u64>,
+    /// `64 - log2(heads.len())`: the hash keeps the product's top bits.
+    shift: u32,
 }
 
 impl ShadowTable {
+    /// # Panics
+    ///
+    /// Panics if `window` does not fit a `u32` age; its ring alone would
+    /// take 48 GiB.
     fn new(window: u64) -> Self {
-        let live = usize::try_from(window).unwrap_or(usize::MAX / 4).saturating_add(1);
-        let ring = live.next_power_of_two();
-        // At most `window` entries are live before an insert: keep them
-        // within half the slots.
-        let mut slots = ring.max(8);
-        if slots < 2 * (live - 1) {
-            slots *= 2;
-        }
+        assert!(window < u64::from(u32::MAX), "shadow window {window} exceeds a u32 age");
+        let ring = usize::try_from(window + 1).unwrap_or(usize::MAX).next_power_of_two();
+        let buckets = (ring / 2).max(2);
         ShadowTable {
-            slots: vec![Slot::VACANT; slots],
-            shift: 64 - slots.trailing_zeros(),
-            len: 0,
             window,
-            ring: vec![NO_SLOT; ring],
-            expired_before: 0,
+            blocks: vec![0; ring],
+            back: vec![0; ring],
+            heads: vec![0; buckets],
+            shift: 64 - buckets.trailing_zeros(),
         }
     }
 
-    fn home(&self, block: u64) -> usize {
+    fn bucket(&self, block: u64) -> usize {
         (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
-    /// The slot holding `block`, or the empty slot ending its probe run.
-    fn probe(&self, block: u64) -> (usize, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(block);
-        loop {
-            let slot = self.slots[i];
-            if slot.when == EMPTY {
-                return (i, false);
-            }
-            if slot.block == block {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
-        }
+    fn slot(&self, tick: u64) -> usize {
+        tick as usize & (self.blocks.len() - 1)
     }
 
-    /// Records that the entry inserted at `clock` now lives in `slot`.
-    fn point_ring(&mut self, clock: u64, slot: usize) {
-        let pos = clock as usize & (self.ring.len() - 1);
-        self.ring[pos] = u32::try_from(slot).unwrap_or(NO_SLOT);
-    }
-
-    /// Empties slot `hole`, shifting later members of its probe run back
-    /// so every entry stays reachable from its home without tombstones.
-    fn remove_at(&mut self, mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let slot = self.slots[i];
-            if slot.when == EMPTY {
-                break;
-            }
-            let home = self.home(slot.block);
-            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
-                self.slots[hole] = slot;
-                self.point_ring(slot.when, hole);
-                hole = i;
-            }
-        }
-        self.slots[hole] = Slot::VACANT;
-        self.len -= 1;
-    }
-
-    /// Deletes every entry inserted more than `window` ticks before
-    /// `clock`, walking the ring from where the last call stopped.
-    fn expire(&mut self, clock: u64) {
-        let stop = clock.saturating_sub(self.window);
-        let mask = self.ring.len() - 1;
-        // One lap visits every ring slot; a longer jump needs no more.
-        let start = self.expired_before.max(stop.saturating_sub(self.ring.len() as u64));
-        for t in start..stop {
-            let pos = t as usize & mask;
-            let i = std::mem::replace(&mut self.ring[pos], NO_SLOT) as usize;
-            // The slot may since hold a newer entry (its block was
-            // recalled, or re-inserted); only an expired one goes.
-            if self.slots.get(i).is_some_and(|s| s.when != EMPTY && s.when < stop) {
-                self.remove_at(i);
-            }
-        }
-        self.expired_before = self.expired_before.max(stop);
-    }
-
-    /// Records that `block` was bypassed or evicted as dead at `clock`.
+    /// Records that `block` was bypassed or evicted as dead at `clock`,
+    /// the only record at that tick.
     fn insert(&mut self, block: BlockAddr, clock: u64) {
-        debug_assert!(clock != EMPTY, "the shadow clock ran out");
-        self.expire(clock);
-        // One insert per clock tick keeps at most `window` entries here,
-        // within half the slots, so probes always reach an empty slot.
-        debug_assert!(self.len <= self.slots.len() / 2, "shadow table over half full");
-        let (i, found) = self.probe(block.raw());
-        self.len += usize::from(!found);
-        self.slots[i] = Slot { block: block.raw(), when: clock };
-        self.point_ring(clock, i);
+        debug_assert!(clock != 0 && block.raw() != TOMB, "tick 0 and the tombstone are reserved");
+        let bucket = self.bucket(block.raw());
+        let prev = self.heads[bucket];
+        debug_assert!(prev < clock, "two records at tick {clock}");
+        let age = clock - prev;
+        let slot = self.slot(clock);
+        self.blocks[slot] = block.raw();
+        // The window fits a `u32` (see `new`); an older head ends the chain.
+        self.back[slot] = if prev != 0 && age <= self.window { age as u32 } else { 0 };
+        self.heads[bucket] = clock;
     }
 
-    /// Removes `block`'s entry, if any, and reports whether it was
-    /// recorded at most `window` ticks before `clock`: a false positive.
+    /// Tombstones `block`'s entries at most `window` ticks before `clock`
+    /// and reports whether there were any: a false positive.
     fn recall(&mut self, block: BlockAddr, clock: u64) -> bool {
-        let (i, found) = self.probe(block.raw());
-        if !found {
-            return false;
+        let block = block.raw();
+        let mut tick = self.heads[self.bucket(block)];
+        let mut hit = false;
+        while tick != 0 && clock - tick <= self.window {
+            let slot = self.slot(tick);
+            if self.blocks[slot] == block {
+                self.blocks[slot] = TOMB;
+                hit = true;
+            }
+            match self.back[slot] {
+                0 => break,
+                back => tick -= u64::from(back),
+            }
         }
-        let when = self.slots[i].when;
-        self.remove_at(i);
-        clock - when <= self.window
+        hit
     }
 }
 
@@ -564,6 +521,141 @@ mod tests {
         }
     }
 
+    /// The ticks on `bucket`'s chain at most `window` old at `clock`,
+    /// newest first, and the tick the last of them links back to.
+    fn chain(t: &ShadowTable, bucket: usize, clock: u64) -> (Vec<u64>, Option<u64>) {
+        let mut ticks = Vec::new();
+        let mut tick = t.heads[bucket];
+        while tick != 0 {
+            if clock - tick > t.window {
+                return (ticks, Some(tick));
+            }
+            ticks.push(tick);
+            match t.back[t.slot(tick)] {
+                0 => break,
+                back => tick -= u64::from(back),
+            }
+        }
+        (ticks, None)
+    }
+
+    /// Entries at most `window` ticks old at `clock` and not yet recalled.
+    fn live(t: &ShadowTable, clock: u64) -> usize {
+        (0..t.heads.len())
+            .flat_map(|bucket| chain(t, bucket, clock).0)
+            .filter(|&tick| t.blocks[t.slot(tick)] != TOMB)
+            .count()
+    }
+
+    /// What [`against_the_model`] saw besides agreement.
+    #[derive(Default)]
+    struct Seen {
+        /// Recalls that counted a false positive.
+        counted: usize,
+        /// The most entries within the window on one chain at a recall.
+        longest: usize,
+        /// Recalls whose chain, past its last entry within the window,
+        /// links to a ring slot a younger tick has since taken over.
+        reused: usize,
+    }
+
+    /// Drives the table and the map model with DBRB-shaped steps over
+    /// `blocks`, advancing the clock by `step` each time, and asserts
+    /// they agree on every recall.
+    fn against_the_model(
+        window: u64,
+        blocks: &[u64],
+        steps: usize,
+        rng: &mut sdbp_trace::rng::Rng64,
+        step: impl Fn(&mut sdbp_trace::rng::Rng64) -> u64,
+    ) -> Seen {
+        let mut table = ShadowTable::new(window);
+        let mut model = MapModel { map: Default::default(), window };
+        // The tick that last wrote each ring slot.
+        let mut owner = vec![0u64; table.blocks.len()];
+        let mut seen = Seen::default();
+        let mut clock = 0u64;
+        for _ in 0..steps {
+            clock += step(rng);
+            let block = blocks[rng.gen_range(0..blocks.len())];
+            if rng.gen_bool(0.7) {
+                let (within, beyond) = chain(&table, table.bucket(block), clock);
+                seen.longest = seen.longest.max(within.len());
+                if beyond.is_some_and(|t| owner[table.slot(t)] != t) {
+                    seen.reused += 1;
+                }
+                let expected = model.recall(block, clock);
+                assert_eq!(
+                    table.recall(BlockAddr::new(block), clock),
+                    expected,
+                    "window {window}, clock {clock}, block {block:#x}"
+                );
+                seen.counted += usize::from(expected);
+            }
+            if rng.gen_bool(0.8) {
+                let victim =
+                    if rng.gen_bool(0.5) { block } else { blocks[rng.gen_range(0..blocks.len())] };
+                table.insert(BlockAddr::new(victim), clock);
+                model.insert(victim, clock);
+                owner[table.slot(clock)] = clock;
+            }
+        }
+        seen
+    }
+
+    /// Every block shares one hash bucket and one set of a 64-set LLC, so
+    /// one chain holds every live entry and recalls walk past many
+    /// tombstones.
+    #[test]
+    fn shadow_table_one_bucket_one_set() {
+        use sdbp_trace::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0xc4a1);
+        for window in [64u64, 100, 511] {
+            let home = ShadowTable::new(window);
+            let target = home.bucket(0);
+            for universe in [8usize, 64, 300] {
+                let blocks: Vec<u64> = (0u64..)
+                    .map(|k| k * 64)
+                    .filter(|&b| home.bucket(b) == target)
+                    .take(universe)
+                    .collect();
+                let seen = against_the_model(window, &blocks, 20_000, &mut rng, |_| 1);
+                assert!(seen.counted > 0, "window {window}, universe {universe}: nothing counted");
+                assert!(
+                    seen.longest as u64 >= window / 2,
+                    "window {window}, universe {universe}: longest live chain {}",
+                    seen.longest
+                );
+            }
+        }
+    }
+
+    /// The clock jumps by about a ring's length and more, and inserts are
+    /// dense, so chains live at a recall link on into ring slots that
+    /// younger ticks have taken over; recalls must still agree with the
+    /// model.
+    #[test]
+    fn shadow_table_ring_reuse_under_live_chains() {
+        use sdbp_trace::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x71c4);
+        for window in [37u64, 63, 100] {
+            let ring = (window + 1).next_power_of_two();
+            let jumps = [window, window + 1, ring - 1, ring, ring + 1, 2 * ring + 3];
+            for universe in [16u64, 200] {
+                let blocks: Vec<u64> = (0..universe).collect();
+                let seen = against_the_model(window, &blocks, 20_000, &mut rng, |rng| {
+                    if rng.gen_bool(0.02) {
+                        jumps[rng.gen_range(0..jumps.len())]
+                    } else {
+                        rng.gen_range(1..3)
+                    }
+                });
+                assert!(seen.counted > 0, "window {window}, universe {universe}: nothing counted");
+                assert!(seen.reused > 0, "window {window}, universe {universe}: no reused slot");
+            }
+        }
+    }
+
     /// Differential test on DBRB-shaped operation streams: every step
     /// advances the clock, may recall one block and may insert one block
     /// (the one just recalled, as a bypass does, or another, as a dead
@@ -599,7 +691,8 @@ mod tests {
                         table.insert(BlockAddr::new(victim), clock);
                         model.insert(victim, clock);
                     }
-                    assert!(table.len as u64 <= window + 1, "{} entries live", table.len);
+                    let live = live(&table, clock);
+                    assert!(live as u64 <= window + 1, "{live} entries live");
                 }
                 // A zero window counts nothing: recalls follow inserts by a tick.
                 if window > 0 {
@@ -620,7 +713,7 @@ mod tests {
         assert!(t.recall(b, 15), "age == window is a false positive");
         t.insert(b, 20);
         assert!(!t.recall(b, 31), "age == window + 1 is not");
-        assert_eq!(t.len, 0);
+        assert_eq!(live(&t, 31), 0);
         // Re-insertion after expiry: the stale ring slot must not delete
         // the fresh entry.
         t.insert(b, 40);
@@ -628,14 +721,18 @@ mod tests {
         t.insert(b, 61);
         assert!(t.recall(b, 70));
         assert!(!t.recall(BlockAddr::new(8), 71), "older than the window");
-        assert_eq!(t.len, 0);
+        assert_eq!(live(&t, 71), 0);
     }
 
-    /// The slot array stays at 1 MiB for the paper's 2 MB LLC.
+    /// The table takes 1 MiB for the paper's 2 MB LLC (the linear-probing
+    /// table with an expiry ring it replaced took 1.25 MiB).
     #[test]
     fn shadow_table_size_at_the_paper_geometry() {
         let t = ShadowTable::new(CacheConfig::llc_2mb().lines() as u64);
-        assert_eq!(t.slots.len() * std::mem::size_of::<Slot>(), 1 << 20);
-        assert_eq!(t.ring.len() * std::mem::size_of::<u32>(), 256 << 10);
+        assert_eq!((t.blocks.len(), t.back.len(), t.heads.len()), (1 << 16, 1 << 16, 1 << 15));
+        let bytes = std::mem::size_of_val(t.blocks.as_slice())
+            + std::mem::size_of_val(t.back.as_slice())
+            + std::mem::size_of_val(t.heads.as_slice());
+        assert_eq!(bytes, 1 << 20);
     }
 }

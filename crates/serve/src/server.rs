@@ -6,7 +6,7 @@
 //! * one **accept** thread turning connections into session threads;
 //! * one **session** thread per connection (the state machine lives in
 //!   the `session` module) — it parses requests and parks on a
-//!   [`JobGate`] while its job runs;
+//!   `JobGate` while its job runs;
 //! * `workers` **executor** threads popping the shared bounded queue and
 //!   running jobs through the resident [`sdbp_engine::Engine`] (panic
 //!   isolation + telemetry), streaming results straight to the

@@ -23,7 +23,7 @@
 //!   at ~17 bytes/access on disk.
 //!
 //! [`convert_stream`]/[`convert_path`] move a trace between the two
-//! losslessly in either direction. See [`format`] for the byte-level
+//! losslessly in either direction. See [`mod@format`] for the byte-level
 //! layout and DESIGN.md §8/§14 for the rationale and compatibility
 //! rules.
 //!
