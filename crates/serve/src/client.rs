@@ -50,7 +50,13 @@ impl JobRequest {
     /// 16 ways) and window streaming off.
     #[must_use]
     pub fn new(policy: impl Into<String>, trace: TraceSubmission) -> Self {
-        JobRequest { policy: policy.into(), sets: 2048, ways: 16, window: 0, trace }
+        JobRequest {
+            policy: policy.into(),
+            sets: 2048,
+            ways: 16,
+            window: 0,
+            trace,
+        }
     }
 }
 
@@ -130,10 +136,17 @@ impl Client {
             server: String::new(),
             queue_depth: 0,
         };
-        Frame::Hello { version: PROTOCOL_VERSION, client: "sdbp-serve-client".to_owned() }
-            .write_to(&mut client.writer)?;
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+            client: "sdbp-serve-client".to_owned(),
+        }
+        .write_to(&mut client.writer)?;
         match client.read_frame("HelloAck")? {
-            Frame::HelloAck { version, server, queue_depth } => {
+            Frame::HelloAck {
+                version,
+                server,
+                queue_depth,
+            } => {
                 if version != PROTOCOL_VERSION {
                     return Err(ServeError::Version {
                         ours: PROTOCOL_VERSION,
@@ -145,9 +158,10 @@ impl Client {
                 Ok(client)
             }
             Frame::ErrorReply { code, detail } => Err(ServeError::Remote { code, detail }),
-            other => {
-                Err(ServeError::Protocol { expected: "HelloAck", got: other.name() })
-            }
+            other => Err(ServeError::Protocol {
+                expected: "HelloAck",
+                got: other.name(),
+            }),
         }
     }
 
@@ -179,7 +193,9 @@ impl Client {
     ) -> Result<SubmitReply, ServeError> {
         let trace_ref = match &request.trace {
             TraceSubmission::Archive(name) => TraceRef::Archive { name: name.clone() },
-            TraceSubmission::Bytes(bytes) => TraceRef::Inline { total: bytes.len() as u64 },
+            TraceSubmission::Bytes(bytes) => TraceRef::Inline {
+                total: bytes.len() as u64,
+            },
         };
         Frame::SubmitJob {
             policy: request.policy.clone(),
@@ -191,16 +207,17 @@ impl Client {
         .write_to(&mut self.writer)?;
         if let TraceSubmission::Bytes(bytes) = &request.trace {
             for chunk in bytes.chunks(TRACE_CHUNK_BYTES) {
-                Frame::TraceChunk { bytes: chunk.to_vec() }.write_to(&mut self.writer)?;
+                Frame::TraceChunk {
+                    bytes: chunk.to_vec(),
+                }
+                .write_to(&mut self.writer)?;
             }
             Frame::TraceEnd.write_to(&mut self.writer)?;
         }
         let job = match self.read_frame("JobAccepted or Busy")? {
             Frame::JobAccepted { job } => job,
             Frame::Busy { queue_depth } => return Ok(SubmitReply::Busy { queue_depth }),
-            Frame::ErrorReply { code, detail } => {
-                return Err(ServeError::Remote { code, detail })
-            }
+            Frame::ErrorReply { code, detail } => return Err(ServeError::Remote { code, detail }),
             other => {
                 return Err(ServeError::Protocol {
                     expected: "JobAccepted or Busy",
@@ -210,7 +227,11 @@ impl Client {
         };
         loop {
             match self.read_frame("WindowResult or JobDone")? {
-                Frame::WindowResult { job: j, index, misses } if j == job => {
+                Frame::WindowResult {
+                    job: j,
+                    index,
+                    misses,
+                } if j == job => {
                     on_window(index, misses);
                 }
                 Frame::JobDone {
@@ -261,7 +282,10 @@ impl Client {
     fn read_frame(&mut self, expected: &'static str) -> Result<Frame, ServeError> {
         match Frame::read_from(&mut self.reader)? {
             Some(frame) => Ok(frame),
-            None => Err(ServeError::Protocol { expected, got: "end of stream" }),
+            None => Err(ServeError::Protocol {
+                expected,
+                got: "end of stream",
+            }),
         }
     }
 }

@@ -55,7 +55,10 @@ impl fmt::Display for FrameError {
                 write!(f, "connection closed mid-frame while reading {context}")
             }
             FrameError::Oversized { len, max } => {
-                write!(f, "frame length {len} exceeds the {max}-byte protocol limit")
+                write!(
+                    f,
+                    "frame length {len} exceeds the {max}-byte protocol limit"
+                )
             }
             FrameError::Empty => write!(f, "zero-length frame"),
             FrameError::UnknownKind { kind } => {
@@ -128,7 +131,10 @@ impl fmt::Display for ServeError {
                 write!(f, "protocol violation: expected {expected}, got {got}")
             }
             ServeError::Version { ours, theirs } => {
-                write!(f, "protocol version mismatch: we speak v{ours}, peer requires v{theirs}")
+                write!(
+                    f,
+                    "protocol version mismatch: we speak v{ours}, peer requires v{theirs}"
+                )
             }
             ServeError::Local(msg) => write!(f, "{msg}"),
         }
@@ -158,12 +164,33 @@ mod tests {
     #[test]
     fn display_names_the_failure() {
         let cases: Vec<(FrameError, &str)> = vec![
-            (FrameError::Truncated { context: "frame payload" }, "frame payload"),
-            (FrameError::Oversized { len: 1 << 30, max: 1 << 20 }, "protocol limit"),
+            (
+                FrameError::Truncated {
+                    context: "frame payload",
+                },
+                "frame payload",
+            ),
+            (
+                FrameError::Oversized {
+                    len: 1 << 30,
+                    max: 1 << 20,
+                },
+                "protocol limit",
+            ),
             (FrameError::Empty, "zero-length"),
             (FrameError::UnknownKind { kind: 0x7f }, "0x7f"),
-            (FrameError::Malformed { context: "Hello.version" }, "Hello.version"),
-            (FrameError::BadUtf8 { context: "SubmitJob.policy" }, "SubmitJob.policy"),
+            (
+                FrameError::Malformed {
+                    context: "Hello.version",
+                },
+                "Hello.version",
+            ),
+            (
+                FrameError::BadUtf8 {
+                    context: "SubmitJob.policy",
+                },
+                "SubmitJob.policy",
+            ),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");
@@ -174,11 +201,17 @@ mod tests {
     fn serve_error_wraps_and_describes() {
         let e = ServeError::from(FrameError::Empty);
         assert!(e.to_string().contains("zero-length"));
-        let e = ServeError::Remote { code: ErrorCode::BadSpec, detail: "no such policy".into() };
+        let e = ServeError::Remote {
+            code: ErrorCode::BadSpec,
+            detail: "no such policy".into(),
+        };
         assert!(e.to_string().contains("no such policy"));
         let e = ServeError::Version { ours: 1, theirs: 9 };
         assert!(e.to_string().contains("v9"));
-        let e = ServeError::Protocol { expected: "HelloAck", got: "Busy" };
+        let e = ServeError::Protocol {
+            expected: "HelloAck",
+            got: "Busy",
+        };
         assert!(e.to_string().contains("HelloAck"));
     }
 }

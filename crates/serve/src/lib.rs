@@ -30,7 +30,7 @@
     clippy::panic,
     clippy::todo,
     clippy::unimplemented,
-    clippy::cast_possible_truncation,
+    clippy::cast_possible_truncation
 )]
 #![warn(missing_debug_implementations)]
 
@@ -69,5 +69,7 @@ pub(crate) fn wait_then<T, R>(
     f: impl FnOnce(&mut T) -> R,
 ) -> R {
     let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
-    f(&mut cv.wait_while(guard, blocked).unwrap_or_else(PoisonError::into_inner))
+    f(&mut cv
+        .wait_while(guard, blocked)
+        .unwrap_or_else(PoisonError::into_inner))
 }

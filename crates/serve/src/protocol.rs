@@ -272,13 +272,23 @@ impl Frame {
                 put_varint(&mut out, u64::from(*version));
                 put_str(&mut out, client);
             }
-            Frame::HelloAck { version, server, queue_depth } => {
+            Frame::HelloAck {
+                version,
+                server,
+                queue_depth,
+            } => {
                 out.push(KIND_HELLO_ACK);
                 put_varint(&mut out, u64::from(*version));
                 put_str(&mut out, server);
                 put_varint(&mut out, u64::from(*queue_depth));
             }
-            Frame::SubmitJob { policy, sets, ways, window, trace } => {
+            Frame::SubmitJob {
+                policy,
+                sets,
+                ways,
+                window,
+                trace,
+            } => {
                 out.push(KIND_SUBMIT);
                 put_str(&mut out, policy);
                 put_varint(&mut out, u64::from(*sets));
@@ -381,22 +391,34 @@ impl Frame {
                     TRACE_REF_INLINE => TraceRef::Inline {
                         total: get_u64(body, &mut pos, "SubmitJob.total")?,
                     },
-                    _ => return Err(FrameError::Malformed { context: "SubmitJob.trace_tag" }),
+                    _ => {
+                        return Err(FrameError::Malformed {
+                            context: "SubmitJob.trace_tag",
+                        })
+                    }
                 };
-                Frame::SubmitJob { policy, sets, ways, window, trace }
+                Frame::SubmitJob {
+                    policy,
+                    sets,
+                    ways,
+                    window,
+                    trace,
+                }
             }
             KIND_TRACE_CHUNK => {
                 pos = body.len();
-                Frame::TraceChunk { bytes: body.to_vec() }
+                Frame::TraceChunk {
+                    bytes: body.to_vec(),
+                }
             }
             KIND_TRACE_END => Frame::TraceEnd,
             KIND_GOODBYE => Frame::Goodbye,
-            KIND_JOB_ACCEPTED => {
-                Frame::JobAccepted { job: get_u64(body, &mut pos, "JobAccepted.job")? }
-            }
-            KIND_BUSY => {
-                Frame::Busy { queue_depth: get_u32(body, &mut pos, "Busy.queue_depth")? }
-            }
+            KIND_JOB_ACCEPTED => Frame::JobAccepted {
+                job: get_u64(body, &mut pos, "JobAccepted.job")?,
+            },
+            KIND_BUSY => Frame::Busy {
+                queue_depth: get_u32(body, &mut pos, "Busy.queue_depth")?,
+            },
             KIND_WINDOW_RESULT => Frame::WindowResult {
                 job: get_u64(body, &mut pos, "WindowResult.job")?,
                 index: get_u64(body, &mut pos, "WindowResult.index")?,
@@ -414,14 +436,20 @@ impl Frame {
             },
             KIND_ERROR => {
                 let raw = get_u8(body, &mut pos, "ErrorReply.code")?;
-                let code = ErrorCode::from_byte(raw)
-                    .ok_or(FrameError::Malformed { context: "ErrorReply.code" })?;
-                Frame::ErrorReply { code, detail: get_str(body, &mut pos, "ErrorReply.detail")? }
+                let code = ErrorCode::from_byte(raw).ok_or(FrameError::Malformed {
+                    context: "ErrorReply.code",
+                })?;
+                Frame::ErrorReply {
+                    code,
+                    detail: get_str(body, &mut pos, "ErrorReply.detail")?,
+                }
             }
             _ => return Err(FrameError::UnknownKind { kind }),
         };
         if pos != body.len() {
-            return Err(FrameError::Malformed { context: "trailing bytes after frame body" });
+            return Err(FrameError::Malformed {
+                context: "trailing bytes after frame body",
+            });
         }
         Ok(frame)
     }
@@ -467,12 +495,17 @@ impl Frame {
             return Err(FrameError::Empty);
         }
         if len > MAX_FRAME_LEN {
-            return Err(FrameError::Oversized { len, max: MAX_FRAME_LEN });
+            return Err(FrameError::Oversized {
+                len,
+                max: MAX_FRAME_LEN,
+            });
         }
         let mut payload = vec![0u8; len as usize];
         r.read_exact(&mut payload).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                FrameError::Truncated { context: "frame payload" }
+                FrameError::Truncated {
+                    context: "frame payload",
+                }
             } else {
                 FrameError::Io(e)
             }
@@ -494,10 +527,16 @@ enum ReadStart {
 fn read_exact_or_start<R: Read>(r: &mut R, buf: &mut [u8; 4]) -> Result<ReadStart, FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        let Some(dst) = buf.get_mut(filled..) else { break };
+        let Some(dst) = buf.get_mut(filled..) else {
+            break;
+        };
         match r.read(dst) {
             Ok(0) if filled == 0 => return Ok(ReadStart::Eof),
-            Ok(0) => return Err(FrameError::Truncated { context: "frame length prefix" }),
+            Ok(0) => {
+                return Err(FrameError::Truncated {
+                    context: "frame length prefix",
+                })
+            }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e)),
@@ -517,8 +556,7 @@ fn get_u64(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, Fr
 }
 
 fn get_u32(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u32, FrameError> {
-    u32::try_from(get_u64(buf, pos, context)?)
-        .map_err(|_| FrameError::Malformed { context })
+    u32::try_from(get_u64(buf, pos, context)?).map_err(|_| FrameError::Malformed { context })
 }
 
 fn get_u8(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u8, FrameError> {
@@ -530,9 +568,15 @@ fn get_u8(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u8, Fram
 /// Reads a fixed-width little-endian `u64` (used for `f64` bit patterns,
 /// which must not go through the varint path).
 fn get_fixed_u64(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u64, FrameError> {
-    let end = pos.checked_add(8).ok_or(FrameError::Malformed { context })?;
-    let bytes = buf.get(*pos..end).ok_or(FrameError::Malformed { context })?;
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| FrameError::Malformed { context })?;
+    let end = pos
+        .checked_add(8)
+        .ok_or(FrameError::Malformed { context })?;
+    let bytes = buf
+        .get(*pos..end)
+        .ok_or(FrameError::Malformed { context })?;
+    let arr: [u8; 8] = bytes
+        .try_into()
+        .map_err(|_| FrameError::Malformed { context })?;
     *pos = end;
     Ok(u64::from_le_bytes(arr))
 }
@@ -540,8 +584,12 @@ fn get_fixed_u64(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<u
 fn get_str(buf: &[u8], pos: &mut usize, context: &'static str) -> Result<String, FrameError> {
     let len = usize::try_from(get_u64(buf, pos, context)?)
         .map_err(|_| FrameError::Malformed { context })?;
-    let end = pos.checked_add(len).ok_or(FrameError::Malformed { context })?;
-    let bytes = buf.get(*pos..end).ok_or(FrameError::Malformed { context })?;
+    let end = pos
+        .checked_add(len)
+        .ok_or(FrameError::Malformed { context })?;
+    let bytes = buf
+        .get(*pos..end)
+        .ok_or(FrameError::Malformed { context })?;
     *pos = end;
     String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadUtf8 { context })
 }
@@ -612,28 +660,45 @@ mod tests {
 
     fn every_frame() -> Vec<Frame> {
         vec![
-            Frame::Hello { version: PROTOCOL_VERSION, client: "sdbp-repro".into() },
-            Frame::HelloAck { version: 1, server: "sdbp-serve".into(), queue_depth: 16 },
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+                client: "sdbp-repro".into(),
+            },
+            Frame::HelloAck {
+                version: 1,
+                server: "sdbp-serve".into(),
+                queue_depth: 16,
+            },
             Frame::SubmitJob {
                 policy: "sampler:assoc=16".into(),
                 sets: 2048,
                 ways: 16,
                 window: 10_000,
-                trace: TraceRef::Archive { name: "hmmer.sdbt".into() },
+                trace: TraceRef::Archive {
+                    name: "hmmer.sdbt".into(),
+                },
             },
             Frame::SubmitJob {
                 policy: "lru".into(),
                 sets: 256,
                 ways: 8,
                 window: 0,
-                trace: TraceRef::Inline { total: u64::from(u32::MAX) + 17 },
+                trace: TraceRef::Inline {
+                    total: u64::from(u32::MAX) + 17,
+                },
             },
-            Frame::TraceChunk { bytes: vec![0u8, 1, 2, 254, 255] },
+            Frame::TraceChunk {
+                bytes: vec![0u8, 1, 2, 254, 255],
+            },
             Frame::TraceChunk { bytes: Vec::new() },
             Frame::TraceEnd,
             Frame::JobAccepted { job: u64::MAX },
             Frame::Busy { queue_depth: 1 },
-            Frame::WindowResult { job: 3, index: 12_345, misses: 678 },
+            Frame::WindowResult {
+                job: 3,
+                index: 12_345,
+                misses: 678,
+            },
             Frame::JobDone {
                 job: 3,
                 workload: "456.hmmer".into(),
@@ -644,7 +709,10 @@ mod tests {
                 windows: 13,
                 ipc_bits: 1.234_567_f64.to_bits(),
             },
-            Frame::ErrorReply { code: ErrorCode::BadSpec, detail: "unknown policy 'x'".into() },
+            Frame::ErrorReply {
+                code: ErrorCode::BadSpec,
+                detail: "unknown policy 'x'".into(),
+            },
             Frame::Goodbye,
         ]
     }
@@ -653,9 +721,15 @@ mod tests {
     fn every_variant_has_an_exemplar_and_no_other_kind_decodes() {
         let frames = every_frame();
         let variants: BTreeSet<usize> = frames.iter().map(frame_variant).collect();
-        assert_eq!(variants, (0..FRAME_VARIANTS).collect(), "a Frame variant lacks an exemplar");
-        let kinds: BTreeSet<u8> =
-            frames.iter().filter_map(|f| f.encode().first().copied()).collect();
+        assert_eq!(
+            variants,
+            (0..FRAME_VARIANTS).collect(),
+            "a Frame variant lacks an exemplar"
+        );
+        let kinds: BTreeSet<u8> = frames
+            .iter()
+            .filter_map(|f| f.encode().first().copied())
+            .collect();
         for kind in (0..=u8::MAX).filter(|k| !kinds.contains(k)) {
             match Frame::decode(&[kind]) {
                 Err(FrameError::UnknownKind { kind: k }) if k == kind => {}
@@ -677,12 +751,16 @@ mod tests {
         assert_eq!(tags, every_tag, "a TraceRef variant lacks an exemplar");
         let mut prefix = vec![KIND_SUBMIT];
         put_str(&mut prefix, "lru");
-        [256, 16, 0].into_iter().for_each(|v| put_varint(&mut prefix, v));
+        [256, 16, 0]
+            .into_iter()
+            .for_each(|v| put_varint(&mut prefix, v));
         for tag in (0..=u8::MAX).filter(|t| !tags.contains(t)) {
             let payload = [prefix.as_slice(), &[tag, 0]].concat();
             assert!(matches!(
                 Frame::decode(&payload),
-                Err(FrameError::Malformed { context: "SubmitJob.trace_tag" })
+                Err(FrameError::Malformed {
+                    context: "SubmitJob.trace_tag"
+                })
             ));
         }
     }
@@ -705,7 +783,9 @@ mod tests {
         }
         let mut cursor = Cursor::new(buf);
         for want in &frames {
-            let got = Frame::read_from(&mut cursor).expect("reads").expect("a frame");
+            let got = Frame::read_from(&mut cursor)
+                .expect("reads")
+                .expect("a frame");
             assert_eq!(&got, want);
         }
         assert!(Frame::read_from(&mut cursor).expect("clean eof").is_none());
@@ -723,15 +803,21 @@ mod tests {
         let mut c = Cursor::new(buf.get(..2).expect("slice").to_vec());
         assert!(matches!(
             Frame::read_from(&mut c),
-            Err(FrameError::Truncated { context: "frame length prefix" })
+            Err(FrameError::Truncated {
+                context: "frame length prefix"
+            })
         ));
         // Cut inside the payload.
         let mut longer = Vec::new();
-        Frame::JobAccepted { job: 300 }.write_to(&mut longer).expect("writes");
+        Frame::JobAccepted { job: 300 }
+            .write_to(&mut longer)
+            .expect("writes");
         longer.pop();
         assert!(matches!(
             Frame::read_from(&mut Cursor::new(longer)),
-            Err(FrameError::Truncated { context: "frame payload" })
+            Err(FrameError::Truncated {
+                context: "frame payload"
+            })
         ));
     }
 
@@ -753,7 +839,10 @@ mod tests {
     fn zero_length_and_unknown_kind_are_typed_errors() {
         let mut zero = Vec::new();
         zero.extend_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(Frame::read_from(&mut Cursor::new(zero)), Err(FrameError::Empty)));
+        assert!(matches!(
+            Frame::read_from(&mut Cursor::new(zero)),
+            Err(FrameError::Empty)
+        ));
         assert!(matches!(Frame::decode(&[]), Err(FrameError::Empty)));
         assert!(matches!(
             Frame::decode(&[0x7f, 1, 2]),
@@ -767,13 +856,17 @@ mod tests {
         payload.push(0xaa);
         assert!(matches!(
             Frame::decode(&payload),
-            Err(FrameError::Malformed { context: "trailing bytes after frame body" })
+            Err(FrameError::Malformed {
+                context: "trailing bytes after frame body"
+            })
         ));
         let payload = Frame::Busy { queue_depth: 300 }.encode();
         let short = payload.get(..payload.len() - 1).expect("slice");
         assert!(matches!(
             Frame::decode(short),
-            Err(FrameError::Malformed { context: "Busy.queue_depth" })
+            Err(FrameError::Malformed {
+                context: "Busy.queue_depth"
+            })
         ));
     }
 
@@ -786,14 +879,18 @@ mod tests {
         payload.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(
             Frame::decode(&payload),
-            Err(FrameError::BadUtf8 { context: "Hello.client" })
+            Err(FrameError::BadUtf8 {
+                context: "Hello.client"
+            })
         ));
         // ErrorReply with an unknown code byte.
         let mut payload = vec![KIND_ERROR, 0xee];
         put_varint(&mut payload, 0);
         assert!(matches!(
             Frame::decode(&payload),
-            Err(FrameError::Malformed { context: "ErrorReply.code" })
+            Err(FrameError::Malformed {
+                context: "ErrorReply.code"
+            })
         ));
     }
 
@@ -806,7 +903,9 @@ mod tests {
         payload.extend_from_slice(b"short");
         assert!(matches!(
             Frame::decode(&payload),
-            Err(FrameError::Malformed { context: "Hello.client" })
+            Err(FrameError::Malformed {
+                context: "Hello.client"
+            })
         ));
     }
 
@@ -819,31 +918,50 @@ mod tests {
         }
         let bytes: BTreeSet<u8> = EVERY_CODE.iter().map(|c| c.to_byte()).collect();
         for b in (0..=u8::MAX).filter(|b| !bytes.contains(b)) {
-            assert_eq!(ErrorCode::from_byte(b), None, "code byte {b} decodes but is not listed");
+            assert_eq!(
+                ErrorCode::from_byte(b),
+                None,
+                "code byte {b} decodes but is not listed"
+            );
         }
     }
 
     #[test]
     fn trace_chunk_bound_fits_the_frame_limit() {
         assert!(u32::try_from(TRACE_CHUNK_BYTES).expect("fits u32") < MAX_FRAME_LEN);
-        let frame = Frame::TraceChunk { bytes: vec![0xabu8; TRACE_CHUNK_BYTES] };
+        let frame = Frame::TraceChunk {
+            bytes: vec![0xabu8; TRACE_CHUNK_BYTES],
+        };
         let mut buf = Vec::new();
         frame.write_to(&mut buf).expect("a full chunk frame fits");
-        let back = Frame::read_from(&mut Cursor::new(buf)).expect("reads").expect("frame");
+        let back = Frame::read_from(&mut Cursor::new(buf))
+            .expect("reads")
+            .expect("frame");
         assert_eq!(back, frame);
     }
 
     #[test]
     fn oversized_writes_are_refused() {
-        let frame = Frame::TraceChunk { bytes: vec![0u8; (MAX_FRAME_LEN as usize) + 1] };
+        let frame = Frame::TraceChunk {
+            bytes: vec![0u8; (MAX_FRAME_LEN as usize) + 1],
+        };
         let mut buf = Vec::new();
-        assert!(matches!(frame.write_to(&mut buf), Err(FrameError::Oversized { .. })));
+        assert!(matches!(
+            frame.write_to(&mut buf),
+            Err(FrameError::Oversized { .. })
+        ));
         assert!(buf.is_empty(), "nothing may be written for a refused frame");
     }
 
     #[test]
     fn ipc_bits_round_trip_exactly() {
-        for ipc in [0.0f64, 1.0, 0.333_333_333_333_333_3, f64::MAX, f64::MIN_POSITIVE] {
+        for ipc in [
+            0.0f64,
+            1.0,
+            0.333_333_333_333_333_3,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
             let frame = Frame::JobDone {
                 job: 1,
                 workload: "w".into(),

@@ -257,7 +257,9 @@ impl Server {
     pub fn shutdown(&self) {
         // Set under the queue lock, so an executor between its emptiness
         // check and its wait cannot miss the wake-up below.
-        with_lock(&self.shared.queue, |_| self.shared.shutdown.store(true, Ordering::SeqCst));
+        with_lock(&self.shared.queue, |_| {
+            self.shared.shutdown.store(true, Ordering::SeqCst)
+        });
         // Executors drain whatever is already queued, then exit.
         self.shared.queue_cv.notify_all();
         let executors: Vec<JoinHandle<()>> = with_lock(&self.executors, std::mem::take);
@@ -336,7 +338,9 @@ fn accept_loop(
             break;
         }
         let Ok(stream) = incoming else { continue };
-        let Ok(peer) = stream.try_clone() else { continue };
+        let Ok(peer) = stream.try_clone() else {
+            continue;
+        };
         let session = next_session;
         next_session += 1;
         let shared = Arc::clone(shared);
@@ -349,7 +353,10 @@ fn accept_loop(
             // live sessions.
             slots.retain(|s| !s.handle.is_finished());
             if let Ok(handle) = spawned {
-                slots.push(SessionSlot { stream: peer, handle });
+                slots.push(SessionSlot {
+                    stream: peer,
+                    handle,
+                });
             }
         });
     }
@@ -453,10 +460,21 @@ fn run_replay(
     let mut batches = buffered.batches();
     let workload = try_record_batches(&meta.name, &mut batches, meta.count, 0)
         .map_err(|e| (ErrorCode::BadTrace, e.to_string()))?;
-    let spec: sdbp::registry::PolicySpec =
-        policy.parse().map_err(|e: sdbp::SpecError| (ErrorCode::BadSpec, e.to_string()))?;
-    let shards = if workload.llc.len() >= shared.shard_min_accesses { shared.shards } else { 1 };
-    let request = |mode| ReplayRequest { stream: &workload.llc, llc, policy: &spec, mode, shards };
+    let spec: sdbp::registry::PolicySpec = policy
+        .parse()
+        .map_err(|e: sdbp::SpecError| (ErrorCode::BadSpec, e.to_string()))?;
+    let shards = if workload.llc.len() >= shared.shard_min_accesses {
+        shared.shards
+    } else {
+        1
+    };
+    let request = |mode| ReplayRequest {
+        stream: &workload.llc,
+        llc,
+        policy: &spec,
+        mode,
+        shards,
+    };
     let failed = |e: ReplayError| {
         let code = match e {
             ReplayError::Spec(_) => ErrorCode::BadSpec,
@@ -471,18 +489,29 @@ fn run_replay(
         let mut writing = true;
         let mut probe = WindowStream::new(window as usize, |index, misses| {
             if writing {
-                writing =
-                    Frame::WindowResult { job, index, misses }.write_to(stream).is_ok();
+                writing = Frame::WindowResult { job, index, misses }
+                    .write_to(stream)
+                    .is_ok();
             }
         });
-        let outcome =
-            request(ReplayMode::Exact { probe: Some(&mut probe) }).run().map_err(failed)?;
+        let outcome = request(ReplayMode::Exact {
+            probe: Some(&mut probe),
+        })
+        .run()
+        .map_err(failed)?;
         probe.finish();
         (outcome, probe.windows())
     } else {
-        (request(ReplayMode::Exact { probe: None }).run().map_err(failed)?, 0)
+        (
+            request(ReplayMode::Exact { probe: None })
+                .run()
+                .map_err(failed)?,
+            0,
+        )
     };
-    let ipc = CoreModel::default().simulate(&workload.records, &outcome.hits).ipc();
+    let ipc = CoreModel::default()
+        .simulate(&workload.records, &outcome.hits)
+        .ipc();
     Ok(DoneStats {
         workload: workload.name.clone(),
         instructions: workload.instructions(),
@@ -537,13 +566,21 @@ mod tests {
         };
         std::thread::scope(|s| {
             s.spawn(|| execute_job(&shared, job));
-            client.set_read_timeout(Some(Duration::from_millis(300))).expect("timeout");
+            client
+                .set_read_timeout(Some(Duration::from_millis(300)))
+                .expect("timeout");
             let early = client.read(&mut [0u8; 1]);
-            assert!(early.is_err(), "a frame was written before JobAccepted: {early:?}");
+            assert!(
+                early.is_err(),
+                "a frame was written before JobAccepted: {early:?}"
+            );
             accepted.open();
             client.set_read_timeout(None).expect("blocking");
             match Frame::read_from(&mut client).expect("readable") {
-                Some(Frame::ErrorReply { code: ErrorCode::BadTrace, .. }) => {}
+                Some(Frame::ErrorReply {
+                    code: ErrorCode::BadTrace,
+                    ..
+                }) => {}
                 other => panic!("expected the job's BadTrace reply, got {other:?}"),
             }
             done.pass();

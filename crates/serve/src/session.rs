@@ -51,7 +51,9 @@ pub(crate) fn run_session(shared: &Arc<Shared>, stream: TcpStream, session: u64)
         reason = "disabling Nagle is a latency hint; a socket that refuses it still carries frames"
     )]
     let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else { return };
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
     let mut reader = BufReader::new(stream);
     serve_connection(shared, &mut reader, &mut writer, session);
     // The accept loop holds another clone of this socket (to unblock the
@@ -116,8 +118,20 @@ fn serve_connection(
 
     loop {
         match Frame::read_from(&mut reader) {
-            Ok(Some(Frame::SubmitJob { policy, sets, ways, window, trace })) => {
-                let sub = Submission { policy, sets, ways, window, trace };
+            Ok(Some(Frame::SubmitJob {
+                policy,
+                sets,
+                ways,
+                window,
+                trace,
+            })) => {
+                let sub = Submission {
+                    policy,
+                    sets,
+                    ways,
+                    window,
+                    trace,
+                };
                 match handle_submit(shared, session, reader, writer, sub) {
                     Flow::Continue => {}
                     Flow::Close => return,
@@ -195,8 +209,7 @@ fn handle_submit(
     // later request on this connection.
     let (trace, source) = match sub.trace {
         TraceRef::Archive { name } => {
-            if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..")
-            {
+            if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
                 return reply_error(
                     writer,
                     ErrorCode::BadArchive,
@@ -248,7 +261,11 @@ fn handle_submit(
         Err(e) => return reply_error(writer, ErrorCode::BadTrace, e.to_string()),
     };
     if meta.count == 0 {
-        return reply_error(writer, ErrorCode::BadTrace, "trace holds no records".to_owned());
+        return reply_error(
+            writer,
+            ErrorCode::BadTrace,
+            "trace holds no records".to_owned(),
+        );
     }
 
     let Ok(job_stream) = writer.try_clone() else {
@@ -286,13 +303,21 @@ fn handle_submit(
     });
     let job = match decision {
         Decision::Shutdown => {
-            return reply_error(writer, ErrorCode::Shutdown, "server is shutting down".to_owned())
+            return reply_error(
+                writer,
+                ErrorCode::Shutdown,
+                "server is shutting down".to_owned(),
+            )
         }
         Decision::Busy => {
             let busy = Frame::Busy {
                 queue_depth: u32::try_from(shared.queue_depth).unwrap_or(u32::MAX),
             };
-            return if busy.write_to(writer).is_ok() { Flow::Continue } else { Flow::Close };
+            return if busy.write_to(writer).is_ok() {
+                Flow::Continue
+            } else {
+                Flow::Close
+            };
         }
         Decision::Accepted(job) => job,
     };

@@ -17,7 +17,9 @@ fn trace_bytes() -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
     let meta = TraceMeta::new(bench.name, bench.stream_seed(0));
     let mut writer = TraceWriter::new(&mut buf, meta).expect("header writes");
-    writer.write_all(bench.trace().take(20_000)).expect("records write");
+    writer
+        .write_all(bench.trace().take(20_000))
+        .expect("records write");
     writer.finish().expect("finish");
     buf.into_inner()
 }
@@ -25,9 +27,12 @@ fn trace_bytes() -> Vec<u8> {
 /// Connects a raw socket and performs a valid handshake.
 fn handshaken(addr: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    Frame::Hello { version: PROTOCOL_VERSION, client: "raw-test".to_owned() }
-        .write_to(&mut stream)
-        .expect("hello");
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client: "raw-test".to_owned(),
+    }
+    .write_to(&mut stream)
+    .expect("hello");
     match Frame::read_from(&mut &stream).expect("ack readable") {
         Some(Frame::HelloAck { .. }) => stream,
         other => panic!("expected HelloAck, got {other:?}"),
@@ -39,7 +44,10 @@ fn still_serves(addr: &str, trace: &[u8]) {
     let mut client = Client::connect(addr).expect("fresh connection");
     let request = JobRequest::new("lru", TraceSubmission::Bytes(trace.to_vec()));
     let reply = client.submit(&request, |_, _| {}).expect("clean job");
-    assert!(matches!(reply, SubmitReply::Done(_)), "queue slot was poisoned");
+    assert!(
+        matches!(reply, SubmitReply::Done(_)),
+        "queue slot was poisoned"
+    );
 }
 
 #[test]
@@ -48,11 +56,17 @@ fn version_mismatch_is_refused_with_a_typed_reply() {
     let addr = server.local_addr().to_string();
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
-    Frame::Hello { version: 99, client: "time-traveller".to_owned() }
-        .write_to(&mut stream)
-        .expect("hello");
+    Frame::Hello {
+        version: 99,
+        client: "time-traveller".to_owned(),
+    }
+    .write_to(&mut stream)
+    .expect("hello");
     match Frame::read_from(&mut &stream).expect("reply readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::BadVersion, detail }) => {
+        Some(Frame::ErrorReply {
+            code: ErrorCode::BadVersion,
+            detail,
+        }) => {
             assert!(detail.contains("99"), "{detail:?}");
         }
         other => panic!("expected BadVersion, got {other:?}"),
@@ -74,9 +88,14 @@ fn truncated_frame_closes_the_session_with_a_protocol_error() {
     // server's read sees EOF mid-frame.
     stream.write_all(&100u32.to_le_bytes()).expect("prefix");
     stream.write_all(&[0u8; 10]).expect("partial payload");
-    stream.shutdown(std::net::Shutdown::Write).expect("half-close");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
     match Frame::read_from(&mut &stream).expect("reply readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::Protocol, detail }) => {
+        Some(Frame::ErrorReply {
+            code: ErrorCode::Protocol,
+            detail,
+        }) => {
             assert!(detail.contains("mid-frame"), "{detail:?}");
         }
         other => panic!("expected a Protocol error, got {other:?}"),
@@ -97,12 +116,18 @@ fn oversized_length_prefix_is_rejected_before_allocation() {
     stream.flush().expect("flush");
     // The server rejects on the prefix alone — no payload was ever sent.
     match Frame::read_from(&mut &stream).expect("reply readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::Protocol, detail }) => {
+        Some(Frame::ErrorReply {
+            code: ErrorCode::Protocol,
+            detail,
+        }) => {
             assert!(detail.contains("exceeds"), "{detail:?}");
         }
         other => panic!("expected a Protocol error, got {other:?}"),
     }
-    assert!(matches!(Frame::read_from(&mut &stream), Ok(None)), "session closed");
+    assert!(
+        matches!(Frame::read_from(&mut &stream), Ok(None)),
+        "session closed"
+    );
 
     still_serves(&addr, &trace_bytes());
     server.shutdown();
@@ -118,7 +143,10 @@ fn unknown_frame_kind_is_a_typed_protocol_error() {
     stream.write_all(&1u32.to_le_bytes()).expect("prefix");
     stream.write_all(&[0x7f]).expect("kind");
     match Frame::read_from(&mut &stream).expect("reply readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::Protocol, detail }) => {
+        Some(Frame::ErrorReply {
+            code: ErrorCode::Protocol,
+            detail,
+        }) => {
             assert!(detail.contains("0x7f"), "{detail:?}");
         }
         other => panic!("expected a Protocol error, got {other:?}"),
@@ -146,7 +174,11 @@ fn mid_transfer_disconnect_does_not_poison_the_queue() {
         }
         .write_to(&mut stream)
         .expect("submit");
-        Frame::TraceChunk { bytes: vec![0u8; 100] }.write_to(&mut stream).expect("chunk");
+        Frame::TraceChunk {
+            bytes: vec![0u8; 100],
+        }
+        .write_to(&mut stream)
+        .expect("chunk");
         // Dropping the stream closes the socket mid-transfer.
     }
 
@@ -169,9 +201,16 @@ fn misplaced_frames_are_reported_and_the_session_continues() {
     let mut stream = handshaken(&addr);
     // A TraceChunk with no pending submission is wire-valid but out of
     // place; the session answers and keeps serving on the same socket.
-    Frame::TraceChunk { bytes: vec![1, 2, 3] }.write_to(&mut stream).expect("chunk");
+    Frame::TraceChunk {
+        bytes: vec![1, 2, 3],
+    }
+    .write_to(&mut stream)
+    .expect("chunk");
     match Frame::read_from(&mut &stream).expect("reply readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::Protocol, detail }) => {
+        Some(Frame::ErrorReply {
+            code: ErrorCode::Protocol,
+            detail,
+        }) => {
             assert!(detail.contains("TraceChunk"), "{detail:?}");
         }
         other => panic!("expected a Protocol error, got {other:?}"),
@@ -183,11 +222,17 @@ fn misplaced_frames_are_reported_and_the_session_continues() {
         sets: 256,
         ways: 16,
         window: 0,
-        trace: sdbp_serve::protocol::TraceRef::Inline { total: trace.len() as u64 },
+        trace: sdbp_serve::protocol::TraceRef::Inline {
+            total: trace.len() as u64,
+        },
     }
     .write_to(&mut stream)
     .expect("submit");
-    Frame::TraceChunk { bytes: trace.clone() }.write_to(&mut stream).expect("chunk");
+    Frame::TraceChunk {
+        bytes: trace.clone(),
+    }
+    .write_to(&mut stream)
+    .expect("chunk");
     Frame::TraceEnd.write_to(&mut stream).expect("end");
     match Frame::read_from(&mut &stream).expect("accept readable") {
         Some(Frame::JobAccepted { .. }) => {}

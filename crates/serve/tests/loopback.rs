@@ -32,7 +32,11 @@ fn golden_misses(spec: &str) -> u64 {
         .lines()
         .find(|l| l.starts_with(&needle))
         .unwrap_or_else(|| panic!("fixture misses row for {spec}"));
-    row.rsplit('\t').next().expect("miss field").parse().expect("miss count")
+    row.rsplit('\t')
+        .next()
+        .expect("miss field")
+        .parse()
+        .expect("miss count")
 }
 
 /// Records the golden cell's workload into an in-memory `.sdbt` image —
@@ -42,7 +46,9 @@ fn trace_bytes(instructions: u64) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
     let meta = TraceMeta::new(bench.name, bench.stream_seed(0));
     let mut writer = TraceWriter::new(&mut buf, meta).expect("header writes");
-    writer.write_all(bench.trace().take(instructions as usize)).expect("records write");
+    writer
+        .write_all(bench.trace().take(instructions as usize))
+        .expect("records write");
     writer.finish().expect("finish");
     buf.into_inner()
 }
@@ -63,11 +69,17 @@ fn wire_replay_matches_the_golden_fixture_bit_exactly() {
     // executor, driven frame by frame: the executor may pick a job up the
     // moment it is queued, yet JobAccepted must reach the client before
     // any WindowResult or JobDone of that job.
-    let (server, addr) = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+    let (server, addr) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
     let mut conn = TcpStream::connect(&addr).expect("connect");
-    Frame::Hello { version: PROTOCOL_VERSION, client: "ordering".to_owned() }
-        .write_to(&mut conn)
-        .expect("hello");
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client: "ordering".to_owned(),
+    }
+    .write_to(&mut conn)
+    .expect("hello");
     match Frame::read_from(&mut &conn).expect("ack readable") {
         Some(Frame::HelloAck { server, .. }) => assert_eq!(server, "sdbp-serve"),
         other => panic!("expected HelloAck, got {other:?}"),
@@ -79,12 +91,18 @@ fn wire_replay_matches_the_golden_fixture_bit_exactly() {
             sets: SETS,
             ways: WAYS,
             window: 25_000,
-            trace: TraceRef::Inline { total: trace.len() as u64 },
+            trace: TraceRef::Inline {
+                total: trace.len() as u64,
+            },
         }
         .write_to(&mut conn)
         .expect("submit");
         for chunk in trace.chunks(TRACE_CHUNK_BYTES) {
-            Frame::TraceChunk { bytes: chunk.to_vec() }.write_to(&mut conn).expect("chunk");
+            Frame::TraceChunk {
+                bytes: chunk.to_vec(),
+            }
+            .write_to(&mut conn)
+            .expect("chunk");
         }
         Frame::TraceEnd.write_to(&mut conn).expect("end");
 
@@ -95,8 +113,16 @@ fn wire_replay_matches_the_golden_fixture_bit_exactly() {
         let (mut streamed, mut streamed_misses) = (0u64, 0u64);
         loop {
             match Frame::read_from(&mut &conn).expect("readable") {
-                Some(Frame::WindowResult { job: j, index, misses }) => {
-                    assert_eq!((j, index), (job, streamed), "job {i} ({spec}): stray window");
+                Some(Frame::WindowResult {
+                    job: j,
+                    index,
+                    misses,
+                }) => {
+                    assert_eq!(
+                        (j, index),
+                        (job, streamed),
+                        "job {i} ({spec}): stray window"
+                    );
                     streamed += 1;
                     streamed_misses += misses;
                 }
@@ -145,15 +171,28 @@ fn window_streaming_partitions_the_exact_miss_count() {
     let reply = client
         .submit(&request, |index, misses| streamed.push((index, misses)))
         .expect("submit");
-    let SubmitReply::Done(outcome) = reply else { panic!("unexpected Busy") };
+    let SubmitReply::Done(outcome) = reply else {
+        panic!("unexpected Busy")
+    };
 
     assert_eq!(outcome.misses, golden_misses("lru"));
-    assert_eq!(outcome.windows, streamed.len() as u64, "every window was streamed");
+    assert_eq!(
+        outcome.windows,
+        streamed.len() as u64,
+        "every window was streamed"
+    );
     assert!(outcome.windows > 1, "the cell spans multiple windows");
     let indices: Vec<u64> = streamed.iter().map(|(i, _)| *i).collect();
-    assert_eq!(indices, (0..outcome.windows).collect::<Vec<u64>>(), "in order, no gaps");
+    assert_eq!(
+        indices,
+        (0..outcome.windows).collect::<Vec<u64>>(),
+        "in order, no gaps"
+    );
     let sum: u64 = streamed.iter().map(|(_, m)| m).sum();
-    assert_eq!(sum, outcome.misses, "windows partition the total miss count");
+    assert_eq!(
+        sum, outcome.misses,
+        "windows partition the total miss count"
+    );
     server.shutdown();
 }
 
@@ -186,17 +225,27 @@ fn sharded_server_streams_bit_identical_frames() {
             let reply = client
                 .submit(&request, |index, misses| frames.push((index, misses)))
                 .expect("submit");
-            let SubmitReply::Done(outcome) = reply else { panic!("unexpected Busy") };
+            let SubmitReply::Done(outcome) = reply else {
+                panic!("unexpected Busy")
+            };
             client.goodbye().expect("goodbye");
             (outcome, frames)
         };
         let (a, frames_a) = run(&serial_addr);
         let (b, frames_b) = run(&sharded_addr);
-        assert_eq!(a.misses, golden_misses(spec), "{spec}: serial misses drifted");
+        assert_eq!(
+            a.misses,
+            golden_misses(spec),
+            "{spec}: serial misses drifted"
+        );
         assert_eq!(b.misses, a.misses, "{spec}: sharded misses differ");
         assert_eq!(b.hits, a.hits, "{spec}");
         assert_eq!(b.windows, a.windows, "{spec}");
-        assert_eq!(b.ipc.to_bits(), a.ipc.to_bits(), "{spec}: IPC must be bit-exact");
+        assert_eq!(
+            b.ipc.to_bits(),
+            a.ipc.to_bits(),
+            "{spec}: IPC must be bit-exact"
+        );
         assert_eq!(frames_b, frames_a, "{spec}: window frame streams differ");
     }
     serial.shutdown();
@@ -212,7 +261,10 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
     // Unknown policy spec.
     let mut request = JobRequest::new("no-such-policy", TraceSubmission::Bytes(trace.clone()));
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadSpec, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadSpec,
+            ..
+        }) => {}
         other => panic!("expected BadSpec, got {other:?}"),
     }
 
@@ -220,7 +272,10 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
     request.policy = "lru".to_owned();
     request.sets = 300;
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadGeometry, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadGeometry,
+            ..
+        }) => {}
         other => panic!("expected BadGeometry, got {other:?}"),
     }
 
@@ -228,7 +283,10 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
     request.sets = 256;
     request.ways = 300;
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadGeometry, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadGeometry,
+            ..
+        }) => {}
         other => panic!("expected BadGeometry, got {other:?}"),
     }
 
@@ -236,20 +294,28 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
     request.ways = 16;
     request.trace = TraceSubmission::Bytes(vec![0u8; 64]);
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadTrace, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadTrace,
+            ..
+        }) => {}
         other => panic!("expected BadTrace, got {other:?}"),
     }
 
     // Archive submissions need a trace directory.
     request.trace = TraceSubmission::Archive("missing.sdbt".to_owned());
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadArchive, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadArchive,
+            ..
+        }) => {}
         other => panic!("expected BadArchive, got {other:?}"),
     }
 
     // The same connection still runs a good job after four rejections.
     request.trace = TraceSubmission::Bytes(trace);
-    let reply = client.submit(&request, |_, _| {}).expect("good job after rejections");
+    let reply = client
+        .submit(&request, |_, _| {})
+        .expect("good job after rejections");
     assert!(matches!(reply, SubmitReply::Done(_)));
     server.shutdown();
 }
@@ -271,9 +337,12 @@ fn saturated_queue_answers_busy_and_shutdown_releases_parked_jobs() {
     // Connection A fills the single queue slot, driven frame-by-frame so
     // the test holds the JobAccepted proof before anyone else submits.
     let mut parked = TcpStream::connect(&addr).expect("connect A");
-    Frame::Hello { version: PROTOCOL_VERSION, client: "parked".to_owned() }
-        .write_to(&mut parked)
-        .expect("hello");
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client: "parked".to_owned(),
+    }
+    .write_to(&mut parked)
+    .expect("hello");
     match Frame::read_from(&mut &parked).expect("ack readable") {
         Some(Frame::HelloAck { queue_depth, .. }) => assert_eq!(queue_depth, 1),
         other => panic!("expected HelloAck, got {other:?}"),
@@ -283,11 +352,17 @@ fn saturated_queue_answers_busy_and_shutdown_releases_parked_jobs() {
         sets: 256,
         ways: 16,
         window: 0,
-        trace: TraceRef::Inline { total: trace.len() as u64 },
+        trace: TraceRef::Inline {
+            total: trace.len() as u64,
+        },
     }
     .write_to(&mut parked)
     .expect("submit A");
-    Frame::TraceChunk { bytes: trace.clone() }.write_to(&mut parked).expect("chunk");
+    Frame::TraceChunk {
+        bytes: trace.clone(),
+    }
+    .write_to(&mut parked)
+    .expect("chunk");
     Frame::TraceEnd.write_to(&mut parked).expect("end");
     match Frame::read_from(&mut &parked).expect("accept readable") {
         Some(Frame::JobAccepted { .. }) => {}
@@ -306,7 +381,10 @@ fn saturated_queue_answers_busy_and_shutdown_releases_parked_jobs() {
     // Shutdown aborts the parked job with a typed refusal, not a hang.
     server.shutdown();
     match Frame::read_from(&mut &parked).expect("abort readable") {
-        Some(Frame::ErrorReply { code: ErrorCode::Shutdown, .. }) => {}
+        Some(Frame::ErrorReply {
+            code: ErrorCode::Shutdown,
+            ..
+        }) => {}
         other => panic!("expected the parked job to be aborted by shutdown, got {other:?}"),
     }
 }
@@ -327,23 +405,28 @@ fn archive_submissions_resolve_against_the_trace_dir() {
     // A path-traversing name is refused outright.
     let evil = JobRequest::new("lru", TraceSubmission::Archive("../cell.sdbt".to_owned()));
     match client.submit(&evil, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::BadArchive, .. }) => {}
+        Err(ServeError::Remote {
+            code: ErrorCode::BadArchive,
+            ..
+        }) => {}
         other => panic!("expected BadArchive for a traversal, got {other:?}"),
     }
 
     // The archive replay equals the inline replay of the same bytes.
     let by_name = JobRequest::new("lru", TraceSubmission::Archive("cell.sdbt".to_owned()));
     let inline = JobRequest::new("lru", TraceSubmission::Bytes(trace));
-    let SubmitReply::Done(a) = client.submit(&by_name, |_, _| {}).expect("archive job")
-    else {
+    let SubmitReply::Done(a) = client.submit(&by_name, |_, _| {}).expect("archive job") else {
         panic!("unexpected Busy")
     };
-    let SubmitReply::Done(b) = client.submit(&inline, |_, _| {}).expect("inline job")
-    else {
+    let SubmitReply::Done(b) = client.submit(&inline, |_, _| {}).expect("inline job") else {
         panic!("unexpected Busy")
     };
     assert_eq!(a.misses, b.misses);
-    assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "IPC crosses the wire bit-exactly");
+    assert_eq!(
+        a.ipc.to_bits(),
+        b.ipc.to_bits(),
+        "IPC crosses the wire bit-exactly"
+    );
 
     server.shutdown();
     #[expect(
@@ -364,7 +447,10 @@ fn shutdown_is_idempotent_and_refuses_new_submissions() {
     // never a hang.
     let request = JobRequest::new("lru", TraceSubmission::Bytes(trace));
     match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote { code: ErrorCode::Shutdown, .. })
+        Err(ServeError::Remote {
+            code: ErrorCode::Shutdown,
+            ..
+        })
         | Err(ServeError::Frame(_))
         | Err(ServeError::Protocol { .. }) => {}
         other => panic!("expected a shutdown refusal, got {other:?}"),
