@@ -230,14 +230,10 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
+    // One request whose policy changes per job, so no job copies the trace.
+    let mut request = JobRequest { policy: String::new(), sets, ways, window, trace };
     for spec in &specs {
-        let request = JobRequest {
-            policy: spec.to_string(),
-            sets,
-            ways,
-            window,
-            trace: trace.clone(),
-        };
+        request.policy = spec.to_string();
         let outcome = submit_with_retry(&mut client, &request)?;
         let line =
             result_line(&outcome.workload, spec, outcome.misses, outcome.mpki(), outcome.ipc);

@@ -3,7 +3,7 @@
 //! thin wrappers around [`Client`].
 
 use crate::error::ServeError;
-use crate::protocol::{Frame, TraceRef, PROTOCOL_VERSION, TRACE_CHUNK_BYTES};
+use crate::protocol::{write_trace_chunk, Frame, TraceRef, PROTOCOL_VERSION, TRACE_CHUNK_BYTES};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
@@ -207,10 +207,7 @@ impl Client {
         .write_to(&mut self.writer)?;
         if let TraceSubmission::Bytes(bytes) = &request.trace {
             for chunk in bytes.chunks(TRACE_CHUNK_BYTES) {
-                Frame::TraceChunk {
-                    bytes: chunk.to_vec(),
-                }
-                .write_to(&mut self.writer)?;
+                write_trace_chunk(&mut self.writer, chunk)?;
             }
             Frame::TraceEnd.write_to(&mut self.writer)?;
         }

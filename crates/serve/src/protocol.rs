@@ -367,6 +367,12 @@ impl Frame {
         let Some((&kind, body)) = payload.split_first() else {
             return Err(FrameError::Empty);
         };
+        Frame::decode_body(kind, body)
+    }
+
+    /// [`decode`](Frame::decode) of a payload already split into its
+    /// kind byte and body.
+    fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
         let mut pos = 0usize;
         let frame = match kind {
             KIND_HELLO => Frame::Hello {
@@ -463,14 +469,7 @@ impl Frame {
     /// than [`TRACE_CHUNK_BYTES`]); otherwise propagates i/o errors.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), FrameError> {
         let payload = self.encode();
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_FRAME_LEN)
-            .ok_or(FrameError::Oversized {
-                len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
-                max: MAX_FRAME_LEN,
-            })?;
-        w.write_all(&len.to_le_bytes())?;
+        w.write_all(&length_prefix(payload.len())?)?;
         w.write_all(&payload)?;
         Ok(())
     }
@@ -500,18 +499,59 @@ impl Frame {
                 max: MAX_FRAME_LEN,
             });
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                FrameError::Truncated {
-                    context: "frame payload",
-                }
-            } else {
-                FrameError::Io(e)
-            }
-        })?;
-        Frame::decode(&payload).map(Some)
+        // The kind byte first, so a chunk's body is read straight into
+        // the `Vec` the frame keeps.
+        let mut kind = 0u8;
+        read_payload(r, std::slice::from_mut(&mut kind))?;
+        let mut body = vec![0u8; (len - 1) as usize];
+        read_payload(r, &mut body)?;
+        if kind == KIND_TRACE_CHUNK {
+            return Ok(Some(Frame::TraceChunk { bytes: body }));
+        }
+        Frame::decode_body(kind, &body).map(Some)
     }
+}
+
+/// Writes one [`Frame::TraceChunk`] carrying `bytes` without copying them
+/// into a frame first; the wire bytes equal those of
+/// `Frame::TraceChunk { bytes: bytes.to_vec() }.write_to(w)`.
+///
+/// # Errors
+///
+/// [`FrameError::Oversized`] if `bytes` does not fit one frame
+/// ([`TRACE_CHUNK_BYTES`] always does); otherwise propagates i/o errors.
+pub fn write_trace_chunk<W: Write>(w: &mut W, bytes: &[u8]) -> Result<(), FrameError> {
+    let [a, b, c, d] = length_prefix(bytes.len().saturating_add(1))?;
+    w.write_all(&[a, b, c, d, KIND_TRACE_CHUNK])?;
+    w.write_all(bytes)?;
+    Ok(())
+}
+
+/// The length prefix of a `payload_len`-byte payload, or
+/// [`FrameError::Oversized`] past [`MAX_FRAME_LEN`].
+fn length_prefix(payload_len: usize) -> Result<[u8; 4], FrameError> {
+    u32::try_from(payload_len)
+        .ok()
+        .filter(|&l| l <= MAX_FRAME_LEN)
+        .map(u32::to_le_bytes)
+        .ok_or(FrameError::Oversized {
+            len: u32::try_from(payload_len).unwrap_or(u32::MAX),
+            max: MAX_FRAME_LEN,
+        })
+}
+
+/// Fills `buf` from the frame payload; a stream that ends first is
+/// [`FrameError::Truncated`].
+fn read_payload<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), FrameError> {
+    r.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            FrameError::Truncated {
+                context: "frame payload",
+            }
+        } else {
+            FrameError::Io(e)
+        }
+    })
 }
 
 /// Outcome of reading the 4-byte length prefix.
@@ -951,6 +991,32 @@ mod tests {
             Err(FrameError::Oversized { .. })
         ));
         assert!(buf.is_empty(), "nothing may be written for a refused frame");
+        let mut buf = Vec::new();
+        assert!(matches!(
+            write_trace_chunk(&mut buf, &vec![0u8; MAX_FRAME_LEN as usize]),
+            Err(FrameError::Oversized { .. })
+        ));
+        assert!(buf.is_empty(), "nothing may be written for a refused chunk");
+    }
+
+    #[test]
+    fn borrowed_chunk_writer_emits_the_owned_frame_bytes() {
+        for len in [0, 1, TRACE_CHUNK_BYTES] {
+            let bytes: Vec<u8> = (0..=250u8).cycle().take(len).collect();
+            let mut borrowed = Vec::new();
+            write_trace_chunk(&mut borrowed, &bytes).expect("borrowed chunk writes");
+            let mut owned = Vec::new();
+            Frame::TraceChunk {
+                bytes: bytes.clone(),
+            }
+            .write_to(&mut owned)
+            .expect("owned chunk writes");
+            assert_eq!(borrowed, owned, "{len}-byte chunk");
+            let back = Frame::read_from(&mut Cursor::new(borrowed))
+                .expect("reads")
+                .expect("frame");
+            assert_eq!(back, Frame::TraceChunk { bytes }, "{len}-byte chunk");
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@ use crate::error::ServeError;
 use crate::protocol::{ErrorCode, Frame};
 use crate::{wait_then, with_lock};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayRequest};
-use sdbp_cache::recorder::try_record_batches;
+use sdbp_cache::recorder::{try_record_batches, RecordedWorkload};
 use sdbp_cache::replay::WindowStream;
 use sdbp_cache::CacheConfig;
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
+use sdbp_traceio::format::fnv1a_words;
 use sdbp_traceio::BufferedTrace;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -116,6 +117,8 @@ impl JobGate {
 pub(crate) struct QueuedJob {
     /// Server-assigned job id (already sent to the client).
     pub(crate) job: u64,
+    /// The submitting session; scopes the job's recording memo hits.
+    pub(crate) session: u64,
     /// Engine telemetry label, `serve/s{session}-j{job}/{policy}`.
     pub(crate) label: String,
     /// Raw policy spec string from the submission.
@@ -156,6 +159,94 @@ pub(crate) struct Shared {
     /// ([`ServerConfig::shard_min_accesses`]).
     pub(crate) shard_min_accesses: usize,
     pub(crate) engine: Engine,
+    /// The last successful recording, for the next job of its session.
+    pub(crate) memo: RecordingMemo,
+}
+
+/// Which upload a recording was made from: the submitting session, the
+/// upload's length and its word-folded FNV-1a hash (see `DESIGN.md` §11,
+/// "Recording reuse").
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct UploadKey {
+    session: u64,
+    len: usize,
+    hash: u64,
+}
+
+impl UploadKey {
+    /// The key of `upload` as submitted by `session`.
+    fn of(session: u64, upload: &[u8]) -> UploadKey {
+        UploadKey {
+            session,
+            len: upload.len(),
+            hash: fnv1a_words(upload),
+        }
+    }
+}
+
+/// A one-slot memo of the last recording: a job whose upload matches the
+/// slot's key replays the memoised recording instead of indexing and
+/// recording its bytes again. The LLC demand stream does not depend on
+/// the LLC policy (`DESIGN.md` §2), so one recording serves every policy
+/// a session submits for the same upload.
+#[derive(Default)]
+pub(crate) struct RecordingMemo {
+    slot: Mutex<Option<(UploadKey, Arc<RecordedWorkload>)>>,
+}
+
+impl RecordingMemo {
+    /// The memoised recording of `key`, or `None` after emptying the
+    /// slot: a miss frees the old recording before the new one is made,
+    /// so the memo never holds two.
+    fn hit_or_empty(&self, key: &UploadKey) -> Option<Arc<RecordedWorkload>> {
+        let evicted = with_lock(&self.slot, |slot| match slot {
+            Some((k, w)) if k == key => Ok(Arc::clone(w)),
+            _ => Err(slot.take()),
+        });
+        // An evicted recording is dropped here, outside the lock.
+        evicted.ok()
+    }
+
+    /// Memoises a successful recording of the upload keyed `key`.
+    fn store(&self, key: UploadKey, recording: Arc<RecordedWorkload>) {
+        let evicted = with_lock(&self.slot, |slot| slot.replace((key, recording)));
+        drop(evicted);
+    }
+}
+
+impl std::fmt::Debug for RecordingMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RecordingMemo").finish_non_exhaustive()
+    }
+}
+
+/// A job's upload: the memoised recording on a hit, else the bytes to
+/// index and record.
+struct Upload {
+    key: UploadKey,
+    reused: Option<Arc<RecordedWorkload>>,
+    bytes: Vec<u8>,
+}
+
+impl Upload {
+    /// The upload's recording: the memoised one, or a fresh one (indexed
+    /// in place and recorded through the columnar batch door) that is
+    /// memoised once it succeeds. Decode-ahead validation happens at
+    /// indexing time, so a corrupt upload fails before replay starts.
+    /// The bytes are freed on return either way.
+    fn recording(self, memo: &RecordingMemo) -> Result<Arc<RecordedWorkload>, (ErrorCode, String)> {
+        if let Some(workload) = self.reused {
+            return Ok(workload);
+        }
+        let bad_trace = |e: &dyn std::fmt::Display| (ErrorCode::BadTrace, e.to_string());
+        let buffered = BufferedTrace::from_slice(&self.bytes).map_err(|e| bad_trace(&e))?;
+        let meta = buffered.meta();
+        let workload = try_record_batches(&meta.name, &mut buffered.batches(), meta.count, 0)
+            .map_err(|e| bad_trace(&e))?;
+        let workload = Arc::new(workload);
+        memo.store(self.key, Arc::clone(&workload));
+        Ok(workload)
+    }
 }
 
 /// A live connection: the stream (to unblock reads at shutdown) and the
@@ -208,6 +299,7 @@ impl Server {
             // Each executor runs one job at a time; the engine's own pool
             // stays serial so telemetry timing reflects the job itself.
             engine: Engine::with_workers(1),
+            memo: RecordingMemo::default(),
         });
 
         let mut executors = Vec::with_capacity(config.workers);
@@ -387,25 +479,36 @@ struct DoneStats {
 fn execute_job(shared: &Shared, queued: QueuedJob) {
     let QueuedJob {
         job,
+        session,
         label,
         policy,
         llc,
         window,
         trace,
         instructions,
-        source,
+        mut source,
         mut stream,
         accepted,
         done,
     } = queued;
     // JobAccepted precedes every frame of the job.
     accepted.pass();
+    let key = UploadKey::of(session, &trace);
+    let reused = shared.memo.hit_or_empty(&key);
+    if reused.is_some() {
+        source.push_str("+reused");
+    }
+    let upload = Upload {
+        key,
+        reused,
+        bytes: trace,
+    };
     let outcome = {
         let results_stream = &mut stream;
         shared.engine.run_one(
             &label,
             Job::new(label.clone(), move || {
-                run_replay(job, &policy, llc, window, &trace, shared, results_stream)
+                run_replay(job, &policy, llc, window, upload, shared, results_stream)
             })
             .accesses(instructions)
             .source(source),
@@ -438,28 +541,22 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
 
 /// The replay pipeline — the same replay front door as `sdbp-repro trace
 /// replay`, which is what makes wire results bit-identical to in-process
-/// ones. Jobs of at least `shard_min_accesses` accesses ask the door for
-/// the server's shard count (it shards only set-local policies); since a
-/// sharded replay drives the window probe in original access order, the
-/// streamed `WindowResult` frames are byte-identical either way.
+/// ones; a memoised recording equals a fresh one, so a memo hit streams
+/// the same frames as a miss. Jobs of at least `shard_min_accesses`
+/// accesses ask the door for the server's shard count (it shards only
+/// set-local policies); since a sharded replay drives the window probe in
+/// original access order, the streamed `WindowResult` frames are
+/// byte-identical either way.
 fn run_replay(
     job: u64,
     policy: &str,
     llc: CacheConfig,
     window: u32,
-    trace: &[u8],
+    upload: Upload,
     shared: &Shared,
     stream: &mut TcpStream,
 ) -> Result<DoneStats, (ErrorCode, String)> {
-    // Index the upload in place (no copy of the wire bytes) and record
-    // through the columnar batch door; decode-ahead validation happened
-    // at indexing time, so a corrupt upload fails before replay starts.
-    let buffered =
-        BufferedTrace::from_slice(trace).map_err(|e| (ErrorCode::BadTrace, e.to_string()))?;
-    let meta = buffered.meta().clone();
-    let mut batches = buffered.batches();
-    let workload = try_record_batches(&meta.name, &mut batches, meta.count, 0)
-        .map_err(|e| (ErrorCode::BadTrace, e.to_string()))?;
+    let workload = upload.recording(&shared.memo)?;
     let spec: sdbp::registry::PolicySpec = policy
         .parse()
         .map_err(|e: sdbp::SpecError| (ErrorCode::BadSpec, e.to_string()))?;
@@ -548,10 +645,12 @@ mod tests {
             shards: 1,
             shard_min_accesses: SHARD_MIN_ACCESSES,
             engine: Engine::with_workers(1),
+            memo: RecordingMemo::default(),
         };
         let (accepted, done) = (Arc::new(JobGate::default()), Arc::new(JobGate::default()));
         let job = QueuedJob {
             job: 1,
+            session: 1,
             label: "gate".to_owned(),
             policy: "lru".to_owned(),
             llc: CacheConfig { sets: 1, ways: 1 },

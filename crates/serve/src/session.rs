@@ -287,6 +287,7 @@ fn handle_submit(
         let job = shared.next_job.fetch_add(1, Ordering::SeqCst);
         q.push_back(QueuedJob {
             job,
+            session,
             label: format!("serve/s{session}-j{job}/{}", sub.policy),
             policy: sub.policy,
             llc,

@@ -7,9 +7,10 @@
 //! same `tests/golden/replay_miss_counts.tsv` rows that gate the
 //! data-plane refactor.
 
+use sdbp::registry::standard;
 use sdbp_serve::protocol::ErrorCode;
 use sdbp_serve::{
-    Client, JobRequest, ServeError, Server, ServerConfig, SubmitReply, TraceSubmission,
+    Client, JobOutcome, JobRequest, ServeError, Server, ServerConfig, SubmitReply, TraceSubmission,
 };
 use sdbp_traceio::{TraceMeta, TraceWriter};
 use sdbp_workloads::benchmark;
@@ -459,4 +460,128 @@ fn shutdown_is_idempotent_and_refuses_new_submissions() {
     drop(server);
     // Give the OS a beat to release the port before the next test binds.
     std::thread::sleep(Duration::from_millis(10));
+}
+
+/// A completed job as the client saw it: the `JobDone` counters (job id
+/// zeroed, since ids differ between servers) and the streamed
+/// `(index, misses)` windows.
+type Frames = (JobOutcome, Vec<(u64, u64)>);
+
+/// Submits `policy` over `trace` on `client` and collects its frames.
+fn frames(client: &mut Client, policy: &str, window: u32, trace: &[u8]) -> Frames {
+    let request = JobRequest {
+        policy: policy.to_owned(),
+        sets: SETS,
+        ways: WAYS,
+        window,
+        trace: TraceSubmission::Bytes(trace.to_vec()),
+    };
+    let mut windows = Vec::new();
+    let reply = client
+        .submit(&request, |index, misses| windows.push((index, misses)))
+        .unwrap_or_else(|e| panic!("{policy} window={window}: {e}"));
+    let SubmitReply::Done(outcome) = reply else {
+        panic!("unexpected Busy")
+    };
+    (JobOutcome { job: 0, ..outcome }, windows)
+}
+
+/// Jobs whose telemetry source says they replayed a memoised recording.
+fn reused_jobs(server: &Server) -> usize {
+    server
+        .engine()
+        .telemetry()
+        .batches
+        .iter()
+        .flat_map(|b| &b.per_job)
+        .filter(|j| j.source.as_deref().is_some_and(|s| s.ends_with("+reused")))
+        .count()
+}
+
+#[test]
+fn memo_hits_stream_the_frames_of_a_fresh_server() {
+    let trace = trace_bytes(INSTRUCTIONS);
+    let policies: Vec<&str> = standard().entries().iter().map(|e| e.name).collect();
+    let (server, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut jobs = 0;
+    for window in [0, 25_000] {
+        for &policy in &policies {
+            let memo = frames(&mut client, policy, window, &trace);
+            let (fresh_server, fresh_addr) = start(ServerConfig::default());
+            let mut fresh_client = Client::connect(&fresh_addr).expect("connect");
+            let fresh = frames(&mut fresh_client, policy, window, &trace);
+            fresh_client.goodbye().expect("goodbye");
+            fresh_server.shutdown();
+            assert_eq!(reused_jobs(&fresh_server), 0, "a fresh server records");
+            assert_eq!(memo, fresh, "{policy} window={window}: memo frames differ");
+            jobs += 1;
+        }
+    }
+    // Every job after the session's first replayed the first one's
+    // recording.
+    assert_eq!(reused_jobs(&server), jobs - 1);
+    client.goodbye().expect("goodbye");
+    server.shutdown();
+}
+
+#[test]
+fn a_one_byte_change_of_the_same_length_is_not_a_memo_hit() {
+    let trace = trace_bytes(20_000);
+    let mut flipped = trace.clone();
+    // Past the header, so the session accepts the job and only indexing
+    // can find the damage.
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x10;
+    let (server, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    frames(&mut client, "lru", 0, &trace);
+    let request = JobRequest::new("lru", TraceSubmission::Bytes(flipped));
+    match client.submit(&request, |_, _| {}) {
+        Err(ServeError::Remote {
+            code: ErrorCode::BadTrace,
+            ..
+        }) => {}
+        other => panic!("expected BadTrace for a damaged upload, got {other:?}"),
+    }
+    assert_eq!(reused_jobs(&server), 0);
+    server.shutdown();
+}
+
+#[test]
+fn an_evicted_upload_records_again_with_the_same_counters() {
+    let (a, b) = (trace_bytes(20_000), trace_bytes(30_000));
+    let (server, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let first = frames(&mut client, "sampler", 0, &a);
+    let other = frames(&mut client, "sampler", 0, &b);
+    let again = frames(&mut client, "sampler", 0, &a);
+    assert_ne!(first.0.instructions, other.0.instructions);
+    assert_eq!(again, first, "A after B must give A's counters");
+    assert_eq!(reused_jobs(&server), 0, "one slot: B evicted A");
+    server.shutdown();
+}
+
+#[test]
+fn sessions_never_share_a_recording() {
+    let trace = trace_bytes(INSTRUCTIONS);
+    let (server, addr) = start(ServerConfig::default());
+    let mut one = Client::connect(&addr).expect("connect");
+    let mut two = Client::connect(&addr).expect("connect");
+    for policy in ["lru", "sampler"] {
+        for client in [&mut one, &mut two] {
+            let (outcome, _) = frames(client, policy, 0, &trace);
+            assert_eq!(outcome.misses, golden_misses(policy), "{policy}");
+        }
+    }
+    // Interleaved sessions evict each other's recordings.
+    assert_eq!(reused_jobs(&server), 0);
+    let (outcome, _) = frames(&mut two, "lru", 0, &trace);
+    assert_eq!(outcome.misses, golden_misses("lru"));
+    assert_eq!(
+        reused_jobs(&server),
+        1,
+        "a session reuses its own recording"
+    );
+    server.shutdown();
 }
