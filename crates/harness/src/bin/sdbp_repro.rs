@@ -185,14 +185,21 @@ fn main() {
     if shards_auto {
         // One shard per worker: each cell's replay asks for as many set
         // shards as the engine has workers.
-        std::env::set_var(sdbp_harness::runner::SHARDS_ENV, engine.workers().to_string());
+        std::env::set_var(
+            sdbp_harness::runner::SHARDS_ENV,
+            engine.workers().to_string(),
+        );
     }
     eprintln!(
         "[engine: {} worker{}, {} shard{}]",
         engine.workers(),
         if engine.workers() == 1 { "" } else { "s" },
         sdbp_harness::runner::shards_from_env(),
-        if sdbp_harness::runner::shards_from_env() == 1 { "" } else { "s" }
+        if sdbp_harness::runner::shards_from_env() == 1 {
+            ""
+        } else {
+            "s"
+        }
     );
     let ctx = Context::with_engine(engine);
     let mut failed = false;
@@ -203,8 +210,11 @@ fn main() {
                 println!("==== {id} ====");
                 println!("{report}");
                 if let Some(f) = output.as_mut() {
-                    if let Err(e) = writeln!(f, "==== {id} ====
-{report}") {
+                    if let Err(e) = writeln!(
+                        f,
+                        "==== {id} ====
+{report}"
+                    ) {
                         eprintln!("error: cannot append {id} to results file: {e}");
                         failed = true;
                     }

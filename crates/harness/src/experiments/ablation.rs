@@ -11,7 +11,9 @@ use sdbp_workloads::subset;
 fn sweep(ctx: &Context, variants: &[(&'static str, SdbpConfig)]) -> Vec<(String, f64)> {
     let mut policies = vec![PolicyKind::Lru];
     policies.extend(
-        variants.iter().map(|(label, cfg)| PolicyKind::SamplerVariant(label, *cfg)),
+        variants
+            .iter()
+            .map(|(label, cfg)| PolicyKind::SamplerVariant(label, *cfg)),
     );
     let matrix = run_matrix(&ctx.engine, &ctx.store, &subset(), &policies, ctx.llc());
     (0..variants.len())
@@ -26,7 +28,10 @@ fn sweep(ctx: &Context, variants: &[(&'static str, SdbpConfig)]) -> Vec<(String,
 }
 
 fn with_sampler(sampler: SamplerConfig) -> SdbpConfig {
-    SdbpConfig { sampler: Some(sampler), tables: TableConfig::skewed() }
+    SdbpConfig {
+        sampler: Some(sampler),
+        tables: TableConfig::skewed(),
+    }
 }
 
 /// Runs all sweeps and renders one table per design choice.
@@ -41,36 +46,90 @@ pub fn run(ctx: &Context) -> String {
         (
             "Sampler set count",
             vec![
-                ("8 sets", with_sampler(SamplerConfig { sets: 8, ..Default::default() })),
-                ("16 sets", with_sampler(SamplerConfig { sets: 16, ..Default::default() })),
+                (
+                    "8 sets",
+                    with_sampler(SamplerConfig {
+                        sets: 8,
+                        ..Default::default()
+                    }),
+                ),
+                (
+                    "16 sets",
+                    with_sampler(SamplerConfig {
+                        sets: 16,
+                        ..Default::default()
+                    }),
+                ),
                 ("32 sets (paper)", SdbpConfig::paper()),
-                ("64 sets", with_sampler(SamplerConfig { sets: 64, ..Default::default() })),
-                ("128 sets", with_sampler(SamplerConfig { sets: 128, ..Default::default() })),
+                (
+                    "64 sets",
+                    with_sampler(SamplerConfig {
+                        sets: 64,
+                        ..Default::default()
+                    }),
+                ),
+                (
+                    "128 sets",
+                    with_sampler(SamplerConfig {
+                        sets: 128,
+                        ..Default::default()
+                    }),
+                ),
             ],
         ),
         (
             "Prediction threshold",
             vec![
-                ("threshold 4", SdbpConfig {
-                    tables: TableConfig { threshold: 4, ..TableConfig::skewed() },
-                    ..SdbpConfig::paper()
-                }),
-                ("threshold 6", SdbpConfig {
-                    tables: TableConfig { threshold: 6, ..TableConfig::skewed() },
-                    ..SdbpConfig::paper()
-                }),
+                (
+                    "threshold 4",
+                    SdbpConfig {
+                        tables: TableConfig {
+                            threshold: 4,
+                            ..TableConfig::skewed()
+                        },
+                        ..SdbpConfig::paper()
+                    },
+                ),
+                (
+                    "threshold 6",
+                    SdbpConfig {
+                        tables: TableConfig {
+                            threshold: 6,
+                            ..TableConfig::skewed()
+                        },
+                        ..SdbpConfig::paper()
+                    },
+                ),
                 ("threshold 8 (paper)", SdbpConfig::paper()),
-                ("threshold 9", SdbpConfig {
-                    tables: TableConfig { threshold: 9, ..TableConfig::skewed() },
-                    ..SdbpConfig::paper()
-                }),
+                (
+                    "threshold 9",
+                    SdbpConfig {
+                        tables: TableConfig {
+                            threshold: 9,
+                            ..TableConfig::skewed()
+                        },
+                        ..SdbpConfig::paper()
+                    },
+                ),
             ],
         ),
         (
             "Partial tag width",
             vec![
-                ("8-bit tags", with_sampler(SamplerConfig { tag_bits: 8, ..Default::default() })),
-                ("12-bit tags", with_sampler(SamplerConfig { tag_bits: 12, ..Default::default() })),
+                (
+                    "8-bit tags",
+                    with_sampler(SamplerConfig {
+                        tag_bits: 8,
+                        ..Default::default()
+                    }),
+                ),
+                (
+                    "12-bit tags",
+                    with_sampler(SamplerConfig {
+                        tag_bits: 12,
+                        ..Default::default()
+                    }),
+                ),
                 ("15-bit tags (paper)", SdbpConfig::paper()),
             ],
         ),

@@ -18,8 +18,10 @@ fn normalized_means(matrix: &[Vec<SingleResult>]) -> Vec<(String, f64, f64)> {
                 .iter()
                 .map(|row| row[i + 1].misses as f64 / row[0].misses.max(1) as f64)
                 .collect();
-            let speedups: Vec<f64> =
-                matrix.iter().map(|row| row[i + 1].ipc / row[0].ipc).collect();
+            let speedups: Vec<f64> = matrix
+                .iter()
+                .map(|row| row[i + 1].ipc / row[0].ipc)
+                .collect();
             (
                 matrix[0][i + 1].policy.to_owned(),
                 amean(&norms),
@@ -65,7 +67,10 @@ pub fn run(ctx: &Context) -> String {
             })
         })
         .collect();
-    let vvc_norms = ctx.engine.run_batch("extensions/vvc", vvc_jobs).expect_all();
+    let vvc_norms = ctx
+        .engine
+        .run_batch("extensions/vvc", vvc_jobs)
+        .expect_all();
     format!(
         "Extensions: predictor variants under the same DBRB harness \
          (LRU baseline; 2MB LLC)\n\n{}\nVirtual victim cache (SDBP-driven, \

@@ -54,7 +54,10 @@ fn suite_dead_fraction(ctx: &Context) -> f64 {
             })
         })
         .collect();
-    let effs = ctx.engine.run_batch("fig1/dead-fraction", jobs).expect_all();
+    let effs = ctx
+        .engine
+        .run_batch("fig1/dead-fraction", jobs)
+        .expect_all();
     1.0 - effs.iter().sum::<f64>() / effs.len() as f64
 }
 

@@ -35,7 +35,10 @@ impl Context {
 
     /// Creates a context running every experiment through `engine`.
     pub fn with_engine(engine: Engine) -> Self {
-        Context { engine, ..Self::default() }
+        Context {
+            engine,
+            ..Self::default()
+        }
     }
 
     /// The single-core LLC geometry (2 MB, 16-way).
@@ -80,8 +83,20 @@ impl Context {
 
 /// Experiment ids in paper order, plus the extra ablation sweeps.
 pub const ALL_EXPERIMENTS: [&str; 14] = [
-    "table1", "table2", "fig1", "table3", "table4", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "fig9", "fig10", "ablation", "extensions",
+    "table1",
+    "table2",
+    "fig1",
+    "table3",
+    "table4",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "ablation",
+    "extensions",
 ];
 
 /// Runs one experiment by id, returning its rendered report.

@@ -21,7 +21,11 @@ fn lru_policies() -> Vec<PolicyKind> {
 
 /// Policies of Figure 10(b): random-default techniques.
 fn random_policies() -> Vec<PolicyKind> {
-    vec![PolicyKind::Random, PolicyKind::RandomCdbp, PolicyKind::RandomSampler]
+    vec![
+        PolicyKind::Random,
+        PolicyKind::RandomCdbp,
+        PolicyKind::RandomSampler,
+    ]
 }
 
 struct MixRun {
@@ -41,13 +45,16 @@ fn run_all(ctx: &Context, policies: &[PolicyKind]) -> Vec<MixRun> {
                 let workloads = record_mix(&store, &mix);
                 let merged = merged_stream(&workloads);
                 let singles = isolated_ipcs(&workloads, llc);
-                let baseline =
-                    run_mix_policy(&workloads, &merged, &singles, &PolicyKind::Lru, llc);
+                let baseline = run_mix_policy(&workloads, &merged, &singles, &PolicyKind::Lru, llc);
                 let results = policies
                     .iter()
                     .map(|p| run_mix_policy(&workloads, &merged, &singles, p, llc))
                     .collect::<Vec<_>>();
-                MixRun { name: mix.name, baseline, results }
+                MixRun {
+                    name: mix.name,
+                    baseline,
+                    results,
+                }
             })
         })
         .collect();

@@ -99,8 +99,10 @@ pub fn fig6(ctx: &Context) -> String {
     let mut t = TextTable::new(vec!["Configuration".into(), "gmean speedup".into()]);
     let n_policies = matrix[0].len() - 1;
     for i in 0..n_policies {
-        let speedups: Vec<f64> =
-            matrix.iter().map(|row| row[i + 1].ipc / row[0].ipc).collect();
+        let speedups: Vec<f64> = matrix
+            .iter()
+            .map(|row| row[i + 1].ipc / row[0].ipc)
+            .collect();
         t.row(vec![
             matrix[0][i + 1].policy.to_owned(),
             pct(gmean(&speedups) - 1.0),

@@ -29,7 +29,10 @@ pub fn table1() -> String {
             format!("{:.1}%", r.percent_of_llc()),
         ]);
     }
-    format!("Table I: storage overhead of dead block predictors\n\n{}", t.render())
+    format!(
+        "Table I: storage overhead of dead block predictors\n\n{}",
+        t.render()
+    )
 }
 
 /// Table II: leakage and dynamic power of the predictor components.

@@ -4,9 +4,8 @@
 
 use sdbp::replay::{ReplayMode, ReplayRequest};
 use sdbp_cache::recorder::{
-    merge_llc_streams, record_for_core, try_record_batches, try_record_for_core,
-    LlcAccess, RecordError,
-    RecordedWorkload,
+    merge_llc_streams, record_for_core, try_record_batches, try_record_for_core, LlcAccess,
+    RecordError, RecordedWorkload,
 };
 use sdbp_cache::replay::{replay, split_hits_by_core};
 use sdbp_cache::{CacheConfig, CacheStats};
@@ -108,11 +107,12 @@ pub fn record_from_source(
     core: u8,
 ) -> Result<RecordedWorkload, String> {
     if let Some(mut batches) = source.open_batched()? {
-        return try_record_batches(name, batches.as_mut(), instructions, core)
-            .map_err(|e| match e {
+        return try_record_batches(name, batches.as_mut(), instructions, core).map_err(
+            |e| match e {
                 RecordError::Source(msg) => msg,
                 other => other.to_string(),
-            });
+            },
+        );
     }
     let stream = source.open()?;
     try_record_for_core(name, stream, instructions, core).map_err(|e| match e {
@@ -142,8 +142,8 @@ impl RecordStore {
         let n = instructions();
         let recorded = match archived_trace_path(bench.name, core) {
             Some(path) => {
-                let source = FileSource::new(&path)
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                let source =
+                    FileSource::new(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
                 let w = record_from_source(&source, bench.name, n, core)
                     .unwrap_or_else(|e| panic!("replaying archived trace: {e}"));
                 Arc::new(w)
@@ -187,7 +187,11 @@ pub const SHARDS_ENV: &str = "SDBP_SHARDS";
 
 /// The shard count requested via [`SHARDS_ENV`] (default 1 = serial).
 pub fn shards_from_env() -> usize {
-    std::env::var(SHARDS_ENV).ok().and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or(1)
+    std::env::var(SHARDS_ENV)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1)
 }
 
 /// Replays `policy` over a recorded single-core workload through the
@@ -214,9 +218,15 @@ pub fn run_policy(
         None => ReplayMode::Exact { probe: None },
     };
     let spec = policy.spec();
-    let outcome = ReplayRequest { stream: &workload.llc, llc, policy: &spec, mode, shards }
-        .run()
-        .unwrap_or_else(|e| panic!("replay of {} under {spec}: {e}", workload.name));
+    let outcome = ReplayRequest {
+        stream: &workload.llc,
+        llc,
+        policy: &spec,
+        mode,
+        shards,
+    }
+    .run()
+    .unwrap_or_else(|e| panic!("replay of {} under {spec}: {e}", workload.name));
     let timing = CoreModel::default().simulate(&workload.records, &outcome.hits);
     SingleResult {
         benchmark: workload.name.clone(),
@@ -247,9 +257,11 @@ pub fn run_matrix(
         .iter()
         .map(|bench| {
             let store = store.clone();
-            Job::new(format!("record/{}", bench.name), move || store.record(bench, 0))
-                .accesses(instructions())
-                .source(record_source_label(bench.name, 0))
+            Job::new(format!("record/{}", bench.name), move || {
+                store.record(bench, 0)
+            })
+            .accesses(instructions())
+            .source(record_source_label(bench.name, 0))
         })
         .collect();
     let recordings = engine.run_batch("record", record_jobs).expect_all();
@@ -268,7 +280,9 @@ pub fn run_matrix(
         }
     }
     let flat = engine.run_batch("matrix", cell_jobs).expect_all();
-    flat.chunks(policies.len().max(1)).map(<[SingleResult]>::to_vec).collect()
+    flat.chunks(policies.len().max(1))
+        .map(<[SingleResult]>::to_vec)
+        .collect()
 }
 
 /// Outcome of one (mix, policy) quad-core run.
@@ -367,8 +381,10 @@ mod tests {
 
     #[test]
     fn policy_labels_are_unique_in_comparisons() {
-        let mut labels: Vec<&str> =
-            PolicyKind::lru_comparison().iter().map(|p| p.label()).collect();
+        let mut labels: Vec<&str> = PolicyKind::lru_comparison()
+            .iter()
+            .map(|p| p.label())
+            .collect();
         labels.extend(PolicyKind::random_comparison().iter().map(|p| p.label()));
         labels.extend(PolicyKind::ablation_ladder().iter().map(|p| p.label()));
         let n = labels.len();

@@ -64,11 +64,19 @@ impl Flags {
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.named.iter().rev().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        self.named
+            .iter()
+            .rev()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
     }
 
     fn get_all(&self, name: &str) -> Vec<&str> {
-        self.named.iter().filter(|(n, _)| n == name).map(|(_, v)| v.as_str()).collect()
+        self.named
+            .iter()
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+            .collect()
     }
 
     fn get_parsed<T: std::str::FromStr>(
@@ -104,18 +112,30 @@ pub fn run_serve(args: &[String]) -> i32 {
 fn serve_inner(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["addr", "jobs", "shards", "queue-depth", "trace-dir", "engine-report", "shutdown-file"],
+        &[
+            "addr",
+            "jobs",
+            "shards",
+            "queue-depth",
+            "trace-dir",
+            "engine-report",
+            "shutdown-file",
+        ],
         SERVE_USAGE,
     )?;
     if !flags.positional.is_empty() {
-        return Err(format!("serve takes no positional arguments\n{SERVE_USAGE}"));
+        return Err(format!(
+            "serve takes no positional arguments\n{SERVE_USAGE}"
+        ));
     }
     // Set shards per replay job: big jobs on set-local policies spread
     // across this many threads (DESIGN.md §13); `auto` means one shard
     // per hardware thread.
     let shards = match flags.get("shards") {
         None => 1,
-        Some("auto") => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
+        Some("auto") => std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1),
         Some(raw) => raw
             .parse()
             .ok()
@@ -146,10 +166,13 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
         reason = "best-effort flush so wrappers see the addr promptly"
     )]
     let _ = std::io::stdout().flush();
-    eprintln!("[serve: stop with {}]", match &shutdown_file {
-        Some(p) => format!("`touch {}` or EOF on stdin", p.display()),
-        None => "EOF on stdin (or a signal)".to_owned(),
-    });
+    eprintln!(
+        "[serve: stop with {}]",
+        match &shutdown_file {
+            Some(p) => format!("`touch {}` or EOF on stdin", p.display()),
+            None => "EOF on stdin (or a signal)".to_owned(),
+        }
+    );
 
     match shutdown_file {
         Some(marker) => {
@@ -178,7 +201,11 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
             .engine()
             .write_report(&report_path)
             .map_err(|e| format!("cannot write {}: {e}", report_path.display()))?;
-        eprintln!("[serve: {} jobs, report: {}]", telemetry.jobs(), report_path.display());
+        eprintln!(
+            "[serve: {} jobs, report: {}]",
+            telemetry.jobs(),
+            report_path.display()
+        );
     }
     Ok(())
 }
@@ -200,27 +227,35 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
         &["addr", "policy", "sets", "ways", "window"],
         SUBMIT_USAGE,
     )?;
-    let addr = flags.get("addr").ok_or_else(|| format!("submit needs --addr\n{SUBMIT_USAGE}"))?;
+    let addr = flags
+        .get("addr")
+        .ok_or_else(|| format!("submit needs --addr\n{SUBMIT_USAGE}"))?;
     let [path] = flags.positional.as_slice() else {
-        return Err(format!("submit needs exactly one FILE.sdbt\n{SUBMIT_USAGE}"));
+        return Err(format!(
+            "submit needs exactly one FILE.sdbt\n{SUBMIT_USAGE}"
+        ));
     };
     let sets = flags.get_parsed("sets", 2048u32, SUBMIT_USAGE)?;
     let ways = flags.get_parsed("ways", 16u32, SUBMIT_USAGE)?;
     let window = flags.get_parsed("window", 0u32, SUBMIT_USAGE)?;
     let raw_specs = flags.get_all("policy");
-    let raw_specs: Vec<&str> =
-        if raw_specs.is_empty() { vec!["lru", "sampler"] } else { raw_specs };
+    let raw_specs: Vec<&str> = if raw_specs.is_empty() {
+        vec!["lru", "sampler"]
+    } else {
+        raw_specs
+    };
     // Normalize client-side so the printed lines match `trace replay`'s
     // (which prints the parsed spec, not the raw flag text).
     let mut specs = Vec::with_capacity(raw_specs.len());
     for raw in raw_specs {
-        let spec: PolicySpec =
-            raw.parse().map_err(|e: sdbp::SpecError| format!("--policy {raw}: {e}"))?;
+        let spec: PolicySpec = raw
+            .parse()
+            .map_err(|e: sdbp::SpecError| format!("--policy {raw}: {e}"))?;
         specs.push(spec);
     }
 
-    let trace = TraceSubmission::from_file(std::path::Path::new(path))
-        .map_err(|e| e.to_string())?;
+    let trace =
+        TraceSubmission::from_file(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
     eprintln!(
         "[submit: connected to {} at {addr}, queue depth {}]",
@@ -231,12 +266,23 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     // One request whose policy changes per job, so no job copies the trace.
-    let mut request = JobRequest { policy: String::new(), sets, ways, window, trace };
+    let mut request = JobRequest {
+        policy: String::new(),
+        sets,
+        ways,
+        window,
+        trace,
+    };
     for spec in &specs {
         request.policy = spec.to_string();
         let outcome = submit_with_retry(&mut client, &request)?;
-        let line =
-            result_line(&outcome.workload, spec, outcome.misses, outcome.mpki(), outcome.ipc);
+        let line = result_line(
+            &outcome.workload,
+            spec,
+            outcome.misses,
+            outcome.mpki(),
+            outcome.ipc,
+        );
         writeln!(out, "{line}").map_err(|e| e.to_string())?;
     }
     client.goodbye().map_err(|e| e.to_string())
@@ -265,5 +311,8 @@ fn submit_with_retry(
             }
         }
     }
-    Err(format!("{}: server stayed busy after {BUSY_RETRIES} retries", request.policy))
+    Err(format!(
+        "{}: server stayed busy after {BUSY_RETRIES} retries",
+        request.policy
+    ))
 }

@@ -33,7 +33,10 @@ pub struct TextTable {
 impl TextTable {
     /// Creates a table with the given column headers.
     pub fn new(header: Vec<String>) -> Self {
-        TextTable { header, rows: Vec::new() }
+        TextTable {
+            header,
+            rows: Vec::new(),
+        }
     }
 
     /// Appends a row.
@@ -42,7 +45,11 @@ impl TextTable {
     ///
     /// Panics if the row width does not match the header.
     pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.header.len(), "row width must match header");
+        assert_eq!(
+            cells.len(),
+            self.header.len(),
+            "row width must match header"
+        );
         self.rows.push(cells);
     }
 

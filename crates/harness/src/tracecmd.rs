@@ -126,12 +126,20 @@ impl Flags {
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.pairs
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// All values of a repeatable flag, in the order given.
     fn get_all(&self, key: &str) -> Vec<&str> {
-        self.pairs.iter().filter(|(k, _)| k == key).map(|(_, v)| v.as_str()).collect()
+        self.pairs
+            .iter()
+            .filter(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+            .collect()
     }
 
     fn get_u64(&self, key: &str) -> Result<Option<u64>, String> {
@@ -161,7 +169,9 @@ fn core_id(flags: &Flags) -> Result<u8, String> {
 
 fn cmd_record(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["workload", "out", "instructions", "core"])?;
-    let name = flags.get("workload").ok_or("record needs --workload NAME")?;
+    let name = flags
+        .get("workload")
+        .ok_or("record needs --workload NAME")?;
     let out = PathBuf::from(flags.get("out").ok_or("record needs --out FILE.sdbt")?);
     let n = budget(&flags)?;
     let core = core_id(&flags)?;
@@ -178,7 +188,9 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
     writer
         .write_all(bench.trace_seeded(u64::from(core)).take(n as usize))
         .map_err(|e| format!("{}: {e}", out.display()))?;
-    let summary = writer.finish().map_err(|e| format!("{}: {e}", out.display()))?;
+    let summary = writer
+        .finish()
+        .map_err(|e| format!("{}: {e}", out.display()))?;
     report_write(&out, &summary, started.elapsed().as_secs_f64());
     Ok(())
 }
@@ -192,7 +204,11 @@ fn report_write(out: &Path, summary: &WriteSummary, secs: f64) {
         summary.chunks,
         summary.bytes,
         summary.bytes_per_access(),
-        if secs > 0.0 { summary.instructions as f64 / secs } else { 0.0 },
+        if secs > 0.0 {
+            summary.instructions as f64 / secs
+        } else {
+            0.0
+        },
     );
 }
 
@@ -201,9 +217,9 @@ fn report_write(out: &Path, summary: &WriteSummary, secs: f64) {
 fn shard_count(flags: &Flags) -> Result<usize, String> {
     match flags.get("shards") {
         None => Ok(1),
-        Some("auto") => {
-            Ok(std::thread::available_parallelism().map(usize::from).unwrap_or(1))
-        }
+        Some("auto") => Ok(std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)),
         Some(v) => v
             .parse::<usize>()
             .ok()
@@ -215,22 +231,30 @@ fn shard_count(flags: &Flags) -> Result<usize, String> {
 fn cmd_replay(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["workload", "instructions", "core", "policy", "sampled", "shards"],
+        &[
+            "workload",
+            "instructions",
+            "core",
+            "policy",
+            "sampled",
+            "shards",
+        ],
     )?;
     let core = core_id(&flags)?;
     let shards = shard_count(&flags)?;
     let workload = match (flags.get("workload"), flags.positional.as_slice()) {
         (Some(name), []) => {
-            let bench =
-                benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
+            let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
             let n = budget(&flags)?;
             record_for_core(bench.name, bench.trace_seeded(u64::from(core)), n, core)
         }
         (None, [path]) => workload_from_file(Path::new(path), core)?,
-        (Some(_), [_, ..]) => {
-            return Err("replay takes a file or --workload, not both".into())
+        (Some(_), [_, ..]) => return Err("replay takes a file or --workload, not both".into()),
+        _ => {
+            return Err(format!(
+                "replay needs a FILE.sdbt or --workload NAME\n{USAGE}"
+            ))
         }
-        _ => return Err(format!("replay needs a FILE.sdbt or --workload NAME\n{USAGE}")),
     };
     let policies = match flags.get_all("policy").as_slice() {
         [] => default_policies(),
@@ -247,8 +271,13 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .get("sampled")
         .map(|path| SamplingPlan::load(Path::new(path)).map_err(|e| format!("{path}: {e}")))
         .transpose()?;
-    let summary =
-        replay_table(&workload, CacheConfig::llc_2mb(), &policies, plan.as_ref(), shards)?;
+    let summary = replay_table(
+        &workload,
+        CacheConfig::llc_2mb(),
+        &policies,
+        plan.as_ref(),
+        shards,
+    )?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     write!(out, "{summary}").map_err(|e| e.to_string())
@@ -301,15 +330,32 @@ pub fn replay_table(
             Some(plan) => ReplayMode::Sampled(plan),
             None => ReplayMode::Exact { probe: None },
         };
-        let outcome = ReplayRequest { stream: &workload.llc, llc, policy: spec, mode, shards }
-            .run()
-            .map_err(|e| e.to_string())?;
-        if outcome.shards < shards {
-            eprintln!("[{label}: {shards} shards requested, replayed on {}]", outcome.shards);
+        let outcome = ReplayRequest {
+            stream: &workload.llc,
+            llc,
+            policy: spec,
+            mode,
+            shards,
         }
-        let ipc = CoreModel::default().simulate(&workload.records, &outcome.hits).ipc();
+        .run()
+        .map_err(|e| e.to_string())?;
+        if outcome.shards < shards {
+            eprintln!(
+                "[{label}: {shards} shards requested, replayed on {}]",
+                outcome.shards
+            );
+        }
+        let ipc = CoreModel::default()
+            .simulate(&workload.records, &outcome.hits)
+            .ipc();
         let mpki = outcome.stats.mpki(workload.instructions());
-        out.push_str(&result_line(&workload.name, label, outcome.stats.misses, mpki, ipc));
+        out.push_str(&result_line(
+            &workload.name,
+            label,
+            outcome.stats.misses,
+            mpki,
+            ipc,
+        ));
         if let Some(sampled) = outcome.sampled {
             out.push_str(&format!(
                 " sampled bound={:.4} reduction={:.1}x",
@@ -325,10 +371,14 @@ pub fn replay_table(
 fn cmd_sample(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
-        &["out", "window", "clusters", "warmup", "seed", "jobs", "core"],
+        &[
+            "out", "window", "clusters", "warmup", "seed", "jobs", "core",
+        ],
     )?;
     let [path] = flags.positional.as_slice() else {
-        return Err(format!("sample needs exactly one FILE.sdbt or PLAN.sdbs\n{USAGE}"));
+        return Err(format!(
+            "sample needs exactly one FILE.sdbt or PLAN.sdbs\n{USAGE}"
+        ));
     };
     let path = Path::new(path);
     match flags.get("out") {
@@ -349,8 +399,7 @@ fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), Strin
         cfg.k = u32::try_from(k).map_err(|_| "--clusters too large".to_owned())?;
     }
     if let Some(w) = flags.get_u64("warmup")? {
-        cfg.warmup_windows =
-            u32::try_from(w).map_err(|_| "--warmup too large".to_owned())?;
+        cfg.warmup_windows = u32::try_from(w).map_err(|_| "--warmup too large".to_owned())?;
     }
     if let Some(s) = flags.get_u64("seed")? {
         cfg.seed = s;
@@ -386,7 +435,8 @@ fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), Strin
         .collect();
     calibrate_bound(&workload.llc, &mut plan, &mut refs, cfg.safety, cfg.floor)
         .map_err(|e| format!("calibrating {}: {e}", out.display()))?;
-    plan.save(out).map_err(|e| format!("{}: {e}", out.display()))?;
+    plan.save(out)
+        .map_err(|e| format!("{}: {e}", out.display()))?;
     eprintln!(
         "[sampled {} into {} windows -> {} clusters, calibrated bound {:.4}, \
          planned reduction {:.1}x, {:.1}s -> {}]",
@@ -406,16 +456,25 @@ fn cmd_sample_inspect(path: &Path) -> Result<(), String> {
     let bytes = std::fs::metadata(path)
         .map_err(|e| format!("{}: {e}", path.display()))?
         .len();
-    let plan =
-        SamplingPlan::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let plan = SamplingPlan::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
     println!("file:            {}", path.display());
-    println!("format:          sdbs v{} ({bytes} bytes)", sdbp_sample::PLAN_VERSION);
-    println!("source:          {} ({} accesses)", plan.source, plan.source_len);
+    println!(
+        "format:          sdbs v{} ({bytes} bytes)",
+        sdbp_sample::PLAN_VERSION
+    );
+    println!(
+        "source:          {} ({} accesses)",
+        plan.source, plan.source_len
+    );
     println!("window:          {} accesses", plan.window);
     println!("warmup:          {} window(s)", plan.warmup_windows);
     println!("seed:            {:#018x}", plan.seed);
     println!("windows:         {}", plan.num_windows());
-    println!("clusters:        {} (k={} requested)", plan.clusters(), plan.k);
+    println!(
+        "clusters:        {} (k={} requested)",
+        plan.clusters(),
+        plan.k
+    );
     println!("error bound:     {:.4}", plan.bound);
     println!(
         "planned work:    {} accesses ({:.1}x reduction)",
@@ -489,7 +548,11 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
         summary.write.instructions,
         summary.write.bytes,
         summary.write.bytes_per_access(),
-        if secs > 0.0 { summary.write.instructions as f64 / secs } else { 0.0 },
+        if secs > 0.0 {
+            summary.write.instructions as f64 / secs
+        } else {
+            0.0
+        },
     );
     Ok(())
 }
@@ -600,11 +663,16 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     println!("instructions: {records}");
     println!("memory refs:  {mem} ({writes} writes)");
     println!("chunks:       {}", trace.chunk_count());
-    println!("bytes:        {bytes} ({:.2}/access)", bytes as f64 / records.max(1) as f64);
+    println!(
+        "bytes:        {bytes} ({:.2}/access)",
+        bytes as f64 / records.max(1) as f64
+    );
     let stats = trace.chunk_stats();
     let encoded: u64 = stats.iter().map(|s| u64::from(s.payload_bytes)).sum();
-    let nominal: u64 =
-        stats.iter().map(|s| u64::from(s.records) * ChunkStat::NOMINAL_RECORD_BYTES).sum();
+    let nominal: u64 = stats
+        .iter()
+        .map(|s| u64::from(s.records) * ChunkStat::NOMINAL_RECORD_BYTES)
+        .sum();
     println!(
         "encoded:      {encoded} payload bytes, {:.3}x vs {}-byte fixed-width records",
         encoded as f64 / nominal.max(1) as f64,

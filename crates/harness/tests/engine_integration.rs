@@ -20,7 +20,13 @@ fn matrix_with(engine: &Engine) -> Vec<Vec<SingleResult>> {
     let store = RecordStore::new();
     let benchmarks: Vec<_> = subset().into_iter().take(4).collect();
     let policies = vec![PolicyKind::Lru, PolicyKind::Sampler];
-    run_matrix(engine, &store, &benchmarks, &policies, sdbp_cache::CacheConfig::llc_2mb())
+    run_matrix(
+        engine,
+        &store,
+        &benchmarks,
+        &policies,
+        sdbp_cache::CacheConfig::llc_2mb(),
+    )
 }
 
 fn canonical(matrix: &[Vec<SingleResult>]) -> String {
@@ -55,7 +61,10 @@ fn rendered_experiment_is_identical_across_worker_counts() {
     let serial = render(Engine::serial());
     let jobs2 = render(Engine::with_workers(2));
     assert_eq!(serial, jobs2, "fig4 rendered differently under 2 workers");
-    assert!(serial.contains("amean"), "fig4 report should include the mean row");
+    assert!(
+        serial.contains("amean"),
+        "fig4 report should include the mean row"
+    );
 }
 
 #[test]
@@ -69,8 +78,10 @@ fn engine_telemetry_covers_every_matrix_job() {
     assert_eq!(matrix.len(), 4);
     assert_eq!(telemetry.jobs(), 4 + 8);
     assert_eq!(telemetry.failed(), 0);
-    assert!(telemetry.accesses() > 0, "jobs should declare access counts");
-    let labels: Vec<&str> =
-        telemetry.batches.iter().map(|b| b.label.as_str()).collect();
+    assert!(
+        telemetry.accesses() > 0,
+        "jobs should declare access counts"
+    );
+    let labels: Vec<&str> = telemetry.batches.iter().map(|b| b.label.as_str()).collect();
     assert_eq!(labels, ["record", "matrix"]);
 }

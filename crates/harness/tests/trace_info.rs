@@ -34,9 +34,20 @@ fn trace_info_output_matches_the_golden_text_for_v1_and_v2() {
     let dir = scratch_dir();
     trace(
         &dir,
-        &["record", "--workload", "456.hmmer", "--instructions", "150000", "--out", "h.sdbt"],
+        &[
+            "record",
+            "--workload",
+            "456.hmmer",
+            "--instructions",
+            "150000",
+            "--out",
+            "h.sdbt",
+        ],
     );
-    trace(&dir, &["convert", "h.sdbt", "--out", "h.v2.sdbt", "--to", "2"]);
+    trace(
+        &dir,
+        &["convert", "h.sdbt", "--out", "h.v2.sdbt", "--to", "2"],
+    );
     let mut got = String::new();
     for file in ["h.sdbt", "h.v2.sdbt"] {
         for extra in [&[][..], &["--set-histogram", "64"][..]] {
@@ -46,7 +57,10 @@ fn trace_info_output_matches_the_golden_text_for_v1_and_v2() {
         }
     }
     let want = include_str!("golden/trace_info.txt");
-    assert_eq!(got, want, "trace info output drifted from golden/trace_info.txt");
+    assert_eq!(
+        got, want,
+        "trace info output drifted from golden/trace_info.txt"
+    );
     #[expect(
         clippy::unused_result_ok,
         reason = "best-effort temp cleanup; a leftover file is harmless"

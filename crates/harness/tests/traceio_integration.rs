@@ -4,9 +4,9 @@
 //! route `RecordStore` recording through an archive transparently.
 
 use sdbp_cache::recorder::record_for_core;
+use sdbp_cache::CacheConfig;
 use sdbp_harness::runner::{archived_trace_path, record_source_label, RecordStore};
 use sdbp_harness::tracecmd::{default_policies, replay_table, workload_from_file};
-use sdbp_cache::CacheConfig;
 use sdbp_traceio::{TraceMeta, TraceWriter};
 use sdbp_workloads::benchmark;
 use std::path::{Path, PathBuf};
@@ -18,8 +18,7 @@ const INSTRUCTIONS: u64 = 60_000;
 const BENCHES: [&str; 3] = ["470.lbm", "456.hmmer", "416.gamess"];
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("sdbp-traceio-it-{}-{tag}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sdbp-traceio-it-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -31,7 +30,9 @@ fn record_archive(dir: &Path, name: &str, core: u8, n: u64) -> PathBuf {
     let path = dir.join(format!("{name}.c{core}.sdbt"));
     let meta = TraceMeta::new(bench.name, bench.stream_seed(u64::from(core)));
     let mut writer = TraceWriter::create(&path, meta).unwrap();
-    writer.write_all(bench.trace_seeded(u64::from(core)).take(n as usize)).unwrap();
+    writer
+        .write_all(bench.trace_seeded(u64::from(core)).take(n as usize))
+        .unwrap();
     writer.finish().unwrap();
     path
 }
@@ -44,12 +45,14 @@ fn replay_is_byte_identical_to_direct_run_for_three_kernels() {
         let bench = benchmark(name).unwrap();
         let path = record_archive(&dir, name, 0, INSTRUCTIONS);
 
-        let direct =
-            record_for_core(bench.name, bench.trace_seeded(0), INSTRUCTIONS, 0);
+        let direct = record_for_core(bench.name, bench.trace_seeded(0), INSTRUCTIONS, 0);
         let replayed = workload_from_file(&path, 0).unwrap();
 
         // The recordings themselves are identical...
-        assert_eq!(direct.records, replayed.records, "{name}: timing records differ");
+        assert_eq!(
+            direct.records, replayed.records,
+            "{name}: timing records differ"
+        );
         assert_eq!(direct.llc, replayed.llc, "{name}: LLC streams differ");
 
         // ...and so is every printed summary byte, across both policies —
@@ -93,7 +96,10 @@ fn record_store_replays_archives_when_trace_dir_is_set() {
     let outcome = std::panic::catch_unwind(|| {
         assert!(archived_trace_path(name, 0).is_some());
         assert!(archived_trace_path(plain, 0).is_some());
-        assert!(archived_trace_path(name, 1).is_none(), "no core-1 archive exists");
+        assert!(
+            archived_trace_path(name, 1).is_none(),
+            "no core-1 archive exists"
+        );
         assert!(record_source_label(name, 0).starts_with("file:"));
         assert_eq!(record_source_label(name, 1), "synthetic");
 
@@ -101,7 +107,11 @@ fn record_store_replays_archives_when_trace_dir_is_set() {
         for b in [&bench, &plain_bench] {
             let from_file = store.record(b, 0);
             let direct = record_for_core(b.name, b.trace_seeded(0), INSTRUCTIONS, 0);
-            assert_eq!(from_file.llc, direct.llc, "{}: archive replay differs", b.name);
+            assert_eq!(
+                from_file.llc, direct.llc,
+                "{}: archive replay differs",
+                b.name
+            );
         }
     });
     std::env::remove_var("SDBP_TRACE_DIR");
