@@ -45,7 +45,7 @@ pub mod tables;
 pub mod vvc;
 
 pub use config::{SamplerConfig, SdbpConfig, TableConfig};
-pub use registry::{standard, PolicyKind, PolicySpec, Registry, SpecError};
+pub use registry::{standard, PolicySpec, Registry, SpecError};
 pub use predictor::SamplingPredictor;
 pub use sampler::Sampler;
 pub use tables::SkewedTables;

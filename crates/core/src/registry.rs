@@ -8,17 +8,13 @@
 //! is parameterized: its `key=value` params are deltas on
 //! [`SdbpConfig::paper`], so `sampler` alone is the paper configuration and
 //! e.g. `sampler:assoc=16,tables=1,entries=16384,threshold=2` is the
-//! Figure 6 "DBRB+sampler" ablation rung.
-//!
-//! [`PolicyKind`] — the experiment harness's enumeration of the matrix —
-//! lives here too; [`PolicyKind::build`] goes through the registry, so the
-//! enum and the spec strings can never drift apart.
+//! Figure 6 "DBRB+sampler" ablation rung ([`sampler_spec`] encodes a
+//! config as such a spec).
 
 use crate::config::{SamplerConfig, SdbpConfig, TableConfig, SAMPLER_ASSOC_MAX};
 use crate::policies;
 use crate::predictor::SamplingPredictor;
-use sdbp_cache::policy::{Lru, ReplacementPolicy};
-use sdbp_cache::CacheConfig;
+use sdbp_cache::policy::Lru;
 use sdbp_predictors::counting::Aip;
 use sdbp_predictors::dbrb::{DbrbConfig, DeadBlockReplacement};
 use sdbp_predictors::hash::SKEWED_TABLES_MAX;
@@ -283,122 +279,15 @@ pub fn sdbp_params(cfg: &SdbpConfig) -> Vec<(String, String)> {
     p
 }
 
-/// Every policy the experiment matrix uses, as a buildable description.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum PolicyKind {
-    /// True LRU (the baseline).
-    Lru,
-    /// Random replacement.
-    Random,
-    /// Dynamic insertion policy.
-    Dip,
-    /// Thread-aware DIP (multi-core).
-    Tadip,
-    /// DRRIP (single-core "RRIP") / TA-DRRIP (multi-core).
-    Rrip,
-    /// Reftrace-driven DBRB over LRU (TDBP).
-    Tdbp,
-    /// Counting-predictor DBRB over LRU (CDBP).
-    Cdbp,
-    /// Sampling-predictor DBRB over LRU (the paper's "Sampler").
-    Sampler,
-    /// Sampling-predictor DBRB over random replacement.
-    RandomSampler,
-    /// Counting-predictor DBRB over random replacement.
-    RandomCdbp,
-    /// An SDBP ablation variant over LRU, with a display label.
-    SamplerVariant(&'static str, SdbpConfig),
-    /// Extension: burst-filtered reftrace DBRB over LRU (paper §II-A3).
-    TdbpBursts,
-    /// Extension: Access Interval Predictor DBRB over LRU.
-    Aip,
-    /// Extension: SDBP over a default SRRIP cache (policy independence).
-    SamplerOverSrrip,
-}
-
-impl PolicyKind {
-    /// Display name used in result tables (Table V's abbreviations).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "LRU",
-            PolicyKind::Random => "Random",
-            PolicyKind::Dip => "DIP",
-            PolicyKind::Tadip => "TADIP",
-            PolicyKind::Rrip => "RRIP",
-            PolicyKind::Tdbp => "TDBP",
-            PolicyKind::Cdbp => "CDBP",
-            PolicyKind::Sampler => "Sampler",
-            PolicyKind::RandomSampler => "Random Sampler",
-            PolicyKind::RandomCdbp => "Random CDBP",
-            PolicyKind::SamplerVariant(label, _) => label,
-            PolicyKind::TdbpBursts => "TDBP-bursts",
-            PolicyKind::Aip => "AIP",
-            PolicyKind::SamplerOverSrrip => "Sampler/SRRIP",
-        }
-    }
-
-    /// The registry spec describing this policy; `kind.build(..)` is
-    /// exactly `standard().build(&kind.spec(), ..)`.
-    pub fn spec(&self) -> PolicySpec {
-        match self {
-            PolicyKind::Lru => PolicySpec::plain("lru"),
-            PolicyKind::Random => PolicySpec::plain("random"),
-            PolicyKind::Dip => PolicySpec::plain("dip"),
-            PolicyKind::Tadip => PolicySpec::plain("tadip"),
-            PolicyKind::Rrip => PolicySpec::plain("rrip"),
-            PolicyKind::Tdbp => PolicySpec::plain("tdbp"),
-            PolicyKind::Cdbp => PolicySpec::plain("cdbp"),
-            PolicyKind::Sampler => PolicySpec::plain("sampler"),
-            PolicyKind::RandomSampler => PolicySpec::plain("random-sampler"),
-            PolicyKind::RandomCdbp => PolicySpec::plain("random-cdbp"),
-            PolicyKind::SamplerVariant(_, cfg) => {
-                PolicySpec { name: "sampler".to_owned(), params: sdbp_params(cfg) }
-            }
-            PolicyKind::TdbpBursts => PolicySpec::plain("tdbp-bursts"),
-            PolicyKind::Aip => PolicySpec::plain("aip"),
-            PolicyKind::SamplerOverSrrip => PolicySpec::plain("sampler-srrip"),
-        }
-    }
-
-    /// Builds the policy for an LLC of geometry `llc` shared by `cores`.
-    pub fn build(&self, llc: CacheConfig, cores: usize) -> Box<dyn ReplacementPolicy> {
-        standard()
-            .build(&self.spec(), llc, cores)
-            .expect("every PolicyKind spec is registered and valid")
-    }
-
-    /// The policy set of Figures 4/5 (LRU-default single-core comparison).
-    pub fn lru_comparison() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::Tdbp,
-            PolicyKind::Cdbp,
-            PolicyKind::Dip,
-            PolicyKind::Rrip,
-            PolicyKind::Sampler,
-        ]
-    }
-
-    /// The policy set of Figures 7/8 (random-default single-core).
-    pub fn random_comparison() -> Vec<PolicyKind> {
-        vec![PolicyKind::Random, PolicyKind::RandomCdbp, PolicyKind::RandomSampler]
-    }
-
-    /// The Figure 6 ablation ladder, in the paper's plot order.
-    pub fn ablation_ladder() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::SamplerVariant("DBRB alone", SdbpConfig::dbrb_alone()),
-            PolicyKind::SamplerVariant("DBRB+3 tables", SdbpConfig::dbrb_skewed()),
-            PolicyKind::SamplerVariant("DBRB+sampler", SdbpConfig::sampler_only()),
-            PolicyKind::SamplerVariant("DBRB+sampler+3 tables", SdbpConfig::sampler_skewed()),
-            PolicyKind::SamplerVariant("DBRB+sampler+12-way", SdbpConfig::sampler_12way()),
-            PolicyKind::SamplerVariant("DBRB+sampler+3 tables+12-way", SdbpConfig::paper()),
-        ]
-    }
+/// The `sampler` spec describing `cfg`: `sampler` plus [`sdbp_params`].
+pub fn sampler_spec(cfg: &SdbpConfig) -> PolicySpec {
+    PolicySpec { name: "sampler".to_owned(), params: sdbp_params(cfg) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdbp_cache::CacheConfig;
 
     fn llc() -> CacheConfig {
         CacheConfig::new(256, 16)
@@ -425,7 +314,7 @@ mod tests {
             (SdbpConfig::sampler_12way(), "sampler:tables=1,entries=16384,threshold=2"),
         ];
         for (cfg, expected) in cases {
-            let spec = PolicyKind::SamplerVariant("x", cfg).spec();
+            let spec = sampler_spec(&cfg);
             assert_eq!(spec.to_string(), expected);
             let reparsed = parse_sdbp(&spec.to_string().parse().expect("parses"));
             assert_eq!(reparsed, Ok(cfg), "{expected} must round-trip");
@@ -495,38 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_kind_builds_through_the_registry() {
-        let mut kinds = PolicyKind::lru_comparison();
-        kinds.extend(PolicyKind::random_comparison());
-        kinds.extend(PolicyKind::ablation_ladder());
-        kinds.extend([
-            PolicyKind::Lru,
-            PolicyKind::Random,
-            PolicyKind::Tadip,
-            PolicyKind::TdbpBursts,
-            PolicyKind::Aip,
-            PolicyKind::SamplerOverSrrip,
-        ]);
-        let r = standard();
-        for k in kinds {
-            let spec = k.spec();
-            let p = r.build(&spec, llc(), 4).expect("spec builds");
-            assert!(!p.name().is_empty());
-            assert!(!k.label().is_empty());
-            // The enum path and the spec-string path are the same code.
-            assert_eq!(k.build(llc(), 4).name(), p.name());
-            let reparsed: PolicySpec = spec.to_string().parse().expect("round trip");
-            assert_eq!(reparsed, spec);
-        }
-    }
-
-    #[test]
     fn dead_victims_toggle_round_trips() {
         let cfg = SdbpConfig {
             sampler: Some(SamplerConfig { dead_block_victims: false, ..SamplerConfig::default() }),
             tables: TableConfig::skewed(),
         };
-        let spec = PolicyKind::SamplerVariant("x", cfg).spec();
+        let spec = sampler_spec(&cfg);
         assert_eq!(spec.to_string(), "sampler:dead-victims=false");
         assert_eq!(parse_sdbp(&spec), Ok(cfg));
     }

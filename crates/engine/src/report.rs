@@ -7,23 +7,11 @@ use crate::telemetry::EngineTelemetry;
 use std::io;
 use std::path::Path;
 
-/// Default report location, relative to the workspace root.
-pub const DEFAULT_REPORT_PATH: &str = "target/engine-report.json";
-
-/// Environment variable overriding [`DEFAULT_REPORT_PATH`]. Concurrent
+/// Default report location, relative to the workspace root. Concurrent
 /// consumers — a serve daemon and a CI sweep, or two CI jobs sharing a
-/// workspace — point this at distinct files so reports never clobber
-/// each other.
-pub const REPORT_PATH_ENV: &str = "SDBP_ENGINE_REPORT";
-
-/// The report path a run should write to: `$SDBP_ENGINE_REPORT` when
-/// set, else [`DEFAULT_REPORT_PATH`].
-#[must_use]
-pub fn default_report_path() -> std::path::PathBuf {
-    std::env::var_os(REPORT_PATH_ENV)
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from(DEFAULT_REPORT_PATH))
-}
+/// workspace — pass `--engine-report FILE` with distinct files so reports
+/// never clobber each other.
+pub const DEFAULT_REPORT_PATH: &str = "target/engine-report.json";
 
 /// Renders `telemetry` (for an engine with `workers` threads) as a JSON
 /// document.
@@ -87,20 +75,4 @@ pub fn write_json(path: &Path, workers: usize, telemetry: &EngineTelemetry) -> i
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(path, render_json(workers, telemetry))
-}
-
-#[cfg(test)]
-mod path_tests {
-    use super::*;
-
-    #[test]
-    fn report_path_honours_the_environment_override() {
-        // Serialized within this one test so no other test observes the
-        // temporary environment mutation.
-        assert_eq!(default_report_path(), Path::new(DEFAULT_REPORT_PATH));
-        std::env::set_var(REPORT_PATH_ENV, "target/other-report.json");
-        assert_eq!(default_report_path(), Path::new("target/other-report.json"));
-        std::env::remove_var(REPORT_PATH_ENV);
-        assert_eq!(default_report_path(), Path::new(DEFAULT_REPORT_PATH));
-    }
 }

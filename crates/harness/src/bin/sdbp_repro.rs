@@ -12,6 +12,7 @@
 //! sdbp-repro --jobs 8 all              # 8 engine workers
 //! sdbp-repro --serial fig4             # single-threaded reference run
 //! sdbp-repro --sampled plans/ fig4     # sampled replay from .sdbs plans
+//! sdbp-repro --trace-dir traces/ fig4  # record from archived .sdbt traces
 //! sdbp-repro --shards 8 all            # set-sharded replay of shardable policies
 //! sdbp-repro --shards auto all         # one shard per engine worker
 //! sdbp-repro trace record --workload 456.hmmer --out hmmer.sdbt
@@ -24,14 +25,14 @@
 //! sdbp-repro submit --addr HOST:PORT --policy sampler hmmer.sdbt
 //! ```
 //!
-//! The per-benchmark instruction budget defaults to 8M; override with
-//! `--instructions N` or the `SDBP_INSTRUCTIONS` environment variable.
+//! The flags are parsed once into a [`RunConfig`] that every experiment
+//! cell reads; the per-benchmark instruction budget defaults to 8M.
 //! Simulations run through the `sdbp-engine` worker pool (one worker per
 //! hardware thread by default; `--jobs N` / `--serial` override). Results
 //! are aggregated in submission order, so the output is byte-identical
 //! for any worker count; engine telemetry is written to
-//! `target/engine-report.json` (override with the `SDBP_ENGINE_REPORT`
-//! environment variable) after the run.
+//! `target/engine-report.json` (override with `--engine-report FILE`)
+//! after the run.
 
 #![expect(
     clippy::disallowed_methods,
@@ -40,168 +41,75 @@
 
 use sdbp_engine::{Engine, Parallelism};
 use sdbp_harness::experiments::{self, Context, ALL_EXPERIMENTS};
+use sdbp_harness::flags::Flags;
+use sdbp_harness::RunConfig;
 use std::io::Write as _;
 use std::time::Instant;
 
+const USAGE: &str = "usage: sdbp-repro [--instructions N] [--output FILE] [--jobs N | --serial] \
+     [--sampled DIR] [--trace-dir DIR] [--shards N|auto] [--engine-report FILE] \
+     [list | all | <experiment>...]
+       sdbp-repro trace [record | replay | sample | import | convert | info] ...
+       sdbp-repro [serve | submit] ...
+       sdbp-repro list-policies";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The trace subcommand owns its own flags (e.g. --out), so dispatch
-    // before the experiment flag loop touches anything.
-    if args.first().map(String::as_str) == Some("trace") {
-        std::process::exit(sdbp_harness::tracecmd::run(&args[1..]));
-    }
-    // And for the policy-evaluation daemon and its client.
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(sdbp_harness::servecmd::run_serve(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("submit") {
-        std::process::exit(sdbp_harness::servecmd::run_submit(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("list-policies") {
-        for entry in sdbp::registry::standard().entries() {
-            println!("{:<16} {:<16} {}", entry.name, entry.label, entry.summary);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // The subcommands own their flags (e.g. trace's --out), so dispatch
+    // before the experiment flags are parsed.
+    match args.first().map(String::as_str) {
+        Some("trace") => std::process::exit(sdbp_harness::tracecmd::run(&args[1..])),
+        Some("serve") => std::process::exit(sdbp_harness::servecmd::run_serve(&args[1..])),
+        Some("submit") => std::process::exit(sdbp_harness::servecmd::run_submit(&args[1..])),
+        Some("list-policies") => {
+            for entry in sdbp::registry::standard().entries() {
+                println!("{:<16} {:<16} {}", entry.name, entry.label, entry.summary);
+            }
+            return;
         }
-        return;
+        _ => {}
     }
-    let mut output: Option<std::fs::File> = None;
-    let mut parallelism = Parallelism::Auto;
-    let mut shards_auto = false;
-    // Flag parsing: --instructions N, --output FILE, --jobs N, --serial,
-    // --shards N|auto.
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--shards" => {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("auto") => {
-                        // Resolved below, once the worker count is known.
-                        shards_auto = true;
-                        args.drain(i..=i + 1);
-                    }
-                    Some(v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
-                        // Read by every experiment's replay cells; set before any runs.
-                        std::env::set_var(sdbp_harness::runner::SHARDS_ENV, v);
-                        args.drain(i..=i + 1);
-                    }
-                    _ => {
-                        eprintln!("--shards needs a positive integer or 'auto'");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                let n = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-                match n {
-                    Some(n) if n > 0 => {
-                        parallelism = Parallelism::Workers(n);
-                        args.drain(i..=i + 1);
-                    }
-                    _ => {
-                        eprintln!("--jobs needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--serial" => {
-                parallelism = Parallelism::Serial;
-                args.remove(i);
-            }
-            "--instructions" => {
-                let n = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
-                match n {
-                    Some(n) if n > 0 => {
-                        // Read once per record; set before any recording.
-                        std::env::set_var("SDBP_INSTRUCTIONS", n.to_string());
-                        args.drain(i..=i + 1);
-                    }
-                    _ => {
-                        eprintln!("--instructions needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--sampled" => {
-                let dir = match args.get(i + 1) {
-                    Some(d) if std::path::Path::new(d).is_dir() => d.clone(),
-                    Some(d) => {
-                        eprintln!("--sampled needs an existing directory, got '{d}'");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--sampled needs a directory of .sdbs plans");
-                        std::process::exit(2);
-                    }
-                };
-                // Read per workload by run_policy; set before any replay.
-                std::env::set_var(sdbp_harness::runner::SAMPLE_DIR_ENV, dir);
-                args.drain(i..=i + 1);
-            }
-            "--output" => {
-                let path = match args.get(i + 1) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--output needs a file path");
-                        std::process::exit(2);
-                    }
-                };
-                match std::fs::File::create(&path) {
-                    Ok(f) => {
-                        output = Some(f);
-                        args.drain(i..=i + 1);
-                    }
-                    Err(e) => {
-                        eprintln!("cannot create {path}: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            _ => i += 1,
-        }
+    let flags = Flags::parse(
+        &args,
+        &[
+            "instructions",
+            "output",
+            "jobs",
+            "sampled",
+            "trace-dir",
+            "shards",
+            "engine-report",
+        ],
+        &["serial", "help"],
+        USAGE,
+    )
+    .unwrap_or_else(|e| usage_error(&e));
+    let ids = flags.positional.as_slice();
+    let help = flags.has("help") || ids.first().is_some_and(|id| id == "help");
+    if ids.is_empty() || help {
+        eprintln!("{USAGE}\nexperiments: {}", ALL_EXPERIMENTS.join(", "));
+        std::process::exit(if help { 0 } else { 2 });
     }
-    if args.is_empty() || args[0] == "help" || args[0] == "--help" {
-        eprintln!(
-            "usage: sdbp-repro [--instructions N] [--output FILE] [--jobs N | --serial] \
-             [--sampled DIR] [--shards N|auto] [list | all | <experiment>...]\n       \
-             sdbp-repro trace [record | replay | sample | import | info] ...\n       \
-             sdbp-repro [serve | submit] ...\n       sdbp-repro list-policies"
-        );
-        eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
-    }
-    if args[0] == "list" {
+    if ids[0] == "list" {
         for id in ALL_EXPERIMENTS {
             println!("{id}");
         }
         return;
     }
-
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
+    let ids: Vec<&str> = if ids.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.to_vec()
     } else {
-        args.iter().map(String::as_str).collect()
+        ids.iter().map(String::as_str).collect()
     };
+    let (ctx, mut output) = setup(&flags).unwrap_or_else(|e| usage_error(&e));
 
-    let engine = Engine::new(parallelism);
-    if shards_auto {
-        // One shard per worker: each cell's replay asks for as many set
-        // shards as the engine has workers.
-        std::env::set_var(
-            sdbp_harness::runner::SHARDS_ENV,
-            engine.workers().to_string(),
-        );
-    }
+    let shards = ctx.store.config().shards;
     eprintln!(
-        "[engine: {} worker{}, {} shard{}]",
-        engine.workers(),
-        if engine.workers() == 1 { "" } else { "s" },
-        sdbp_harness::runner::shards_from_env(),
-        if sdbp_harness::runner::shards_from_env() == 1 {
-            ""
-        } else {
-            "s"
-        }
+        "[engine: {} worker{}, {shards} shard{}]",
+        ctx.engine.workers(),
+        if ctx.engine.workers() == 1 { "" } else { "s" },
+        if shards == 1 { "" } else { "s" }
     );
-    let ctx = Context::with_engine(engine);
     let mut failed = false;
     for id in ids {
         let start = Instant::now();
@@ -210,11 +118,7 @@ fn main() {
                 println!("==== {id} ====");
                 println!("{report}");
                 if let Some(f) = output.as_mut() {
-                    if let Err(e) = writeln!(
-                        f,
-                        "==== {id} ====
-{report}"
-                    ) {
+                    if let Err(e) = writeln!(f, "==== {id} ====\n{report}") {
                         eprintln!("error: cannot append {id} to results file: {e}");
                         failed = true;
                     }
@@ -230,7 +134,7 @@ fn main() {
 
     let telemetry = ctx.engine.telemetry();
     if telemetry.jobs() > 0 {
-        let report_path = sdbp_engine::report::default_report_path();
+        let report_path = flags.engine_report();
         match ctx.engine.write_report(&report_path) {
             Ok(()) => eprintln!(
                 "[engine: {} jobs, {:.1}s busy / {:.1}s wall ({:.2}x), report: {}]",
@@ -246,4 +150,32 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
+}
+
+/// Flag errors exit 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// The engine, the run config and the `--output` file the flags ask for.
+/// `--shards auto` asks for one shard per engine worker.
+fn setup(flags: &Flags) -> Result<(Context, Option<std::fs::File>), String> {
+    let parallelism = match flags.positive("jobs")? {
+        _ if flags.has("serial") => Parallelism::Serial,
+        Some(n) => Parallelism::Workers(n),
+        None => Parallelism::Auto,
+    };
+    let engine = Engine::new(parallelism);
+    let config = RunConfig {
+        instructions: flags.instructions()?,
+        shards: flags.shards(engine.workers())?,
+        plan_dir: flags.dir("sampled")?,
+        trace_dir: flags.dir("trace-dir")?,
+    };
+    let output = flags
+        .get("output")
+        .map(|path| std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}")))
+        .transpose()?;
+    Ok((Context::new(engine, config), output))
 }

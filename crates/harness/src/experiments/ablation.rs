@@ -3,19 +3,19 @@
 //! learning from own evictions, and bypass on/off.
 
 use super::Context;
-use crate::runner::{run_matrix, PolicyKind};
+use crate::runner::cell;
 use crate::table::{amean, f3, TextTable};
 use sdbp::config::{SamplerConfig, SdbpConfig, TableConfig};
-use sdbp_workloads::subset;
+use sdbp::registry::sampler_spec;
 
 fn sweep(ctx: &Context, variants: &[(&'static str, SdbpConfig)]) -> Vec<(String, f64)> {
-    let mut policies = vec![PolicyKind::Lru];
-    policies.extend(
+    let mut cells = vec![cell("lru")];
+    cells.extend(
         variants
             .iter()
-            .map(|(label, cfg)| PolicyKind::SamplerVariant(label, *cfg)),
+            .map(|(label, cfg)| (label.to_string(), sampler_spec(cfg))),
     );
-    let matrix = run_matrix(&ctx.engine, &ctx.store, &subset(), &policies, ctx.llc());
+    let matrix = ctx.matrix(&cells);
     (0..variants.len())
         .map(|i| {
             let norms: Vec<f64> = matrix

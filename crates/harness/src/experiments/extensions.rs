@@ -4,7 +4,7 @@
 //! an SRRIP default policy — all evaluated with the same DBRB harness.
 
 use super::Context;
-use crate::runner::{run_matrix, PolicyKind, SingleResult};
+use crate::runner::{cells, SingleResult};
 use crate::table::{amean, f3, TextTable};
 use sdbp::vvc::VirtualVictimCache;
 use sdbp_engine::Job;
@@ -23,7 +23,7 @@ fn normalized_means(matrix: &[Vec<SingleResult>]) -> Vec<(String, f64, f64)> {
                 .map(|row| row[i + 1].ipc / row[0].ipc)
                 .collect();
             (
-                matrix[0][i + 1].policy.to_owned(),
+                matrix[0][i + 1].policy.clone(),
                 amean(&norms),
                 crate::table::gmean(&speedups),
             )
@@ -33,17 +33,15 @@ fn normalized_means(matrix: &[Vec<SingleResult>]) -> Vec<(String, f64, f64)> {
 
 /// Runs the extension policies over the subset.
 pub fn run(ctx: &Context) -> String {
-    let policies = vec![
-        PolicyKind::Tdbp,
-        PolicyKind::TdbpBursts,
-        PolicyKind::Cdbp,
-        PolicyKind::Aip,
-        PolicyKind::Sampler,
-        PolicyKind::SamplerOverSrrip,
-    ];
-    let mut all = vec![PolicyKind::Lru];
-    all.extend(policies);
-    let matrix = run_matrix(&ctx.engine, &ctx.store, &subset(), &all, ctx.llc());
+    let matrix = ctx.matrix(&cells(&[
+        "lru",
+        "tdbp",
+        "tdbp-bursts",
+        "cdbp",
+        "aip",
+        "sampler",
+        "sampler-srrip",
+    ]));
     let mut t = TextTable::new(vec![
         "Policy".into(),
         "mean normalized misses".into(),

@@ -2,7 +2,7 @@
 //! the sampler-driven dead block replacement and bypass cache.
 
 use super::Context;
-use crate::runner::PolicyKind;
+use sdbp::registry::{standard, PolicySpec};
 use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_engine::Job;
@@ -69,8 +69,9 @@ pub fn run(ctx: &Context) -> String {
     // The paper's Figure 1 uses a 1 MB 16-way LLC.
     let llc = CacheConfig::llc_with_capacity(1 << 20);
 
-    let run_one = |policy: &PolicyKind| {
-        let mut cache = Cache::with_policy(llc, policy.build(llc, 1));
+    let run_one = |name: &str| {
+        let policy = standard().build(&PolicySpec::plain(name), llc, 1);
+        let mut cache = Cache::with_policy(llc, policy.expect("registered policy"));
         cache.track_efficiency();
         let _ = replay(&w.llc, &mut cache);
         cache.finish();
@@ -78,8 +79,8 @@ pub fn run(ctx: &Context) -> String {
         (render_map(&cache), overall)
     };
 
-    let (lru_map, lru_eff) = run_one(&PolicyKind::Lru);
-    let (sampler_map, sampler_eff) = run_one(&PolicyKind::Sampler);
+    let (lru_map, lru_eff) = run_one("lru");
+    let (sampler_map, sampler_eff) = run_one("sampler");
 
     let dead = suite_dead_fraction(ctx);
     format!(

@@ -7,37 +7,28 @@ pub mod multicore;
 pub mod singlecore;
 pub mod tables;
 
-use crate::runner::{run_matrix, PolicyKind, RecordStore, SingleResult};
+use crate::runner::{run_matrix, Cell, RecordStore, RunConfig, SingleResult};
 use sdbp_cache::CacheConfig;
 use sdbp_engine::Engine;
 use sdbp_workloads::subset;
-use std::sync::OnceLock;
 
-/// Shared state for a harness invocation: the execution engine, the
-/// record store, and memoized result matrices, so `sdbp-repro all` never
-/// recomputes a run.
+/// Shared state for a harness invocation: the execution engine and the
+/// record store, whose cell memo means `sdbp-repro all` replays each
+/// (benchmark, policy spec, geometry) once however many figures show it.
 #[derive(Debug, Default)]
 pub struct Context {
     /// The execution engine every experiment submits its jobs through.
     pub engine: Engine,
-    /// Recorded workloads, shared across experiments.
+    /// Recordings, plans and matrix cells, shared across experiments.
     pub store: RecordStore,
-    lru_matrix: OnceLock<Vec<Vec<SingleResult>>>,
-    random_matrix: OnceLock<Vec<Vec<SingleResult>>>,
-    ablation_matrix: OnceLock<Vec<Vec<SingleResult>>>,
 }
 
 impl Context {
-    /// Creates a fresh context with an auto-sized engine.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a context running every experiment through `engine`.
-    pub fn with_engine(engine: Engine) -> Self {
+    /// A context running every experiment through `engine` under `config`.
+    pub fn new(engine: Engine, config: RunConfig) -> Self {
         Context {
             engine,
-            ..Self::default()
+            store: RecordStore::new(config),
         }
     }
 
@@ -51,33 +42,10 @@ impl Context {
         CacheConfig::llc_8mb()
     }
 
-    /// LRU + the Figure 4/5 policies over the 19-benchmark subset.
-    /// Results: per benchmark, `[LRU, TDBP, CDBP, DIP, RRIP, Sampler]`.
-    pub fn lru_matrix(&self) -> &Vec<Vec<SingleResult>> {
-        self.lru_matrix.get_or_init(|| {
-            let mut policies = vec![PolicyKind::Lru];
-            policies.extend(PolicyKind::lru_comparison());
-            run_matrix(&self.engine, &self.store, &subset(), &policies, self.llc())
-        })
-    }
-
-    /// LRU + the Figure 7/8 random-default policies over the subset.
-    /// Results: per benchmark, `[LRU, Random, Random CDBP, Random Sampler]`.
-    pub fn random_matrix(&self) -> &Vec<Vec<SingleResult>> {
-        self.random_matrix.get_or_init(|| {
-            let mut policies = vec![PolicyKind::Lru];
-            policies.extend(PolicyKind::random_comparison());
-            run_matrix(&self.engine, &self.store, &subset(), &policies, self.llc())
-        })
-    }
-
-    /// LRU + the Figure 6 ablation ladder over the subset.
-    pub fn ablation_matrix(&self) -> &Vec<Vec<SingleResult>> {
-        self.ablation_matrix.get_or_init(|| {
-            let mut policies = vec![PolicyKind::Lru];
-            policies.extend(PolicyKind::ablation_ladder());
-            run_matrix(&self.engine, &self.store, &subset(), &policies, self.llc())
-        })
+    /// `cells` over the 19-benchmark subset on the single-core LLC: per
+    /// benchmark, one result per cell in order (see [`run_matrix`]).
+    pub fn matrix(&self, cells: &[Cell]) -> Vec<Vec<SingleResult>> {
+        run_matrix(&self.engine, &self.store, &subset(), cells, self.llc())
     }
 }
 
@@ -135,7 +103,7 @@ mod tests {
     fn workload_free_experiments_render() {
         // table1/table2 need no simulation; they must render instantly and
         // contain the headline numbers.
-        let ctx = Context::new();
+        let ctx = Context::default();
         let t1 = run(&ctx, "table1").expect("table1 runs");
         assert!(t1.contains("13.75"));
         assert!(t1.contains("reftrace"));
@@ -146,7 +114,7 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_an_error() {
-        let ctx = Context::new();
+        let ctx = Context::default();
         let err = run(&ctx, "fig99").unwrap_err();
         assert!(err.contains("unknown experiment"));
         assert!(err.contains("fig10"), "error should list known ids");

@@ -2,54 +2,51 @@
 
 use super::Context;
 use crate::runner::{
-    isolated_ipcs, merged_stream, record_mix, run_mix_policy, MixResult, PolicyKind,
+    cell, cells, isolated_ipcs, merged_stream, record_mix, run_mix_policy, Cell, MixResult,
 };
-use crate::table::{f3, gmean, TextTable};
+use crate::table::{amean, f3, gmean, TextTable};
 use sdbp_engine::Job;
 use sdbp_workloads::mixes;
+use std::ops::Range;
 
-/// Policies of Figure 10(a): LRU-default techniques.
-fn lru_policies() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::Tdbp,
-        PolicyKind::Cdbp,
-        PolicyKind::Tadip,
-        PolicyKind::Rrip, // TA-DRRIP with 4 cores
-        PolicyKind::Sampler,
-    ]
-}
+/// Policies of Figure 10(a), LRU-default techniques (`rrip` is TA-DRRIP
+/// with 4 cores), then of Figure 10(b), random-default techniques.
+const POLICIES: [&str; 8] = [
+    "tdbp",
+    "cdbp",
+    "tadip",
+    "rrip",
+    "sampler",
+    "random",
+    "random-cdbp",
+    "random-sampler",
+];
 
-/// Policies of Figure 10(b): random-default techniques.
-fn random_policies() -> Vec<PolicyKind> {
-    vec![
-        PolicyKind::Random,
-        PolicyKind::RandomCdbp,
-        PolicyKind::RandomSampler,
-    ]
-}
+/// Figure 10(a)'s and 10(b)'s columns of [`POLICIES`].
+const HALVES: [Range<usize>; 2] = [0..5, 5..8];
 
 struct MixRun {
     name: &'static str,
     baseline: MixResult,
+    /// One result per entry of [`POLICIES`].
     results: Vec<MixResult>,
 }
 
-fn run_all(ctx: &Context, policies: &[PolicyKind]) -> Vec<MixRun> {
+/// One job per mix: its merged stream, isolated IPCs and LRU baseline are
+/// computed once and shared by every policy of both halves.
+fn run_all(ctx: &Context) -> Vec<MixRun> {
     let llc = ctx.llc_shared();
     let jobs: Vec<Job<'_, MixRun>> = mixes()
         .into_iter()
         .map(|mix| {
             let store = ctx.store.clone();
-            let policies = policies.to_vec();
             Job::new(format!("fig10/{}", mix.name), move || {
                 let workloads = record_mix(&store, &mix);
                 let merged = merged_stream(&workloads);
                 let singles = isolated_ipcs(&workloads, llc);
-                let baseline = run_mix_policy(&workloads, &merged, &singles, &PolicyKind::Lru, llc);
-                let results = policies
-                    .iter()
-                    .map(|p| run_mix_policy(&workloads, &merged, &singles, p, llc))
-                    .collect::<Vec<_>>();
+                let run = |c: &Cell| run_mix_policy(&workloads, &merged, &singles, c, llc);
+                let baseline = run(&cell("lru"));
+                let results = cells(&POLICIES).iter().map(run).collect();
                 MixRun {
                     name: mix.name,
                     baseline,
@@ -61,14 +58,18 @@ fn run_all(ctx: &Context, policies: &[PolicyKind]) -> Vec<MixRun> {
     ctx.engine.run_batch("fig10", jobs).expect_all()
 }
 
-fn speedup_table(runs: &[MixRun], policies: &[PolicyKind]) -> String {
+fn speedup_table(runs: &[MixRun], cols: Range<usize>) -> String {
     let mut header = vec!["Mix".into()];
-    header.extend(policies.iter().map(|p| p.label().to_owned()));
+    header.extend(
+        runs[0].results[cols.clone()]
+            .iter()
+            .map(|r| r.policy.clone()),
+    );
     let mut t = TextTable::new(header);
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
+    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
     for run in runs {
         let mut cells = vec![run.name.to_owned()];
-        for (i, r) in run.results.iter().enumerate() {
+        for (i, r) in run.results[cols.clone()].iter().enumerate() {
             let s = r.weighted_ipc / run.baseline.weighted_ipc;
             per_policy[i].push(s);
             cells.push(f3(s));
@@ -83,31 +84,29 @@ fn speedup_table(runs: &[MixRun], policies: &[PolicyKind]) -> String {
     t.render()
 }
 
-fn mpki_summary(runs: &[MixRun], policies: &[PolicyKind]) -> String {
+fn mpki_summary(runs: &[MixRun], cols: Range<usize>) -> String {
     let mut parts = Vec::new();
-    for (i, p) in policies.iter().enumerate() {
+    for i in cols {
         let norm: Vec<f64> = runs
             .iter()
             .map(|r| r.results[i].misses as f64 / r.baseline.misses.max(1) as f64)
             .collect();
-        parts.push(format!("{} {:.2}", p.label(), crate::table::amean(&norm)));
+        parts.push(format!("{} {:.2}", runs[0].results[i].policy, amean(&norm)));
     }
     parts.join(", ")
 }
 
 /// Runs both halves of Figure 10 and the §VII-D normalized-MPKI summary.
 pub fn fig10(ctx: &Context) -> String {
-    let lru_pols = lru_policies();
-    let lru_runs = run_all(ctx, &lru_pols);
-    let rand_pols = random_policies();
-    let rand_runs = run_all(ctx, &rand_pols);
+    let runs = run_all(ctx);
+    let [lru, random] = HALVES;
     format!(
         "Figure 10: quad-core normalized weighted speedup, 8MB shared LLC\n\n\
          (a) default LRU\n{}\n(b) default random\n{}\n\
          Average normalized MPKI (LRU baseline = 1.0): {}; {}\n",
-        speedup_table(&lru_runs, &lru_pols),
-        speedup_table(&rand_runs, &rand_pols),
-        mpki_summary(&lru_runs, &lru_pols),
-        mpki_summary(&rand_runs, &rand_pols),
+        speedup_table(&runs, lru.clone()),
+        speedup_table(&runs, random.clone()),
+        mpki_summary(&runs, lru),
+        mpki_summary(&runs, random),
     )
 }

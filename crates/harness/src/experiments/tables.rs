@@ -1,7 +1,7 @@
 //! Tables I–IV.
 
 use super::Context;
-use crate::runner::{merged_stream, record_mix, PolicyKind};
+use crate::runner::{cell, merged_stream, record_mix, run_policy};
 use crate::table::{f3, TextTable};
 use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
@@ -90,14 +90,16 @@ type Table3Row = (String, bool, f64, f64, f64);
 /// (LRU) on a 2 MB LLC, with the memory-intensive subset marked.
 pub fn table3(ctx: &Context) -> String {
     let llc = ctx.llc();
-    let shards = crate::runner::shards_from_env();
     let jobs: Vec<Job<'_, Table3Row>> = suite()
         .into_iter()
         .map(|bench| {
             let store = ctx.store.clone();
             Job::new(format!("table3/{}", bench.name), move || {
                 let w = store.record(&bench, 0);
-                let lru = crate::runner::run_policy(&w, &PolicyKind::Lru, llc, shards);
+                let plan = store.plan(bench.name);
+                let shards = store.config().shards;
+                let lru = run_policy(&w, &cell("lru"), llc, shards, plan.as_deref())
+                    .expect("lru replays every recorded stream");
                 let opt = sdbp_optimal::simulate(&w.llc, llc);
                 (
                     bench.name.to_owned(),

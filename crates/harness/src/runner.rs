@@ -1,8 +1,13 @@
-//! Shared experiment machinery: policy factories, workload recording with
-//! caching, single-core replay + timing, and the multi-core weighted
-//! speedup pipeline.
+//! Shared experiment machinery: the run options, workload recording with
+//! caching, single-core replay + timing, the memoised experiment matrix,
+//! and the multi-core weighted speedup pipeline.
+//!
+//! Every matrix cell is a pure function of (benchmark, policy spec, LLC
+//! geometry, [`RunConfig`]), so a [`RecordStore`] replays each distinct
+//! cell once per run however many experiments show it.
 
-use sdbp::replay::{ReplayMode, ReplayRequest};
+use sdbp::registry::{standard, PolicySpec};
+use sdbp::replay::{ReplayError, ReplayMode, ReplayRequest, SampledExtras};
 use sdbp_cache::recorder::{
     merge_llc_streams, record_for_core, try_record_batches, try_record_for_core, LlcAccess,
     RecordError, RecordedWorkload,
@@ -14,14 +19,59 @@ use sdbp_engine::{Engine, Job};
 use sdbp_sample::SamplingPlan;
 use sdbp_trace::TraceSource;
 use sdbp_traceio::FileSource;
-use sdbp_workloads::{instructions, Benchmark, Mix};
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use sdbp_workloads::{Benchmark, Mix, DEFAULT_INSTRUCTIONS};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// The experiment-matrix policy enumeration, now defined next to the
-/// registry it builds through (`sdbp::registry`).
-pub use sdbp::registry::PolicyKind;
+/// One column of a result table: its label and the registry spec it
+/// replays.
+pub type Cell = (String, PolicySpec);
+
+/// The cell for registry policy `name`, labelled by its registry entry.
+///
+/// # Panics
+///
+/// If `name` is not registered — cell lists are fixed in the source.
+pub fn cell(name: &str) -> Cell {
+    let entry = standard().find(name).map(|e| e.label);
+    let label = entry.unwrap_or_else(|| panic!("{name} is not a registry policy"));
+    (label.to_owned(), PolicySpec::plain(name))
+}
+
+/// The cells for registry policies `names`, in order.
+pub fn cells(names: &[&str]) -> Vec<Cell> {
+    names.iter().map(|name| cell(name)).collect()
+}
+
+/// What one `sdbp-repro` run records and replays, built once from its
+/// flags.
+#[derive(Clone, Debug)]
+pub struct RunConfig {
+    /// Instructions recorded per benchmark (`--instructions`).
+    pub instructions: u64,
+    /// Set shards each replay asks for (`--shards`, `auto` already
+    /// resolved). Policies that are not set-local replay serially;
+    /// results are bit-identical either way (DESIGN.md §13).
+    pub shards: usize,
+    /// Directory of `{name}.sdbs` sampling plans (`--sampled`): a
+    /// benchmark with a plan there replays sampled instead of exact.
+    pub plan_dir: Option<PathBuf>,
+    /// Directory of archived `.sdbt` traces (`--trace-dir`): a benchmark
+    /// with an archive there records from it instead of the generator.
+    pub trace_dir: Option<PathBuf>,
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            instructions: DEFAULT_INSTRUCTIONS,
+            shards: 1,
+            plan_dir: None,
+            trace_dir: None,
+        }
+    }
+}
 
 /// Outcome of one (benchmark, policy) single-core run.
 #[derive(Clone, Debug)]
@@ -29,7 +79,7 @@ pub struct SingleResult {
     /// Benchmark name.
     pub benchmark: String,
     /// Policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// LLC misses.
     pub misses: u64,
     /// Misses per kilo-instruction.
@@ -38,53 +88,55 @@ pub struct SingleResult {
     pub ipc: f64,
     /// Full cache statistics (including predictor counters).
     pub stats: CacheStats,
+    /// Bound and work figures, present exactly when the replay was
+    /// sampled.
+    pub sampled: Option<SampledExtras>,
+    /// The shard count the replay actually ran on.
+    pub shards: usize,
 }
 
-/// A process-wide cache of recorded workloads, so the expensive
-/// record-once pass is shared across experiments and policies.
-/// Map from (benchmark name, core id) to its recording. Ordered so any
-/// future iteration over the store (reports, eviction) is deterministic.
+/// (benchmark, spec string, (sets, ways)): what a matrix cell's result
+/// depends on besides the store's [`RunConfig`].
+type CellKey = (String, String, (usize, usize));
+
+/// (benchmark name, core id) → its recording.
 type RecordMap = BTreeMap<(String, u8), Arc<RecordedWorkload>>;
 
-/// A process-wide cache of recorded workloads, so the expensive
-/// record-once pass is shared across experiments and policies.
+/// Recordings, sampling plans and matrix cells of one run, each computed
+/// once and shared across experiments and policies. Clones share the
+/// same caches. The maps are ordered so any iteration over them is
+/// deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct RecordStore {
-    inner: Arc<Mutex<RecordMap>>,
+    config: RunConfig,
+    recordings: Arc<Mutex<RecordMap>>,
+    plans: Arc<Mutex<BTreeMap<String, Arc<SamplingPlan>>>>,
+    cells: Arc<Mutex<BTreeMap<CellKey, SingleResult>>>,
 }
 
-/// Environment variable naming a directory of archived `.sdbt` traces.
-/// When set, [`RecordStore::record`] prefers `{name}.c{core}.sdbt` (then
-/// `{name}.sdbt` for core 0) over the synthetic generator, so a whole
-/// experiment run can replay from archives produced by
-/// `sdbp-repro trace record`.
-pub const TRACE_DIR_ENV: &str = "SDBP_TRACE_DIR";
+/// `map[key]`, computing it with `make` when absent. The lock is not held
+/// while `make` runs, so concurrent jobs never queue behind one another.
+fn memoized<K: Ord, V: Clone>(map: &Mutex<BTreeMap<K, V>>, key: K, make: impl FnOnce() -> V) -> V {
+    if let Some(v) = map.lock().expect("record store poisoned").get(&key) {
+        return v.clone();
+    }
+    let v = make();
+    map.lock()
+        .expect("record store poisoned")
+        .entry(key)
+        .or_insert(v)
+        .clone()
+}
 
-/// The archived trace file [`RecordStore::record`] would use for
-/// (`name`, `core`), if `SDBP_TRACE_DIR` is set and the file exists.
-pub fn archived_trace_path(name: &str, core: u8) -> Option<PathBuf> {
-    let dir = PathBuf::from(std::env::var_os(TRACE_DIR_ENV)?);
+/// The archived trace in `dir` for (`name`, `core`), if there is one:
+/// `{name}.c{core}.sdbt`, or `{name}.sdbt` for core 0.
+pub fn archived_trace_path(dir: &Path, name: &str, core: u8) -> Option<PathBuf> {
     let per_core = dir.join(format!("{name}.c{core}.sdbt"));
-    if per_core.is_file() {
-        return Some(per_core);
-    }
-    if core == 0 {
-        let plain = dir.join(format!("{name}.sdbt"));
-        if plain.is_file() {
-            return Some(plain);
-        }
-    }
-    None
-}
-
-/// The telemetry source label for recording (`name`, `core`):
-/// `"file:{path}"` when an archived trace will be replayed, else
-/// `"synthetic"`.
-pub fn record_source_label(name: &str, core: u8) -> String {
-    match archived_trace_path(name, core) {
-        Some(path) => format!("file:{}", path.display()),
-        None => "synthetic".to_owned(),
-    }
+    let plain = dir.join(format!("{name}.sdbt"));
+    [Some(per_core), (core == 0).then_some(plain)]
+        .into_iter()
+        .flatten()
+        .find(|p| p.is_file())
 }
 
 /// Records `instructions` instructions streamed from any [`TraceSource`]
@@ -106,205 +158,224 @@ pub fn record_from_source(
     instructions: u64,
     core: u8,
 ) -> Result<RecordedWorkload, String> {
-    if let Some(mut batches) = source.open_batched()? {
-        return try_record_batches(name, batches.as_mut(), instructions, core).map_err(
-            |e| match e {
-                RecordError::Source(msg) => msg,
-                other => other.to_string(),
-            },
-        );
-    }
-    let stream = source.open()?;
-    try_record_for_core(name, stream, instructions, core).map_err(|e| match e {
+    let recorded = match source.open_batched()? {
+        Some(mut batches) => try_record_batches(name, batches.as_mut(), instructions, core),
+        None => try_record_for_core(name, source.open()?, instructions, core),
+    };
+    recorded.map_err(|e| match e {
         RecordError::Source(msg) => msg,
         other => other.to_string(),
     })
 }
 
 impl RecordStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty store for a run configured by `config`.
+    pub fn new(config: RunConfig) -> Self {
+        RecordStore {
+            config,
+            ..Self::default()
+        }
+    }
+
+    /// The run options this store records and replays under.
+    pub fn config(&self) -> &RunConfig {
+        &self.config
     }
 
     /// Records (or fetches the cached recording of) `bench` for `core`.
     ///
-    /// With `SDBP_TRACE_DIR` set and an archived `.sdbt` present (see
+    /// With a trace directory configured and an archive there (see
     /// [`archived_trace_path`]), the recording streams from the file
     /// instead of the generator; a corrupt or short archive panics with
     /// the trace error, since silently falling back would produce results
     /// that do not match the archive the user asked for.
     pub fn record(&self, bench: &Benchmark, core: u8) -> Arc<RecordedWorkload> {
-        let key = (bench.name.to_owned(), core);
-        if let Some(w) = self.inner.lock().expect("record store poisoned").get(&key) {
-            return Arc::clone(w);
+        memoized(&self.recordings, (bench.name.to_owned(), core), || {
+            let n = self.config.instructions;
+            Arc::new(match self.archive(bench.name, core) {
+                Some(path) => {
+                    let source = FileSource::new(&path)
+                        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                    record_from_source(&source, bench.name, n, core)
+                        .unwrap_or_else(|e| panic!("replaying archived trace: {e}"))
+                }
+                None => record_for_core(bench.name, bench.trace_seeded(u64::from(core)), n, core),
+            })
+        })
+    }
+
+    fn archive(&self, name: &str, core: u8) -> Option<PathBuf> {
+        archived_trace_path(self.config.trace_dir.as_deref()?, name, core)
+    }
+
+    /// The telemetry source label for recording (`name`, `core`):
+    /// `"file:{path}"` when an archived trace will be replayed, else
+    /// `"synthetic"`.
+    pub fn source_label(&self, name: &str, core: u8) -> String {
+        match self.archive(name, core) {
+            Some(path) => format!("file:{}", path.display()),
+            None => "synthetic".to_owned(),
         }
-        let n = instructions();
-        let recorded = match archived_trace_path(bench.name, core) {
-            Some(path) => {
-                let source =
-                    FileSource::new(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                let w = record_from_source(&source, bench.name, n, core)
-                    .unwrap_or_else(|e| panic!("replaying archived trace: {e}"));
-                Arc::new(w)
-            }
-            None => {
-                let trace = bench.trace_seeded(u64::from(core));
-                Arc::new(record_for_core(bench.name, trace, n, core))
-            }
-        };
-        self.inner
-            .lock()
-            .expect("record store poisoned")
-            .entry(key)
-            .or_insert(recorded)
-            .clone()
+    }
+
+    /// The sampling plan `name` replays under, loaded once per run: the
+    /// plan directory's `{name}.sdbs`, if both exist. A corrupt plan
+    /// panics with the plan error, since silently falling back to an
+    /// exact replay would misreport a 10–100× slower run as sampled.
+    pub fn plan(&self, name: &str) -> Option<Arc<SamplingPlan>> {
+        let path = self.config.plan_dir.as_ref()?.join(format!("{name}.sdbs"));
+        path.is_file().then(|| {
+            memoized(&self.plans, name.to_owned(), || {
+                let plan = SamplingPlan::load(&path);
+                Arc::new(plan.unwrap_or_else(|e| panic!("{}: {e}", path.display())))
+            })
+        })
     }
 }
 
-/// Environment variable naming a directory of `.sdbs` sampling plans.
-/// When set, [`run_policy`] (and therefore every single-core experiment
-/// cell) replays `{name}.sdbs` plans sampled instead of exact — the
-/// `--sampled` mode of the experiment runner. Plans are produced by
-/// `sdbp-repro trace sample`.
-pub const SAMPLE_DIR_ENV: &str = "SDBP_SAMPLE_DIR";
-
-/// The sampling plan [`run_policy`] would use for `name`, if
-/// `SDBP_SAMPLE_DIR` is set and `{name}.sdbs` exists there.
-pub fn sampling_plan_path(name: &str) -> Option<PathBuf> {
-    let dir = PathBuf::from(std::env::var_os(SAMPLE_DIR_ENV)?);
-    let plan = dir.join(format!("{name}.sdbs"));
-    plan.is_file().then_some(plan)
-}
-
-/// Environment variable carrying the shard count for set-sharded replay.
-/// When set to `N > 1`, every experiment cell asks the replay front door
-/// (`sdbp::replay`) for `N` set shards — the `--shards` mode of the
-/// experiment runner. Policies whose registry entry is not set-local
-/// replay serially; sharded and serial results are bit-identical either
-/// way (DESIGN.md §13).
-pub const SHARDS_ENV: &str = "SDBP_SHARDS";
-
-/// The shard count requested via [`SHARDS_ENV`] (default 1 = serial).
-pub fn shards_from_env() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Replays `policy` over a recorded single-core workload through the
-/// replay front door with `shards` requested set shards, and computes
-/// IPC from the resulting hit map.
+/// Replays `cell` over a recorded single-core workload through the replay
+/// front door with `shards` requested set shards — sampled under `plan`
+/// if one is given, exact otherwise — and computes IPC from the resulting
+/// hit map. A sampled row carries the extrapolated misses.
 ///
-/// With `SDBP_SAMPLE_DIR` set and a `{name}.sdbs` plan present (see
-/// [`sampling_plan_path`]), the replay runs sampled under that plan and
-/// the row carries the extrapolated misses; a corrupt plan or one built
-/// for a different trace panics with the plan error, since silently
-/// falling back to an exact replay would misreport a 10–100× slower run
-/// as sampled.
+/// # Errors
+///
+/// An invalid spec, or a plan built for a different trace.
 pub fn run_policy(
     workload: &RecordedWorkload,
-    policy: &PolicyKind,
+    (label, spec): &Cell,
     llc: CacheConfig,
     shards: usize,
-) -> SingleResult {
-    let plan = sampling_plan_path(&workload.name).map(|path| {
-        SamplingPlan::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-    });
-    let mode = match &plan {
+    plan: Option<&SamplingPlan>,
+) -> Result<SingleResult, ReplayError> {
+    let mode = match plan {
         Some(plan) => ReplayMode::Sampled(plan),
         None => ReplayMode::Exact { probe: None },
     };
-    let spec = policy.spec();
     let outcome = ReplayRequest {
         stream: &workload.llc,
         llc,
-        policy: &spec,
+        policy: spec,
         mode,
         shards,
     }
-    .run()
-    .unwrap_or_else(|e| panic!("replay of {} under {spec}: {e}", workload.name));
+    .run()?;
     let timing = CoreModel::default().simulate(&workload.records, &outcome.hits);
-    SingleResult {
+    Ok(SingleResult {
         benchmark: workload.name.clone(),
-        policy: policy.label(),
+        policy: label.clone(),
         misses: outcome.stats.misses,
         mpki: outcome.stats.mpki(workload.instructions()),
         ipc: timing.ipc(),
         stats: outcome.stats,
-    }
+        sampled: outcome.sampled,
+        shards: outcome.shards,
+    })
 }
 
-/// Runs a list of policies for every benchmark through `engine`. Results
-/// are grouped per benchmark, in suite order — the engine aggregates in
-/// submission order, so the output is identical for any worker count.
+/// Runs `cells` for every benchmark through `engine`. Results are grouped
+/// per benchmark, in suite order, one per cell in cell order — the engine
+/// aggregates in submission order, so the output is identical for any
+/// worker count.
 ///
-/// Two batches: one recording job per benchmark (cached in the store),
-/// then one replay job per (benchmark, policy) cell, so replays of a slow
-/// benchmark don't serialize behind each other. With [`SHARDS_ENV`] set
-/// above 1, each cell's replay shards on scoped threads inside its job.
+/// Only cells the store has not replayed yet (by benchmark, spec string
+/// and geometry) run, each once, in two batches: one recording job per
+/// benchmark (cached in the store, which also loads its sampling plan),
+/// then one replay job per missing cell, so replays of a slow benchmark
+/// don't serialize behind each other. The store's memo is read and
+/// filled here on the caller's thread, never inside a job, so which jobs
+/// run never depends on scheduling. Each replay shards on scoped threads
+/// inside its job when the store's config asks for shards.
 pub fn run_matrix(
     engine: &Engine,
     store: &RecordStore,
     benchmarks: &[Benchmark],
-    policies: &[PolicyKind],
+    cells: &[Cell],
     llc: CacheConfig,
 ) -> Vec<Vec<SingleResult>> {
-    let record_jobs: Vec<Job<'_, Arc<RecordedWorkload>>> = benchmarks
-        .iter()
-        .map(|bench| {
-            let store = store.clone();
-            Job::new(format!("record/{}", bench.name), move || {
-                store.record(bench, 0)
-            })
-            .accesses(instructions())
-            .source(record_source_label(bench.name, 0))
-        })
-        .collect();
-    let recordings = engine.run_batch("record", record_jobs).expect_all();
-
-    let shards = shards_from_env();
-    let mut cell_jobs: Vec<Job<'_, SingleResult>> = Vec::new();
-    for w in &recordings {
-        for policy in policies {
-            let w = Arc::clone(w);
-            let policy = policy.clone();
-            let name = format!("{}/{}", w.name, policy.label());
-            let accesses = w.llc.len() as u64;
-            cell_jobs.push(
-                Job::new(name, move || run_policy(&w, &policy, llc, shards)).accesses(accesses),
-            );
+    let key = |b: usize, spec: &PolicySpec| -> CellKey {
+        (
+            benchmarks[b].name.to_owned(),
+            spec.to_string(),
+            (llc.sets, llc.ways),
+        )
+    };
+    let mut todo: Vec<(usize, &Cell)> = Vec::new();
+    {
+        let memo = store.cells.lock().expect("cell memo poisoned");
+        let mut queued = BTreeSet::new();
+        for b in 0..benchmarks.len() {
+            for cell in cells {
+                let k = key(b, &cell.1);
+                if !memo.contains_key(&k) && queued.insert(k) {
+                    todo.push((b, cell));
+                }
+            }
         }
     }
-    let flat = engine.run_batch("matrix", cell_jobs).expect_all();
-    flat.chunks(policies.len().max(1))
-        .map(<[SingleResult]>::to_vec)
+    if !todo.is_empty() {
+        let mut to_record: Vec<usize> = todo.iter().map(|&(b, _)| b).collect();
+        to_record.dedup();
+        let record_jobs: Vec<Job<'_, _>> = to_record
+            .iter()
+            .map(|&b| {
+                let bench = &benchmarks[b];
+                let job = Job::new(format!("record/{}", bench.name), {
+                    let store = store.clone();
+                    move || (store.record(bench, 0), store.plan(bench.name))
+                });
+                job.accesses(store.config.instructions)
+                    .source(store.source_label(bench.name, 0))
+            })
+            .collect();
+        let recorded: BTreeMap<usize, _> = to_record
+            .into_iter()
+            .zip(engine.run_batch("record", record_jobs).expect_all())
+            .collect();
+
+        let shards = store.config.shards;
+        let cell_jobs: Vec<Job<'_, SingleResult>> = todo
+            .iter()
+            .map(|&(b, cell)| {
+                let (w, plan) = recorded[&b].clone();
+                let cell = cell.clone();
+                let accesses = w.llc.len() as u64;
+                Job::new(format!("{}/{}", w.name, cell.0), move || {
+                    run_policy(&w, &cell, llc, shards, plan.as_deref())
+                        .unwrap_or_else(|e| panic!("replay of {} under {}: {e}", w.name, cell.1))
+                })
+                .accesses(accesses)
+            })
+            .collect();
+        let results = engine.run_batch("matrix", cell_jobs).expect_all();
+        let mut memo = store.cells.lock().expect("cell memo poisoned");
+        for (&(b, (_, spec)), r) in todo.iter().zip(results) {
+            memo.insert(key(b, spec), r);
+        }
+    }
+    let memo = store.cells.lock().expect("cell memo poisoned");
+    (0..benchmarks.len())
+        .map(|b| {
+            cells
+                .iter()
+                .map(|(label, spec)| SingleResult {
+                    policy: label.clone(),
+                    ..memo[&key(b, spec)].clone()
+                })
+                .collect()
+        })
         .collect()
 }
 
 /// Outcome of one (mix, policy) quad-core run.
 #[derive(Clone, Debug)]
 pub struct MixResult {
-    /// Mix name.
-    pub mix: String,
     /// Policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// Weighted speedup `Σ IPC_i / SingleIPC_i` (not yet normalised).
     pub weighted_ipc: f64,
     /// Total LLC misses across cores.
     pub misses: u64,
-    /// Total instructions across cores.
-    pub instructions: u64,
-}
-
-impl MixResult {
-    /// Aggregate MPKI over all cores.
-    pub fn mpki(&self) -> f64 {
-        self.misses as f64 * 1000.0 / self.instructions as f64
-    }
 }
 
 /// Merges the members' LLC streams into the shared-LLC access order
@@ -323,11 +394,14 @@ pub fn run_mix_policy(
     workloads: &[Arc<RecordedWorkload>],
     merged: &[LlcAccess],
     single_ipcs: &[f64],
-    policy: &PolicyKind,
+    (label, spec): &Cell,
     llc: CacheConfig,
 ) -> MixResult {
     let cores = workloads.len();
-    let mut cache = sdbp_cache::Cache::with_policy(llc, policy.build(llc, cores));
+    let policy = standard()
+        .build(spec, llc, cores)
+        .expect("matrix cells are registered and valid");
+    let mut cache = sdbp_cache::Cache::with_policy(llc, policy);
     let result = replay(merged, &mut cache);
     let per_core_hits = split_hits_by_core(merged, &result.hits, cores)
         .expect("replay hit map aligns with its own input stream");
@@ -338,11 +412,9 @@ pub fn run_mix_policy(
         .map(|(w, hits)| model.simulate(&w.records, hits).ipc())
         .collect();
     MixResult {
-        mix: String::new(),
-        policy: policy.label(),
+        policy: label.clone(),
         weighted_ipc: sdbp_cpu::weighted_ipc(&ipcs, single_ipcs),
         misses: result.stats.misses,
-        instructions: workloads.iter().map(|w| w.instructions()).sum(),
     }
 }
 
@@ -371,22 +443,23 @@ pub fn record_mix(store: &RecordStore, mix: &Mix) -> Vec<Arc<RecordedWorkload>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::singlecore::{ablation_cells, lru_cells, random_cells};
     use sdbp_workloads::benchmark;
 
-    fn small_env() -> RecordStore {
-        // Tests run with the default instruction budget unless the
-        // environment overrides it; keep runs tiny by truncating here.
-        RecordStore::new()
+    /// A store recording 100K instructions per benchmark: these tests
+    /// compare runs, so the budget only has to exercise the LLC.
+    fn small_store() -> RecordStore {
+        RecordStore::new(RunConfig {
+            instructions: 100_000,
+            ..RunConfig::default()
+        })
     }
 
     #[test]
     fn policy_labels_are_unique_in_comparisons() {
-        let mut labels: Vec<&str> = PolicyKind::lru_comparison()
-            .iter()
-            .map(|p| p.label())
-            .collect();
-        labels.extend(PolicyKind::random_comparison().iter().map(|p| p.label()));
-        labels.extend(PolicyKind::ablation_ladder().iter().map(|p| p.label()));
+        let mut labels: Vec<String> = lru_cells().into_iter().map(|(label, _)| label).collect();
+        labels.extend(random_cells().into_iter().skip(1).map(|(label, _)| label));
+        labels.extend(ablation_cells().into_iter().skip(1).map(|(label, _)| label));
         let n = labels.len();
         labels.sort_unstable();
         labels.dedup();
@@ -395,29 +468,30 @@ mod tests {
 
     #[test]
     fn record_store_caches() {
-        let store = small_env();
+        let store = small_store();
         let b = benchmark("416.gamess").unwrap();
         let a1 = store.record(&b, 0);
         let a2 = store.record(&b, 0);
         assert!(Arc::ptr_eq(&a1, &a2));
+        assert_eq!(a1.instructions(), 100_000);
         let other_core = store.record(&b, 1);
         assert!(!Arc::ptr_eq(&a1, &other_core));
     }
 
     #[test]
     fn sharded_rows_are_bit_identical_to_serial() {
-        let store = small_env();
+        let store = small_store();
         let b = benchmark("416.gamess").unwrap();
         let w = store.record(&b, 0);
         let llc = CacheConfig::new(64, 8);
         // A shardable policy shards; a dueling policy must silently fall
         // back to serial — either way the row cannot depend on `shards`.
-        for policy in [PolicyKind::Lru, PolicyKind::Rrip] {
-            let serial = run_policy(&w, &policy, llc, 1);
+        for cell in cells(&["lru", "rrip"]) {
+            let serial = run_policy(&w, &cell, llc, 1, None).unwrap();
             for shards in [2usize, 8] {
-                let sharded = run_policy(&w, &policy, llc, shards);
-                assert_eq!(sharded.misses, serial.misses, "{}/{shards}", policy.label());
-                assert_eq!(sharded.stats, serial.stats, "{}/{shards}", policy.label());
+                let sharded = run_policy(&w, &cell, llc, shards, None).unwrap();
+                assert_eq!(sharded.misses, serial.misses, "{}/{shards}", cell.0);
+                assert_eq!(sharded.stats, serial.stats, "{}/{shards}", cell.0);
                 assert_eq!(sharded.mpki.to_bits(), serial.mpki.to_bits());
                 assert_eq!(sharded.ipc.to_bits(), serial.ipc.to_bits());
             }
@@ -425,17 +499,43 @@ mod tests {
     }
 
     #[test]
-    fn every_policy_kind_builds() {
+    fn every_matrix_cell_builds() {
         let llc = CacheConfig::new(256, 16);
-        let mut kinds = PolicyKind::lru_comparison();
-        kinds.extend(PolicyKind::random_comparison());
-        kinds.extend(PolicyKind::ablation_ladder());
-        kinds.push(PolicyKind::Lru);
-        kinds.push(PolicyKind::Tadip);
-        for k in kinds {
-            let p = k.build(llc, 4);
+        let mut all = lru_cells();
+        all.extend(random_cells());
+        all.extend(ablation_cells());
+        all.extend(cells(&["tadip", "tdbp-bursts", "aip", "sampler-srrip"]));
+        for (label, spec) in all {
+            let p = standard().build(&spec, llc, 4).expect("spec builds");
             assert!(!p.name().is_empty());
-            assert!(!k.label().is_empty());
+            assert!(!label.is_empty());
+            let reparsed: PolicySpec = spec.to_string().parse().expect("round trip");
+            assert_eq!(reparsed, spec);
         }
+    }
+
+    #[test]
+    fn matrix_replays_each_distinct_cell_once() {
+        let engine = Engine::serial();
+        let store = small_store();
+        let benches = [benchmark("416.gamess").unwrap()];
+        let llc = CacheConfig::new(64, 8);
+        let paper = ("Sampler (paper)".to_owned(), PolicySpec::plain("sampler"));
+        let first = run_matrix(&engine, &store, &benches, &cells(&["lru", "sampler"]), llc);
+        let second = run_matrix(&engine, &store, &benches, &[cell("lru"), paper], llc);
+        // Two cells the first call replayed: no new job, same numbers,
+        // the second call's labels.
+        assert_eq!(engine.telemetry().jobs(), 1 + 2);
+        assert_eq!(second[0][1].policy, "Sampler (paper)");
+        assert_eq!(second[0][1].stats, first[0][1].stats);
+        // Another geometry is another cell.
+        run_matrix(
+            &engine,
+            &store,
+            &benches,
+            &cells(&["lru"]),
+            CacheConfig::new(128, 8),
+        );
+        assert_eq!(engine.telemetry().jobs(), 1 + 2 + 2);
     }
 }

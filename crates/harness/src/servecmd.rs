@@ -10,6 +10,7 @@
 //! `trace replay --policy ...` — byte-identical, which is the wire
 //! determinism property CI's serve-smoke job diffs on.
 
+use crate::flags::{hardware_threads, Flags};
 use crate::table::result_line;
 use sdbp::registry::PolicySpec;
 use sdbp_serve::{Client, JobRequest, Server, ServerConfig, SubmitReply, TraceSubmission};
@@ -30,69 +31,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// `Busy` retries before `submit` gives up on a saturated server.
 const BUSY_RETRIES: u32 = 150;
-
-/// A minimal `--flag value` parser for the serve/submit commands (the
-/// trace subcommand's parser is private to its module and reports trace
-/// usage text on errors).
-struct Flags {
-    named: Vec<(String, String)>,
-    positional: Vec<String>,
-}
-
-impl Flags {
-    fn parse(args: &[String], known: &[&str], usage: &str) -> Result<Flags, String> {
-        let mut named = Vec::new();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if let Some(name) = arg.strip_prefix("--") {
-                if !known.contains(&name) {
-                    return Err(format!("unknown flag --{name}\n{usage}"));
-                }
-                let Some(value) = args.get(i + 1) else {
-                    return Err(format!("--{name} needs a value\n{usage}"));
-                };
-                named.push((name.to_owned(), value.clone()));
-                i += 2;
-            } else {
-                positional.push(arg.clone());
-                i += 1;
-            }
-        }
-        Ok(Flags { named, positional })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.named
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn get_all(&self, name: &str) -> Vec<&str> {
-        self.named
-            .iter()
-            .filter(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn get_parsed<T: std::str::FromStr>(
-        &self,
-        name: &str,
-        default: T,
-        usage: &str,
-    ) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("--{name} cannot parse '{raw}'\n{usage}")),
-        }
-    }
-}
 
 /// Runs `sdbp-repro serve <args>`; returns the process exit code.
 ///
@@ -121,6 +59,7 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
             "engine-report",
             "shutdown-file",
         ],
+        &[],
         SERVE_USAGE,
     )?;
     if !flags.positional.is_empty() {
@@ -131,32 +70,16 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
     // Set shards per replay job: big jobs on set-local policies spread
     // across this many threads (DESIGN.md §13); `auto` means one shard
     // per hardware thread.
-    let shards = match flags.get("shards") {
-        None => 1,
-        Some("auto") => std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| format!("--shards needs a positive integer or 'auto'\n{SERVE_USAGE}"))?,
-    };
+    let shards = flags.shards(hardware_threads())?;
     let config = ServerConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
-        workers: flags.get_parsed("jobs", 2usize, SERVE_USAGE)?,
-        queue_depth: flags.get_parsed("queue-depth", 16usize, SERVE_USAGE)?,
+        workers: flags.positive("jobs")?.unwrap_or(2),
+        queue_depth: flags.number("queue-depth")?.unwrap_or(16),
         trace_dir: flags.get("trace-dir").map(PathBuf::from),
         shards,
         ..ServerConfig::default()
     };
-    if config.workers == 0 {
-        return Err(format!("--jobs needs at least one executor\n{SERVE_USAGE}"));
-    }
-    let report_path = flags
-        .get("engine-report")
-        .map(PathBuf::from)
-        .unwrap_or_else(sdbp_engine::report::default_report_path);
+    let report_path = flags.engine_report();
     let shutdown_file = flags.get("shutdown-file").map(PathBuf::from);
 
     let server = Server::start(config).map_err(|e| e.to_string())?;
@@ -225,6 +148,7 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(
         args,
         &["addr", "policy", "sets", "ways", "window"],
+        &[],
         SUBMIT_USAGE,
     )?;
     let addr = flags
@@ -235,9 +159,9 @@ fn submit_inner(args: &[String]) -> Result<(), String> {
             "submit needs exactly one FILE.sdbt\n{SUBMIT_USAGE}"
         ));
     };
-    let sets = flags.get_parsed("sets", 2048u32, SUBMIT_USAGE)?;
-    let ways = flags.get_parsed("ways", 16u32, SUBMIT_USAGE)?;
-    let window = flags.get_parsed("window", 0u32, SUBMIT_USAGE)?;
+    let sets = flags.number("sets")?.unwrap_or(2048);
+    let ways = flags.number("ways")?.unwrap_or(16);
+    let window = flags.number("window")?.unwrap_or(0);
     let raw_specs = flags.get_all("policy");
     let raw_specs: Vec<&str> = if raw_specs.is_empty() {
         vec!["lru", "sampler"]

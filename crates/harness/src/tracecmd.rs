@@ -31,19 +31,18 @@
 //! direction; `info` reports both codecs' real byte footprints for the
 //! file's stream so the space cost of the fast format is never a guess.
 
-use crate::runner::{record_from_source, PolicyKind};
+use crate::flags::{hardware_threads, Flags};
+use crate::runner::{cells, record_from_source, run_policy, Cell};
 use crate::table::result_line;
-use sdbp::registry::PolicySpec;
-use sdbp::replay::{ReplayMode, ReplayRequest};
+use sdbp::registry::{standard, PolicySpec};
 use sdbp_cache::recorder::{record_for_core, RecordedWorkload};
 use sdbp_cache::{Cache, CacheConfig};
-use sdbp_cpu::CoreModel;
 use sdbp_sample::{build_plan, calibrate_bound, PlanConfig, SamplingPlan};
 use sdbp_traceio::{
     convert_path, import_text, BufferedTrace, ChunkStat, FileSource, TraceMeta, TraceWriter,
     WriteSummary, FORMAT_V1, FORMAT_V2,
 };
-use sdbp_workloads::{benchmark, instructions};
+use sdbp_workloads::benchmark;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -94,86 +93,22 @@ output is bit-identical at every shard count. convert rewrites an archive
 between codec versions losslessly (--to defaults to 2, the columnar
 fast-decode layout; 1 is the compact archival layout).";
 
-/// Tiny flag parser: `--key value` pairs plus positional arguments.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    positional: Vec<String>,
-}
-
-impl Flags {
-    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut positional = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if let Some(key) = arg.strip_prefix("--") {
-                if !known.contains(&key) {
-                    return Err(format!("unknown flag --{key}\n{USAGE}"));
-                }
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{key} needs a value"))?
-                    .clone();
-                pairs.push((key.to_owned(), value));
-                i += 2;
-            } else {
-                positional.push(arg.clone());
-                i += 1;
-            }
-        }
-        Ok(Flags { pairs, positional })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// All values of a repeatable flag, in the order given.
-    fn get_all(&self, key: &str) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .collect()
-    }
-
-    fn get_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        self.get(key)
-            .map(|v| {
-                v.replace('_', "")
-                    .parse()
-                    .map_err(|_| format!("--{key} needs a positive integer, got '{v}'"))
-            })
-            .transpose()
-    }
-}
-
-/// The per-run instruction budget: `--instructions`, else the
-/// `SDBP_INSTRUCTIONS`/default chain every experiment uses.
-fn budget(flags: &Flags) -> Result<u64, String> {
-    Ok(flags.get_u64("instructions")?.unwrap_or_else(instructions))
+/// Parses a trace subcommand's valued flags (it has no switches).
+fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
+    Flags::parse(args, known, &[], USAGE)
 }
 
 fn core_id(flags: &Flags) -> Result<u8, String> {
-    match flags.get_u64("core")? {
-        Some(c) if c > 255 => Err(format!("--core must be 0..=255, got {c}")),
-        Some(c) => Ok(c as u8),
-        None => Ok(0),
-    }
+    Ok(flags.number("core")?.unwrap_or(0))
 }
 
 fn cmd_record(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["workload", "out", "instructions", "core"])?;
+    let flags = parse(args, &["workload", "out", "instructions", "core"])?;
     let name = flags
         .get("workload")
         .ok_or("record needs --workload NAME")?;
     let out = PathBuf::from(flags.get("out").ok_or("record needs --out FILE.sdbt")?);
-    let n = budget(&flags)?;
+    let n = flags.instructions()?;
     let core = core_id(&flags)?;
     let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
 
@@ -212,24 +147,8 @@ fn report_write(out: &Path, summary: &WriteSummary, secs: f64) {
     );
 }
 
-/// The `--shards` count: an explicit positive integer, `auto` (one per
-/// hardware thread), or 1 when absent.
-fn shard_count(flags: &Flags) -> Result<usize, String> {
-    match flags.get("shards") {
-        None => Ok(1),
-        Some("auto") => Ok(std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)),
-        Some(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--shards needs a positive integer or 'auto', got '{v}'")),
-    }
-}
-
 fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
+    let flags = parse(
         args,
         &[
             "workload",
@@ -241,11 +160,11 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let core = core_id(&flags)?;
-    let shards = shard_count(&flags)?;
+    let shards = flags.shards(hardware_threads())?;
     let workload = match (flags.get("workload"), flags.positional.as_slice()) {
         (Some(name), []) => {
             let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
-            let n = budget(&flags)?;
+            let n = flags.instructions()?;
             record_for_core(bench.name, bench.trace_seeded(u64::from(core)), n, core)
         }
         (None, [path]) => workload_from_file(Path::new(path), core)?,
@@ -294,11 +213,8 @@ pub fn workload_from_file(path: &Path, core: u8) -> Result<RecordedWorkload, Str
 
 /// The policies `trace replay` reports without `--policy`: LRU and the
 /// paper's Sampler, each paired with the column label it prints under.
-pub fn default_policies() -> Vec<(String, PolicySpec)> {
-    [PolicyKind::Lru, PolicyKind::Sampler]
-        .iter()
-        .map(|p| (p.label().to_owned(), p.spec()))
-        .collect()
+pub fn default_policies() -> Vec<Cell> {
+    cells(&["lru", "sampler"])
 }
 
 /// The replay result table: one `{name} {policy} misses= mpki= ipc=`
@@ -320,43 +236,27 @@ pub fn default_policies() -> Vec<(String, PolicySpec)> {
 pub fn replay_table(
     workload: &RecordedWorkload,
     llc: CacheConfig,
-    policies: &[(String, PolicySpec)],
+    policies: &[Cell],
     plan: Option<&SamplingPlan>,
     shards: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
-    for (label, spec) in policies {
-        let mode = match plan {
-            Some(plan) => ReplayMode::Sampled(plan),
-            None => ReplayMode::Exact { probe: None },
-        };
-        let outcome = ReplayRequest {
-            stream: &workload.llc,
-            llc,
-            policy: spec,
-            mode,
-            shards,
-        }
-        .run()
-        .map_err(|e| e.to_string())?;
-        if outcome.shards < shards {
+    for cell in policies {
+        let r = run_policy(workload, cell, llc, shards, plan).map_err(|e| e.to_string())?;
+        if r.shards < shards {
             eprintln!(
-                "[{label}: {shards} shards requested, replayed on {}]",
-                outcome.shards
+                "[{}: {shards} shards requested, replayed on {}]",
+                r.policy, r.shards
             );
         }
-        let ipc = CoreModel::default()
-            .simulate(&workload.records, &outcome.hits)
-            .ipc();
-        let mpki = outcome.stats.mpki(workload.instructions());
         out.push_str(&result_line(
             &workload.name,
-            label,
-            outcome.stats.misses,
-            mpki,
-            ipc,
+            &r.policy,
+            r.misses,
+            r.mpki,
+            r.ipc,
         ));
-        if let Some(sampled) = outcome.sampled {
+        if let Some(sampled) = r.sampled {
             out.push_str(&format!(
                 " sampled bound={:.4} reduction={:.1}x",
                 sampled.bound,
@@ -369,7 +269,7 @@ pub fn replay_table(
 }
 
 fn cmd_sample(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(
+    let flags = parse(
         args,
         &[
             "out", "window", "clusters", "warmup", "seed", "jobs", "core",
@@ -391,22 +291,15 @@ fn cmd_sample(args: &[String]) -> Result<(), String> {
 /// persist a sampling plan.
 fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), String> {
     let core = core_id(flags)?;
-    let mut cfg = PlanConfig::default();
-    if let Some(w) = flags.get_u64("window")? {
-        cfg.window = u32::try_from(w).map_err(|_| "--window too large".to_owned())?;
-    }
-    if let Some(k) = flags.get_u64("clusters")? {
-        cfg.k = u32::try_from(k).map_err(|_| "--clusters too large".to_owned())?;
-    }
-    if let Some(w) = flags.get_u64("warmup")? {
-        cfg.warmup_windows = u32::try_from(w).map_err(|_| "--warmup too large".to_owned())?;
-    }
-    if let Some(s) = flags.get_u64("seed")? {
-        cfg.seed = s;
-    }
-    if let Some(j) = flags.get_u64("jobs")? {
-        cfg.jobs = usize::try_from(j).map_err(|_| "--jobs too large".to_owned())?;
-    }
+    let d = PlanConfig::default();
+    let cfg = PlanConfig {
+        window: flags.number("window")?.unwrap_or(d.window),
+        k: flags.number("clusters")?.unwrap_or(d.k),
+        warmup_windows: flags.number("warmup")?.unwrap_or(d.warmup_windows),
+        seed: flags.number("seed")?.unwrap_or(d.seed),
+        jobs: flags.number("jobs")?.unwrap_or(d.jobs),
+        ..d
+    };
     if cfg.window == 0 {
         return Err("--window must be positive".into());
     }
@@ -426,11 +319,13 @@ fn cmd_sample_build(trace: &Path, out: &Path, flags: &Flags) -> Result<(), Strin
     // and the two families train differently enough that either alone
     // can understate the other's error. Costs one extra exact replay per
     // reference, paid once per plan.
-    let mut refs: Vec<Box<dyn FnMut() -> Cache>> = [PolicyKind::Sampler, PolicyKind::Tdbp]
+    let mut refs: Vec<Box<dyn FnMut() -> Cache>> = cells(&["sampler", "tdbp"])
         .into_iter()
-        .map(|policy| {
-            Box::new(move || Cache::with_policy(llc, policy.build(llc, 1)))
-                as Box<dyn FnMut() -> Cache>
+        .map(|(_, spec)| {
+            Box::new(move || {
+                let policy = standard().build(&spec, llc, 1);
+                Cache::with_policy(llc, policy.expect("registered policy"))
+            }) as Box<dyn FnMut() -> Cache>
         })
         .collect();
     calibrate_bound(&workload.llc, &mut plan, &mut refs, cfg.safety, cfg.floor)
@@ -495,7 +390,7 @@ fn cmd_sample_inspect(path: &Path) -> Result<(), String> {
 }
 
 fn cmd_import(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["in", "out", "name"])?;
+    let flags = parse(args, &["in", "out", "name"])?;
     let input = PathBuf::from(flags.get("in").ok_or("import needs --in FILE.txt")?);
     let out = PathBuf::from(flags.get("out").ok_or("import needs --out FILE.sdbt")?);
     let name = match flags.get("name") {
@@ -523,15 +418,12 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["out", "to"])?;
+    let flags = parse(args, &["out", "to"])?;
     let [src] = flags.positional.as_slice() else {
         return Err(format!("convert needs exactly one FILE.sdbt\n{USAGE}"));
     };
     let out = PathBuf::from(flags.get("out").ok_or("convert needs --out FILE.sdbt")?);
-    let to = match flags.get_u64("to")? {
-        None => FORMAT_V2,
-        Some(v) => u32::try_from(v).map_err(|_| format!("--to must be 1 or 2, got {v}"))?,
-    };
+    let to = flags.number("to")?.unwrap_or(FORMAT_V2);
     #[expect(
         clippy::disallowed_methods,
         reason = "CLI progress and throughput reporting for trace record/replay; stderr only"
@@ -600,11 +492,11 @@ impl std::io::Seek for CountBytes {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["set-histogram"])?;
+    let flags = parse(args, &["set-histogram"])?;
     let [path] = flags.positional.as_slice() else {
         return Err(format!("info needs exactly one FILE.sdbt\n{USAGE}"));
     };
-    let hist_sets = match flags.get_u64("set-histogram")? {
+    let hist_sets = match flags.number::<u64>("set-histogram")? {
         Some(s) if s >= 16 && usize::try_from(s).is_ok_and(usize::is_power_of_two) => {
             Some(s as usize)
         }

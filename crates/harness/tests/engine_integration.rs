@@ -6,26 +6,28 @@
 
 use sdbp_engine::Engine;
 use sdbp_harness::experiments::Context;
-use sdbp_harness::runner::{run_matrix, PolicyKind, RecordStore, SingleResult};
+use sdbp_harness::runner::{cells, run_matrix, RecordStore, RunConfig, SingleResult};
 use sdbp_workloads::subset;
 
 /// Keep the recorded traces tiny: the test compares outputs, the workload
 /// size is irrelevant.
-fn small_traces() {
-    // Process-wide, so every engine in this test sees the same budget.
-    std::env::set_var("SDBP_INSTRUCTIONS", "120000");
+fn small_traces() -> RunConfig {
+    RunConfig {
+        instructions: 120_000,
+        ..RunConfig::default()
+    }
 }
 
 fn matrix_with(engine: &Engine) -> Vec<Vec<SingleResult>> {
-    let store = RecordStore::new();
+    let store = RecordStore::new(small_traces());
     let benchmarks: Vec<_> = subset().into_iter().take(4).collect();
-    let policies = vec![PolicyKind::Lru, PolicyKind::Sampler];
+    let llc = sdbp_cache::CacheConfig::llc_2mb();
     run_matrix(
         engine,
         &store,
         &benchmarks,
-        &policies,
-        sdbp_cache::CacheConfig::llc_2mb(),
+        &cells(&["lru", "sampler"]),
+        llc,
     )
 }
 
@@ -45,7 +47,6 @@ fn canonical(matrix: &[Vec<SingleResult>]) -> String {
 
 #[test]
 fn parallel_matrix_is_byte_identical_to_serial() {
-    small_traces();
     let serial = canonical(&matrix_with(&Engine::serial()));
     let jobs4 = canonical(&matrix_with(&Engine::with_workers(4)));
     assert_eq!(serial, jobs4, "4-worker matrix differs from serial matrix");
@@ -53,9 +54,8 @@ fn parallel_matrix_is_byte_identical_to_serial() {
 
 #[test]
 fn rendered_experiment_is_identical_across_worker_counts() {
-    small_traces();
     let render = |engine: Engine| {
-        let ctx = Context::with_engine(engine);
+        let ctx = Context::new(engine, small_traces());
         sdbp_harness::experiments::run(&ctx, "fig4").expect("fig4 runs")
     };
     let serial = render(Engine::serial());
@@ -69,7 +69,6 @@ fn rendered_experiment_is_identical_across_worker_counts() {
 
 #[test]
 fn engine_telemetry_covers_every_matrix_job() {
-    small_traces();
     let engine = Engine::with_workers(2);
     let matrix = matrix_with(&engine);
     let telemetry = engine.telemetry();

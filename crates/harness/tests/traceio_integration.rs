@@ -1,11 +1,12 @@
 //! End-to-end trace I/O integration: `trace record` → `trace replay`
 //! must be byte-identical to a direct synthetic run — per-policy summary
-//! lines and the underlying recordings alike — and `SDBP_TRACE_DIR` must
-//! route `RecordStore` recording through an archive transparently.
+//! lines and the underlying recordings alike — and a run configured with a
+//! trace directory (`sdbp-repro --trace-dir`) must route `RecordStore`
+//! recording through an archive transparently.
 
 use sdbp_cache::recorder::record_for_core;
 use sdbp_cache::CacheConfig;
-use sdbp_harness::runner::{archived_trace_path, record_source_label, RecordStore};
+use sdbp_harness::runner::{archived_trace_path, RecordStore, RunConfig};
 use sdbp_harness::tracecmd::{default_policies, replay_table, workload_from_file};
 use sdbp_traceio::{TraceMeta, TraceWriter};
 use sdbp_workloads::benchmark;
@@ -76,8 +77,6 @@ fn replay_is_byte_identical_to_direct_run_for_three_kernels() {
 
 #[test]
 fn record_store_replays_archives_when_trace_dir_is_set() {
-    // One test owns the env var (env mutation is process-global; keeping
-    // every SDBP_TRACE_DIR interaction here avoids cross-test races).
     let dir = scratch_dir("store");
     let name = "433.milc";
     let bench = benchmark(name).unwrap();
@@ -85,43 +84,37 @@ fn record_store_replays_archives_when_trace_dir_is_set() {
     // A plain `{name}.sdbt` (no core suffix) must also resolve for core 0.
     let plain = "462.libquantum";
     let plain_bench = benchmark(plain).unwrap();
-    {
-        let src = scratch_dir("store").join(format!("{plain}.c0.sdbt"));
-        record_archive(&dir, plain, 0, INSTRUCTIONS);
-        std::fs::rename(src, dir.join(format!("{plain}.sdbt"))).unwrap();
-    }
+    let src = record_archive(&dir, plain, 0, INSTRUCTIONS);
+    std::fs::rename(src, dir.join(format!("{plain}.sdbt"))).unwrap();
 
-    std::env::set_var("SDBP_TRACE_DIR", &dir);
-    std::env::set_var("SDBP_INSTRUCTIONS", INSTRUCTIONS.to_string());
-    let outcome = std::panic::catch_unwind(|| {
-        assert!(archived_trace_path(name, 0).is_some());
-        assert!(archived_trace_path(plain, 0).is_some());
-        assert!(
-            archived_trace_path(name, 1).is_none(),
-            "no core-1 archive exists"
+    assert!(archived_trace_path(&dir, name, 0).is_some());
+    assert!(archived_trace_path(&dir, plain, 0).is_some());
+    assert!(
+        archived_trace_path(&dir, name, 1).is_none(),
+        "no core-1 archive exists"
+    );
+
+    let config = RunConfig {
+        instructions: INSTRUCTIONS,
+        trace_dir: Some(dir.clone()),
+        ..RunConfig::default()
+    };
+    let store = RecordStore::new(config);
+    assert!(store.source_label(name, 0).starts_with("file:"));
+    assert_eq!(store.source_label(name, 1), "synthetic");
+    assert_eq!(RecordStore::default().source_label(name, 0), "synthetic");
+    for b in [&bench, &plain_bench] {
+        let from_file = store.record(b, 0);
+        let direct = record_for_core(b.name, b.trace_seeded(0), INSTRUCTIONS, 0);
+        assert_eq!(
+            from_file.llc, direct.llc,
+            "{}: archive replay differs",
+            b.name
         );
-        assert!(record_source_label(name, 0).starts_with("file:"));
-        assert_eq!(record_source_label(name, 1), "synthetic");
-
-        let store = RecordStore::new();
-        for b in [&bench, &plain_bench] {
-            let from_file = store.record(b, 0);
-            let direct = record_for_core(b.name, b.trace_seeded(0), INSTRUCTIONS, 0);
-            assert_eq!(
-                from_file.llc, direct.llc,
-                "{}: archive replay differs",
-                b.name
-            );
-        }
-    });
-    std::env::remove_var("SDBP_TRACE_DIR");
-    std::env::remove_var("SDBP_INSTRUCTIONS");
+    }
     #[expect(
         clippy::unused_result_ok,
         reason = "best-effort temp cleanup; a leftover file is harmless"
     )]
     std::fs::remove_dir_all(&dir).ok();
-    if let Err(e) = outcome {
-        std::panic::resume_unwind(e);
-    }
 }

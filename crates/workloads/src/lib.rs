@@ -36,24 +36,11 @@ pub use mixes::{mix, mixes, Mix};
 const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 
-/// Default instruction budget per benchmark, overridable via the
-/// `SDBP_INSTRUCTIONS` environment variable. The paper simulates 1 B
-/// instructions per SimPoint; the default here is sized so the full
-/// experiment matrix runs in minutes while every workload still executes
-/// hundreds of LLC-footprint passes.
+/// Default instruction budget per benchmark (`sdbp-repro --instructions`
+/// overrides it). The paper simulates 1 B instructions per SimPoint; the
+/// default here is sized so the full experiment matrix runs in minutes
+/// while every workload still executes hundreds of LLC-footprint passes.
 pub const DEFAULT_INSTRUCTIONS: u64 = 8_000_000;
-
-/// The per-benchmark instruction budget for this process.
-///
-/// Reads `SDBP_INSTRUCTIONS` once per call; invalid values fall back to
-/// [`DEFAULT_INSTRUCTIONS`].
-pub fn instructions() -> u64 {
-    std::env::var("SDBP_INSTRUCTIONS")
-        .ok()
-        .and_then(|s| s.replace('_', "").parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_INSTRUCTIONS)
-}
 
 /// One benchmark of the suite.
 #[derive(Clone, Debug)]
@@ -379,12 +366,5 @@ mod tests {
         let b = benchmark("429.mcf").unwrap();
         let stats = TraceStats::measure(b.trace().take(50_000));
         assert!(stats.dependent_loads > 1000, "mcf needs pointer chasing");
-    }
-
-    #[test]
-    fn instruction_budget_env_override() {
-        // Note: avoid mutating the env in-process (other tests run in
-        // parallel); just check the default path.
-        assert_eq!(instructions(), DEFAULT_INSTRUCTIONS);
     }
 }

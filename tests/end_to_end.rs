@@ -5,17 +5,28 @@ use sdbp_suite::cache::recorder::{merge_streams, record, record_for_core};
 use sdbp_suite::cache::replay::{replay, split_hits_by_core};
 use sdbp_suite::cache::{Cache, CacheConfig};
 use sdbp_suite::cpu::CoreModel;
-use sdbp_suite::harness::runner::PolicyKind;
+use sdbp_suite::cache::policy::ReplacementPolicy;
+use sdbp_suite::harness::experiments::singlecore::{ablation_cells, lru_cells, random_cells};
+use sdbp_suite::harness::Cell;
+use sdbp_suite::sdbp::registry::{standard, PolicySpec};
 use sdbp_suite::workloads::{benchmark, mixes, suite};
 
 const N: u64 = 200_000;
 
-fn all_policies() -> Vec<PolicyKind> {
-    let mut kinds = vec![PolicyKind::Lru];
-    kinds.extend(PolicyKind::lru_comparison());
-    kinds.extend(PolicyKind::random_comparison());
-    kinds.extend(PolicyKind::ablation_ladder());
-    kinds
+/// LRU and every policy of Figures 4 to 8, labelled as in the tables.
+fn all_policies() -> Vec<Cell> {
+    let mut cells = lru_cells();
+    cells.extend(random_cells().into_iter().skip(1));
+    cells.extend(ablation_cells().into_iter().skip(1));
+    cells
+}
+
+fn build(spec: &PolicySpec, llc: CacheConfig, cores: usize) -> Box<dyn ReplacementPolicy> {
+    standard().build(spec, llc, cores).expect("registered policy")
+}
+
+fn sampler(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
+    build(&PolicySpec::plain("sampler"), llc, 1)
 }
 
 #[test]
@@ -23,20 +34,20 @@ fn every_policy_runs_every_shape_consistently() {
     let bench = benchmark("456.hmmer").unwrap();
     let w = record(bench.name, bench.trace(), N);
     let llc = CacheConfig::new(256, 16); // small LLC keeps the test fast
-    for policy in all_policies() {
-        let mut cache = Cache::with_policy(llc, policy.build(llc, 1));
+    for (label, spec) in all_policies() {
+        let mut cache = Cache::with_policy(llc, build(&spec, llc, 1));
         let r = replay(&w.llc, &mut cache);
-        assert_eq!(r.stats.accesses, w.llc.len() as u64, "{}", policy.label());
-        assert_eq!(r.stats.hits + r.stats.misses, r.stats.accesses, "{}", policy.label());
-        assert!(r.stats.bypasses <= r.stats.misses, "{}", policy.label());
+        assert_eq!(r.stats.accesses, w.llc.len() as u64, "{label}");
+        assert_eq!(r.stats.hits + r.stats.misses, r.stats.accesses, "{label}");
+        assert!(r.stats.bypasses <= r.stats.misses, "{label}");
         assert_eq!(
             r.stats.fills + r.stats.bypasses,
             r.stats.misses,
             "{}: every miss either fills or bypasses",
-            policy.label()
+            label
         );
         let timing = CoreModel::default().simulate(&w.records, &r.hits);
-        assert!(timing.ipc() > 0.0 && timing.ipc() <= 4.0, "{}", policy.label());
+        assert!(timing.ipc() > 0.0 && timing.ipc() <= 4.0, "{label}");
     }
 }
 
@@ -46,7 +57,7 @@ fn full_pipeline_is_deterministic() {
     let run = || {
         let w = record(bench.name, bench.trace(), N);
         let llc = CacheConfig::llc_2mb();
-        let mut cache = Cache::with_policy(llc, PolicyKind::Sampler.build(llc, 1));
+        let mut cache = Cache::with_policy(llc, sampler(llc));
         let r = replay(&w.llc, &mut cache);
         let t = CoreModel::default().simulate(&w.records, &r.hits);
         (r.stats, t.cycles)
@@ -60,13 +71,13 @@ fn optimal_is_a_lower_bound_for_every_policy() {
     let w = record(bench.name, bench.trace(), N);
     let llc = CacheConfig::new(512, 16);
     let optimal = sdbp_suite::optimal::simulate(&w.llc, llc);
-    for policy in all_policies() {
-        let mut cache = Cache::with_policy(llc, policy.build(llc, 1));
+    for (label, spec) in all_policies() {
+        let mut cache = Cache::with_policy(llc, build(&spec, llc, 1));
         let r = replay(&w.llc, &mut cache);
         assert!(
             optimal.misses <= r.stats.misses,
             "{} beat MIN: {} < {}",
-            policy.label(),
+            label,
             r.stats.misses,
             optimal.misses
         );
@@ -86,7 +97,7 @@ fn multicore_pipeline_conserves_accesses() {
     assert_eq!(merged.len(), workloads.iter().map(|w| w.llc.len()).sum::<usize>());
 
     let llc = CacheConfig::new(1024, 16);
-    let mut cache = Cache::with_policy(llc, PolicyKind::Tadip.build(llc, 4));
+    let mut cache = Cache::with_policy(llc, build(&PolicySpec::plain("tadip"), llc, 4));
     let r = replay(&merged, &mut cache);
     let per_core = split_hits_by_core(&merged, &r.hits, 4)
         .expect("replay hit map aligns with the merged stream");
@@ -122,7 +133,7 @@ fn sampler_beats_lru_on_its_showcase_benchmark() {
     let llc = CacheConfig::llc_2mb();
     let mut lru = Cache::new(llc);
     let lru_misses = replay(&w.llc, &mut lru).stats.misses;
-    let mut sdbp = Cache::with_policy(llc, PolicyKind::Sampler.build(llc, 1));
+    let mut sdbp = Cache::with_policy(llc, sampler(llc));
     let sdbp_misses = replay(&w.llc, &mut sdbp).stats.misses;
     assert!(
         (sdbp_misses as f64) < 0.97 * lru_misses as f64,
@@ -137,7 +148,7 @@ fn bypassing_policies_fill_less_than_lru() {
     let llc = CacheConfig::llc_2mb();
     let mut lru = Cache::new(llc);
     let lru_fills = replay(&w.llc, &mut lru).stats.fills;
-    let mut sdbp = Cache::with_policy(llc, PolicyKind::Sampler.build(llc, 1));
+    let mut sdbp = Cache::with_policy(llc, sampler(llc));
     let s = replay(&w.llc, &mut sdbp).stats;
     assert!(s.bypasses > 0, "streaming workload must trigger bypasses");
     assert!(s.fills < lru_fills);

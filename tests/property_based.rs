@@ -4,7 +4,7 @@
 use sdbp_suite::cache::policy::Access;
 use sdbp_suite::cache::recorder::LlcAccess;
 use sdbp_suite::cache::{Cache, CacheConfig, HitMap};
-use sdbp_suite::harness::runner::PolicyKind;
+use sdbp_suite::sdbp::registry::standard;
 use sdbp_suite::optimal;
 use sdbp_suite::trace::rng::Rng64;
 use sdbp_suite::trace::{AccessKind, BlockAddr, Pc};
@@ -44,11 +44,14 @@ fn to_llc_stream(raw: &[(u8, u16, bool)]) -> Vec<LlcAccess> {
         .collect()
 }
 
-fn policy_set() -> Vec<PolicyKind> {
-    let mut kinds = vec![PolicyKind::Lru];
-    kinds.extend(PolicyKind::lru_comparison());
-    kinds.extend(PolicyKind::random_comparison());
-    kinds
+/// Every registry policy, by name.
+fn policy_set() -> Vec<&'static str> {
+    standard().entries().iter().map(|e| e.name).collect()
+}
+
+/// A cold single-core cache of geometry `cfg` running registry policy `name`.
+fn cold_cache(name: &str, cfg: CacheConfig) -> Cache {
+    Cache::with_policy(cfg, standard().build_str(name, cfg, 1).expect("registered policy"))
 }
 
 /// Counter bookkeeping holds for every policy on any stream.
@@ -60,7 +63,7 @@ fn stats_are_consistent_for_all_policies() {
         let cfg = CacheConfig::new(16, 4);
         let accesses = to_accesses(&raw);
         for policy in policy_set() {
-            let mut cache = Cache::with_policy(cfg, policy.build(cfg, 1));
+            let mut cache = cold_cache(policy, cfg);
             for a in &accesses {
                 cache.access(a);
             }
@@ -88,7 +91,7 @@ fn hits_match_reference_residency_model() {
         let cfg = CacheConfig::new(8, 4);
         let accesses = to_accesses(&raw);
         for policy in policy_set() {
-            let mut cache = Cache::with_policy(cfg, policy.build(cfg, 1));
+            let mut cache = cold_cache(policy, cfg);
             let mut resident: std::collections::HashSet<u64> = Default::default();
             for a in &accesses {
                 let outcome = cache.access(a);
@@ -97,7 +100,7 @@ fn hits_match_reference_residency_model() {
                         assert!(
                             resident.contains(&a.block.raw()),
                             "{}: phantom hit",
-                            policy.label()
+                            policy
                         );
                     }
                     sdbp_suite::cache::AccessOutcome::Filled { evicted } => {
@@ -110,7 +113,7 @@ fn hits_match_reference_residency_model() {
                         assert!(
                             !resident.contains(&a.block.raw()),
                             "{}: bypassed a resident block",
-                            policy.label()
+                            policy
                         );
                     }
                 }
@@ -142,9 +145,9 @@ fn min_is_optimal_and_next_use_links_sound() {
         }
         let min = optimal::simulate(&stream, cfg);
         for policy in policy_set() {
-            let mut cache = Cache::with_policy(cfg, policy.build(cfg, 1));
+            let mut cache = cold_cache(policy, cfg);
             let misses = sdbp_suite::cache::replay(&stream, &mut cache).stats.misses;
-            assert!(min.misses <= misses, "{}: {misses} below MIN {}", policy.label(), min.misses);
+            assert!(min.misses <= misses, "{policy}: {misses} below MIN {}", min.misses);
         }
         let no_bypass = optimal::simulate_no_bypass(&stream, cfg);
         assert!(min.misses <= no_bypass.misses, "bypass made MIN worse");
@@ -232,11 +235,11 @@ fn replay_is_deterministic_for_all_policies() {
         let cfg = CacheConfig::new(16, 4);
         let stream = to_llc_stream(&raw);
         for policy in policy_set() {
-            let mut a = Cache::with_policy(cfg, policy.build(cfg, 1));
-            let mut b = Cache::with_policy(cfg, policy.build(cfg, 1));
+            let mut a = cold_cache(policy, cfg);
+            let mut b = cold_cache(policy, cfg);
             let ra = sdbp_suite::cache::replay(&stream, &mut a);
             let rb = sdbp_suite::cache::replay(&stream, &mut b);
-            assert_eq!(&ra, &rb, "{} not deterministic", policy.label());
+            assert_eq!(&ra, &rb, "{policy} not deterministic");
         }
     }
 }

@@ -12,7 +12,7 @@ use sdbp_suite::cache::kernel::{replay_sharded, SerialRunner, ShardPlan, ThreadR
 use sdbp_suite::cache::recorder::{InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 use sdbp_suite::cache::replay::{replay_with_probe, WindowMisses};
 use sdbp_suite::cache::{Cache, CacheConfig};
-use sdbp_suite::harness::runner::{run_policy, PolicyKind};
+use sdbp_suite::harness::runner::{cell, run_policy};
 use sdbp_suite::sdbp::registry::{standard, PolicySpec, Registry};
 use sdbp_suite::sdbp::replay::{ReplayMode, ReplayRequest};
 use sdbp_suite::trace::rng::Rng64;
@@ -146,12 +146,12 @@ fn set_dueling_policy_is_clamped_to_the_serial_path() {
     let llc = CacheConfig::new(64, 4);
     let mut rng = Rng64::seed_from_u64(0x5da7_d003);
     let stream = random_llc_stream(&mut rng, 4000);
-    let dip = PolicyKind::Dip.spec();
+    let dip = cell("dip");
     for shards in [3usize, 7] {
         let outcome = ReplayRequest {
             stream: &stream,
             llc,
-            policy: &dip,
+            policy: &dip.1,
             mode: ReplayMode::Exact { probe: None },
             shards,
         }
@@ -171,9 +171,9 @@ fn set_dueling_policy_is_clamped_to_the_serial_path() {
             .collect(),
         llc: stream,
     };
-    let serial = run_policy(&workload, &PolicyKind::Dip, llc, 1);
+    let serial = run_policy(&workload, &dip, llc, 1, None).expect("dip replays");
     for shards in [3usize, 7] {
-        let sharded = run_policy(&workload, &PolicyKind::Dip, llc, shards);
+        let sharded = run_policy(&workload, &dip, llc, shards, None).expect("dip replays");
         assert_eq!(
             sharded.stats, serial.stats,
             "dip at {shards} requested shards must take the serial fallback"

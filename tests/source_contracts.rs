@@ -2,7 +2,9 @@
 //! on `crates/*/src` with comments and test items removed: seeds are split
 //! with `Rng64::fork`, never computed; simulation metadata is flat, never
 //! `Vec<Vec<..>>`; serve locks only through the closure-scoped helpers in
-//! its `lib.rs`, so no guard is alive across a socket write.
+//! its `lib.rs`, so no guard is alive across a socket write; no crate reads
+//! or writes the process environment, so every run option is passed by
+//! value from the command line.
 
 /// `src` with every `//` comment and every `#[cfg(test)]` item
 /// (brace-matched, wherever it sits) blanked out; line numbers still hold.
@@ -96,6 +98,20 @@ fn serve_locks_only_through_its_helpers() {
     assert_eq!(scan("serve", Some("serve/src/lib.rs"), raw), [""; 0], "use with_lock / wait_then");
 }
 
+/// 1-based lines that read or write an environment variable.
+fn environment_access(src: &str) -> Vec<usize> {
+    let calls = ["env::var", "var_os(", "set_var(", "remove_var("].map(|n| lines_with(src, n));
+    let mut lines = calls.concat();
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
+
+#[test]
+fn run_options_never_travel_through_the_environment() {
+    assert_eq!(scan("", None, environment_access), [""; 0], "pass the option as a value");
+}
+
 #[test]
 fn checks_flag_bad_shapes_and_pass_good_ones() {
     let bad_seed = "fn a(seed: u64, core: u64) -> u64 { seed + core }
@@ -117,4 +133,12 @@ pub fn between() {}
 #[cfg(test)]
 mod more { fn f() -> Vec<Vec<u8>> { vec![] } }";
     assert_eq!(lines_with(good_flat, "Vec<Vec<"), [0; 0], "both test modules are skipped");
+    let bad_env = "let n = std::env::var(\"N\");
+std::env::set_var(\"N\", \"1\");
+let d = env::var_os(\"D\");
+std::env::remove_var(\"N\");";
+    assert_eq!(environment_access(bad_env), [1, 2, 3, 4]);
+    let good_env = "let args: Vec<String> = std::env::args().collect();
+let tmp = std::env::temp_dir(); // not std::env::var(\"TMP\")";
+    assert_eq!(environment_access(good_env), [0; 0]);
 }
