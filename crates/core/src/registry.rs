@@ -303,6 +303,37 @@ mod tests {
         }
     }
 
+    /// Every registry entry and every ablation preset builds from its spec,
+    /// the parsed-spec and spec-string paths build the same policy, and the
+    /// spec round-trips through its display form.
+    #[test]
+    fn every_policy_kind_builds_through_the_registry() {
+        let r = standard();
+        let mut specs: Vec<PolicySpec> =
+            r.entries().iter().map(|e| PolicySpec::plain(e.name)).collect();
+        specs.extend(
+            [
+                SdbpConfig::dbrb_alone(),
+                SdbpConfig::dbrb_skewed(),
+                SdbpConfig::sampler_only(),
+                SdbpConfig::sampler_skewed(),
+                SdbpConfig::sampler_12way(),
+            ]
+            .iter()
+            .map(sampler_spec),
+        );
+        for spec in specs {
+            let entry = r.find(&spec.name).expect("registered");
+            assert!(!entry.label.is_empty(), "{spec}");
+            let p = r.build(&spec, llc(), 4).expect("spec builds");
+            assert!(!p.name().is_empty(), "{spec}");
+            let text = spec.to_string();
+            assert_eq!(r.build_str(&text, llc(), 4).expect("string builds").name(), p.name());
+            let reparsed: PolicySpec = text.parse().expect("round trip");
+            assert_eq!(reparsed, spec);
+        }
+    }
+
     #[test]
     fn ablation_presets_have_the_expected_specs() {
         let cases = [

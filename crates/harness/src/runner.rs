@@ -498,8 +498,9 @@ mod tests {
         }
     }
 
+    /// Every (label, spec) cell of the figure matrices builds.
     #[test]
-    fn every_matrix_cell_builds() {
+    fn every_policy_kind_builds() {
         let llc = CacheConfig::new(256, 16);
         let mut all = lru_cells();
         all.extend(random_cells());
