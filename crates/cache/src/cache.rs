@@ -254,7 +254,10 @@ impl Cache {
 
     /// Creates a cache driven by an arbitrary policy.
     pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Cache { core: CacheCore::new(config), policy }
+        Cache {
+            core: CacheCore::new(config),
+            policy,
+        }
     }
 
     /// Enables live/dead-time accounting (costs one pass of bookkeeping per

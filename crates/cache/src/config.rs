@@ -29,7 +29,10 @@ impl CacheConfig {
     ///
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(sets.is_power_of_two(), "sets must be a power of two, got {sets}");
+        assert!(
+            sets.is_power_of_two(),
+            "sets must be a power of two, got {sets}"
+        );
         assert!(ways >= 1, "ways must be at least 1");
         CacheConfig { sets, ways }
     }
@@ -42,7 +45,10 @@ impl CacheConfig {
     pub fn with_capacity(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways >= 1, "ways must be at least 1");
         let sets = capacity_bytes / (ways as u64 * BLOCK_BYTES);
-        assert!(sets >= 1, "capacity too small for the requested associativity");
+        assert!(
+            sets >= 1,
+            "capacity too small for the requested associativity"
+        );
         // A count beyond `usize` is no valid geometry; `new` rejects `usize::MAX`.
         Self::new(usize::try_from(sets).unwrap_or(usize::MAX), ways)
     }
@@ -100,7 +106,12 @@ pub struct Latencies {
 
 impl Default for Latencies {
     fn default() -> Self {
-        Latencies { l1: 1, l2: 10, llc: 30, memory: 200 }
+        Latencies {
+            l1: 1,
+            l2: 10,
+            llc: 30,
+            memory: 200,
+        }
     }
 }
 

@@ -118,7 +118,10 @@ impl FullHierarchy {
 
     fn llc_access(&mut self, pc: Pc, block: BlockAddr, kind: AccessKind) -> AccessOutcome {
         let outcome = self.llc.access(&Access::demand(pc, block, kind, 0));
-        if let AccessOutcome::Filled { evicted: Some(victim) } = outcome {
+        if let AccessOutcome::Filled {
+            evicted: Some(victim),
+        } = outcome
+        {
             self.back_invalidate(victim);
         }
         outcome
@@ -159,9 +162,9 @@ impl FullHierarchy {
         if self.config.inclusion == Inclusion::NonInclusive {
             return true;
         }
-        blocks.into_iter().all(|b| {
-            (!self.l1.contains(b) && !self.l2.contains(b)) || self.llc.contains(b)
-        })
+        blocks
+            .into_iter()
+            .all(|b| (!self.l1.contains(b) && !self.l2.contains(b)) || self.llc.contains(b))
     }
 }
 
@@ -221,10 +224,16 @@ mod tests {
             }
             full.execute(&i);
         }
-        assert!(full.back_invalidations() > 0, "inclusive LLC must back-invalidate");
+        assert!(
+            full.back_invalidations() > 0,
+            "inclusive LLC must back-invalidate"
+        );
         blocks.sort_unstable_by_key(|b| b.raw());
         blocks.dedup();
-        assert!(full.inclusion_holds_for(blocks), "inclusion invariant violated");
+        assert!(
+            full.inclusion_holds_for(blocks),
+            "inclusion invariant violated"
+        );
     }
 
     #[test]
@@ -232,7 +241,10 @@ mod tests {
         // Same stream, inclusive vs non-inclusive with a small LLC: the
         // inclusive hierarchy cannot hit more often at L1.
         let run = |inclusion| {
-            let cfg = FullHierarchyConfig { inclusion, ..FullHierarchyConfig::default() };
+            let cfg = FullHierarchyConfig {
+                inclusion,
+                ..FullHierarchyConfig::default()
+            };
             let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(16, 2)));
             let mut l1_hits = 0u64;
             for i in workload_trace(13).take(60_000) {
@@ -247,15 +259,23 @@ mod tests {
 
     #[test]
     fn writebacks_reach_the_llc_when_enabled() {
-        let cfg = FullHierarchyConfig { writebacks_to_llc: true, ..Default::default() };
+        let cfg = FullHierarchyConfig {
+            writebacks_to_llc: true,
+            ..Default::default()
+        };
         let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(256, 8)));
         for i in workload_trace(21).take(200_000) {
             full.execute(&i);
         }
-        assert!(full.llc_writebacks() > 0, "write-heavy stream must produce L2 victims");
+        assert!(
+            full.llc_writebacks() > 0,
+            "write-heavy stream must produce L2 victims"
+        );
         // The LLC saw strictly more accesses than the demand-only config.
-        let mut demand_only =
-            FullHierarchy::new(FullHierarchyConfig::default(), Cache::new(CacheConfig::new(256, 8)));
+        let mut demand_only = FullHierarchy::new(
+            FullHierarchyConfig::default(),
+            Cache::new(CacheConfig::new(256, 8)),
+        );
         for i in workload_trace(21).take(200_000) {
             demand_only.execute(&i);
         }

@@ -49,7 +49,11 @@ impl UpperLevels {
 
     /// Creates a pair with custom geometries (used by tests).
     pub fn with_configs(l1: CacheConfig, l2: CacheConfig) -> Self {
-        UpperLevels { l1: LruArray::new(l1), l2: LruArray::new(l2), writebacks_to_l2: 0 }
+        UpperLevels {
+            l1: LruArray::new(l1),
+            l2: LruArray::new(l2),
+            writebacks_to_l2: 0,
+        }
     }
 
     /// Presents a demand access; fills both levels on the way back

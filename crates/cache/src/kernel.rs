@@ -68,7 +68,12 @@ impl ShardPlan {
     pub fn new(sets: usize, shards: usize) -> ShardPlan {
         assert!(sets > 0, "a shard plan needs at least one set");
         let shards = shards.clamp(1, sets);
-        ShardPlan { sets, base: sets / shards, rem: sets % shards, shards }
+        ShardPlan {
+            sets,
+            base: sets / shards,
+            rem: sets % shards,
+            shards,
+        }
     }
 
     /// Number of shards.
@@ -148,15 +153,27 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::ShardCount { expected, got } => {
-                write!(f, "plan has {expected} shards but {got} results were supplied")
+                write!(
+                    f,
+                    "plan has {expected} shards but {got} results were supplied"
+                )
             }
             ShardError::HitsExhausted { shard } => {
-                write!(f, "shard {shard} produced fewer outcomes than the stream routes to it")
+                write!(
+                    f,
+                    "shard {shard} produced fewer outcomes than the stream routes to it"
+                )
             }
             ShardError::HitsLeftOver { shard, unused } => {
-                write!(f, "shard {shard} produced {unused} outcomes the stream never consumed")
+                write!(
+                    f,
+                    "shard {shard} produced {unused} outcomes the stream never consumed"
+                )
             }
-            ShardError::Geometry { plan_sets, cache_sets } => {
+            ShardError::Geometry {
+                plan_sets,
+                cache_sets,
+            } => {
                 write!(
                     f,
                     "plan partitions {plan_sets} sets but the cache factory builds {cache_sets}"
@@ -200,7 +217,10 @@ fn merge_shards(
     mut probe: Option<&mut dyn ReplayProbe>,
 ) -> Result<ReplayResult, ShardError> {
     if results.len() != plan.shards() {
-        return Err(ShardError::ShardCount { expected: plan.shards(), got: results.len() });
+        return Err(ShardError::ShardCount {
+            expected: plan.shards(),
+            got: results.len(),
+        });
     }
     let mut stats = CacheStats::default();
     for result in results {
@@ -224,7 +244,10 @@ fn merge_shards(
     }
     for (shard, (result, cursor)) in results.iter().zip(&cursors).enumerate() {
         if *cursor != result.hits.len() {
-            return Err(ShardError::HitsLeftOver { shard, unused: result.hits.len() - cursor });
+            return Err(ShardError::HitsLeftOver {
+                shard,
+                unused: result.hits.len() - cursor,
+            });
         }
     }
     Ok(ReplayResult { stats, hits })
@@ -302,7 +325,10 @@ pub fn replay_sharded<R: ShardRunner>(
 ) -> Result<ReplayResult, ShardError> {
     let cache_sets = factory().config().sets;
     if cache_sets != plan.sets() {
-        return Err(ShardError::Geometry { plan_sets: plan.sets(), cache_sets });
+        return Err(ShardError::Geometry {
+            plan_sets: plan.sets(),
+            cache_sets,
+        });
     }
     let tasks: Vec<Box<dyn FnOnce() -> ReplayResult + Send + '_>> = (0..plan.shards())
         .map(|shard| {
@@ -343,7 +369,11 @@ mod tests {
                 assert_eq!(range.start, next, "ranges must be contiguous");
                 assert!(!range.is_empty(), "every shard owns at least one set");
                 for set in range.clone() {
-                    assert_eq!(plan.shard_of(set), shard, "sets={sets} shards={shards} set={set}");
+                    assert_eq!(
+                        plan.shard_of(set),
+                        shard,
+                        "sets={sets} shards={shards} set={set}"
+                    );
                 }
                 next = range.end;
             }
@@ -412,17 +442,28 @@ mod tests {
         let plan = ShardPlan::new(config.sets, 2);
         let queues: Vec<Vec<crate::recorder::LlcAccess>> =
             (0..2).map(|s| shard_queue(&w.llc, &plan, s)).collect();
-        let results: Vec<ReplayResult> =
-            queues.iter().map(|q| replay(q, &mut Cache::new(config))).collect();
+        let results: Vec<ReplayResult> = queues
+            .iter()
+            .map(|q| replay(q, &mut Cache::new(config)))
+            .collect();
         let err = merge_shards(&w.llc, &plan, &results[..1], None)
             .expect_err("one result for a two-shard plan");
-        assert_eq!(err, ShardError::ShardCount { expected: 2, got: 1 });
+        assert_eq!(
+            err,
+            ShardError::ShardCount {
+                expected: 2,
+                got: 1
+            }
+        );
         assert!(err.to_string().contains("2 shards"));
         // Truncate shard 1's outcomes: the merge must notice.
         let mut short = results.clone();
         short[1].hits = short[1].hits.iter().take(1).collect();
         let err = merge_shards(&w.llc, &plan, &short, None).expect_err("short shard");
-        assert!(matches!(err, ShardError::HitsExhausted { shard: 1 }), "{err:?}");
+        assert!(
+            matches!(err, ShardError::HitsExhausted { shard: 1 }),
+            "{err:?}"
+        );
         // And a full merge round-trips.
         let merged = merge_shards(&w.llc, &plan, &results, None).expect("full merge");
         assert_eq!(merged, replay(&w.llc, &mut Cache::new(config)));
@@ -440,7 +481,13 @@ mod tests {
             None,
         )
         .expect_err("plan partitions 128 sets, cache has 64");
-        assert_eq!(err, ShardError::Geometry { plan_sets: 128, cache_sets: 64 });
+        assert_eq!(
+            err,
+            ShardError::Geometry {
+                plan_sets: 128,
+                cache_sets: 64
+            }
+        );
         assert!(err.to_string().contains("128"));
     }
 
@@ -448,8 +495,9 @@ mod tests {
     fn shard_queues_tile_the_stream() {
         let w = workload();
         let plan = ShardPlan::new(64, 5);
-        let queues: Vec<Vec<crate::recorder::LlcAccess>> =
-            (0..plan.shards()).map(|s| shard_queue(&w.llc, &plan, s)).collect();
+        let queues: Vec<Vec<crate::recorder::LlcAccess>> = (0..plan.shards())
+            .map(|s| shard_queue(&w.llc, &plan, s))
+            .collect();
         assert_eq!(queues.iter().map(Vec::len).sum::<usize>(), w.llc.len());
         // Each queue preserves stream order within its sets.
         let mut cursors = vec![0usize; plan.shards()];

@@ -43,7 +43,7 @@
     clippy::panic,
     clippy::todo,
     clippy::unimplemented,
-    clippy::cast_possible_truncation,
+    clippy::cast_possible_truncation
 )]
 #![warn(missing_debug_implementations)]
 
@@ -64,15 +64,12 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, CacheCore};
 pub use config::CacheConfig;
-pub use kernel::{
-    replay_sharded, SerialRunner, ShardError, ShardPlan, ShardRunner, ThreadRunner,
-};
+pub use kernel::{replay_sharded, SerialRunner, ShardError, ShardPlan, ShardRunner, ThreadRunner};
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 pub use replay::{
     replay, replay_segment, replay_with_probe, Fingerprint, Outcomes, ReplayProbe, ReplayResult,
-    SampledReplayResult, SegmentError, SplitHitsError, WindowFingerprint,
-    FINGERPRINT_FEATURES,
+    SampledReplayResult, SegmentError, SplitHitsError, WindowFingerprint, FINGERPRINT_FEATURES,
 };
 pub use stats::CacheStats;

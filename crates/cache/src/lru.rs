@@ -165,7 +165,11 @@ impl LruArray {
         let ranks = (0..config.ways.div_ceil(LANES)).map(|word| {
             (0..LANES).fold(0u64, |acc, lane| {
                 let way = word * LANES + lane;
-                let rank = if way < config.ways { way as u64 } else { PAD_RANK };
+                let rank = if way < config.ways {
+                    way as u64
+                } else {
+                    PAD_RANK
+                };
                 acc | rank << (8 * lane)
             })
         });
@@ -173,7 +177,13 @@ impl LruArray {
             .chain([0, 0])
             .chain(ranks)
             .collect();
-        LruArray { config, stride: row.len(), rows: row.repeat(config.sets), hits: 0, misses: 0 }
+        LruArray {
+            config,
+            stride: row.len(),
+            rows: row.repeat(config.sets),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// The cache's geometry.
@@ -196,8 +206,15 @@ impl LruArray {
     fn set(&mut self, block: BlockAddr) -> Set<'_> {
         let at = block.set_index(self.config.sets) * self.stride;
         let (tags, rest) = self.rows[at..at + self.stride].split_at_mut(self.config.ways);
-        let [valid, dirty, ranks @ ..] = rest else { unreachable!("rows hold two mask words") };
-        Set { tags, valid, dirty, ranks }
+        let [valid, dirty, ranks @ ..] = rest else {
+            unreachable!("rows hold two mask words")
+        };
+        Set {
+            tags,
+            valid,
+            dirty,
+            ranks,
+        }
     }
 
     /// Whether `block` is resident (does not update recency).
@@ -216,7 +233,9 @@ impl LruArray {
     #[inline]
     pub fn write_back(&mut self, block: BlockAddr) -> bool {
         let mut set = self.set(block);
-        let Some(way) = set.find(block.raw()) else { return false };
+        let Some(way) = set.find(block.raw()) else {
+            return false;
+        };
         *set.dirty |= 1 << way;
         set.promote(way);
         self.hits += 1;
@@ -248,7 +267,10 @@ impl LruArray {
             }
             set.promote(way);
             self.hits += 1;
-            return LruOutcome { hit: true, writeback: None };
+            return LruOutcome {
+                hit: true,
+                writeback: None,
+            };
         }
 
         // Fill: lowest empty way first, else LRU. Mask bits past `ways`
@@ -270,7 +292,10 @@ impl LruArray {
             *set.dirty &= !bit;
         }
         self.misses += 1;
-        LruOutcome { hit: false, writeback }
+        LruOutcome {
+            hit: false,
+            writeback,
+        }
     }
 }
 
@@ -349,10 +374,15 @@ mod tests {
         for _ in 0..20_000 {
             let block = BlockAddr::new(rng.gen_range(0..200));
             let write = rng.gen_bool(0.3);
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
             let fast_hit = fast.access(block, write).hit;
-            let slow_hit =
-                slow.access(&Access::demand(Pc::new(0), block, kind, 0)).is_hit();
+            let slow_hit = slow
+                .access(&Access::demand(Pc::new(0), block, kind, 0))
+                .is_hit();
             assert_eq!(fast_hit, slow_hit, "divergence at block {block}");
         }
     }

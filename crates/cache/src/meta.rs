@@ -51,7 +51,10 @@ impl<T: Copy> MetaPlane<T> {
     /// optional structures represent "absent").
     pub fn new(sets: usize, width: usize, init: T) -> Self {
         assert!(width > 0, "metadata plane needs a non-zero row width");
-        MetaPlane { width, data: vec![init; sets * width] }
+        MetaPlane {
+            width,
+            data: vec![init; sets * width],
+        }
     }
 
     /// Lanes per set.
@@ -113,14 +116,22 @@ impl<T: Copy> Index<(usize, usize)> for MetaPlane<T> {
     type Output = T;
 
     fn index(&self, (set, lane): (usize, usize)) -> &T {
-        debug_assert!(lane < self.width, "lane {lane} outside row width {}", self.width);
+        debug_assert!(
+            lane < self.width,
+            "lane {lane} outside row width {}",
+            self.width
+        );
         &self.data[set * self.width + lane]
     }
 }
 
 impl<T: Copy> IndexMut<(usize, usize)> for MetaPlane<T> {
     fn index_mut(&mut self, (set, lane): (usize, usize)) -> &mut T {
-        debug_assert!(lane < self.width, "lane {lane} outside row width {}", self.width);
+        debug_assert!(
+            lane < self.width,
+            "lane {lane} outside row width {}",
+            self.width
+        );
         &mut self.data[set * self.width + lane]
     }
 }
@@ -148,12 +159,18 @@ pub struct HitMap {
 impl HitMap {
     /// An empty map.
     pub const fn new() -> Self {
-        HitMap { words: Vec::new(), len: 0 }
+        HitMap {
+            words: Vec::new(),
+            len: 0,
+        }
     }
 
     /// An empty map with room for `bits` accesses.
     pub fn with_capacity(bits: usize) -> Self {
-        HitMap { words: Vec::with_capacity(bits.div_ceil(64)), len: 0 }
+        HitMap {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            len: 0,
+        }
     }
 
     /// A map of `len` copies of `value`.
@@ -190,7 +207,9 @@ impl HitMap {
         if index >= self.len {
             return None;
         }
-        self.words.get(index / 64).map(|w| (w >> (index % 64)) & 1 == 1)
+        self.words
+            .get(index / 64)
+            .map(|w| (w >> (index % 64)) & 1 == 1)
     }
 
     /// The packed words: access `i` is bit `i % 64` of word `i / 64`.
@@ -218,7 +237,9 @@ impl HitMap {
     /// Iterates the outcomes in access order.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| {
-            self.words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+            self.words
+                .get(i / 64)
+                .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
         })
     }
 }
@@ -280,12 +301,16 @@ mod tests {
     fn hitmap_matches_vec_bool_on_fixed_seed_streams() {
         let mut rng = Rng64::seed_from_u64(0x4b17);
         for _ in 0..32 {
-            let bools: Vec<bool> =
-                (0..rng.gen_range(0usize..500)).map(|_| rng.gen_bool(0.5)).collect();
+            let bools: Vec<bool> = (0..rng.gen_range(0usize..500))
+                .map(|_| rng.gen_bool(0.5))
+                .collect();
             let map = HitMap::from_bools(&bools);
             assert_eq!(map.len(), bools.len());
             assert!(map.iter().eq(bools.iter().copied()), "bit-exact mismatch");
-            assert_eq!(map.count_ones(), bools.iter().filter(|&&b| b).count() as u64);
+            assert_eq!(
+                map.count_ones(),
+                bools.iter().filter(|&&b| b).count() as u64
+            );
             for (i, &b) in bools.iter().enumerate() {
                 assert_eq!(map.get(i), Some(b));
             }
@@ -305,7 +330,10 @@ mod tests {
             let ones = HitMap::repeat(true, len);
             let pushed: HitMap = (0..len).map(|_| true).collect();
             assert_eq!(ones, pushed, "length {len}");
-            assert_eq!(HitMap::repeat(false, len), (0..len).map(|_| false).collect());
+            assert_eq!(
+                HitMap::repeat(false, len),
+                (0..len).map(|_| false).collect()
+            );
         }
     }
 

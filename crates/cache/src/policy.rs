@@ -51,7 +51,12 @@ pub struct Access {
 impl Access {
     /// Creates a demand access.
     pub const fn demand(pc: Pc, block: BlockAddr, kind: AccessKind, core: u8) -> Self {
-        Access { pc, block, kind, core }
+        Access {
+            pc,
+            block,
+            kind,
+            core,
+        }
     }
 }
 
@@ -217,7 +222,11 @@ impl Lru {
             }
         }
         let tail = row.len() - chunks.remainder().len();
-        tail + chunks.remainder().iter().position(|&rank| rank == last).unwrap_or(0)
+        tail + chunks
+            .remainder()
+            .iter()
+            .position(|&rank| rank == last)
+            .unwrap_or(0)
     }
 
     /// Recency rank of each way of `set`: 0 = MRU, `ways - 1` = LRU.
@@ -293,13 +302,23 @@ mod tests {
         }
         let mut cache = crate::Cache::with_policy(
             crate::CacheConfig::new(1, 4),
-            Box::new(Spy { lru: Lru::new(1, 4), seen: Vec::new() }),
+            Box::new(Spy {
+                lru: Lru::new(1, 4),
+                seen: Vec::new(),
+            }),
         );
         for block in [0, 1, 0, 2, 3, 4, 5] {
             cache.access(&acc(block));
         }
-        let spy = cache.policy().as_any().downcast_ref::<Spy>().map(|s| s.seen.clone());
-        assert_eq!(spy, Some(vec![Some(0), Some(1), Some(2), Some(3), None, None]));
+        let spy = cache
+            .policy()
+            .as_any()
+            .downcast_ref::<Spy>()
+            .map(|s| s.seen.clone());
+        assert_eq!(
+            spy,
+            Some(vec![Some(0), Some(1), Some(2), Some(3), None, None])
+        );
     }
 
     #[test]

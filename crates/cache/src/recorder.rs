@@ -139,12 +139,7 @@ where
 /// Panics if the instruction stream ends before `instructions` were taken.
 /// Fallible sources (trace files) should use [`try_record_for_core`],
 /// which reports both exhaustion and mid-stream source errors as values.
-pub fn record_for_core<I>(
-    name: &str,
-    instrs: I,
-    instructions: u64,
-    core: u8,
-) -> RecordedWorkload
+pub fn record_for_core<I>(name: &str, instrs: I, instructions: u64, core: u8) -> RecordedWorkload
 where
     I: IntoIterator<Item = Instr>,
 {
@@ -201,7 +196,10 @@ impl<E: std::fmt::Display> std::fmt::Display for RecordError<E> {
                 write!(f, "instruction stream ended at {got} of {wanted}")
             }
             RecordError::TooLong { wanted } => {
-                write!(f, "{wanted} instructions exceed the u32 ordinal space of LlcAccess")
+                write!(
+                    f,
+                    "{wanted} instructions exceed the u32 ordinal space of LlcAccess"
+                )
             }
         }
     }
@@ -233,7 +231,9 @@ where
     I: IntoIterator<Item = Result<Instr, E>>,
 {
     if instructions > u64::from(u32::MAX) {
-        return Err(RecordError::TooLong { wanted: instructions });
+        return Err(RecordError::TooLong {
+            wanted: instructions,
+        });
     }
     let mut upper = UpperLevels::new();
     let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
@@ -243,7 +243,12 @@ where
         let instr = match iter.next() {
             Some(Ok(instr)) => instr,
             Some(Err(e)) => return Err(RecordError::Source(e)),
-            None => return Err(RecordError::Exhausted { got: i, wanted: instructions }),
+            None => {
+                return Err(RecordError::Exhausted {
+                    got: i,
+                    wanted: instructions,
+                })
+            }
         };
         match instr.mem {
             None => records.push(InstrRecord::new(InstrKind::NonMem, false)),
@@ -270,7 +275,11 @@ where
             }
         }
     }
-    Ok(RecordedWorkload { name: name.to_owned(), records, llc })
+    Ok(RecordedWorkload {
+        name: name.to_owned(),
+        records,
+        llc,
+    })
 }
 
 /// [`try_record_for_core`] over a columnar batch source — the fast door
@@ -293,7 +302,9 @@ pub fn try_record_batches(
     core: u8,
 ) -> Result<RecordedWorkload, RecordError<String>> {
     if instructions > u64::from(u32::MAX) {
-        return Err(RecordError::TooLong { wanted: instructions });
+        return Err(RecordError::TooLong {
+            wanted: instructions,
+        });
     }
     let mut upper = UpperLevels::new();
     let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
@@ -303,7 +314,10 @@ pub fn try_record_batches(
         let batch = match batches.next_batch() {
             Ok(Some(b)) => b,
             Ok(None) => {
-                return Err(RecordError::Exhausted { got: taken, wanted: instructions })
+                return Err(RecordError::Exhausted {
+                    got: taken,
+                    wanted: instructions,
+                })
             }
             Err(e) => return Err(RecordError::Source(e)),
         };
@@ -327,7 +341,11 @@ pub fn try_record_batches(
                         llc.push(LlcAccess {
                             pc: Pc::new(pc),
                             block: BlockAddr::new(tag_block(block.raw(), core)),
-                            kind: if is_write { AccessKind::Write } else { AccessKind::Read },
+                            kind: if is_write {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            },
                             core,
                             #[expect(
                                 clippy::cast_possible_truncation,
@@ -343,7 +361,11 @@ pub fn try_record_batches(
             taken += 1;
         }
     }
-    Ok(RecordedWorkload { name: name.to_owned(), records, llc })
+    Ok(RecordedWorkload {
+        name: name.to_owned(),
+        records,
+        llc,
+    })
 }
 
 /// Merges per-core LLC streams into one shared-LLC stream, ordered by the
@@ -408,8 +430,11 @@ mod tests {
     fn record_counts_add_up() {
         let w = record("x", stream(4), 50_000);
         assert_eq!(w.instructions(), 50_000);
-        let llc_records =
-            w.records.iter().filter(|r| r.kind() == InstrKind::Llc).count();
+        let llc_records = w
+            .records
+            .iter()
+            .filter(|r| r.kind() == InstrKind::Llc)
+            .count();
         assert_eq!(llc_records, w.llc.len());
         assert!(w.llc_apki() > 0.0);
     }
@@ -454,8 +479,12 @@ mod tests {
         let merged = merge_streams(&[w0.clone(), w1.clone()]);
         assert_eq!(merged.len(), w0.llc.len() + w1.llc.len());
         for pair in merged.windows(2) {
-            assert!(pair[0].instr <= pair[1].instr + 1_000,
-                "merge wildly out of order: {} then {}", pair[0].instr, pair[1].instr);
+            assert!(
+                pair[0].instr <= pair[1].instr + 1_000,
+                "merge wildly out of order: {} then {}",
+                pair[0].instr,
+                pair[1].instr
+            );
         }
         // Per-core subsequences must be preserved exactly.
         let sub0: Vec<_> = merged.iter().filter(|a| a.core == 0).copied().collect();
@@ -464,7 +493,12 @@ mod tests {
 
     #[test]
     fn instr_record_round_trips() {
-        for kind in [InstrKind::NonMem, InstrKind::L1Hit, InstrKind::L2Hit, InstrKind::Llc] {
+        for kind in [
+            InstrKind::NonMem,
+            InstrKind::L1Hit,
+            InstrKind::L2Hit,
+            InstrKind::Llc,
+        ] {
             for dep in [false, true] {
                 let r = InstrRecord::new(kind, dep);
                 assert_eq!(r.kind(), kind);
@@ -510,7 +544,9 @@ mod tests {
 
     impl sdbp_trace::InstrBatcher for VecBatcher {
         fn next_batch(&mut self) -> Result<Option<sdbp_trace::InstrBatch<'_>>, String> {
-            let Some(c) = self.cols.get(self.next) else { return Ok(None) };
+            let Some(c) = self.cols.get(self.next) else {
+                return Ok(None);
+            };
             self.next += 1;
             Ok(Some(c.as_batch()))
         }
@@ -520,8 +556,7 @@ mod tests {
     fn batched_record_is_bit_identical_to_streaming() {
         let want = record_for_core("x", stream(4), 30_000, 1);
         let mut batcher = VecBatcher::from_instrs(stream(4).take(30_000), 997);
-        let got = try_record_batches("x", &mut batcher, 30_000, 1)
-            .expect("clean batched record");
+        let got = try_record_batches("x", &mut batcher, 30_000, 1).expect("clean batched record");
         assert_eq!(got.records, want.records);
         assert_eq!(got.llc, want.llc);
         assert_eq!(got.name, want.name);
@@ -541,8 +576,13 @@ mod tests {
 
     #[test]
     fn try_record_reports_exhaustion_as_value() {
-        let err = try_record_for_core("short", vec![Ok::<_, String>(Instr::non_mem(Pc::new(0)))], 2, 0)
-            .unwrap_err();
+        let err = try_record_for_core(
+            "short",
+            vec![Ok::<_, String>(Instr::non_mem(Pc::new(0)))],
+            2,
+            0,
+        )
+        .unwrap_err();
         assert_eq!(err, RecordError::Exhausted { got: 1, wanted: 2 });
         assert!(err.to_string().contains("ended at 1 of 2"));
     }

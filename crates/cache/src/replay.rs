@@ -84,7 +84,11 @@ impl WindowMisses {
     /// Panics if `window` is zero.
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "miss window must be non-empty");
-        WindowMisses { window, counts: Vec::new(), seen: 0 }
+        WindowMisses {
+            window,
+            counts: Vec::new(),
+            seen: 0,
+        }
     }
 
     /// Accesses per bucket.
@@ -162,7 +166,13 @@ impl<F: FnMut(u64, u64)> WindowStream<F> {
     /// Panics if `window` is zero.
     pub fn new(window: usize, emit: F) -> Self {
         assert!(window > 0, "miss window must be non-empty");
-        WindowStream { window, emit, in_window: 0, misses: 0, emitted: 0 }
+        WindowStream {
+            window,
+            emit,
+            in_window: 0,
+            misses: 0,
+            emitted: 0,
+        }
     }
 
     /// Accesses per bucket.
@@ -295,7 +305,10 @@ impl WindowFingerprint {
     /// Panics if `window` is zero or `sets` is not a power of two.
     pub fn new(window: usize, sets: usize) -> Self {
         assert!(window > 0, "fingerprint window must be non-empty");
-        assert!(sets.is_power_of_two(), "sets must be a power of two, got {sets}");
+        assert!(
+            sets.is_power_of_two(),
+            "sets must be a power of two, got {sets}"
+        );
         WindowFingerprint {
             window,
             sets,
@@ -370,14 +383,17 @@ impl WindowFingerprint {
         for (tags, origins) in partition.sets() {
             for (&earlier, &n) in origins.iter().zip(links.link(tags)) {
                 // `NEVER` lies past every set's end: no later touch.
-                let Some(&later) = origins.get(n as usize) else { continue };
+                let Some(&later) = origins.get(n as usize) else {
+                    continue;
+                };
                 let distance = u64::from(later - earlier);
                 let bucket = REUSE_EDGES
                     .iter()
                     .position(|&edge| distance <= edge)
                     .unwrap_or(REUSE_EDGES.len());
-                if let Some(count) =
-                    reuse.get_mut(later as usize / self.window).and_then(|r| r.get_mut(bucket))
+                if let Some(count) = reuse
+                    .get_mut(later as usize / self.window)
+                    .and_then(|r| r.get_mut(bucket))
                 {
                     *count += 1;
                 }
@@ -412,7 +428,8 @@ impl WindowFingerprint {
         // Windows are bounded by the (usize) stream position, so the
         // length always fits a u32 window... unless someone asks for a
         // >4G-access window; saturate rather than wrap in that case.
-        self.window_lens.push(u32::try_from(self.in_window).unwrap_or(u32::MAX));
+        self.window_lens
+            .push(u32::try_from(self.in_window).unwrap_or(u32::MAX));
         self.current += 1;
         self.in_window = 0;
         self.misses = 0;
@@ -430,7 +447,10 @@ impl ReplayProbe for WindowFingerprint {
     ///
     /// Always: drive this probe through [`replay_with_probe`], which
     /// calls [`on_access_detail`](ReplayProbe::on_access_detail).
-    #[expect(clippy::panic, reason = "a probe fed no accesses would fingerprint nothing")]
+    #[expect(
+        clippy::panic,
+        reason = "a probe fed no accesses would fingerprint nothing"
+    )]
     fn on_access(&mut self, _index: usize, _hit: bool) {
         panic!("WindowFingerprint needs each access: drive it through replay_with_probe");
     }
@@ -444,7 +464,10 @@ impl ReplayProbe for WindowFingerprint {
     ///
     /// Panics if called after [`finish`](WindowFingerprint::finish).
     fn on_access_detail(&mut self, _index: usize, access: &LlcAccess, hit: bool) {
-        assert!(!self.finished, "WindowFingerprint takes no access after finish()");
+        assert!(
+            !self.finished,
+            "WindowFingerprint takes no access after finish()"
+        );
         if !hit {
             self.misses += 1;
         }
@@ -484,7 +507,10 @@ struct PcStamps {
 
 impl Default for PcStamps {
     fn default() -> Self {
-        PcStamps { slots: vec![(0, EMPTY_STAMP); 64], len: 0 }
+        PcStamps {
+            slots: vec![(0, EMPTY_STAMP); 64],
+            len: 0,
+        }
     }
 }
 
@@ -554,7 +580,10 @@ pub fn replay(stream: &[LlcAccess], cache: &mut Cache) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
     cache.run(stream, Outcomes::Record(&mut hits));
     cache.finish();
-    ReplayResult { stats: cache.stats(), hits }
+    ReplayResult {
+        stats: cache.stats(),
+        hits,
+    }
 }
 
 /// [`replay`], reporting every outcome to `probe` as it happens.
@@ -566,7 +595,10 @@ pub fn replay_with_probe(
     let mut hits = HitMap::with_capacity(stream.len());
     cache.run(stream, Outcomes::Probe(&mut hits, probe));
     cache.finish();
-    ReplayResult { stats: cache.stats(), hits }
+    ReplayResult {
+        stats: cache.stats(),
+        hits,
+    }
 }
 
 /// A warmup/measure segment handed to [`replay_segment`] does not fit the
@@ -665,8 +697,7 @@ impl SampledReplayResult {
     #[must_use]
     pub fn with_exact(mut self, exact: u64) -> Self {
         self.exact = Some(exact);
-        self.rel_error =
-            Some((self.estimated as f64 - exact as f64).abs() / (exact.max(1)) as f64);
+        self.rel_error = Some((self.estimated as f64 - exact as f64).abs() / (exact.max(1)) as f64);
         self
     }
 
@@ -719,7 +750,10 @@ pub fn split_hits_by_core(
     cores: usize,
 ) -> Result<Vec<HitMap>, SplitHitsError> {
     if stream.len() != hits.len() {
-        return Err(SplitHitsError { stream_len: stream.len(), hits_len: hits.len() });
+        return Err(SplitHitsError {
+            stream_len: stream.len(),
+            hits_len: hits.len(),
+        });
     }
     let mut out = vec![HitMap::new(); cores];
     for (a, h) in stream.iter().zip(hits.iter()) {
@@ -794,14 +828,22 @@ mod tests {
         let plain = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
         assert_eq!(r, plain, "the probe must not perturb the replay");
         assert_eq!(probe.0.len(), r.hits.len());
-        assert!(probe.0.iter().enumerate().all(|(i, &(j, h))| i == j && r.hits.get(i) == Some(h)));
+        assert!(probe
+            .0
+            .iter()
+            .enumerate()
+            .all(|(i, &(j, h))| i == j && r.hits.get(i) == Some(h)));
     }
 
     #[test]
     fn window_probe_counts_misses_per_window() {
         let w = workload();
         let mut windows = WindowMisses::new(1000);
-        let r = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut windows);
+        let r = replay_with_probe(
+            &w.llc,
+            &mut Cache::new(CacheConfig::new(64, 8)),
+            &mut windows,
+        );
         assert_eq!(windows.counts().iter().sum::<u64>(), r.stats.misses);
         assert_eq!(windows.counts().len(), w.llc.len().div_ceil(1000));
         assert_eq!(windows.window(), 1000);
@@ -826,8 +868,15 @@ mod tests {
         assert_eq!(probe.window(), window);
         assert_eq!(emitted, streamed.len() as u64);
         let counts: Vec<u64> = streamed.iter().map(|&(_, m)| m).collect();
-        assert_eq!(counts, accumulated.counts(), "streamed windows must equal accumulated ones");
-        assert!(streamed.iter().enumerate().all(|(i, &(j, _))| i as u64 == j));
+        assert_eq!(
+            counts,
+            accumulated.counts(),
+            "streamed windows must equal accumulated ones"
+        );
+        assert!(streamed
+            .iter()
+            .enumerate()
+            .all(|(i, &(j, _))| i as u64 == j));
         assert_eq!(counts.iter().sum::<u64>(), b.stats.misses);
     }
 
@@ -862,7 +911,11 @@ mod tests {
         assert_eq!(probe.fingerprints().len(), w.llc.len().div_ceil(10_000));
         assert_eq!(probe.miss_counts().iter().sum::<u64>(), r.stats.misses);
         assert_eq!(
-            probe.window_lens().iter().map(|&l| u64::from(l)).sum::<u64>(),
+            probe
+                .window_lens()
+                .iter()
+                .map(|&l| u64::from(l))
+                .sum::<u64>(),
             w.llc.len() as u64
         );
         for f in probe.fingerprints() {
@@ -872,7 +925,10 @@ mod tests {
             // First-touch fraction plus the reuse buckets partition the
             // window exactly.
             let reuse_sum: f64 = f.iter().skip(4).sum();
-            assert!((reuse_sum - 1.0).abs() < 1e-9, "reuse features sum to {reuse_sum}");
+            assert!(
+                (reuse_sum - 1.0).abs() < 1e-9,
+                "reuse features sum to {reuse_sum}"
+            );
         }
         // Pin the first window's fingerprint: the workload, seed, window
         // and feature definitions are all fixed, so these bits must never
@@ -883,8 +939,16 @@ mod tests {
             p.finish();
             p.fingerprints().to_vec()
         };
-        assert_eq!(again, probe.fingerprints(), "fingerprints must be bit-stable");
-        let first = probe.fingerprints().first().copied().expect("at least one window");
+        assert_eq!(
+            again,
+            probe.fingerprints(),
+            "fingerprints must be bit-stable"
+        );
+        let first = probe
+            .fingerprints()
+            .first()
+            .copied()
+            .expect("at least one window");
         let miss_rate = probe.miss_counts().first().copied().unwrap_or(0) as f64 / 10_000.0;
         assert_eq!(first.first().copied(), Some(miss_rate));
     }
@@ -912,7 +976,9 @@ mod tests {
         let (Some(s0), Some(s1)) = (streaming.get(1), streaming.get(2)) else {
             panic!("streaming trace too short for two full windows");
         };
-        let Some(h0) = hot.get(1) else { panic!("hot-set trace too short") };
+        let Some(h0) = hot.get(1) else {
+            panic!("hot-set trace too short")
+        };
         assert!(
             dist(s0, h0) > 10.0 * dist(s0, s1).max(1e-12),
             "cross-kernel distance {} must dominate within-kernel {}",
@@ -929,8 +995,8 @@ mod tests {
         let config = CacheConfig::new(64, 8);
         let full = replay(&w.llc, &mut Cache::new(config));
         let (a, b) = (w.llc.len() / 3, 2 * w.llc.len() / 3);
-        let pattern = replay_segment(&w.llc, 0, a, b, &mut Cache::new(config))
-            .expect("segment fits");
+        let pattern =
+            replay_segment(&w.llc, 0, a, b, &mut Cache::new(config)).expect("segment fits");
         assert_eq!(pattern.len(), b - a);
         for (i, bit) in pattern.iter().enumerate() {
             assert_eq!(Some(bit), full.hits.get(a + i), "divergence at offset {i}");
@@ -942,7 +1008,12 @@ mod tests {
         let w = workload();
         let config = CacheConfig::new(64, 8);
         let n = w.llc.len();
-        for (ws, ms, me) in [(10, 5, 20), (0, 30, 20), (0, 10, n + 1), (n + 1, n + 2, n + 3)] {
+        for (ws, ms, me) in [
+            (10, 5, 20),
+            (0, 30, 20),
+            (0, 10, n + 1),
+            (n + 1, n + 2, n + 3),
+        ] {
             let err = replay_segment(&w.llc, ws, ms, me, &mut Cache::new(config))
                 .expect_err("misfit must be a typed error");
             assert_eq!(err.stream_len, n);

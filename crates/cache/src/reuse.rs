@@ -86,7 +86,10 @@ impl SetPartition {
     where
         I: Iterator<Item = BlockAddr> + Clone,
     {
-        assert!(sets.is_power_of_two(), "sets must be a power of two, got {sets}");
+        assert!(
+            sets.is_power_of_two(),
+            "sets must be a power of two, got {sets}"
+        );
         let mut starts = vec![0usize; sets + 1];
         for b in blocks.clone() {
             starts[b.set_index(sets) + 1] += 1;
@@ -117,7 +120,11 @@ impl SetPartition {
                 *slot += 1;
             }
         }
-        SetPartition { starts, tags, origins: positions }
+        SetPartition {
+            starts,
+            tags,
+            origins: positions,
+        }
     }
 
     /// Each set's tags and their stream positions, in set order. The
@@ -197,7 +204,9 @@ mod tests {
 
     /// Forward-scan links on one whole stream, for comparison.
     fn scan(blocks: &[u64]) -> Vec<Option<usize>> {
-        (0..blocks.len()).map(|i| (i + 1..blocks.len()).find(|&j| blocks[j] == blocks[i])).collect()
+        (0..blocks.len())
+            .map(|i| (i + 1..blocks.len()).find(|&j| blocks[j] == blocks[i]))
+            .collect()
     }
 
     #[test]

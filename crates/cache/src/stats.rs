@@ -100,7 +100,10 @@ mod tests {
 
     #[test]
     fn mpki_scales_by_kilo_instruction() {
-        let s = CacheStats { misses: 50, ..Default::default() };
+        let s = CacheStats {
+            misses: 50,
+            ..Default::default()
+        };
         assert!((s.mpki(10_000) - 5.0).abs() < 1e-12);
     }
 
@@ -112,7 +115,11 @@ mod tests {
 
     #[test]
     fn add_assign_accumulates_all_fields() {
-        let mut a = CacheStats { accesses: 1, hits: 1, ..Default::default() };
+        let mut a = CacheStats {
+            accesses: 1,
+            hits: 1,
+            ..Default::default()
+        };
         let b = CacheStats {
             accesses: 2,
             hits: 1,

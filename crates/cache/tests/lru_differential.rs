@@ -33,7 +33,11 @@ struct StampLru {
 
 impl StampLru {
     fn new(config: CacheConfig) -> Self {
-        StampLru { config, frames: vec![Frame::default(); config.lines()], clock: 0 }
+        StampLru {
+            config,
+            frames: vec![Frame::default(); config.lines()],
+            clock: 0,
+        }
     }
 
     fn set(&mut self, block: BlockAddr) -> &mut [Frame] {
@@ -43,11 +47,16 @@ impl StampLru {
     }
 
     fn contains(&mut self, block: BlockAddr) -> bool {
-        self.set(block).iter().any(|f| f.valid && f.tag == block.raw())
+        self.set(block)
+            .iter()
+            .any(|f| f.valid && f.tag == block.raw())
     }
 
     fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let f = self.set(block).iter_mut().find(|f| f.valid && f.tag == block.raw())?;
+        let f = self
+            .set(block)
+            .iter_mut()
+            .find(|f| f.valid && f.tag == block.raw())?;
         f.valid = false;
         Some(f.dirty)
     }
@@ -59,7 +68,10 @@ impl StampLru {
         if let Some(f) = set.iter_mut().find(|f| f.valid && f.tag == block.raw()) {
             f.stamp = now;
             f.dirty |= is_write;
-            return LruOutcome { hit: true, writeback: None };
+            return LruOutcome {
+                hit: true,
+                writeback: None,
+            };
         }
         let victim = match set.iter().position(|f| !f.valid) {
             Some(w) => w,
@@ -67,8 +79,16 @@ impl StampLru {
         };
         let f = &mut set[victim];
         let writeback = (f.valid && f.dirty).then(|| BlockAddr::new(f.tag));
-        *f = Frame { tag: block.raw(), valid: true, dirty: is_write, stamp: now };
-        LruOutcome { hit: false, writeback }
+        *f = Frame {
+            tag: block.raw(),
+            valid: true,
+            dirty: is_write,
+            stamp: now,
+        };
+        LruOutcome {
+            hit: false,
+            writeback,
+        }
     }
 }
 
@@ -102,7 +122,11 @@ fn packed_rank_array_matches_stamp_model_per_operation() {
                 let at = format!("{sets}x{ways} spread {spread} step {step} block {b}");
                 match rng.gen_range(0u32..10) {
                     0 => assert_eq!(fast.contains(b), model.contains(b), "contains at {at}"),
-                    1 => assert_eq!(fast.invalidate(b), model.invalidate(b), "invalidate at {at}"),
+                    1 => assert_eq!(
+                        fast.invalidate(b),
+                        model.invalidate(b),
+                        "invalidate at {at}"
+                    ),
                     2 => {
                         let resident = model.contains(b);
                         if resident {
@@ -112,12 +136,19 @@ fn packed_rank_array_matches_stamp_model_per_operation() {
                     }
                     _ => {
                         let write = rng.gen_bool(0.3);
-                        assert_eq!(fast.access(b, write), model.access(b, write), "access at {at}");
+                        assert_eq!(
+                            fast.access(b, write),
+                            model.access(b, write),
+                            "access at {at}"
+                        );
                     }
                 }
             }
             let accesses = fast.hits() + fast.misses();
-            assert!(fast.hits() > 0 && fast.misses() > 0, "{sets}x{ways}: {accesses} accesses");
+            assert!(
+                fast.hits() > 0 && fast.misses() > 0,
+                "{sets}x{ways}: {accesses} accesses"
+            );
         }
     }
 }
@@ -159,11 +190,18 @@ fn upper_levels_service_levels_match_stamp_model() {
     ];
     for (l1, l2) in pairs {
         let mut fast = UpperLevels::with_configs(l1, l2);
-        let mut model = ModelUpper { l1: StampLru::new(l1), l2: StampLru::new(l2) };
+        let mut model = ModelUpper {
+            l1: StampLru::new(l1),
+            l2: StampLru::new(l2),
+        };
         for step in 0..50_000 {
             let b = block(&mut rng, l2, 2);
             let write = rng.gen_bool(0.4);
-            assert_eq!(fast.access(b, write), model.access(b, write), "{l1:?}/{l2:?} step {step}");
+            assert_eq!(
+                fast.access(b, write),
+                model.access(b, write),
+                "{l1:?}/{l2:?} step {step}"
+            );
         }
         assert!(fast.l1_hits() > 0 && fast.l2_hits() > 0 && fast.llc_accesses() > 0);
     }
@@ -181,7 +219,10 @@ struct ModelFull {
 impl ModelFull {
     fn llc_access(&mut self, pc: Pc, block: BlockAddr, kind: AccessKind) {
         let outcome = self.llc.access(&Access::demand(pc, block, kind, 0));
-        if let AccessOutcome::Filled { evicted: Some(victim) } = outcome {
+        if let AccessOutcome::Filled {
+            evicted: Some(victim),
+        } = outcome
+        {
             self.l1.invalidate(victim);
             self.l2.invalidate(victim);
             self.back_invalidations += 1;
@@ -212,9 +253,21 @@ impl ModelFull {
 fn inclusive_full_hierarchy_matches_stamp_model() {
     let mut rng = Rng64::seed_from_u64(0x1c1_05e);
     for (l1, l2, llc) in [
-        (CacheConfig::new(2, 2), CacheConfig::new(4, 4), CacheConfig::new(4, 2)),
-        (CacheConfig::new(64, 8), CacheConfig::new(512, 8), CacheConfig::new(256, 4)),
-        (CacheConfig::new(4, 4), CacheConfig::new(32, 16), CacheConfig::new(16, 8)),
+        (
+            CacheConfig::new(2, 2),
+            CacheConfig::new(4, 4),
+            CacheConfig::new(4, 2),
+        ),
+        (
+            CacheConfig::new(64, 8),
+            CacheConfig::new(512, 8),
+            CacheConfig::new(256, 4),
+        ),
+        (
+            CacheConfig::new(4, 4),
+            CacheConfig::new(32, 16),
+            CacheConfig::new(16, 8),
+        ),
     ] {
         let cfg = FullHierarchyConfig {
             l1,
@@ -232,9 +285,17 @@ fn inclusive_full_hierarchy_matches_stamp_model() {
         for step in 0..50_000 {
             let b = rng.gen_range(0..3 * l2.lines() as u64);
             let addr = Addr::new(b << 6);
-            let m = if rng.gen_bool(0.4) { MemRef::write(addr) } else { MemRef::read(addr) };
+            let m = if rng.gen_bool(0.4) {
+                MemRef::write(addr)
+            } else {
+                MemRef::read(addr)
+            };
             let instr = Instr::mem(Pc::new(0x400 + 4 * rng.gen_range(0..8)), m);
-            assert_eq!(fast.execute(&instr), model.execute(&instr), "{l1:?}/{l2:?} step {step}");
+            assert_eq!(
+                fast.execute(&instr),
+                model.execute(&instr),
+                "{l1:?}/{l2:?} step {step}"
+            );
         }
         assert_eq!(fast.back_invalidations(), model.back_invalidations);
         assert!(fast.back_invalidations() > 0);

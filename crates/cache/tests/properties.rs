@@ -39,7 +39,11 @@ fn lean_and_policy_lru_agree() {
         let mut lean = LruArray::new(cfg);
         let mut policy = Cache::new(cfg);
         for &(block, write) in &accesses {
-            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let kind = if write {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
             let a = Access::demand(Pc::new(0), BlockAddr::new(block), kind, 0);
             let lean_hit = lean.access(BlockAddr::new(block), write).hit;
             assert_eq!(lean_hit, policy.access(&a).is_hit());
@@ -55,14 +59,21 @@ fn residency_is_bounded_by_capacity() {
     let mut rng = Rng64::seed_from_u64(0xcac_0003);
     for _ in 0..CASES / 2 {
         let ways = rng.gen_range(1usize..6);
-        let accesses: Vec<u64> =
-            (0..rng.gen_range(1usize..600)).map(|_| rng.gen_range(0u64..256)).collect();
+        let accesses: Vec<u64> = (0..rng.gen_range(1usize..600))
+            .map(|_| rng.gen_range(0u64..256))
+            .collect();
         let cfg = CacheConfig::new(4, ways);
         let mut cache = Cache::new(cfg);
         for &b in &accesses {
-            cache.access(&Access::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
-            let resident =
-                (0u64..256).filter(|&x| cache.contains(BlockAddr::new(x))).count();
+            cache.access(&Access::demand(
+                Pc::new(0),
+                BlockAddr::new(b),
+                AccessKind::Read,
+                0,
+            ));
+            let resident = (0u64..256)
+                .filter(|&x| cache.contains(BlockAddr::new(x)))
+                .count();
             assert!(resident <= cfg.lines());
         }
     }
@@ -80,7 +91,11 @@ fn full_hierarchy_matches_record_replay() {
                 let write = rng.gen_bool(0.5);
                 if rng.gen_bool(0.5) {
                     let addr = Addr::new(block << 6);
-                    let m = if write { MemRef::write(addr) } else { MemRef::read(addr) };
+                    let m = if write {
+                        MemRef::write(addr)
+                    } else {
+                        MemRef::read(addr)
+                    };
                     Instr::mem(Pc::new(0x400), m)
                 } else {
                     Instr::non_mem(Pc::new(0x100))
@@ -105,13 +120,17 @@ fn full_hierarchy_matches_record_replay() {
 fn inclusion_invariant_holds() {
     let mut rng = Rng64::seed_from_u64(0xcac_0005);
     for _ in 0..CASES {
-        let raws: Vec<u64> =
-            (0..rng.gen_range(1usize..800)).map(|_| rng.gen_range(0u64..2048)).collect();
+        let raws: Vec<u64> = (0..rng.gen_range(1usize..800))
+            .map(|_| rng.gen_range(0u64..2048))
+            .collect();
         let instrs: Vec<Instr> = raws
             .iter()
             .map(|&b| Instr::mem(Pc::new(0x400), MemRef::read(Addr::new(b << 6))))
             .collect();
-        let cfg = FullHierarchyConfig { inclusion: Inclusion::Inclusive, ..Default::default() };
+        let cfg = FullHierarchyConfig {
+            inclusion: Inclusion::Inclusive,
+            ..Default::default()
+        };
         // A tiny LLC maximizes back-invalidation pressure.
         let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(8, 2)));
         for i in &instrs {
@@ -127,13 +146,19 @@ fn inclusion_invariant_holds() {
 fn efficiency_is_a_valid_ratio() {
     let mut rng = Rng64::seed_from_u64(0xcac_0006);
     for _ in 0..CASES {
-        let blocks: Vec<u64> =
-            (0..rng.gen_range(2usize..400)).map(|_| rng.gen_range(0u64..128)).collect();
+        let blocks: Vec<u64> = (0..rng.gen_range(2usize..400))
+            .map(|_| rng.gen_range(0u64..128))
+            .collect();
         let cfg = CacheConfig::new(4, 2);
         let mut cache = Cache::new(cfg);
         cache.track_efficiency();
         for &b in &blocks {
-            cache.access(&Access::demand(Pc::new(0), BlockAddr::new(b), AccessKind::Read, 0));
+            cache.access(&Access::demand(
+                Pc::new(0),
+                BlockAddr::new(b),
+                AccessKind::Read,
+                0,
+            ));
         }
         cache.finish();
         let overall = cache.efficiency().unwrap().overall();

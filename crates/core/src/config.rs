@@ -23,14 +23,24 @@ pub struct TableConfig {
 impl TableConfig {
     /// The paper's skewed organization: 3 × 4096 × 2-bit, threshold 8.
     pub fn skewed() -> Self {
-        TableConfig { tables: 3, entries_per_table: 4096, threshold: 8, counter_max: 3 }
+        TableConfig {
+            tables: 3,
+            entries_per_table: 4096,
+            threshold: 8,
+            counter_max: 3,
+        }
     }
 
     /// The unskewed ablation: one table with the same total capacity
     /// budget as the paper's single-table baseline (4× the size of each
     /// skewed table, §VII-A4), threshold 2 of a 2-bit counter.
     pub fn single() -> Self {
-        TableConfig { tables: 1, entries_per_table: 16384, threshold: 2, counter_max: 3 }
+        TableConfig {
+            tables: 1,
+            entries_per_table: 16384,
+            threshold: 2,
+            counter_max: 3,
+        }
     }
 
     /// Total storage of the tables in bits (each counter is
@@ -88,7 +98,13 @@ pub struct SamplerConfig {
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig { sets: 32, assoc: 12, tag_bits: 15, pc_bits: 15, dead_block_victims: true }
+        SamplerConfig {
+            sets: 32,
+            assoc: 12,
+            tag_bits: 15,
+            pc_bits: 15,
+            dead_block_victims: true,
+        }
     }
 }
 
@@ -135,23 +151,35 @@ pub struct SdbpConfig {
 impl SdbpConfig {
     /// The paper's configuration (Figure 6's "DBRB+sampler+3 tables+12-way").
     pub fn paper() -> Self {
-        SdbpConfig { sampler: Some(SamplerConfig::default()), tables: TableConfig::skewed() }
+        SdbpConfig {
+            sampler: Some(SamplerConfig::default()),
+            tables: TableConfig::skewed(),
+        }
     }
 
     /// Figure 6 ablation: "DBRB alone" (PC-only, single table, no sampler).
     pub fn dbrb_alone() -> Self {
-        SdbpConfig { sampler: None, tables: TableConfig::single() }
+        SdbpConfig {
+            sampler: None,
+            tables: TableConfig::single(),
+        }
     }
 
     /// Figure 6 ablation: "DBRB+3 tables" (skew but no sampler).
     pub fn dbrb_skewed() -> Self {
-        SdbpConfig { sampler: None, tables: TableConfig::skewed() }
+        SdbpConfig {
+            sampler: None,
+            tables: TableConfig::skewed(),
+        }
     }
 
     /// Figure 6 ablation: "DBRB+sampler" (16-way sampler, single table).
     pub fn sampler_only() -> Self {
         SdbpConfig {
-            sampler: Some(SamplerConfig { assoc: 16, ..SamplerConfig::default() }),
+            sampler: Some(SamplerConfig {
+                assoc: 16,
+                ..SamplerConfig::default()
+            }),
             tables: TableConfig::single(),
         }
     }
@@ -159,21 +187,26 @@ impl SdbpConfig {
     /// Figure 6 ablation: "DBRB+sampler+3 tables" (16-way sampler, skew).
     pub fn sampler_skewed() -> Self {
         SdbpConfig {
-            sampler: Some(SamplerConfig { assoc: 16, ..SamplerConfig::default() }),
+            sampler: Some(SamplerConfig {
+                assoc: 16,
+                ..SamplerConfig::default()
+            }),
             tables: TableConfig::skewed(),
         }
     }
 
     /// Figure 6 ablation: "DBRB+sampler+12-way" (single table).
     pub fn sampler_12way() -> Self {
-        SdbpConfig { sampler: Some(SamplerConfig::default()), tables: TableConfig::single() }
+        SdbpConfig {
+            sampler: Some(SamplerConfig::default()),
+            tables: TableConfig::single(),
+        }
     }
 
     /// Predictor-side storage in bits (tables + sampler), excluding the one
     /// dead bit per LLC block, which [`Self::total_storage_bits`] adds.
     pub fn predictor_storage_bits(&self) -> u64 {
-        self.tables.storage_bits()
-            + self.sampler.map_or(0, |s| s.storage_bits())
+        self.tables.storage_bits() + self.sampler.map_or(0, |s| s.storage_bits())
     }
 
     /// Total storage in bits for an LLC of geometry `llc`, including the
@@ -211,17 +244,27 @@ mod tests {
         let cfg = SdbpConfig::paper();
         let table_bytes = cfg.tables.storage_bits() as f64 / 8.0;
         assert_eq!(table_bytes, 3.0 * 1024.0);
-        let paper_sampler =
-            SamplerConfig { sets: 128, ..SamplerConfig::default() };
+        let paper_sampler = SamplerConfig {
+            sets: 128,
+            ..SamplerConfig::default()
+        };
         let sampler_bytes = paper_sampler.storage_bits() as f64 / 8.0;
-        assert!((sampler_bytes - 6.75 * 1024.0).abs() < 1.0, "sampler = {sampler_bytes} B");
-        let paper_accounting = SdbpConfig { sampler: Some(paper_sampler), ..cfg };
+        assert!(
+            (sampler_bytes - 6.75 * 1024.0).abs() < 1.0,
+            "sampler = {sampler_bytes} B"
+        );
+        let paper_accounting = SdbpConfig {
+            sampler: Some(paper_sampler),
+            ..cfg
+        };
         let total_kb =
             paper_accounting.total_storage_bits(CacheConfig::llc_2mb()) as f64 / 8.0 / 1024.0;
         assert!((total_kb - 13.75).abs() < 0.01, "total = {total_kb} KB");
         // Our default 32-set sampler is strictly cheaper still.
-        assert!(cfg.total_storage_bits(CacheConfig::llc_2mb()) < paper_accounting
-            .total_storage_bits(CacheConfig::llc_2mb()));
+        assert!(
+            cfg.total_storage_bits(CacheConfig::llc_2mb())
+                < paper_accounting.total_storage_bits(CacheConfig::llc_2mb())
+        );
     }
 
     #[test]

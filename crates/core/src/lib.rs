@@ -45,9 +45,9 @@ pub mod tables;
 pub mod vvc;
 
 pub use config::{SamplerConfig, SdbpConfig, TableConfig};
-pub use registry::{standard, PolicySpec, Registry, SpecError};
 pub use predictor::SamplingPredictor;
+pub use prefetch::PrefetchSim;
+pub use registry::{standard, PolicySpec, Registry, SpecError};
 pub use sampler::Sampler;
 pub use tables::SkewedTables;
-pub use prefetch::PrefetchSim;
 pub use vvc::VirtualVictimCache;

@@ -53,17 +53,32 @@ pub fn sampler_with_config(llc: CacheConfig, config: SdbpConfig) -> Box<dyn Repl
 
 /// "TDBP": reftrace-driven dead block replacement and bypass, default LRU.
 pub fn tdbp(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, lru(llc), RefTrace::new(llc), DbrbConfig::default()))
+    Box::new(DeadBlockReplacement::new(
+        llc,
+        lru(llc),
+        RefTrace::new(llc),
+        DbrbConfig::default(),
+    ))
 }
 
 /// "CDBP": counting-predictor (LvP) DBRB, default LRU.
 pub fn cdbp(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, lru(llc), Lvp::new(llc), DbrbConfig::default()))
+    Box::new(DeadBlockReplacement::new(
+        llc,
+        lru(llc),
+        Lvp::new(llc),
+        DbrbConfig::default(),
+    ))
 }
 
 /// "Random CDBP": counting-predictor DBRB over default random replacement.
 pub fn cdbp_random(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
-    Box::new(DeadBlockReplacement::new(llc, random(llc), Lvp::new(llc), DbrbConfig::default()))
+    Box::new(DeadBlockReplacement::new(
+        llc,
+        random(llc),
+        Lvp::new(llc),
+        DbrbConfig::default(),
+    ))
 }
 
 #[cfg(test)]

@@ -152,7 +152,11 @@ mod tests {
         // LLC 128 sets, sampler 2 sets (stride 64): set 0 is sampled,
         // set 5 is not. Deaths observed in set 0 must predict in set 5.
         let cfg = SdbpConfig {
-            sampler: Some(SamplerConfig { sets: 2, assoc: 2, ..SamplerConfig::default() }),
+            sampler: Some(SamplerConfig {
+                sets: 2,
+                assoc: 2,
+                ..SamplerConfig::default()
+            }),
             tables: TableConfig::skewed(),
         };
         let mut p = SamplingPredictor::new(cfg, llc());
@@ -167,7 +171,10 @@ mod tests {
         }
         // A miss in unsampled set 5 by the kill PC: predicted dead on
         // arrival — without set 5 ever training anything.
-        assert!(p.on_miss(5, &acc(kill, 5)), "learning must generalize across sets");
+        assert!(
+            p.on_miss(5, &acc(kill, 5)),
+            "learning must generalize across sets"
+        );
     }
 
     #[test]
@@ -179,7 +186,10 @@ mod tests {
         }
         let sampler = p.sampler().unwrap();
         assert_eq!(sampler.hits() + sampler.misses(), 0);
-        assert!(!p.on_miss(1, &acc(0x500, 1)), "no training can have happened");
+        assert!(
+            !p.on_miss(1, &acc(0x500, 1)),
+            "no training can have happened"
+        );
     }
 
     #[test]
@@ -190,7 +200,10 @@ mod tests {
             p.on_fill(3, 0, &acc(0x800, i));
             p.on_evict(3, 0, BlockAddr::new(i), &acc(0x900, 50 + i));
         }
-        assert!(p.on_miss(3, &acc(0x800, 99)), "PC-only mode should learn dead-on-arrival");
+        assert!(
+            p.on_miss(3, &acc(0x800, 99)),
+            "PC-only mode should learn dead-on-arrival"
+        );
     }
 
     #[test]
@@ -207,14 +220,19 @@ mod tests {
             p.on_hit(3, 0, &acc(0x804, 200 + i));
             p.on_evict(3, 0, BlockAddr::new(200 + i), &acc(0x900, 300 + i));
         }
-        assert!(!p.on_miss(3, &acc(0x800, 999)), "live training must unlearn");
+        assert!(
+            !p.on_miss(3, &acc(0x800, 999)),
+            "live training must unlearn"
+        );
     }
 
     #[test]
     fn paper_config_on_2mb_llc_has_1_in_64_sampling() {
         let p = SamplingPredictor::paper(CacheConfig::llc_2mb());
         let s = p.sampler().unwrap();
-        let sampled = (0..2048).filter(|&set| s.sampler_set(set).is_some()).count();
+        let sampled = (0..2048)
+            .filter(|&set| s.sampler_set(set).is_some())
+            .count();
         assert_eq!(sampled, 32); // 1.56% of sets, the paper's "1.6%"
     }
 }

@@ -140,7 +140,13 @@ impl PrefetchSim {
     fn lru_frame(&self, set: usize) -> usize {
         let base = set * self.config.ways;
         (base..base + self.config.ways)
-            .min_by_key(|&i| if self.frames[i].valid { self.frames[i].stamp } else { 0 })
+            .min_by_key(|&i| {
+                if self.frames[i].valid {
+                    self.frames[i].stamp
+                } else {
+                    0
+                }
+            })
             .expect("ways >= 1")
     }
 
@@ -148,7 +154,13 @@ impl PrefetchSim {
         let base = set * self.config.ways;
         (base..base + self.config.ways)
             .filter(|&i| !self.frames[i].valid || self.frames[i].dead)
-            .min_by_key(|&i| if self.frames[i].valid { self.frames[i].stamp } else { 0 })
+            .min_by_key(|&i| {
+                if self.frames[i].valid {
+                    self.frames[i].stamp
+                } else {
+                    0
+                }
+            })
     }
 
     fn evict_bookkeeping(&mut self, idx: usize) {
@@ -217,7 +229,8 @@ impl PrefetchSim {
         let idx = self.lru_frame(set);
         self.evict_bookkeeping(idx);
         if self.frames[idx].valid {
-            self.predictor.on_evict(set, idx, BlockAddr::new(self.frames[idx].block), &access);
+            self.predictor
+                .on_evict(set, idx, BlockAddr::new(self.frames[idx].block), &access);
         }
         self.predictor.on_fill(set, idx, &access);
         self.frames[idx] = Frame {

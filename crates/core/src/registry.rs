@@ -126,21 +126,28 @@ pub fn standard() -> Registry {
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value
-        .parse()
-        .map_err(|_| SpecError::InvalidValue { key: key.to_owned(), value: value.to_owned() })
+    value.parse().map_err(|_| SpecError::InvalidValue {
+        key: key.to_owned(),
+        value: value.to_owned(),
+    })
 }
 
 fn parse_flag(key: &str, value: &str) -> Result<bool, SpecError> {
     match value {
         "true" => Ok(true),
         "false" => Ok(false),
-        _ => Err(SpecError::InvalidValue { key: key.to_owned(), value: value.to_owned() }),
+        _ => Err(SpecError::InvalidValue {
+            key: key.to_owned(),
+            value: value.to_owned(),
+        }),
     }
 }
 
 fn invalid(key: &str, value: &str) -> SpecError {
-    SpecError::InvalidValue { key: key.to_owned(), value: value.to_owned() }
+    SpecError::InvalidValue {
+        key: key.to_owned(),
+        value: value.to_owned(),
+    }
 }
 
 /// Interprets a `sampler` spec's params as deltas on [`SdbpConfig::paper`].
@@ -206,7 +213,10 @@ pub fn parse_sdbp(spec: &PolicySpec) -> Result<SdbpConfig, SpecError> {
     // Pre-validate what SdbpConfig::validate / Sampler::new would panic on,
     // so a bad spec string is an error, not a crash.
     if t.tables < 1 || !t.entries_per_table.is_power_of_two() || t.counter_max < 1 {
-        return Err(invalid("tables", &format!("{}x{}", t.tables, t.entries_per_table)));
+        return Err(invalid(
+            "tables",
+            &format!("{}x{}", t.tables, t.entries_per_table),
+        ));
     }
     // Tables past the hash's salt count would alias table 0's index stream.
     if t.tables > SKEWED_TABLES_MAX {
@@ -229,10 +239,16 @@ pub fn parse_sdbp(spec: &PolicySpec) -> Result<SdbpConfig, SpecError> {
             return Err(invalid("assoc", &s.assoc.to_string()));
         }
         if !(1..=16).contains(&s.tag_bits) || !(1..=16).contains(&s.pc_bits) {
-            return Err(invalid("tag-bits", &format!("{}/{}", s.tag_bits, s.pc_bits)));
+            return Err(invalid(
+                "tag-bits",
+                &format!("{}/{}", s.tag_bits, s.pc_bits),
+            ));
         }
     }
-    Ok(SdbpConfig { sampler: (!sampler_none).then_some(s), tables: t })
+    Ok(SdbpConfig {
+        sampler: (!sampler_none).then_some(s),
+        tables: t,
+    })
 }
 
 /// Encodes a config as `sampler` spec params: only the fields that differ
@@ -281,7 +297,10 @@ pub fn sdbp_params(cfg: &SdbpConfig) -> Vec<(String, String)> {
 
 /// The `sampler` spec describing `cfg`: `sampler` plus [`sdbp_params`].
 pub fn sampler_spec(cfg: &SdbpConfig) -> PolicySpec {
-    PolicySpec { name: "sampler".to_owned(), params: sdbp_params(cfg) }
+    PolicySpec {
+        name: "sampler".to_owned(),
+        params: sdbp_params(cfg),
+    }
 }
 
 #[cfg(test)]
@@ -298,7 +317,9 @@ mod tests {
         let r = standard();
         assert_eq!(r.entries().len(), 15);
         for entry in r.entries() {
-            let p = r.build_str(entry.name, llc(), 4).expect("entry builds bare");
+            let p = r
+                .build_str(entry.name, llc(), 4)
+                .expect("entry builds bare");
             assert!(!p.name().is_empty(), "{}", entry.name);
         }
     }
@@ -309,8 +330,11 @@ mod tests {
     #[test]
     fn every_policy_kind_builds_through_the_registry() {
         let r = standard();
-        let mut specs: Vec<PolicySpec> =
-            r.entries().iter().map(|e| PolicySpec::plain(e.name)).collect();
+        let mut specs: Vec<PolicySpec> = r
+            .entries()
+            .iter()
+            .map(|e| PolicySpec::plain(e.name))
+            .collect();
         specs.extend(
             [
                 SdbpConfig::dbrb_alone(),
@@ -328,7 +352,10 @@ mod tests {
             let p = r.build(&spec, llc(), 4).expect("spec builds");
             assert!(!p.name().is_empty(), "{spec}");
             let text = spec.to_string();
-            assert_eq!(r.build_str(&text, llc(), 4).expect("string builds").name(), p.name());
+            assert_eq!(
+                r.build_str(&text, llc(), 4).expect("string builds").name(),
+                p.name()
+            );
             let reparsed: PolicySpec = text.parse().expect("round trip");
             assert_eq!(reparsed, spec);
         }
@@ -338,11 +365,20 @@ mod tests {
     fn ablation_presets_have_the_expected_specs() {
         let cases = [
             (SdbpConfig::paper(), "sampler"),
-            (SdbpConfig::dbrb_alone(), "sampler:sampler=none,tables=1,entries=16384,threshold=2"),
+            (
+                SdbpConfig::dbrb_alone(),
+                "sampler:sampler=none,tables=1,entries=16384,threshold=2",
+            ),
             (SdbpConfig::dbrb_skewed(), "sampler:sampler=none"),
-            (SdbpConfig::sampler_only(), "sampler:assoc=16,tables=1,entries=16384,threshold=2"),
+            (
+                SdbpConfig::sampler_only(),
+                "sampler:assoc=16,tables=1,entries=16384,threshold=2",
+            ),
             (SdbpConfig::sampler_skewed(), "sampler:assoc=16"),
-            (SdbpConfig::sampler_12way(), "sampler:tables=1,entries=16384,threshold=2"),
+            (
+                SdbpConfig::sampler_12way(),
+                "sampler:tables=1,entries=16384,threshold=2",
+            ),
         ];
         for (cfg, expected) in cases {
             let spec = sampler_spec(&cfg);
@@ -357,24 +393,48 @@ mod tests {
         let parse = |s: &str| parse_sdbp(&s.parse().expect("well-formed"));
         assert_eq!(
             parse("sampler:zap=1"),
-            Err(SpecError::UnknownParam { policy: "sampler".into(), key: "zap".into() })
+            Err(SpecError::UnknownParam {
+                policy: "sampler".into(),
+                key: "zap".into()
+            })
         );
         assert_eq!(
             parse("sampler:assoc=many"),
-            Err(SpecError::InvalidValue { key: "assoc".into(), value: "many".into() })
+            Err(SpecError::InvalidValue {
+                key: "assoc".into(),
+                value: "many".into()
+            })
         );
         assert_eq!(
             parse("sampler:sampler=off"),
-            Err(SpecError::InvalidValue { key: "sampler".into(), value: "off".into() })
+            Err(SpecError::InvalidValue {
+                key: "sampler".into(),
+                value: "off".into()
+            })
         );
         assert_eq!(
             parse("sampler:dead-victims=maybe"),
-            Err(SpecError::InvalidValue { key: "dead-victims".into(), value: "maybe".into() })
+            Err(SpecError::InvalidValue {
+                key: "dead-victims".into(),
+                value: "maybe".into()
+            })
         );
-        assert!(matches!(parse("sampler:sampler=none,assoc=16"), Err(SpecError::Conflict(_))));
-        assert!(parse("sampler:threshold=100").is_err(), "unreachable threshold");
-        assert!(parse("sampler:entries=4000").is_err(), "non-power-of-two entries");
-        assert!(parse("sampler:tag-bits=30").is_err(), "tag wider than its storage");
+        assert!(matches!(
+            parse("sampler:sampler=none,assoc=16"),
+            Err(SpecError::Conflict(_))
+        ));
+        assert!(
+            parse("sampler:threshold=100").is_err(),
+            "unreachable threshold"
+        );
+        assert!(
+            parse("sampler:entries=4000").is_err(),
+            "non-power-of-two entries"
+        );
+        assert!(
+            parse("sampler:tag-bits=30").is_err(),
+            "tag wider than its storage"
+        );
     }
 
     /// Specs that used to parse and then misbehave: a one-entry skewed
@@ -384,7 +444,10 @@ mod tests {
     fn sampler_rejects_specs_the_tables_and_sampler_cannot_hold() {
         let parse = |s: &str| parse_sdbp(&s.parse().expect("well-formed"));
         let invalid = |key: &str, value: &str| {
-            Err(SpecError::InvalidValue { key: key.into(), value: value.into() })
+            Err(SpecError::InvalidValue {
+                key: key.into(),
+                value: value.into(),
+            })
         };
         assert_eq!(parse("sampler:entries=1"), invalid("entries", "1"));
         assert_eq!(parse("sampler:tables=9"), invalid("tables", "9"));
@@ -417,7 +480,10 @@ mod tests {
     #[test]
     fn dead_victims_toggle_round_trips() {
         let cfg = SdbpConfig {
-            sampler: Some(SamplerConfig { dead_block_victims: false, ..SamplerConfig::default() }),
+            sampler: Some(SamplerConfig {
+                dead_block_victims: false,
+                ..SamplerConfig::default()
+            }),
             tables: TableConfig::skewed(),
         };
         let spec = sampler_spec(&cfg);

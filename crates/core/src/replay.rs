@@ -72,9 +72,10 @@ pub enum ReplayMode<'a> {
 impl fmt::Debug for ReplayMode<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplayMode::Exact { probe } => {
-                f.debug_struct("Exact").field("probe", &probe.is_some()).finish()
-            }
+            ReplayMode::Exact { probe } => f
+                .debug_struct("Exact")
+                .field("probe", &probe.is_some())
+                .finish(),
             ReplayMode::Sampled(plan) => f.debug_tuple("Sampled").field(&plan.source).finish(),
         }
     }
@@ -178,7 +179,13 @@ impl ReplayRequest<'_> {
     /// [`ReplayError::Sample`] for a plan built for another stream, and
     /// [`ReplayError::Shard`] if a sharded merge fails (a kernel bug).
     pub fn run(self) -> Result<ReplayOutcome, ReplayError> {
-        let ReplayRequest { stream, llc, policy: spec, mode, shards } = self;
+        let ReplayRequest {
+            stream,
+            llc,
+            policy: spec,
+            mode,
+            shards,
+        } = self;
         let registry = standard();
         let entry = registry
             .find(&spec.name)
@@ -188,7 +195,11 @@ impl ReplayRequest<'_> {
             let policy = (entry.build)(spec, llc, 1).expect("spec validated above");
             Cache::with_policy(llc, policy)
         };
-        let shards = if entry.shardable { shards.clamp(1, llc.sets.max(1)) } else { 1 };
+        let shards = if entry.shardable {
+            shards.clamp(1, llc.sets.max(1))
+        } else {
+            1
+        };
         if shards == 1 {
             let mut cache = Cache::with_policy(llc, built);
             return match mode {
@@ -222,7 +233,12 @@ impl ReplayRequest<'_> {
 }
 
 fn exact(result: sdbp_cache::ReplayResult, shards: usize) -> ReplayOutcome {
-    ReplayOutcome { stats: result.stats, hits: result.hits, sampled: None, shards }
+    ReplayOutcome {
+        stats: result.stats,
+        hits: result.hits,
+        sampled: None,
+        shards,
+    }
 }
 
 fn sampled(result: sdbp_cache::SampledReplayResult, shards: usize) -> ReplayOutcome {
@@ -232,7 +248,15 @@ fn sampled(result: sdbp_cache::SampledReplayResult, shards: usize) -> ReplayOutc
         misses: result.estimated,
         ..CacheStats::default()
     };
-    let extras =
-        SampledExtras { bound: result.bound, replayed: result.replayed, total: result.total };
-    ReplayOutcome { stats, hits: result.hits, sampled: Some(extras), shards }
+    let extras = SampledExtras {
+        bound: result.bound,
+        replayed: result.replayed,
+        total: result.total,
+    };
+    ReplayOutcome {
+        stats,
+        hits: result.hits,
+        sampled: Some(extras),
+        shards,
+    }
 }

@@ -112,17 +112,26 @@ impl Sampler {
         // Tag = block address above the LLC set index bits, truncated to
         // the configured partial width. The width must fit the u16 entry
         // field for the truncation to be the mask and nothing more.
-        debug_assert!(self.config.tag_bits <= 16, "partial tag wider than its storage");
+        debug_assert!(
+            self.config.tag_bits <= 16,
+            "partial tag wider than its storage"
+        );
         ((block.raw() >> self.tag_shift) & ((1 << self.config.tag_bits) - 1)) as u16
     }
 
     fn partial_pc(&self, pc: Pc) -> u16 {
-        debug_assert!(self.config.pc_bits <= 16, "partial PC wider than its storage");
+        debug_assert!(
+            self.config.pc_bits <= 16,
+            "partial PC wider than its storage"
+        );
         ((pc.raw() >> 2) & ((1 << self.config.pc_bits) - 1)) as u16
     }
 
     fn promote(&mut self, set: usize, way: usize) {
-        debug_assert!(way < self.config.assoc, "way {way} outside the sampler associativity");
+        debug_assert!(
+            way < self.config.assoc,
+            "way {way} outside the sampler associativity"
+        );
         let row = self.entries.row_mut(set);
         let old = row[way].lru;
         for e in row.iter_mut() {
@@ -192,7 +201,13 @@ impl Sampler {
             tables.train_dead(u64::from(dead_pc));
         }
         let dead = tables.predict(u64::from(partial_pc));
-        row[victim] = SamplerEntry { valid: true, tag, pc: partial_pc, dead, lru: row[victim].lru };
+        row[victim] = SamplerEntry {
+            valid: true,
+            tag,
+            pc: partial_pc,
+            dead,
+            lru: row[victim].lru,
+        };
         self.promote(sampler_set, victim);
         false
     }
@@ -204,8 +219,15 @@ mod tests {
     use crate::config::TableConfig;
 
     fn small_sampler(assoc: usize) -> (Sampler, SkewedTables) {
-        let cfg = SamplerConfig { sets: 2, assoc, ..SamplerConfig::default() };
-        (Sampler::new(cfg, 128), SkewedTables::new(TableConfig::skewed()))
+        let cfg = SamplerConfig {
+            sets: 2,
+            assoc,
+            ..SamplerConfig::default()
+        };
+        (
+            Sampler::new(cfg, 128),
+            SkewedTables::new(TableConfig::skewed()),
+        )
     }
 
     fn block(i: u64) -> BlockAddr {
@@ -254,7 +276,10 @@ mod tests {
         for _ in 0..10 {
             s2.access(0, block(7), Pc::new(0x700), &mut t2); // same block: hits
         }
-        assert!(!t2.predict((0x700u64 >> 2) & 0x7fff), "reused PC stays live");
+        assert!(
+            !t2.predict((0x700u64 >> 2) & 0x7fff),
+            "reused PC stays live"
+        );
     }
 
     #[test]
@@ -266,8 +291,14 @@ mod tests {
         assert!(s.access(0, block(1), Pc::new(0x108), &mut t));
         // New block evicts block 2; block 1 must survive.
         s.access(0, block(3), Pc::new(0x10c), &mut t);
-        assert!(s.access(0, block(1), Pc::new(0x110), &mut t), "block 1 evicted out of order");
-        assert!(!s.access(0, block(2), Pc::new(0x114), &mut t), "block 2 should be gone");
+        assert!(
+            s.access(0, block(1), Pc::new(0x110), &mut t),
+            "block 1 evicted out of order"
+        );
+        assert!(
+            !s.access(0, block(2), Pc::new(0x114), &mut t),
+            "block 2 should be gone"
+        );
     }
 
     #[test]
@@ -288,7 +319,10 @@ mod tests {
         let a = BlockAddr::new(0x123 << 11);
         let b = BlockAddr::new((0x123 << 11) | (1 << 26));
         s.access(0, a, Pc::new(0x100), &mut t);
-        assert!(s.access(0, b, Pc::new(0x104), &mut t), "15-bit partial tags must alias");
+        assert!(
+            s.access(0, b, Pc::new(0x104), &mut t),
+            "15-bit partial tags must alias"
+        );
     }
 
     #[test]
@@ -304,7 +338,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot be sampled")]
     fn llc_smaller_than_sampler_rejected() {
-        let cfg = SamplerConfig { sets: 32, ..SamplerConfig::default() };
+        let cfg = SamplerConfig {
+            sets: 32,
+            ..SamplerConfig::default()
+        };
         let _ = Sampler::new(cfg, 16);
     }
 }

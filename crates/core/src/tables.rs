@@ -130,8 +130,7 @@ mod tests {
         // Signatures outside the trained set: full-conflict (confidence 9)
         // requires colliding in all three tables, which should essentially
         // never happen for 100 trained signatures in 4096-entry tables.
-        let fully_conflicting =
-            (1000..2000u64).filter(|&sig| t.predict(sig)).count();
+        let fully_conflicting = (1000..2000u64).filter(|&sig| t.predict(sig)).count();
         assert_eq!(fully_conflicting, 0);
     }
 

@@ -125,7 +125,11 @@ impl VirtualVictimCache {
         (0..self.config.ways)
             .min_by_key(|&w| {
                 let f = &self.frames[base + w];
-                if f.valid { f.stamp } else { 0 }
+                if f.valid {
+                    f.stamp
+                } else {
+                    0
+                }
             })
             .expect("ways >= 1")
     }
@@ -136,7 +140,13 @@ impl VirtualVictimCache {
         (0..self.config.ways)
             .map(|w| base + w)
             .filter(|&i| !self.frames[i].valid || self.frames[i].dead)
-            .min_by_key(|&i| if self.frames[i].valid { self.frames[i].stamp } else { 0 })
+            .min_by_key(|&i| {
+                if self.frames[i].valid {
+                    self.frames[i].stamp
+                } else {
+                    0
+                }
+            })
     }
 
     /// Presents one access. Probes the home set, then the partner set;
@@ -180,12 +190,8 @@ impl VirtualVictimCache {
         let victim_idx = set * self.config.ways + victim_way;
         let victim = self.frames[victim_idx];
         if victim.valid {
-            self.predictor.on_evict(
-                set,
-                victim_idx,
-                BlockAddr::new(victim.block),
-                &access,
-            );
+            self.predictor
+                .on_evict(set, victim_idx, BlockAddr::new(victim.block), &access);
             // Park the victim into a predicted-dead partner frame, unless
             // the victim itself is predicted dead (not worth saving).
             if !victim.dead {
@@ -193,14 +199,22 @@ impl VirtualVictimCache {
                     // Freshly stamped so the parked victim survives the
                     // partner set's own (timestamp-ordered) evictions for
                     // a while; it only ever occupies a dead frame.
-                    self.frames[p] = Frame { dead: true, stamp: self.clock, ..victim };
+                    self.frames[p] = Frame {
+                        dead: true,
+                        stamp: self.clock,
+                        ..victim
+                    };
                     self.stats.parked += 1;
                 }
             }
         }
         self.predictor.on_fill(set, victim_idx, &access);
-        self.frames[victim_idx] =
-            Frame { valid: true, block, dead: false, stamp: self.clock };
+        self.frames[victim_idx] = Frame {
+            valid: true,
+            block,
+            dead: false,
+            stamp: self.clock,
+        };
         false
     }
 
@@ -302,7 +316,10 @@ mod tests {
         assert!(!vvc.access(&acc(0))); // fill set 0
         assert!(!vvc.access(&acc(2))); // set 0 again: evicts 0, parks in set 1
         assert_eq!(vvc.stats().parked, 1);
-        assert!(vvc.access(&acc(0)), "parked block must be found in partner set");
+        assert!(
+            vvc.access(&acc(0)),
+            "parked block must be found in partner set"
+        );
         assert_eq!(vvc.stats().victim_hits, 1);
         assert!(vvc.access(&acc(0)), "rescued block must now hit at home");
         assert_eq!(vvc.stats().home_hits, 1);
@@ -312,6 +329,9 @@ mod tests {
     fn run_is_deterministic() {
         let s = stream(3);
         let cfg = CacheConfig::new(64, 8);
-        assert_eq!(VirtualVictimCache::run(&s, cfg), VirtualVictimCache::run(&s, cfg));
+        assert_eq!(
+            VirtualVictimCache::run(&s, cfg),
+            VirtualVictimCache::run(&s, cfg)
+        );
     }
 }

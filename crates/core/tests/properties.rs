@@ -16,7 +16,12 @@ fn arb_table_config(rng: &mut Rng64) -> TableConfig {
     let log2 = rng.gen_range(8u32..14);
     let max = rng.gen_range(1u8..4);
     let threshold = rng.gen_range(1u32..tables as u32 * u32::from(max) + 1);
-    TableConfig { tables, entries_per_table: 1 << log2, threshold, counter_max: max }
+    TableConfig {
+        tables,
+        entries_per_table: 1 << log2,
+        threshold,
+        counter_max: max,
+    }
 }
 
 #[test]
@@ -66,9 +71,14 @@ fn sampler_never_exceeds_declared_capacity_and_stays_deterministic() {
     for _ in 0..CASES {
         let sets = rng.gen_range(1usize..8);
         let assoc = rng.gen_range(1usize..16);
-        let accesses: Vec<(u64, u64)> =
-            (0..rng.gen_range(1usize..500)).map(|_| (rng.next_u64(), rng.next_u64())).collect();
-        let cfg = SamplerConfig { sets, assoc, ..SamplerConfig::default() };
+        let accesses: Vec<(u64, u64)> = (0..rng.gen_range(1usize..500))
+            .map(|_| (rng.next_u64(), rng.next_u64()))
+            .collect();
+        let cfg = SamplerConfig {
+            sets,
+            assoc,
+            ..SamplerConfig::default()
+        };
         let run = || {
             let mut sampler = Sampler::new(cfg, 2048);
             let mut tables = SkewedTables::new(TableConfig::skewed());
@@ -91,13 +101,18 @@ fn sampler_hit_follows_recent_access_of_same_partial_tag() {
     let mut rng = Rng64::seed_from_u64(0x5dbb_0004);
     for _ in 0..CASES {
         let assoc = rng.gen_range(2usize..13);
-        let blocks: Vec<u64> =
-            (0..rng.gen_range(2usize..200)).map(|_| rng.gen_range(0u64..32)).collect();
+        let blocks: Vec<u64> = (0..rng.gen_range(2usize..200))
+            .map(|_| rng.gen_range(0u64..32))
+            .collect();
         // Accessing the same block twice with fewer than `assoc` distinct
         // other tags in between must hit (LRU guarantee). Dead-block
         // victim selection is disabled so strict LRU order holds.
-        let cfg =
-            SamplerConfig { sets: 1, assoc, dead_block_victims: false, ..SamplerConfig::default() };
+        let cfg = SamplerConfig {
+            sets: 1,
+            assoc,
+            dead_block_victims: false,
+            ..SamplerConfig::default()
+        };
         let mut sampler = Sampler::new(cfg, 64);
         let mut tables = SkewedTables::new(TableConfig::skewed());
         let mut recent: Vec<u64> = Vec::new(); // most recent first

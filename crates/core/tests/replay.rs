@@ -29,7 +29,12 @@ fn workload() -> RecordedWorkload {
 }
 
 fn cache(spec: &PolicySpec, llc: CacheConfig) -> Cache {
-    Cache::with_policy(llc, standard().build(spec, llc, 1).expect("registry spec builds"))
+    Cache::with_policy(
+        llc,
+        standard()
+            .build(spec, llc, 1)
+            .expect("registry spec builds"),
+    )
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -48,12 +53,20 @@ fn run(
 ) -> (ReplayOutcome, Option<Vec<u64>>) {
     let mut probe = WindowMisses::new(WINDOW);
     let mode_arg = match mode {
-        Mode::Exact => ReplayMode::Exact { probe: Some(&mut probe) },
+        Mode::Exact => ReplayMode::Exact {
+            probe: Some(&mut probe),
+        },
         Mode::Sampled => ReplayMode::Sampled(plan),
     };
-    let outcome = ReplayRequest { stream, llc, policy: spec, mode: mode_arg, shards }
-        .run()
-        .unwrap_or_else(|e| panic!("{spec} {mode:?} x{shards}: {e}"));
+    let outcome = ReplayRequest {
+        stream,
+        llc,
+        policy: spec,
+        mode: mode_arg,
+        shards,
+    }
+    .run()
+    .unwrap_or_else(|e| panic!("{spec} {mode:?} x{shards}: {e}"));
     let windows = matches!(mode, Mode::Exact).then(|| probe.counts().to_vec());
     (outcome, windows)
 }
@@ -119,16 +132,28 @@ fn unknown_and_malformed_specs_are_typed_errors() {
         ("lru:x=1", SpecError::UnexpectedParams("lru".into())),
         (
             "sampler:assoc=many",
-            SpecError::InvalidValue { key: "assoc".into(), value: "many".into() },
+            SpecError::InvalidValue {
+                key: "assoc".into(),
+                value: "many".into(),
+            },
         ),
     ];
     for (text, expected) in cases {
         let spec: PolicySpec = text.parse().expect("well-formed spec text");
         for shards in [1usize, 3] {
-            for mode in [ReplayMode::Exact { probe: None }, ReplayMode::Sampled(&plan)] {
-                let err = ReplayRequest { stream: &w.llc, llc, policy: &spec, mode, shards }
-                    .run()
-                    .expect_err("bad spec must not replay");
+            for mode in [
+                ReplayMode::Exact { probe: None },
+                ReplayMode::Sampled(&plan),
+            ] {
+                let err = ReplayRequest {
+                    stream: &w.llc,
+                    llc,
+                    policy: &spec,
+                    mode,
+                    shards,
+                }
+                .run()
+                .expect_err("bad spec must not replay");
                 assert!(
                     matches!(&err, ReplayError::Spec(e) if *e == expected),
                     "{text} x{shards}: {err:?}"

@@ -96,11 +96,7 @@ impl PlanConfig {
 /// The result is a pure function of `(workload, llc, cfg)` — no wall
 /// clock, no ambient randomness — and is structurally valid by
 /// construction ([`SamplingPlan::validate`] holds).
-pub fn build_plan(
-    workload: &RecordedWorkload,
-    llc: CacheConfig,
-    cfg: &PlanConfig,
-) -> SamplingPlan {
+pub fn build_plan(workload: &RecordedWorkload, llc: CacheConfig, cfg: &PlanConfig) -> SamplingPlan {
     let window = cfg.window.max(1);
     let k = cfg.k.max(1);
 
@@ -133,7 +129,9 @@ pub fn build_plan(
         .zip(probe.window_lens().iter())
         .enumerate();
     for (w, ((fp, &c), &len)) in window_infos {
-        let Some(centroid) = clustering.centroids.get(c as usize) else { continue };
+        let Some(centroid) = clustering.centroids.get(c as usize) else {
+            continue;
+        };
         // Order candidates so any full window beats any partial one, then
         // by distance, then by window index.
         let partial = len != full_len;
@@ -149,8 +147,7 @@ pub fn build_plan(
             }
         }
     }
-    let representatives: Vec<u64> =
-        best.iter().filter_map(|s| s.map(|(_, _, w)| w)).collect();
+    let representatives: Vec<u64> = best.iter().filter_map(|s| s.map(|(_, _, w)| w)).collect();
 
     // Pass 4: state the error bound. On the baseline policy the sampled
     // estimate replaces each window's misses with (a rescaling of) its
@@ -265,7 +262,9 @@ mod tests {
             !w.llc.len().is_multiple_of(window),
             "fixture must have a partial tail"
         );
-        let cfg = PlanConfig::default().with_window(u32::try_from(window).unwrap()).with_k(4);
+        let cfg = PlanConfig::default()
+            .with_window(u32::try_from(window).unwrap())
+            .with_k(4);
         let plan = build_plan(&w, CacheConfig::new(64, 8), &cfg);
         let tail = (plan.num_windows() - 1) as u64;
         let tail_cluster = plan.assignment.last().copied().expect("windows exist");

@@ -43,7 +43,12 @@ impl KmeansConfig {
     /// everything else.
     #[must_use]
     pub fn new(k: usize) -> Self {
-        KmeansConfig { k, seed: 0x5db9_5a3b, max_iters: 64, jobs: 1 }
+        KmeansConfig {
+            k,
+            seed: 0x5db9_5a3b,
+            max_iters: 64,
+            jobs: 1,
+        }
     }
 
     /// Replaces the seed.
@@ -146,7 +151,9 @@ fn assign_all(points: &[Fingerprint], centroids: &[Fingerprint], jobs: usize) ->
             .chunks(chunk)
             .map(|part| {
                 scope.spawn(move || {
-                    part.iter().map(|p| nearest(centroids, p)).collect::<Vec<u32>>()
+                    part.iter()
+                        .map(|p| nearest(centroids, p))
+                        .collect::<Vec<u32>>()
                 })
             })
             .collect();
@@ -181,7 +188,10 @@ fn initial_centroids(sorted: &[Fingerprint], k: usize, seed: u64) -> Vec<Fingerp
         let mut best: Option<&Fingerprint> = None;
         let mut best_d = 0.0f64;
         for p in sorted {
-            let d = centroids.iter().map(|c| dist2(c, p)).fold(f64::INFINITY, f64::min);
+            let d = centroids
+                .iter()
+                .map(|c| dist2(c, p))
+                .fold(f64::INFINITY, f64::min);
             if d > best_d {
                 best_d = d;
                 best = Some(p);
@@ -278,14 +288,21 @@ pub fn cluster(points: &[Fingerprint], cfg: &KmeansConfig) -> Clustering {
             *slot = u32::try_from(new_id).unwrap_or(u32::MAX);
         }
     }
-    let centroids: Vec<Fingerprint> =
-        order.iter().filter_map(|&old| centroids.get(old).copied()).collect();
+    let centroids: Vec<Fingerprint> = order
+        .iter()
+        .filter_map(|&old| centroids.get(old).copied())
+        .collect();
     let assignment: Vec<u32> = assignment
         .iter()
         .map(|&c| remap.get(c as usize).copied().unwrap_or(0))
         .collect();
 
-    Clustering { assignment, centroids, iterations, converged }
+    Clustering {
+        assignment,
+        centroids,
+        iterations,
+        converged,
+    }
 }
 
 #[cfg(test)]
@@ -355,7 +372,11 @@ mod tests {
             let c = cluster(&points, &KmeansConfig::new(3).with_seed(seed));
             for pair in c.centroids.windows(2) {
                 if let [x, y] = pair {
-                    assert_eq!(fp_cmp(x, y), Ordering::Less, "ids not canonical (seed {seed})");
+                    assert_eq!(
+                        fp_cmp(x, y),
+                        Ordering::Less,
+                        "ids not canonical (seed {seed})"
+                    );
                 }
             }
         }

@@ -208,8 +208,10 @@ impl SamplingPlan {
                     "cluster {c} representative window {rep} out of range ({windows} windows)"
                 ));
             }
-            let rep_cluster =
-                self.assignment.get(usize::try_from(rep).unwrap_or(usize::MAX)).copied();
+            let rep_cluster = self
+                .assignment
+                .get(usize::try_from(rep).unwrap_or(usize::MAX))
+                .copied();
             if rep_cluster != Some(u32::try_from(c).unwrap_or(u32::MAX)) {
                 return malformed(format!(
                     "cluster {c} representative window {rep} is assigned elsewhere"
@@ -278,7 +280,9 @@ impl SamplingPlan {
         if bytes.len() < body_end.saturating_add(8) {
             return Err(PlanError::Truncated { context: "body" });
         }
-        let hashed = bytes.get(..body_end).ok_or(PlanError::Truncated { context: "body" })?;
+        let hashed = bytes
+            .get(..body_end)
+            .ok_or(PlanError::Truncated { context: "body" })?;
         let computed = fnv1a(hashed);
         let mut fnv_pos = body_end;
         let found = u64::from_le_bytes(read_array::<8>(bytes, &mut fnv_pos, "checksum")?);
@@ -291,7 +295,9 @@ impl SamplingPlan {
             });
         }
 
-        let body = bytes.get(pos..body_end).ok_or(PlanError::Truncated { context: "body" })?;
+        let body = bytes
+            .get(pos..body_end)
+            .ok_or(PlanError::Truncated { context: "body" })?;
         let mut at = 0usize;
         let mut next = |what: &'static str| -> Result<u64, PlanError> {
             get_varint(body, &mut at).ok_or(PlanError::Truncated { context: what })
@@ -308,11 +314,12 @@ impl SamplingPlan {
             .ok_or_else(|| PlanError::Malformed {
                 detail: "source name length exceeds limit".into(),
             })?;
-        let name_end =
-            at.checked_add(name_len).ok_or(PlanError::Truncated { context: "source name" })?;
-        let name = body
-            .get(at..name_end)
-            .ok_or(PlanError::Truncated { context: "source name" })?;
+        let name_end = at.checked_add(name_len).ok_or(PlanError::Truncated {
+            context: "source name",
+        })?;
+        let name = body.get(at..name_end).ok_or(PlanError::Truncated {
+            context: "source name",
+        })?;
         at = name_end;
         let source = String::from_utf8(name.to_vec()).map_err(|_| PlanError::Malformed {
             detail: "source name is not UTF-8".into(),
@@ -380,7 +387,9 @@ fn read_array<const N: usize>(
     context: &'static str,
 ) -> Result<[u8; N], PlanError> {
     let end = pos.checked_add(N).ok_or(PlanError::Truncated { context })?;
-    let slice = bytes.get(*pos..end).ok_or(PlanError::Truncated { context })?;
+    let slice = bytes
+        .get(*pos..end)
+        .ok_or(PlanError::Truncated { context })?;
     let mut out = [0u8; N];
     for (o, b) in out.iter_mut().zip(slice.iter()) {
         *o = *b;
@@ -392,8 +401,9 @@ fn read_array<const N: usize>(
 /// Narrows a decoded varint to `u32`, rejecting wider claims as
 /// corruption.
 fn field_u32(v: u64, what: &str) -> Result<u32, PlanError> {
-    u32::try_from(v)
-        .map_err(|_| PlanError::Malformed { detail: format!("{what} {v} exceeds u32") })
+    u32::try_from(v).map_err(|_| PlanError::Malformed {
+        detail: format!("{what} {v} exceeds u32"),
+    })
 }
 
 /// Narrows a decoded element count, rejecting claims that could not fit
@@ -403,7 +413,9 @@ fn read_count(v: u64, what: &str) -> Result<usize, PlanError> {
     usize::try_from(v)
         .ok()
         .filter(|&n| n <= (1 << 32))
-        .ok_or_else(|| PlanError::Malformed { detail: format!("{what} count {v} is absurd") })
+        .ok_or_else(|| PlanError::Malformed {
+            detail: format!("{what} count {v} is absurd"),
+        })
 }
 
 #[cfg(test)]
@@ -453,7 +465,10 @@ mod tests {
             ("window count mismatch", Box::new(|p| p.source_len = 99_999)),
             ("dangling cluster", Box::new(|p| p.assignment[4] = 9)),
             ("rep out of range", Box::new(|p| p.representatives[1] = 64)),
-            ("rep assigned elsewhere", Box::new(|p| p.representatives[1] = 4)),
+            (
+                "rep assigned elsewhere",
+                Box::new(|p| p.representatives[1] = 4),
+            ),
             ("no reps", Box::new(|p| p.representatives.clear())),
         ];
         for (what, mutate) in cases {
@@ -475,7 +490,10 @@ mod tests {
         bytes[8] = 99;
         assert!(matches!(
             SamplingPlan::from_bytes(&bytes),
-            Err(PlanError::UnsupportedVersion { found: 99, supported: PLAN_VERSION })
+            Err(PlanError::UnsupportedVersion {
+                found: 99,
+                supported: PLAN_VERSION
+            })
         ));
     }
 
@@ -483,9 +501,21 @@ mod tests {
     fn errors_display_the_failure() {
         let cases: Vec<(PlanError, &str)> = vec![
             (PlanError::BadMagic { found: [0; 8] }, "magic"),
-            (PlanError::UnsupportedVersion { found: 9, supported: 1 }, "version 9"),
+            (
+                PlanError::UnsupportedVersion {
+                    found: 9,
+                    supported: 1,
+                },
+                "version 9",
+            ),
             (PlanError::Truncated { context: "body" }, "body"),
-            (PlanError::Checksum { found: 1, computed: 2 }, "mismatch"),
+            (
+                PlanError::Checksum {
+                    found: 1,
+                    computed: 2,
+                },
+                "mismatch",
+            ),
             (PlanError::Malformed { detail: "x".into() }, "malformed"),
         ];
         for (err, needle) in cases {

@@ -48,7 +48,10 @@ pub enum SampleError {
 impl fmt::Display for SampleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SampleError::StreamMismatch { plan_len, stream_len } => write!(
+            SampleError::StreamMismatch {
+                plan_len,
+                stream_len,
+            } => write!(
                 f,
                 "plan was built for a {plan_len}-access stream, got {stream_len} accesses"
             ),
@@ -191,7 +194,12 @@ fn segment_schedule(
             .max(prev_end);
         replayed += (measure_end - warmup_start) as u64;
         prev_end = measure_end;
-        segments.push(Segment { cluster, warmup_start, measure_start, measure_end });
+        segments.push(Segment {
+            cluster,
+            warmup_start,
+            measure_start,
+            measure_end,
+        });
     }
     Ok((segments, replayed))
 }
@@ -299,8 +307,9 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
                 let mut measured: Vec<Vec<bool>> = Vec::with_capacity(segments.len());
                 for seg in segments {
                     let mut bits = Vec::new();
-                    let span =
-                        stream.get(seg.warmup_start..seg.measure_end).unwrap_or_default();
+                    let span = stream
+                        .get(seg.warmup_start..seg.measure_end)
+                        .unwrap_or_default();
                     for (offset, a) in span.iter().enumerate() {
                         if shard_plan.shard_of(a.block.set_index(sets)) != shard {
                             continue;
@@ -327,7 +336,9 @@ pub fn replay_sampled_sharded<R: ShardRunner>(
     let mut patterns: Vec<Vec<bool>> = vec![Vec::new(); plan.representatives.len()];
     for (seg_index, seg) in segments.iter().enumerate() {
         let mut cursors = vec![0usize; shard_bits.len()];
-        let span = stream.get(seg.measure_start..seg.measure_end).unwrap_or_default();
+        let span = stream
+            .get(seg.measure_start..seg.measure_end)
+            .unwrap_or_default();
         let mut pattern = Vec::with_capacity(span.len());
         for a in span {
             let shard = shard_plan.shard_of(a.block.set_index(sets));
@@ -419,13 +430,15 @@ mod tests {
         let llc = CacheConfig::new(64, 8);
         let cfg = PlanConfig::default().with_window(1024).with_k(6);
         let plan = build_plan(&w, llc, &cfg);
-        let sampled =
-            replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
+        let sampled = replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
         let exact = replay(&w.llc, &mut Cache::new(llc));
         let checked = sampled.with_exact(exact.misses());
         assert_eq!(checked.hits.len(), w.llc.len());
         assert_eq!(checked.total, w.llc.len() as u64);
-        assert!(checked.replayed < checked.total, "sampling must do less work");
+        assert!(
+            checked.replayed < checked.total,
+            "sampling must do less work"
+        );
         assert_eq!(
             checked.within_bound(),
             Some(true),
@@ -451,8 +464,7 @@ mod tests {
         let w = workload();
         let llc = CacheConfig::new(64, 8);
         let plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(6));
-        let serial =
-            replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
+        let serial = replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
         let fresh: &(dyn Fn() -> Cache + Sync) = &move || Cache::new(llc);
         for shards in [1usize, 3, 8] {
             let shard_plan = ShardPlan::new(llc.sets, shards);
@@ -480,7 +492,10 @@ mod tests {
             &sdbp_cache::kernel::SerialRunner,
         )
         .expect_err("geometry mismatch must be typed");
-        assert!(matches!(err, SampleError::Shard(ShardError::Geometry { .. })));
+        assert!(matches!(
+            err,
+            SampleError::Shard(ShardError::Geometry { .. })
+        ));
     }
 
     #[test]
@@ -499,27 +514,33 @@ mod tests {
     fn calibration_only_ever_widens_the_bound() {
         let w = workload();
         let llc = CacheConfig::new(64, 8);
-        let mut plan =
-            build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(6));
+        let mut plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(6));
         let before = plan.bound;
-        let mut refs: Vec<Box<dyn FnMut() -> Cache>> =
-            vec![Box::new(move || Cache::new(llc)), Box::new(move || Cache::new(llc))];
+        let mut refs: Vec<Box<dyn FnMut() -> Cache>> = vec![
+            Box::new(move || Cache::new(llc)),
+            Box::new(move || Cache::new(llc)),
+        ];
         let worst = calibrate_bound(&w.llc, &mut plan, &mut refs, 2.0, 0.005)
             .expect("plan applies to its own workload");
         assert!(worst >= 0.0 && worst.is_finite());
-        assert!(plan.bound >= before, "calibration must never narrow the bound");
+        assert!(
+            plan.bound >= before,
+            "calibration must never narrow the bound"
+        );
         assert!(plan.bound <= 1.0);
         // The baseline reference repeats the builder's own self-validation,
         // so the measured error must sit within the already-stated bound.
-        assert!(worst * 2.0 + 0.005 <= before + 1e-12, "worst={worst} before={before}");
+        assert!(
+            worst * 2.0 + 0.005 <= before + 1e-12,
+            "worst={worst} before={before}"
+        );
     }
 
     #[test]
     fn calibration_rejects_mismatched_stream() {
         let w = workload();
         let llc = CacheConfig::new(64, 8);
-        let mut plan =
-            build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(4));
+        let mut plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(4));
         let mut refs: Vec<Box<dyn FnMut() -> Cache>> = vec![Box::new(move || Cache::new(llc))];
         let err = calibrate_bound(&w.llc[..10], &mut plan, &mut refs, 2.0, 0.005)
             .expect_err("length mismatch must be typed");
@@ -530,8 +551,7 @@ mod tests {
     fn rejects_invalid_plan() {
         let w = workload();
         let llc = CacheConfig::new(64, 8);
-        let mut plan =
-            build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(4));
+        let mut plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(4));
         plan.window = 0;
         let err = replay_sampled(&w.llc, &plan, || Cache::new(llc))
             .expect_err("invalid plan must be typed");

@@ -79,7 +79,11 @@ fn different_seeds_may_differ_but_each_is_stable() {
     let points = synthetic_points(100, 2);
     for seed in [1u64, 2, 3] {
         let cfg = KmeansConfig::new(3).with_seed(seed);
-        assert_eq!(cluster(&points, &cfg), cluster(&points, &cfg), "seed {seed} unstable");
+        assert_eq!(
+            cluster(&points, &cfg),
+            cluster(&points, &cfg),
+            "seed {seed} unstable"
+        );
     }
 }
 

@@ -23,8 +23,12 @@ fn digests(w: &RecordedWorkload, llc: CacheConfig, cfg: &PlanConfig) -> (u64, u6
     replay_with_probe(&w.llc, &mut Cache::new(llc), &mut probe);
     probe.finish();
     assert_eq!(probe.fingerprints().len(), plan.num_windows());
-    let bits: Vec<u8> =
-        probe.fingerprints().iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    let bits: Vec<u8> = probe
+        .fingerprints()
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
     (fnv1a(&plan.to_bytes()), fnv1a(&bits))
 }
 

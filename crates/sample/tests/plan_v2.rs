@@ -19,7 +19,9 @@ use std::path::{Path, PathBuf};
 const INSTRUCTIONS: usize = 200_000;
 
 fn stream() -> impl Iterator<Item = Instr> {
-    TraceBuilder::new(7).kernel(KernelSpec::generational(1 << 18, 3, 64)).build()
+    TraceBuilder::new(7)
+        .kernel(KernelSpec::generational(1 << 18, 3, 64))
+        .build()
 }
 
 fn temp(tag: &str) -> PathBuf {
@@ -63,12 +65,21 @@ fn plans_are_identical_across_container_formats() {
     let _ = std::fs::remove_file(&v2_path);
 
     // The recorded LLC streams must already agree access for access...
-    assert_eq!(direct.llc, from_v1.llc, "v1 decode changed the recorded stream");
-    assert_eq!(direct.llc, from_v2.llc, "v2 batch decode changed the recorded stream");
+    assert_eq!(
+        direct.llc, from_v1.llc,
+        "v1 decode changed the recorded stream"
+    );
+    assert_eq!(
+        direct.llc, from_v2.llc,
+        "v2 batch decode changed the recorded stream"
+    );
 
     // ...and so must everything the sampling plane derives from them.
     let llc = CacheConfig::llc_2mb();
-    let cfg = PlanConfig::default().with_window(4096).with_k(6).with_seed(99);
+    let cfg = PlanConfig::default()
+        .with_window(4096)
+        .with_k(6)
+        .with_seed(99);
     let plan_direct = build_plan(&direct, llc, &cfg);
     let plan_v1 = build_plan(&from_v1, llc, &cfg);
     let plan_v2 = build_plan(&from_v2, llc, &cfg);
