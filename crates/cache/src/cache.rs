@@ -206,13 +206,13 @@ impl CacheCore {
         stream: &[LlcAccess],
         mut outcomes: Outcomes<'_>,
     ) {
-        for (index, a) in stream.iter().enumerate() {
+        for a in stream {
             let hit = self.access(policy, &Access::from(a)).is_hit();
             match &mut outcomes {
                 Outcomes::Discard => {}
                 Outcomes::Record(hits) => hits.push(hit),
                 Outcomes::Probe(hits, probe) => {
-                    probe.on_access_detail(index, a, hit);
+                    probe.on_access_detail(hits.len(), a, hit);
                     hits.push(hit);
                 }
             }

@@ -7,12 +7,12 @@
 //! bits, or SRRIP RRPVs), the outcome of an access depends only on the
 //! earlier accesses that mapped to the *same* set. A [`ShardPlan`] splits
 //! the set index space into contiguous, disjoint ranges; each shard
-//! replays only the accesses falling in its range with the plain
-//! per-access [`replay`] loop on its own cache, and the shard results
-//! are folded back into the exact serial [`ReplayResult`] — counters
-//! summed **by shard index**, hit bits re-interleaved by walking the
-//! original stream, and any [`ReplayProbe`] driven in original access
-//! order, so window probes observe precisely the serial sequence.
+//! replays only the accesses falling in its range, span by span, on its
+//! own persistent cache, and the shard results are folded back into the
+//! exact serial [`ReplayResult`] of [`replay_spans`](crate::replay::replay_spans) — counters summed
+//! **by shard index**, hit bits re-interleaved by walking the measured
+//! ranges in stream order, and any [`ReplayProbe`] driven in that order,
+//! so window probes observe precisely the serial sequence.
 //!
 //! **What may be sharded.** Policies with global state — a shared RNG
 //! draw sequence (`random`), set-dueling PSEL counters over leader sets
@@ -23,14 +23,14 @@
 //! (`sdbp::replay`) falls back to the serial loop when it is false. See
 //! DESIGN.md §13 for the full shardability analysis.
 //!
-//! Execution is pluggable via [`ShardRunner`]: [`SerialRunner`] runs the
-//! shards in index order on the calling thread (the reference path), and
-//! [`ThreadRunner`] runs one scoped thread per shard.
+//! Sharding partitions whatever span list it is given, so exact and
+//! sampled replays share this one loop. Each shard runs on its own scoped
+//! thread, and the results are joined in shard order.
 
 use crate::cache::Cache;
 use crate::meta::HitMap;
 use crate::recorder::LlcAccess;
-use crate::replay::{replay, ReplayProbe, ReplayResult};
+use crate::replay::{Outcomes, ReplayProbe, ReplayResult, Span, SpanError};
 use crate::stats::CacheStats;
 
 /// A partition of the set index space into contiguous, disjoint ranges,
@@ -147,6 +147,8 @@ pub enum ShardError {
         /// Sets of the factory-built cache.
         cache_sets: usize,
     },
+    /// A span does not fit the stream.
+    Span(SpanError),
 }
 
 impl std::fmt::Display for ShardError {
@@ -179,39 +181,40 @@ impl std::fmt::Display for ShardError {
                     "plan partitions {plan_sets} sets but the cache factory builds {cache_sets}"
                 )
             }
+            ShardError::Span(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for ShardError {}
 
-/// The subsequence of `stream` owned by `shard` under `plan`, in stream
-/// order. Each shard filters the full stream itself, so shard tasks need
-/// only `(stream, plan, shard)` — no shared partition buffers.
-fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<LlcAccess> {
-    stream
-        .iter()
-        .filter(|a| plan.shard_of(a.block.set_index(plan.sets())) == shard)
-        .copied()
-        .collect()
+/// Refills `queue` with the accesses of `part` owned by `shard` under
+/// `plan`, in stream order. Each shard filters the stream itself, so
+/// shard tasks share no partition buffers.
+fn fill_queue(queue: &mut Vec<LlcAccess>, part: &[LlcAccess], plan: &ShardPlan, shard: usize) {
+    queue.clear();
+    queue.extend(
+        part.iter()
+            .filter(|a| plan.shard_of(a.block.set_index(plan.sets())) == shard)
+            .copied(),
+    );
 }
 
 /// Merges per-shard results back into the serial [`ReplayResult`].
 ///
 /// Counters are summed **in ascending shard index order** (never
-/// completion order); hit bits are re-interleaved by walking `stream`
-/// and popping the next outcome from each access's owning shard; `probe`
-/// (when given) is driven in original access order with the merged
-/// outcomes — exactly the sequence
-/// [`replay_with_probe`](crate::replay::replay_with_probe) would have
-/// produced.
+/// completion order); hit bits are re-interleaved by walking the
+/// `measured` ranges in order and popping the next outcome from each
+/// access's owning shard; `probe` (when given) is driven in that order
+/// with the merged outcomes — exactly the sequence the serial loop
+/// would have produced.
 ///
 /// # Errors
 ///
 /// [`ShardError`] when the result count disagrees with the plan or the
-/// shard outcome counts do not tile the stream.
+/// shard outcome counts do not tile the measured ranges.
 fn merge_shards(
-    stream: &[LlcAccess],
+    measured: &[&[LlcAccess]],
     plan: &ShardPlan,
     results: &[ReplayResult],
     mut probe: Option<&mut dyn ReplayProbe>,
@@ -227,8 +230,8 @@ fn merge_shards(
         stats += &result.stats;
     }
     let mut cursors = vec![0usize; results.len()];
-    let mut hits = HitMap::with_capacity(stream.len());
-    for (index, a) in stream.iter().enumerate() {
+    let mut hits = HitMap::with_capacity(measured.iter().map(|m| m.len()).sum());
+    for a in measured.iter().flat_map(|m| m.iter()) {
         let shard = plan.shard_of(a.block.set_index(plan.sets()));
         let Some((result, cursor)) = results.get(shard).zip(cursors.get_mut(shard)) else {
             return Err(ShardError::HitsExhausted { shard });
@@ -238,7 +241,7 @@ fn merge_shards(
         };
         *cursor += 1;
         if let Some(p) = probe.as_deref_mut() {
-            p.on_access_detail(index, a, hit);
+            p.on_access_detail(hits.len(), a, hit);
         }
         hits.push(hit);
     }
@@ -253,91 +256,78 @@ fn merge_shards(
     Ok(ReplayResult { stats, hits })
 }
 
-/// Executes a sharded replay's per-shard tasks, returning their results
-/// **indexed by task order** (never completion order — the tests
-/// `kernel::tests::thread_runner_matches_serial_runner` and
-/// `golden_rows_are_bit_identical_at_every_shard_count` pin this
-/// discipline).
-///
-/// The kernel stays thread-agnostic through this trait: the replay front
-/// door uses [`ThreadRunner`], tests use [`SerialRunner`].
-pub trait ShardRunner {
-    /// Runs every task, returning the results in task order.
-    fn run<T: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T>;
+/// Runs `task` for every shard index on its own scoped thread and returns
+/// the results **in shard order**, never completion order. A panicking
+/// task propagates its panic to the caller at join.
+fn on_threads<T: Send>(shards: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let task = &task;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| scope.spawn(move || task(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
 }
 
-/// Runs shard tasks serially on the calling thread, in task order — the
-/// reference execution the threaded runners must match bit for bit.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SerialRunner;
-
-impl ShardRunner for SerialRunner {
-    fn run<T: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-        tasks.into_iter().map(|task| task()).collect()
-    }
-}
-
-/// Runs one scoped thread per shard task, joining **in task order** so
-/// the merge sees results indexed by shard, never by completion.
-///
-/// A panicking task propagates its panic to the caller at join — the
-/// same observable behaviour as the serial path.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct ThreadRunner;
-
-impl ShardRunner for ThreadRunner {
-    fn run<T: Send>(&self, tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks.into_iter().map(|task| scope.spawn(task)).collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-}
-
-/// Replays `stream` sharded by `plan`: each shard filters its queue,
-/// replays it on its own factory-built cache with the plain [`replay`]
-/// loop, and the results are merged deterministically by shard index,
-/// driving `probe` in original access order.
+/// [`replay_spans`](crate::replay::replay_spans) sharded by `plan`: each
+/// shard builds one cache with `factory`, runs its accesses of every span
+/// through it in span order ([`Cache::run`], warm-ups discarded), and the
+/// results are merged deterministically by shard index, driving `probe`
+/// over the measured accesses in span order.
 ///
 /// **Exactness requires a set-local policy** — the replay front door
 /// (`sdbp::replay`) gates on the registry's `shardable` capability flag
-/// and uses the serial [`replay`] otherwise. The factory must build
-/// caches matching the plan's geometry; efficiency tracking is not
-/// carried across shards (replay paths never enable it).
+/// and uses the serial loop otherwise. Efficiency tracking is not carried
+/// across shards (replay paths never enable it).
 ///
 /// # Errors
 ///
+/// [`ShardError::Span`] when a span does not fit `stream`,
 /// [`ShardError::Geometry`] when the factory's set count disagrees with
 /// the plan, or a merge error (which would indicate a kernel bug, since
 /// the queues are derived from the same plan).
-pub fn replay_sharded<R: ShardRunner>(
+pub fn replay_sharded(
     stream: &[LlcAccess],
+    spans: &[Span],
     plan: &ShardPlan,
     factory: &(dyn Fn() -> Cache + Sync),
-    runner: &R,
     probe: Option<&mut dyn ReplayProbe>,
 ) -> Result<ReplayResult, ShardError> {
-    let cache_sets = factory().config().sets;
-    if cache_sets != plan.sets() {
-        return Err(ShardError::Geometry {
-            plan_sets: plan.sets(),
-            cache_sets,
-        });
-    }
-    let tasks: Vec<Box<dyn FnOnce() -> ReplayResult + Send + '_>> = (0..plan.shards())
-        .map(|shard| {
-            Box::new(move || replay(&shard_queue(stream, plan, shard), &mut factory()))
-                as Box<dyn FnOnce() -> ReplayResult + Send + '_>
+    let slices = spans
+        .iter()
+        .map(|span| span.slices(stream))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ShardError::Span)?;
+    let results = on_threads(plan.shards(), |shard| {
+        let mut cache = factory();
+        let cache_sets = cache.config().sets;
+        if cache_sets != plan.sets() {
+            return Err(ShardError::Geometry {
+                plan_sets: plan.sets(),
+                cache_sets,
+            });
+        }
+        let mut queue = Vec::new();
+        let mut hits = HitMap::new();
+        for &(warmup, measured) in &slices {
+            fill_queue(&mut queue, warmup, plan, shard);
+            cache.run(&queue, Outcomes::Discard);
+            fill_queue(&mut queue, measured, plan, shard);
+            cache.run(&queue, Outcomes::Record(&mut hits));
+        }
+        cache.finish();
+        Ok(ReplayResult {
+            stats: cache.stats(),
+            hits,
         })
-        .collect();
-    let results = runner.run(tasks);
-    merge_shards(stream, plan, &results, probe)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    let measured: Vec<&[LlcAccess]> = slices.iter().map(|&(_, m)| m).collect();
+    merge_shards(&measured, plan, &results, probe)
 }
 
 #[cfg(test)]
@@ -345,7 +335,7 @@ mod tests {
     use super::*;
     use crate::config::CacheConfig;
     use crate::recorder::record;
-    use crate::replay::{replay_with_probe, WindowMisses};
+    use crate::replay::{replay, replay_spans, replay_with_probe, WindowMisses};
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
 
@@ -385,34 +375,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_lru_is_bit_identical_at_every_shard_count() {
-        let w = workload();
-        let config = CacheConfig::new(64, 8);
-        let serial = replay(&w.llc, &mut Cache::new(config));
-        for shards in [1, 2, 3, 4, 7, 8, 64] {
-            let plan = ShardPlan::new(config.sets, shards);
-            let sharded = replay_sharded(
-                &w.llc,
-                &plan,
-                &move || Cache::new(config),
-                &SerialRunner,
-                None,
-            )
-            .expect("plan and factory agree");
-            assert_eq!(sharded, serial, "shards={shards}");
-        }
+    /// A gappy span list over `n` accesses: warm-ups clipped by the
+    /// previous span's end, a skipped stretch, and an empty warm-up.
+    fn gappy_spans(n: usize) -> [Span; 3] {
+        [
+            Span {
+                warmup_start: 0,
+                measure_start: n / 10,
+                measure_end: n / 5,
+            },
+            Span {
+                warmup_start: n / 5,
+                measure_start: n / 4,
+                measure_end: n / 2,
+            },
+            Span {
+                warmup_start: 3 * n / 4,
+                measure_start: 3 * n / 4,
+                measure_end: n,
+            },
+        ]
     }
 
     #[test]
-    fn thread_runner_matches_serial_runner() {
+    fn sharded_lru_is_bit_identical_at_every_shard_count() {
         let w = workload();
+        let n = w.llc.len();
         let config = CacheConfig::new(64, 8);
-        let plan = ShardPlan::new(config.sets, 4);
-        let factory = move || Cache::new(config);
-        let a = replay_sharded(&w.llc, &plan, &factory, &SerialRunner, None).expect("serial");
-        let b = replay_sharded(&w.llc, &plan, &factory, &ThreadRunner, None).expect("threaded");
-        assert_eq!(a, b);
+        for spans in [&[Span::whole(n)][..], &gappy_spans(n)] {
+            let serial = replay_spans(&w.llc, spans, &mut Cache::new(config), None)
+                .expect("spans fit the stream");
+            for shards in [1, 2, 3, 4, 7, 8, 64] {
+                let plan = ShardPlan::new(config.sets, shards);
+                let sharded =
+                    replay_sharded(&w.llc, spans, &plan, &move || Cache::new(config), None)
+                        .expect("plan and factory agree");
+                assert_eq!(sharded, serial, "shards={shards} spans={spans:?}");
+            }
+        }
     }
 
     #[test]
@@ -425,9 +425,9 @@ mod tests {
         let mut sharded_probe = WindowMisses::new(777);
         let sharded = replay_sharded(
             &w.llc,
+            &[Span::whole(w.llc.len())],
             &plan,
             &move || Cache::new(config),
-            &SerialRunner,
             Some(&mut sharded_probe),
         )
         .expect("sharded replay");
@@ -435,18 +435,22 @@ mod tests {
         assert_eq!(sharded_probe.counts(), serial_probe.counts());
     }
 
+    fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<LlcAccess> {
+        let mut queue = Vec::new();
+        fill_queue(&mut queue, stream, plan, shard);
+        queue
+    }
+
     #[test]
     fn merge_rejects_wrong_result_counts_and_short_shards() {
         let w = workload();
         let config = CacheConfig::new(64, 8);
         let plan = ShardPlan::new(config.sets, 2);
-        let queues: Vec<Vec<crate::recorder::LlcAccess>> =
-            (0..2).map(|s| shard_queue(&w.llc, &plan, s)).collect();
-        let results: Vec<ReplayResult> = queues
-            .iter()
-            .map(|q| replay(q, &mut Cache::new(config)))
+        let results: Vec<ReplayResult> = (0..2)
+            .map(|s| replay(&shard_queue(&w.llc, &plan, s), &mut Cache::new(config)))
             .collect();
-        let err = merge_shards(&w.llc, &plan, &results[..1], None)
+        let measured = [&w.llc[..]];
+        let err = merge_shards(&measured, &plan, &results[..1], None)
             .expect_err("one result for a two-shard plan");
         assert_eq!(
             err,
@@ -459,13 +463,13 @@ mod tests {
         // Truncate shard 1's outcomes: the merge must notice.
         let mut short = results.clone();
         short[1].hits = short[1].hits.iter().take(1).collect();
-        let err = merge_shards(&w.llc, &plan, &short, None).expect_err("short shard");
+        let err = merge_shards(&measured, &plan, &short, None).expect_err("short shard");
         assert!(
             matches!(err, ShardError::HitsExhausted { shard: 1 }),
             "{err:?}"
         );
         // And a full merge round-trips.
-        let merged = merge_shards(&w.llc, &plan, &results, None).expect("full merge");
+        let merged = merge_shards(&measured, &plan, &results, None).expect("full merge");
         assert_eq!(merged, replay(&w.llc, &mut Cache::new(config)));
     }
 
@@ -475,9 +479,9 @@ mod tests {
         let plan = ShardPlan::new(128, 4);
         let err = replay_sharded(
             &w.llc,
+            &[Span::whole(w.llc.len())],
             &plan,
             &|| Cache::new(CacheConfig::new(64, 8)),
-            &SerialRunner,
             None,
         )
         .expect_err("plan partitions 128 sets, cache has 64");
@@ -489,13 +493,28 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("128"));
+        let n = w.llc.len();
+        let misfit = Span {
+            warmup_start: 0,
+            measure_start: n,
+            measure_end: n + 1,
+        };
+        let err = replay_sharded(
+            &w.llc,
+            &[misfit],
+            &ShardPlan::new(64, 4),
+            &|| Cache::new(CacheConfig::new(64, 8)),
+            None,
+        )
+        .expect_err("a span past the stream's end");
+        assert!(err.to_string().contains("does not fit"), "{err}");
     }
 
     #[test]
     fn shard_queues_tile_the_stream() {
         let w = workload();
         let plan = ShardPlan::new(64, 5);
-        let queues: Vec<Vec<crate::recorder::LlcAccess>> = (0..plan.shards())
+        let queues: Vec<Vec<LlcAccess>> = (0..plan.shards())
             .map(|s| shard_queue(&w.llc, &plan, s))
             .collect();
         assert_eq!(queues.iter().map(Vec::len).sum::<usize>(), w.llc.len());

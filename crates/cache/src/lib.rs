@@ -59,17 +59,16 @@ pub mod policy;
 pub mod recorder;
 pub mod replay;
 pub mod reuse;
-pub mod sampling;
 pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, CacheCore};
 pub use config::CacheConfig;
-pub use kernel::{replay_sharded, SerialRunner, ShardError, ShardPlan, ShardRunner, ThreadRunner};
+pub use kernel::{replay_sharded, ShardError, ShardPlan};
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
 pub use replay::{
-    replay, replay_segment, replay_with_probe, Fingerprint, Outcomes, ReplayProbe, ReplayResult,
-    SampledReplayResult, SegmentError, SplitHitsError, WindowFingerprint, FINGERPRINT_FEATURES,
+    replay, replay_spans, replay_with_probe, Fingerprint, Outcomes, ReplayProbe, ReplayResult,
+    SampledReplayResult, Span, SpanError, SplitHitsError, WindowFingerprint, FINGERPRINT_FEATURES,
 };
 pub use stats::CacheStats;

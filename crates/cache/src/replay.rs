@@ -45,7 +45,8 @@ impl ReplayResult {
 /// delegates to `on_access`. [`replay_with_probe`] always drives
 /// `on_access_detail`, so either entry point sees every access.
 pub trait ReplayProbe {
-    /// Called once per access with its stream index and outcome.
+    /// Called once per access with its outcome and its index among the
+    /// replay's measured outcomes: its stream position in an exact replay.
     fn on_access(&mut self, index: usize, hit: bool);
 
     /// Called once per access with the access itself alongside its
@@ -559,7 +560,7 @@ pub enum Outcomes<'a> {
     /// Append each outcome to the map.
     Record(&'a mut HitMap),
     /// Append each outcome to the map and report it, with its index in the
-    /// replayed slice and the access itself, to the probe.
+    /// map and the access itself, to the probe.
     Probe(&'a mut HitMap, &'a mut dyn ReplayProbe),
 }
 
@@ -601,66 +602,119 @@ pub fn replay_with_probe(
     }
 }
 
-/// A warmup/measure segment handed to [`replay_segment`] does not fit the
-/// stream: the ranges are not contiguous or run past the stream's end.
+/// One stretch of a replay, in stream positions: the accesses
+/// `warmup_start..measure_start` only warm the cache, and the outcomes of
+/// `measure_start..measure_end` are measured.
+///
+/// Every replay is a list of spans run in order on one persistent cache:
+/// an exact replay is the single span [`Span::whole`], and a sampled
+/// replay is a plan's segment schedule (`sdbp-sample`). The list runs
+/// serially through [`replay_spans`] or sharded by set through
+/// [`replay_sharded`](crate::kernel::replay_sharded).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentError {
-    /// Start of the warmup range.
+pub struct Span {
+    /// First warm-up access.
     pub warmup_start: usize,
-    /// Start of the measured range (must equal the warmup range's end).
+    /// First measured access, one past the last warm-up access.
     pub measure_start: usize,
-    /// End of the measured range.
+    /// One past the last measured access.
     pub measure_end: usize,
+}
+
+impl Span {
+    /// All `len` accesses of a stream, measured, with no warm-up.
+    pub const fn whole(len: usize) -> Span {
+        Span {
+            warmup_start: 0,
+            measure_start: 0,
+            measure_end: len,
+        }
+    }
+
+    /// The span's warm-up and measured accesses of `stream`.
+    ///
+    /// # Errors
+    ///
+    /// [`SpanError`] when the ranges are out of order or overrun the
+    /// stream.
+    pub fn slices<'s>(
+        &self,
+        stream: &'s [LlcAccess],
+    ) -> Result<(&'s [LlcAccess], &'s [LlcAccess]), SpanError> {
+        let warmup = stream.get(self.warmup_start..self.measure_start);
+        let measured = stream.get(self.measure_start..self.measure_end);
+        warmup.zip(measured).ok_or(SpanError {
+            span: *self,
+            stream_len: stream.len(),
+        })
+    }
+}
+
+/// A [`Span`] does not fit its stream: its ranges are out of order or run
+/// past the stream's end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanError {
+    /// The misfit span.
+    pub span: Span,
     /// Accesses in the stream.
     pub stream_len: usize,
 }
 
-impl std::fmt::Display for SegmentError {
+impl std::fmt::Display for SpanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Span {
+            warmup_start,
+            measure_start,
+            measure_end,
+        } = self.span;
         write!(
             f,
-            "segment [{}..{}..{}) does not fit a {}-access stream",
-            self.warmup_start, self.measure_start, self.measure_end, self.stream_len
+            "span [{warmup_start}..{measure_start}..{measure_end}) does not fit a {}-access stream",
+            self.stream_len
         )
     }
 }
 
-impl std::error::Error for SegmentError {}
+impl std::error::Error for SpanError {}
 
-/// Replays one sampled segment: the warmup range `warmup_start..
-/// measure_start` unmeasured (it only populates `cache`'s state), then the
-/// measured range `measure_start..measure_end`, returning the measured
-/// range's hit pattern. `cache` should be fresh — the sampling plane
-/// replays each representative on its own cold-started cache, exactly as
-/// SimPoint-style interval simulation warms each interval independently.
+/// Replays `spans` of `stream` in list order on `cache`, which persists
+/// across them: tags and policy state carry from one span into the next,
+/// as they would over the accesses a sampled replay skips. Each span's
+/// warm-up runs unmeasured, then its measured range runs into the result.
+///
+/// The result holds the cache's counters, warm-up accesses included, and
+/// the measured outcomes of every span, concatenated in span order.
+/// `probe`, when given, sees each measured access with its index in that
+/// concatenated map, which for [`Span::whole`] is its stream position.
 ///
 /// # Errors
 ///
-/// Returns [`SegmentError`] when the ranges are out of order or overrun
-/// the stream.
-pub fn replay_segment(
+/// [`SpanError`] for the first span that does not fit `stream`.
+pub fn replay_spans(
     stream: &[LlcAccess],
-    warmup_start: usize,
-    measure_start: usize,
-    measure_end: usize,
+    spans: &[Span],
     cache: &mut Cache,
-) -> Result<HitMap, SegmentError> {
-    let misfit = SegmentError {
-        warmup_start,
-        measure_start,
-        measure_end,
-        stream_len: stream.len(),
-    };
-    if warmup_start > measure_start || measure_start > measure_end {
-        return Err(misfit);
+    mut probe: Option<&mut dyn ReplayProbe>,
+) -> Result<ReplayResult, SpanError> {
+    let measured_len = spans
+        .iter()
+        .map(|s| s.measure_end.saturating_sub(s.measure_start))
+        .sum();
+    let mut hits = HitMap::with_capacity(measured_len);
+    for span in spans {
+        let (warmup, measured) = span.slices(stream)?;
+        cache.run(warmup, Outcomes::Discard);
+        let outcomes = match probe.as_deref_mut() {
+            Some(probe) => Outcomes::Probe(&mut hits, probe),
+            None => Outcomes::Record(&mut hits),
+        };
+        cache.run(measured, outcomes);
     }
-    let warmup = stream.get(warmup_start..measure_start).ok_or(misfit)?;
-    let measured = stream.get(measure_start..measure_end).ok_or(misfit)?;
-    cache.run(warmup, Outcomes::Discard);
-    let mut hits = HitMap::with_capacity(measured.len());
-    cache.run(measured, Outcomes::Record(&mut hits));
     cache.finish();
-    Ok(hits)
+    Ok(ReplayResult {
+        stats: cache.stats(),
+        hits,
+    })
 }
 
 /// Outcome of a sampled (representative-interval) replay: the
@@ -989,18 +1043,35 @@ mod tests {
 
     #[test]
     fn segment_replay_matches_full_replay_prefix() {
-        // Warming from the stream start makes a segment's measured pattern
-        // identical to the same range of a full replay.
+        // Spans chained end to start replay every access once, in order,
+        // so their measured bits are the same ranges of a full replay.
         let w = workload();
         let config = CacheConfig::new(64, 8);
         let full = replay(&w.llc, &mut Cache::new(config));
-        let (a, b) = (w.llc.len() / 3, 2 * w.llc.len() / 3);
-        let pattern =
-            replay_segment(&w.llc, 0, a, b, &mut Cache::new(config)).expect("segment fits");
-        assert_eq!(pattern.len(), b - a);
-        for (i, bit) in pattern.iter().enumerate() {
-            assert_eq!(Some(bit), full.hits.get(a + i), "divergence at offset {i}");
-        }
+        let n = w.llc.len();
+        let (a, b, c) = (n / 4, n / 2, 3 * n / 4);
+        let spans = [
+            Span {
+                warmup_start: 0,
+                measure_start: a,
+                measure_end: b,
+            },
+            Span {
+                warmup_start: b,
+                measure_start: c,
+                measure_end: n,
+            },
+        ];
+        let r = replay_spans(&w.llc, &spans, &mut Cache::new(config), None).expect("spans fit");
+        let expected: HitMap = (a..b)
+            .chain(c..n)
+            .filter_map(|i| full.hits.get(i))
+            .collect();
+        assert_eq!(r.hits, expected);
+        assert_eq!(r.stats.accesses, n as u64, "warm-ups count as accesses");
+        let whole = replay_spans(&w.llc, &[Span::whole(n)], &mut Cache::new(config), None)
+            .expect("the whole stream fits");
+        assert_eq!(whole, full);
     }
 
     #[test]
@@ -1014,9 +1085,21 @@ mod tests {
             (0, 10, n + 1),
             (n + 1, n + 2, n + 3),
         ] {
-            let err = replay_segment(&w.llc, ws, ms, me, &mut Cache::new(config))
+            let span = Span {
+                warmup_start: ws,
+                measure_start: ms,
+                measure_end: me,
+            };
+            let spans = [Span::whole(n / 2), span];
+            let err = replay_spans(&w.llc, &spans, &mut Cache::new(config), None)
                 .expect_err("misfit must be a typed error");
-            assert_eq!(err.stream_len, n);
+            assert_eq!(
+                err,
+                SpanError {
+                    span,
+                    stream_len: n
+                }
+            );
             assert!(err.to_string().contains("does not fit"));
         }
     }

@@ -16,13 +16,16 @@
 //!   set-local (`shardable`, DESIGN.md §13); everything else runs the
 //!   serial kernel, and [`ReplayOutcome::shards`] reports the count that
 //!   actually ran;
-//! * it dispatches to the existing kernels — [`replay`] /
-//!   [`replay_with_probe`] or [`replay_sharded`] for exact replay,
-//!   [`replay_sampled`] or [`replay_sampled_sharded`] for sampled.
+//! * it turns the mode into a [`Span`] list — the whole stream for an
+//!   exact replay, the plan's [`segment_schedule`] for a sampled one —
+//!   and runs that list through the one replay kernel: serially with
+//!   [`replay_spans`], or sharded by set with [`replay_sharded`];
+//! * a sampled replay's measured outcomes then extrapolate to the whole
+//!   stream through [`assemble`].
 //!
-//! One-shard requests never enter the sharded loops: those copy the
+//! One-shard requests never enter the sharded loop: it copies the
 //! stream into per-shard queues and measured 1.1–1.24× slower than the
-//! serial kernels at one shard.
+//! serial loop at one shard.
 //!
 //! ```
 //! use sdbp::replay::{ReplayMode, ReplayRequest};
@@ -48,12 +51,12 @@
 //! ```
 
 use crate::registry::{standard, PolicySpec, SpecError};
-use sdbp_cache::kernel::{replay_sharded, ShardError, ShardPlan, ThreadRunner};
+use sdbp_cache::kernel::{replay_sharded, ShardError, ShardPlan};
 use sdbp_cache::meta::HitMap;
 use sdbp_cache::recorder::LlcAccess;
-use sdbp_cache::replay::{replay, replay_with_probe, ReplayProbe};
+use sdbp_cache::replay::{replay_spans, ReplayProbe, Span, SpanError};
 use sdbp_cache::{Cache, CacheConfig, CacheStats};
-use sdbp_sample::{replay_sampled, replay_sampled_sharded, SampleError, SamplingPlan};
+use sdbp_sample::{assemble, segment_schedule, SampleError, SamplingPlan, Schedule};
 use std::fmt;
 
 /// How a [`ReplayRequest`] replays its stream.
@@ -137,10 +140,12 @@ pub struct ReplayOutcome {
 pub enum ReplayError {
     /// The spec names no registry policy or its parameters are invalid.
     Spec(SpecError),
+    /// A span of the serial replay does not fit the stream (a schedule
+    /// bug).
+    Span(SpanError),
     /// The sharded kernel could not assemble its result.
     Shard(ShardError),
-    /// The sampling plan does not fit the stream, or a sharded sampled
-    /// replay could not assemble its result.
+    /// The sampling plan does not fit the stream.
     Sample(SampleError),
 }
 
@@ -148,6 +153,7 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::Spec(e) => e.fmt(f),
+            ReplayError::Span(e) => e.fmt(f),
             ReplayError::Shard(e) => write!(f, "shard merge: {e}"),
             ReplayError::Sample(e) => e.fmt(f),
         }
@@ -158,6 +164,7 @@ impl std::error::Error for ReplayError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReplayError::Spec(e) => Some(e),
+            ReplayError::Span(e) => Some(e),
             ReplayError::Shard(e) => Some(e),
             ReplayError::Sample(e) => Some(e),
         }
@@ -177,7 +184,8 @@ impl ReplayRequest<'_> {
     ///
     /// [`ReplayError::Spec`] for an unknown or invalid policy spec,
     /// [`ReplayError::Sample`] for a plan built for another stream, and
-    /// [`ReplayError::Shard`] if a sharded merge fails (a kernel bug).
+    /// [`ReplayError::Span`] or [`ReplayError::Shard`] if the kernel
+    /// cannot fit a span or merge its shards (a kernel bug).
     pub fn run(self) -> Result<ReplayOutcome, ReplayError> {
         let ReplayRequest {
             stream,
@@ -191,53 +199,44 @@ impl ReplayRequest<'_> {
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;
         let built = (entry.build)(spec, llc, 1)?;
-        let fresh = move || {
-            let policy = (entry.build)(spec, llc, 1).expect("spec validated above");
-            Cache::with_policy(llc, policy)
-        };
         let shards = if entry.shardable {
             shards.clamp(1, llc.sets.max(1))
         } else {
             1
         };
-        if shards == 1 {
+        let (probe, plan) = match mode {
+            ReplayMode::Exact { probe } => (probe, None),
+            ReplayMode::Sampled(plan) => (None, Some(plan)),
+        };
+        let schedule = plan
+            .map(|plan| segment_schedule(stream.len(), plan))
+            .transpose()
+            .map_err(ReplayError::Sample)?;
+        let whole = [Span::whole(stream.len())];
+        let spans = schedule.as_ref().map_or(&whole[..], Schedule::spans);
+        let result = if shards == 1 {
             let mut cache = Cache::with_policy(llc, built);
-            return match mode {
-                ReplayMode::Exact { probe: Some(probe) } => {
-                    Ok(exact(replay_with_probe(stream, &mut cache, probe), 1))
-                }
-                ReplayMode::Exact { probe: None } => Ok(exact(replay(stream, &mut cache), 1)),
-                ReplayMode::Sampled(plan) => {
-                    // `replay_sampled` asks for its one cold cache once.
-                    let mut cache = Some(cache);
-                    replay_sampled(stream, plan, || cache.take().unwrap_or_else(fresh))
-                        .map(|result| sampled(result, 1))
-                        .map_err(ReplayError::Sample)
-                }
+            replay_spans(stream, spans, &mut cache, probe).map_err(ReplayError::Span)?
+        } else {
+            let fresh = move || {
+                let policy = (entry.build)(spec, llc, 1).expect("spec validated above");
+                Cache::with_policy(llc, policy)
             };
-        }
-        let plan = ShardPlan::new(llc.sets, shards);
-        match mode {
-            ReplayMode::Exact { probe } => {
-                replay_sharded(stream, &plan, &fresh, &ThreadRunner, probe)
-                    .map(|result| exact(result, shards))
-                    .map_err(ReplayError::Shard)
-            }
-            ReplayMode::Sampled(sampling) => {
-                replay_sampled_sharded(stream, sampling, &plan, &fresh, &ThreadRunner)
-                    .map(|result| sampled(result, shards))
-                    .map_err(ReplayError::Sample)
-            }
-        }
-    }
-}
-
-fn exact(result: sdbp_cache::ReplayResult, shards: usize) -> ReplayOutcome {
-    ReplayOutcome {
-        stats: result.stats,
-        hits: result.hits,
-        sampled: None,
-        shards,
+            let plan = ShardPlan::new(llc.sets, shards);
+            replay_sharded(stream, spans, &plan, &fresh, probe).map_err(ReplayError::Shard)?
+        };
+        Ok(match plan.zip(schedule) {
+            None => ReplayOutcome {
+                stats: result.stats,
+                hits: result.hits,
+                sampled: None,
+                shards,
+            },
+            Some((plan, schedule)) => sampled(
+                assemble(stream.len(), plan, &schedule, &result.hits),
+                shards,
+            ),
+        })
     }
 }
 

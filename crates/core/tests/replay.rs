@@ -1,5 +1,5 @@
 //! The replay front door (`sdbp::replay`), table-driven: every
-//! `standard()` policy × {exact, sampled} × shards {1, 3} must equal the
+//! `standard()` policy × {exact, sampled} × shards {1, 3, 7} must equal the
 //! serial primitive (`replay` / `replay_sampled`) bit for bit, report one
 //! effective shard exactly when the policy is not set-local, and bad
 //! specs must come back as typed errors.
@@ -9,7 +9,7 @@ use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest};
 use sdbp_cache::recorder::{record, LlcAccess, RecordedWorkload};
 use sdbp_cache::replay::{replay, WindowMisses};
 use sdbp_cache::{Cache, CacheConfig};
-use sdbp_sample::{build_plan, replay_sampled, PlanConfig, SamplingPlan};
+use sdbp_sample::{build_plan, replay_sampled, segment_schedule, PlanConfig, SamplingPlan};
 use sdbp_trace::kernel::KernelSpec;
 use sdbp_trace::TraceBuilder;
 
@@ -75,14 +75,36 @@ fn run(
 fn door_matches_the_serial_primitives_for_every_policy_mode_and_shard_count() {
     let w = workload();
     let llc = CacheConfig::new(64, 8);
-    let plan = build_plan(&w, llc, &PlanConfig::default().with_window(2048).with_k(4));
+    // Two warm-up windows, so that adjacent segments chain: the sampled
+    // cases must cover gaps and chained warm-ups — the plan skips
+    // windows, and some segment's warm-up is clipped by the end of the
+    // segment before it.
+    let config = PlanConfig {
+        warmup_windows: 2,
+        ..PlanConfig::default().with_window(2048).with_k(4)
+    };
+    let plan = build_plan(&w, llc, &config);
+    let schedule = segment_schedule(w.llc.len(), &plan).expect("plan fits its own stream");
+    assert!(
+        schedule.replayed() < w.llc.len() as u64,
+        "the plan skips no window"
+    );
+    let full_warmup = plan.warmup_windows as usize * plan.window as usize;
+    assert!(
+        schedule.spans().windows(2).any(|pair| {
+            pair[1].warmup_start == pair[0].measure_end
+                && pair[1].measure_start - pair[1].warmup_start < full_warmup
+        }),
+        "no warm-up is clipped by the previous segment: {:?}",
+        schedule.spans()
+    );
     let registry = standard();
     assert_eq!(registry.entries().len(), 15);
     for entry in registry.entries() {
         let spec = PolicySpec::plain(entry.name);
         let set_local = SET_LOCAL.contains(&entry.name);
         for mode in [Mode::Exact, Mode::Sampled] {
-            for shards in [1usize, 3] {
+            for shards in [1usize, 3, 7] {
                 let case = format!("{} {mode:?} x{shards}", entry.name);
                 let (outcome, windows) = run(&w.llc, llc, &spec, mode, &plan, shards);
                 assert_eq!(

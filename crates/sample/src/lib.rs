@@ -28,8 +28,9 @@
 //!    phase, and a stated relative-error bound persist as a versioned,
 //!    checksummed `.sdbs` file; corruption surfaces as a typed
 //!    [`PlanError`], never a panic.
-//! 4. **Sampled replay** ([`sampled`]): only the representatives run
-//!    (each warmed on a fresh cache), their hit patterns tile the full
+//! 4. **Sampled replay** ([`sampled`]): only the representatives run,
+//!    as a span schedule on one persistent cache through the same replay
+//!    kernel an exact replay uses; their hit patterns tile the full
 //!    stream, and the extrapolated
 //!    [`SampledReplayResult`](sdbp_cache::SampledReplayResult) plugs into
 //!    everything an exact replay feeds — at 10–100× less replay work.
@@ -57,4 +58,6 @@ pub mod sampled;
 pub use builder::{build_plan, PlanConfig, DEFAULT_PLAN_SEED};
 pub use kmeans::{cluster, Clustering, KmeansConfig};
 pub use plan::{PlanError, SamplingPlan, MAX_SOURCE_LEN, PLAN_MAGIC, PLAN_VERSION};
-pub use sampled::{calibrate_bound, replay_sampled, replay_sampled_sharded, SampleError};
+pub use sampled::{
+    assemble, calibrate_bound, replay_sampled, segment_schedule, SampleError, Schedule,
+};

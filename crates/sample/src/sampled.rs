@@ -2,26 +2,30 @@
 //! their measured hit patterns across the whole stream to extrapolate
 //! full-trace behaviour.
 //!
-//! The representatives are replayed **in stream order on one persistent
-//! cache** (supplied cold by the caller's factory, so any policy works),
-//! each with its warmup windows driven unmeasured first. The warmup
-//! re-warms the tag array after every skip, while policy-internal
-//! learning state — dead block predictors, set-dueling counters, RRIP
-//! adaptation — accumulates across segments exactly as it would over the
-//! full stream. Replaying each segment on an independent cold cache
-//! instead (the plain SimPoint discipline) systematically overestimates
-//! misses for learning policies, whose predictors never get past their
-//! training phase inside a single segment. The synthesized full-length
-//! [`HitMap`] means everything downstream of an exact replay (miss
-//! counts, MPKI, per-core splits, the timing model) consumes a sampled
-//! result unchanged.
+//! A sampled replay is a schedule plus an extrapolation around the one
+//! replay kernel. [`segment_schedule`] lays the plan's representatives
+//! out as a [`Span`] list in stream order, each span a few warm-up
+//! windows followed by its measured window; the kernel replays that list
+//! like any other, serially ([`replay_spans`]) or sharded by set
+//! ([`replay_sharded`](sdbp_cache::kernel::replay_sharded)); and
+//! [`assemble`] tiles the measured bits over every window of the stream.
+//!
+//! The spans run **on one persistent cache** (supplied cold by the
+//! caller's factory, so any policy works). The warm-up re-warms the tag
+//! array after every skip, while policy-internal learning state — dead
+//! block predictors, set-dueling counters, RRIP adaptation — accumulates
+//! across segments exactly as it would over the full stream. Replaying
+//! each segment on an independent cold cache instead (the plain SimPoint
+//! discipline) systematically overestimates misses for learning
+//! policies, whose predictors never get past their training phase inside
+//! a single segment. The synthesized full-length [`HitMap`] means
+//! everything downstream of an exact replay (miss counts, MPKI, per-core
+//! splits, the timing model) consumes a sampled result unchanged.
 
 use crate::plan::{PlanError, SamplingPlan};
-use sdbp_cache::kernel::{ShardError, ShardPlan, ShardRunner};
 use sdbp_cache::meta::HitMap;
-use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
-use sdbp_cache::replay::{replay, replay_segment, SegmentError};
+use sdbp_cache::replay::{replay, replay_spans, Span, SpanError};
 use sdbp_cache::{Cache, SampledReplayResult};
 use std::fmt;
 
@@ -37,12 +41,9 @@ pub enum SampleError {
     },
     /// The plan itself is structurally invalid.
     Plan(PlanError),
-    /// A representative's segment did not fit the stream (implies a plan
-    /// geometry bug; [`SamplingPlan::validate`] should have caught it).
-    Segment(SegmentError),
-    /// The sharded variant's set partition did not fit the cache
-    /// geometry or its shard results did not tile the stream.
-    Shard(ShardError),
+    /// A scheduled span did not fit the stream (implies a plan geometry
+    /// bug; [`SamplingPlan::validate`] should have caught it).
+    Span(SpanError),
 }
 
 impl fmt::Display for SampleError {
@@ -56,8 +57,7 @@ impl fmt::Display for SampleError {
                 "plan was built for a {plan_len}-access stream, got {stream_len} accesses"
             ),
             SampleError::Plan(e) => write!(f, "sampled replay rejected plan: {e}"),
-            SampleError::Segment(e) => write!(f, "sampled replay segment misfit: {e}"),
-            SampleError::Shard(e) => write!(f, "sharded sampled replay: {e}"),
+            SampleError::Span(e) => write!(f, "sampled replay span misfit: {e}"),
         }
     }
 }
@@ -66,16 +66,9 @@ impl std::error::Error for SampleError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SampleError::Plan(e) => Some(e),
-            SampleError::Segment(e) => Some(e),
-            SampleError::Shard(e) => Some(e),
+            SampleError::Span(e) => Some(e),
             SampleError::StreamMismatch { .. } => None,
         }
-    }
-}
-
-impl From<ShardError> for SampleError {
-    fn from(e: ShardError) -> Self {
-        SampleError::Shard(e)
     }
 }
 
@@ -85,18 +78,19 @@ impl From<PlanError> for SampleError {
     }
 }
 
-impl From<SegmentError> for SampleError {
-    fn from(e: SegmentError) -> Self {
-        SampleError::Segment(e)
+impl From<SpanError> for SampleError {
+    fn from(e: SpanError) -> Self {
+        SampleError::Span(e)
     }
 }
 
 /// Replays only `plan`'s representative segments of `stream`,
-/// extrapolating a full-stream [`SampledReplayResult`]. `fresh` must
-/// yield a cold cache configured with the policy under study; it is
-/// called once, and the cache then persists across all representative
-/// segments (visited in stream order) so learning policies keep their
-/// accumulated predictor state between skips.
+/// extrapolating a full-stream [`SampledReplayResult`]: the schedule,
+/// the serial span loop on one cache from `fresh`, then [`assemble`].
+/// `fresh` must yield a cold cache configured with the policy under
+/// study; it is called once, and the cache persists across all
+/// representative segments so learning policies keep their accumulated
+/// predictor state between skips.
 ///
 /// # Errors
 ///
@@ -108,50 +102,46 @@ pub fn replay_sampled<F: FnMut() -> Cache>(
     plan: &SamplingPlan,
     mut fresh: F,
 ) -> Result<SampledReplayResult, SampleError> {
-    let (segments, replayed) = segment_schedule(stream.len(), plan)?;
-
-    let mut patterns: Vec<Vec<bool>> = vec![Vec::new(); plan.representatives.len()];
-    let mut cache = fresh();
-    for seg in &segments {
-        let pattern = replay_segment(
-            stream,
-            seg.warmup_start,
-            seg.measure_start,
-            seg.measure_end,
-            &mut cache,
-        )?;
-        if let Some(slot) = patterns.get_mut(seg.cluster) {
-            *slot = pattern.iter().collect();
-        }
-    }
-    Ok(assemble(stream.len(), plan, &patterns, replayed))
+    let schedule = segment_schedule(stream.len(), plan)?;
+    let measured = replay_spans(stream, schedule.spans(), &mut fresh(), None)?;
+    Ok(assemble(stream.len(), plan, &schedule, &measured.hits))
 }
 
-/// One representative segment's replay ranges, in stream order: warmup
-/// (unmeasured) first, then the measured window.
-struct Segment {
-    /// Index into `plan.representatives` (the cluster this window's
-    /// pattern will tile).
-    cluster: usize,
-    /// First warmup access.
-    warmup_start: usize,
-    /// First measured access.
-    measure_start: usize,
-    /// One past the last measured access.
-    measure_end: usize,
+/// A plan laid out over its stream: the spans a sampled replay runs, in
+/// stream order, and the cluster whose windows each span's measured
+/// window stands for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Schedule {
+    spans: Vec<Span>,
+    replayed: u64,
+    /// The cluster of each span, index-aligned with `spans`.
+    clusters: Vec<usize>,
+}
+
+impl Schedule {
+    /// One span per representative, in stream order, chained so no
+    /// access is replayed twice: a span's warm-up starts at or after the
+    /// previous span's end.
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
+    }
+
+    /// Accesses the spans replay, warm-ups included: the work paid.
+    pub const fn replayed(&self) -> u64 {
+        self.replayed
+    }
 }
 
 /// Validates `plan` against a stream of `stream_len` accesses and lays
-/// out the representative segments **in stream order**, chained so no
-/// access is ever replayed twice (a later segment's warmup starts at or
-/// after the previous segment's end). Returns the segments plus the
-/// total replayed-access count — the serial work-accounting formula,
-/// shared verbatim with [`replay_sampled_sharded`] so both paths report
-/// identical `replayed` numbers.
-fn segment_schedule(
-    stream_len: usize,
-    plan: &SamplingPlan,
-) -> Result<(Vec<Segment>, u64), SampleError> {
+/// out its representative segments as a [`Schedule`]: each measured
+/// window preceded by up to `plan.warmup_windows` windows of warm-up,
+/// clipped at the previous segment's end.
+///
+/// # Errors
+///
+/// [`SampleError`] when the plan is invalid or was built for a stream of
+/// another length.
+pub fn segment_schedule(stream_len: usize, plan: &SamplingPlan) -> Result<Schedule, SampleError> {
     plan.validate()?;
     if stream_len as u64 != plan.source_len {
         return Err(SampleError::StreamMismatch {
@@ -172,7 +162,8 @@ fn segment_schedule(
         .collect();
     order.sort_unstable();
 
-    let mut segments = Vec::with_capacity(order.len());
+    let mut spans = Vec::with_capacity(order.len());
+    let mut clusters = Vec::with_capacity(order.len());
     let mut replayed = 0u64;
     let mut prev_end = 0usize;
     for (rep, cluster) in order {
@@ -192,39 +183,53 @@ fn segment_schedule(
         let warmup_start = measure_start
             .saturating_sub(warmup.saturating_mul(window))
             .max(prev_end);
-        replayed += (measure_end - warmup_start) as u64;
+        replayed += measure_end.saturating_sub(warmup_start) as u64;
         prev_end = measure_end;
-        segments.push(Segment {
-            cluster,
+        spans.push(Span {
             warmup_start,
             measure_start,
             measure_end,
         });
+        clusters.push(cluster);
     }
-    Ok((segments, replayed))
+    Ok(Schedule {
+        spans,
+        replayed,
+        clusters,
+    })
 }
 
-/// Tiles each window with its cluster representative's measured pattern
-/// and wraps the result — the shared back half of both replay variants.
-/// The tail window may be shorter than its representative (truncate) or —
-/// when the tail itself represents a singleton cluster — longer than
-/// it (cycle).
-fn assemble(
+/// Extrapolates a sampled replay of a `stream_len`-access stream: tiles
+/// each of `plan`'s windows with its cluster's measured pattern, cut from
+/// `measured` — the concatenated measured outcomes of `schedule`'s spans,
+/// as the replay kernel returns them. The tail window may be shorter than
+/// its representative (truncate) or — when the tail itself represents a
+/// singleton cluster — longer than it (cycle). A cluster with no measured
+/// bits tiles as misses.
+pub fn assemble(
     stream_len: usize,
     plan: &SamplingPlan,
-    patterns: &[Vec<bool>],
-    replayed: u64,
+    schedule: &Schedule,
+    measured: &HitMap,
 ) -> SampledReplayResult {
+    let mut patterns = vec![0..0; plan.representatives.len()];
+    let mut offset = 0;
+    for (span, &cluster) in schedule.spans.iter().zip(&schedule.clusters) {
+        let len = span.measure_end.saturating_sub(span.measure_start);
+        if let Some(pattern) = patterns.get_mut(cluster) {
+            *pattern = offset..offset + len;
+        }
+        offset += len;
+    }
     let window = plan.window as usize;
     let mut hits = HitMap::with_capacity(stream_len);
     for (w, &c) in plan.assignment.iter().enumerate() {
         let start = w.saturating_mul(window).min(stream_len);
         let len = window.min(stream_len - start);
-        let pattern = patterns.get(c as usize);
+        let pattern = patterns.get(c as usize).filter(|p| !p.is_empty());
         for i in 0..len {
             let bit = pattern
-                .filter(|p| !p.is_empty())
-                .and_then(|p| p.get(i % p.len()).copied())
+                .and_then(|p| measured.get(p.start + i % p.len()))
                 .unwrap_or(false);
             hits.push(bit);
         }
@@ -236,131 +241,9 @@ fn assemble(
         rel_error: None,
         bound: plan.bound,
         hits,
-        replayed,
+        replayed: schedule.replayed,
         total: stream_len as u64,
     }
-}
-
-/// The sharded variant of [`replay_sampled`]: each shard keeps its own
-/// **persistent** cache and replays every representative segment in
-/// stream order, filtered to the shard's set range — predictor and
-/// replacement state still carries across skips in stream order, per
-/// shard. Each segment's measured bits are then re-interleaved by
-/// cursor-walking the original stream (the same merge discipline as
-/// [`replay_sharded`](sdbp_cache::kernel::replay_sharded) — shard
-/// results are consumed by shard *index*, never by completion order), and the
-/// extrapolation tiles exactly as the serial path does, reporting the
-/// serial `replayed` work count.
-///
-/// **Exactness requires a set-local policy** (the registry's
-/// `shardable` flag): with per-set state, an access's outcome depends
-/// only on earlier same-set accesses, all of which its shard replays in
-/// order, so the result is bit-identical to [`replay_sampled`] at every
-/// shard count. The replay front door (`sdbp::replay`) falls back to
-/// the serial path for policies with global state (RNG, set dueling,
-/// shared predictor tables).
-///
-/// # Errors
-///
-/// The same [`SampleError`]s as [`replay_sampled`], plus
-/// [`SampleError::Shard`] when the shard plan's set count disagrees
-/// with the factory's cache geometry.
-pub fn replay_sampled_sharded<R: ShardRunner>(
-    stream: &[LlcAccess],
-    plan: &SamplingPlan,
-    shard_plan: &ShardPlan,
-    fresh: &(dyn Fn() -> Cache + Sync),
-    runner: &R,
-) -> Result<SampledReplayResult, SampleError> {
-    let (segments, replayed) = segment_schedule(stream.len(), plan)?;
-    let sets = fresh().config().sets;
-    if sets != shard_plan.sets() {
-        return Err(SampleError::Shard(ShardError::Geometry {
-            plan_sets: shard_plan.sets(),
-            cache_sets: sets,
-        }));
-    }
-    // Validate every segment range once, up front, so the per-shard
-    // loops can slice with silent-skip fallbacks that never trigger.
-    for seg in &segments {
-        if seg.warmup_start > seg.measure_start
-            || seg.measure_start > seg.measure_end
-            || stream.get(seg.warmup_start..seg.measure_end).is_none()
-        {
-            return Err(SampleError::Segment(SegmentError {
-                warmup_start: seg.warmup_start,
-                measure_start: seg.measure_start,
-                measure_end: seg.measure_end,
-                stream_len: stream.len(),
-            }));
-        }
-    }
-
-    // Fan out: shard `s` replays its subsequence of every segment on one
-    // persistent cache, returning per-segment measured bits in shard-
-    // local stream order.
-    let segments = &segments;
-    let tasks: Vec<Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>> = (0..shard_plan.shards())
-        .map(|shard| {
-            Box::new(move || {
-                let mut cache = fresh();
-                let mut measured: Vec<Vec<bool>> = Vec::with_capacity(segments.len());
-                for seg in segments {
-                    let mut bits = Vec::new();
-                    let span = stream
-                        .get(seg.warmup_start..seg.measure_end)
-                        .unwrap_or_default();
-                    for (offset, a) in span.iter().enumerate() {
-                        if shard_plan.shard_of(a.block.set_index(sets)) != shard {
-                            continue;
-                        }
-                        let access = Access::demand(a.pc, a.block, a.kind, a.core);
-                        let hit = cache.access(&access).is_hit();
-                        if seg.warmup_start + offset >= seg.measure_start {
-                            bits.push(hit);
-                        }
-                    }
-                    // Segment boundary: flush efficiency bookkeeping the
-                    // same way `replay_segment` does on the serial path.
-                    cache.finish();
-                    measured.push(bits);
-                }
-                measured
-            }) as Box<dyn FnOnce() -> Vec<Vec<bool>> + Send + '_>
-        })
-        .collect();
-    let shard_bits = runner.run(tasks);
-
-    // Merge each segment's measured window by cursor-walking the
-    // original stream, consuming shard results strictly by shard index.
-    let mut patterns: Vec<Vec<bool>> = vec![Vec::new(); plan.representatives.len()];
-    for (seg_index, seg) in segments.iter().enumerate() {
-        let mut cursors = vec![0usize; shard_bits.len()];
-        let span = stream
-            .get(seg.measure_start..seg.measure_end)
-            .unwrap_or_default();
-        let mut pattern = Vec::with_capacity(span.len());
-        for a in span {
-            let shard = shard_plan.shard_of(a.block.set_index(sets));
-            let bit = shard_bits
-                .get(shard)
-                .and_then(|segs| segs.get(seg_index))
-                .zip(cursors.get_mut(shard))
-                .and_then(|(bits, cursor)| {
-                    let bit = bits.get(*cursor).copied();
-                    *cursor += 1;
-                    bit
-                });
-            let Some(bit) = bit else {
-                return Err(SampleError::Shard(ShardError::HitsExhausted { shard }));
-            };
-            pattern.push(bit);
-        }
-        if let Some(slot) = patterns.get_mut(seg.cluster) {
-            *slot = pattern;
-        }
-    }
-    Ok(assemble(stream.len(), plan, &patterns, replayed))
 }
 
 /// Widens `plan`'s stated error bound to cover the sampled-vs-exact
@@ -411,7 +294,6 @@ mod tests {
     use super::*;
     use crate::builder::{build_plan, PlanConfig};
     use sdbp_cache::recorder::record;
-    use sdbp_cache::replay::replay;
     use sdbp_cache::CacheConfig;
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
@@ -459,43 +341,34 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sampled_replay_is_bit_identical_to_serial() {
-        use sdbp_cache::kernel::{SerialRunner, ThreadRunner};
+    fn schedule_chains_spans_in_stream_order() {
         let w = workload();
         let llc = CacheConfig::new(64, 8);
         let plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(6));
-        let serial = replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
-        let fresh: &(dyn Fn() -> Cache + Sync) = &move || Cache::new(llc);
-        for shards in [1usize, 3, 8] {
-            let shard_plan = ShardPlan::new(llc.sets, shards);
-            let a = replay_sampled_sharded(&w.llc, &plan, &shard_plan, fresh, &SerialRunner)
-                .expect("plan applies");
-            let b = replay_sampled_sharded(&w.llc, &plan, &shard_plan, fresh, &ThreadRunner)
-                .expect("plan applies");
-            assert_eq!(a, serial, "SerialRunner diverged at {shards} shards");
-            assert_eq!(b, serial, "ThreadRunner diverged at {shards} shards");
+        let schedule = segment_schedule(w.llc.len(), &plan).expect("plan fits its stream");
+        assert_eq!(schedule.spans().len(), plan.representatives.len());
+        let mut prev_end = 0;
+        for span in schedule.spans() {
+            assert!(
+                prev_end <= span.warmup_start,
+                "{span:?} re-replays accesses"
+            );
+            assert!(span.warmup_start <= span.measure_start);
+            assert!(span.measure_start < span.measure_end);
+            prev_end = span.measure_end;
         }
-    }
-
-    #[test]
-    fn sharded_sampled_replay_rejects_geometry_mismatch() {
-        let w = workload();
-        let llc = CacheConfig::new(64, 8);
-        let plan = build_plan(&w, llc, &PlanConfig::default().with_window(1024).with_k(4));
-        let shard_plan = ShardPlan::new(32, 4); // wrong set count
-        let fresh: &(dyn Fn() -> Cache + Sync) = &move || Cache::new(llc);
-        let err = replay_sampled_sharded(
-            &w.llc,
-            &plan,
-            &shard_plan,
-            fresh,
-            &sdbp_cache::kernel::SerialRunner,
-        )
-        .expect_err("geometry mismatch must be typed");
-        assert!(matches!(
-            err,
-            SampleError::Shard(ShardError::Geometry { .. })
-        ));
+        let work: usize = schedule
+            .spans()
+            .iter()
+            .map(|s| s.measure_end - s.warmup_start)
+            .sum();
+        assert_eq!(schedule.replayed(), work as u64);
+        // The public pair around the serial span loop is replay_sampled.
+        let measured = replay_spans(&w.llc, schedule.spans(), &mut Cache::new(llc), None)
+            .expect("scheduled spans fit");
+        let assembled = assemble(w.llc.len(), &plan, &schedule, &measured.hits);
+        let sampled = replay_sampled(&w.llc, &plan, || Cache::new(llc)).expect("plan applies");
+        assert_eq!(assembled, sampled);
     }
 
     #[test]

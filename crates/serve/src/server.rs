@@ -575,7 +575,9 @@ fn run_replay(
     let failed = |e: ReplayError| {
         let code = match e {
             ReplayError::Spec(_) => ErrorCode::BadSpec,
-            ReplayError::Shard(_) | ReplayError::Sample(_) => ErrorCode::Internal,
+            ReplayError::Span(_) | ReplayError::Shard(_) | ReplayError::Sample(_) => {
+                ErrorCode::Internal
+            }
         };
         (code, e.to_string())
     };

@@ -2,15 +2,15 @@
 //! on fixed-seed random streams, a sharded replay of any set-local
 //! policy is bit-identical to the serial one — the merged
 //! [`ReplayResult`] *and* the probe's window sequence — at every shard
-//! count, under both runners and through the replay front door
+//! count, on the kernel's scoped threads and through the replay front door
 //! (`sdbp::replay`). A set-dueling policy (DIP) pins the other side of
 //! the contract: its registry entry is not `shardable`, so the door
 //! clamps it to the serial kernel and its output never depends on the
 //! requested shard count.
 
-use sdbp_suite::cache::kernel::{replay_sharded, SerialRunner, ShardPlan, ThreadRunner};
+use sdbp_suite::cache::kernel::{replay_sharded, ShardPlan};
 use sdbp_suite::cache::recorder::{InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
-use sdbp_suite::cache::replay::{replay_with_probe, WindowMisses};
+use sdbp_suite::cache::replay::{replay_with_probe, Span, WindowMisses};
 use sdbp_suite::cache::{Cache, CacheConfig};
 use sdbp_suite::harness::runner::{cell, run_policy};
 use sdbp_suite::sdbp::registry::{standard, PolicySpec, Registry};
@@ -61,8 +61,9 @@ fn serial_reference(
 }
 
 /// Every set-local policy replays bit-identically — result and probe
-/// window sequence — at shard counts {1, 3, 7} under the serial runner,
-/// and the replay front door runs it on exactly the requested shards.
+/// window sequence — at shard counts {1, 3, 7}, with the shards on
+/// threads joined in shard order, and the replay front door runs it on
+/// exactly the requested shards.
 #[test]
 fn sharded_replay_is_bit_identical_for_set_local_policies() {
     let registry = standard();
@@ -77,7 +78,8 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                 let plan = ShardPlan::new(llc.sets, shards);
                 let fresh = || build_cache(&registry, &spec, llc);
                 let mut probe = WindowMisses::new(WINDOW);
-                let result = replay_sharded(&stream, &plan, &fresh, &SerialRunner, Some(&mut probe))
+                let whole = [Span::whole(stream.len())];
+                let result = replay_sharded(&stream, &whole, &plan, &fresh, Some(&mut probe))
                     .expect("geometry is valid");
                 assert_eq!(
                     result, serial,
@@ -106,33 +108,6 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                 );
                 assert_eq!(door_probe.counts(), serial_windows.as_slice());
             }
-        }
-    }
-}
-
-/// The thread runner merges in shard index order, never completion
-/// order: its output is bit-identical to the serial runner's.
-#[test]
-fn thread_runner_matches_serial_runner() {
-    let registry = standard();
-    let llc = CacheConfig::new(64, 4);
-    let spec: PolicySpec = "lru".parse().expect("spec parses");
-    let mut rng = Rng64::seed_from_u64(0x5da7_d002);
-    for case in 0..CASES {
-        let stream = random_llc_stream(&mut rng, 2500);
-        let (serial, serial_windows) = serial_reference(&registry, &spec, llc, &stream);
-        for shards in [3usize, 7] {
-            let plan = ShardPlan::new(llc.sets, shards);
-            let fresh = || build_cache(&registry, &spec, llc);
-            let mut probe = WindowMisses::new(WINDOW);
-            let result = replay_sharded(&stream, &plan, &fresh, &ThreadRunner, Some(&mut probe))
-                .expect("geometry is valid");
-            assert_eq!(result, serial, "case {case}: threaded {shards}-shard replay diverged");
-            assert_eq!(
-                probe.counts(),
-                serial_windows.as_slice(),
-                "case {case}: threaded {shards}-shard probe diverged"
-            );
         }
     }
 }
