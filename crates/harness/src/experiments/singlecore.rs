@@ -1,10 +1,11 @@
 //! Figures 4–9: the single-thread evaluation.
 
 use super::Context;
-use crate::runner::{cell, cells, Cell, SingleResult};
+use crate::runner::{cell, cells, run_min, Cell, SingleResult};
 use crate::table::{amean, f3, gmean, pct, TextTable};
 use sdbp::config::SdbpConfig;
 use sdbp::registry::sampler_spec;
+use sdbp_workloads::subset;
 
 /// Figures 4, 5 and 9: LRU, then the LRU-default comparison policies.
 pub fn lru_cells() -> Vec<Cell> {
@@ -99,15 +100,9 @@ fn speedup_table(matrix: &[Vec<SingleResult>]) -> String {
 pub fn fig4(ctx: &Context) -> String {
     let matrix = ctx.matrix(&lru_cells());
     // Optimal misses per benchmark, aligned with the matrix rows.
-    let llc = ctx.llc();
-    let optimal: Vec<f64> = matrix
+    let optimal: Vec<f64> = run_min(&ctx.engine, &ctx.store, &subset(), ctx.llc())
         .iter()
-        .map(|row| {
-            let bench = sdbp_workloads::benchmark(&row[0].benchmark)
-                .expect("matrix benchmark must be in the suite");
-            let w = ctx.store.record(&bench, 0);
-            sdbp_optimal::simulate(&w.llc, llc).misses as f64
-        })
+        .map(|opt| opt.misses as f64)
         .collect();
     format!(
         "Figure 4: normalized LLC misses (LRU = 1.0), 2MB LLC\n\n{}",

@@ -1,7 +1,7 @@
 //! Tables I–IV.
 
 use super::Context;
-use crate::runner::{cell, merged_stream, record_mix, run_policy};
+use crate::runner::{cell, merged_stream, record_mix, run_matrix, run_min};
 use crate::table::{f3, TextTable};
 use sdbp_cache::replay::replay;
 use sdbp_cache::{Cache, CacheConfig};
@@ -83,36 +83,15 @@ pub fn table2() -> String {
     )
 }
 
-/// One Table III row: (benchmark, in subset, LRU MPKI, MIN MPKI, LRU IPC).
-type Table3Row = (String, bool, f64, f64, f64);
-
 /// Table III: per-benchmark MPKI (LRU), MPKI (optimal MIN+bypass) and IPC
-/// (LRU) on a 2 MB LLC, with the memory-intensive subset marked.
+/// (LRU) on a 2 MB LLC, with the memory-intensive subset marked. The LRU
+/// and MIN results land in the store's memos, so the figures that show
+/// them again replay neither.
 pub fn table3(ctx: &Context) -> String {
     let llc = ctx.llc();
-    let jobs: Vec<Job<'_, Table3Row>> = suite()
-        .into_iter()
-        .map(|bench| {
-            let store = ctx.store.clone();
-            Job::new(format!("table3/{}", bench.name), move || {
-                let w = store.record(&bench, 0);
-                let plan = store.plan(bench.name);
-                let shards = store.config().shards;
-                let lru = run_policy(&w, &cell("lru"), llc, shards, plan.as_deref())
-                    .expect("lru replays every recorded stream");
-                let opt = sdbp_optimal::simulate(&w.llc, llc);
-                (
-                    bench.name.to_owned(),
-                    bench.in_subset,
-                    lru.mpki,
-                    opt.mpki(w.instructions()),
-                    lru.ipc,
-                )
-            })
-        })
-        .collect();
-    let rows = ctx.engine.run_batch("table3", jobs).expect_all();
-
+    let benchmarks = suite();
+    let lru = run_matrix(&ctx.engine, &ctx.store, &benchmarks, &[cell("lru")], llc);
+    let min = run_min(&ctx.engine, &ctx.store, &benchmarks, llc);
     let mut t = TextTable::new(vec![
         "Benchmark".into(),
         "MPKI (LRU)".into(),
@@ -120,13 +99,19 @@ pub fn table3(ctx: &Context) -> String {
         "IPC (LRU)".into(),
         "subset".into(),
     ]);
-    for (name, in_subset, lru_mpki, min_mpki, ipc) in rows {
+    for ((bench, row), opt) in benchmarks.iter().zip(&lru).zip(&min) {
+        let lru = &row[0];
+        let instructions = ctx.store.record(bench, 0).instructions();
         t.row(vec![
-            name,
-            f3(lru_mpki),
-            f3(min_mpki),
-            f3(ipc),
-            if in_subset { "*".into() } else { "".into() },
+            bench.name.to_owned(),
+            f3(lru.mpki),
+            f3(opt.mpki(instructions)),
+            f3(lru.ipc),
+            if bench.in_subset {
+                "*".into()
+            } else {
+                "".into()
+            },
         ]);
     }
     format!(

@@ -16,6 +16,7 @@ use sdbp_cache::replay::{replay, split_hits_by_core};
 use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
+use sdbp_optimal::OptimalResult;
 use sdbp_sample::SamplingPlan;
 use sdbp_trace::TraceSource;
 use sdbp_traceio::FileSource;
@@ -99,19 +100,24 @@ pub struct SingleResult {
 /// depends on besides the store's [`RunConfig`].
 type CellKey = (String, String, (usize, usize));
 
+/// (benchmark, (sets, ways)): what a MIN result depends on besides the
+/// store's [`RunConfig`].
+type MinKey = (String, (usize, usize));
+
 /// (benchmark name, core id) → its recording.
 type RecordMap = BTreeMap<(String, u8), Arc<RecordedWorkload>>;
 
-/// Recordings, sampling plans and matrix cells of one run, each computed
-/// once and shared across experiments and policies. Clones share the
-/// same caches. The maps are ordered so any iteration over them is
-/// deterministic.
+/// Recordings, sampling plans, matrix cells and MIN results of one run,
+/// each computed once and shared across experiments and policies. Clones
+/// share the same caches. The maps are ordered so any iteration over them
+/// is deterministic.
 #[derive(Clone, Debug, Default)]
 pub struct RecordStore {
     config: RunConfig,
     recordings: Arc<Mutex<RecordMap>>,
     plans: Arc<Mutex<BTreeMap<String, Arc<SamplingPlan>>>>,
     cells: Arc<Mutex<BTreeMap<CellKey, SingleResult>>>,
+    min: Arc<Mutex<BTreeMap<MinKey, OptimalResult>>>,
 }
 
 /// `map[key]`, computing it with `make` when absent. The lock is not held
@@ -367,6 +373,49 @@ pub fn run_matrix(
         .collect()
 }
 
+/// MIN with optimal bypass ([`sdbp_optimal::simulate`]) over each of
+/// `benchmarks`' recordings on `llc`, in benchmark order.
+///
+/// As in [`run_matrix`], only benchmarks the store holds no MIN result
+/// for at this geometry run, one `min` engine job each, and the store's
+/// memo is read and filled on the caller's thread, never inside a job.
+pub fn run_min(
+    engine: &Engine,
+    store: &RecordStore,
+    benchmarks: &[Benchmark],
+    llc: CacheConfig,
+) -> Vec<OptimalResult> {
+    let key = |bench: &Benchmark| -> MinKey { (bench.name.to_owned(), (llc.sets, llc.ways)) };
+    let todo: Vec<&Benchmark> = {
+        let memo = store.min.lock().expect("MIN memo poisoned");
+        benchmarks
+            .iter()
+            .filter(|bench| !memo.contains_key(&key(bench)))
+            .collect()
+    };
+    if !todo.is_empty() {
+        let jobs: Vec<Job<'_, OptimalResult>> = todo
+            .iter()
+            .map(|&bench| {
+                let store = store.clone();
+                Job::new(format!("min/{}", bench.name), move || {
+                    sdbp_optimal::simulate(&store.record(bench, 0).llc, llc)
+                })
+            })
+            .collect();
+        let results = engine.run_batch("min", jobs).expect_all();
+        let mut memo = store.min.lock().expect("MIN memo poisoned");
+        for (bench, result) in todo.into_iter().zip(results) {
+            memo.insert(key(bench), result);
+        }
+    }
+    let memo = store.min.lock().expect("MIN memo poisoned");
+    benchmarks
+        .iter()
+        .map(|bench| memo[&key(bench)].clone())
+        .collect()
+}
+
 /// Outcome of one (mix, policy) quad-core run.
 #[derive(Clone, Debug)]
 pub struct MixResult {
@@ -538,5 +587,25 @@ mod tests {
             CacheConfig::new(128, 8),
         );
         assert_eq!(engine.telemetry().jobs(), 1 + 2 + 2);
+    }
+
+    #[test]
+    fn min_runs_once_per_benchmark_and_geometry() {
+        let engine = Engine::serial();
+        let store = small_store();
+        let benches = [benchmark("416.gamess").unwrap()];
+        let llc = CacheConfig::new(64, 8);
+        let first = run_min(&engine, &store, &benches, llc);
+        assert_eq!(engine.telemetry().jobs(), 1);
+        let w = store.record(&benches[0], 0);
+        assert_eq!(first, vec![sdbp_optimal::simulate(&w.llc, llc)]);
+        assert_eq!(run_min(&engine, &store, &benches, llc), first);
+        assert_eq!(engine.telemetry().jobs(), 1, "a memoised MIN runs no job");
+        run_min(&engine, &store, &benches, CacheConfig::new(128, 8));
+        assert_eq!(
+            engine.telemetry().jobs(),
+            2,
+            "another geometry is another MIN"
+        );
     }
 }
