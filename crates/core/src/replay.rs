@@ -43,6 +43,7 @@
 //!     policy: &policy,
 //!     mode: ReplayMode::Exact { probe: None },
 //!     shards: 4,
+//!     cores: 1,
 //! }
 //! .run()
 //! .unwrap();
@@ -97,6 +98,9 @@ pub struct ReplayRequest<'a> {
     pub mode: ReplayMode<'a>,
     /// Requested set shards; honoured only for set-local policies.
     pub shards: usize,
+    /// Cores that share the LLC (1 for a single-core recording): TADIP
+    /// and TA-DRRIP keep state per core.
+    pub cores: usize,
 }
 
 /// What a sampled replay adds to its outcome.
@@ -193,12 +197,13 @@ impl ReplayRequest<'_> {
             policy: spec,
             mode,
             shards,
+            cores,
         } = self;
         let registry = standard();
         let entry = registry
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;
-        let built = (entry.build)(spec, llc, 1)?;
+        let built = (entry.build)(spec, llc, cores)?;
         let shards = if entry.shardable {
             shards.clamp(1, llc.sets.max(1))
         } else {
@@ -219,7 +224,7 @@ impl ReplayRequest<'_> {
             replay_spans(stream, spans, &mut cache, probe).map_err(ReplayError::Span)?
         } else {
             let fresh = move || {
-                let policy = (entry.build)(spec, llc, 1).expect("spec validated above");
+                let policy = (entry.build)(spec, llc, cores).expect("spec validated above");
                 Cache::with_policy(llc, policy)
             };
             let plan = ShardPlan::new(llc.sets, shards);

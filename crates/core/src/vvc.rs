@@ -20,7 +20,7 @@ use crate::config::SdbpConfig;
 use crate::predictor::SamplingPredictor;
 use sdbp_cache::policy::Access;
 use sdbp_cache::recorder::LlcAccess;
-use sdbp_cache::{CacheConfig, CacheStats};
+use sdbp_cache::CacheConfig;
 use sdbp_predictors::DeadBlockPredictor;
 use sdbp_trace::BlockAddr;
 
@@ -99,12 +99,6 @@ impl VirtualVictimCache {
     /// Statistics so far.
     pub fn stats(&self) -> &VvcStats {
         &self.stats
-    }
-
-    /// Equivalent plain-LRU miss count helper for comparisons.
-    pub fn lru_baseline(stream: &[LlcAccess], config: CacheConfig) -> CacheStats {
-        let mut cache = sdbp_cache::Cache::new(config);
-        sdbp_cache::replay(stream, &mut cache).stats
     }
 
     fn partner(&self, set: usize) -> usize {
@@ -277,7 +271,7 @@ mod tests {
         let stats = VirtualVictimCache::run(&refs, cfg);
         assert!(stats.parked > 0, "victims should be parked");
         assert!(stats.victim_hits > 0, "parked victims should be rescued");
-        let lru = VirtualVictimCache::lru_baseline(&refs, cfg);
+        let lru = sdbp_cache::replay(&refs, &mut sdbp_cache::Cache::new(cfg)).stats;
         assert_eq!(lru.hits, 0, "plain LRU must thrash here");
         assert!(
             stats.misses < lru.misses,
@@ -294,7 +288,7 @@ mod tests {
         let s = stream(2);
         let cfg = CacheConfig::new(128, 8);
         let stats = VirtualVictimCache::run(&s, cfg);
-        let lru = VirtualVictimCache::lru_baseline(&s, cfg);
+        let lru = sdbp_cache::replay(&s, &mut sdbp_cache::Cache::new(cfg)).stats;
         let ratio = stats.misses as f64 / lru.misses as f64;
         assert!(ratio < 1.10, "VVC degraded a balanced workload by {ratio}");
     }

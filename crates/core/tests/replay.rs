@@ -64,6 +64,7 @@ fn run(
         policy: spec,
         mode: mode_arg,
         shards,
+        cores: 1,
     }
     .run()
     .unwrap_or_else(|e| panic!("{spec} {mode:?} x{shards}: {e}"));
@@ -173,6 +174,7 @@ fn unknown_and_malformed_specs_are_typed_errors() {
                     policy: &spec,
                     mode,
                     shards,
+                    cores: 1,
                 }
                 .run()
                 .expect_err("bad spec must not replay");
@@ -199,6 +201,7 @@ fn a_plan_for_another_stream_is_a_typed_error() {
             policy: &spec,
             mode: ReplayMode::Sampled(&plan),
             shards,
+            cores: 1,
         }
         .run()
         .expect_err("truncated stream must not match the plan");

@@ -51,7 +51,8 @@ pub fn run(ctx: &Context) -> String {
         t.row(vec![label, f3(norm), f3(speedup)]);
     }
     // Virtual victim cache (reference [10]): misses only (its cross-set
-    // motion bypasses the timing-model hit map).
+    // motion bypasses the timing-model hit map); its LRU baseline is exact
+    // even under `--sampled`, where the matrix's LRU column is an estimate.
     let llc = ctx.llc();
     let vvc_jobs: Vec<Job<'_, f64>> = subset()
         .into_iter()
@@ -60,8 +61,8 @@ pub fn run(ctx: &Context) -> String {
             Job::new(format!("extensions/vvc/{}", bench.name), move || {
                 let w = store.record(&bench, 0);
                 let vvc = VirtualVictimCache::run(&w.llc, llc);
-                let lru = VirtualVictimCache::lru_baseline(&w.llc, llc);
-                vvc.misses as f64 / lru.misses.max(1) as f64
+                let lru = store.replay_exact(&w.llc, 1, "lru", llc);
+                vvc.misses as f64 / lru.stats.misses.max(1) as f64
             })
         })
         .collect();

@@ -7,10 +7,12 @@ pub mod multicore;
 pub mod singlecore;
 pub mod tables;
 
-use crate::runner::{run_matrix, Cell, RecordStore, RunConfig, SingleResult};
+use crate::runner::{record_all, run_matrix, Cell, RecordStore, RunConfig, SingleResult};
+use sdbp_cache::recorder::{merge_llc_streams, LlcAccess, RecordedWorkload};
 use sdbp_cache::CacheConfig;
-use sdbp_engine::Engine;
-use sdbp_workloads::subset;
+use sdbp_engine::{Engine, Job};
+use sdbp_workloads::{mixes, subset, Mix};
+use std::sync::Arc;
 
 /// Shared state for a harness invocation: the execution engine and the
 /// record store, whose cell memo means `sdbp-repro all` replays each
@@ -46,6 +48,43 @@ impl Context {
     /// benchmark, one result per cell in order (see [`run_matrix`]).
     pub fn matrix(&self, cells: &[Cell]) -> Vec<Vec<SingleResult>> {
         run_matrix(&self.engine, &self.store, &subset(), cells, self.llc())
+    }
+
+    /// `per_mix` over every quad-core mix, one `{label}/{mix}` job each,
+    /// after [`record_all`] (member `i` on core `i`). Each job merges its
+    /// members' LLC streams once and declares `replays` merged streams of
+    /// accesses. The merged stream dies with its job, since at 8M
+    /// instructions one is about 240 MB and rebuilds in about 0.6 s.
+    pub fn mixes<T: Send>(
+        &self,
+        label: &str,
+        replays: usize,
+        per_mix: impl Fn(&Mix, &[Arc<RecordedWorkload>], &[LlcAccess]) -> T + Sync,
+    ) -> Vec<T> {
+        let mixes = mixes();
+        let pairs: Vec<_> = mixes
+            .iter()
+            .flat_map(|m| m.benchmarks().into_iter().zip(0u8..))
+            .collect();
+        record_all(&self.engine, &self.store, &pairs);
+        let per_mix = &per_mix;
+        let jobs: Vec<Job<'_, T>> = mixes
+            .iter()
+            .zip(pairs.chunks(4))
+            .map(|(mix, pairs)| {
+                let workloads: Vec<_> = pairs
+                    .iter()
+                    .map(|(b, core)| self.store.record(b, *core))
+                    .collect();
+                let streams: usize = workloads.iter().map(|w| w.llc.len()).sum();
+                Job::new(format!("{label}/{}", mix.name), move || {
+                    let streams: Vec<_> = workloads.iter().map(|w| w.llc.as_slice()).collect();
+                    per_mix(mix, &workloads, &merge_llc_streams(&streams))
+                })
+                .accesses((streams * replays) as u64)
+            })
+            .collect();
+        self.engine.run_batch(label, jobs).expect_all()
     }
 }
 

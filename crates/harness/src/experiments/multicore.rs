@@ -1,12 +1,10 @@
 //! Figure 10: quad-core workloads sharing an 8 MB LLC.
 
 use super::Context;
-use crate::runner::{
-    cell, cells, isolated_ipcs, merged_stream, record_mix, run_mix_policy, Cell, MixResult,
-};
+use crate::runner::{cell, run_policy};
 use crate::table::{amean, f3, gmean, TextTable};
-use sdbp_engine::Job;
-use sdbp_workloads::mixes;
+use sdbp_cache::replay::split_hits_by_core;
+use sdbp_cpu::CoreModel;
 use std::ops::Range;
 
 /// Policies of Figure 10(a), LRU-default techniques (`rrip` is TA-DRRIP
@@ -25,6 +23,14 @@ const POLICIES: [&str; 8] = [
 /// Figure 10(a)'s and 10(b)'s columns of [`POLICIES`].
 const HALVES: [Range<usize>; 2] = [0..5, 5..8];
 
+/// Outcome of one (mix, policy) quad-core run.
+struct MixResult {
+    /// Weighted speedup `Σ IPC_i / SingleIPC_i` (not yet normalised).
+    weighted_ipc: f64,
+    /// Total LLC misses across cores.
+    misses: u64,
+}
+
 struct MixRun {
     name: &'static str,
     baseline: MixResult,
@@ -32,39 +38,41 @@ struct MixRun {
     results: Vec<MixResult>,
 }
 
-/// One job per mix: its merged stream, isolated IPCs and LRU baseline are
-/// computed once and shared by every policy of both halves.
+/// Per mix, the isolated IPCs (each member alone under exact LRU: the
+/// paper's `SingleIPC_i`) and the LRU baseline are shared by every policy.
 fn run_all(ctx: &Context) -> Vec<MixRun> {
     let llc = ctx.llc_shared();
-    let jobs: Vec<Job<'_, MixRun>> = mixes()
-        .into_iter()
-        .map(|mix| {
-            let store = ctx.store.clone();
-            Job::new(format!("fig10/{}", mix.name), move || {
-                let workloads = record_mix(&store, &mix);
-                let merged = merged_stream(&workloads);
-                let singles = isolated_ipcs(&workloads, llc);
-                let run = |c: &Cell| run_mix_policy(&workloads, &merged, &singles, c, llc);
-                let baseline = run(&cell("lru"));
-                let results = cells(&POLICIES).iter().map(run).collect();
-                MixRun {
-                    name: mix.name,
-                    baseline,
-                    results,
-                }
-            })
-        })
-        .collect();
-    ctx.engine.run_batch("fig10", jobs).expect_all()
+    let shards = ctx.store.config().shards;
+    // The LRU baseline and every policy replay the merged stream; the
+    // members' isolated replays add up to one more.
+    ctx.mixes("fig10", POLICIES.len() + 2, |mix, workloads, merged| {
+        let alone = |w| run_policy(w, &cell("lru"), llc, shards, None).expect("LRU replays");
+        let singles: Vec<f64> = workloads.iter().map(|w| alone(w).ipc).collect();
+        let run = |name: &str| {
+            let outcome = ctx.store.replay_exact(merged, workloads.len(), name, llc);
+            let hits = split_hits_by_core(merged, &outcome.hits, workloads.len())
+                .expect("replay hit map aligns with its own input stream");
+            let ipcs: Vec<f64> = workloads
+                .iter()
+                .zip(&hits)
+                .map(|(w, hits)| CoreModel::default().simulate(&w.records, hits).ipc())
+                .collect();
+            MixResult {
+                weighted_ipc: sdbp_cpu::weighted_ipc(&ipcs, &singles),
+                misses: outcome.stats.misses,
+            }
+        };
+        MixRun {
+            name: mix.name,
+            baseline: run("lru"),
+            results: POLICIES.map(run).into(),
+        }
+    })
 }
 
 fn speedup_table(runs: &[MixRun], cols: Range<usize>) -> String {
     let mut header = vec!["Mix".into()];
-    header.extend(
-        runs[0].results[cols.clone()]
-            .iter()
-            .map(|r| r.policy.clone()),
-    );
+    header.extend(POLICIES[cols.clone()].iter().map(|name| cell(name).0));
     let mut t = TextTable::new(header);
     let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
     for run in runs {
@@ -91,7 +99,7 @@ fn mpki_summary(runs: &[MixRun], cols: Range<usize>) -> String {
             .iter()
             .map(|r| r.results[i].misses as f64 / r.baseline.misses.max(1) as f64)
             .collect();
-        parts.push(format!("{} {:.2}", runs[0].results[i].policy, amean(&norm)));
+        parts.push(format!("{} {:.2}", cell(POLICIES[i]).0, amean(&norm)));
     }
     parts.join(", ")
 }

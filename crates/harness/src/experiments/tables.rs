@@ -1,14 +1,12 @@
 //! Tables I–IV.
 
 use super::Context;
-use crate::runner::{cell, merged_stream, record_mix, run_matrix, run_min};
+use crate::runner::{cell, run_matrix, run_min};
 use crate::table::{f3, TextTable};
-use sdbp_cache::replay::replay;
-use sdbp_cache::{Cache, CacheConfig};
-use sdbp_engine::Job;
+use sdbp_cache::CacheConfig;
 use sdbp_power::power::PowerModel;
 use sdbp_power::storage::{predictor_storage, PredictorKind};
-use sdbp_workloads::{mixes, suite};
+use sdbp_workloads::suite;
 
 /// Table I: storage overhead for the three predictors.
 pub fn table1() -> String {
@@ -134,27 +132,17 @@ pub fn table4(ctx: &Context) -> String {
         }
     }));
     let mut t = TextTable::new(header);
-    let jobs: Vec<Job<'_, Vec<String>>> = mixes()
-        .into_iter()
-        .map(|mix| {
-            let store = ctx.store.clone();
-            let sizes_kb = sizes_kb.clone();
-            Job::new(format!("table4/{}", mix.name), move || {
-                let workloads = record_mix(&store, &mix);
-                let merged = merged_stream(&workloads);
-                let instructions: u64 = workloads.iter().map(|w| w.instructions()).sum();
-                let mut cells = vec![mix.name.to_owned(), mix.members.join(" ")];
-                for &kb in &sizes_kb {
-                    let cfg = CacheConfig::llc_with_capacity(kb << 10);
-                    let mut cache = Cache::new(cfg);
-                    let r = replay(&merged, &mut cache);
-                    cells.push(f3(r.stats.mpki(instructions)));
-                }
-                cells
-            })
-        })
-        .collect();
-    for cells in ctx.engine.run_batch("table4", jobs).expect_all() {
+    let rows = ctx.mixes("table4", sizes_kb.len(), |mix, workloads, merged| {
+        let instructions: u64 = workloads.iter().map(|w| w.instructions()).sum();
+        let mut cells = vec![mix.name.to_owned(), mix.members.join(" ")];
+        for &kb in &sizes_kb {
+            let llc = CacheConfig::llc_with_capacity(kb << 10);
+            let lru = ctx.store.replay_exact(merged, workloads.len(), "lru", llc);
+            cells.push(f3(lru.stats.mpki(instructions)));
+        }
+        cells
+    });
+    for cells in rows {
         t.row(cells);
     }
     format!(

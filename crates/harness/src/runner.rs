@@ -7,12 +7,11 @@
 //! cell once per run however many experiments show it.
 
 use sdbp::registry::{standard, PolicySpec};
-use sdbp::replay::{ReplayError, ReplayMode, ReplayRequest, SampledExtras};
+use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest, SampledExtras};
 use sdbp_cache::recorder::{
-    merge_llc_streams, record_for_core, try_record_batches, try_record_for_core, LlcAccess,
-    RecordError, RecordedWorkload,
+    record_for_core, try_record_batches, try_record_for_core, LlcAccess, RecordError,
+    RecordedWorkload,
 };
-use sdbp_cache::replay::{replay, split_hits_by_core};
 use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
@@ -20,7 +19,7 @@ use sdbp_optimal::OptimalResult;
 use sdbp_sample::SamplingPlan;
 use sdbp_trace::TraceSource;
 use sdbp_traceio::FileSource;
-use sdbp_workloads::{Benchmark, Mix, DEFAULT_INSTRUCTIONS};
+use sdbp_workloads::{Benchmark, DEFAULT_INSTRUCTIONS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -237,6 +236,28 @@ impl RecordStore {
             })
         })
     }
+
+    /// Registry policy `name` replayed exactly over `stream` through the
+    /// replay front door with the store's shards, built for `cores` cores.
+    /// Panics if `name` is not registered.
+    pub fn replay_exact(
+        &self,
+        stream: &[LlcAccess],
+        cores: usize,
+        name: &str,
+        llc: CacheConfig,
+    ) -> ReplayOutcome {
+        ReplayRequest {
+            stream,
+            llc,
+            policy: &PolicySpec::plain(name),
+            mode: ReplayMode::Exact { probe: None },
+            shards: self.config.shards,
+            cores,
+        }
+        .run()
+        .unwrap_or_else(|e| panic!("replay under {name}: {e}"))
+    }
 }
 
 /// Replays `cell` over a recorded single-core workload through the replay
@@ -264,6 +285,7 @@ pub fn run_policy(
         policy: spec,
         mode,
         shards,
+        cores: 1,
     }
     .run()?;
     let timing = CoreModel::default().simulate(&workload.records, &outcome.hits);
@@ -320,30 +342,17 @@ pub fn run_matrix(
         }
     }
     if !todo.is_empty() {
-        let mut to_record: Vec<usize> = todo.iter().map(|&(b, _)| b).collect();
-        to_record.dedup();
-        let record_jobs: Vec<Job<'_, _>> = to_record
+        let pairs: Vec<_> = todo
             .iter()
-            .map(|&b| {
-                let bench = &benchmarks[b];
-                let job = Job::new(format!("record/{}", bench.name), {
-                    let store = store.clone();
-                    move || (store.record(bench, 0), store.plan(bench.name))
-                });
-                job.accesses(store.config.instructions)
-                    .source(store.source_label(bench.name, 0))
-            })
+            .map(|&(b, _)| (benchmarks[b].clone(), 0))
             .collect();
-        let recorded: BTreeMap<usize, _> = to_record
-            .into_iter()
-            .zip(engine.run_batch("record", record_jobs).expect_all())
-            .collect();
-
+        record_all(engine, store, &pairs);
         let shards = store.config.shards;
         let cell_jobs: Vec<Job<'_, SingleResult>> = todo
             .iter()
             .map(|&(b, cell)| {
-                let (w, plan) = recorded[&b].clone();
+                let bench = &benchmarks[b];
+                let (w, plan) = (store.record(bench, 0), store.plan(bench.name));
                 let cell = cell.clone();
                 let accesses = w.llc.len() as u64;
                 Job::new(format!("{}/{}", w.name, cell.0), move || {
@@ -416,77 +425,32 @@ pub fn run_min(
         .collect()
 }
 
-/// Outcome of one (mix, policy) quad-core run.
-#[derive(Clone, Debug)]
-pub struct MixResult {
-    /// Policy label.
-    pub policy: String,
-    /// Weighted speedup `Σ IPC_i / SingleIPC_i` (not yet normalised).
-    pub weighted_ipc: f64,
-    /// Total LLC misses across cores.
-    pub misses: u64,
-}
-
-/// Merges the members' LLC streams into the shared-LLC access order
-/// (policy independent; compute once per mix).
-pub fn merged_stream(workloads: &[Arc<RecordedWorkload>]) -> Vec<LlcAccess> {
-    let streams: Vec<&[LlcAccess]> = workloads.iter().map(|w| w.llc.as_slice()).collect();
-    merge_llc_streams(&streams)
-}
-
-/// Runs one policy on one quad-core mix over an 8 MB shared LLC.
-///
-/// `merged` is the shared-LLC stream from [`merged_stream`]; `single_ipcs`
-/// are the members' isolated IPCs (8 MB LRU), computed once per mix via
-/// [`isolated_ipcs`].
-pub fn run_mix_policy(
-    workloads: &[Arc<RecordedWorkload>],
-    merged: &[LlcAccess],
-    single_ipcs: &[f64],
-    (label, spec): &Cell,
-    llc: CacheConfig,
-) -> MixResult {
-    let cores = workloads.len();
-    let policy = standard()
-        .build(spec, llc, cores)
-        .expect("matrix cells are registered and valid");
-    let mut cache = sdbp_cache::Cache::with_policy(llc, policy);
-    let result = replay(merged, &mut cache);
-    let per_core_hits = split_hits_by_core(merged, &result.hits, cores)
-        .expect("replay hit map aligns with its own input stream");
-    let model = CoreModel::default();
-    let ipcs: Vec<f64> = workloads
+/// Makes `store` hold a recording of every (benchmark, core) pair: the
+/// store is read on the caller's thread, and one `record` batch records
+/// the missing pairs, one job per distinct pair (no batch when none is
+/// missing), so that no replay job records.
+pub fn record_all(engine: &Engine, store: &RecordStore, pairs: &[(Benchmark, u8)]) {
+    let held = store.recordings.lock().expect("record store poisoned");
+    let mut queued = BTreeSet::new();
+    let jobs: Vec<Job<'_, _>> = pairs
         .iter()
-        .zip(&per_core_hits)
-        .map(|(w, hits)| model.simulate(&w.records, hits).ipc())
-        .collect();
-    MixResult {
-        policy: label.clone(),
-        weighted_ipc: sdbp_cpu::weighted_ipc(&ipcs, single_ipcs),
-        misses: result.stats.misses,
-    }
-}
-
-/// Isolated IPC of each mix member: the program running alone on an 8 MB
-/// LRU LLC (the paper's `SingleIPC_i`).
-pub fn isolated_ipcs(workloads: &[Arc<RecordedWorkload>], llc: CacheConfig) -> Vec<f64> {
-    workloads
-        .iter()
-        .map(|w| {
-            let mut cache = sdbp_cache::Cache::new(llc);
-            let r = replay(&w.llc, &mut cache);
-            CoreModel::default().simulate(&w.records, &r.hits).ipc()
+        .filter(|(bench, core)| {
+            let key = (bench.name.to_owned(), *core);
+            !held.contains_key(&key) && queued.insert(key)
         })
-        .collect()
-}
-
-/// Records the four members of a mix (each on its own core id).
-pub fn record_mix(store: &RecordStore, mix: &Mix) -> Vec<Arc<RecordedWorkload>> {
-    mix.benchmarks()
-        .iter()
-        .enumerate()
-        .map(|(core, b)| store.record(b, core as u8))
-        .collect()
+        .map(|(bench, core)| {
+            let job = Job::new(format!("record/{}.c{core}", bench.name), {
+                let store = store.clone();
+                move || store.record(bench, *core)
+            });
+            job.accesses(store.config.instructions)
+                .source(store.source_label(bench.name, *core))
+        })
+        .collect();
+    drop(held);
+    if !jobs.is_empty() {
+        drop(engine.run_batch("record", jobs).expect_all());
+    }
 }
 
 #[cfg(test)]
@@ -578,7 +542,7 @@ mod tests {
         assert_eq!(engine.telemetry().jobs(), 1 + 2);
         assert_eq!(second[0][1].policy, "Sampler (paper)");
         assert_eq!(second[0][1].stats, first[0][1].stats);
-        // Another geometry is another cell.
+        // Another geometry is another cell, over a held recording.
         run_matrix(
             &engine,
             &store,
@@ -586,7 +550,7 @@ mod tests {
             &cells(&["lru"]),
             CacheConfig::new(128, 8),
         );
-        assert_eq!(engine.telemetry().jobs(), 1 + 2 + 2);
+        assert_eq!(engine.telemetry().jobs(), 1 + 2 + 1);
     }
 
     #[test]

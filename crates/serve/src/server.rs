@@ -571,6 +571,7 @@ fn run_replay(
         policy: &spec,
         mode,
         shards,
+        cores: 1,
     };
     let failed = |e: ReplayError| {
         let code = match e {

@@ -186,6 +186,7 @@ fn golden_rows_are_bit_identical_at_every_shard_count() {
                 policy: &spec,
                 mode: ReplayMode::Exact { probe: None },
                 shards,
+                cores: 1,
             };
             match request.run() {
                 Ok(o) if o.stats == serial.stats && o.hits == serial.hits => {

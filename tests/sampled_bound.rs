@@ -100,6 +100,7 @@ fn every_registry_policy_is_within_the_sampled_bound() {
             policy: &spec,
             mode,
             shards: 1,
+            cores: 1,
         };
         let exact = replay(request(ReplayMode::Exact { probe: None })).stats.misses;
         let outcome = replay(request(ReplayMode::Sampled(&plan)));

@@ -97,6 +97,7 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                     policy: &spec,
                     mode: ReplayMode::Exact { probe: Some(&mut door_probe) },
                     shards,
+                    cores: 1,
                 }
                 .run()
                 .expect("spec and geometry are valid");
@@ -129,6 +130,7 @@ fn set_dueling_policy_is_clamped_to_the_serial_path() {
             policy: &dip.1,
             mode: ReplayMode::Exact { probe: None },
             shards,
+            cores: 1,
         }
         .run()
         .expect("dip builds");
