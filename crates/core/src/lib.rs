@@ -37,7 +37,6 @@
 pub mod config;
 pub mod policies;
 pub mod predictor;
-pub mod prefetch;
 pub mod registry;
 pub mod replay;
 pub mod sampler;
@@ -46,7 +45,6 @@ pub mod vvc;
 
 pub use config::{SamplerConfig, SdbpConfig, TableConfig};
 pub use predictor::SamplingPredictor;
-pub use prefetch::PrefetchSim;
 pub use registry::{standard, PolicySpec, Registry, SpecError};
 pub use sampler::Sampler;
 pub use tables::SkewedTables;
