@@ -2,11 +2,14 @@
 //! `standard()` policy × {exact, sampled} × shards {1, 3, 7} must equal the
 //! serial primitive (`replay` / `replay_sampled`) bit for bit, report one
 //! effective shard exactly when the policy is not set-local, and bad
-//! specs must come back as typed errors.
+//! specs must come back as typed errors. A quad-core merged stream must
+//! replay under a policy built for its core count.
 
 use sdbp::registry::{standard, PolicySpec, SpecError};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest};
-use sdbp_cache::recorder::{record, LlcAccess, RecordedWorkload};
+use sdbp_cache::recorder::{
+    merge_llc_streams, record, record_for_core, LlcAccess, RecordedWorkload,
+};
 use sdbp_cache::replay::{replay, WindowMisses};
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_sample::{build_plan, replay_sampled, segment_schedule, PlanConfig, SamplingPlan};
@@ -206,5 +209,79 @@ fn a_plan_for_another_stream_is_a_typed_error() {
         .run()
         .expect_err("truncated stream must not match the plan");
         assert!(matches!(err, ReplayError::Sample(_)), "x{shards}: {err:?}");
+    }
+}
+
+/// Four fixed-seed single-core recordings, one per core, merged into the
+/// shared-LLC order: two streaming cores that thrash and two hot-set cores
+/// that reuse, so per-core duels pick different insertion policies.
+fn quad_core_stream() -> Vec<LlcAccess> {
+    let members: Vec<RecordedWorkload> = (0u8..4)
+        .map(|core| {
+            let kernel = match core % 2 {
+                0 => KernelSpec::streaming(1 << 24),
+                _ => KernelSpec::hot_set(1 << 19),
+            };
+            let trace = TraceBuilder::new(40 + u64::from(core))
+                .kernel(kernel)
+                .build();
+            record_for_core("quad", trace, 60_000, core)
+        })
+        .collect();
+    let streams: Vec<&[LlcAccess]> = members.iter().map(|w| w.llc.as_slice()).collect();
+    merge_llc_streams(&streams)
+}
+
+fn exact(
+    stream: &[LlcAccess],
+    llc: CacheConfig,
+    spec: &PolicySpec,
+    shards: usize,
+    cores: usize,
+) -> ReplayOutcome {
+    ReplayRequest {
+        stream,
+        llc,
+        policy: spec,
+        mode: ReplayMode::Exact { probe: None },
+        shards,
+        cores,
+    }
+    .run()
+    .unwrap_or_else(|e| panic!("{spec} x{shards} on {cores} cores: {e}"))
+}
+
+#[test]
+fn door_builds_the_policy_for_the_requested_core_count() {
+    let merged = quad_core_stream();
+    assert!(
+        merged.iter().any(|a| a.core == 3),
+        "every core is in the stream"
+    );
+    let llc = CacheConfig::new(1024, 16);
+    for name in ["tadip", "rrip"] {
+        let spec = PolicySpec::plain(name);
+        let policy = standard()
+            .build(&spec, llc, 4)
+            .expect("registry spec builds");
+        let by_hand = replay(&merged, &mut Cache::with_policy(llc, policy));
+        let four = exact(&merged, llc, &spec, 1, 4);
+        assert_eq!(four.stats, by_hand.stats, "{name}");
+        assert_eq!(four.hits, by_hand.hits, "{name}");
+        let one = exact(&merged, llc, &spec, 1, 1);
+        assert_ne!(
+            one.hits, four.hits,
+            "{name}: the core count changed nothing"
+        );
+    }
+    for name in ["lru", "srrip"] {
+        let spec = PolicySpec::plain(name);
+        let serial = exact(&merged, llc, &spec, 1, 4);
+        for shards in [3usize, 7] {
+            let sharded = exact(&merged, llc, &spec, shards, 4);
+            assert_eq!(sharded.shards, shards, "{name} x{shards}");
+            assert_eq!(sharded.stats, serial.stats, "{name} x{shards}");
+            assert_eq!(sharded.hits, serial.hits, "{name} x{shards}");
+        }
     }
 }

@@ -542,7 +542,8 @@ mod tests {
         assert_eq!(engine.telemetry().jobs(), 1 + 2);
         assert_eq!(second[0][1].policy, "Sampler (paper)");
         assert_eq!(second[0][1].stats, first[0][1].stats);
-        // Another geometry is another cell, over a held recording.
+        // Another geometry is another cell, over a recording the store
+        // already holds: one replay job and no `record` batch.
         run_matrix(
             &engine,
             &store,
@@ -550,7 +551,10 @@ mod tests {
             &cells(&["lru"]),
             CacheConfig::new(128, 8),
         );
-        assert_eq!(engine.telemetry().jobs(), 1 + 2 + 1);
+        let report = engine.telemetry();
+        assert_eq!(report.jobs(), 1 + 2 + 1);
+        let labels: Vec<&str> = report.batches.iter().map(|b| b.label.as_str()).collect();
+        assert_eq!(labels, ["record", "matrix", "matrix"]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `Vec<Vec<..>>`; serve locks only through the closure-scoped helpers in
 //! its `lib.rs`, so no guard is alive across a socket write; no crate reads
 //! or writes the process environment, so every run option is passed by
-//! value from the command line.
+//! value from the command line; the harness replays only through the
+//! replay front door, except Figure 1's efficiency maps.
 
 /// `src` with every `//` comment and every `#[cfg(test)]` item
 /// (brace-matched, wherever it sits) blanked out; line numbers still hold.
@@ -112,6 +113,69 @@ fn run_options_never_travel_through_the_environment() {
     assert_eq!(scan("", None, environment_access), [""; 0], "pass the option as a value");
 }
 
+/// Every path a `use` tree such as `a::{b, c::{d, e as f}}` imports.
+fn use_paths(prefix: &str, tree: &str) -> Vec<String> {
+    let tree = tree.trim();
+    if let Some(inner) = tree.strip_prefix('{').and_then(|t| t.strip_suffix('}')) {
+        let (mut depth, mut start, mut paths) = (0i32, 0, Vec::new());
+        for (i, c) in inner.char_indices().chain([(inner.len(), ',')]) {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                ',' if depth == 0 => {
+                    paths.extend(use_paths(prefix, &inner[start..i]).into_iter().filter(|p| p != prefix));
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        return paths;
+    }
+    match tree.split_once("::{") {
+        Some((head, rest)) => use_paths(&format!("{prefix}{head}::"), &format!("{{{rest}")),
+        None => vec![format!("{prefix}{}", tree.split(" as ").next().unwrap_or(tree).trim())],
+    }
+}
+
+/// 1-based lines that import or call the serial replay loop
+/// (`sdbp_cache::replay::replay`, also re-exported as `sdbp_cache::replay`)
+/// or build a `Cache` by hand with `Cache::new(`.
+fn hand_built_replay(src: &str) -> Vec<usize> {
+    let code = strip(src);
+    let line_of = |at: usize| code[..at].matches('\n').count() + 1;
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut lines = Vec::new();
+    for needle in ["sdbp_cache::replay::replay", "sdbp_cache::replay(", "Cache::new("] {
+        for (at, _) in code.match_indices(needle) {
+            let before = code[..at].chars().next_back().is_some_and(is_ident);
+            let after = needle.ends_with(is_ident)
+                && code[at + needle.len()..].chars().next().is_some_and(is_ident);
+            if !before && !after {
+                lines.push(line_of(at));
+            }
+        }
+    }
+    for (at, _) in code.match_indices("use ") {
+        if code[..at].chars().next_back().is_some_and(is_ident) {
+            continue;
+        }
+        let tree = code[at + 4..].split(';').next().unwrap_or("");
+        let serial = ["sdbp_cache::replay::replay", "sdbp_cache::replay"];
+        if use_paths("", tree).iter().any(|p| serial.contains(&p.as_str())) {
+            lines.push(line_of(at));
+        }
+    }
+    lines.sort_unstable();
+    lines.dedup();
+    lines
+}
+
+#[test]
+fn the_harness_replays_through_the_front_door() {
+    let found = scan("harness", Some("experiments/fig1.rs"), hand_built_replay);
+    assert_eq!(found, [""; 0], "replay through sdbp::replay::ReplayRequest");
+}
+
 #[test]
 fn checks_flag_bad_shapes_and_pass_good_ones() {
     let bad_seed = "fn a(seed: u64, core: u64) -> u64 { seed + core }
@@ -141,4 +205,21 @@ std::env::remove_var(\"N\");";
     let good_env = "let args: Vec<String> = std::env::args().collect();
 let tmp = std::env::temp_dir(); // not std::env::var(\"TMP\")";
     assert_eq!(environment_access(good_env), [0; 0]);
+    let bad_replay = "use sdbp_cache::replay::replay;
+use sdbp_cache::replay::{split_hits_by_core, replay as serial};
+use sdbp_cache::{
+    replay::{replay, Span},
+    CacheConfig,
+};
+let r = sdbp_cache::replay::replay(&w.llc, &mut cache);
+let mut cache = sdbp_cache::Cache::new(llc);
+let r = sdbp_cache::replay(&s, &mut sdbp_cache::Cache::with_policy(cfg, p));
+let r = replay_spans(&s, &spans, &mut Cache::new(cfg), None);";
+    assert_eq!(hand_built_replay(bad_replay), [1, 2, 3, 7, 8, 9, 10]);
+    let good_replay = "use sdbp_cache::replay::{replay_spans, split_hits_by_core};
+use sdbp_cache::{CacheConfig, CacheStats};
+let h = sdbp_cache::replay::split_hits_by_core(&m, &o.hits, 4);
+let v = VirtualVictimCache::new(llc); // not Cache::new(llc)
+let c = CacheConfig::new(64, 8);";
+    assert_eq!(hand_built_replay(good_replay), [0; 0]);
 }
