@@ -70,18 +70,19 @@ impl Context {
         let per_mix = &per_mix;
         let jobs: Vec<Job<'_, T>> = mixes
             .iter()
+            // Every mix has four members, one per core.
             .zip(pairs.chunks(4))
             .map(|(mix, pairs)| {
                 let workloads: Vec<_> = pairs
                     .iter()
                     .map(|(b, core)| self.store.record(b, *core))
                     .collect();
-                let streams: usize = workloads.iter().map(|w| w.llc.len()).sum();
+                let merged_len: usize = workloads.iter().map(|w| w.llc.len()).sum();
                 Job::new(format!("{label}/{}", mix.name), move || {
                     let streams: Vec<_> = workloads.iter().map(|w| w.llc.as_slice()).collect();
                     per_mix(mix, &workloads, &merge_llc_streams(&streams))
                 })
-                .accesses((streams * replays) as u64)
+                .accesses((merged_len * replays) as u64)
             })
             .collect();
         self.engine.run_batch(label, jobs).expect_all()

@@ -1,4 +1,9 @@
 //! Figure 10: quad-core workloads sharing an 8 MB LLC.
+//!
+//! One `fig10` job per mix ([`Context::mixes`]) replays the LRU baseline
+//! and every policy from the mix's merged stream through the replay front
+//! door, the policy built for four cores, then runs the timing model per
+//! member on its share of the hit map.
 
 use super::Context;
 use crate::runner::{cell, run_policy};

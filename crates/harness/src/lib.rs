@@ -2,8 +2,8 @@
 //!
 //! The `sdbp-repro` binary dispatches to one experiment module per paper
 //! artifact; the [`runner`] module holds the shared machinery (run
-//! options, recording, the memoised matrix, replay + timing, multi-core
-//! weighted speedup), [`flags`] the one command-line parser, and
+//! options, recording, the memoised matrix, replay + timing),
+//! [`flags`] the one command-line parser, and
 //! [`table`] the plain-text table renderer used for all output.
 //!
 //! Run `cargo run --release -p sdbp-harness --bin sdbp-repro -- list` for

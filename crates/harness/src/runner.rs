@@ -1,10 +1,14 @@
 //! Shared experiment machinery: the run options, workload recording with
 //! caching, single-core replay + timing, the memoised experiment matrix,
-//! and the multi-core weighted speedup pipeline.
+//! and exact replays of quad-core merged streams.
 //!
 //! Every matrix cell is a pure function of (benchmark, policy spec, LLC
 //! geometry, [`RunConfig`]), so a [`RecordStore`] replays each distinct
-//! cell once per run however many experiments show it.
+//! cell once per run however many experiments show it. Recordings are
+//! made the same way: [`record_all`] runs one `record` batch for the
+//! (benchmark, core) pairs the store does not hold, before any replay
+//! batch. Every replay here goes through the replay front door,
+//! [`sdbp::replay`].
 
 use sdbp::registry::{standard, PolicySpec};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest, SampledExtras};
@@ -307,12 +311,12 @@ pub fn run_policy(
 /// worker count.
 ///
 /// Only cells the store has not replayed yet (by benchmark, spec string
-/// and geometry) run, each once, in two batches: one recording job per
-/// benchmark (cached in the store, which also loads its sampling plan),
-/// then one replay job per missing cell, so replays of a slow benchmark
-/// don't serialize behind each other. The store's memo is read and
-/// filled here on the caller's thread, never inside a job, so which jobs
-/// run never depends on scheduling. Each replay shards on scoped threads
+/// and geometry) run, each once, in two batches: [`record_all`]'s batch
+/// for the benchmarks the store does not hold, then one replay job per
+/// missing cell, so replays of a slow benchmark don't serialize behind
+/// each other. The store's memo is read and filled, and sampling plans
+/// are loaded, here on the caller's thread, never inside a job, so which
+/// jobs run never depends on scheduling. Each replay shards on scoped threads
 /// inside its job when the store's config asks for shards.
 pub fn run_matrix(
     engine: &Engine,
