@@ -125,7 +125,11 @@ impl BufferedTrace<'static> {
     /// [`TraceSource::open_batched`](sdbp_trace::TraceSource::open_batched),
     /// which cannot lend out a borrow of a local).
     pub fn into_batches(self) -> Batches<'static> {
-        Batches { trace: Cow::Owned(self), scratch: ColumnScratch::default(), next: 0 }
+        Batches {
+            trace: Cow::Owned(self),
+            scratch: ColumnScratch::default(),
+            next: 0,
+        }
     }
 }
 
@@ -159,7 +163,9 @@ impl<'b> BufferedTrace<'b> {
             if payload_len == 0 {
                 // End marker: checksum slot carries the whole-file value.
                 if records != 0 {
-                    return Err(TraceIoError::Truncated { context: "end marker" });
+                    return Err(TraceIoError::Truncated {
+                        context: "end marker",
+                    });
                 }
                 if checksum != global.value() {
                     return Err(TraceIoError::TrailerChecksum);
@@ -175,9 +181,11 @@ impl<'b> BufferedTrace<'b> {
             if records == 0 {
                 return Err(TraceIoError::CorruptRecord { chunk });
             }
-            let (payload, rest) = src
-                .split_at_checked(payload_len)
-                .ok_or(TraceIoError::Truncated { context: "chunk payload" })?;
+            let (payload, rest) =
+                src.split_at_checked(payload_len)
+                    .ok_or(TraceIoError::Truncated {
+                        context: "chunk payload",
+                    })?;
             if meta.version >= FORMAT_V2 {
                 // v2 chunks carry per-column checksums covering every
                 // payload byte after the preamble, so integrity needs
@@ -194,11 +202,18 @@ impl<'b> BufferedTrace<'b> {
                 global.fold(actual);
             }
             let start = bytes.len() - src.len();
-            chunks.push(ChunkEntry { payload: start..start + payload_len, records });
+            chunks.push(ChunkEntry {
+                payload: start..start + payload_len,
+                records,
+            });
             src = rest;
             records_total += u64::from(records);
         }
-        Ok(BufferedTrace { bytes, meta, chunks })
+        Ok(BufferedTrace {
+            bytes,
+            meta,
+            chunks,
+        })
     }
 
     /// The validated header metadata.
@@ -250,10 +265,15 @@ impl<'b> BufferedTrace<'b> {
         scratch: &'s mut ColumnScratch,
     ) -> Result<InstrBatch<'s>, TraceIoError> {
         let chunk = index as u64;
-        let entry = self.chunks.get(index).ok_or(TraceIoError::CorruptRecord { chunk })?;
+        let entry = self
+            .chunks
+            .get(index)
+            .ok_or(TraceIoError::CorruptRecord { chunk })?;
         let payload = self.bytes.get(entry.payload.clone()).ok_or(
             // Unreachable: ranges were bounds-checked at construction.
-            TraceIoError::Truncated { context: "chunk payload" },
+            TraceIoError::Truncated {
+                context: "chunk payload",
+            },
         )?;
         if self.meta.version >= FORMAT_V2 {
             let cols = v2_columns(payload, entry.records, chunk)?;
@@ -292,7 +312,11 @@ impl<'b> BufferedTrace<'b> {
 
     /// A batch cursor over every chunk, in file order.
     pub fn batches(&self) -> Batches<'_> {
-        Batches { trace: Cow::Borrowed(self), scratch: ColumnScratch::default(), next: 0 }
+        Batches {
+            trace: Cow::Borrowed(self),
+            scratch: ColumnScratch::default(),
+            next: 0,
+        }
     }
 }
 
@@ -366,8 +390,8 @@ impl InstrBatcher for Batches<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::TraceWriter;
     use crate::format::FORMAT_V1;
+    use crate::writer::TraceWriter;
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
     use std::io::Cursor;
@@ -384,8 +408,9 @@ mod tests {
     fn encode(version: u32, n: usize, per_chunk: u32) -> Vec<u8> {
         let mut buf = Cursor::new(Vec::new());
         let meta = TraceMeta::new("buffered", 0xb0f).with_version(version);
-        let mut w =
-            TraceWriter::new(&mut buf, meta).unwrap().chunk_records(per_chunk);
+        let mut w = TraceWriter::new(&mut buf, meta)
+            .unwrap()
+            .chunk_records(per_chunk);
         w.write_all(instrs(n)).unwrap();
         w.finish().unwrap();
         buf.into_inner()
@@ -403,8 +428,7 @@ mod tests {
     fn batches_reproduce_the_stream_in_both_versions() {
         let want = instrs(1000);
         for version in [FORMAT_V1, FORMAT_V2] {
-            let trace =
-                BufferedTrace::from_bytes(encode(version, 1000, 128)).unwrap();
+            let trace = BufferedTrace::from_bytes(encode(version, 1000, 128)).unwrap();
             assert_eq!(trace.meta().count, 1000);
             assert_eq!(trace.chunk_count(), 8);
             assert_eq!(trace.chunk_stats()[0].records, 128);
@@ -457,7 +481,10 @@ mod tests {
             // Structured sweep: truncate at every prefix length.
             for len in 0..healthy.len() {
                 let r = BufferedTrace::from_slice(&healthy[..len]);
-                assert!(r.is_err(), "v{version}: prefix of {len} bytes must not index cleanly");
+                assert!(
+                    r.is_err(),
+                    "v{version}: prefix of {len} bytes must not index cleanly"
+                );
             }
         }
     }

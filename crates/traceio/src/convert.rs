@@ -49,7 +49,11 @@ pub fn convert_stream<W: Write + Seek>(
         writer.write_all(batch.iter())?;
     }
     let write = writer.finish()?;
-    Ok(ConvertSummary { from_version: from.version, to_version: target_version, write })
+    Ok(ConvertSummary {
+        from_version: from.version,
+        to_version: target_version,
+        write,
+    })
 }
 
 /// Converts the file at `src` into `dst` with `target_version`. `src`
@@ -87,8 +91,7 @@ mod tests {
 
     fn encode_v1(n: usize) -> Vec<u8> {
         let mut buf = Cursor::new(Vec::new());
-        let mut w =
-            TraceWriter::new(&mut buf, TraceMeta::new("conv", 0xc0dec)).unwrap();
+        let mut w = TraceWriter::new(&mut buf, TraceMeta::new("conv", 0xc0dec)).unwrap();
         w.write_all(instrs(n)).unwrap();
         w.finish().unwrap();
         buf.into_inner()
@@ -128,17 +131,24 @@ mod tests {
         assert_eq!(meta2.seed, 0xc0dec);
         assert_eq!(records2, original);
 
-        assert!(buffered(&v2).chunk_count() > 1, "the v2 file must span several chunks");
+        assert!(
+            buffered(&v2).chunk_count() > 1,
+            "the v2 file must span several chunks"
+        );
 
         let mut back = Cursor::new(Vec::new());
         convert_stream(&buffered(&v2), &mut back, FORMAT_V1).unwrap();
-        assert_eq!(back.into_inner(), v1, "v1 -> v2 -> v1 must reproduce the v1 bytes");
+        assert_eq!(
+            back.into_inner(),
+            v1,
+            "v1 -> v2 -> v1 must reproduce the v1 bytes"
+        );
     }
 
     #[test]
     fn converting_a_file_onto_itself_is_safe() {
-        let path = std::env::temp_dir()
-            .join(format!("sdbt-convert-{}-in-place.sdbt", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("sdbt-convert-{}-in-place.sdbt", std::process::id()));
         std::fs::write(&path, encode_v1(5000)).unwrap();
         convert_path(&path, &path, FORMAT_V2).unwrap();
         let (meta, records) = decode(&std::fs::read(&path).unwrap());
@@ -155,7 +165,10 @@ mod tests {
     fn conversion_to_unknown_version_is_rejected() {
         let v1 = encode_v1(10);
         let err = convert_stream(&buffered(&v1), Cursor::new(Vec::new()), 7).unwrap_err();
-        assert!(matches!(err, TraceIoError::UnsupportedVersion { found: 7, .. }));
+        assert!(matches!(
+            err,
+            TraceIoError::UnsupportedVersion { found: 7, .. }
+        ));
     }
 
     #[test]

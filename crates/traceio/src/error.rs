@@ -116,21 +116,34 @@ impl fmt::Display for TraceIoError {
                 write!(f, "undecodable record in chunk {chunk}")
             }
             TraceIoError::CountMismatch { header, decoded } => {
-                write!(f, "header promises {header} records but file holds {decoded}")
+                write!(
+                    f,
+                    "header promises {header} records but file holds {decoded}"
+                )
             }
             TraceIoError::TrailerChecksum => {
                 write!(f, "whole-file checksum mismatch at end marker")
             }
             TraceIoError::NameTooLong { len, max } => {
-                write!(f, "workload name of {len} bytes exceeds the {max}-byte header limit")
+                write!(
+                    f,
+                    "workload name of {len} bytes exceeds the {max}-byte header limit"
+                )
             }
             TraceIoError::ChunkTooLarge { bytes } => {
-                write!(f, "chunk payload of {bytes} bytes exceeds the u32 frame limit")
+                write!(
+                    f,
+                    "chunk payload of {bytes} bytes exceeds the u32 frame limit"
+                )
             }
             TraceIoError::Import { line, detail } => {
                 write!(f, "import failed at line {line}: {detail}")
             }
-            TraceIoError::ColumnLength { chunk, expected, found } => write!(
+            TraceIoError::ColumnLength {
+                chunk,
+                expected,
+                found,
+            } => write!(
                 f,
                 "column layout mismatch in chunk {chunk}: record count \
                  requires {expected} payload bytes, frame carries {found}"
@@ -165,18 +178,60 @@ mod tests {
     fn display_names_the_failure() {
         let cases: Vec<(TraceIoError, &str)> = vec![
             (TraceIoError::BadMagic { found: [0; 8] }, "magic"),
-            (TraceIoError::UnsupportedVersion { found: 9, supported: 1 }, "version 9"),
-            (TraceIoError::Truncated { context: "chunk payload" }, "chunk payload"),
-            (TraceIoError::ChunkChecksum { chunk: 3 }, "chunk 3"),
-            (TraceIoError::CountMismatch { header: 10, decoded: 5 }, "10"),
-            (TraceIoError::Import { line: 7, detail: "x".into() }, "line 7"),
-            (TraceIoError::NameTooLong { len: 5000, max: 4096 }, "5000"),
-            (TraceIoError::ChunkTooLarge { bytes: 1 << 33 }, "u32 frame limit"),
             (
-                TraceIoError::ColumnLength { chunk: 2, expected: 41, found: 40 },
+                TraceIoError::UnsupportedVersion {
+                    found: 9,
+                    supported: 1,
+                },
+                "version 9",
+            ),
+            (
+                TraceIoError::Truncated {
+                    context: "chunk payload",
+                },
+                "chunk payload",
+            ),
+            (TraceIoError::ChunkChecksum { chunk: 3 }, "chunk 3"),
+            (
+                TraceIoError::CountMismatch {
+                    header: 10,
+                    decoded: 5,
+                },
+                "10",
+            ),
+            (
+                TraceIoError::Import {
+                    line: 7,
+                    detail: "x".into(),
+                },
+                "line 7",
+            ),
+            (
+                TraceIoError::NameTooLong {
+                    len: 5000,
+                    max: 4096,
+                },
+                "5000",
+            ),
+            (
+                TraceIoError::ChunkTooLarge { bytes: 1 << 33 },
+                "u32 frame limit",
+            ),
+            (
+                TraceIoError::ColumnLength {
+                    chunk: 2,
+                    expected: 41,
+                    found: 40,
+                },
                 "chunk 2",
             ),
-            (TraceIoError::ColumnChecksum { chunk: 4, column: "addrs" }, "addrs"),
+            (
+                TraceIoError::ColumnChecksum {
+                    chunk: 4,
+                    column: "addrs",
+                },
+                "addrs",
+            ),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

@@ -95,7 +95,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// with records, not bytes, which is what keeps validating batch decode
 /// fast. Identical to [`fnv1a_words`] over the serialized column bytes.
 pub fn fnv1a_u64s(vals: &[u64]) -> u64 {
-    vals.iter().fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
+    vals.iter()
+        .fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
 }
 
 /// [`fnv1a_u64s`] applied to a serialized column: folds each aligned
@@ -131,7 +132,10 @@ pub fn fnv1a_words_pair(a: &[u8], b: &[u8]) -> (u64, u64) {
             hb = (hb ^ u64::from_le_bytes(ab)).wrapping_mul(FNV_PRIME);
         }
     }
-    (fnv1a_step(ha, ca.remainder()), fnv1a_step(hb, cb.remainder()))
+    (
+        fnv1a_step(ha, ca.remainder()),
+        fnv1a_step(hb, cb.remainder()),
+    )
 }
 
 /// The running whole-file checksum: chunk payload checksums folded in
@@ -256,8 +260,11 @@ impl DeltaState {
         }
         let addr_delta = unzigzag(get_varint(buf, pos)?);
         self.prev_addr = self.prev_addr.wrapping_add(addr_delta as u64);
-        let kind =
-            if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+        let kind = if flags & FLAG_WRITE != 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
         Some(Instr::mem(
             pc,
             MemRef {
@@ -336,16 +343,22 @@ pub fn split_v2_payload(payload: &[u8], records: usize) -> Option<V2Columns<'_>>
         pos += len;
         Some(part)
     };
-    let read_fnv = |bytes: &[u8]| -> Option<u64> {
-        <[u8; 8]>::try_from(bytes).ok().map(u64::from_le_bytes)
-    };
+    let read_fnv =
+        |bytes: &[u8]| -> Option<u64> { <[u8; 8]>::try_from(bytes).ok().map(u64::from_le_bytes) };
     let pcs_fnv = read_fnv(take(8)?)?;
     let addrs_fnv = read_fnv(take(8)?)?;
     let flags_fnv = read_fnv(take(8)?)?;
     let pcs_bytes = take(col)?;
     let addrs_bytes = take(col)?;
     let flags = take(records)?;
-    Some(V2Columns { pcs_bytes, addrs_bytes, flags, pcs_fnv, addrs_fnv, flags_fnv })
+    Some(V2Columns {
+        pcs_bytes,
+        addrs_bytes,
+        flags,
+        pcs_fnv,
+        addrs_fnv,
+        flags_fnv,
+    })
 }
 
 /// Widens a serialized little-endian `u64` column into `out` (cleared
@@ -385,7 +398,12 @@ impl TraceMeta {
     /// Defaults to the v1 archival layout; chain
     /// [`with_version`](TraceMeta::with_version) to target v2.
     pub fn new(name: impl Into<String>, seed: u64) -> Self {
-        TraceMeta { name: name.into(), seed, count: 0, version: FORMAT_V1 }
+        TraceMeta {
+            name: name.into(),
+            seed,
+            count: 0,
+            version: FORMAT_V1,
+        }
     }
 
     /// The same metadata targeting container `version`.
@@ -445,7 +463,9 @@ pub fn read_header<R: Read>(src: &mut R) -> Result<TraceMeta, TraceIoError> {
         });
     }
     if version == 0 {
-        return Err(TraceIoError::HeaderCorrupt { detail: "version 0".into() });
+        return Err(TraceIoError::HeaderCorrupt {
+            detail: "version 0".into(),
+        });
     }
     if name_len as usize > MAX_NAME_LEN {
         return Err(TraceIoError::HeaderCorrupt {
@@ -455,13 +475,21 @@ pub fn read_header<R: Read>(src: &mut R) -> Result<TraceMeta, TraceIoError> {
     let mut name_bytes = vec![0u8; name_len as usize];
     read_exact(src, &mut name_bytes, "header name")?;
     let fnv = read_u64(src, "header checksum")?;
-    let name = String::from_utf8(name_bytes)
-        .map_err(|_| TraceIoError::HeaderCorrupt { detail: "name is not UTF-8".into() })?;
-    let meta = TraceMeta { name, seed, count, version };
+    let name = String::from_utf8(name_bytes).map_err(|_| TraceIoError::HeaderCorrupt {
+        detail: "name is not UTF-8".into(),
+    })?;
+    let meta = TraceMeta {
+        name,
+        seed,
+        count,
+        version,
+    };
     // The encoding is canonical little-endian, so re-serializing the
     // parsed fields reproduces the bytes just read, checksum included.
     if !meta.to_bytes().ends_with(&fnv.to_le_bytes()) {
-        return Err(TraceIoError::HeaderCorrupt { detail: "checksum mismatch".into() });
+        return Err(TraceIoError::HeaderCorrupt {
+            detail: "checksum mismatch".into(),
+        });
     }
     Ok(meta)
 }
@@ -510,8 +538,17 @@ mod tests {
     #[test]
     fn varint_round_trips() {
         let mut buf = Vec::new();
-        let values =
-            [0u64, 1, 127, 128, 300, 0xffff, u64::from(u32::MAX), u64::MAX, u64::MAX - 1];
+        let values = [
+            0u64,
+            1,
+            127,
+            128,
+            300,
+            0xffff,
+            u64::from(u32::MAX),
+            u64::MAX,
+            u64::MAX - 1,
+        ];
         for &v in &values {
             put_varint(&mut buf, v);
         }
@@ -540,7 +577,10 @@ mod tests {
             Instr::non_mem(Pc::new(0x400_000)),
             Instr::mem(Pc::new(0x400_004), MemRef::read(Addr::new(0x1_0000_0040))),
             Instr::mem(Pc::new(0x400_000), MemRef::write(Addr::new(0x1_0000_0000))),
-            Instr::mem(Pc::new(0x400_008), MemRef::read(Addr::new(u64::MAX)).dependent()),
+            Instr::mem(
+                Pc::new(0x400_008),
+                MemRef::read(Addr::new(u64::MAX)).dependent(),
+            ),
             Instr::non_mem(Pc::new(0)),
         ];
         let mut enc = DeltaState::default();
@@ -565,7 +605,12 @@ mod tests {
 
     #[test]
     fn header_serializes_with_valid_checksum() {
-        let meta = TraceMeta { name: "456.hmmer".into(), seed: 42, count: 7, version: 1 };
+        let meta = TraceMeta {
+            name: "456.hmmer".into(),
+            seed: 42,
+            count: 7,
+            version: 1,
+        };
         let bytes = meta.to_bytes();
         assert_eq!(&bytes[..8], &MAGIC);
         let body = &bytes[..bytes.len() - 8];
@@ -578,7 +623,10 @@ mod tests {
         let instrs = vec![
             Instr::non_mem(Pc::new(0x400_000)),
             Instr::mem(Pc::new(0x400_004), MemRef::read(Addr::new(0x1_0000_0040))),
-            Instr::mem(Pc::new(0x400_000), MemRef::write(Addr::new(u64::MAX)).dependent()),
+            Instr::mem(
+                Pc::new(0x400_000),
+                MemRef::write(Addr::new(u64::MAX)).dependent(),
+            ),
         ];
         let mut cols = ColumnBuf::default();
         for i in &instrs {

@@ -32,10 +32,15 @@ pub fn parse_line(line: &str, lineno: u64) -> Result<Option<Instr>, TraceIoError
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let fail = |detail: String| TraceIoError::Import { line: lineno, detail };
+    let fail = |detail: String| TraceIoError::Import {
+        line: lineno,
+        detail,
+    };
     let mut fields = line.split_whitespace();
     let mut need = |what: &str| {
-        fields.next().ok_or_else(|| fail(format!("missing {what} field")))
+        fields
+            .next()
+            .ok_or_else(|| fail(format!("missing {what} field")))
     };
     let pc = parse_u64(need("pc")?).map_err(|e| fail(format!("pc: {e}")))?;
     let addr = parse_u64(need("addr")?).map_err(|e| fail(format!("addr: {e}")))?;
@@ -49,12 +54,18 @@ pub fn parse_line(line: &str, lineno: u64) -> Result<Option<Instr>, TraceIoError
     }
     Ok(Some(Instr::mem(
         Pc::new(pc),
-        MemRef { addr: Addr::new(addr), kind, dependent: false },
+        MemRef {
+            addr: Addr::new(addr),
+            kind,
+            dependent: false,
+        },
     )))
 }
 
 fn parse_u64(field: &str) -> Result<u64, String> {
-    let parsed = if let Some(hex) = field.strip_prefix("0x").or_else(|| field.strip_prefix("0X"))
+    let parsed = if let Some(hex) = field
+        .strip_prefix("0x")
+        .or_else(|| field.strip_prefix("0X"))
     {
         u64::from_str_radix(hex, 16)
     } else {
@@ -86,8 +97,8 @@ pub fn import_text<R: BufRead, W: Write + Seek>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceMeta;
     use crate::buffered::BufferedTrace;
+    use crate::format::TraceMeta;
     use std::io::Cursor;
 
     #[test]
@@ -122,7 +133,10 @@ mod tests {
         ] {
             let err = parse_line(line, 9).unwrap_err();
             let msg = err.to_string();
-            assert!(msg.contains("line 9") && msg.contains(needle), "{line}: {msg}");
+            assert!(
+                msg.contains("line 9") && msg.contains(needle),
+                "{line}: {msg}"
+            );
         }
     }
 
@@ -146,8 +160,7 @@ mod tests {
     #[test]
     fn import_surfaces_parse_errors() {
         let text = "0x400 0x1000 0\nbroken line here\n";
-        let writer =
-            TraceWriter::new(Cursor::new(Vec::new()), TraceMeta::new("x", 0)).unwrap();
+        let writer = TraceWriter::new(Cursor::new(Vec::new()), TraceMeta::new("x", 0)).unwrap();
         let err = import_text(Cursor::new(text), writer).unwrap_err();
         assert!(matches!(err, TraceIoError::Import { line: 2, .. }), "{err}");
     }

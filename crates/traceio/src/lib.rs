@@ -81,7 +81,7 @@
     clippy::panic,
     clippy::todo,
     clippy::unimplemented,
-    clippy::cast_possible_truncation,
+    clippy::cast_possible_truncation
 )]
 #![warn(missing_debug_implementations)]
 

@@ -31,7 +31,10 @@ impl FileSource {
     /// Any header defect or filesystem error, as [`read_header`].
     pub fn new(path: &Path) -> Result<Self, TraceIoError> {
         let meta = read_header(&mut BufReader::new(File::open(path)?))?;
-        Ok(FileSource { path: path.to_path_buf(), meta })
+        Ok(FileSource {
+            path: path.to_path_buf(),
+            meta,
+        })
     }
 
     /// Loads the whole file as a validated [`BufferedTrace`], with errors
@@ -117,10 +120,16 @@ mod tests {
         let src = FileSource::new(&path).unwrap();
         assert_eq!(src.name(), "hot");
         assert_eq!(src.len_hint(), Some(3000));
-        let a: Vec<_> =
-            src.open().unwrap().collect::<Result<_, _>>().expect("clean stream");
-        let b: Vec<_> =
-            src.open().unwrap().collect::<Result<_, _>>().expect("clean stream");
+        let a: Vec<_> = src
+            .open()
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .expect("clean stream");
+        let b: Vec<_> = src
+            .open()
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .expect("clean stream");
         assert_eq!(a, instrs);
         assert_eq!(a, b);
         #[expect(
@@ -144,8 +153,11 @@ mod tests {
         w.finish().unwrap();
 
         let src = FileSource::new(&path).unwrap();
-        let streamed: Vec<_> =
-            src.open().unwrap().collect::<Result<_, _>>().expect("clean stream");
+        let streamed: Vec<_> = src
+            .open()
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .expect("clean stream");
         let mut batcher = src.open_batched().unwrap().expect("file sources batch");
         let mut batched = Vec::new();
         while let Some(batch) = batcher.next_batch().unwrap() {

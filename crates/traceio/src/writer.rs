@@ -2,8 +2,8 @@
 
 use crate::error::TraceIoError;
 use crate::format::{
-    encode_v2_payload, fnv1a, DeltaState, GlobalChecksum, TraceMeta,
-    DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAX_NAME_LEN,
+    encode_v2_payload, fnv1a, DeltaState, GlobalChecksum, TraceMeta, DEFAULT_CHUNK_RECORDS,
+    FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAX_NAME_LEN,
 };
 use sdbp_trace::batch::ColumnBuf;
 use sdbp_trace::Instr;
@@ -93,7 +93,10 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// propagates write errors.
     pub fn new(mut out: W, meta: TraceMeta) -> Result<Self, TraceIoError> {
         if meta.name.len() > MAX_NAME_LEN {
-            return Err(TraceIoError::NameTooLong { len: meta.name.len(), max: MAX_NAME_LEN });
+            return Err(TraceIoError::NameTooLong {
+                len: meta.name.len(),
+                max: MAX_NAME_LEN,
+            });
         }
         if !(FORMAT_V1..=FORMAT_V2).contains(&meta.version) {
             return Err(TraceIoError::UnsupportedVersion {
@@ -176,8 +179,10 @@ impl<W: Write + Seek> TraceWriter<W> {
             self.cols.clear();
         }
         let payload_fnv = fnv1a(&self.chunk);
-        let payload_len = u32::try_from(self.chunk.len())
-            .map_err(|_| TraceIoError::ChunkTooLarge { bytes: self.chunk.len() })?;
+        let payload_len =
+            u32::try_from(self.chunk.len()).map_err(|_| TraceIoError::ChunkTooLarge {
+                bytes: self.chunk.len(),
+            })?;
         self.out.write_all(&payload_len.to_le_bytes())?;
         self.out.write_all(&self.chunk_records.to_le_bytes())?;
         self.out.write_all(&payload_fnv.to_le_bytes())?;
@@ -211,6 +216,10 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.out.seek(SeekFrom::Start(0))?;
         self.out.write_all(&self.meta.to_bytes())?;
         self.out.flush()?;
-        Ok(WriteSummary { instructions: self.count, chunks: self.chunks, bytes: self.bytes })
+        Ok(WriteSummary {
+            instructions: self.count,
+            chunks: self.chunks,
+            bytes: self.bytes,
+        })
     }
 }

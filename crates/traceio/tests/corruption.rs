@@ -17,7 +17,9 @@ fn healthy_bytes(version: u32) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
     let meta = TraceMeta::new("victim", 42).with_version(version);
     let mut writer = TraceWriter::new(&mut buf, meta).unwrap().chunk_records(512);
-    let trace = TraceBuilder::new(42).kernel(KernelSpec::generational(1 << 16, 3, 32)).build();
+    let trace = TraceBuilder::new(42)
+        .kernel(KernelSpec::generational(1 << 16, 3, 32))
+        .build();
     writer.write_all(trace.take(RECORDS)).unwrap();
     let summary = writer.finish().unwrap();
     assert!(summary.chunks > 4, "test wants a multi-chunk file");
@@ -39,7 +41,11 @@ fn drain(bytes: &[u8]) -> Result<usize, TraceIoError> {
 #[test]
 fn healthy_file_baseline() {
     for version in [FORMAT_V1, FORMAT_V2] {
-        assert_eq!(drain(&healthy_bytes(version)).unwrap(), RECORDS, "v{version}");
+        assert_eq!(
+            drain(&healthy_bytes(version)).unwrap(),
+            RECORDS,
+            "v{version}"
+        );
     }
 }
 
@@ -53,8 +59,8 @@ fn truncation_at_every_prefix_is_a_typed_error_not_a_panic() {
         cuts.extend((200..full.len()).step_by(97));
         cuts.push(full.len() - 1);
         for cut in cuts {
-            let err = drain(&full[..cut])
-                .expect_err(&format!("v{version}: cut at {cut} must fail"));
+            let err =
+                drain(&full[..cut]).expect_err(&format!("v{version}: cut at {cut} must fail"));
             assert!(
                 matches!(
                     err,
@@ -90,7 +96,10 @@ fn future_format_version_is_rejected_with_both_versions_named() {
         // fires, not the checksum check: recompute it over magic..name.
         patch_header_checksum(&mut bytes);
         match drain(&bytes) {
-            Err(TraceIoError::UnsupportedVersion { found: 99, supported }) => {
+            Err(TraceIoError::UnsupportedVersion {
+                found: 99,
+                supported,
+            }) => {
                 assert_eq!(supported, sdbp_traceio::FORMAT_VERSION);
             }
             other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),

@@ -27,8 +27,12 @@ const CHUNK_RECORDS: u32 = 512;
 fn healthy_bytes(version: u32) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
     let meta = TraceMeta::new("victim", 42).with_version(version);
-    let mut writer = TraceWriter::new(&mut buf, meta).unwrap().chunk_records(CHUNK_RECORDS);
-    let trace = TraceBuilder::new(42).kernel(KernelSpec::generational(1 << 16, 3, 32)).build();
+    let mut writer = TraceWriter::new(&mut buf, meta)
+        .unwrap()
+        .chunk_records(CHUNK_RECORDS);
+    let trace = TraceBuilder::new(42)
+        .kernel(KernelSpec::generational(1 << 16, 3, 32))
+        .build();
     writer.write_all(trace.take(RECORDS)).unwrap();
     let summary = writer.finish().unwrap();
     assert!(summary.chunks > 4, "test wants a multi-chunk file");
@@ -106,8 +110,7 @@ fn healthy_v2_baseline_on_both_decode_paths() {
 fn truncated_column_array_is_a_typed_error() {
     let full = healthy_bytes(FORMAT_V2);
     let first = chunk_starts(&full)[0];
-    let payload_len =
-        u32::from_le_bytes(full[first..first + 4].try_into().unwrap()) as usize;
+    let payload_len = u32::from_le_bytes(full[first..first + 4].try_into().unwrap()) as usize;
     // Cut the file three bytes short of the first chunk's flags column
     // end — the frame header still promises the full payload.
     let cut = first + 16 + payload_len - 3;
@@ -127,7 +130,11 @@ fn column_length_mismatch_with_record_count_is_typed() {
     let records = u32::from_le_bytes(bytes[first + 4..first + 8].try_into().unwrap());
     bytes[first + 4..first + 8].copy_from_slice(&(records + 1).to_le_bytes());
     match drain(&bytes) {
-        Err(TraceIoError::ColumnLength { chunk: 0, expected, found }) => {
+        Err(TraceIoError::ColumnLength {
+            chunk: 0,
+            expected,
+            found,
+        }) => {
             assert_eq!(
                 found,
                 u64::from(records) * V2_RECORD_BYTES as u64 + V2_PREAMBLE_LEN as u64
@@ -142,8 +149,7 @@ fn column_length_mismatch_with_record_count_is_typed() {
 fn bad_per_column_checksum_names_the_column() {
     let full = healthy_bytes(FORMAT_V2);
     let second = chunk_starts(&full)[1];
-    let records =
-        u32::from_le_bytes(full[second + 4..second + 8].try_into().unwrap()) as usize;
+    let records = u32::from_le_bytes(full[second + 4..second + 8].try_into().unwrap()) as usize;
     let payload = second + 16;
     // Forge each declared column checksum in the preamble, then damage
     // each column's actual bytes — all six must name the right column.
@@ -155,13 +161,19 @@ fn bad_per_column_checksum_names_the_column() {
         (payload + V2_PREAMBLE_LEN + records * 8 + 7, "addrs"),
         // Low bits of a flags byte stay inside FLAG_MASK, so only the
         // checksum — not the record decoder — can catch this one.
-        (payload + V2_PREAMBLE_LEN + records * 16 + records / 2, "flags"),
+        (
+            payload + V2_PREAMBLE_LEN + records * 16 + records / 2,
+            "flags",
+        ),
     ];
     for (target, column) in cases {
         let mut bytes = full.clone();
         bytes[target] ^= 0x02;
         match drain(&bytes) {
-            Err(TraceIoError::ColumnChecksum { chunk: 1, column: got }) => {
+            Err(TraceIoError::ColumnChecksum {
+                chunk: 1,
+                column: got,
+            }) => {
                 assert_eq!(got, column, "wrong column named for byte {target}");
             }
             other => panic!("byte {target} expected ColumnChecksum({column}), got {other:?}"),

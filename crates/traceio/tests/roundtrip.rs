@@ -29,13 +29,22 @@ fn kernel_archetypes() -> Vec<(&'static str, KernelSpec)> {
         ("generational", KernelSpec::generational(1 << 18, 3, 32)),
         ("adversarial", KernelSpec::adversarial(1 << 18, 3, 32)),
         ("pointer_chase", KernelSpec::pointer_chase(1 << 18)),
-        ("chase_revisit", KernelSpec::pointer_chase_with_revisit(1 << 18, 0.3)),
-        ("classed", KernelSpec::classed(1 << 19, 2000, vec![(2.0, 1), (1.0, 4)]).variants(8)),
+        (
+            "chase_revisit",
+            KernelSpec::pointer_chase_with_revisit(1 << 18, 0.3),
+        ),
+        (
+            "classed",
+            KernelSpec::classed(1 << 19, 2000, vec![(2.0, 1), (1.0, 4)]).variants(8),
+        ),
         (
             "classed_ambiguous",
             KernelSpec::classed_ambiguous(1 << 19, 2000, vec![(1.2, 2), (1.0, 16)]).variants(8),
         ),
-        ("stack_distance", KernelSpec::stack_distance(1 << 19, 0.7, 500.0)),
+        (
+            "stack_distance",
+            KernelSpec::stack_distance(1 << 19, 0.7, 500.0),
+        ),
     ]
 }
 
@@ -46,7 +55,9 @@ fn container_round_trip(name: &str, seed: u64, instrs: &[Instr]) -> Vec<Instr> {
         .expect("header writes")
         // Small chunks so every trace crosses several chunk boundaries.
         .chunk_records(1 << 10);
-    writer.write_all(instrs.iter().copied()).expect("records write");
+    writer
+        .write_all(instrs.iter().copied())
+        .expect("records write");
     let summary = writer.finish().expect("finish");
     assert_eq!(summary.instructions, instrs.len() as u64, "{name}");
     assert!(summary.chunks >= 1, "{name}");
@@ -95,18 +106,27 @@ fn replayed_traces_record_identical_llc_streams_and_miss_counts() {
     let llc = CacheConfig::new(256, 16);
     for (name, spec) in kernel_archetypes() {
         let seed = gen.next_u64();
-        let original: Vec<Instr> =
-            TraceBuilder::new(seed).kernel(spec).build().take(40_000).collect();
+        let original: Vec<Instr> = TraceBuilder::new(seed)
+            .kernel(spec)
+            .build()
+            .take(40_000)
+            .collect();
         let replayed = container_round_trip(name, seed, &original);
 
         let direct = record(name, original.iter().copied(), 40_000);
         let from_file = record(name, replayed.iter().copied(), 40_000);
-        assert_eq!(direct.records, from_file.records, "{name}: timing records differ");
+        assert_eq!(
+            direct.records, from_file.records,
+            "{name}: timing records differ"
+        );
         assert_eq!(direct.llc, from_file.llc, "{name}: LLC streams differ");
 
         let builders: [(&str, CacheBuilder); 2] = [
             ("lru", Box::new(move || Cache::new(llc))),
-            ("sdbp", Box::new(move || Cache::with_policy(llc, policies::sampler_lru(llc)))),
+            (
+                "sdbp",
+                Box::new(move || Cache::with_policy(llc, policies::sampler_lru(llc))),
+            ),
         ];
         for (policy, build) in &builders {
             let a = replay(&direct.llc, &mut build()).stats.misses;
@@ -123,7 +143,11 @@ fn multi_kernel_compositions_round_trip() {
         let archetypes = kernel_archetypes();
         let n = gen.gen_range(1usize..4);
         let kernels: Vec<KernelSpec> = (0..n)
-            .map(|_| archetypes[gen.gen_range(0usize..archetypes.len())].1.clone())
+            .map(|_| {
+                archetypes[gen.gen_range(0usize..archetypes.len())]
+                    .1
+                    .clone()
+            })
             .collect();
         let seed = gen.next_u64();
         let frac = gen.gen_range(0.1f64..0.9);
@@ -150,7 +174,9 @@ fn chunk_stats_account_for_every_record_and_byte() {
     let mut writer = TraceWriter::new(&mut buf, TraceMeta::new("stats", 7))
         .expect("header writes")
         .chunk_records(1 << 10);
-    writer.write_all(original.iter().copied()).expect("records write");
+    writer
+        .write_all(original.iter().copied())
+        .expect("records write");
     let summary = writer.finish().expect("finish");
 
     let trace = BufferedTrace::from_bytes(buf.into_inner()).expect("trace indexes");
