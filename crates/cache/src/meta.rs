@@ -20,7 +20,7 @@
     reason = "hot data plane: metadata arrays sized from the validated cache geometry"
 )]
 
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 /// A contiguous per-set metadata array: `sets` rows of `width` lanes each.
 ///
@@ -202,6 +202,48 @@ impl HitMap {
         self.len += 1;
     }
 
+    /// Appends outcomes `range` of `src`, 64 at a time; positions at or
+    /// past `src.len()` append misses, so an empty `src` pads with
+    /// misses.
+    pub fn extend_from_range(&mut self, src: &HitMap, range: Range<usize>) {
+        let mut pos = range.start;
+        let end = range.end.max(pos);
+        self.words
+            .reserve((self.len + (end - pos)).div_ceil(64) - self.words.len());
+        while pos < end {
+            let take = (end - pos).min(64);
+            self.push_word(src.word_at(pos) & low_bits(take), take);
+            pos += take;
+        }
+    }
+
+    /// The 64 outcomes starting at access `pos`, bit `i` for access
+    /// `pos + i`; accesses past the end read as misses.
+    fn word_at(&self, pos: usize) -> u64 {
+        let (index, shift) = (pos / 64, pos % 64);
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        match shift {
+            0 => word(index),
+            _ => word(index) >> shift | word(index + 1) << (64 - shift),
+        }
+    }
+
+    /// Appends the low `count` bits of `bits` (higher bits must be zero).
+    fn push_word(&mut self, bits: u64, count: usize) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(bits);
+        } else {
+            if let Some(last) = self.words.last_mut() {
+                *last |= bits << shift;
+            }
+            if count > 64 - shift {
+                self.words.push(bits >> (64 - shift));
+            }
+        }
+        self.len += count;
+    }
+
     /// The outcome of access `index`, or `None` past the end.
     pub fn get(&self, index: usize) -> Option<bool> {
         if index >= self.len {
@@ -241,6 +283,14 @@ impl HitMap {
                 .get(i / 64)
                 .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
         })
+    }
+}
+
+/// A word with its low `count` bits set (`count` ≤ 64).
+const fn low_bits(count: usize) -> u64 {
+    match count {
+        64.. => u64::MAX,
+        _ => (1u64 << count) - 1,
     }
 }
 
@@ -357,6 +407,29 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, HitMap::from_bools(&[true]));
+    }
+
+    #[test]
+    fn hitmap_range_append_matches_bitwise_append() {
+        let mut rng = Rng64::seed_from_u64(0x7a9e);
+        let src = HitMap::from_bools(&(0..300).map(|_| rng.gen_bool(0.5)).collect::<Vec<_>>());
+        for _ in 0..200 {
+            let prefix: Vec<bool> = (0..rng.gen_range(0usize..130))
+                .map(|_| rng.gen_bool(0.5))
+                .collect();
+            let start = rng.gen_range(0usize..320);
+            let end = start + rng.gen_range(0usize..200);
+            let mut fast = HitMap::from_bools(&prefix);
+            fast.extend_from_range(&src, start..end);
+            let mut slow = HitMap::from_bools(&prefix);
+            slow.extend((start..end).map(|i| src.get(i).unwrap_or(false)));
+            // Structural equality also pins the zeroed tail.
+            assert_eq!(fast, slow, "prefix {} range {start}..{end}", prefix.len());
+        }
+        let mut padded = HitMap::from_bools(&[true]);
+        padded.extend_from_range(&HitMap::new(), 0..100);
+        assert_eq!(padded.len(), 101);
+        assert_eq!(padded.count_ones(), 1);
     }
 
     #[test]

@@ -512,7 +512,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     // Loading validates every checksum and the record count.
     let trace = BufferedTrace::load(path).map_err(io)?;
     let meta = trace.meta();
-    let bytes = trace.byte_len() as u64;
+    let bytes = trace.byte_len();
     // Tee each record through both codecs into byte-counting sinks, so
     // the cross-version size report reflects real encodes of this exact
     // stream, not a nominal formula.

@@ -25,7 +25,7 @@
 use crate::plan::{PlanError, SamplingPlan};
 use sdbp_cache::meta::HitMap;
 use sdbp_cache::recorder::LlcAccess;
-use sdbp_cache::replay::{replay, replay_spans, Span, SpanError};
+use sdbp_cache::replay::{replay_spans, Outcomes, Span, SpanError};
 use sdbp_cache::{Cache, SampledReplayResult};
 use std::fmt;
 
@@ -225,13 +225,17 @@ pub fn assemble(
     let mut hits = HitMap::with_capacity(stream_len);
     for (w, &c) in plan.assignment.iter().enumerate() {
         let start = w.saturating_mul(window).min(stream_len);
-        let len = window.min(stream_len - start);
-        let pattern = patterns.get(c as usize).filter(|p| !p.is_empty());
-        for i in 0..len {
-            let bit = pattern
-                .and_then(|p| measured.get(p.start + i % p.len()))
-                .unwrap_or(false);
-            hits.push(bit);
+        let mut len = window.min(stream_len - start);
+        match patterns.get(c as usize).filter(|p| !p.is_empty()) {
+            // Whole copies of the pattern, then a truncated one.
+            Some(p) => {
+                while len > 0 {
+                    let take = len.min(p.len());
+                    hits.extend_from_range(measured, p.start..p.start + take);
+                    len -= take;
+                }
+            }
+            None => hits.extend_from_range(&HitMap::new(), 0..len),
         }
     }
     let estimated = hits.len() as u64 - hits.count_ones();
@@ -280,7 +284,11 @@ pub fn calibrate_bound(
     let mut worst = 0.0f64;
     for fresh in references.iter_mut() {
         let sampled = replay_sampled(stream, plan, &mut **fresh)?;
-        let exact = replay(stream, &mut fresh()).misses();
+        // Only the miss count is compared, so the exact reference keeps
+        // no per-access outcomes.
+        let mut exact = fresh();
+        exact.run(stream, Outcomes::Discard);
+        let exact = exact.stats().misses;
         let err = (sampled.estimated as f64 - exact as f64).abs() / (exact.max(1)) as f64;
         worst = worst.max(err);
     }
@@ -294,6 +302,7 @@ mod tests {
     use super::*;
     use crate::builder::{build_plan, PlanConfig};
     use sdbp_cache::recorder::record;
+    use sdbp_cache::replay::replay;
     use sdbp_cache::CacheConfig;
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
@@ -418,6 +427,88 @@ mod tests {
         let err = calibrate_bound(&w.llc[..10], &mut plan, &mut refs, 2.0, 0.005)
             .expect_err("length mismatch must be typed");
         assert!(matches!(err, SampleError::StreamMismatch { .. }));
+    }
+
+    /// The per-bit tiling [`assemble`] replaced, kept as its model.
+    fn assemble_bitwise(
+        stream_len: usize,
+        plan: &SamplingPlan,
+        schedule: &Schedule,
+        measured: &HitMap,
+    ) -> HitMap {
+        let mut patterns = vec![0..0; plan.representatives.len()];
+        let mut offset = 0;
+        for (span, &cluster) in schedule.spans.iter().zip(&schedule.clusters) {
+            let len = span.measure_end.saturating_sub(span.measure_start);
+            patterns[cluster] = offset..offset + len;
+            offset += len;
+        }
+        let window = plan.window as usize;
+        let mut hits = HitMap::new();
+        for (w, &c) in plan.assignment.iter().enumerate() {
+            let start = (w * window).min(stream_len);
+            let pattern = patterns.get(c as usize).filter(|p| !p.is_empty());
+            for i in 0..window.min(stream_len - start) {
+                hits.push(
+                    pattern
+                        .and_then(|p| measured.get(p.start + i % p.len()))
+                        .unwrap_or(false),
+                );
+            }
+        }
+        hits
+    }
+
+    #[test]
+    fn word_level_assemble_matches_the_bitwise_model() {
+        let mut rng = sdbp_trace::rng::Rng64::seed_from_u64(0xa55e);
+        // Ten windows of 100 accesses (not a word multiple) and a
+        // 37-access tail window.
+        let stream_len = 1037;
+        let plan = |representatives: Vec<u64>, assignment: Vec<u32>| SamplingPlan {
+            source: "model".into(),
+            source_len: stream_len as u64,
+            window: 100,
+            warmup_windows: 1,
+            seed: 0,
+            k: 3,
+            bound: 0.1,
+            representatives,
+            assignment,
+        };
+        let plans = [
+            // The tail represents cluster 2, so windows 7 and 8 cycle its
+            // 37-access pattern.
+            plan(vec![1, 5, 10], vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 1, 2]),
+            // The tail sits in cluster 0 and truncates window 1's pattern.
+            plan(vec![1, 4, 7], vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 1, 0]),
+        ];
+        for plan in &plans {
+            let schedule = segment_schedule(stream_len, plan).expect("plan fits its stream");
+            // A schedule that measured no span for cluster 1: its windows
+            // tile as misses.
+            let mut partial = schedule.clone();
+            let dropped = partial.clusters.iter().position(|&c| c == 1).unwrap();
+            partial.spans.remove(dropped);
+            partial.clusters.remove(dropped);
+            for schedule in [&schedule, &partial] {
+                let measured_len: usize = schedule
+                    .spans
+                    .iter()
+                    .map(|s| s.measure_end - s.measure_start)
+                    .sum();
+                let measured: HitMap = (0..measured_len).map(|_| rng.gen_bool(0.6)).collect();
+                // Also a measured map cut short: positions past its end
+                // read as misses.
+                let short: HitMap = measured.iter().take(measured_len - 50).collect();
+                for measured in [&measured, &short] {
+                    let got = assemble(stream_len, plan, schedule, measured);
+                    let want = assemble_bitwise(stream_len, plan, schedule, measured);
+                    assert_eq!(got.hits, want, "{:?}", plan.assignment);
+                    assert_eq!(got.estimated, want.len() as u64 - want.count_ones());
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! This module defines the batch-of-columns view consumed by the recording
 //! and replay front doors instead: three parallel columns (flags, program
 //! counters, addresses) spanning one decoded chunk, borrowed from whoever
-//! owns the backing storage — a fully-buffered trace file, a reader's
+//! owns the backing storage — an in-memory trace image, a reader's
 //! scratch buffer, or a generator's fill buffer.
 //!
 //! The flags byte is the **canonical record encoding** shared by every

@@ -14,7 +14,7 @@ use crate::format::TraceMeta;
 use crate::writer::{TraceWriter, WriteSummary};
 use std::fs::File;
 use std::io::{BufWriter, Seek, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// What a conversion amounted to.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -57,8 +57,10 @@ pub fn convert_stream<W: Write + Seek>(
 }
 
 /// Converts the file at `src` into `dst` with `target_version`. `src`
-/// is loaded whole before `dst` is created, so converting a file onto
-/// itself is safe.
+/// is read chunk by chunk while the output goes to a `.partial` sibling
+/// of `dst`, which is renamed onto `dst` only once it is complete, so
+/// converting a file onto itself is safe and a failed conversion leaves
+/// `dst` untouched.
 ///
 /// # Errors
 ///
@@ -69,7 +71,23 @@ pub fn convert_path(
     target_version: u32,
 ) -> Result<ConvertSummary, TraceIoError> {
     let trace = BufferedTrace::load(src)?;
-    convert_stream(&trace, BufWriter::new(File::create(dst)?), target_version)
+    let mut partial = dst.as_os_str().to_owned();
+    partial.push(".partial");
+    let partial = PathBuf::from(partial);
+    let converted = (|| -> Result<ConvertSummary, TraceIoError> {
+        let out = BufWriter::new(File::create(&partial)?);
+        let summary = convert_stream(&trace, out, target_version)?;
+        std::fs::rename(&partial, dst)?;
+        Ok(summary)
+    })();
+    if converted.is_err() {
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort cleanup; the conversion error is what the caller needs"
+        )]
+        std::fs::remove_file(&partial).ok();
+    }
+    converted
 }
 
 #[cfg(test)]

@@ -31,11 +31,11 @@
 //!            pcs[records × u64] addrs[records × u64] flags[records × u8]
 //! ```
 //!
-//! so `payload_len` is exactly `24 + 17 × records` and a fully-buffered
-//! reader can hand out whole columns without per-record decode: the flags
-//! column is borrowed straight from the file bytes, the `u64` columns are
-//! widened in one bulk pass per chunk. Non-memory records store `0` in
-//! their address slot. All three column checksums are word-folded FNV-1a
+//! so `payload_len` is exactly `24 + 17 × records` and a reader holding
+//! one chunk's payload can hand out whole columns without per-record
+//! decode: the flags column is borrowed straight from the payload bytes,
+//! the `u64` columns are widened in one bulk pass per chunk. Non-memory
+//! records store `0` in their address slot. All three column checksums are word-folded FNV-1a
 //! ([`fnv1a_words`]: one step per aligned 8-byte word, byte-wise tail),
 //! so validation scales with records, not bytes. See DESIGN.md §14 for
 //! the borrow rules and why v1 stays the archival default.
@@ -94,15 +94,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// stores for its fixed-width u64 columns — verification cost scales
 /// with records, not bytes, which is what keeps validating batch decode
 /// fast. Identical to [`fnv1a_words`] over the serialized column bytes.
-pub fn fnv1a_u64s(vals: &[u64]) -> u64 {
+fn fnv1a_u64s(vals: &[u64]) -> u64 {
     vals.iter()
         .fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
 }
 
-/// [`fnv1a_u64s`] applied to a serialized column: folds each aligned
-/// 8-byte little-endian word as one unit; a trailing partial word (the
-/// flags column when `records % 8 != 0`) folds byte-wise so the hash
-/// still covers every byte.
+/// Word-folded FNV-1a 64 of a serialized column, the checksum the v2
+/// layout stores per column: folds each aligned 8-byte little-endian
+/// word as one unit; a trailing partial word (the flags column when
+/// `records % 8 != 0`) folds byte-wise so the hash still covers every
+/// byte.
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut chunks = bytes.chunks_exact(8);
     let mut hash = FNV_OFFSET;
@@ -169,12 +170,12 @@ impl Default for GlobalChecksum {
 
 /// Zigzag-encodes a signed delta so small magnitudes of either sign get
 /// short varints.
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
@@ -501,13 +502,18 @@ pub(crate) fn read_exact<R: Read>(
     buf: &mut [u8],
     context: &'static str,
 ) -> Result<(), TraceIoError> {
-    src.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TraceIoError::Truncated { context }
-        } else {
-            TraceIoError::Io(e)
-        }
-    })
+    src.read_exact(buf).map_err(|e| truncated_or_io(e, context))
+}
+
+/// Maps running out of bytes while reading `context` to
+/// [`TraceIoError::Truncated`] and any other I/O error to
+/// [`TraceIoError::Io`].
+pub(crate) fn truncated_or_io(e: std::io::Error, context: &'static str) -> TraceIoError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        TraceIoError::Truncated { context }
+    } else {
+        TraceIoError::Io(e)
+    }
 }
 
 /// Reads a little-endian `u32`; see [`read_exact`].

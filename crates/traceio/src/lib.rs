@@ -19,8 +19,8 @@
 //!   bytes/access: the compact archival default.
 //! * **v2** ([`FORMAT_V2`]) — fixed-width columns (PCs, addresses,
 //!   flags as separate per-chunk arrays, each with a word-folded
-//!   checksum): ~3.7× faster batch decode from a fully-buffered file,
-//!   at ~17 bytes/access on disk.
+//!   checksum): ~3.7× faster batch decode than v1, at ~17 bytes/access
+//!   on disk.
 //!
 //! [`convert_stream`]/[`convert_path`] move a trace between the two
 //! losslessly in either direction. See [`mod@format`] for the byte-level
@@ -29,12 +29,14 @@
 //!
 //! * [`TraceWriter`] buffers one chunk at a time (O(chunk) memory) and
 //!   writes either format ([`TraceMeta::with_version`]).
-//! * [`BufferedTrace`] is the one decoder: it holds a whole (owned or
-//!   borrowed) image in memory, validates every frame and checksum when
-//!   it indexes it, and lends whole decoded
-//!   [`InstrBatch`](sdbp_trace::batch::InstrBatch)es per chunk — zero
-//!   copy for the v2 flags column. Every defect — truncation, bad magic,
-//!   a flipped bit, a version from the future — surfaces as a typed
+//! * [`BufferedTrace`] is the one decoder: it indexes a file (streamed
+//!   once through a chunk-sized buffer, then read back one chunk per
+//!   batch, so O(chunk) memory) or an owned or borrowed in-memory image,
+//!   validates every frame and checksum when it indexes it, and lends
+//!   whole decoded [`InstrBatch`](sdbp_trace::batch::InstrBatch)es per
+//!   chunk — zero copy for an image's v2 flags column. Every defect —
+//!   truncation, bad magic, a flipped bit, a version from the future, a
+//!   file changed on disk after indexing — surfaces as a typed
 //!   [`TraceIoError`], never a panic.
 //! * [`read_header`] reads and validates just the header, for callers
 //!   that need a trace's metadata without its records.

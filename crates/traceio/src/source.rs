@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 ///
 /// Construction reads and validates only the header (so a missing or
 /// foreign file fails loudly, up front, without loading the records);
-/// each pass then loads and validates the whole file through
-/// [`BufferedTrace`]. Typed errors degrade to strings at this boundary —
+/// each pass then validates the whole file through
+/// [`BufferedTrace::load`] and decodes it chunk by chunk, holding one
+/// chunk of trace bytes at a time. Typed errors degrade to strings at this boundary —
 /// callers who need the full [`TraceIoError`] taxonomy use
 /// [`BufferedTrace`] directly.
 #[derive(Clone, Debug)]
@@ -37,7 +38,7 @@ impl FileSource {
         })
     }
 
-    /// Loads the whole file as a validated [`BufferedTrace`], with errors
+    /// Opens and validates the file as a [`BufferedTrace`], with errors
     /// naming the path.
     fn load(&self) -> Result<BufferedTrace<'static>, String> {
         BufferedTrace::load(&self.path).map_err(|e| format!("{}: {e}", self.path.display()))
@@ -87,9 +88,10 @@ impl TraceSource for FileSource {
     }
 
     fn open_batched(&self) -> Result<Option<BatchStream<'_>>, String> {
-        // The fast door for both layouts (v2 decodes zero-copy, v1
-        // through the varint codec into scratch). Validation happens at
-        // load, so corruption fails here rather than mid-replay.
+        // The fast door for both layouts (v2 widens its columns in bulk,
+        // v1 decodes through the varint codec into scratch). Validation happens at
+        // load, so corruption fails here rather than mid-replay; only a
+        // file changed on disk since can still fail a batch.
         Ok(Some(Box::new(self.load()?.into_batches())))
     }
 }

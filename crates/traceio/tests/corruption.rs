@@ -7,8 +7,13 @@
 
 use sdbp_trace::kernel::KernelSpec;
 use sdbp_trace::TraceBuilder;
-use sdbp_traceio::{BufferedTrace, TraceIoError, TraceMeta, TraceWriter, FORMAT_V1, FORMAT_V2};
+use sdbp_traceio::{
+    BufferedTrace, ColumnScratch, TraceIoError, TraceMeta, TraceWriter, FORMAT_V1, FORMAT_V2,
+};
+use std::fs::OpenOptions;
 use std::io::Cursor;
+use std::os::unix::fs::FileExt;
+use std::path::PathBuf;
 
 const RECORDS: usize = 5000;
 
@@ -26,16 +31,44 @@ fn healthy_bytes(version: u32) -> Vec<u8> {
     buf.into_inner()
 }
 
-/// Indexes and batch-drains `bytes`, returning either the clean record
+/// Indexes and batch-drains `bytes` twice — borrowed from memory
+/// ([`BufferedTrace::from_slice`]) and streamed from a file on disk
+/// ([`BufferedTrace::load`]) — and checks that both paths agree down to
+/// the error variant and its fields. Returns either the clean record
 /// count or the first error. The point: this must never panic.
 fn drain(bytes: &[u8]) -> Result<usize, TraceIoError> {
-    let trace = BufferedTrace::from_slice(bytes)?;
+    let in_memory = drain_trace(BufferedTrace::from_slice(bytes));
+    let path = scratch_path();
+    std::fs::write(&path, bytes).unwrap();
+    let on_disk = drain_trace(BufferedTrace::load(&path));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        format!("{on_disk:?}"),
+        format!("{in_memory:?}"),
+        "file and in-memory decode disagree"
+    );
+    in_memory
+}
+
+fn drain_trace(trace: Result<BufferedTrace<'_>, TraceIoError>) -> Result<usize, TraceIoError> {
+    let trace = trace?;
     let mut batches = trace.batches();
     let mut n = 0;
     while let Some(batch) = batches.try_next()? {
         n += batch.len();
     }
     Ok(n)
+}
+
+/// A temp file private to the calling test thread.
+fn scratch_path() -> PathBuf {
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    std::env::temp_dir().join(format!(
+        "sdbt-{}-{}-{thread}.sdbt",
+        env!("CARGO_CRATE_NAME"),
+        std::process::id()
+    ))
 }
 
 #[test]
@@ -46,6 +79,85 @@ fn healthy_file_baseline() {
             RECORDS,
             "v{version}"
         );
+    }
+}
+
+#[test]
+fn file_batches_equal_in_memory_batches() {
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let bytes = healthy_bytes(version);
+        let path = scratch_path();
+        std::fs::write(&path, &bytes).unwrap();
+        let on_disk = BufferedTrace::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let in_memory = BufferedTrace::from_slice(&bytes).unwrap();
+        assert_eq!(on_disk.meta(), in_memory.meta());
+        assert_eq!(on_disk.chunk_stats(), in_memory.chunk_stats());
+        assert_eq!(on_disk.byte_len(), bytes.len() as u64);
+        let (mut a, mut b) = (on_disk.batches(), in_memory.batches());
+        let mut chunks = 0;
+        while let Some(batch) = a.try_next().unwrap() {
+            let other = b.try_next().unwrap().expect("same chunk count");
+            assert_eq!(batch.flags(), other.flags(), "v{version} chunk {chunks}");
+            assert_eq!(batch.pcs(), other.pcs(), "v{version} chunk {chunks}");
+            assert_eq!(batch.addrs(), other.addrs(), "v{version} chunk {chunks}");
+            chunks += 1;
+        }
+        assert!(b.try_next().unwrap().is_none());
+        assert_eq!(chunks, in_memory.chunk_count());
+    }
+}
+
+#[test]
+fn file_changed_after_load_fails_only_the_changed_chunk() {
+    for version in [FORMAT_V1, FORMAT_V2] {
+        let mut buf = Cursor::new(Vec::new());
+        let meta = TraceMeta::new("victim", 42).with_version(version);
+        let mut writer = TraceWriter::new(&mut buf, meta)
+            .unwrap()
+            .chunk_records(1000);
+        let trace = TraceBuilder::new(42)
+            .kernel(KernelSpec::generational(1 << 16, 3, 32))
+            .build();
+        writer.write_all(trace.take(2500)).unwrap();
+        assert_eq!(writer.finish().unwrap().chunks, 3);
+        let bytes = buf.into_inner();
+        let want = BufferedTrace::from_slice(&bytes).unwrap();
+        let path = scratch_path();
+        std::fs::write(&path, &bytes).unwrap();
+        let trace = BufferedTrace::load(&path).unwrap();
+
+        // Flip a byte deep inside chunk 2's payload (index 1), on disk.
+        let first_len = u32::from_le_bytes(
+            bytes[header_len(&bytes)..header_len(&bytes) + 4]
+                .try_into()
+                .unwrap(),
+        ) as u64;
+        let target = header_len(&bytes) as u64 + 16 + first_len + 16 + 200;
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let byte = bytes[target as usize] ^ 0x01;
+        file.write_all_at(&[byte], target).unwrap();
+
+        let (mut got, mut reference) = (ColumnScratch::default(), ColumnScratch::default());
+        for index in [0, 2] {
+            let batch = trace.batch(index, &mut got).unwrap();
+            let other = want.batch(index, &mut reference).unwrap();
+            assert!(batch.iter().eq(other.iter()), "v{version} chunk {index}");
+        }
+        match (version, trace.batch(1, &mut got)) {
+            (FORMAT_V1, Err(TraceIoError::ChunkChecksum { chunk: 1 }))
+            | (FORMAT_V2, Err(TraceIoError::ColumnChecksum { chunk: 1, .. })) => {}
+            (_, Err(other)) => panic!("v{version}: unexpected error {other:?}"),
+            (_, Ok(_)) => panic!("v{version}: changed chunk decoded"),
+        }
+
+        // A file cut short after loading fails its last chunk as truncated.
+        file.set_len(target).unwrap();
+        match trace.batch(2, &mut got) {
+            Err(TraceIoError::Truncated { .. }) => {}
+            other => panic!("v{version}: expected Truncated, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }
 

@@ -19,6 +19,7 @@ use sdbp_trace::TraceBuilder;
 use sdbp_traceio::format::{V2_PREAMBLE_LEN, V2_RECORD_BYTES};
 use sdbp_traceio::{BufferedTrace, TraceIoError, TraceMeta, TraceWriter, FORMAT_V1, FORMAT_V2};
 use std::io::Cursor;
+use std::path::PathBuf;
 
 const RECORDS: usize = 5000;
 const CHUNK_RECORDS: u32 = 512;
@@ -39,16 +40,44 @@ fn healthy_bytes(version: u32) -> Vec<u8> {
     buf.into_inner()
 }
 
-/// Indexes and batch-drains `bytes` through the borrowing cursor; must
-/// never panic.
+/// Indexes and batch-drains `bytes` twice — borrowed from memory
+/// ([`BufferedTrace::from_slice`]) and streamed from a file on disk
+/// ([`BufferedTrace::load`]) — and checks that both paths agree down to
+/// the error variant and its fields. Returns either the clean record
+/// count or the first error. The point: this must never panic.
 fn drain(bytes: &[u8]) -> Result<usize, TraceIoError> {
-    let trace = BufferedTrace::from_slice(bytes)?;
+    let in_memory = drain_trace(BufferedTrace::from_slice(bytes));
+    let path = scratch_path();
+    std::fs::write(&path, bytes).unwrap();
+    let on_disk = drain_trace(BufferedTrace::load(&path));
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        format!("{on_disk:?}"),
+        format!("{in_memory:?}"),
+        "file and in-memory decode disagree"
+    );
+    in_memory
+}
+
+fn drain_trace(trace: Result<BufferedTrace<'_>, TraceIoError>) -> Result<usize, TraceIoError> {
+    let trace = trace?;
     let mut batches = trace.batches();
     let mut n = 0;
     while let Some(batch) = batches.try_next()? {
         n += batch.len();
     }
     Ok(n)
+}
+
+/// A temp file private to the calling test thread.
+fn scratch_path() -> PathBuf {
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    std::env::temp_dir().join(format!(
+        "sdbt-{}-{}-{thread}.sdbt",
+        env!("CARGO_CRATE_NAME"),
+        std::process::id()
+    ))
 }
 
 /// Byte length of the header (through its trailing checksum).
