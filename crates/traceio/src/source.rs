@@ -15,9 +15,9 @@ use std::path::{Path, PathBuf};
 /// foreign file fails loudly, up front, without loading the records);
 /// each pass then validates the whole file through
 /// [`BufferedTrace::load`] and decodes it chunk by chunk, holding one
-/// chunk of trace bytes at a time. Typed errors degrade to strings at this boundary —
-/// callers who need the full [`TraceIoError`] taxonomy use
-/// [`BufferedTrace`] directly.
+/// chunk of trace bytes at a time. Typed errors degrade to strings at
+/// this boundary — callers who need the full [`TraceIoError`] taxonomy
+/// use [`BufferedTrace`] directly.
 #[derive(Clone, Debug)]
 pub struct FileSource {
     path: PathBuf,
@@ -89,9 +89,10 @@ impl TraceSource for FileSource {
 
     fn open_batched(&self) -> Result<Option<BatchStream<'_>>, String> {
         // The fast door for both layouts (v2 widens its columns in bulk,
-        // v1 decodes through the varint codec into scratch). Validation happens at
-        // load, so corruption fails here rather than mid-replay; only a
-        // file changed on disk since can still fail a batch.
+        // v1 decodes through the varint codec into scratch). Validation
+        // happens at load, so corruption fails here rather than
+        // mid-replay; only a file changed on disk since can still fail a
+        // batch.
         Ok(Some(Box::new(self.load()?.into_batches())))
     }
 }
