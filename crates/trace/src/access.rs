@@ -242,12 +242,20 @@ pub struct MemRef {
 impl MemRef {
     /// Creates an independent read reference.
     pub const fn read(addr: Addr) -> Self {
-        MemRef { addr, kind: AccessKind::Read, dependent: false }
+        MemRef {
+            addr,
+            kind: AccessKind::Read,
+            dependent: false,
+        }
     }
 
     /// Creates an independent write reference.
     pub const fn write(addr: Addr) -> Self {
-        MemRef { addr, kind: AccessKind::Write, dependent: false }
+        MemRef {
+            addr,
+            kind: AccessKind::Write,
+            dependent: false,
+        }
     }
 
     /// Marks this reference as address-generating for the next instruction.

@@ -57,10 +57,18 @@ pub fn instr_from_columns(flags: u8, pc: u64, addr: u64) -> Instr {
     if flags & FLAG_MEM == 0 {
         return Instr::non_mem(Pc::new(pc));
     }
-    let kind = if flags & FLAG_WRITE != 0 { AccessKind::Write } else { AccessKind::Read };
+    let kind = if flags & FLAG_WRITE != 0 {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    };
     Instr::mem(
         Pc::new(pc),
-        MemRef { addr: Addr::new(addr), kind, dependent: flags & FLAG_DEPENDENT != 0 },
+        MemRef {
+            addr: Addr::new(addr),
+            kind,
+            dependent: flags & FLAG_DEPENDENT != 0,
+        },
     )
 }
 
@@ -195,7 +203,11 @@ impl ColumnBuf {
     /// Views the buffered rows as a batch.
     pub fn as_batch(&self) -> InstrBatch<'_> {
         // The three columns grow in lockstep (`push`), so lengths agree.
-        InstrBatch { flags: &self.flags, pcs: &self.pcs, addrs: &self.addrs }
+        InstrBatch {
+            flags: &self.flags,
+            pcs: &self.pcs,
+            addrs: &self.addrs,
+        }
     }
 }
 
@@ -208,7 +220,10 @@ mod tests {
             Instr::non_mem(Pc::new(0x400_000)),
             Instr::mem(Pc::new(0x400_004), MemRef::read(Addr::new(0x1_0000_0040))),
             Instr::mem(Pc::new(0x400_008), MemRef::write(Addr::new(0x2_0000_0000))),
-            Instr::mem(Pc::new(0x400_00c), MemRef::read(Addr::new(u64::MAX)).dependent()),
+            Instr::mem(
+                Pc::new(0x400_00c),
+                MemRef::read(Addr::new(u64::MAX)).dependent(),
+            ),
         ]
     }
 

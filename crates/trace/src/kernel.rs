@@ -174,7 +174,10 @@ pub struct KernelSpec {
 impl KernelSpec {
     /// Wraps a pattern with weight 1.0.
     pub fn new(pattern: ReusePattern) -> Self {
-        KernelSpec { pattern, weight: 1.0 }
+        KernelSpec {
+            pattern,
+            weight: 1.0,
+        }
     }
 
     /// A pure streaming scan: one touch per block (dead on arrival at the
@@ -200,7 +203,11 @@ impl KernelSpec {
 
     /// A cache-resident hot working set.
     pub fn hot_set(region_bytes: u64) -> Self {
-        Self::new(ReusePattern::HotSet { region_bytes, pc_slots: 4, write_fraction: 0.3 })
+        Self::new(ReusePattern::HotSet {
+            region_bytes,
+            pc_slots: 4,
+            write_fraction: 0.3,
+        })
     }
 
     /// Generational blocks with PC-correlated death.
@@ -227,12 +234,20 @@ impl KernelSpec {
 
     /// Dependent pointer chasing over the region.
     pub fn pointer_chase(region_bytes: u64) -> Self {
-        Self::new(ReusePattern::PointerChase { region_bytes, revisit: 0.0, revisit_window: 64 })
+        Self::new(ReusePattern::PointerChase {
+            region_bytes,
+            revisit: 0.0,
+            revisit_window: 64,
+        })
     }
 
     /// Pointer chasing with some short-range revisits.
     pub fn pointer_chase_with_revisit(region_bytes: u64, revisit: f64) -> Self {
-        Self::new(ReusePattern::PointerChase { region_bytes, revisit, revisit_window: 64 })
+        Self::new(ReusePattern::PointerChase {
+            region_bytes,
+            revisit,
+            revisit_window: 64,
+        })
     }
 
     /// Lifetime classes with *distinct* PC pools: death is perfectly
@@ -301,7 +316,10 @@ impl KernelSpec {
     /// Panics if the pattern is not [`ReusePattern::Classed`] or `q` is
     /// outside `[0, 1)`.
     pub fn chained(mut self, q: f64) -> Self {
-        assert!((0.0..1.0).contains(&q), "chain probability must be in [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&q),
+            "chain probability must be in [0, 1)"
+        );
         match &mut self.pattern {
             ReusePattern::Classed { quick_chain, .. } => *quick_chain = q,
             other => panic!("chained() only applies to classed kernels, not {other:?}"),
@@ -324,17 +342,22 @@ impl KernelSpec {
     /// touches, probabilities outside `[0, 1]`).
     pub fn instantiate(&self, rng: &mut Rng64) -> Box<dyn Kernel> {
         match self.pattern.clone() {
-            ReusePattern::Streaming { region_bytes, touches_per_block, stride_blocks, write_fraction } => {
-                Box::new(StreamingKernel::new(
-                    region_bytes,
-                    touches_per_block,
-                    stride_blocks,
-                    write_fraction,
-                ))
-            }
-            ReusePattern::HotSet { region_bytes, pc_slots, write_fraction } => {
-                Box::new(HotSetKernel::new(region_bytes, pc_slots, write_fraction))
-            }
+            ReusePattern::Streaming {
+                region_bytes,
+                touches_per_block,
+                stride_blocks,
+                write_fraction,
+            } => Box::new(StreamingKernel::new(
+                region_bytes,
+                touches_per_block,
+                stride_blocks,
+                write_fraction,
+            )),
+            ReusePattern::HotSet {
+                region_bytes,
+                pc_slots,
+                write_fraction,
+            } => Box::new(HotSetKernel::new(region_bytes, pc_slots, write_fraction)),
             ReusePattern::Generational {
                 region_bytes,
                 touches_per_block,
@@ -367,12 +390,27 @@ impl KernelSpec {
                 write_fraction,
                 rng,
             )),
-            ReusePattern::PointerChase { region_bytes, revisit, revisit_window } => {
-                Box::new(PointerChaseKernel::new(region_bytes, revisit, revisit_window, rng))
-            }
-            ReusePattern::StackDistance { region_bytes, reuse, mean_depth, write_fraction } => {
-                Box::new(StackDistanceKernel::new(region_bytes, reuse, mean_depth, write_fraction))
-            }
+            ReusePattern::PointerChase {
+                region_bytes,
+                revisit,
+                revisit_window,
+            } => Box::new(PointerChaseKernel::new(
+                region_bytes,
+                revisit,
+                revisit_window,
+                rng,
+            )),
+            ReusePattern::StackDistance {
+                region_bytes,
+                reuse,
+                mean_depth,
+                write_fraction,
+            } => Box::new(StackDistanceKernel::new(
+                region_bytes,
+                reuse,
+                mean_depth,
+                write_fraction,
+            )),
         }
     }
 }
@@ -404,10 +442,21 @@ struct StreamingKernel {
 }
 
 impl StreamingKernel {
-    fn new(region_bytes: u64, touches_per_block: u32, stride_blocks: u64, write_fraction: f64) -> Self {
-        assert!(touches_per_block >= 1, "touches_per_block must be at least 1");
+    fn new(
+        region_bytes: u64,
+        touches_per_block: u32,
+        stride_blocks: u64,
+        write_fraction: f64,
+    ) -> Self {
+        assert!(
+            touches_per_block >= 1,
+            "touches_per_block must be at least 1"
+        );
         assert!(stride_blocks >= 1, "stride_blocks must be at least 1");
-        assert!((0.0..=1.0).contains(&write_fraction), "write_fraction must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&write_fraction),
+            "write_fraction must be a probability"
+        );
         StreamingKernel {
             blocks: region_blocks(region_bytes),
             touches_per_block,
@@ -458,8 +507,15 @@ struct HotSetKernel {
 impl HotSetKernel {
     fn new(region_bytes: u64, pc_slots: u32, write_fraction: f64) -> Self {
         assert!(pc_slots >= 1, "pc_slots must be at least 1");
-        assert!((0.0..=1.0).contains(&write_fraction), "write_fraction must be a probability");
-        HotSetKernel { blocks: region_blocks(region_bytes), pc_slots, write_fraction }
+        assert!(
+            (0.0..=1.0).contains(&write_fraction),
+            "write_fraction must be a probability"
+        );
+        HotSetKernel {
+            blocks: region_blocks(region_bytes),
+            pc_slots,
+            write_fraction,
+        }
     }
 }
 
@@ -504,9 +560,15 @@ impl GenerationalKernel {
         write_fraction: f64,
         rng: &mut Rng64,
     ) -> Self {
-        assert!(touches_per_block >= 1, "touches_per_block must be at least 1");
+        assert!(
+            touches_per_block >= 1,
+            "touches_per_block must be at least 1"
+        );
         assert!(live_slots >= 1, "live_slots must be at least 1");
-        assert!((0.0..=1.0).contains(&write_fraction), "write_fraction must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&write_fraction),
+            "write_fraction must be a probability"
+        );
         let blocks = region_blocks(region_bytes);
         assert!(
             live_slots as u64 <= blocks,
@@ -593,11 +655,20 @@ impl ClassedKernel {
         write_fraction: f64,
         rng: &mut Rng64,
     ) -> Self {
-        assert!(!classes.is_empty(), "classed kernel needs at least one class");
+        assert!(
+            !classes.is_empty(),
+            "classed kernel needs at least one class"
+        );
         assert!(pc_variants >= 1, "pc_variants must be positive");
-        assert!((0.0..1.0).contains(&quick_chain), "quick_chain must be in [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&quick_chain),
+            "quick_chain must be in [0, 1)"
+        );
         assert!(live_slots >= 1, "live_slots must be at least 1");
-        assert!((0.0..=1.0).contains(&write_fraction), "write_fraction must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&write_fraction),
+            "write_fraction must be a probability"
+        );
         let blocks = region_blocks(region_bytes);
         assert!(
             live_slots as u64 <= blocks,
@@ -616,7 +687,11 @@ impl ClassedKernel {
             next_base += touches;
         }
         let roles = if shared_prefix {
-            classes.iter().map(|&(_, t)| t).max().expect("non-empty classes")
+            classes
+                .iter()
+                .map(|&(_, t)| t)
+                .max()
+                .expect("non-empty classes")
         } else {
             next_base
         };
@@ -647,7 +722,10 @@ impl ClassedKernel {
 
     fn pick_class(&self, rng: &mut Rng64) -> u32 {
         let x = rng.gen_range(0.0..self.total_weight);
-        self.classes.iter().position(|&(c, _)| x < c).unwrap_or(self.classes.len() - 1) as u32
+        self.classes
+            .iter()
+            .position(|&(c, _)| x < c)
+            .unwrap_or(self.classes.len() - 1) as u32
     }
 }
 
@@ -668,7 +746,11 @@ impl Kernel for ClassedKernel {
         let (block, class, touches) = self.live[slot_idx];
         let class_touches = self.classes[class as usize].1;
         let role = self.class_pc_base[class as usize] + touches;
-        let variant = if self.pc_variants > 1 { rng.gen_range(0..self.pc_variants) } else { 0 };
+        let variant = if self.pc_variants > 1 {
+            rng.gen_range(0..self.pc_variants)
+        } else {
+            0
+        };
         let step = KernelStep {
             pc_slot: role * self.pc_variants + variant,
             region_offset: block * BLOCK_BYTES,
@@ -711,7 +793,10 @@ struct PointerChaseKernel {
 
 impl PointerChaseKernel {
     fn new(region_bytes: u64, revisit: f64, revisit_window: usize, rng: &mut Rng64) -> Self {
-        assert!((0.0..=1.0).contains(&revisit), "revisit must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&revisit),
+            "revisit must be a probability"
+        );
         assert!(revisit_window >= 1, "revisit_window must be at least 1");
         let blocks = region_blocks(region_bytes);
         // LCG over 2^k with odd increment and mult ≡ 1 (mod 4) has full
@@ -788,7 +873,10 @@ impl StackDistanceKernel {
     fn new(region_bytes: u64, reuse: f64, mean_depth: f64, write_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&reuse), "reuse must be a probability");
         assert!(mean_depth >= 1.0, "mean_depth must be at least 1");
-        assert!((0.0..=1.0).contains(&write_fraction), "write_fraction must be a probability");
+        assert!(
+            (0.0..=1.0).contains(&write_fraction),
+            "write_fraction must be a probability"
+        );
         StackDistanceKernel {
             blocks: region_blocks(region_bytes),
             reuse,
@@ -822,7 +910,12 @@ impl Kernel for StackDistanceKernel {
             let block = self.stack.remove(depth);
             self.stack.insert(0, block);
             let pc_slot = if depth < 16 { 1 } else { 2 };
-            return KernelStep { pc_slot, region_offset: block * BLOCK_BYTES, kind, dependent: false };
+            return KernelStep {
+                pc_slot,
+                region_offset: block * BLOCK_BYTES,
+                kind,
+                dependent: false,
+            };
         }
         let block = self.next_alloc % self.blocks;
         self.next_alloc = self.next_alloc.wrapping_add(1);
@@ -830,7 +923,12 @@ impl Kernel for StackDistanceKernel {
         if self.stack.len() > STACK_DISTANCE_CAP {
             self.stack.pop();
         }
-        KernelStep { pc_slot: 0, region_offset: block * BLOCK_BYTES, kind, dependent: false }
+        KernelStep {
+            pc_slot: 0,
+            region_offset: block * BLOCK_BYTES,
+            kind,
+            dependent: false,
+        }
     }
 }
 
@@ -854,7 +952,10 @@ mod tests {
     #[test]
     fn streaming_touches_blocks_in_order() {
         let steps = run(KernelSpec::streaming(1 << 12), 64);
-        let blocks: Vec<u64> = steps.iter().map(|s| s.region_offset / BLOCK_BYTES).collect();
+        let blocks: Vec<u64> = steps
+            .iter()
+            .map(|s| s.region_offset / BLOCK_BYTES)
+            .collect();
         // 4 KiB region = 64 blocks, one touch each, sequential then wrap.
         assert_eq!(blocks, (0..64).collect::<Vec<_>>());
     }
@@ -893,7 +994,9 @@ mod tests {
         let mut seen: std::collections::HashMap<u64, Vec<u32>> = Default::default();
         for _ in 0..10_000 {
             let s = k.step(&mut r);
-            seen.entry(s.region_offset / BLOCK_BYTES).or_default().push(s.pc_slot);
+            seen.entry(s.region_offset / BLOCK_BYTES)
+                .or_default()
+                .push(s.pc_slot);
         }
         let mut complete = 0;
         for slots in seen.values() {
@@ -905,7 +1008,10 @@ mod tests {
                 }
             }
         }
-        assert!(complete > 100, "expected many completed generations, saw {complete}");
+        assert!(
+            complete > 100,
+            "expected many completed generations, saw {complete}"
+        );
     }
 
     #[test]
@@ -916,18 +1022,27 @@ mod tests {
             .filter(|w| w.iter().enumerate().all(|(i, s)| s.pc_slot == i as u32))
             .count();
         // With random slots, exact 0,1,2,3 windows should be rare.
-        assert!(sequential < 100, "adversarial kernel looks sequential: {sequential}");
+        assert!(
+            sequential < 100,
+            "adversarial kernel looks sequential: {sequential}"
+        );
     }
 
     #[test]
     fn pointer_chase_is_dependent_and_covers_region() {
         let steps = run(KernelSpec::pointer_chase(1 << 16), 4000);
         assert!(steps.iter().all(|s| s.dependent));
-        let unique: std::collections::HashSet<u64> =
-            steps.iter().map(|s| s.region_offset / BLOCK_BYTES).collect();
+        let unique: std::collections::HashSet<u64> = steps
+            .iter()
+            .map(|s| s.region_offset / BLOCK_BYTES)
+            .collect();
         // 64 KiB = 1024 blocks; a pseudo-random walk of 4000 steps should
         // touch most of them.
-        assert!(unique.len() > 700, "walk covered only {} blocks", unique.len());
+        assert!(
+            unique.len() > 700,
+            "walk covered only {} blocks",
+            unique.len()
+        );
     }
 
     #[test]
@@ -935,7 +1050,10 @@ mod tests {
         let steps = run(KernelSpec::pointer_chase_with_revisit(1 << 16, 0.5), 2000);
         let revisits = steps.iter().filter(|s| s.pc_slot == 1).count();
         assert!(revisits > 500, "expected ~50% revisits, got {revisits}");
-        assert!(steps.iter().filter(|s| s.pc_slot == 1).all(|s| !s.dependent));
+        assert!(steps
+            .iter()
+            .filter(|s| s.pc_slot == 1)
+            .all(|s| !s.dependent));
     }
 
     #[test]
@@ -956,7 +1074,10 @@ mod tests {
         let mut histories: std::collections::HashMap<u64, Vec<u32>> = Default::default();
         for _ in 0..20_000 {
             let s = k.step(&mut r);
-            histories.entry(s.region_offset / BLOCK_BYTES).or_default().push(s.pc_slot);
+            histories
+                .entry(s.region_offset / BLOCK_BYTES)
+                .or_default()
+                .push(s.pc_slot);
         }
         // After the (staggered) initial generation, every completed
         // generation is exactly [0,1] or [2,3,4,5].
@@ -987,7 +1108,10 @@ mod tests {
                 }
             }
         }
-        assert!(complete > 1000, "expected many completed generations, got {complete}");
+        assert!(
+            complete > 1000,
+            "expected many completed generations, got {complete}"
+        );
     }
 
     #[test]
@@ -1004,7 +1128,10 @@ mod tests {
         let mut after_slot1: std::collections::HashMap<u64, Vec<u32>> = Default::default();
         for _ in 0..20_000 {
             let s = k.step(&mut r);
-            after_slot1.entry(s.region_offset / BLOCK_BYTES).or_default().push(s.pc_slot);
+            after_slot1
+                .entry(s.region_offset / BLOCK_BYTES)
+                .or_default()
+                .push(s.pc_slot);
         }
         let mut continued = 0;
         let mut died = 0;

@@ -57,7 +57,10 @@ impl Rng64 {
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1], got {p}");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "probability must be in [0, 1], got {p}"
+        );
         self.gen_f64() < p
     }
 
@@ -94,13 +97,18 @@ impl Rng64 {
     /// ```
     #[must_use]
     pub fn fork(&self, stream_id: u64) -> Rng64 {
-        let mut child =
-            Rng64 { state: self.state.wrapping_add(stream_id.wrapping_mul(GOLDEN_GAMMA)) };
+        let mut child = Rng64 {
+            state: self
+                .state
+                .wrapping_add(stream_id.wrapping_mul(GOLDEN_GAMMA)),
+        };
         // Two scrambling steps decorrelate the child from both the parent
         // stream and siblings with nearby ids.
         let s = child.next_u64();
         let t = child.next_u64();
-        Rng64 { state: s ^ t.rotate_left(32) }
+        Rng64 {
+            state: s ^ t.rotate_left(32),
+        }
     }
 
     /// Fisher–Yates shuffle of `xs`.
@@ -208,7 +216,10 @@ mod tests {
         let expect = n as f64 / 8.0;
         for (i, &c) in counts.iter().enumerate() {
             let dev = (f64::from(c) - expect).abs() / expect;
-            assert!(dev < 0.05, "bucket {i} count {c} deviates {dev:.3} from uniform");
+            assert!(
+                dev < 0.05,
+                "bucket {i} count {c} deviates {dev:.3} from uniform"
+            );
         }
     }
 
@@ -229,7 +240,11 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "shuffle left slice in order");
+        assert_ne!(
+            xs,
+            (0..50).collect::<Vec<_>>(),
+            "shuffle left slice in order"
+        );
     }
 
     #[test]

@@ -98,13 +98,18 @@ where
 {
     /// Wraps `build`, a function returning a fresh iterator per call.
     pub fn new(name: impl Into<String>, build: F) -> Self {
-        GeneratorSource { name: name.into(), build }
+        GeneratorSource {
+            name: name.into(),
+            build,
+        }
     }
 }
 
 impl<F> fmt::Debug for GeneratorSource<F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GeneratorSource").field("name", &self.name).finish_non_exhaustive()
+        f.debug_struct("GeneratorSource")
+            .field("name", &self.name)
+            .finish_non_exhaustive()
     }
 }
 
@@ -130,7 +135,9 @@ mod tests {
 
     fn hot_source() -> impl TraceSource {
         GeneratorSource::new("hot", || {
-            TraceBuilder::new(11).kernel(KernelSpec::hot_set(1 << 14)).build()
+            TraceBuilder::new(11)
+                .kernel(KernelSpec::hot_set(1 << 14))
+                .build()
         })
     }
 

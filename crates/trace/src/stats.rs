@@ -1,7 +1,10 @@
 //! Summary statistics over instruction streams.
 
 use crate::access::{Instr, BLOCK_BYTES};
-#[expect(clippy::disallowed_types, reason = "distinct-block counting is insert + len only")]
+#[expect(
+    clippy::disallowed_types,
+    reason = "distinct-block counting is insert + len only"
+)]
 use std::collections::HashSet;
 
 /// Aggregate statistics for a finite prefix of an instruction stream.

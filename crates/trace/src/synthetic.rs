@@ -55,7 +55,11 @@ impl TraceBuilder {
     /// Starts a builder with the given RNG seed. The same seed and kernel
     /// list always produce the identical instruction stream.
     pub fn new(seed: u64) -> Self {
-        TraceBuilder { seed, memory_fraction: 0.35, specs: Vec::new() }
+        TraceBuilder {
+            seed,
+            memory_fraction: 0.35,
+            specs: Vec::new(),
+        }
     }
 
     /// Sets the fraction of instructions that reference memory
@@ -207,7 +211,11 @@ impl Iterator for SyntheticTrace {
 
     fn next(&mut self) -> Option<Instr> {
         let is_mem = self.rng.gen_bool(self.memory_fraction);
-        Some(if is_mem { self.next_mem_instr() } else { self.next_non_mem_instr() })
+        Some(if is_mem {
+            self.next_mem_instr()
+        } else {
+            self.next_non_mem_instr()
+        })
     }
 }
 
@@ -250,7 +258,10 @@ mod tests {
         let n = 40_000;
         let mem = trace.take(n).filter(Instr::is_mem).count() as f64;
         let frac = mem / n as f64;
-        assert!((frac - 0.25).abs() < 0.02, "memory fraction {frac} far from 0.25");
+        assert!(
+            (frac - 0.25).abs() < 0.02,
+            "memory fraction {frac} far from 0.25"
+        );
     }
 
     #[test]
@@ -294,14 +305,19 @@ mod tests {
             }
         }
         let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!((ratio - 2.0).abs() < 0.2, "weight ratio {ratio} far from 2.0");
+        assert!(
+            (ratio - 2.0).abs() < 0.2,
+            "weight ratio {ratio} far from 2.0"
+        );
     }
 
     #[test]
     fn reads_and_writes_both_occur() {
         let trace = simple(17);
-        let kinds: std::collections::HashSet<AccessKind> =
-            trace.take(10_000).filter_map(|i| i.mem.map(|m| m.kind)).collect();
+        let kinds: std::collections::HashSet<AccessKind> = trace
+            .take(10_000)
+            .filter_map(|i| i.mem.map(|m| m.kind))
+            .collect();
         assert!(kinds.contains(&AccessKind::Read));
         assert!(kinds.contains(&AccessKind::Write));
     }

@@ -84,8 +84,9 @@ fn kernels_respect_bounds_for_arbitrary_parameters() {
 fn traces_are_deterministic_for_arbitrary_compositions() {
     let mut gen = Rng64::seed_from_u64(0x7ace_0002);
     for _ in 0..CASES {
-        let kernels: Vec<KernelSpec> =
-            (0..gen.gen_range(1usize..5)).map(|_| arb_kernel(&mut gen)).collect();
+        let kernels: Vec<KernelSpec> = (0..gen.gen_range(1usize..5))
+            .map(|_| arb_kernel(&mut gen))
+            .collect();
         let seed = gen.next_u64();
         let frac = gen.gen_range(0.05f64..1.0);
         let build = || {
@@ -112,7 +113,10 @@ fn memory_fraction_is_approximately_respected() {
             .build();
         let n = 30_000;
         let mem = trace.take(n).filter(Instr::is_mem).count() as f64 / n as f64;
-        assert!((mem - frac).abs() < 0.03, "seed {seed}: measured {mem} vs requested {frac}");
+        assert!(
+            (mem - frac).abs() < 0.03,
+            "seed {seed}: measured {mem} vs requested {frac}"
+        );
     }
 }
 
@@ -120,8 +124,9 @@ fn memory_fraction_is_approximately_respected() {
 fn kernel_addresses_never_cross_region_boundaries() {
     let mut gen = Rng64::seed_from_u64(0x7ace_0004);
     for _ in 0..CASES {
-        let kernels: Vec<KernelSpec> =
-            (0..gen.gen_range(2usize..5)).map(|_| arb_kernel(&mut gen)).collect();
+        let kernels: Vec<KernelSpec> = (0..gen.gen_range(2usize..5))
+            .map(|_| arb_kernel(&mut gen))
+            .collect();
         let seed = gen.next_u64();
         // Every memory access must land in exactly one kernel's 64 MiB-
         // aligned region band (regions are spaced at >= 64 MiB).
