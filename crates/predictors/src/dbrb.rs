@@ -110,8 +110,13 @@ impl ShadowTable {
     /// Panics if `window` does not fit a `u32` age; its ring alone would
     /// take 48 GiB.
     fn new(window: u64) -> Self {
-        assert!(window < u64::from(u32::MAX), "shadow window {window} exceeds a u32 age");
-        let ring = usize::try_from(window + 1).unwrap_or(usize::MAX).next_power_of_two();
+        assert!(
+            window < u64::from(u32::MAX),
+            "shadow window {window} exceeds a u32 age"
+        );
+        let ring = usize::try_from(window + 1)
+            .unwrap_or(usize::MAX)
+            .next_power_of_two();
         let buckets = (ring / 2).max(2);
         ShadowTable {
             window,
@@ -133,7 +138,10 @@ impl ShadowTable {
     /// Records that `block` was bypassed or evicted as dead at `clock`,
     /// the only record at that tick.
     fn insert(&mut self, block: BlockAddr, clock: u64) {
-        debug_assert!(clock != 0 && block.raw() != TOMB, "tick 0 and the tombstone are reserved");
+        debug_assert!(
+            clock != 0 && block.raw() != TOMB,
+            "tick 0 and the tombstone are reserved"
+        );
         let bucket = self.bucket(block.raw());
         let prev = self.heads[bucket];
         debug_assert!(prev < clock, "two records at tick {clock}");
@@ -141,7 +149,11 @@ impl ShadowTable {
         let slot = self.slot(clock);
         self.blocks[slot] = block.raw();
         // The window fits a `u32` (see `new`); an older head ends the chain.
-        self.back[slot] = if prev != 0 && age <= self.window { age as u32 } else { 0 };
+        self.back[slot] = if prev != 0 && age <= self.window {
+            age as u32
+        } else {
+            0
+        };
         self.heads[bucket] = clock;
     }
 
@@ -243,7 +255,11 @@ where
     B: ReplacementPolicy + 'static,
 {
     fn name(&self) -> Cow<'static, str> {
-        Cow::Owned(format!("{}+{}-dbrb", self.base.name(), self.predictor.name()))
+        Cow::Owned(format!(
+            "{}+{}-dbrb",
+            self.base.name(),
+            self.predictor.name()
+        ))
     }
 
     #[inline]
@@ -287,7 +303,10 @@ where
         let mut oldest = u64::MAX;
         for w in 0..self.ways {
             let line = self.line(set, w);
-            let dead = self.predictor.reassess(set, line).unwrap_or(self.dead[line]);
+            let dead = self
+                .predictor
+                .reassess(set, line)
+                .unwrap_or(self.dead[line]);
             if dead && self.last_touch[line] < oldest {
                 oldest = self.last_touch[line];
                 victim = Some(w);
@@ -349,12 +368,8 @@ mod tests {
 
     fn dbrb_cache(cfg: CacheConfig, bypass: bool) -> Cache {
         let base = Lru::new(cfg.sets, cfg.ways);
-        let policy = DeadBlockReplacement::new(
-            cfg,
-            base,
-            RefTrace::new(cfg),
-            DbrbConfig { bypass },
-        );
+        let policy =
+            DeadBlockReplacement::new(cfg, base, RefTrace::new(cfg), DbrbConfig { bypass });
         Cache::with_policy(cfg, Box::new(policy))
     }
 
@@ -449,7 +464,10 @@ mod tests {
         c.access(&acc(0x604, 9_000)); // marks dead
         c.access(&acc(0x608, 9_000)); // disproves it
         let after = c.stats().false_positives;
-        assert!(after > before, "resident re-hit must count a false positive");
+        assert!(
+            after > before,
+            "resident re-hit must count a false positive"
+        );
     }
 
     #[test]
@@ -468,12 +486,8 @@ mod tests {
         use sdbp_replacement::Random;
         let cfg = CacheConfig::new(8, 4);
         let base = Random::new(cfg, 7);
-        let policy = DeadBlockReplacement::new(
-            cfg,
-            base,
-            RefTrace::new(cfg),
-            DbrbConfig::default(),
-        );
+        let policy =
+            DeadBlockReplacement::new(cfg, base, RefTrace::new(cfg), DbrbConfig::default());
         let mut c = Cache::with_policy(cfg, Box::new(policy));
         assert_eq!(c.policy().name(), "Random+reftrace-dbrb");
         for b in 0..5_000u64 {
@@ -512,7 +526,10 @@ mod tests {
         }
 
         fn recall(&mut self, block: u64, clock: u64) -> bool {
-            let hit = self.map.remove(&block).is_some_and(|when| clock - when <= self.window);
+            let hit = self
+                .map
+                .remove(&block)
+                .is_some_and(|when| clock - when <= self.window);
             if self.map.len() > 4 * self.window as usize {
                 let cutoff = clock.saturating_sub(self.window);
                 self.map.retain(|_, &mut when| when > cutoff);
@@ -570,7 +587,10 @@ mod tests {
         step: impl Fn(&mut sdbp_trace::rng::Rng64) -> u64,
     ) -> Seen {
         let mut table = ShadowTable::new(window);
-        let mut model = MapModel { map: Default::default(), window };
+        let mut model = MapModel {
+            map: Default::default(),
+            window,
+        };
         // The tick that last wrote each ring slot.
         let mut owner = vec![0u64; table.blocks.len()];
         let mut seen = Seen::default();
@@ -593,8 +613,11 @@ mod tests {
                 seen.counted += usize::from(expected);
             }
             if rng.gen_bool(0.8) {
-                let victim =
-                    if rng.gen_bool(0.5) { block } else { blocks[rng.gen_range(0..blocks.len())] };
+                let victim = if rng.gen_bool(0.5) {
+                    block
+                } else {
+                    blocks[rng.gen_range(0..blocks.len())]
+                };
                 table.insert(BlockAddr::new(victim), clock);
                 model.insert(victim, clock);
                 owner[table.slot(clock)] = clock;
@@ -620,7 +643,10 @@ mod tests {
                     .take(universe)
                     .collect();
                 let seen = against_the_model(window, &blocks, 20_000, &mut rng, |_| 1);
-                assert!(seen.counted > 0, "window {window}, universe {universe}: nothing counted");
+                assert!(
+                    seen.counted > 0,
+                    "window {window}, universe {universe}: nothing counted"
+                );
                 assert!(
                     seen.longest as u64 >= window / 2,
                     "window {window}, universe {universe}: longest live chain {}",
@@ -650,8 +676,14 @@ mod tests {
                         rng.gen_range(1..3)
                     }
                 });
-                assert!(seen.counted > 0, "window {window}, universe {universe}: nothing counted");
-                assert!(seen.reused > 0, "window {window}, universe {universe}: no reused slot");
+                assert!(
+                    seen.counted > 0,
+                    "window {window}, universe {universe}: nothing counted"
+                );
+                assert!(
+                    seen.reused > 0,
+                    "window {window}, universe {universe}: no reused slot"
+                );
             }
         }
     }
@@ -668,14 +700,25 @@ mod tests {
         for window in [0u64, 1, 3, 8, 37, 64] {
             for universe in [4u64, 40, 400] {
                 let mut table = ShadowTable::new(window);
-                let mut model = MapModel { map: Default::default(), window };
+                let mut model = MapModel {
+                    map: Default::default(),
+                    window,
+                };
                 let mut clock = 0u64;
                 let (mut at_window, mut counted) = (0, 0);
                 for _ in 0..20_000 {
-                    clock += if rng.gen_bool(0.01) { rng.gen_range(1..3 * window + 3) } else { 1 };
+                    clock += if rng.gen_bool(0.01) {
+                        rng.gen_range(1..3 * window + 3)
+                    } else {
+                        1
+                    };
                     let block = rng.gen_range(0..universe);
                     if rng.gen_bool(0.7) {
-                        if model.map.get(&block).is_some_and(|&when| clock - when == window) {
+                        if model
+                            .map
+                            .get(&block)
+                            .is_some_and(|&when| clock - when == window)
+                        {
                             at_window += 1;
                         }
                         let expected = model.recall(block, clock);
@@ -687,7 +730,11 @@ mod tests {
                         counted += usize::from(expected);
                     }
                     if rng.gen_bool(0.4) {
-                        let victim = if rng.gen_bool(0.5) { block } else { rng.gen_range(0..universe) };
+                        let victim = if rng.gen_bool(0.5) {
+                            block
+                        } else {
+                            rng.gen_range(0..universe)
+                        };
                         table.insert(BlockAddr::new(victim), clock);
                         model.insert(victim, clock);
                     }
@@ -696,10 +743,16 @@ mod tests {
                 }
                 // A zero window counts nothing: recalls follow inserts by a tick.
                 if window > 0 {
-                    assert!(counted > 0, "window {window}, universe {universe}: nothing counted");
+                    assert!(
+                        counted > 0,
+                        "window {window}, universe {universe}: nothing counted"
+                    );
                 }
                 if window > 0 && universe <= 40 {
-                    assert!(at_window > 0, "window {window}: no recall at exactly the window");
+                    assert!(
+                        at_window > 0,
+                        "window {window}: no recall at exactly the window"
+                    );
                 }
             }
         }
@@ -729,7 +782,10 @@ mod tests {
     #[test]
     fn shadow_table_size_at_the_paper_geometry() {
         let t = ShadowTable::new(CacheConfig::llc_2mb().lines() as u64);
-        assert_eq!((t.blocks.len(), t.back.len(), t.heads.len()), (1 << 16, 1 << 16, 1 << 15));
+        assert_eq!(
+            (t.blocks.len(), t.back.len(), t.heads.len()),
+            (1 << 16, 1 << 16, 1 << 15)
+        );
         let bytes = std::mem::size_of_val(t.blocks.as_slice())
             + std::mem::size_of_val(t.back.as_slice())
             + std::mem::size_of_val(t.heads.as_slice());

@@ -90,7 +90,14 @@ mod tests {
             out
         }
         for bits in 1..=32 {
-            for x in [0u64, 1, 0xfff, u64::MAX, 0xdead_beef_cafe_f00d, mix64(u64::from(bits))] {
+            for x in [
+                0u64,
+                1,
+                0xfff,
+                u64::MAX,
+                0xdead_beef_cafe_f00d,
+                mix64(u64::from(bits)),
+            ] {
                 assert_eq!(fold(x, bits), reference(x, bits), "x {x:#x}, {bits} bits");
             }
         }
@@ -137,13 +144,19 @@ mod tests {
             }
         }
         // P(collision) ≈ 1/4096; joint collisions should be ~0.
-        assert!(single <= 10, "unexpectedly many single-table collisions: {single}");
+        assert!(
+            single <= 10,
+            "unexpectedly many single-table collisions: {single}"
+        );
         assert_eq!(joint, 0, "tables are correlated");
     }
 
     #[test]
     fn skewed_hash_is_deterministic() {
         assert_eq!(skewed_hash(42, 2, 12), skewed_hash(42, 2, 12));
-        assert_ne!(skewed_hash(42, 0, 12), skewed_hash(42, 5, 12).wrapping_add(1 << 13));
+        assert_ne!(
+            skewed_hash(42, 0, 12),
+            skewed_hash(42, 5, 12).wrapping_add(1 << 13)
+        );
     }
 }

@@ -94,7 +94,10 @@ impl CounterTable {
     pub fn new(entries: usize, max: u8) -> Self {
         assert!(entries > 0, "counter table needs at least one entry");
         assert!(max > 0, "counter maximum must be positive");
-        CounterTable { counters: vec![0; entries], max }
+        CounterTable {
+            counters: vec![0; entries],
+            max,
+        }
     }
 
     /// Number of entries.
@@ -158,7 +161,11 @@ mod tests {
 
     #[test]
     fn stats_rates() {
-        let s = PredictorStats { predictions: 100, positives: 59, false_positives: 3 };
+        let s = PredictorStats {
+            predictions: 100,
+            positives: 59,
+            false_positives: 3,
+        };
         assert!((s.coverage() - 0.59).abs() < 1e-12);
         assert!((s.false_positive_rate() - 0.03).abs() < 1e-12);
         assert_eq!(PredictorStats::default().coverage(), 0.0);

@@ -209,7 +209,10 @@ mod tests {
             p.on_fill(0, 0, &acc(0x700, 13));
             p.on_evict(0, 0, BlockAddr::new(13), &acc(0x999, 14));
         }
-        assert!(p.on_miss(0, &acc(0x700, 15)), "streaming PC should be dead-on-arrival");
+        assert!(
+            p.on_miss(0, &acc(0x700, 15)),
+            "streaming PC should be dead-on-arrival"
+        );
         assert!(!p.on_miss(0, &acc(0x704, 15)), "unrelated PC should not");
     }
 
@@ -241,6 +244,9 @@ mod tests {
     #[test]
     fn names_distinguish_modes() {
         assert_eq!(RefTrace::new(cfg()).name(), "reftrace");
-        assert_eq!(RefTrace::with_mode(cfg(), BurstMode::Bursts).name(), "reftrace-bursts");
+        assert_eq!(
+            RefTrace::with_mode(cfg(), BurstMode::Bursts).name(),
+            "reftrace-bursts"
+        );
     }
 }

@@ -20,8 +20,14 @@ fn dbrb_caches(cfg: CacheConfig, bypass: bool) -> Vec<Cache> {
             cfg,
             Box::new(DeadBlockReplacement::new(cfg, lru(), RefTrace::new(cfg), c)),
         ),
-        Cache::with_policy(cfg, Box::new(DeadBlockReplacement::new(cfg, lru(), Lvp::new(cfg), c))),
-        Cache::with_policy(cfg, Box::new(DeadBlockReplacement::new(cfg, lru(), Aip::new(cfg), c))),
+        Cache::with_policy(
+            cfg,
+            Box::new(DeadBlockReplacement::new(cfg, lru(), Lvp::new(cfg), c)),
+        ),
+        Cache::with_policy(
+            cfg,
+            Box::new(DeadBlockReplacement::new(cfg, lru(), Aip::new(cfg), c)),
+        ),
     ]
 }
 
@@ -52,14 +58,22 @@ fn dbrb_stats_invariants() {
     for case in 0..CASES {
         let raw: Vec<(u8, u64, bool)> = (0..rng.gen_range(1usize..500))
             .map(|_| {
-                (rng.next_u64() as u8, rng.gen_range(0u64..1024), rng.gen_bool(0.5))
+                (
+                    rng.next_u64() as u8,
+                    rng.gen_range(0u64..1024),
+                    rng.gen_bool(0.5),
+                )
             })
             .collect();
         let bypass = case % 2 == 0;
         let cfg = CacheConfig::new(8, 4);
         for mut cache in dbrb_caches(cfg, bypass) {
             for &(pc, b, w) in &raw {
-                let kind = if w { AccessKind::Write } else { AccessKind::Read };
+                let kind = if w {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
                 cache.access(&Access::demand(
                     Pc::new(0x400 + u64::from(pc) * 4),
                     BlockAddr::new(b),
@@ -131,15 +145,15 @@ fn reftrace_signature_is_order_insensitive() {
     use sdbp_predictors::DeadBlockPredictor;
     let mut gen = Rng64::seed_from_u64(0xbdb_0004);
     for _ in 0..CASES {
-        let pcs: Vec<u64> =
-            (0..gen.gen_range(2usize..10)).map(|_| gen.gen_range(0u64..(1 << 15))).collect();
+        let pcs: Vec<u64> = (0..gen.gen_range(2usize..10))
+            .map(|_| gen.gen_range(0u64..(1 << 15)))
+            .collect();
         let seed = gen.next_u64();
         let cfg = CacheConfig::new(2, 2);
         let drive = |order: &[u64]| {
             let mut p = RefTrace::new(cfg);
-            let a = |pc: u64| {
-                Access::demand(Pc::new(pc << 2), BlockAddr::new(7), AccessKind::Read, 0)
-            };
+            let a =
+                |pc: u64| Access::demand(Pc::new(pc << 2), BlockAddr::new(7), AccessKind::Read, 0);
             p.on_fill(0, 0, &a(order[0]));
             for &pc in &order[1..] {
                 p.on_hit(0, 0, &a(pc));
@@ -156,8 +170,7 @@ fn reftrace_signature_is_order_insensitive() {
         let mut p2 = drive(&shuffled);
         // Replay the original order against both predictors: identical
         // prediction at the end of the trace.
-        let a =
-            |pc: u64| Access::demand(Pc::new(pc << 2), BlockAddr::new(9), AccessKind::Read, 0);
+        let a = |pc: u64| Access::demand(Pc::new(pc << 2), BlockAddr::new(9), AccessKind::Read, 0);
         p1.on_fill(0, 1, &a(pcs[0]));
         p2.on_fill(0, 1, &a(pcs[0]));
         let mut last1 = false;
