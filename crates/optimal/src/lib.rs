@@ -143,8 +143,12 @@ pub fn simulate_with_options(
     // `frames[k] == i` check, as no other access shares its position.
     let mut frames: Vec<u32> = Vec::with_capacity(config.ways);
     let mut holder: Vec<usize> = Vec::new();
-    let mut result =
-        OptimalResult { accesses: stream.len() as u64, hits: 0, misses: 0, bypasses: 0 };
+    let mut result = OptimalResult {
+        accesses: stream.len() as u64,
+        hits: 0,
+        misses: 0,
+        bypasses: 0,
+    };
 
     for (tags, _) in partition.sets() {
         let next = links.link(tags);
@@ -332,11 +336,17 @@ mod tests {
     fn reference(stream: &[LlcAccess], config: CacheConfig, bypass: bool) -> OptimalResult {
         let blocks: Vec<u64> = stream.iter().map(|a| a.block.raw()).collect();
         let next_of = |i: usize| {
-            (i + 1..blocks.len()).find(|&j| blocks[j] == blocks[i]).map_or(NEVER, |j| j as u64)
+            (i + 1..blocks.len())
+                .find(|&j| blocks[j] == blocks[i])
+                .map_or(NEVER, |j| j as u64)
         };
         let mut frames: Vec<Vec<(u64, u64)>> = vec![Vec::new(); config.sets];
-        let mut r =
-            OptimalResult { accesses: blocks.len() as u64, hits: 0, misses: 0, bypasses: 0 };
+        let mut r = OptimalResult {
+            accesses: blocks.len() as u64,
+            hits: 0,
+            misses: 0,
+            bypasses: 0,
+        };
         for (i, &block) in blocks.iter().enumerate() {
             let set = &mut frames[usize::try_from(block % config.sets as u64).unwrap()];
             let next = next_of(i);
@@ -372,10 +382,20 @@ mod tests {
             streams.push((0..len).map(|_| rng.gen_range(0..footprint)).collect());
             streams.push(
                 (0..len)
-                    .map(|i| if rng.gen_bool(0.2) { rng.gen_range(0..8) } else { 1_000 + i as u64 })
+                    .map(|i| {
+                        if rng.gen_bool(0.2) {
+                            rng.gen_range(0..8)
+                        } else {
+                            1_000 + i as u64
+                        }
+                    })
                     .collect(),
             );
-            streams.push((0..len).map(|_| 128 * rng.gen_range(0..footprint)).collect());
+            streams.push(
+                (0..len)
+                    .map(|_| 128 * rng.gen_range(0..footprint))
+                    .collect(),
+            );
             streams.push(
                 (0..len)
                     .map(|_| (rng.gen_range(0..footprint) << 40) | rng.gen_range(0..4))
@@ -392,7 +412,11 @@ mod tests {
             for sets in [1, 8, 64] {
                 for ways in [1, 2, 16] {
                     let cfg = CacheConfig::new(sets, ways);
-                    assert_eq!(simulate(&s, cfg), reference(&s, cfg, true), "{sets}x{ways} bypass");
+                    assert_eq!(
+                        simulate(&s, cfg),
+                        reference(&s, cfg, true),
+                        "{sets}x{ways} bypass"
+                    );
                     assert_eq!(
                         simulate_no_bypass(&s, cfg),
                         reference(&s, cfg, false),
@@ -420,6 +444,14 @@ mod tests {
     #[test]
     fn empty_stream_is_empty_result() {
         let r = simulate(&[], CacheConfig::new(4, 4));
-        assert_eq!(r, OptimalResult { accesses: 0, hits: 0, misses: 0, bypasses: 0 });
+        assert_eq!(
+            r,
+            OptimalResult {
+                accesses: 0,
+                hits: 0,
+                misses: 0,
+                bypasses: 0
+            }
+        );
     }
 }
