@@ -79,7 +79,10 @@ impl PowerModel {
         let leak_per_bit = 0.512 / llc_bits;
         let act = Self::llc_activated_bits(0) as f64;
         let dyn_coeff = 2.75 / (act * llc_bits.sqrt());
-        PowerModel { leak_per_bit, dyn_coeff }
+        PowerModel {
+            leak_per_bit,
+            dyn_coeff,
+        }
     }
 
     /// Total retained bits of the baseline LLC (data + tag/state).
@@ -114,7 +117,11 @@ impl PowerModel {
         let leakage = self.leakage_w(with_bits) - self.leakage_w(base_bits);
         let dynamic = self.dynamic_w(with_bits, Self::llc_activated_bits(extra))
             - self.dynamic_w(base_bits, Self::llc_activated_bits(0));
-        PowerComponent { name: "cache metadata", leakage_w: leakage, dynamic_w: dynamic }
+        PowerComponent {
+            name: "cache metadata",
+            leakage_w: leakage,
+            dynamic_w: dynamic,
+        }
     }
 
     /// The baseline LLC's power (sanity anchor for percentages).

@@ -19,8 +19,11 @@ pub enum PredictorKind {
 
 impl PredictorKind {
     /// All three predictors, in Table I order.
-    pub const ALL: [PredictorKind; 3] =
-        [PredictorKind::RefTrace, PredictorKind::Counting, PredictorKind::Sampler];
+    pub const ALL: [PredictorKind; 3] = [
+        PredictorKind::RefTrace,
+        PredictorKind::Counting,
+        PredictorKind::Sampler,
+    ];
 
     /// Display name as used in the paper's tables.
     pub const fn name(self) -> &'static str {
@@ -115,7 +118,10 @@ mod tests {
     fn table_1_sampler_is_13_75_kb() {
         let r = predictor_storage(PredictorKind::Sampler);
         assert!((r.total_kb() - 13.75).abs() < 1e-9);
-        assert!(r.percent_of_llc() < 1.0, "paper: less than 1% of LLC capacity");
+        assert!(
+            r.percent_of_llc() < 1.0,
+            "paper: less than 1% of LLC capacity"
+        );
     }
 
     #[test]
