@@ -13,7 +13,7 @@
 //! fraction of the cost of re-simulating the whole hierarchy.
 
 use crate::hierarchy::{ServiceLevel, UpperLevels};
-use sdbp_trace::batch::{InstrBatcher, FLAG_DEPENDENT, FLAG_MEM, FLAG_WRITE};
+use sdbp_trace::batch::{instr_flags, InstrBatcher, FLAG_DEPENDENT, FLAG_MEM, FLAG_WRITE};
 use sdbp_trace::{AccessKind, Addr, BlockAddr, Instr, Pc};
 
 /// Where an instruction was serviced (or that it was not a memory access).
@@ -121,6 +121,85 @@ fn tag_block(block: u64, core: u8) -> u64 {
     (block ^ (u64::from(core) << CORE_SALT_SHIFT)) | (u64::from(core) << CORE_TAG_SHIFT)
 }
 
+/// The one recording loop body: a fresh L1/L2 pair filtering one core's
+/// instructions into the workload's timing records and LLC stream. Both
+/// doors ([`record_for_core`] over [`Instr`]s, [`try_record_batches`]
+/// over decoded columns) feed it rows in the canonical flags encoding of
+/// [`sdbp_trace::batch`].
+struct Recorder {
+    upper: UpperLevels,
+    records: Vec<InstrRecord>,
+    llc: Vec<LlcAccess>,
+    core: u8,
+}
+
+impl Recorder {
+    /// A recorder for up to `instructions` instructions of `core`.
+    fn new(instructions: u64, core: u8) -> Result<Self, RecordError> {
+        if instructions > u64::from(u32::MAX) {
+            return Err(RecordError::TooLong {
+                wanted: instructions,
+            });
+        }
+        Ok(Recorder {
+            upper: UpperLevels::new(),
+            records: Vec::with_capacity(usize::try_from(instructions).unwrap_or(0)),
+            llc: Vec::new(),
+            core,
+        })
+    }
+
+    /// Instructions recorded so far.
+    fn taken(&self) -> u64 {
+        self.records.len() as u64
+    }
+
+    /// Records the next instruction, given as one row of the three batch
+    /// columns.
+    #[inline]
+    fn step(&mut self, flags: u8, pc: u64, addr: u64) {
+        if flags & FLAG_MEM == 0 {
+            self.records
+                .push(InstrRecord::new(InstrKind::NonMem, false));
+            return;
+        }
+        let is_write = flags & FLAG_WRITE != 0;
+        let block = Addr::new(addr).block();
+        let kind = match self.upper.access(block, is_write) {
+            ServiceLevel::L1 => InstrKind::L1Hit,
+            ServiceLevel::L2 => InstrKind::L2Hit,
+            ServiceLevel::Llc => {
+                self.llc.push(LlcAccess {
+                    pc: Pc::new(pc),
+                    block: BlockAddr::new(tag_block(block.raw(), self.core)),
+                    kind: if is_write {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    core: self.core,
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "fewer than `instructions` <= u32::MAX rows, guarded in `new`"
+                    )]
+                    instr: self.records.len() as u32,
+                });
+                InstrKind::Llc
+            }
+        };
+        self.records
+            .push(InstrRecord::new(kind, flags & FLAG_DEPENDENT != 0));
+    }
+
+    fn finish(self, name: &str) -> RecordedWorkload {
+        RecordedWorkload {
+            name: name.to_owned(),
+            records: self.records,
+            llc: self.llc,
+        }
+    }
+}
+
 /// Records `instructions` instructions of `instrs` through a fresh L1/L2
 /// pair for core 0. See [`record_for_core`] for multi-core streams.
 pub fn record<I>(name: &str, instrs: I, instructions: u64) -> RecordedWorkload
@@ -136,43 +215,36 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the instruction stream ends before `instructions` were taken.
-/// Fallible sources (trace files) should use [`try_record_for_core`],
-/// which reports both exhaustion and mid-stream source errors as values.
+/// Panics if the instruction stream ends before `instructions` were taken,
+/// or if `instructions` exceeds `u32::MAX`. Trace files record through
+/// [`try_record_batches`], which reports both as values.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking door for infinite generators; trace files use try_record_batches"
+)]
 pub fn record_for_core<I>(name: &str, instrs: I, instructions: u64, core: u8) -> RecordedWorkload
 where
     I: IntoIterator<Item = Instr>,
 {
-    match try_record_for_core(
-        name,
-        instrs.into_iter().map(Ok::<_, std::convert::Infallible>),
-        instructions,
-        core,
-    ) {
-        Ok(w) => w,
-        #[expect(
-            clippy::panic,
-            reason = "documented panicking wrapper; fallible callers use try_record_for_core"
-        )]
-        Err(RecordError::Exhausted { got, .. }) => {
-            panic!("instruction stream for {name} ended at {got}")
-        }
-        #[expect(
-            clippy::panic,
-            reason = "documented panicking wrapper; fallible callers use try_record_for_core"
-        )]
-        Err(RecordError::TooLong { wanted }) => {
-            panic!("{wanted} instructions exceed the recordable u32 ordinal space")
-        }
-        Err(RecordError::Source(e)) => match e {},
+    let mut rec = Recorder::new(instructions, core).unwrap_or_else(|e| panic!("{e}"));
+    for instr in instrs
+        .into_iter()
+        .take(usize::try_from(instructions).unwrap_or(usize::MAX))
+    {
+        let addr = instr.mem.map_or(0, |m| m.addr.raw());
+        rec.step(instr_flags(&instr), instr.pc.raw(), addr);
     }
+    if rec.taken() < instructions {
+        panic!("instruction stream for {name} ended at {}", rec.taken());
+    }
+    rec.finish(name)
 }
 
-/// Why a recording pass over a fallible instruction source failed.
+/// Why recording a trace file's instructions failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RecordError<E> {
-    /// The source itself failed mid-stream (I/O error, corrupt chunk).
-    Source(E),
+pub enum RecordError {
+    /// The batch source failed mid-stream (I/O error, corrupt chunk).
+    Source(String),
     /// The stream ended after `got` of the `wanted` instructions.
     Exhausted {
         /// Instructions successfully taken before the stream ended.
@@ -188,7 +260,7 @@ pub enum RecordError<E> {
     },
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for RecordError<E> {
+impl std::fmt::Display for RecordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecordError::Source(e) => write!(f, "trace source failed: {e}"),
@@ -205,123 +277,40 @@ impl<E: std::fmt::Display> std::fmt::Display for RecordError<E> {
     }
 }
 
-impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for RecordError<E> {}
+impl std::error::Error for RecordError {}
 
-/// [`record_for_core`] over a fallible instruction source: the streaming
-/// replay path for recorded trace files, where an I/O error or corrupt
-/// chunk must surface as a typed error instead of a panic.
+/// [`record_for_core`] over a columnar batch source: the one door for
+/// recorded trace files, where an I/O error or corrupt chunk must surface
+/// as a typed error instead of a panic.
 ///
-/// Consumes the source incrementally — memory stays bounded by the
-/// source's own buffering (one chunk for `.sdbt` readers) plus the
-/// recorded output itself.
+/// The loop reads the three columns directly (no per-record `Result`, no
+/// `Instr` construction). The L1/L2 filter is sequential state, so
+/// batches are consumed in order; the output is bit-identical to
+/// [`record_for_core`] over the same instructions. Memory stays bounded
+/// by the source's own buffering (one chunk for a `.sdbt` file) plus the
+/// recording itself.
 ///
 /// # Errors
 ///
-/// [`RecordError::Source`] wraps the first source error;
+/// [`RecordError::Source`] carries the first batch error;
 /// [`RecordError::Exhausted`] reports a stream that ended early;
 /// [`RecordError::TooLong`] rejects requests past the u32 ordinal space
 /// of [`LlcAccess::instr`] before any work is done.
-pub fn try_record_for_core<I, E>(
-    name: &str,
-    instrs: I,
-    instructions: u64,
-    core: u8,
-) -> Result<RecordedWorkload, RecordError<E>>
-where
-    I: IntoIterator<Item = Result<Instr, E>>,
-{
-    if instructions > u64::from(u32::MAX) {
-        return Err(RecordError::TooLong {
-            wanted: instructions,
-        });
-    }
-    let mut upper = UpperLevels::new();
-    let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
-    let mut llc = Vec::new();
-    let mut iter = instrs.into_iter();
-    for i in 0..instructions {
-        let instr = match iter.next() {
-            Some(Ok(instr)) => instr,
-            Some(Err(e)) => return Err(RecordError::Source(e)),
-            None => {
-                return Err(RecordError::Exhausted {
-                    got: i,
-                    wanted: instructions,
-                })
-            }
-        };
-        match instr.mem {
-            None => records.push(InstrRecord::new(InstrKind::NonMem, false)),
-            Some(m) => {
-                let kind = match upper.access(m.addr.block(), m.kind.is_write()) {
-                    ServiceLevel::L1 => InstrKind::L1Hit,
-                    ServiceLevel::L2 => InstrKind::L2Hit,
-                    ServiceLevel::Llc => {
-                        llc.push(LlcAccess {
-                            pc: instr.pc,
-                            block: BlockAddr::new(tag_block(m.addr.block().raw(), core)),
-                            kind: m.kind,
-                            core,
-                            #[expect(
-                                clippy::cast_possible_truncation,
-                                reason = "i < instructions <= u32::MAX, guarded at entry"
-                            )]
-                            instr: i as u32,
-                        });
-                        InstrKind::Llc
-                    }
-                };
-                records.push(InstrRecord::new(kind, m.dependent));
-            }
-        }
-    }
-    Ok(RecordedWorkload {
-        name: name.to_owned(),
-        records,
-        llc,
-    })
-}
-
-/// [`try_record_for_core`] over a columnar batch source — the fast door
-/// for buffered `.sdbt` traces.
-///
-/// The inner loop reads the three columns directly (no per-record
-/// `Result`, no `Instr`/`Option<MemRef>` construction), which is where
-/// the batch decode path's throughput actually lands in the recorder.
-/// The L1/L2 filter is inherently sequential state, so batches are
-/// consumed in order; output is bit-identical to the streaming path.
-///
-/// # Errors
-///
-/// As [`try_record_for_core`], with source errors already stringly typed
-/// at the [`InstrBatcher`] boundary.
 pub fn try_record_batches(
     name: &str,
     batches: &mut dyn InstrBatcher,
     instructions: u64,
     core: u8,
-) -> Result<RecordedWorkload, RecordError<String>> {
-    if instructions > u64::from(u32::MAX) {
-        return Err(RecordError::TooLong {
-            wanted: instructions,
-        });
-    }
-    let mut upper = UpperLevels::new();
-    let mut records = Vec::with_capacity(usize::try_from(instructions).unwrap_or(0));
-    let mut llc = Vec::new();
-    let mut taken: u64 = 0;
-    while taken < instructions {
-        let batch = match batches.next_batch() {
-            Ok(Some(b)) => b,
-            Ok(None) => {
-                return Err(RecordError::Exhausted {
-                    got: taken,
-                    wanted: instructions,
-                })
-            }
-            Err(e) => return Err(RecordError::Source(e)),
+) -> Result<RecordedWorkload, RecordError> {
+    let mut rec = Recorder::new(instructions, core)?;
+    while rec.taken() < instructions {
+        let Some(batch) = batches.next_batch().map_err(RecordError::Source)? else {
+            return Err(RecordError::Exhausted {
+                got: rec.taken(),
+                wanted: instructions,
+            });
         };
-        let room = usize::try_from(instructions - taken).unwrap_or(usize::MAX);
+        let room = usize::try_from(instructions - rec.taken()).unwrap_or(usize::MAX);
         let rows = batch
             .flags()
             .iter()
@@ -329,43 +318,10 @@ pub fn try_record_batches(
             .zip(batch.addrs())
             .take(room);
         for ((&flags, &pc), &addr) in rows {
-            if flags & FLAG_MEM == 0 {
-                records.push(InstrRecord::new(InstrKind::NonMem, false));
-            } else {
-                let is_write = flags & FLAG_WRITE != 0;
-                let block = Addr::new(addr).block();
-                let kind = match upper.access(block, is_write) {
-                    ServiceLevel::L1 => InstrKind::L1Hit,
-                    ServiceLevel::L2 => InstrKind::L2Hit,
-                    ServiceLevel::Llc => {
-                        llc.push(LlcAccess {
-                            pc: Pc::new(pc),
-                            block: BlockAddr::new(tag_block(block.raw(), core)),
-                            kind: if is_write {
-                                AccessKind::Write
-                            } else {
-                                AccessKind::Read
-                            },
-                            core,
-                            #[expect(
-                                clippy::cast_possible_truncation,
-                                reason = "taken < instructions <= u32::MAX, guarded at entry"
-                            )]
-                            instr: taken as u32,
-                        });
-                        InstrKind::Llc
-                    }
-                };
-                records.push(InstrRecord::new(kind, flags & FLAG_DEPENDENT != 0));
-            }
-            taken += 1;
+            rec.step(flags, pc, addr);
         }
     }
-    Ok(RecordedWorkload {
-        name: name.to_owned(),
-        records,
-        llc,
-    })
+    Ok(rec.finish(name))
 }
 
 /// Merges per-core LLC streams into one shared-LLC stream, ordered by the
@@ -513,18 +469,12 @@ mod tests {
         let _ = record("short", vec![Instr::non_mem(Pc::new(0))], 2);
     }
 
-    #[test]
-    fn try_record_matches_infallible_record() {
-        let a = record("x", stream(4), 20_000);
-        let b = try_record_for_core("x", stream(4).map(Ok::<_, String>), 20_000, 0)
-            .expect("infallible stream records");
-        assert_eq!(a.records, b.records);
-        assert_eq!(a.llc, b.llc);
-    }
-
+    /// A batch source over in-memory columns, `per_batch` rows a batch,
+    /// that fails with `tail_error` (if any) after its last batch.
     struct VecBatcher {
         cols: Vec<sdbp_trace::ColumnBuf>,
         next: usize,
+        tail_error: Option<String>,
     }
 
     impl VecBatcher {
@@ -538,18 +488,32 @@ mod tests {
                     last.push(&i);
                 }
             }
-            VecBatcher { cols, next: 0 }
+            VecBatcher {
+                cols,
+                next: 0,
+                tail_error: None,
+            }
         }
     }
 
     impl sdbp_trace::InstrBatcher for VecBatcher {
         fn next_batch(&mut self) -> Result<Option<sdbp_trace::InstrBatch<'_>>, String> {
             let Some(c) = self.cols.get(self.next) else {
-                return Ok(None);
+                return self.tail_error.clone().map_or(Ok(None), Err);
             };
             self.next += 1;
             Ok(Some(c.as_batch()))
         }
+    }
+
+    #[test]
+    fn try_record_matches_infallible_record() {
+        // One row per batch: every row crosses a batch boundary.
+        let a = record("x", stream(4), 20_000);
+        let mut batcher = VecBatcher::from_instrs(stream(4).take(20_000), 1);
+        let b = try_record_batches("x", &mut batcher, 20_000, 0).expect("clean batches record");
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.llc, b.llc);
     }
 
     #[test]
@@ -576,22 +540,26 @@ mod tests {
 
     #[test]
     fn try_record_reports_exhaustion_as_value() {
-        let err = try_record_for_core(
-            "short",
-            vec![Ok::<_, String>(Instr::non_mem(Pc::new(0)))],
-            2,
-            0,
-        )
-        .unwrap_err();
+        let mut batcher = VecBatcher::from_instrs([Instr::non_mem(Pc::new(0))].into_iter(), 8);
+        let err = try_record_batches("short", &mut batcher, 2, 0).unwrap_err();
         assert_eq!(err, RecordError::Exhausted { got: 1, wanted: 2 });
         assert!(err.to_string().contains("ended at 1 of 2"));
     }
 
     #[test]
     fn try_record_propagates_source_errors() {
-        let items = vec![Ok(Instr::non_mem(Pc::new(0))), Err("bad chunk".to_owned())];
-        let err = try_record_for_core("corrupt", items, 2, 0).unwrap_err();
+        let mut batcher = VecBatcher::from_instrs([Instr::non_mem(Pc::new(0))].into_iter(), 8);
+        batcher.tail_error = Some("bad chunk".to_owned());
+        let err = try_record_batches("corrupt", &mut batcher, 2, 0).unwrap_err();
         assert_eq!(err, RecordError::Source("bad chunk".to_owned()));
         assert!(err.to_string().contains("bad chunk"));
+    }
+
+    #[test]
+    fn too_long_requests_fail_before_any_work() {
+        let mut batcher = VecBatcher::from_instrs(std::iter::empty(), 8);
+        let wanted = u64::from(u32::MAX) + 1;
+        let err = try_record_batches("huge", &mut batcher, wanted, 0).unwrap_err();
+        assert_eq!(err, RecordError::TooLong { wanted });
     }
 }

@@ -12,17 +12,13 @@
 
 use sdbp::registry::{standard, PolicySpec};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest, SampledExtras};
-use sdbp_cache::recorder::{
-    record_for_core, try_record_batches, try_record_for_core, LlcAccess, RecordError,
-    RecordedWorkload,
-};
+use sdbp_cache::recorder::{record_for_core, try_record_batches, LlcAccess, RecordedWorkload};
 use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
 use sdbp_optimal::OptimalResult;
 use sdbp_sample::SamplingPlan;
-use sdbp_trace::TraceSource;
-use sdbp_traceio::FileSource;
+use sdbp_traceio::BufferedTrace;
 use sdbp_workloads::{Benchmark, DEFAULT_INSTRUCTIONS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -148,35 +144,6 @@ pub fn archived_trace_path(dir: &Path, name: &str, core: u8) -> Option<PathBuf> 
         .find(|p| p.is_file())
 }
 
-/// Records `instructions` instructions streamed from any [`TraceSource`]
-/// (a synthetic generator or a `.sdbt` file) for `core`.
-///
-/// Sources with a columnar fast path
-/// ([`TraceSource::open_batched`]) are consumed a decoded chunk at a
-/// time through [`try_record_batches`]; everything else takes the
-/// per-record stream. Both doors are bit-identical by contract, so the
-/// choice is invisible to every caller.
-///
-/// # Errors
-///
-/// A stream that fails to open, errors mid-flight (corrupt archive), or
-/// ends before `instructions` instructions, described as a string.
-pub fn record_from_source(
-    source: &dyn TraceSource,
-    name: &str,
-    instructions: u64,
-    core: u8,
-) -> Result<RecordedWorkload, String> {
-    let recorded = match source.open_batched()? {
-        Some(mut batches) => try_record_batches(name, batches.as_mut(), instructions, core),
-        None => try_record_for_core(name, source.open()?, instructions, core),
-    };
-    recorded.map_err(|e| match e {
-        RecordError::Source(msg) => msg,
-        other => other.to_string(),
-    })
-}
-
 impl RecordStore {
     /// An empty store for a run configured by `config`.
     pub fn new(config: RunConfig) -> Self {
@@ -203,9 +170,9 @@ impl RecordStore {
             let n = self.config.instructions;
             Arc::new(match self.archive(bench.name, core) {
                 Some(path) => {
-                    let source = FileSource::new(&path)
+                    let trace = BufferedTrace::load(&path)
                         .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                    record_from_source(&source, bench.name, n, core)
+                    try_record_batches(bench.name, &mut trace.batches(), n, core)
                         .unwrap_or_else(|e| panic!("replaying archived trace: {e}"))
                 }
                 None => record_for_core(bench.name, bench.trace_seeded(u64::from(core)), n, core),

@@ -32,15 +32,15 @@
 //! file's stream so the space cost of the fast format is never a guess.
 
 use crate::flags::{hardware_threads, Flags};
-use crate::runner::{cells, record_from_source, run_policy, Cell};
+use crate::runner::{cells, run_policy, Cell};
 use crate::table::result_line;
 use sdbp::registry::{standard, PolicySpec};
-use sdbp_cache::recorder::{record_for_core, RecordedWorkload};
+use sdbp_cache::recorder::{record_for_core, try_record_batches, RecordedWorkload};
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_sample::{build_plan, calibrate_bound, PlanConfig, SamplingPlan};
 use sdbp_traceio::{
-    convert_path, import_text, BufferedTrace, ChunkStat, FileSource, TraceMeta, TraceWriter,
-    WriteSummary, FORMAT_V1, FORMAT_V2,
+    convert_path, import_text, BufferedTrace, ChunkStat, TraceMeta, TraceWriter, WriteSummary,
+    FORMAT_V1, FORMAT_V2,
 };
 use sdbp_workloads::benchmark;
 use std::io::Write as _;
@@ -204,11 +204,15 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
 
 /// Streams an archived trace into a recorded workload, using the
 /// archive's own record count as the instruction budget.
+///
+/// # Errors
+///
+/// A missing, corrupt or truncated archive, named by its path.
 pub fn workload_from_file(path: &Path, core: u8) -> Result<RecordedWorkload, String> {
-    let source = FileSource::new(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let count = source.meta().count;
-    let name = source.meta().name.clone();
-    record_from_source(&source, &name, count, core)
+    let at = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    let trace = BufferedTrace::load(path).map_err(|e| at(&e))?;
+    let meta = trace.meta();
+    try_record_batches(&meta.name, &mut trace.batches(), meta.count, core).map_err(|e| at(&e))
 }
 
 /// The policies `trace replay` reports without `--policy`: LRU and the

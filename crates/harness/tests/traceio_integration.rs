@@ -2,7 +2,9 @@
 //! must be byte-identical to a direct synthetic run — per-policy summary
 //! lines and the underlying recordings alike — and a run configured with a
 //! trace directory (`sdbp-repro --trace-dir`) must route `RecordStore`
-//! recording through an archive transparently.
+//! recording through an archive transparently. A corrupt archive fails
+//! naming its path, and one shorter than the run panics naming the
+//! shortfall.
 
 use sdbp_cache::recorder::record_for_core;
 use sdbp_cache::CacheConfig;
@@ -112,6 +114,53 @@ fn record_store_replays_archives_when_trace_dir_is_set() {
             b.name
         );
     }
+    #[expect(
+        clippy::unused_result_ok,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_archives_fail_with_their_path() {
+    let dir = scratch_dir("corrupt");
+    let bytes = std::fs::read(record_archive(&dir, "456.hmmer", 0, 20_000)).unwrap();
+    let truncated = dir.join("truncated.sdbt");
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    let mut flipped_bytes = bytes.clone();
+    let mid = flipped_bytes.len() / 2;
+    flipped_bytes[mid] ^= 0x10;
+    let flipped = dir.join("flipped.sdbt");
+    std::fs::write(&flipped, &flipped_bytes).unwrap();
+    for path in [truncated, flipped] {
+        let err = workload_from_file(&path, 0).unwrap_err();
+        let named = format!("{}: ", path.display());
+        assert!(err.starts_with(&named) && err.len() > named.len(), "{err}");
+    }
+    #[expect(
+        clippy::unused_result_ok,
+        reason = "best-effort temp cleanup; a leftover file is harmless"
+    )]
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn record_store_panics_on_an_archive_shorter_than_the_run() {
+    let dir = scratch_dir("short");
+    let bench = benchmark("429.mcf").unwrap();
+    record_archive(&dir, bench.name, 0, 5_000);
+    let store = RecordStore::new(RunConfig {
+        instructions: 10_000,
+        trace_dir: Some(dir.clone()),
+        ..RunConfig::default()
+    });
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.record(&bench, 0)))
+        .expect_err("a short archive must not record");
+    let msg = panic.downcast_ref::<String>().expect("formatted panic");
+    assert_eq!(
+        msg,
+        "replaying archived trace: instruction stream ended at 5000 of 10000"
+    );
     #[expect(
         clippy::unused_result_ok,
         reason = "best-effort temp cleanup; a leftover file is harmless"

@@ -1,14 +1,16 @@
-//! Columnar instruction batches — the zero-copy counterpart of
-//! [`InstrStream`](crate::source::InstrStream).
+//! Columnar instruction batches — how a decoded trace file reaches the
+//! recorder.
 //!
-//! The per-record stream API costs one virtual call, one `Result`
-//! discriminant and one `Option<MemRef>` construction per instruction;
-//! at `.sdbt` v2 decode rates (>100M records/sec) that overhead dominates.
-//! This module defines the batch-of-columns view consumed by the recording
-//! and replay front doors instead: three parallel columns (flags, program
-//! counters, addresses) spanning one decoded chunk, borrowed from whoever
-//! owns the backing storage — an in-memory trace image, a reader's
-//! scratch buffer, or a generator's fill buffer.
+//! The per-record stream API ([`InstrStream`](crate::source::InstrStream))
+//! costs one virtual call, one `Result` discriminant and one
+//! `Option<MemRef>` construction per instruction; at `.sdbt` v2 decode
+//! rates (>100M records/sec) that overhead dominates. A trace file is
+//! therefore decoded into batches of columns instead: three parallel
+//! columns (flags, program counters, addresses) spanning one decoded
+//! chunk, borrowed from whoever owns the backing storage — an in-memory
+//! trace image, a decoder's scratch buffer, or a [`ColumnBuf`]. The
+//! recorder (`sdbp-cache`'s `try_record_batches`) reads the columns
+//! directly.
 //!
 //! The flags byte is the **canonical record encoding** shared by every
 //! trace container version: `sdbp-traceio` re-exports [`FLAG_MEM`],
@@ -30,6 +32,7 @@ pub const FLAG_DEPENDENT: u8 = 1 << 2;
 pub const FLAG_MASK: u8 = FLAG_MEM | FLAG_WRITE | FLAG_DEPENDENT;
 
 /// Encodes an instruction's kind bits into the canonical flags byte.
+#[inline]
 pub fn instr_flags(instr: &Instr) -> u8 {
     match instr.mem {
         None => 0,
@@ -158,10 +161,6 @@ pub trait InstrBatcher: Send {
     /// unreadable; the typed taxonomy lives with the container format.
     fn next_batch(&mut self) -> Result<Option<InstrBatch<'_>>, String>;
 }
-
-/// A boxed batch producer, the batch-mode analogue of
-/// [`InstrStream`](crate::source::InstrStream).
-pub type BatchStream<'a> = Box<dyn InstrBatcher + 'a>;
 
 /// Owned column storage: the reusable fill target for producers that
 /// build batches rather than borrow them (generators, v1 adapters).

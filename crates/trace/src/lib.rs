@@ -44,6 +44,6 @@ pub mod stats;
 pub mod synthetic;
 
 pub use access::{AccessKind, Addr, BlockAddr, Instr, MemRef, Pc};
-pub use batch::{BatchStream, ColumnBuf, InstrBatch, InstrBatcher};
+pub use batch::{ColumnBuf, InstrBatch, InstrBatcher};
 pub use source::{GeneratorSource, InstrStream, TraceSource};
 pub use synthetic::{SyntheticTrace, TraceBuilder};

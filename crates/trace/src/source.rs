@@ -1,22 +1,18 @@
-//! [`TraceSource`] — one abstraction over every way an instruction stream
-//! can reach the simulator.
+//! [`TraceSource`] — a named, re-openable instruction stream.
 //!
-//! The recording pipeline (`sdbp-cache`'s recorder, the harness, every
-//! `sdbp-engine` job) does not care whether instructions come from an
-//! in-memory synthetic generator or are streamed off a recorded `.sdbt`
-//! trace file. This trait captures exactly what those consumers need:
-//! a workload name, an optional finite length, and the ability to open a
-//! fresh pass over the stream from the beginning.
+//! A benchmark's synthetic generator lives above this crate
+//! (`sdbp-workloads`), so it reaches consumers that only know this crate
+//! as a [`TraceSource`]: a workload name and the ability to open a fresh
+//! pass over the stream from the beginning. Recorded `.sdbt` trace files
+//! are not sources: they decode through `sdbp-traceio`'s `BufferedTrace`
+//! into [`InstrBatch`](crate::batch::InstrBatch)es, which the recorder
+//! consumes directly.
 //!
-//! Streaming sources can fail mid-stream (I/O error, corrupted chunk), so
-//! the items are `Result`s; infallible sources like
+//! The items are `Result`s with plain-string errors, so a fallible
+//! producer fits the same signature; generators like
 //! [`SyntheticTrace`](crate::SyntheticTrace) simply never yield `Err`.
-//! Errors are plain strings at this boundary — the typed error taxonomy
-//! lives with the file format (`sdbp-traceio`), and this crate stays at
-//! the bottom of the dependency graph.
 
 use crate::access::Instr;
-use crate::batch::BatchStream;
 use std::fmt;
 
 /// A fresh pass over a source's instruction stream.
@@ -35,36 +31,12 @@ pub trait TraceSource: fmt::Debug + Send {
     /// Human-readable workload name (benchmark name in result tables).
     fn name(&self) -> &str;
 
-    /// Number of instructions in the stream, if finite and known up
-    /// front (recorded files know; infinite generators return `None`).
-    fn len_hint(&self) -> Option<u64> {
-        None
-    }
-
     /// Opens a fresh stream from the beginning.
     ///
     /// # Errors
     ///
-    /// Returns a message when the source cannot be opened at all (e.g. a
-    /// missing or malformed trace file).
+    /// Returns a message when the source cannot be opened at all.
     fn open(&self) -> Result<InstrStream<'_>, String>;
-
-    /// Opens a fresh *batched* pass over the stream, when the source has
-    /// a columnar fast path.
-    ///
-    /// Returns `Ok(None)` when only the per-record stream is available
-    /// (the default); consumers fall back to [`open`](TraceSource::open).
-    /// A batched pass must yield exactly the same records in the same
-    /// order as the per-record stream — the record→replay byte-identity
-    /// contract does not care which door the records came through.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the source advertises batches but cannot
-    /// be opened (e.g. a corrupt trace file).
-    fn open_batched(&self) -> Result<Option<BatchStream<'_>>, String> {
-        Ok(None)
-    }
 }
 
 /// A synthetic source: a named, seeded generator function.
@@ -145,7 +117,6 @@ mod tests {
     fn generator_source_reopens_identically() {
         let src = hot_source();
         assert_eq!(src.name(), "hot");
-        assert_eq!(src.len_hint(), None);
         let a: Vec<_> = src.open().unwrap().take(500).map(Result::unwrap).collect();
         let b: Vec<_> = src.open().unwrap().take(500).map(Result::unwrap).collect();
         assert_eq!(a, b);

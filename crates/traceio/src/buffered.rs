@@ -203,17 +203,6 @@ impl BufferedTrace<'static> {
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TraceIoError> {
         Self::from_image(Cow::Owned(bytes))
     }
-
-    /// Consumes the trace into a batch cursor that owns it (for
-    /// [`TraceSource::open_batched`](sdbp_trace::TraceSource::open_batched),
-    /// which cannot lend out a borrow of a local).
-    pub fn into_batches(self) -> Batches<'static> {
-        Batches {
-            trace: Cow::Owned(self),
-            scratch: ColumnScratch::default(),
-            next: 0,
-        }
-    }
 }
 
 impl<'b> BufferedTrace<'b> {
@@ -357,7 +346,7 @@ impl<'b> BufferedTrace<'b> {
     /// A batch cursor over every chunk, in file order.
     pub fn batches(&self) -> Batches<'_> {
         Batches {
-            trace: Cow::Borrowed(self),
+            trace: self,
             scratch: ColumnScratch::default(),
             next: 0,
         }
@@ -520,12 +509,11 @@ fn v2_columns(payload: &[u8], records: u32, chunk: u64) -> Result<V2Columns<'_>,
     })
 }
 
-/// A batch cursor over a [`BufferedTrace`], in file order: borrowing
-/// ([`BufferedTrace::batches`]) or owning the trace
-/// ([`BufferedTrace::into_batches`], movable across threads).
+/// A batch cursor over a [`BufferedTrace`], in file order
+/// ([`BufferedTrace::batches`]).
 #[derive(Debug)]
 pub struct Batches<'a> {
-    trace: Cow<'a, BufferedTrace<'a>>,
+    trace: &'a BufferedTrace<'a>,
     scratch: ColumnScratch,
     next: usize,
 }
@@ -608,13 +596,6 @@ mod tests {
                 got.extend(batch.iter());
             }
             assert_eq!(got, want, "version {version}");
-            // The owning cursor walks the same chunks.
-            let mut owned = Vec::new();
-            let mut cur = trace.into_batches();
-            while let Some(batch) = cur.try_next().unwrap() {
-                owned.extend(batch.iter());
-            }
-            assert_eq!(owned, want, "version {version}, owned cursor");
         }
     }
 

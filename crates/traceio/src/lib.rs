@@ -42,10 +42,6 @@
 //!   that need a trace's metadata without its records.
 //! * [`import`] turns ChampSim-style `pc addr is_write` text traces into
 //!   `.sdbt` workloads.
-//! * [`FileSource`] plugs a trace file into the
-//!   [`TraceSource`](sdbp_trace::TraceSource) abstraction, so the harness
-//!   and every `sdbp-engine` job run from a file exactly as they run from
-//!   a synthetic generator.
 //!
 //! # Example
 //!
@@ -92,7 +88,6 @@ pub mod convert;
 pub mod error;
 pub mod format;
 pub mod import;
-pub mod source;
 pub mod writer;
 
 pub use buffered::{Batches, BufferedTrace, ChunkStat, ColumnScratch};
@@ -102,5 +97,4 @@ pub use format::{
     read_header, TraceMeta, DEFAULT_CHUNK_RECORDS, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, MAGIC,
 };
 pub use import::{import_text, parse_line};
-pub use source::FileSource;
 pub use writer::{TraceWriter, WriteSummary};

@@ -125,14 +125,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn healthy_v2_baseline_on_both_decode_paths() {
     let bytes = healthy_bytes(FORMAT_V2);
     assert_eq!(drain(&bytes).unwrap(), RECORDS);
-    // The owning cursor (what `FileSource` hands the engine) decodes the
-    // same records as the borrowing one.
-    let mut owned = BufferedTrace::from_bytes(bytes).unwrap().into_batches();
-    let mut n = 0;
-    while let Some(batch) = owned.try_next().unwrap() {
-        n += batch.len();
-    }
-    assert_eq!(n, RECORDS);
 }
 
 #[test]
