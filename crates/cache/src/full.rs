@@ -1,87 +1,34 @@
-//! A complete three-level hierarchy simulated *together* (no recording),
-//! with configurable inclusion and writeback handling.
+//! The complete three-level hierarchy simulated *together* (no
+//! recording): the oracle for the record/replay decomposition.
 //!
 //! The experiment pipeline uses the faster record-once/replay-per-policy
-//! path ([`crate::recorder`]/[`mod@crate::replay`]), which is exact for a
-//! non-inclusive hierarchy. This module provides:
-//!
-//! * the same non-inclusive behaviour in one pass — used by tests to prove
-//!   the record/replay decomposition exact;
-//! * an **inclusive** LLC mode, where evicting an LLC block
-//!   back-invalidates it from L1/L2 (the configuration under which the LLC
-//!   stream *does* depend on LLC policy, and hence recording would be
-//!   unsound);
-//! * optional propagation of L2 **writebacks** into the LLC as write
-//!   accesses.
+//! path ([`crate::recorder`]/[`mod@crate::replay`]), which is exact
+//! because the hierarchy is non-inclusive: the LLC's replacement policy
+//! never changes what reaches it. [`FullHierarchy`] runs the same L1/L2
+//! pair ([`UpperLevels`]) in front of a live LLC in one pass, so a test
+//! can check that its LLC sees exactly the recorded stream's hits and
+//! misses.
 
-use crate::cache::{AccessOutcome, Cache};
-use crate::hierarchy::ServiceLevel;
-use crate::lru::LruArray;
+use crate::cache::Cache;
+use crate::hierarchy::{ServiceLevel, UpperLevels};
 use crate::policy::Access;
-use crate::CacheConfig;
-use sdbp_trace::{AccessKind, BlockAddr, Instr, Pc};
+use sdbp_trace::Instr;
 
-/// Whether the LLC enforces inclusion of the upper levels.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Inclusion {
-    /// No relationship is enforced (the paper's configuration, and the one
-    /// the recorder exploits).
-    NonInclusive,
-    /// Every block in L1/L2 is also in the LLC; LLC evictions
-    /// back-invalidate the upper levels.
-    Inclusive,
-}
-
-/// Configuration for a [`FullHierarchy`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct FullHierarchyConfig {
-    /// L1 data cache geometry.
-    pub l1: CacheConfig,
-    /// L2 geometry.
-    pub l2: CacheConfig,
-    /// Inclusion policy.
-    pub inclusion: Inclusion,
-    /// If true, L2 dirty victims are written to the LLC (as write
-    /// accesses with a sentinel PC); otherwise they go straight to memory.
-    pub writebacks_to_llc: bool,
-}
-
-impl Default for FullHierarchyConfig {
-    fn default() -> Self {
-        FullHierarchyConfig {
-            l1: CacheConfig::l1d(),
-            l2: CacheConfig::l2(),
-            inclusion: Inclusion::NonInclusive,
-            writebacks_to_llc: false,
-        }
-    }
-}
-
-/// PC attributed to writeback traffic (no instruction performs it).
-pub const WRITEBACK_PC: Pc = Pc::new(u64::MAX);
-
-/// The jointly-simulated three-level hierarchy.
+/// The jointly simulated three-level hierarchy: the paper's L1/L2 in
+/// front of a caller-configured LLC.
 #[derive(Debug)]
 pub struct FullHierarchy {
-    config: FullHierarchyConfig,
-    l1: LruArray,
-    l2: LruArray,
+    upper: UpperLevels,
     llc: Cache,
-    back_invalidations: u64,
-    llc_writebacks_seen: u64,
     instructions: u64,
 }
 
 impl FullHierarchy {
-    /// Builds the hierarchy around a caller-configured LLC.
-    pub fn new(config: FullHierarchyConfig, llc: Cache) -> Self {
+    /// Builds the hierarchy around `llc`.
+    pub fn new(llc: Cache) -> Self {
         FullHierarchy {
-            config,
-            l1: LruArray::new(config.l1),
-            l2: LruArray::new(config.l2),
+            upper: UpperLevels::new(),
             llc,
-            back_invalidations: 0,
-            llc_writebacks_seen: 0,
             instructions: 0,
         }
     }
@@ -91,40 +38,9 @@ impl FullHierarchy {
         &self.llc
     }
 
-    /// Back-invalidations performed (inclusive mode only).
-    pub const fn back_invalidations(&self) -> u64 {
-        self.back_invalidations
-    }
-
-    /// Writeback accesses the LLC received.
-    pub const fn llc_writebacks(&self) -> u64 {
-        self.llc_writebacks_seen
-    }
-
     /// Instructions executed so far.
     pub const fn instructions(&self) -> u64 {
         self.instructions
-    }
-
-    fn back_invalidate(&mut self, block: BlockAddr) {
-        if self.config.inclusion == Inclusion::Inclusive {
-            // Dirty upper-level copies would be written back to memory; for
-            // miss accounting only the invalidation matters.
-            self.l1.invalidate(block);
-            self.l2.invalidate(block);
-            self.back_invalidations += 1;
-        }
-    }
-
-    fn llc_access(&mut self, pc: Pc, block: BlockAddr, kind: AccessKind) -> AccessOutcome {
-        let outcome = self.llc.access(&Access::demand(pc, block, kind, 0));
-        if let AccessOutcome::Filled {
-            evicted: Some(victim),
-        } = outcome
-        {
-            self.back_invalidate(victim);
-        }
-        outcome
     }
 
     /// Executes one instruction; returns where its memory reference (if
@@ -133,38 +49,11 @@ impl FullHierarchy {
         self.instructions += 1;
         let m = instr.mem?;
         let block = m.addr.block();
-        let l1_out = self.l1.access(block, m.kind.is_write());
-        if l1_out.hit {
-            return Some(ServiceLevel::L1);
+        let level = self.upper.access(block, m.kind.is_write());
+        if level == ServiceLevel::Llc {
+            self.llc.access(&Access::demand(instr.pc, block, m.kind, 0));
         }
-        if let Some(wb) = l1_out.writeback {
-            // L1 dirty victim updates the L2 if present (no allocation).
-            self.l2.write_back(wb);
-        }
-        let l2_out = self.l2.access(block, m.kind.is_write());
-        if let Some(wb) = l2_out.writeback {
-            if self.config.writebacks_to_llc {
-                self.llc_writebacks_seen += 1;
-                self.llc_access(WRITEBACK_PC, wb, AccessKind::Write);
-            }
-        }
-        if l2_out.hit {
-            return Some(ServiceLevel::L2);
-        }
-        self.llc_access(instr.pc, block, m.kind);
-        Some(ServiceLevel::Llc)
-    }
-
-    /// Checks the inclusion invariant over a list of blocks (test helper):
-    /// under [`Inclusion::Inclusive`], anything resident in L1 or L2 must
-    /// be in the LLC.
-    pub fn inclusion_holds_for(&self, blocks: impl IntoIterator<Item = BlockAddr>) -> bool {
-        if self.config.inclusion == Inclusion::NonInclusive {
-            return true;
-        }
-        blocks
-            .into_iter()
-            .all(|b| (!self.l1.contains(b) && !self.l2.contains(b)) || self.llc.contains(b))
+        Some(level)
     }
 }
 
@@ -173,6 +62,7 @@ mod tests {
     use super::*;
     use crate::recorder::record;
     use crate::replay::replay;
+    use crate::CacheConfig;
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
 
@@ -192,7 +82,7 @@ mod tests {
         let n = 120_000u64;
         let llc_cfg = CacheConfig::new(256, 8);
 
-        let mut full = FullHierarchy::new(FullHierarchyConfig::default(), Cache::new(llc_cfg));
+        let mut full = FullHierarchy::new(Cache::new(llc_cfg));
         for i in workload_trace(5).take(usize::try_from(n).unwrap()) {
             full.execute(&i);
         }
@@ -209,82 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_mode_back_invalidates() {
-        // A tiny LLC under an ordinary L1/L2 forces LLC evictions of
-        // blocks the upper levels still hold.
-        let cfg = FullHierarchyConfig {
-            inclusion: Inclusion::Inclusive,
-            ..FullHierarchyConfig::default()
-        };
-        let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(16, 2)));
-        let mut blocks = Vec::new();
-        for i in workload_trace(9).take(60_000) {
-            if let Some(m) = i.mem {
-                blocks.push(m.addr.block());
-            }
-            full.execute(&i);
-        }
-        assert!(
-            full.back_invalidations() > 0,
-            "inclusive LLC must back-invalidate"
-        );
-        blocks.sort_unstable_by_key(|b| b.raw());
-        blocks.dedup();
-        assert!(
-            full.inclusion_holds_for(blocks),
-            "inclusion invariant violated"
-        );
-    }
-
-    #[test]
-    fn inclusion_costs_upper_level_hits() {
-        // Same stream, inclusive vs non-inclusive with a small LLC: the
-        // inclusive hierarchy cannot hit more often at L1.
-        let run = |inclusion| {
-            let cfg = FullHierarchyConfig {
-                inclusion,
-                ..FullHierarchyConfig::default()
-            };
-            let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(16, 2)));
-            let mut l1_hits = 0u64;
-            for i in workload_trace(13).take(60_000) {
-                if full.execute(&i) == Some(ServiceLevel::L1) {
-                    l1_hits += 1;
-                }
-            }
-            l1_hits
-        };
-        assert!(run(Inclusion::Inclusive) <= run(Inclusion::NonInclusive));
-    }
-
-    #[test]
-    fn writebacks_reach_the_llc_when_enabled() {
-        let cfg = FullHierarchyConfig {
-            writebacks_to_llc: true,
-            ..Default::default()
-        };
-        let mut full = FullHierarchy::new(cfg, Cache::new(CacheConfig::new(256, 8)));
-        for i in workload_trace(21).take(200_000) {
-            full.execute(&i);
-        }
-        assert!(
-            full.llc_writebacks() > 0,
-            "write-heavy stream must produce L2 victims"
-        );
-        // The LLC saw strictly more accesses than the demand-only config.
-        let mut demand_only = FullHierarchy::new(
-            FullHierarchyConfig::default(),
-            Cache::new(CacheConfig::new(256, 8)),
-        );
-        for i in workload_trace(21).take(200_000) {
-            demand_only.execute(&i);
-        }
-        assert!(full.llc().stats().accesses > demand_only.llc().stats().accesses);
-    }
-
-    #[test]
     fn instruction_counter_counts_everything() {
-        let mut full = FullHierarchy::new(Default::default(), Cache::new(CacheConfig::new(16, 2)));
+        let mut full = FullHierarchy::new(Cache::new(CacheConfig::new(16, 2)));
         for i in workload_trace(2).take(1000) {
             full.execute(&i);
         }

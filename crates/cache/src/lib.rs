@@ -18,9 +18,8 @@
 //!
 //! [`efficiency`] adds the live/dead-time accounting behind the paper's
 //! Figure 1 and its "blocks are dead 86% of the time" observation, and
-//! [`full`] provides a jointly-simulated hierarchy (with optional
-//! inclusion and writeback propagation) that cross-validates the
-//! record/replay decomposition.
+//! [`full`] provides the jointly simulated hierarchy that
+//! cross-validates the record/replay decomposition.
 //!
 //! # Example
 //!

@@ -242,19 +242,6 @@ impl LruArray {
         true
     }
 
-    /// Invalidates `block` if resident (back-invalidation from an inclusive
-    /// outer level), returning whether it was present and dirty.
-    pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let set = self.set(block);
-        let way = set.find(block.raw())?;
-        let bit = 1u64 << way;
-        let dirty = *set.dirty & bit != 0;
-        *set.valid &= !bit;
-        *set.dirty &= !bit;
-        set.tags[way] = EMPTY_TAG;
-        Some(dirty)
-    }
-
     /// Accesses `block`, filling on miss with LRU replacement and write-back
     /// write-allocate semantics.
     #[inline]

@@ -2,19 +2,15 @@
 //! stamp-based LRU model kept here: one `(tag, valid, dirty, stamp)`
 //! frame per way, lookups by scanning the set, the victim the lowest
 //! empty way or else the valid way with the oldest stamp. Both see the
-//! same random streams of accesses, `contains`, `invalidate` and
-//! `write_back`, compared per operation on seven geometries. Then the L1/L2
-//! pair ([`UpperLevels`]) and the inclusive [`FullHierarchy`] (whose
-//! back-invalidations leave empty ways mid-set) are checked against the
-//! same model.
+//! same random streams of accesses, `contains` and `write_back`, compared
+//! per operation on seven geometries. Then the L1/L2 pair
+//! ([`UpperLevels`]) is checked against the same model.
 
-use sdbp_cache::full::{FullHierarchy, FullHierarchyConfig, Inclusion};
 use sdbp_cache::hierarchy::{ServiceLevel, UpperLevels};
 use sdbp_cache::lru::{LruArray, LruOutcome};
-use sdbp_cache::policy::Access;
-use sdbp_cache::{AccessOutcome, Cache, CacheConfig};
+use sdbp_cache::CacheConfig;
 use sdbp_trace::rng::Rng64;
-use sdbp_trace::{AccessKind, Addr, BlockAddr, Instr, MemRef, Pc};
+use sdbp_trace::BlockAddr;
 
 #[derive(Clone, Copy, Default)]
 struct Frame {
@@ -50,15 +46,6 @@ impl StampLru {
         self.set(block)
             .iter()
             .any(|f| f.valid && f.tag == block.raw())
-    }
-
-    fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let f = self
-            .set(block)
-            .iter_mut()
-            .find(|f| f.valid && f.tag == block.raw())?;
-        f.valid = false;
-        Some(f.dirty)
     }
 
     fn access(&mut self, block: BlockAddr, is_write: bool) -> LruOutcome {
@@ -122,12 +109,7 @@ fn packed_rank_array_matches_stamp_model_per_operation() {
                 let at = format!("{sets}x{ways} spread {spread} step {step} block {b}");
                 match rng.gen_range(0u32..10) {
                     0 => assert_eq!(fast.contains(b), model.contains(b), "contains at {at}"),
-                    1 => assert_eq!(
-                        fast.invalidate(b),
-                        model.invalidate(b),
-                        "invalidate at {at}"
-                    ),
-                    2 => {
+                    1 => {
                         let resident = model.contains(b);
                         if resident {
                             model.access(b, true);
@@ -204,101 +186,5 @@ fn upper_levels_service_levels_match_stamp_model() {
             );
         }
         assert!(fast.l1_hits() > 0 && fast.l2_hits() > 0 && fast.llc_accesses() > 0);
-    }
-}
-
-/// The reference inclusive hierarchy: the logic of
-/// [`FullHierarchy::execute`] over two stamp models and a real LLC.
-struct ModelFull {
-    l1: StampLru,
-    l2: StampLru,
-    llc: Cache,
-    back_invalidations: u64,
-}
-
-impl ModelFull {
-    fn llc_access(&mut self, pc: Pc, block: BlockAddr, kind: AccessKind) {
-        let outcome = self.llc.access(&Access::demand(pc, block, kind, 0));
-        if let AccessOutcome::Filled {
-            evicted: Some(victim),
-        } = outcome
-        {
-            self.l1.invalidate(victim);
-            self.l2.invalidate(victim);
-            self.back_invalidations += 1;
-        }
-    }
-
-    fn execute(&mut self, instr: &Instr) -> Option<ServiceLevel> {
-        let m = instr.mem?;
-        let block = m.addr.block();
-        let l1 = self.l1.access(block, m.kind.is_write());
-        if l1.hit {
-            return Some(ServiceLevel::L1);
-        }
-        if let Some(wb) = l1.writeback {
-            if self.l2.contains(wb) {
-                self.l2.access(wb, true);
-            }
-        }
-        if self.l2.access(block, m.kind.is_write()).hit {
-            return Some(ServiceLevel::L2);
-        }
-        self.llc_access(instr.pc, block, m.kind);
-        Some(ServiceLevel::Llc)
-    }
-}
-
-#[test]
-fn inclusive_full_hierarchy_matches_stamp_model() {
-    let mut rng = Rng64::seed_from_u64(0x1c1_05e);
-    for (l1, l2, llc) in [
-        (
-            CacheConfig::new(2, 2),
-            CacheConfig::new(4, 4),
-            CacheConfig::new(4, 2),
-        ),
-        (
-            CacheConfig::new(64, 8),
-            CacheConfig::new(512, 8),
-            CacheConfig::new(256, 4),
-        ),
-        (
-            CacheConfig::new(4, 4),
-            CacheConfig::new(32, 16),
-            CacheConfig::new(16, 8),
-        ),
-    ] {
-        let cfg = FullHierarchyConfig {
-            l1,
-            l2,
-            inclusion: Inclusion::Inclusive,
-            writebacks_to_llc: false,
-        };
-        let mut fast = FullHierarchy::new(cfg, Cache::new(llc));
-        let mut model = ModelFull {
-            l1: StampLru::new(l1),
-            l2: StampLru::new(l2),
-            llc: Cache::new(llc),
-            back_invalidations: 0,
-        };
-        for step in 0..50_000 {
-            let b = rng.gen_range(0..3 * l2.lines() as u64);
-            let addr = Addr::new(b << 6);
-            let m = if rng.gen_bool(0.4) {
-                MemRef::write(addr)
-            } else {
-                MemRef::read(addr)
-            };
-            let instr = Instr::mem(Pc::new(0x400 + 4 * rng.gen_range(0..8)), m);
-            assert_eq!(
-                fast.execute(&instr),
-                model.execute(&instr),
-                "{l1:?}/{l2:?} step {step}"
-            );
-        }
-        assert_eq!(fast.back_invalidations(), model.back_invalidations);
-        assert!(fast.back_invalidations() > 0);
-        assert_eq!(fast.llc().stats(), model.llc.stats());
     }
 }
