@@ -45,8 +45,7 @@ use crate::stats::CacheStats;
 ///
 /// let plan = ShardPlan::new(64, 4);
 /// assert_eq!(plan.shards(), 4);
-/// assert_eq!(plan.set_ranges()[0], 0..16);
-/// assert_eq!(plan.shard_of(17), 1);
+/// assert_eq!(ShardPlan::new(64, 100).shards(), 64);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardPlan {
@@ -86,22 +85,10 @@ impl ShardPlan {
         self.sets
     }
 
-    /// The contiguous set range owned by each shard, in shard order.
-    pub fn set_ranges(&self) -> Vec<std::ops::Range<usize>> {
-        let mut ranges = Vec::with_capacity(self.shards);
-        let mut start = 0;
-        for s in 0..self.shards {
-            let len = self.base + usize::from(s < self.rem);
-            ranges.push(start..start + len);
-            start += len;
-        }
-        ranges
-    }
-
     /// The shard owning `set`. Sets at or beyond [`sets`](Self::sets)
     /// land in the last shard (they cannot occur for a stream recorded
     /// against the plan's geometry).
-    pub fn shard_of(&self, set: usize) -> usize {
+    fn shard_of(&self, set: usize) -> usize {
         let wide = self.rem * (self.base + 1);
         let shard = if set < wide {
             set / (self.base + 1)
@@ -352,24 +339,21 @@ mod tests {
         for (sets, shards) in [(64, 1), (64, 4), (64, 7), (2048, 8), (5, 9), (1, 3)] {
             let plan = ShardPlan::new(sets, shards);
             assert!(plan.shards() >= 1 && plan.shards() <= sets);
-            let ranges = plan.set_ranges();
-            assert_eq!(ranges.len(), plan.shards());
-            let mut next = 0;
-            for (shard, range) in ranges.iter().enumerate() {
-                assert_eq!(range.start, next, "ranges must be contiguous");
-                assert!(!range.is_empty(), "every shard owns at least one set");
-                for set in range.clone() {
-                    assert_eq!(
-                        plan.shard_of(set),
-                        shard,
-                        "sets={sets} shards={shards} set={set}"
-                    );
-                }
-                next = range.end;
+            // Walking the sets in order, the owning shard starts at 0 and
+            // steps up by at most one: contiguous ranges in shard order.
+            let mut sizes = vec![0usize; plan.shards()];
+            let mut prev = 0;
+            for set in 0..sets {
+                let shard = plan.shard_of(set);
+                assert!(
+                    shard == prev || shard == prev + 1,
+                    "sets={sets} shards={shards} set={set}"
+                );
+                sizes[shard] += 1;
+                prev = shard;
             }
-            assert_eq!(next, sets, "ranges must cover every set");
+            assert!(sizes.iter().all(|&n| n > 0), "every shard owns a set");
             // Near-equal: sizes differ by at most one.
-            let sizes: Vec<usize> = ranges.iter().map(std::ops::Range::len).collect();
             let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
             assert!(max - min <= 1, "{sizes:?}");
         }

@@ -1,6 +1,5 @@
 //! Configuration of the sampling predictor and its ablation variants.
 
-use sdbp_cache::CacheConfig;
 use sdbp_predictors::hash::SKEWED_TABLES_MAX;
 
 /// Largest sampler associativity: each entry's recency rank is a `u8`.
@@ -41,13 +40,6 @@ impl TableConfig {
             threshold: 2,
             counter_max: 3,
         }
-    }
-
-    /// Total storage of the tables in bits (each counter is
-    /// `ceil(log2(counter_max + 1))` bits).
-    pub fn storage_bits(&self) -> u64 {
-        let counter_bits = u64::from(8 - self.counter_max.leading_zeros());
-        (self.tables * self.entries_per_table) as u64 * counter_bits
     }
 
     /// Validates the configuration.
@@ -109,15 +101,6 @@ impl Default for SamplerConfig {
 }
 
 impl SamplerConfig {
-    /// Storage in bits: per entry a partial tag, partial PC, valid bit,
-    /// prediction bit, and ceil(log2(assoc)) LRU bits (the paper counts 4
-    /// for 12 ways).
-    pub fn storage_bits(&self) -> u64 {
-        let lru_bits = (self.assoc.next_power_of_two().trailing_zeros()).max(1) as u64;
-        let entry_bits = u64::from(self.tag_bits) + u64::from(self.pc_bits) + 1 + 1 + lru_bits;
-        (self.sets * self.assoc) as u64 * entry_bits
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -203,22 +186,6 @@ impl SdbpConfig {
         }
     }
 
-    /// Predictor-side storage in bits (tables + sampler), excluding the one
-    /// dead bit per LLC block, which [`Self::total_storage_bits`] adds.
-    pub fn predictor_storage_bits(&self) -> u64 {
-        self.tables.storage_bits() + self.sampler.map_or(0, |s| s.storage_bits())
-    }
-
-    /// Total storage in bits for an LLC of geometry `llc`, including the
-    /// per-block dead bit (and, in PC-only mode, the per-block partial PC).
-    pub fn total_storage_bits(&self, llc: CacheConfig) -> u64 {
-        let per_block = match self.sampler {
-            Some(_) => 1,
-            None => 1 + 15, // dead bit + last-touch partial PC
-        };
-        self.predictor_storage_bits() + llc.lines() as u64 * per_block
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -235,37 +202,6 @@ impl SdbpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_sampler_storage_matches_table_1() {
-        // Table I charges 3 × 1 KB for the tables and 4 KB of dead bits for
-        // 32K blocks. Its 6.75 KB sampler figure corresponds to 1,536
-        // entries (§IV-C); one entry is 15 + 15 + 1 + 1 + 4 = 36 bits.
-        let cfg = SdbpConfig::paper();
-        let table_bytes = cfg.tables.storage_bits() as f64 / 8.0;
-        assert_eq!(table_bytes, 3.0 * 1024.0);
-        let paper_sampler = SamplerConfig {
-            sets: 128,
-            ..SamplerConfig::default()
-        };
-        let sampler_bytes = paper_sampler.storage_bits() as f64 / 8.0;
-        assert!(
-            (sampler_bytes - 6.75 * 1024.0).abs() < 1.0,
-            "sampler = {sampler_bytes} B"
-        );
-        let paper_accounting = SdbpConfig {
-            sampler: Some(paper_sampler),
-            ..cfg
-        };
-        let total_kb =
-            paper_accounting.total_storage_bits(CacheConfig::llc_2mb()) as f64 / 8.0 / 1024.0;
-        assert!((total_kb - 13.75).abs() < 0.01, "total = {total_kb} KB");
-        // Our default 32-set sampler is strictly cheaper still.
-        assert!(
-            cfg.total_storage_bits(CacheConfig::llc_2mb())
-                < paper_accounting.total_storage_bits(CacheConfig::llc_2mb())
-        );
-    }
 
     #[test]
     fn ablation_presets_validate() {
@@ -288,7 +224,6 @@ mod tests {
         let skewed = TableConfig::skewed();
         let single = TableConfig::single();
         assert_eq!(skewed.entries_per_table * 4, single.entries_per_table);
-        assert_eq!(4 * skewed.storage_bits(), 3 * single.storage_bits());
     }
 
     #[test]
@@ -305,13 +240,5 @@ mod tests {
         let mut t = TableConfig::skewed();
         t.entries_per_table = 4000;
         t.validate();
-    }
-
-    #[test]
-    fn pc_only_mode_charges_per_block_pc() {
-        let with = SdbpConfig::paper().total_storage_bits(CacheConfig::llc_2mb());
-        let without = SdbpConfig::dbrb_alone().total_storage_bits(CacheConfig::llc_2mb());
-        // PC-only metadata (16 bits/block over 32K blocks) dominates.
-        assert!(without > with);
     }
 }

@@ -93,11 +93,6 @@ impl Sampler {
         }
     }
 
-    /// Fraction of LLC sets that are sampled.
-    pub fn sampling_ratio(&self, llc_sets: usize) -> f64 {
-        self.config.sets as f64 / llc_sets as f64
-    }
-
     /// Sampler hits observed (diagnostics).
     pub const fn hits(&self) -> u64 {
         self.hits
@@ -242,7 +237,6 @@ mod tests {
         assert_eq!(s.sampler_set(64), Some(1));
         assert_eq!(s.sampler_set(1), None);
         assert_eq!(s.sampler_set(63), None);
-        assert!((s.sampling_ratio(128) - 2.0 / 128.0).abs() < 1e-12);
     }
 
     #[test]

@@ -82,15 +82,10 @@ impl VirtualVictimCache {
     /// Creates a VVC-managed LLC driven by the paper-configured sampling
     /// predictor.
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_predictor_config(config, SdbpConfig::paper())
-    }
-
-    /// Creates a VVC with an explicit predictor configuration.
-    pub fn with_predictor_config(config: CacheConfig, pred: SdbpConfig) -> Self {
         VirtualVictimCache {
             config,
             frames: vec![Frame::default(); config.lines()],
-            predictor: SamplingPredictor::new(pred, config),
+            predictor: SamplingPredictor::new(SdbpConfig::paper(), config),
             clock: 0,
             stats: VvcStats::default(),
         }

@@ -130,11 +130,7 @@ pub fn simulate_no_bypass(stream: &[LlcAccess], config: CacheConfig) -> OptimalR
 /// # Panics
 ///
 /// Panics if one set receives `u32::MAX` or more accesses.
-pub fn simulate_with_options(
-    stream: &[LlcAccess],
-    config: CacheConfig,
-    bypass: bool,
-) -> OptimalResult {
+fn simulate_with_options(stream: &[LlcAccess], config: CacheConfig, bypass: bool) -> OptimalResult {
     let partition = SetPartition::new(stream.iter().map(|a| a.block), config.sets);
     let mut links = NextUse::default();
     // The resident blocks' next-use positions, one set at a time, and for

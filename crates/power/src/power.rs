@@ -86,7 +86,7 @@ impl PowerModel {
     }
 
     /// Total retained bits of the baseline LLC (data + tag/state).
-    pub fn llc_total_bits() -> u64 {
+    fn llc_total_bits() -> u64 {
         LLC_BLOCKS * (BLOCK_BITS + LLC_TAG_STATE_BITS)
     }
 
@@ -111,7 +111,7 @@ impl PowerModel {
 
     /// Power attributed to `extra` metadata bits per LLC block: the
     /// difference between the LLC with and without them.
-    pub fn metadata_power(&self, extra: u64) -> PowerComponent {
+    fn metadata_power(&self, extra: u64) -> PowerComponent {
         let base_bits = Self::llc_total_bits();
         let with_bits = base_bits + LLC_BLOCKS * extra;
         let leakage = self.leakage_w(with_bits) - self.leakage_w(base_bits);

@@ -232,11 +232,6 @@ impl<P: DeadBlockPredictor, B: ReplacementPolicy> DeadBlockReplacement<P, B> {
         &self.predictor
     }
 
-    /// Coverage / false positive counters (paper Figure 9).
-    pub fn predictor_stats(&self) -> PredictorStats {
-        self.stats
-    }
-
     fn line(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
     }
@@ -508,7 +503,7 @@ mod tests {
             .downcast_ref::<DeadBlockReplacement<RefTrace, Lru>>()
             .expect("downcast failed");
         assert_eq!(policy.predictor().name(), "reftrace");
-        assert_eq!(policy.predictor_stats(), PredictorStats::default());
+        assert_eq!(policy.stats, PredictorStats::default());
     }
 
     /// The `HashMap` semantics the shadow table replaced: remove on a

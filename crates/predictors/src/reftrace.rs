@@ -21,13 +21,12 @@ use std::borrow::Cow;
 
 /// Signature width in bits (paper §IV-A).
 pub const SIGNATURE_BITS: u32 = 15;
-/// Default dead threshold for the 2-bit counters. The paper measures the
+/// Dead threshold for the 2-bit counters. The paper measures the
 /// reftrace predictor at an aggressive operating point (88% coverage,
 /// 19.9% false positives at the LLC, §VII-C); a threshold of 1 — predict
 /// dead once a signature has ever been observed to die and not since been
-/// out-trained — reproduces that behaviour. Use
-/// [`RefTrace::with_threshold`] for a stricter predictor.
-pub const DEFAULT_THRESHOLD: u8 = 1;
+/// out-trained — reproduces that behaviour.
+const THRESHOLD: u8 = 1;
 
 /// Optional cache-burst filtering (paper §II-A3, implemented as an
 /// extension): when enabled, consecutive accesses to the same block by the
@@ -47,7 +46,6 @@ pub struct RefTrace {
     signatures: MetaPlane<u16>,
     last_pc: MetaPlane<u16>,
     mode: BurstMode,
-    threshold: u8,
 }
 
 impl RefTrace {
@@ -59,31 +57,11 @@ impl RefTrace {
 
     /// Creates the predictor with explicit burst filtering behaviour.
     pub fn with_mode(config: CacheConfig, mode: BurstMode) -> Self {
-        Self::with_mode_and_threshold(config, mode, DEFAULT_THRESHOLD)
-    }
-
-    /// Creates the predictor with an explicit dead threshold (1..=3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `1..=3`.
-    pub fn with_threshold(config: CacheConfig, threshold: u8) -> Self {
-        Self::with_mode_and_threshold(config, BurstMode::EveryAccess, threshold)
-    }
-
-    /// Creates the predictor with explicit mode and threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `1..=3`.
-    pub fn with_mode_and_threshold(config: CacheConfig, mode: BurstMode, threshold: u8) -> Self {
-        assert!((1..=3).contains(&threshold), "threshold must be in 1..=3");
         RefTrace {
             table: CounterTable::new(1 << SIGNATURE_BITS, 3),
             signatures: MetaPlane::new(config.sets, config.ways, 0),
             last_pc: MetaPlane::new(config.sets, config.ways, 0),
             mode,
-            threshold,
         }
     }
 
@@ -100,7 +78,7 @@ impl RefTrace {
 
     #[inline]
     fn predict(&self, sig: u16) -> bool {
-        self.table.get(sig as usize) >= self.threshold
+        self.table.get(sig as usize) >= THRESHOLD
     }
 }
 

@@ -108,11 +108,6 @@ impl Addr {
     pub const fn offset(self) -> u64 {
         self.0 & (BLOCK_BYTES - 1)
     }
-
-    /// Returns this address displaced by `bytes`.
-    pub const fn offset_by(self, bytes: u64) -> Addr {
-        Addr(self.0.wrapping_add(bytes))
-    }
 }
 
 impl fmt::Debug for Addr {
@@ -152,11 +147,6 @@ impl BlockAddr {
     /// Returns the raw block number.
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// The byte address of the first byte in this block.
-    pub const fn first_byte(self) -> Addr {
-        Addr(self.0 << BLOCK_BITS)
     }
 
     /// Cache set index for a cache with `sets` sets (must be a power of two).
@@ -301,7 +291,7 @@ mod tests {
     fn block_of_address_strips_offset() {
         let a = Addr::new(0xdead_beef);
         assert_eq!(a.block().raw(), 0xdead_beef >> 6);
-        assert_eq!(a.block().first_byte().raw(), 0xdead_beef & !0x3f);
+        assert_eq!((a.block().raw() << 6) | a.offset(), 0xdead_beef);
     }
 
     #[test]
@@ -349,11 +339,5 @@ mod tests {
         assert_eq!(format!("{}", BlockAddr::new(0x10)), "0x10");
         assert_eq!(format!("{:?}", Pc::new(0x10)), "Pc(0x10)");
         assert_eq!(format!("{}", AccessKind::Read), "read");
-    }
-
-    #[test]
-    fn offset_by_wraps() {
-        let a = Addr::new(u64::MAX);
-        assert_eq!(a.offset_by(1).raw(), 0);
     }
 }

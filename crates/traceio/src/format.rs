@@ -64,10 +64,6 @@ pub const DEFAULT_CHUNK_RECORDS: u32 = 1 << 16;
 /// claims as corruption and the writer refuses to produce them.
 pub const MAX_NAME_LEN: usize = 4096;
 
-/// Byte offset of the `count` field within the header (after magic,
-/// version and seed).
-pub const COUNT_OFFSET: u64 = 8 + 4 + 8;
-
 // The flags byte is the canonical record encoding shared with in-memory
 // batches; both codecs and `sdbp_trace::batch` must agree bit-for-bit, so
 // there is exactly one definition.
