@@ -55,7 +55,12 @@ pub struct CoreModel {
 
 impl Default for CoreModel {
     fn default() -> Self {
-        CoreModel { width: 4, window: 128, mshrs: 16, latencies: Latencies::default() }
+        CoreModel {
+            width: 4,
+            window: 128,
+            mshrs: 16,
+            latencies: Latencies::default(),
+        }
     }
 }
 
@@ -152,7 +157,10 @@ impl CoreModel {
         // Each instruction completes after the one `window` slots before
         // it, so the last `window` completions include the latest.
         let cycles = retire.iter().copied().max().unwrap_or(0);
-        Timing { instructions: records.len() as u64, cycles }
+        Timing {
+            instructions: records.len() as u64,
+            cycles,
+        }
     }
 }
 
@@ -175,7 +183,11 @@ const fn mask(bit: bool) -> u64 {
 /// metric (§VI-A2): `Σ IPC_i / SingleIPC_i`, normalised by the caller
 /// against the same sum under the baseline policy.
 pub fn weighted_ipc(shared_ipcs: &[f64], single_ipcs: &[f64]) -> f64 {
-    assert_eq!(shared_ipcs.len(), single_ipcs.len(), "per-core IPC lists must align");
+    assert_eq!(
+        shared_ipcs.len(),
+        single_ipcs.len(),
+        "per-core IPC lists must align"
+    );
     shared_ipcs
         .iter()
         .zip(single_ipcs)
@@ -220,7 +232,11 @@ mod tests {
                 InstrKind::Llc => {
                     let hit = llc_hits.get(llc_cursor).unwrap_or(false);
                     llc_cursor += 1;
-                    (u64::from(if hit { lat.llc } else { lat.memory }), true, !hit)
+                    (
+                        u64::from(if hit { lat.llc } else { lat.memory }),
+                        true,
+                        !hit,
+                    )
                 }
             };
             if is_miss {
@@ -237,22 +253,45 @@ mod tests {
             prev_was_dependent = is_mem && r.dependent();
             max_complete = max_complete.max(complete);
         }
-        Timing { instructions: records.len() as u64, cycles: max_complete }
+        Timing {
+            instructions: records.len() as u64,
+            cycles: max_complete,
+        }
     }
 
     #[test]
     fn branch_free_model_matches_reference() {
         use sdbp_trace::rng::Rng64;
-        let kinds = [InstrKind::NonMem, InstrKind::L1Hit, InstrKind::L2Hit, InstrKind::Llc];
+        let kinds = [
+            InstrKind::NonMem,
+            InstrKind::L1Hit,
+            InstrKind::L2Hit,
+            InstrKind::Llc,
+        ];
         let models = [
             CoreModel::default(),
-            CoreModel { width: 3, window: 100, mshrs: 1, ..CoreModel::default() },
-            CoreModel { width: 1, window: 1, mshrs: 3, ..CoreModel::default() },
+            CoreModel {
+                width: 3,
+                window: 100,
+                mshrs: 1,
+                ..CoreModel::default()
+            },
+            CoreModel {
+                width: 1,
+                window: 1,
+                mshrs: 3,
+                ..CoreModel::default()
+            },
             CoreModel {
                 width: 5,
                 window: 7,
                 mshrs: 2,
-                latencies: sdbp_cache::config::Latencies { l1: 2, l2: 9, llc: 41, memory: 333 },
+                latencies: sdbp_cache::config::Latencies {
+                    l1: 2,
+                    l2: 9,
+                    llc: 41,
+                    memory: 333,
+                },
             },
         ];
         let mut rng = Rng64::seed_from_u64(0x71_313e);
@@ -263,12 +302,19 @@ mod tests {
                     InstrRecord::new(kind, kind != InstrKind::NonMem && rng.gen_bool(0.4))
                 })
                 .collect();
-            let llc = records.iter().filter(|r| r.kind() == InstrKind::Llc).count();
+            let llc = records
+                .iter()
+                .filter(|r| r.kind() == InstrKind::Llc)
+                .count();
             // Hit maps shorter than, as long as and longer than the LLC count.
             for len in [0, llc / 2, llc.saturating_sub(1), llc, llc + 1, llc + 100] {
                 let hits: HitMap = (0..len).map(|_| rng.gen_bool(0.5)).collect();
                 for m in &models {
-                    assert_eq!(m.simulate(&records, &hits), reference(m, &records, &hits), "{m:?}");
+                    assert_eq!(
+                        m.simulate(&records, &hits),
+                        reference(m, &records, &hits),
+                        "{m:?}"
+                    );
                 }
             }
         }
@@ -305,7 +351,11 @@ mod tests {
         let hits = HitMap::repeat(false, 5_000);
         let t = CoreModel::default().simulate(&records, &hits);
         // Each load waits for the previous: ~200 cycles per instruction.
-        assert!(t.ipc() < 0.01, "dependent loads must serialize: ipc = {}", t.ipc());
+        assert!(
+            t.ipc() < 0.01,
+            "dependent loads must serialize: ipc = {}",
+            t.ipc()
+        );
     }
 
     #[test]
@@ -335,7 +385,11 @@ mod tests {
         let mut records = vec![InstrRecord::new(InstrKind::Llc, false)];
         records.extend(non_mem(400));
         let t = CoreModel::default().simulate(&records, &HitMap::repeat(false, 1));
-        assert!(t.cycles < 320, "ALU ops must hide under the miss: {} cycles", t.cycles);
+        assert!(
+            t.cycles < 320,
+            "ALU ops must hide under the miss: {} cycles",
+            t.cycles
+        );
     }
 
     #[test]
@@ -356,8 +410,16 @@ mod tests {
         // IPC under misses.
         let records = vec![InstrRecord::new(InstrKind::Llc, false); 10_000];
         let hits = HitMap::repeat(false, 10_000);
-        let wide = CoreModel { window: 128, mshrs: 128, ..CoreModel::default() };
-        let narrow = CoreModel { window: 16, mshrs: 128, ..CoreModel::default() };
+        let wide = CoreModel {
+            window: 128,
+            mshrs: 128,
+            ..CoreModel::default()
+        };
+        let narrow = CoreModel {
+            window: 16,
+            mshrs: 128,
+            ..CoreModel::default()
+        };
         let wide_ipc = wide.simulate(&records, &hits).ipc();
         let narrow_ipc = narrow.simulate(&records, &hits).ipc();
         assert!(
@@ -370,8 +432,14 @@ mod tests {
     fn mshrs_limit_mlp() {
         let records = vec![InstrRecord::new(InstrKind::Llc, false); 10_000];
         let hits = HitMap::repeat(false, 10_000);
-        let many = CoreModel { mshrs: 16, ..CoreModel::default() };
-        let few = CoreModel { mshrs: 2, ..CoreModel::default() };
+        let many = CoreModel {
+            mshrs: 16,
+            ..CoreModel::default()
+        };
+        let few = CoreModel {
+            mshrs: 2,
+            ..CoreModel::default()
+        };
         let many_ipc = many.simulate(&records, &hits).ipc();
         let few_ipc = few.simulate(&records, &hits).ipc();
         assert!(
