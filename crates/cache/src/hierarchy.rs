@@ -27,11 +27,12 @@ pub enum ServiceLevel {
     Llc,
 }
 
-/// L1 + L2 pair servicing a single core's demand stream.
+/// L1 + L2 pair servicing a single core's demand stream, `L1W`- and
+/// `L2W`-way; the paper's pair is 8-way at both levels.
 #[derive(Clone, Debug)]
-pub struct UpperLevels {
-    l1: LruArray,
-    l2: LruArray,
+pub struct UpperLevels<const L1W: usize = 8, const L2W: usize = 8> {
+    l1: LruArray<L1W>,
+    l2: LruArray<L2W>,
     writebacks_to_l2: u64,
 }
 
@@ -46,8 +47,14 @@ impl UpperLevels {
     pub fn new() -> Self {
         Self::with_configs(CacheConfig::l1d(), CacheConfig::l2())
     }
+}
 
+impl<const L1W: usize, const L2W: usize> UpperLevels<L1W, L2W> {
     /// Creates a pair with custom geometries (used by tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l1` is not `L1W`-way or `l2` is not `L2W`-way.
     pub fn with_configs(l1: CacheConfig, l2: CacheConfig) -> Self {
         UpperLevels {
             l1: LruArray::new(l1),
@@ -58,6 +65,7 @@ impl UpperLevels {
 
     /// Presents a demand access; fills both levels on the way back
     /// (write-allocate) and returns where the access was serviced.
+    #[inline(always)]
     pub fn access(&mut self, block: BlockAddr, is_write: bool) -> ServiceLevel {
         let l1_out = self.l1.access(block, is_write);
         if l1_out.hit {
@@ -99,7 +107,7 @@ impl UpperLevels {
 mod tests {
     use super::*;
 
-    fn tiny() -> UpperLevels {
+    fn tiny() -> UpperLevels<2, 4> {
         // L1: 4 blocks, L2: 16 blocks.
         UpperLevels::with_configs(CacheConfig::new(2, 2), CacheConfig::new(4, 4))
     }

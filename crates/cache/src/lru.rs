@@ -7,29 +7,31 @@
 //!
 //! # Layout
 //!
-//! One flat row of words per set, so an access touches one set's state
-//! and nothing else:
+//! The associativity `W` is a const generic (the paper's L1 and L2 are
+//! both 8-way), so every per-set loop has a compile-time length and a
+//! lookup or promote is straight-line code. One fixed-size record per
+//! set, so an access touches one set's state and nothing else:
 //!
-//! * `ways` tags, each the raw block address, with `u64::MAX` in empty
-//!   frames. A lookup compares only the set's tags; only a lookup of
-//!   that value itself consults the valid mask, so every `BlockAddr`
-//!   stays exact;
-//! * a valid and a dirty bit mask (at most [`MAX_WAYS`] ways);
-//! * `u8` recency ranks, eight to a word, with 0 the most recent. Ranks
-//!   always form a permutation of the set's ways, so a full set's LRU
-//!   victim is the way ranked `ways - 1`. A hit or fill promotes its way
-//!   to 0 and ages every way ranked above it in one SWAR step per word;
-//!   a hit on the most recent way changes nothing.
+//! * `[u64; W]` tags, each the raw block address, with `u64::MAX` in
+//!   empty frames. A lookup compares all `W` tags into a bit mask and
+//!   ANDs it with the valid mask, so a lookup of that value itself still
+//!   finds only a filled frame and every `BlockAddr` stays exact;
+//! * `u16` valid and dirty bit masks (at most [`MAX_WAYS`] ways);
+//! * the recency list: way indices, 4 bits each, most recent first, in
+//!   one `u64`. The list is always a permutation of the set's ways, so a
+//!   full set's LRU victim is the last entry. A hit or fill moves its
+//!   way to the front in one SWAR step: find the way's nibble, shift the
+//!   entries before it back by one, write the way at the front.
 //!
 //! A fill takes the lowest empty way, else the LRU way. Every way of a
-//! full set has been filled since it last emptied, so rank order among
+//! full set has been filled since it last emptied, so list order among
 //! them is exactly the order of their last touches: the victims, hits
 //! and writebacks of a stamp-per-frame LRU, which
 //! `tests/lru_differential.rs` checks.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "hot data plane: set rows are bounded by the geometry checked at construction"
+    reason = "hot data plane: set indices are masked to the set count and ways are below W"
 )]
 
 use crate::config::CacheConfig;
@@ -40,32 +42,89 @@ use sdbp_trace::BlockAddr;
 /// value still consults the valid mask.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// Most ways an [`LruArray`] holds: one valid and one dirty mask word
-/// per set.
-pub const MAX_WAYS: usize = 64;
+/// Most ways an [`LruArray`] holds: sixteen 4-bit way indices fill the
+/// recency word.
+pub const MAX_WAYS: usize = 16;
 
-/// Ranks per rank word.
-const LANES: usize = 8;
+/// `0x1` in every nibble of the recency word.
+const NIBBLE_ONES: u64 = u64::MAX / 0xf;
 
-/// `0x01` in every byte lane.
-const LANE_ONES: u64 = u64::MAX / 0xff;
+/// The high bit of every nibble.
+const NIBBLE_HIGHS: u64 = NIBBLE_ONES << 3;
 
-/// The high bit of every byte lane.
-const LANE_HIGHS: u64 = LANE_ONES << 7;
+/// One set: tags, masks and recency list.
+#[derive(Copy, Clone, Debug)]
+struct Set<const W: usize> {
+    tags: [u64; W],
+    /// Way indices, most recent in the low nibble; nibbles past `W` are
+    /// zero and never move.
+    order: u64,
+    valid: u16,
+    dirty: u16,
+}
 
-/// Rank of a padding lane past `ways`: above every real rank, so it
-/// never ages and is never the victim, and below `0x80`, so the SWAR
-/// comparison never borrows across lanes.
-const PAD_RANK: u64 = 0x7f;
+impl<const W: usize> Set<W> {
+    /// Nibbles `0..W` of the recency word.
+    const LIST: u64 = u64::MAX >> (64 - 4 * W);
 
-/// A set-associative LRU cache holding only tags.
+    /// An empty set whose list ranks way `i` at position `i` (any
+    /// permutation would do: only full sets consult it).
+    const EMPTY: Self = {
+        let mut order = 0;
+        let mut way = 0;
+        while way < W {
+            order |= (way as u64) << (4 * way);
+            way += 1;
+        }
+        Set {
+            tags: [EMPTY_TAG; W],
+            order,
+            valid: 0,
+            dirty: 0,
+        }
+    };
+
+    /// Bit `w` set when way `w` holds `raw`: at most one bit, since a
+    /// block is resident at most once.
+    #[inline]
+    fn lookup(&self, raw: u64) -> u16 {
+        let mut hits = 0u16;
+        for (way, &tag) in self.tags.iter().enumerate() {
+            hits |= u16::from(tag == raw) << way;
+        }
+        hits & self.valid
+    }
+
+    /// Moves `way` to the front of the recency list.
+    #[inline]
+    fn promote(&mut self, way: usize) {
+        // Zero-nibble search: the lowest flagged nibble is always a true
+        // zero (a false flag needs a borrow from a zero nibble below),
+        // and `way` sits in exactly one of the first `W` nibbles.
+        let x = self.order ^ (way as u64 * NIBBLE_ONES);
+        let zero = x.wrapping_sub(NIBBLE_ONES) & !x & NIBBLE_HIGHS;
+        let at = zero.trailing_zeros() / 4;
+        // Nibbles `0..=at`: the entries ahead of `way` shift back one,
+        // dropping `way` from its old slot.
+        let ahead = u64::MAX >> (60 - 4 * at);
+        self.order = (self.order & !ahead) | ((self.order << 4) & ahead) | way as u64;
+    }
+
+    /// Takes a full set's LRU way, the last entry of the list, and moves
+    /// it to the front.
+    #[inline]
+    fn promote_lru(&mut self) -> usize {
+        let victim = self.order >> (4 * (W - 1)) & 0xf;
+        self.order = (self.order << 4 | victim) & Self::LIST;
+        victim as usize
+    }
+}
+
+/// A set-associative LRU cache of `W` ways holding only tags.
 #[derive(Clone, Debug)]
-pub struct LruArray {
+pub struct LruArray<const W: usize> {
     config: CacheConfig,
-    /// One row of `stride` words per set: `ways` tags, the valid mask,
-    /// the dirty mask, then the rank words.
-    rows: Vec<u64>,
-    stride: usize,
+    sets: Vec<Set<W>>,
     hits: u64,
     misses: u64,
 }
@@ -79,108 +138,28 @@ pub struct LruOutcome {
     pub writeback: Option<BlockAddr>,
 }
 
-/// The way of a set's `tags` row holding `raw`, if resident. Only a
-/// lookup of [`EMPTY_TAG`] needs the `valid` mask.
-#[inline]
-fn find(tags: &[u64], valid: u64, raw: u64) -> Option<usize> {
-    let way = tags.iter().position(|&t| t == raw)?;
-    if raw != EMPTY_TAG {
-        return Some(way);
-    }
-    (way..tags.len()).find(|&w| tags[w] == raw && valid >> w & 1 != 0)
-}
-
-/// One set's row, split into its parts.
-struct Set<'a> {
-    tags: &'a mut [u64],
-    valid: &'a mut u64,
-    dirty: &'a mut u64,
-    ranks: &'a mut [u64],
-}
-
-impl Set<'_> {
-    /// The way holding `raw`, if resident.
-    #[inline]
-    fn find(&self, raw: u64) -> Option<usize> {
-        find(self.tags, *self.valid, raw)
-    }
-
-    /// Makes `way` the most recent: every way ranked above it ages by one.
-    #[inline]
-    fn promote(&mut self, way: usize) {
-        let shift = 8 * (way % LANES);
-        let rank = self.ranks[way / LANES] >> shift & 0xff;
-        if rank == 0 {
-            return;
-        }
-        let threshold = rank * LANE_ONES;
-        for word in self.ranks.iter_mut() {
-            // Lanes are below 0x80 and `rank` below 64, so each lane's
-            // subtraction stays in its lane: the lane's high bit survives
-            // exactly when the lane is at least `rank`.
-            let at_least = ((*word | LANE_HIGHS) - threshold) & LANE_HIGHS;
-            *word += (!at_least & LANE_HIGHS) >> 7;
-        }
-        self.ranks[way / LANES] &= !(0xff << shift);
-    }
-
-    /// Evicts a full set's LRU way, the one ranked `ways - 1`, and makes
-    /// it the most recent: every other way ages by one. The search and
-    /// the ageing are independent, so they overlap.
-    #[inline]
-    fn promote_lru(&mut self) -> usize {
-        let last = self.tags.len() - 1;
-        let target = last as u64 * LANE_ONES;
-        let mut victim = last;
-        for (i, word) in self.ranks.iter_mut().enumerate() {
-            // Zero-lane search: the lowest flagged lane is always a true
-            // zero (a false flag needs a borrow from a zero lane below).
-            let x = *word ^ target;
-            let zero = x.wrapping_sub(LANE_ONES) & !x & LANE_HIGHS;
-            if zero != 0 {
-                victim = i * LANES + zero.trailing_zeros() as usize / 8;
-            }
-            let at_least = ((*word | LANE_HIGHS) - target) & LANE_HIGHS;
-            *word += (!at_least & LANE_HIGHS) >> 7;
-        }
-        self.ranks[victim / LANES] &= !(0xff << (8 * (victim % LANES)));
-        victim
-    }
-}
-
-impl LruArray {
+impl<const W: usize> LruArray<W> {
     /// Creates an empty cache with the given geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has more than [`MAX_WAYS`] ways.
+    /// Panics if the geometry does not have exactly `W` ways. `W` above
+    /// [`MAX_WAYS`] (or zero) does not compile.
     pub fn new(config: CacheConfig) -> Self {
+        const {
+            assert!(
+                W >= 1 && W <= MAX_WAYS,
+                "an upper-level array holds 1..=16 ways"
+            );
+        }
         assert!(
-            config.ways <= MAX_WAYS,
-            "an upper-level array holds at most {MAX_WAYS} ways, got {}",
+            config.ways == W,
+            "a {W}-way array cannot hold a {}-way geometry",
             config.ways
         );
-        // Initial ranks: way i has rank i (any permutation would do, as
-        // only full sets consult ranks); padding lanes take `PAD_RANK`.
-        let ranks = (0..config.ways.div_ceil(LANES)).map(|word| {
-            (0..LANES).fold(0u64, |acc, lane| {
-                let way = word * LANES + lane;
-                let rank = if way < config.ways {
-                    way as u64
-                } else {
-                    PAD_RANK
-                };
-                acc | rank << (8 * lane)
-            })
-        });
-        let row: Vec<u64> = std::iter::repeat_n(EMPTY_TAG, config.ways)
-            .chain([0, 0])
-            .chain(ranks)
-            .collect();
         LruArray {
             config,
-            stride: row.len(),
-            rows: row.repeat(config.sets),
+            sets: vec![Set::EMPTY; config.sets],
             hits: 0,
             misses: 0,
         }
@@ -201,28 +180,16 @@ impl LruArray {
         self.misses
     }
 
-    /// The row of `block`'s set.
+    /// The set `block` maps to.
     #[inline]
-    fn set(&mut self, block: BlockAddr) -> Set<'_> {
-        let at = block.set_index(self.config.sets) * self.stride;
-        let (tags, rest) = self.rows[at..at + self.stride].split_at_mut(self.config.ways);
-        let [valid, dirty, ranks @ ..] = rest else {
-            unreachable!("rows hold two mask words")
-        };
-        Set {
-            tags,
-            valid,
-            dirty,
-            ranks,
-        }
+    fn set(&mut self, block: BlockAddr) -> &mut Set<W> {
+        &mut self.sets[block.set_index(self.config.sets)]
     }
 
     /// Whether `block` is resident (does not update recency).
     #[inline]
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let at = block.set_index(self.config.sets) * self.stride;
-        let ways = self.config.ways;
-        find(&self.rows[at..at + ways], self.rows[at + ways], block.raw()).is_some()
+        self.sets[block.set_index(self.config.sets)].lookup(block.raw()) != 0
     }
 
     /// Writes a dirty upper-level victim back into this level if `block`
@@ -232,27 +199,27 @@ impl LruArray {
     /// `contains(block)` followed, when true, by `access(block, true)`.
     #[inline]
     pub fn write_back(&mut self, block: BlockAddr) -> bool {
-        let mut set = self.set(block);
-        let Some(way) = set.find(block.raw()) else {
+        let set = self.set(block);
+        let hit = set.lookup(block.raw());
+        if hit == 0 {
             return false;
-        };
-        *set.dirty |= 1 << way;
-        set.promote(way);
+        }
+        set.dirty |= hit;
+        set.promote(hit.trailing_zeros() as usize);
         self.hits += 1;
         true
     }
 
     /// Accesses `block`, filling on miss with LRU replacement and write-back
     /// write-allocate semantics.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, block: BlockAddr, is_write: bool) -> LruOutcome {
         let raw = block.raw();
-        let mut set = self.set(block);
-        if let Some(way) = set.find(raw) {
-            if is_write {
-                *set.dirty |= 1 << way;
-            }
-            set.promote(way);
+        let set = self.set(block);
+        let hit = set.lookup(raw);
+        if hit != 0 {
+            set.dirty |= hit & 0u16.wrapping_sub(u16::from(is_write));
+            set.promote(hit.trailing_zeros() as usize);
             self.hits += 1;
             return LruOutcome {
                 hit: true,
@@ -260,24 +227,20 @@ impl LruArray {
             };
         }
 
-        // Fill: lowest empty way first, else LRU. Mask bits past `ways`
-        // are never set, so a full set's first clear bit lands on `ways`.
-        let free = (!*set.valid).trailing_zeros() as usize;
-        let way = if free < set.tags.len() {
+        // Fill: lowest empty way first, else LRU. Mask bits past `W` are
+        // never set, so a full set's first clear bit lands on `W`.
+        let free = (!set.valid).trailing_zeros() as usize;
+        let way = if free < W {
             set.promote(free);
             free
         } else {
             set.promote_lru()
         };
-        let bit = 1u64 << way;
-        let writeback = (*set.valid & *set.dirty & bit != 0).then(|| BlockAddr::new(set.tags[way]));
+        let bit = 1u16 << way;
+        let writeback = (set.valid & set.dirty & bit != 0).then(|| BlockAddr::new(set.tags[way]));
         set.tags[way] = raw;
-        *set.valid |= bit;
-        if is_write {
-            *set.dirty |= bit;
-        } else {
-            *set.dirty &= !bit;
-        }
+        set.valid |= bit;
+        set.dirty = set.dirty & !bit | u16::from(is_write) << way;
         self.misses += 1;
         LruOutcome {
             hit: false,
@@ -290,14 +253,34 @@ impl LruArray {
 mod tests {
     use super::*;
 
-    fn tiny() -> LruArray {
+    fn tiny() -> LruArray<2> {
         LruArray::new(CacheConfig::new(2, 2))
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 ways")]
-    fn rejects_more_ways_than_mask_bits() {
-        LruArray::new(CacheConfig::new(1, MAX_WAYS + 1));
+    #[should_panic(expected = "cannot hold a 4-way geometry")]
+    fn rejects_a_geometry_of_another_width() {
+        LruArray::<8>::new(CacheConfig::new(1, 4));
+    }
+
+    #[test]
+    fn recency_list_moves_one_way_to_the_front() {
+        let mut set = Set::<16>::EMPTY;
+        assert_eq!(set.order, 0xfedc_ba98_7654_3210);
+        set.promote(9);
+        assert_eq!(set.order, 0xfedc_ba87_6543_2109);
+        set.promote(9);
+        assert_eq!(set.order, 0xfedc_ba87_6543_2109);
+        set.promote(15);
+        assert_eq!(set.order, 0xedcb_a876_5432_109f);
+        assert_eq!(set.promote_lru(), 0xe);
+        assert_eq!(set.order, 0xdcba_8765_4321_09fe);
+        let mut narrow = Set::<3>::EMPTY;
+        assert_eq!(narrow.order, 0x210);
+        narrow.promote(2);
+        assert_eq!(narrow.order, 0x102);
+        assert_eq!(narrow.promote_lru(), 1);
+        assert_eq!(narrow.order, 0x021);
     }
 
     #[test]
@@ -355,7 +338,7 @@ mod tests {
         use sdbp_trace::{AccessKind, Pc};
 
         let cfg = CacheConfig::new(8, 4);
-        let mut fast = LruArray::new(cfg);
+        let mut fast = LruArray::<4>::new(cfg);
         let mut slow = Cache::new(cfg);
         let mut rng = Rng64::seed_from_u64(99);
         for _ in 0..20_000 {

@@ -36,20 +36,35 @@ fn lean_and_policy_lru_agree() {
         let accesses: Vec<(u64, bool)> = (0..rng.gen_range(1usize..800))
             .map(|_| (rng.gen_range(0u64..512), rng.gen_bool(0.5)))
             .collect();
-        let mut lean = LruArray::new(cfg);
-        let mut policy = Cache::new(cfg);
-        for &(block, write) in &accesses {
-            let kind = if write {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            let a = Access::demand(Pc::new(0), BlockAddr::new(block), kind, 0);
-            let lean_hit = lean.access(BlockAddr::new(block), write).hit;
-            assert_eq!(lean_hit, policy.access(&a).is_hit());
+        match cfg.ways {
+            1 => lean_and_policy_agree::<1>(cfg, &accesses),
+            2 => lean_and_policy_agree::<2>(cfg, &accesses),
+            3 => lean_and_policy_agree::<3>(cfg, &accesses),
+            4 => lean_and_policy_agree::<4>(cfg, &accesses),
+            5 => lean_and_policy_agree::<5>(cfg, &accesses),
+            6 => lean_and_policy_agree::<6>(cfg, &accesses),
+            7 => lean_and_policy_agree::<7>(cfg, &accesses),
+            8 => lean_and_policy_agree::<8>(cfg, &accesses),
+            ways => unreachable!("drew {ways} ways"),
         }
-        assert_eq!(lean.hits(), policy.stats().hits);
     }
+}
+
+/// One stream of `lean_and_policy_lru_agree` on a `W`-way geometry.
+fn lean_and_policy_agree<const W: usize>(cfg: CacheConfig, accesses: &[(u64, bool)]) {
+    let mut lean = LruArray::<W>::new(cfg);
+    let mut policy = Cache::new(cfg);
+    for &(block, write) in accesses {
+        let kind = if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let a = Access::demand(Pc::new(0), BlockAddr::new(block), kind, 0);
+        let lean_hit = lean.access(BlockAddr::new(block), write).hit;
+        assert_eq!(lean_hit, policy.access(&a).is_hit());
+    }
+    assert_eq!(lean.hits(), policy.stats().hits);
 }
 
 /// LRU residency never exceeds ways per set, and contains() agrees with
