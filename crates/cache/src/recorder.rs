@@ -13,7 +13,9 @@
 //! fraction of the cost of re-simulating the whole hierarchy.
 
 use crate::hierarchy::{ServiceLevel, UpperLevels};
-use sdbp_trace::batch::{instr_flags, InstrBatcher, FLAG_DEPENDENT, FLAG_MEM, FLAG_WRITE};
+use sdbp_trace::batch::{
+    ColumnBuf, InstrBatch, InstrBatcher, FLAG_DEPENDENT, FLAG_MEM, FLAG_WRITE,
+};
 use sdbp_trace::{AccessKind, Addr, BlockAddr, Instr, Pc};
 
 /// Where an instruction was serviced (or that it was not a memory access).
@@ -121,16 +123,28 @@ fn tag_block(block: u64, core: u8) -> u64 {
     (block ^ (u64::from(core) << CORE_SALT_SHIFT)) | (u64::from(core) << CORE_TAG_SHIFT)
 }
 
+/// Rows one [`Recorder::step`] pass covers: a tile's memory-row offsets
+/// fit a fixed `u16` array, and its flags and records stay in the host's
+/// L1 cache between the two passes.
+const TILE: usize = 4096;
+
+// Tile offsets fit `u16`, and pass one copies a memory row's dependent
+// flag straight into its record.
+const _: () = assert!(TILE <= 1 << 16 && DEP_BIT == FLAG_DEPENDENT && FLAG_MEM == 1);
+
 /// The one recording loop body: a fresh L1/L2 pair filtering one core's
 /// instructions into the workload's timing records and LLC stream. Both
 /// doors ([`record_for_core`] over [`Instr`]s, [`try_record_batches`]
 /// over decoded columns) feed it rows in the canonical flags encoding of
-/// [`sdbp_trace::batch`].
+/// [`sdbp_trace::batch`], a batch at a time.
 struct Recorder {
     upper: UpperLevels,
     records: Vec<InstrRecord>,
     llc: Vec<LlcAccess>,
     core: u8,
+    /// Pass one's output: the tile offsets of the current tile's memory
+    /// rows, in order.
+    mem_rows: [u16; TILE],
 }
 
 impl Recorder {
@@ -146,6 +160,7 @@ impl Recorder {
             records: Vec::with_capacity(usize::try_from(instructions).unwrap_or(0)),
             llc: Vec::new(),
             core,
+            mem_rows: [0; TILE],
         })
     }
 
@@ -154,41 +169,81 @@ impl Recorder {
         self.records.len() as u64
     }
 
-    /// Records the next instruction, given as one row of the three batch
-    /// columns.
-    #[inline]
-    fn step(&mut self, flags: u8, pc: u64, addr: u64) {
-        if flags & FLAG_MEM == 0 {
-            self.records
-                .push(InstrRecord::new(InstrKind::NonMem, false));
-            return;
-        }
-        let is_write = flags & FLAG_WRITE != 0;
-        let block = Addr::new(addr).block();
-        let kind = match self.upper.access(block, is_write) {
-            ServiceLevel::L1 => InstrKind::L1Hit,
-            ServiceLevel::L2 => InstrKind::L2Hit,
-            ServiceLevel::Llc => {
-                self.llc.push(LlcAccess {
-                    pc: Pc::new(pc),
-                    block: BlockAddr::new(tag_block(block.raw(), self.core)),
-                    kind: if is_write {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                    core: self.core,
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "fewer than `instructions` <= u32::MAX rows, guarded in `new`"
-                    )]
-                    instr: self.records.len() as u32,
-                });
-                InstrKind::Llc
+    /// Records the first `rows` rows of `batch`, one [`TILE`] at a time
+    /// and in two passes per tile.
+    ///
+    /// Pass one runs over the flags column without a branch: it appends
+    /// every row's [`InstrRecord`] (0 for a non-memory row, the dependent
+    /// bit for a memory row) and compacts the memory rows' offsets into
+    /// `mem_rows`. Pass two sends only those rows through the L1/L2 pair,
+    /// ORs the service level into their records, and emits an
+    /// [`LlcAccess`] for each row that reaches the LLC. The synthetic
+    /// mixes interleave memory and non-memory rows unpredictably, so the
+    /// split trades one mispredicted branch per row for a second, cheap
+    /// walk over the flags.
+    fn step(&mut self, batch: &InstrBatch<'_>, rows: usize) {
+        let rows = rows.min(batch.len());
+        for start in (0..rows).step_by(TILE) {
+            let end = rows.min(start + TILE);
+            let (Some(flags), Some(pcs), Some(addrs)) = (
+                batch.flags().get(start..end),
+                batch.pcs().get(start..end),
+                batch.addrs().get(start..end),
+            ) else {
+                unreachable!("batch columns share one length")
+            };
+            let base = self.records.len();
+            self.records.extend(
+                flags
+                    .iter()
+                    .map(|&f| InstrRecord(f & FLAG_DEPENDENT & 0u8.wrapping_sub(f & FLAG_MEM))),
+            );
+            let mut mem = 0;
+            for (slot, &f) in (0u16..).zip(flags) {
+                if let Some(row) = self.mem_rows.get_mut(mem) {
+                    *row = slot;
+                }
+                mem += usize::from(f & FLAG_MEM);
             }
-        };
-        self.records
-            .push(InstrRecord::new(kind, flags & FLAG_DEPENDENT != 0));
+            let tile = self.records.get_mut(base..).unwrap_or_default();
+            for &row in self.mem_rows.get(..mem).unwrap_or_default() {
+                let row = usize::from(row);
+                let (Some(&f), Some(&pc), Some(&addr), Some(record)) = (
+                    flags.get(row),
+                    pcs.get(row),
+                    addrs.get(row),
+                    tile.get_mut(row),
+                ) else {
+                    unreachable!("memory rows index the tile")
+                };
+                let is_write = f & FLAG_WRITE != 0;
+                let block = Addr::new(addr).block();
+                let level = self.upper.access(block, is_write);
+                let kind = match level {
+                    ServiceLevel::L1 => InstrKind::L1Hit,
+                    ServiceLevel::L2 => InstrKind::L2Hit,
+                    ServiceLevel::Llc => InstrKind::Llc,
+                };
+                record.0 |= InstrRecord::new(kind, false).0;
+                if level == ServiceLevel::Llc {
+                    self.llc.push(LlcAccess {
+                        pc: Pc::new(pc),
+                        block: BlockAddr::new(tag_block(block.raw(), self.core)),
+                        kind: if is_write {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        },
+                        core: self.core,
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "fewer than `instructions` <= u32::MAX rows, guarded in `new`"
+                        )]
+                        instr: (base + row) as u32,
+                    });
+                }
+            }
+        }
     }
 
     fn finish(self, name: &str) -> RecordedWorkload {
@@ -211,7 +266,8 @@ where
 
 /// Records a per-core stream: block addresses are tagged with `core` in
 /// their high bits so concurrently-run streams never alias in a shared LLC,
-/// and every [`LlcAccess::core`] carries the core id.
+/// and every [`LlcAccess::core`] carries the core id. The instructions
+/// reach the recorder through one reused 4,096-row column buffer.
 ///
 /// # Panics
 ///
@@ -227,12 +283,19 @@ where
     I: IntoIterator<Item = Instr>,
 {
     let mut rec = Recorder::new(instructions, core).unwrap_or_else(|e| panic!("{e}"));
-    for instr in instrs
+    let mut instrs = instrs
         .into_iter()
-        .take(usize::try_from(instructions).unwrap_or(usize::MAX))
-    {
-        let addr = instr.mem.map_or(0, |m| m.addr.raw());
-        rec.step(instr_flags(&instr), instr.pc.raw(), addr);
+        .take(usize::try_from(instructions).unwrap_or(usize::MAX));
+    let mut cols = ColumnBuf::default();
+    loop {
+        cols.clear();
+        for instr in instrs.by_ref().take(TILE) {
+            cols.push(&instr);
+        }
+        if cols.is_empty() {
+            break;
+        }
+        rec.step(&cols.as_batch(), cols.len());
     }
     if rec.taken() < instructions {
         panic!("instruction stream for {name} ended at {}", rec.taken());
@@ -311,15 +374,7 @@ pub fn try_record_batches(
             });
         };
         let room = usize::try_from(instructions - rec.taken()).unwrap_or(usize::MAX);
-        let rows = batch
-            .flags()
-            .iter()
-            .zip(batch.pcs())
-            .zip(batch.addrs())
-            .take(room);
-        for ((&flags, &pc), &addr) in rows {
-            rec.step(flags, pc, addr);
-        }
+        rec.step(&batch, room);
     }
     Ok(rec.finish(name))
 }
@@ -494,6 +549,122 @@ mod tests {
                 tail_error: None,
             }
         }
+
+        /// One batch per entry of `lens`, cut from `instrs` in order.
+        fn from_splits(instrs: &[Instr], lens: &[usize]) -> Self {
+            let mut rest = instrs;
+            let cols = lens
+                .iter()
+                .map(|&len| {
+                    let (batch, tail) = rest.split_at(len);
+                    rest = tail;
+                    let mut col = sdbp_trace::ColumnBuf::default();
+                    batch.iter().for_each(|i| col.push(i));
+                    col
+                })
+                .collect();
+            VecBatcher {
+                cols,
+                next: 0,
+                tail_error: None,
+            }
+        }
+    }
+
+    /// The recorder as one branch per row, the loop the two-pass step
+    /// replaced: the oracle for its records and LLC stream.
+    fn one_pass(instrs: &[Instr], core: u8) -> (Vec<InstrRecord>, Vec<LlcAccess>) {
+        let mut upper = UpperLevels::new();
+        let (mut records, mut llc) = (Vec::new(), Vec::new());
+        for (row, instr) in (0u32..).zip(instrs) {
+            let Some(m) = instr.mem else {
+                records.push(InstrRecord::new(InstrKind::NonMem, false));
+                continue;
+            };
+            let block = m.addr.block();
+            let kind = match upper.access(block, m.kind.is_write()) {
+                ServiceLevel::L1 => InstrKind::L1Hit,
+                ServiceLevel::L2 => InstrKind::L2Hit,
+                ServiceLevel::Llc => {
+                    llc.push(LlcAccess {
+                        pc: instr.pc,
+                        block: BlockAddr::new(tag_block(block.raw(), core)),
+                        kind: m.kind,
+                        core,
+                        instr: row,
+                    });
+                    InstrKind::Llc
+                }
+            };
+            records.push(InstrRecord::new(kind, m.dependent));
+        }
+        (records, llc)
+    }
+
+    /// Records `instrs[..wanted]` cut into batches of `lens` rows and
+    /// checks both recording doors against [`one_pass`].
+    fn check_against_one_pass(instrs: &[Instr], lens: &[usize], wanted: usize) {
+        let (records, llc) = one_pass(&instrs[..wanted], 2);
+        let mut batcher = VecBatcher::from_splits(instrs, lens);
+        let got = try_record_batches("x", &mut batcher, wanted as u64, 2).unwrap();
+        assert_eq!(got.records, records, "batches {lens:?}, {wanted} wanted");
+        assert_eq!(got.llc, llc, "batches {lens:?}, {wanted} wanted");
+        let streamed = record_for_core("x", instrs.iter().copied(), wanted as u64, 2);
+        assert_eq!(streamed.records, records, "{wanted} streamed");
+        assert_eq!(streamed.llc, llc, "{wanted} streamed");
+    }
+
+    #[test]
+    fn two_pass_step_matches_one_pass_at_batch_and_tile_edges() {
+        let instrs: Vec<Instr> = stream(7).take(3 * TILE + 500).collect();
+        let mem = |i: usize| instrs[i].mem.is_some();
+        // Cuts before a memory row `m` (a batch starts on it) and after
+        // it (a batch ends on it), the same around a non-memory row `n`,
+        // at tile edges and inside the second tile.
+        let at = |want_mem: bool, from: usize| (from..).find(|&i| mem(i) == want_mem).unwrap();
+        let m = at(true, 100);
+        let n = at(false, m + 2);
+        let m2 = at(true, TILE + 50);
+        let n2 = at(false, m2 + 1);
+        for cuts in [
+            vec![m, m + 1, n, n + 1],
+            vec![m2, n2 + 1],
+            vec![TILE, 2 * TILE],
+            vec![TILE - 1, TILE + 1],
+        ] {
+            let lens: Vec<usize> = cuts
+                .iter()
+                .chain([&instrs.len()])
+                .scan(0, |prev, &cut| Some(cut - std::mem::replace(prev, cut)))
+                .collect();
+            // Every row, then ending inside the middle batch and inside a
+            // later tile of the last batch.
+            for wanted in [instrs.len(), cuts[0] + 1, 2 * TILE + 7, 3 * TILE] {
+                check_against_one_pass(&instrs, &lens, wanted);
+            }
+        }
+    }
+
+    #[test]
+    fn two_pass_step_matches_one_pass_on_all_and_no_memory_batches() {
+        let all_mem: Vec<Instr> = stream(9)
+            .filter(|i| i.mem.is_some())
+            .take(TILE + 300)
+            .collect();
+        let no_mem: Vec<Instr> = (0..TILE as u64 + 200)
+            .map(|pc| Instr::non_mem(Pc::new(pc)))
+            .collect();
+        let instrs: Vec<Instr> = [&all_mem, &no_mem, &all_mem[..700]]
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        let lens = [all_mem.len(), no_mem.len(), 700];
+        check_against_one_pass(&instrs, &lens, instrs.len());
+        check_against_one_pass(&instrs, &lens, all_mem.len() + 10);
+        let whole = record("x", instrs.iter().copied(), instrs.len() as u64);
+        let non_mem = |r: &&InstrRecord| r.kind() == InstrKind::NonMem;
+        assert_eq!(whole.records.iter().filter(non_mem).count(), no_mem.len());
     }
 
     impl sdbp_trace::InstrBatcher for VecBatcher {
