@@ -96,7 +96,7 @@ impl CoreModel {
     /// slot are wrapping counters, the window ring is walked once per
     /// `window` instructions, the latency comes from one table indexed by
     /// (kind, hit), the hit bit is read straight from the map's packed
-    /// words, and the MSHR and load-completion updates are masks and
+    /// words, and the MSHR and dependent-load updates are masks and
     /// selects rather than branches.
     ///
     /// # Panics
@@ -118,9 +118,9 @@ impl CoreModel {
         let sink = self.mshrs;
 
         let (mut fetch, mut lane, mut mshr_slot, mut llc_cursor) = (0u64, 0u32, 0usize, 0usize);
-        let mut prev_load_done = 0u64;
-        // All ones when the previous instruction was a dependent load.
-        let mut dependent_mask = 0u64;
+        // The previous instruction's completion if it was a dependent
+        // load, else zero: the one value the next start waits on.
+        let mut dep_done = 0u64;
 
         // Each chunk of `window` instructions walks the window ring once.
         for chunk in records.chunks(self.window) {
@@ -134,16 +134,17 @@ impl CoreModel {
                 let is_miss = is_llc & !hit;
 
                 // Front end, window, dependent-load serialization and a
-                // free MSHR (misses only) all bound the start cycle.
-                let start = fetch
-                    .max(*retired)
-                    .max((prev_load_done & dependent_mask).max(mshr[mshr_slot] & mask(is_miss)));
+                // free MSHR (misses only) all bound the start cycle. The
+                // last max is on the loop-carried chain through
+                // `dep_done`; left to itself the compiler turns it into a
+                // branch, which mispredicts as dependent loads come and go.
+                let bound = fetch.max(*retired).max(mshr[mshr_slot] & mask(is_miss));
+                let start = std::hint::select_unpredictable(dep_done > bound, dep_done, bound);
                 let complete = start + latency[kind << 1 | usize::from(hit)];
                 *retired = complete;
                 mshr[if is_miss { mshr_slot } else { sink }] = complete;
                 let is_mem = kind != kind_index(InstrKind::NonMem);
-                prev_load_done = if is_mem { complete } else { prev_load_done };
-                dependent_mask = mask(is_mem & r.dependent());
+                dep_done = complete & mask(is_mem & r.dependent());
 
                 // At most `width` instructions begin per cycle.
                 lane += 1;
@@ -316,6 +317,47 @@ mod tests {
                         "{m:?}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Recorded suite streams: 429.mcf's dependent chains exercise the
+    /// dependent-load register on long runs of LLC misses, 456.hmmer its
+    /// generational reuse. The hit maps are an LRU replay of each stream
+    /// on the paper's 2 MB LLC, then none and every hit.
+    #[test]
+    fn branch_free_model_matches_reference_on_recorded_streams() {
+        use sdbp_cache::{Cache, CacheConfig};
+        let models = [
+            CoreModel::default(),
+            CoreModel {
+                width: 2,
+                window: 32,
+                mshrs: 4,
+                ..CoreModel::default()
+            },
+        ];
+        for (name, chases) in [("429.mcf", true), ("456.hmmer", false)] {
+            let bench = sdbp_workloads::benchmark(name).expect("suite benchmark");
+            let w = sdbp_cache::record(name, bench.trace(), 300_000);
+            let dependent_llc = w
+                .records
+                .iter()
+                .filter(|r| r.kind() == InstrKind::Llc && r.dependent())
+                .count();
+            assert_eq!(
+                dependent_llc > 0,
+                chases,
+                "{name}: {dependent_llc} dependent LLC accesses"
+            );
+            let lru = sdbp_cache::replay(&w.llc, &mut Cache::new(CacheConfig::llc_2mb())).hits;
+            let maps = [lru, HitMap::new(), HitMap::repeat(true, w.llc.len())];
+            for (hits, m) in maps.iter().flat_map(|h| models.iter().map(move |m| (h, m))) {
+                assert_eq!(
+                    m.simulate(&w.records, hits),
+                    reference(m, &w.records, hits),
+                    "{name} {m:?}"
+                );
             }
         }
     }
