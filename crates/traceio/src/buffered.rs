@@ -25,9 +25,11 @@
 //! (v2), the whole-file checksum and the header's record count, so all
 //! corruption — truncation, length mismatches, flipped bits — surfaces
 //! as a typed [`TraceIoError`] before the first batch, never a panic.
-//! The index keeps each chunk's checksums, and a file-backed batch
-//! re-checks the bytes it reads against them: a file changed on disk
-//! after indexing yields a typed error, never unvalidated records.
+//! The index keeps each chunk's checksums (for a file-backed v1 chunk,
+//! a word-folded digest taken while its byte-wise checksum was
+//! verified), and a file-backed batch re-checks the bytes it reads
+//! against them: a file changed on disk after indexing yields a typed
+//! error, never unvalidated records.
 //! `BufferedTrace` is `Sync` and `batch` takes `&self`, so one trace can
 //! be shared by threads that each own their scratch.
 
@@ -84,6 +86,10 @@ impl ChunkStat {
 enum ChunkSum {
     /// v1: FNV-1a of the whole payload, as the frame declares it.
     Payload(u64),
+    /// v1, file-backed: the word-folded [`fnv1a_words`] of the payload,
+    /// taken while indexing checked [`Payload`](ChunkSum::Payload), so a
+    /// batch re-checks with one multiply per 8 bytes instead of per byte.
+    Words(u64),
     /// v2: the pcs, addrs and flags column checksums, as the payload's
     /// preamble declares them.
     Columns([u64; 3]),
@@ -96,7 +102,10 @@ impl ChunkSum {
             ChunkSum::Payload(want) if fnv1a(payload) != want => {
                 Err(TraceIoError::ChunkChecksum { chunk })
             }
-            ChunkSum::Payload(_) => Ok(()),
+            ChunkSum::Words(want) if fnv1a_words(payload) != want => {
+                Err(TraceIoError::ChunkChecksum { chunk })
+            }
+            ChunkSum::Payload(_) | ChunkSum::Words(_) => Ok(()),
             ChunkSum::Columns(want) => {
                 let cols = v2_columns(payload, records, chunk)?;
                 // Word-folded FNV, with the two u64 columns fused into one
@@ -356,6 +365,10 @@ impl<'b> BufferedTrace<'b> {
 /// A trace being indexed, read front to back: frame fields through
 /// [`Read`], chunk payloads through [`payload`](Image::payload).
 trait Image: Read {
+    /// Whether batches read chunks back from the source and re-check
+    /// them (a file), rather than borrow validated bytes (an image).
+    const RECHECKED: bool;
+
     /// Offset of the next unread byte.
     fn pos(&self) -> u64;
 
@@ -379,6 +392,8 @@ impl Read for SliceImage<'_> {
 }
 
 impl Image for SliceImage<'_> {
+    const RECHECKED: bool = false;
+
     fn pos(&self) -> u64 {
         self.pos as u64
     }
@@ -415,6 +430,8 @@ impl Read for FileImage<'_> {
 }
 
 impl Image for FileImage<'_> {
+    const RECHECKED: bool = true;
+
     fn pos(&self) -> u64 {
         self.pos
     }
@@ -441,7 +458,7 @@ impl Image for FileImage<'_> {
 /// count are all verified here, so `batch` failures afterwards are
 /// limited to record-level defects (and, for a file, to changes made on
 /// disk since).
-fn index(image: &mut impl Image) -> Result<(TraceMeta, Vec<ChunkEntry>), TraceIoError> {
+fn index<I: Image>(image: &mut I) -> Result<(TraceMeta, Vec<ChunkEntry>), TraceIoError> {
     let meta = read_header(image)?;
     let mut chunks = Vec::new();
     let mut global = GlobalChecksum::new();
@@ -478,7 +495,9 @@ fn index(image: &mut impl Image) -> Result<(TraceMeta, Vec<ChunkEntry>), TraceIo
         // byte after the preamble, so integrity needs only one hash
         // pass: verify the columns, chain the *declared* chunk checksum
         // into the global, and let a forged declared value surface as a
-        // trailer mismatch. v1 chains its verified payload checksum.
+        // trailer mismatch. v1 chains its verified payload checksum; a
+        // file-backed v1 chunk then keeps the cheaper word digest of the
+        // bytes just verified for its batch re-check.
         let sum = if meta.version >= FORMAT_V2 {
             let cols = v2_columns(payload, records, chunk)?;
             ChunkSum::Columns([cols.pcs_fnv, cols.addrs_fnv, cols.flags_fnv])
@@ -486,6 +505,10 @@ fn index(image: &mut impl Image) -> Result<(TraceMeta, Vec<ChunkEntry>), TraceIo
             ChunkSum::Payload(checksum)
         };
         sum.verify(payload, records, chunk)?;
+        let sum = match sum {
+            ChunkSum::Payload(_) if I::RECHECKED => ChunkSum::Words(fnv1a_words(payload)),
+            sum => sum,
+        };
         global.fold(checksum);
         chunks.push(ChunkEntry {
             offset,
