@@ -142,9 +142,6 @@ struct Recorder {
     records: Vec<InstrRecord>,
     llc: Vec<LlcAccess>,
     core: u8,
-    /// Pass one's output: the tile offsets of the current tile's memory
-    /// rows, in order.
-    mem_rows: [u16; TILE],
 }
 
 impl Recorder {
@@ -160,7 +157,6 @@ impl Recorder {
             records: Vec::with_capacity(usize::try_from(instructions).unwrap_or(0)),
             llc: Vec::new(),
             core,
-            mem_rows: [0; TILE],
         })
     }
 
@@ -175,7 +171,7 @@ impl Recorder {
     /// Pass one runs over the flags column without a branch: it appends
     /// every row's [`InstrRecord`] (0 for a non-memory row, the dependent
     /// bit for a memory row) and compacts the memory rows' offsets into
-    /// `mem_rows`. Pass two sends only those rows through the L1/L2 pair,
+    /// a fixed array. Pass two sends only those rows through the L1/L2 pair,
     /// ORs the service level into their records, and emits an
     /// [`LlcAccess`] for each row that reaches the LLC. The synthetic
     /// mixes interleave memory and non-memory rows unpredictably, so the
@@ -183,6 +179,7 @@ impl Recorder {
     /// walk over the flags.
     fn step(&mut self, batch: &InstrBatch<'_>, rows: usize) {
         let rows = rows.min(batch.len());
+        let mut mem_rows = [0u16; TILE];
         for start in (0..rows).step_by(TILE) {
             let end = rows.min(start + TILE);
             let (Some(flags), Some(pcs), Some(addrs)) = (
@@ -200,13 +197,13 @@ impl Recorder {
             );
             let mut mem = 0;
             for (slot, &f) in (0u16..).zip(flags) {
-                if let Some(row) = self.mem_rows.get_mut(mem) {
+                if let Some(row) = mem_rows.get_mut(mem) {
                     *row = slot;
                 }
                 mem += usize::from(f & FLAG_MEM);
             }
             let tile = self.records.get_mut(base..).unwrap_or_default();
-            for &row in self.mem_rows.get(..mem).unwrap_or_default() {
+            for &row in mem_rows.get(..mem).unwrap_or_default() {
                 let row = usize::from(row);
                 let (Some(&f), Some(&pc), Some(&addr), Some(record)) = (
                     flags.get(row),
@@ -218,30 +215,30 @@ impl Recorder {
                 };
                 let is_write = f & FLAG_WRITE != 0;
                 let block = Addr::new(addr).block();
-                let level = self.upper.access(block, is_write);
-                let kind = match level {
+                let kind = match self.upper.access(block, is_write) {
                     ServiceLevel::L1 => InstrKind::L1Hit,
                     ServiceLevel::L2 => InstrKind::L2Hit,
-                    ServiceLevel::Llc => InstrKind::Llc,
-                };
-                record.0 |= InstrRecord::new(kind, false).0;
-                if level == ServiceLevel::Llc {
-                    self.llc.push(LlcAccess {
-                        pc: Pc::new(pc),
-                        block: BlockAddr::new(tag_block(block.raw(), self.core)),
-                        kind: if is_write {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        core: self.core,
+                    ServiceLevel::Llc => {
                         #[expect(
                             clippy::cast_possible_truncation,
                             reason = "fewer than `instructions` <= u32::MAX rows, guarded in `new`"
                         )]
-                        instr: (base + row) as u32,
-                    });
-                }
+                        let instr = (base + row) as u32;
+                        self.llc.push(LlcAccess {
+                            pc: Pc::new(pc),
+                            block: BlockAddr::new(tag_block(block.raw(), self.core)),
+                            kind: if is_write {
+                                AccessKind::Write
+                            } else {
+                                AccessKind::Read
+                            },
+                            core: self.core,
+                            instr,
+                        });
+                        InstrKind::Llc
+                    }
+                };
+                record.0 |= InstrRecord::new(kind, false).0;
             }
         }
     }
