@@ -5,8 +5,9 @@
     reason = "hot data plane: the access loop indexes sets/ways validated at construction; recorder.rs and replay.rs stay covered as I/O paths"
 )]
 
-use crate::config::CacheConfig;
+use crate::config::{CacheConfig, MAX_WAYS};
 use crate::efficiency::EfficiencyTracker;
+use crate::lru::lookup;
 use crate::policy::{Access, Lru, ReplacementPolicy, Victim};
 use crate::recorder::LlcAccess;
 use crate::replay::Outcomes;
@@ -46,13 +47,22 @@ impl AccessOutcome {
 /// is exact.
 const INVALID_TAG: u64 = u64::MAX;
 
+/// One set's tags, one per way up to [`MAX_WAYS`], with `INVALID_TAG` in
+/// empty frames and in the ways a narrower geometry does not have: two
+/// whole cache lines.
+#[derive(Copy, Clone, Debug)]
+#[repr(align(64))]
+struct Tags([u64; MAX_WAYS]);
+
 /// The tag store and counters of a [`Cache`]: everything but the policy.
 ///
-/// Structure of arrays: one `u64` tag per frame (`set * ways + way`, with
-/// `INVALID_TAG` in empty frames), and per set a valid mask and a dirty
-/// mask of `ways.div_ceil(64)` words each. A lookup compares only the
-/// set's tags; the first free way is one `trailing_ones` on the valid
-/// mask.
+/// Every set has a fixed-size row at the paper's 16 ways: `[u64; 16]`
+/// tags, and `u16` valid and dirty masks (packed in one `u32`, valid in
+/// the low half). A lookup is 16 compares ANDed into a mask with the
+/// valid bits; the first free way is one `trailing_ones` of the valid
+/// mask. A geometry with fewer ways never sets the valid bits above its
+/// last way, and one with more than [`MAX_WAYS`] is refused by
+/// [`CacheConfig::try_new`].
 ///
 /// [`CacheCore::access`] is the one implementation of an LLC access,
 /// generic over the policy type; [`CacheCore::run`] loops it over a
@@ -61,61 +71,56 @@ const INVALID_TAG: u64 = u64::MAX;
 #[derive(Clone, Debug)]
 pub struct CacheCore {
     config: CacheConfig,
-    tags: Vec<u64>,
-    valid: Vec<u64>,
-    dirty: Vec<u64>,
-    /// Mask words per set.
-    words: usize,
+    tags: Vec<Tags>,
+    /// Per set, the valid mask in bits 0..16 and the dirty mask above.
+    masks: Vec<u32>,
     stats: CacheStats,
     efficiency: Option<EfficiencyTracker>,
-    now: u64,
+}
+
+/// The dirty bit of `way` in a set's packed masks.
+const fn dirty_bit(way: usize) -> u32 {
+    1 << (way + MAX_WAYS)
 }
 
 impl CacheCore {
+    /// # Panics
+    ///
+    /// Panics if `config` is not a valid geometry (see
+    /// [`CacheConfig::try_new`]).
+    #[expect(
+        clippy::panic,
+        reason = "a geometry built field by field past CacheConfig::try_new is a caller bug"
+    )]
     fn new(config: CacheConfig) -> Self {
-        let words = config.ways.div_ceil(64);
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         CacheCore {
             config,
-            tags: vec![INVALID_TAG; config.lines()],
-            valid: vec![0; config.sets * words],
-            dirty: vec![0; config.sets * words],
-            words,
+            tags: vec![Tags([INVALID_TAG; MAX_WAYS]); config.sets],
+            masks: vec![0; config.sets],
             stats: CacheStats::default(),
             efficiency: None,
-            now: 0,
         }
     }
 
-    fn mask_bit(&self, set: usize, way: usize) -> (usize, u64) {
-        (set * self.words + way / 64, 1u64 << (way % 64))
-    }
-
     fn is_valid(&self, set: usize, way: usize) -> bool {
-        let (word, bit) = self.mask_bit(set, way);
-        self.valid[word] & bit != 0
+        self.masks[set] >> way & 1 != 0
     }
 
     /// The way of `set` holding `block`, if resident.
     #[inline]
     fn find(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        let base = set * self.config.ways;
-        let tags = &self.tags[base..base + self.config.ways];
-        let raw = block.raw();
-        let way = tags.iter().position(|&t| t == raw)?;
-        if raw != INVALID_TAG {
-            return Some(way);
-        }
-        (way..tags.len()).find(|&w| tags[w] == raw && self.is_valid(set, w))
+        let hits = u32::from(lookup(&self.tags[set].0, block.raw())) & self.masks[set];
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// The lowest invalid way of `set`, if any. Mask bits past `ways` are
-    /// never set, so the first clear bit of a full set's last word lands
-    /// on `ways`.
+    /// The lowest invalid way of `set`, if any. Valid bits past `ways` are
+    /// never set, so the first clear bit of a full set lands on `ways`.
     #[inline]
     fn first_free(&self, set: usize) -> Option<usize> {
-        let row = &self.valid[set * self.words..(set + 1) * self.words];
-        let (i, word) = row.iter().enumerate().find(|(_, &w)| w != u64::MAX)?;
-        let way = i * 64 + word.trailing_ones() as usize;
+        let way = self.masks[set].trailing_ones() as usize;
         (way < self.config.ways).then_some(way)
     }
 
@@ -131,19 +136,17 @@ impl CacheCore {
         policy: &mut P,
         access: &Access,
     ) -> AccessOutcome {
-        self.now += 1;
         self.stats.accesses += 1;
         let set = access.block.set_index(self.config.sets);
 
         if let Some(way) = self.find(set, access.block) {
             self.stats.hits += 1;
             if access.kind.is_write() {
-                let (word, bit) = self.mask_bit(set, way);
-                self.dirty[word] |= bit;
+                self.masks[set] |= dirty_bit(way);
             }
             policy.on_hit(set, way, access);
             if let Some(eff) = &mut self.efficiency {
-                eff.on_hit(set, way, self.now);
+                eff.on_hit(set, way, self.stats.accesses);
             }
             return AccessOutcome::Hit;
         }
@@ -165,33 +168,26 @@ impl CacheCore {
             policy.name(),
             self.config.ways
         );
-        let (word, bit) = self.mask_bit(set, way);
-        let line = set * self.config.ways + way;
-        let evicted = if self.valid[word] & bit != 0 {
-            let victim = BlockAddr::new(self.tags[line]);
+        let masks = self.masks[set];
+        let evicted = if masks >> way & 1 != 0 {
+            let victim = BlockAddr::new(self.tags[set].0[way]);
             self.stats.evictions += 1;
-            if self.dirty[word] & bit != 0 {
-                self.stats.writebacks += 1;
-            }
+            self.stats.writebacks += u64::from(masks & dirty_bit(way) != 0);
             policy.on_evict(set, way, victim, access);
             if let Some(eff) = &mut self.efficiency {
-                eff.on_evict(set, way, self.now);
+                eff.on_evict(set, way, self.stats.accesses);
             }
             Some(victim)
         } else {
             None
         };
-        self.tags[line] = access.block.raw();
-        self.valid[word] |= bit;
-        if access.kind.is_write() {
-            self.dirty[word] |= bit;
-        } else {
-            self.dirty[word] &= !bit;
-        }
+        self.tags[set].0[way] = access.block.raw();
+        let dirty = u32::from(access.kind.is_write()) << (way + MAX_WAYS);
+        self.masks[set] = masks & !dirty_bit(way) | 1 << way | dirty;
         self.stats.fills += 1;
         policy.on_fill(set, way, access);
         if let Some(eff) = &mut self.efficiency {
-            eff.on_fill(set, way, self.now);
+            eff.on_fill(set, way, self.stats.accesses);
         }
         AccessOutcome::Filled { evicted }
     }
@@ -246,13 +242,22 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics above 256 ways (see [`Lru::new`]).
+    /// Panics if `config` is not a valid geometry (see
+    /// [`CacheConfig::try_new`]).
     pub fn new(config: CacheConfig) -> Self {
-        let lru = Lru::new(config.sets, config.ways);
-        Self::with_policy(config, Box::new(lru))
+        let core = CacheCore::new(config);
+        Cache {
+            core,
+            policy: Box::new(Lru::new(config.sets, config.ways)),
+        }
     }
 
     /// Creates a cache driven by an arbitrary policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is not a valid geometry (see
+    /// [`CacheConfig::try_new`]).
     pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Self {
         Cache {
             core: CacheCore::new(config),
@@ -322,7 +327,7 @@ impl Cache {
         if let Some(mut eff) = core.efficiency.take() {
             for set in 0..core.config.sets {
                 for way in (0..core.config.ways).filter(|&way| core.is_valid(set, way)) {
-                    eff.on_evict(set, way, core.now);
+                    eff.on_evict(set, way, core.stats.accesses);
                 }
             }
             core.efficiency = Some(eff);
@@ -454,6 +459,29 @@ mod tests {
             }
         }
         assert_eq!(hits, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be at most 16, got 17")]
+    fn cache_refuses_a_geometry_wider_than_its_rows() {
+        let _ = Cache::new(CacheConfig { sets: 4, ways: 17 });
+    }
+
+    /// A narrower geometry uses the low ways of each row: a full 3-way
+    /// set reports no free way and evicts within its three.
+    #[test]
+    fn narrow_geometry_stays_within_its_ways() {
+        let mut c = Cache::new(CacheConfig::new(1, 3));
+        for b in 0..3 {
+            assert_eq!(c.access(&acc(b)), AccessOutcome::Filled { evicted: None });
+        }
+        assert_eq!(
+            c.access(&acc(3)),
+            AccessOutcome::Filled {
+                evicted: Some(BlockAddr::new(0))
+            }
+        );
+        assert!(!c.contains(BlockAddr::new(u64::MAX)));
     }
 
     #[test]

@@ -1,6 +1,39 @@
 //! Cache geometry and latency configuration.
 
 use sdbp_trace::access::BLOCK_BYTES;
+use std::fmt;
+
+/// Most ways a cache holds: one set's frames are the bits of a `u16`
+/// mask, and its recency list is sixteen 4-bit way indices in a `u64`
+/// (the paper's LLCs are 16-way, its L1 and L2 8-way).
+pub const MAX_WAYS: usize = 16;
+
+/// Why a `sets` × `ways` pair is not a cache geometry.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum GeometryError {
+    /// The set count is not a power of two (zero included).
+    SetsNotPowerOfTwo(usize),
+    /// The associativity is zero.
+    NoWays,
+    /// The associativity exceeds [`MAX_WAYS`].
+    TooManyWays(usize),
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GeometryError::SetsNotPowerOfTwo(sets) => {
+                write!(f, "sets must be a power of two, got {sets}")
+            }
+            GeometryError::NoWays => f.write_str("ways must be at least 1"),
+            GeometryError::TooManyWays(ways) => {
+                write!(f, "ways must be at most {MAX_WAYS}, got {ways}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GeometryError {}
 
 /// Geometry of one cache level.
 ///
@@ -27,21 +60,51 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` is not a power of two or `ways` is zero.
+    /// Panics where [`CacheConfig::try_new`] fails.
+    #[expect(
+        clippy::panic,
+        reason = "the panicking constructor for trusted geometries; untrusted input goes through try_new"
+    )]
     pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(
-            sets.is_power_of_two(),
-            "sets must be a power of two, got {sets}"
-        );
-        assert!(ways >= 1, "ways must be at least 1");
-        CacheConfig { sets, ways }
+        match Self::try_new(sets, ways) {
+            Ok(config) => config,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Creates a configuration from untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// A [`GeometryError`] unless `sets` is a power of two and `ways` is in
+    /// `1..=`[`MAX_WAYS`].
+    pub const fn try_new(sets: usize, ways: usize) -> Result<Self, GeometryError> {
+        if !sets.is_power_of_two() {
+            Err(GeometryError::SetsNotPowerOfTwo(sets))
+        } else if ways == 0 {
+            Err(GeometryError::NoWays)
+        } else if ways > MAX_WAYS {
+            Err(GeometryError::TooManyWays(ways))
+        } else {
+            Ok(CacheConfig { sets, ways })
+        }
+    }
+
+    /// Re-checks a configuration built field by field.
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheConfig::try_new`].
+    pub const fn validate(self) -> Result<Self, GeometryError> {
+        Self::try_new(self.sets, self.ways)
     }
 
     /// Builds a configuration from a capacity in bytes and an associativity.
     ///
     /// # Panics
     ///
-    /// Panics if the implied set count is not a positive power of two.
+    /// Panics if the implied set count is not a positive power of two, or
+    /// `ways` is outside `1..=`[`MAX_WAYS`].
     pub fn with_capacity(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways >= 1, "ways must be at least 1");
         let sets = capacity_bytes / (ways as u64 * BLOCK_BYTES);
@@ -150,6 +213,30 @@ mod tests {
     #[should_panic(expected = "ways must be at least 1")]
     fn zero_ways_rejected() {
         let _ = CacheConfig::new(64, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be at most 16, got 17")]
+    fn seventeen_ways_rejected() {
+        let _ = CacheConfig::new(64, 17);
+    }
+
+    #[test]
+    fn try_new_reports_each_geometry_error() {
+        assert_eq!(CacheConfig::try_new(2048, 16), Ok(CacheConfig::llc_2mb()));
+        assert_eq!(
+            CacheConfig::try_new(0, 16),
+            Err(GeometryError::SetsNotPowerOfTwo(0))
+        );
+        assert_eq!(CacheConfig::try_new(64, 0), Err(GeometryError::NoWays));
+        assert_eq!(
+            CacheConfig::try_new(64, 17),
+            Err(GeometryError::TooManyWays(17))
+        );
+        assert_eq!(
+            CacheConfig { sets: 4, ways: 256 }.validate(),
+            Err(GeometryError::TooManyWays(256))
+        );
     }
 
     #[test]

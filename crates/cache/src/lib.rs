@@ -61,7 +61,7 @@ pub mod reuse;
 pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, CacheCore};
-pub use config::CacheConfig;
+pub use config::{CacheConfig, GeometryError, MAX_WAYS};
 pub use kernel::{replay_sharded, ShardError, ShardPlan};
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};

@@ -42,9 +42,7 @@ use sdbp_trace::BlockAddr;
 /// value still consults the valid mask.
 const EMPTY_TAG: u64 = u64::MAX;
 
-/// Most ways an [`LruArray`] holds: sixteen 4-bit way indices fill the
-/// recency word.
-pub const MAX_WAYS: usize = 16;
+pub use crate::config::MAX_WAYS;
 
 /// `0x1` in every nibble of the recency word.
 const NIBBLE_ONES: u64 = u64::MAX / 0xf;
@@ -52,72 +50,130 @@ const NIBBLE_ONES: u64 = u64::MAX / 0xf;
 /// The high bit of every nibble.
 const NIBBLE_HIGHS: u64 = NIBBLE_ONES << 3;
 
+/// A recency list of one set: way indices, 4 bits each, most recent in the
+/// low nibble, in one `u64`. Built over `ways` ways it holds a permutation
+/// of `0..ways` in nibbles `0..ways`; the nibbles past them are zero and
+/// never move.
+///
+/// This is the one move-to-front implementation: [`LruArray`]'s sets, the
+/// LLC's [`Lru`](crate::policy::Lru) and the dead-block wrapper's touch
+/// order all keep one.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct Recency(u64);
+
+impl Recency {
+    /// A list of `ways` ways ranking way `i` at position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero or above [`MAX_WAYS`].
+    pub const fn identity(ways: usize) -> Self {
+        assert!(
+            ways >= 1 && ways <= MAX_WAYS,
+            "a recency list holds 1..=16 ways"
+        );
+        let mut order = 0;
+        let mut way = 0;
+        while way < ways {
+            order |= (way as u64) << (4 * way);
+            way += 1;
+        }
+        Recency(order)
+    }
+
+    /// The raw word: the way at position `p` in nibble `p`.
+    pub const fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// The way at position `pos` (0 = most recent).
+    #[inline]
+    pub const fn way_at(self, pos: usize) -> usize {
+        (self.0 >> (4 * pos) & 0xf) as usize
+    }
+
+    /// The position of `way`, one of the list's ways.
+    #[inline]
+    pub const fn position(self, way: usize) -> usize {
+        // Zero-nibble search: the lowest flagged nibble is always a true
+        // zero (a false flag needs a borrow from a zero nibble below),
+        // and `way` sits in exactly one of the list's nibbles, below the
+        // zero padding.
+        let x = self.0 ^ (way as u64 * NIBBLE_ONES);
+        let zero = x.wrapping_sub(NIBBLE_ONES) & !x & NIBBLE_HIGHS;
+        zero.trailing_zeros() as usize / 4
+    }
+
+    /// Moves `way`, one of the list's ways, to the front and returns the
+    /// position it held: the entries ahead of it shift back by one.
+    #[inline]
+    pub fn promote(&mut self, way: usize) -> usize {
+        let at = self.position(way);
+        // Nibbles `0..=at`: the entries ahead of `way` shift back one,
+        // dropping `way` from its old slot.
+        let ahead = u64::MAX >> (60 - 4 * at);
+        self.0 = (self.0 & !ahead) | ((self.0 << 4) & ahead) | way as u64;
+        at
+    }
+
+    /// Takes the last of `ways` entries, the least recent, and moves it to
+    /// the front.
+    #[inline]
+    pub fn promote_last(&mut self, ways: usize) -> usize {
+        let victim = self.way_at(ways - 1);
+        self.0 = (self.0 << 4 | victim as u64) & (u64::MAX >> (64 - 4 * ways));
+        victim
+    }
+
+    /// Re-indexes a per-way bit mask by list position: bit `p` of the
+    /// result is bit [`way_at(p)`](Self::way_at) of `by_way`, for the
+    /// first `ways` positions.
+    #[inline]
+    pub fn by_position(self, by_way: u16, ways: usize) -> u16 {
+        let mut out = 0u16;
+        for pos in 0..MAX_WAYS {
+            out |= (by_way >> self.way_at(pos) & 1) << pos;
+        }
+        out & (u16::MAX >> (MAX_WAYS - ways))
+    }
+}
+
 /// One set: tags, masks and recency list.
 #[derive(Copy, Clone, Debug)]
 struct Set<const W: usize> {
     tags: [u64; W],
-    /// Way indices, most recent in the low nibble; nibbles past `W` are
-    /// zero and never move.
-    order: u64,
+    order: Recency,
     valid: u16,
     dirty: u16,
 }
 
 impl<const W: usize> Set<W> {
-    /// Nibbles `0..W` of the recency word.
-    const LIST: u64 = u64::MAX >> (64 - 4 * W);
-
     /// An empty set whose list ranks way `i` at position `i` (any
     /// permutation would do: only full sets consult it).
-    const EMPTY: Self = {
-        let mut order = 0;
-        let mut way = 0;
-        while way < W {
-            order |= (way as u64) << (4 * way);
-            way += 1;
-        }
-        Set {
-            tags: [EMPTY_TAG; W],
-            order,
-            valid: 0,
-            dirty: 0,
-        }
+    const EMPTY: Self = Set {
+        tags: [EMPTY_TAG; W],
+        order: Recency::identity(W),
+        valid: 0,
+        dirty: 0,
     };
 
     /// Bit `w` set when way `w` holds `raw`: at most one bit, since a
     /// block is resident at most once.
     #[inline]
     fn lookup(&self, raw: u64) -> u16 {
-        let mut hits = 0u16;
-        for (way, &tag) in self.tags.iter().enumerate() {
-            hits |= u16::from(tag == raw) << way;
-        }
-        hits & self.valid
+        lookup(&self.tags, raw) & self.valid
     }
+}
 
-    /// Moves `way` to the front of the recency list.
-    #[inline]
-    fn promote(&mut self, way: usize) {
-        // Zero-nibble search: the lowest flagged nibble is always a true
-        // zero (a false flag needs a borrow from a zero nibble below),
-        // and `way` sits in exactly one of the first `W` nibbles.
-        let x = self.order ^ (way as u64 * NIBBLE_ONES);
-        let zero = x.wrapping_sub(NIBBLE_ONES) & !x & NIBBLE_HIGHS;
-        let at = zero.trailing_zeros() / 4;
-        // Nibbles `0..=at`: the entries ahead of `way` shift back one,
-        // dropping `way` from its old slot.
-        let ahead = u64::MAX >> (60 - 4 * at);
-        self.order = (self.order & !ahead) | ((self.order << 4) & ahead) | way as u64;
+/// Bit `w` set when `tags[w] == raw`, valid or not: a straight-line
+/// compare of every way.
+#[inline(always)]
+pub(crate) fn lookup<const W: usize>(tags: &[u64; W], raw: u64) -> u16 {
+    let mut hits = 0u16;
+    for (way, &tag) in tags.iter().enumerate() {
+        hits |= u16::from(tag == raw) << way;
     }
-
-    /// Takes a full set's LRU way, the last entry of the list, and moves
-    /// it to the front.
-    #[inline]
-    fn promote_lru(&mut self) -> usize {
-        let victim = self.order >> (4 * (W - 1)) & 0xf;
-        self.order = (self.order << 4 | victim) & Self::LIST;
-        victim as usize
-    }
+    hits
 }
 
 /// A set-associative LRU cache of `W` ways holding only tags.
@@ -205,7 +261,7 @@ impl<const W: usize> LruArray<W> {
             return false;
         }
         set.dirty |= hit;
-        set.promote(hit.trailing_zeros() as usize);
+        set.order.promote(hit.trailing_zeros() as usize);
         self.hits += 1;
         true
     }
@@ -219,7 +275,7 @@ impl<const W: usize> LruArray<W> {
         let hit = set.lookup(raw);
         if hit != 0 {
             set.dirty |= hit & 0u16.wrapping_sub(u16::from(is_write));
-            set.promote(hit.trailing_zeros() as usize);
+            set.order.promote(hit.trailing_zeros() as usize);
             self.hits += 1;
             return LruOutcome {
                 hit: true,
@@ -231,10 +287,10 @@ impl<const W: usize> LruArray<W> {
         // never set, so a full set's first clear bit lands on `W`.
         let free = (!set.valid).trailing_zeros() as usize;
         let way = if free < W {
-            set.promote(free);
+            set.order.promote(free);
             free
         } else {
-            set.promote_lru()
+            set.order.promote_last(W)
         };
         let bit = 1u16 << way;
         let writeback = (set.valid & set.dirty & bit != 0).then(|| BlockAddr::new(set.tags[way]));
@@ -265,22 +321,40 @@ mod tests {
 
     #[test]
     fn recency_list_moves_one_way_to_the_front() {
-        let mut set = Set::<16>::EMPTY;
-        assert_eq!(set.order, 0xfedc_ba98_7654_3210);
-        set.promote(9);
-        assert_eq!(set.order, 0xfedc_ba87_6543_2109);
-        set.promote(9);
-        assert_eq!(set.order, 0xfedc_ba87_6543_2109);
-        set.promote(15);
-        assert_eq!(set.order, 0xedcb_a876_5432_109f);
-        assert_eq!(set.promote_lru(), 0xe);
-        assert_eq!(set.order, 0xdcba_8765_4321_09fe);
-        let mut narrow = Set::<3>::EMPTY;
-        assert_eq!(narrow.order, 0x210);
-        narrow.promote(2);
-        assert_eq!(narrow.order, 0x102);
-        assert_eq!(narrow.promote_lru(), 1);
-        assert_eq!(narrow.order, 0x021);
+        let mut order = Set::<16>::EMPTY.order;
+        assert_eq!(order.raw(), 0xfedc_ba98_7654_3210);
+        assert_eq!(order.promote(9), 9);
+        assert_eq!(order.raw(), 0xfedc_ba87_6543_2109);
+        assert_eq!(order.promote(9), 0);
+        assert_eq!(order.raw(), 0xfedc_ba87_6543_2109);
+        assert_eq!(order.promote(15), 15);
+        assert_eq!(order.raw(), 0xedcb_a876_5432_109f);
+        assert_eq!(order.promote_last(16), 0xe);
+        assert_eq!(order.raw(), 0xdcba_8765_4321_09fe);
+        let mut narrow = Set::<3>::EMPTY.order;
+        assert_eq!(narrow.raw(), 0x210);
+        assert_eq!(narrow.promote(2), 2);
+        assert_eq!(narrow.raw(), 0x102);
+        assert_eq!(narrow.promote_last(3), 1);
+        assert_eq!(narrow.raw(), 0x021);
+        assert_eq!(narrow.way_at(0), 1);
+        // Way 0 matches the zero padding too; the list's own nibble
+        // comes first.
+        assert_eq!(narrow.position(0), 2);
+        assert_eq!(narrow.promote(0), 2);
+        assert_eq!(narrow.raw(), 0x210);
+    }
+
+    #[test]
+    fn by_position_follows_the_list() {
+        let mut order = Recency::identity(4);
+        order.promote(2); // 2, 0, 1, 3
+        assert_eq!(order.by_position(0b0100, 4), 0b0001);
+        assert_eq!(order.by_position(0b1001, 4), 0b1010);
+        // Way 0 also fills the zero padding past the list; only the
+        // list's positions report.
+        assert_eq!(order.by_position(0b0001, 4), 0b0010);
+        assert_eq!(Recency::identity(16).by_position(0x8001, 16), 0x8001);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The replacement-policy interface and the built-in true-LRU policy.
 //!
-//! A [`ReplacementPolicy`] owns all of its own state (recency ranks, RRPVs,
+//! A [`ReplacementPolicy`] owns all of its own state (recency lists, RRPVs,
 //! dead bits, predictor tables, ...) indexed by `(set, way)`; the
 //! [`Cache`](crate::Cache) owns only the tag store ([`CacheCore`]). On a
 //! miss the policy is always consulted via
@@ -26,7 +26,7 @@
 )]
 
 use crate::cache::CacheCore;
-use crate::meta::MetaPlane;
+use crate::lru::Recency;
 use crate::recorder::LlcAccess;
 use crate::replay::Outcomes;
 use crate::stats::CacheStats;
@@ -141,10 +141,10 @@ pub trait ReplacementPolicy {
 /// True least-recently-used replacement.
 ///
 /// The paper's baseline for every single-thread experiment. Each set keeps
-/// a `u8` recency rank per way (0 = MRU, `ways - 1` = LRU), a permutation
-/// of `0..ways` from construction on; a touch ages every way more recent
-/// than the touched one, and the victim is the way holding rank
-/// `ways - 1`. Both scans run over the set's ranks in fixed-width chunks.
+/// one [`Recency`] list, the way indices in touch order, 4 bits each in
+/// one `u64` (the same SWAR move-to-front as the upper levels'
+/// [`LruArray`](crate::lru::LruArray)): a touch moves its way to the
+/// front, and the victim is the last entry.
 ///
 /// The order is exact whenever it is consulted: a cold set fills its ways
 /// in index order, each fill is a touch, and the victim is only asked for
@@ -163,75 +163,34 @@ pub trait ReplacementPolicy {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lru {
-    ranks: MetaPlane<u8>,
+    orders: Vec<Recency>,
+    ways: usize,
 }
-
-/// Ways per chunk of the rank scans: one 16-byte vector compare.
-const RANK_CHUNK: usize = 16;
 
 impl Lru {
     /// Creates LRU state for a `sets` × `ways` cache.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero or exceeds 256 (ranks are `u8`).
+    /// Panics if `ways` is zero or exceeds [`MAX_WAYS`](crate::MAX_WAYS).
     pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(
-            (1..=256).contains(&ways),
-            "true LRU keeps u8 ranks: 1..=256 ways, got {ways}"
-        );
-        let mut ranks = MetaPlane::new(sets, ways, 0u8);
-        for set in 0..sets {
-            for (way, rank) in ranks.row_mut(set).iter_mut().enumerate() {
-                *rank = u8::try_from(way).unwrap_or(u8::MAX);
-            }
+        Lru {
+            orders: vec![Recency::identity(ways); sets],
+            ways,
         }
-        Lru { ranks }
-    }
-
-    /// Moves `(set, way)` to the MRU position.
-    #[inline]
-    fn touch(&mut self, set: usize, way: usize) {
-        let row = self.ranks.row_mut(set);
-        let old = row[way];
-        let mut chunks = row.chunks_exact_mut(RANK_CHUNK);
-        for chunk in chunks.by_ref() {
-            for rank in chunk {
-                *rank += u8::from(*rank < old);
-            }
-        }
-        for rank in chunks.into_remainder() {
-            *rank += u8::from(*rank < old);
-        }
-        row[way] = 0;
     }
 
     /// The least recently used way of `set`.
     #[inline]
     pub fn lru_way(&self, set: usize) -> usize {
-        let row = self.ranks.row(set);
-        let last = u8::try_from(row.len() - 1).unwrap_or(u8::MAX);
-        let mut chunks = row.chunks_exact(RANK_CHUNK);
-        for (i, chunk) in chunks.by_ref().enumerate() {
-            let mut hits = 0u32;
-            for (lane, &rank) in chunk.iter().enumerate() {
-                hits |= u32::from(rank == last) << lane;
-            }
-            if hits != 0 {
-                return i * RANK_CHUNK + hits.trailing_zeros() as usize;
-            }
-        }
-        let tail = row.len() - chunks.remainder().len();
-        tail + chunks
-            .remainder()
-            .iter()
-            .position(|&rank| rank == last)
-            .unwrap_or(0)
+        self.orders[set].way_at(self.ways - 1)
     }
 
-    /// Recency rank of each way of `set`: 0 = MRU, `ways - 1` = LRU.
-    pub fn ranks(&self, set: usize) -> &[u8] {
-        self.ranks.row(set)
+    /// The ways of `set` from most to least recently used.
+    pub fn recency(&self, set: usize) -> Vec<usize> {
+        (0..self.ways)
+            .map(|pos| self.orders[set].way_at(pos))
+            .collect()
     }
 }
 
@@ -242,7 +201,7 @@ impl ReplacementPolicy for Lru {
 
     #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _access: &Access) {
-        self.touch(set, way);
+        self.orders[set].promote(way);
     }
 
     #[inline]
@@ -252,7 +211,7 @@ impl ReplacementPolicy for Lru {
 
     #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _access: &Access) {
-        self.touch(set, way);
+        self.orders[set].promote(way);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -335,16 +294,14 @@ mod tests {
     }
 
     #[test]
-    fn ranks_order_is_mru_first() {
+    fn recency_order_is_mru_first() {
         let mut lru = Lru::new(1, 4);
         let a = acc(0);
         for w in 0..4 {
             lru.on_fill(0, w, &a);
         }
         lru.on_hit(0, 1, &a); // 1 is MRU; 0 is LRU
-        let ranks = lru.ranks(0);
-        assert_eq!(ranks[1], 0);
-        assert_eq!(ranks[0], 3);
+        assert_eq!(lru.recency(0), [1, 3, 2, 0]);
     }
 
     #[test]
@@ -359,13 +316,13 @@ mod tests {
         assert_eq!(lru.choose_victim(1, None, &a), Victim::Way(1));
     }
 
-    /// The chunked rank scans agree with a stamp model at widths below,
-    /// at and across the chunk size.
+    /// The recency list agrees with a stamp model at every width the
+    /// LLC accepts, up to the full 16-nibble word.
     #[test]
-    fn ranks_match_a_stamp_model_at_every_width() {
+    fn recency_matches_a_stamp_model_at_every_width() {
         use sdbp_trace::rng::Rng64;
         let mut rng = Rng64::seed_from_u64(0x1a0);
-        for ways in [1usize, 3, 15, 16, 17, 33, 256] {
+        for ways in [1usize, 2, 3, 8, 15, 16] {
             let mut lru = Lru::new(1, ways);
             let mut stamps = vec![0u64; ways];
             let a = acc(0);
@@ -384,8 +341,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1..=256 ways")]
-    fn lru_rejects_more_ways_than_u8_ranks() {
-        let _ = Lru::new(1, 257);
+    #[should_panic(expected = "1..=16 ways")]
+    fn lru_rejects_more_ways_than_the_recency_word() {
+        let _ = Lru::new(1, 17);
     }
 }

@@ -22,7 +22,8 @@ use sdbp_predictors::reftrace::{BurstMode, RefTrace};
 use sdbp_replacement::Srrip;
 
 pub use sdbp_replacement::registry::{
-    reject_params, BuildFn, PolicyEntry, PolicySpec, Registry, SpecError, REGISTRY_SEED,
+    check_geometry, reject_params, BuildFn, PolicyEntry, PolicySpec, Registry, SpecError,
+    REGISTRY_SEED,
 };
 
 /// The full policy registry: base replacement policies plus every

@@ -51,7 +51,7 @@
 //! assert_eq!(outcome.shards, 1, "the sampler's predictor tables are global: serial fallback");
 //! ```
 
-use crate::registry::{standard, PolicySpec, SpecError};
+use crate::registry::{check_geometry, standard, PolicySpec, SpecError};
 use sdbp_cache::kernel::{replay_sharded, ShardError, ShardPlan};
 use sdbp_cache::meta::HitMap;
 use sdbp_cache::recorder::LlcAccess;
@@ -200,6 +200,7 @@ impl ReplayRequest<'_> {
             cores,
         } = self;
         let registry = standard();
+        check_geometry(llc)?;
         let entry = registry
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;

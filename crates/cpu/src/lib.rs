@@ -106,24 +106,53 @@ impl CoreModel {
         assert!(self.width >= 1, "width must be at least 1");
         assert!(self.window >= 1, "window must be at least 1");
         assert!(self.mshrs >= 1, "mshrs must be at least 1");
+        // The paper's shape keeps both rings in stack arrays and indexes
+        // its MSHRs by mask; any other shape runs the same loop body over
+        // heap rings.
+        let cycles = if self.window == PAPER_WINDOW && self.mshrs == PAPER_MSHRS {
+            let mut retire = [0u64; PAPER_WINDOW];
+            self.run(
+                records,
+                llc_hits,
+                &mut retire,
+                &mut PaperMshrs([0; 2 * PAPER_MSHRS]),
+            )
+        } else {
+            let mut retire = vec![0u64; self.window];
+            let mut mshrs = MshrRing {
+                ring: vec![0; self.mshrs + 1],
+                sink: self.mshrs,
+            };
+            self.run(records, llc_hits, &mut retire, &mut mshrs)
+        };
+        Timing {
+            instructions: records.len() as u64,
+            cycles,
+        }
+    }
+
+    /// The simulation loop over a window ring (`retire`, one completion
+    /// cycle per slot: the instruction `window` slots ago) and an MSHR
+    /// file; returns the cycle count.
+    #[inline(always)]
+    fn run<M: Mshrs>(
+        &self,
+        records: &[InstrRecord],
+        llc_hits: &HitMap,
+        retire: &mut [u64],
+        mshr: &mut M,
+    ) -> u64 {
         let lat = self.latencies;
         // Latency by `kind_index(kind) << 1 | hit`; only LLC accesses hit.
         let latency = [1, 1, lat.l1, lat.l1, lat.l2, lat.l2, lat.memory, lat.llc].map(u64::from);
         let hit_words = llc_hits.words();
-        // Per window slot, the completion cycle of the instruction `window`
-        // slots ago; per MSHR, that of the miss `mshrs` misses ago; last, a
-        // sink entry that takes the store of every non-miss.
-        let mut rings = vec![0u64; self.window + self.mshrs + 1];
-        let (retire, mshr) = rings.split_at_mut(self.window);
-        let sink = self.mshrs;
-
         let (mut fetch, mut lane, mut mshr_slot, mut llc_cursor) = (0u64, 0u32, 0usize, 0usize);
         // The previous instruction's completion if it was a dependent
         // load, else zero: the one value the next start waits on.
         let mut dep_done = 0u64;
 
         // Each chunk of `window` instructions walks the window ring once.
-        for chunk in records.chunks(self.window) {
+        for chunk in records.chunks(retire.len()) {
             for (r, retired) in chunk.iter().zip(retire.iter_mut()) {
                 let kind = kind_index(r.kind());
                 let is_llc = kind == kind_index(InstrKind::Llc);
@@ -138,11 +167,11 @@ impl CoreModel {
                 // last max is on the loop-carried chain through
                 // `dep_done`; left to itself the compiler turns it into a
                 // branch, which mispredicts as dependent loads come and go.
-                let bound = fetch.max(*retired).max(mshr[mshr_slot] & mask(is_miss));
+                let bound = fetch.max(*retired).max(mshr.get(mshr_slot) & mask(is_miss));
                 let start = std::hint::select_unpredictable(dep_done > bound, dep_done, bound);
                 let complete = start + latency[kind << 1 | usize::from(hit)];
                 *retired = complete;
-                mshr[if is_miss { mshr_slot } else { sink }] = complete;
+                mshr.put(mshr_slot, is_miss, complete);
                 let is_mem = kind != kind_index(InstrKind::NonMem);
                 dep_done = complete & mask(is_mem & r.dependent());
 
@@ -151,16 +180,79 @@ impl CoreModel {
                 let next_cycle = lane == self.width;
                 fetch += u64::from(next_cycle);
                 lane = if next_cycle { 0 } else { lane };
-                mshr_slot += usize::from(is_miss);
-                mshr_slot = if mshr_slot == sink { 0 } else { mshr_slot };
+                mshr_slot = mshr.advance(mshr_slot, is_miss);
             }
         }
         // Each instruction completes after the one `window` slots before
         // it, so the last `window` completions include the latest.
-        let cycles = retire.iter().copied().max().unwrap_or(0);
-        Timing {
-            instructions: records.len() as u64,
-            cycles,
+        retire.iter().copied().max().unwrap_or(0)
+    }
+}
+
+/// The paper's instruction window (§VI-A).
+const PAPER_WINDOW: usize = 128;
+
+/// The paper's MSHR count, a power of two.
+const PAPER_MSHRS: usize = 16;
+
+/// An MSHR file: per slot, the completion cycle of the miss `mshrs`
+/// misses ago. A non-miss writes to a sink instead, so the loop stores
+/// unconditionally.
+trait Mshrs {
+    /// The completion cycle held in `slot`.
+    fn get(&self, slot: usize) -> u64;
+    /// Stores `complete` in `slot` if `is_miss`, else in the sink.
+    fn put(&mut self, slot: usize, is_miss: bool, complete: u64);
+    /// The slot after `slot` once this instruction has (or has not)
+    /// taken it.
+    fn advance(&self, slot: usize, is_miss: bool) -> usize;
+}
+
+/// [`PAPER_MSHRS`] slots and as many sink slots above them, indexed by
+/// mask: every index is provably in bounds.
+struct PaperMshrs([u64; 2 * PAPER_MSHRS]);
+
+impl Mshrs for PaperMshrs {
+    #[inline(always)]
+    fn get(&self, slot: usize) -> u64 {
+        self.0[slot % PAPER_MSHRS]
+    }
+
+    #[inline(always)]
+    fn put(&mut self, slot: usize, is_miss: bool, complete: u64) {
+        self.0[(slot % PAPER_MSHRS) | (usize::from(!is_miss) * PAPER_MSHRS)] = complete;
+    }
+
+    #[inline(always)]
+    fn advance(&self, slot: usize, is_miss: bool) -> usize {
+        (slot + usize::from(is_miss)) % PAPER_MSHRS
+    }
+}
+
+/// Any number of slots in a heap ring, with the sink last.
+struct MshrRing {
+    ring: Vec<u64>,
+    sink: usize,
+}
+
+impl Mshrs for MshrRing {
+    #[inline(always)]
+    fn get(&self, slot: usize) -> u64 {
+        self.ring[slot]
+    }
+
+    #[inline(always)]
+    fn put(&mut self, slot: usize, is_miss: bool, complete: u64) {
+        self.ring[if is_miss { slot } else { self.sink }] = complete;
+    }
+
+    #[inline(always)]
+    fn advance(&self, slot: usize, is_miss: bool) -> usize {
+        let next = slot + usize::from(is_miss);
+        if next == self.sink {
+            0
+        } else {
+            next
         }
     }
 }

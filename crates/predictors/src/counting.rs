@@ -140,10 +140,6 @@ impl Aip {
             ways: config.ways,
         }
     }
-
-    fn set_of_line(&self, line: usize) -> usize {
-        line / self.ways
-    }
 }
 
 impl DeadBlockPredictor for Aip {
@@ -188,14 +184,16 @@ impl DeadBlockPredictor for Aip {
     }
 
     #[inline]
-    fn reassess(&mut self, _set: usize, line: usize) -> Option<bool> {
-        let set = self.set_of_line(line);
-        let e = self.table[table_index(self.fill_pc[line], self.block_of[line])];
-        if !e.confident || e.interval == 0 {
-            return Some(false);
+    fn reassess(&mut self, set: usize) -> Option<u16> {
+        let mut dead = 0u16;
+        for way in 0..self.ways {
+            let line = set * self.ways + way;
+            let e = self.table[table_index(self.fill_pc[line], self.block_of[line])];
+            let idle = self.set_tick[set].saturating_sub(self.last_tick[line]);
+            let idle_dead = e.confident && e.interval != 0 && idle > 2 * u32::from(e.interval);
+            dead |= u16::from(idle_dead) << way;
         }
-        let idle = self.set_tick[set].saturating_sub(self.last_tick[line]);
-        Some(idle > 2 * e.interval as u32)
+        Some(dead)
     }
 }
 
@@ -280,11 +278,19 @@ mod tests {
         // Generation 3: after filling, stay idle well past 2x interval.
         p.on_fill(0, 0, &acc(0x400, 5));
         p.on_miss(0, &acc(0x500, 77));
-        assert_eq!(p.reassess(0, 0), Some(false), "not yet idle long enough");
+        assert_eq!(
+            p.reassess(0).map(|dead| dead & 1),
+            Some(0),
+            "not yet idle long enough"
+        );
         for _ in 0..20 {
             p.on_miss(0, &acc(0x500, 77));
         }
-        assert_eq!(p.reassess(0, 0), Some(true), "long-idle line is dead");
+        assert_eq!(
+            p.reassess(0).map(|dead| dead & 1),
+            Some(1),
+            "long-idle line is dead"
+        );
     }
 
     #[test]
@@ -294,7 +300,7 @@ mod tests {
         for _ in 0..100 {
             p.on_miss(0, &acc(0x500, 77));
         }
-        assert_eq!(p.reassess(0, 0), Some(false));
+        assert_eq!(p.reassess(0), Some(0));
     }
 
     #[test]

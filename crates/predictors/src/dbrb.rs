@@ -14,27 +14,44 @@
 //! table because the counterfactual cache state is unknowable — see
 //! DESIGN.md §3).
 //!
+//! # Per-set state
+//!
+//! Each set has one 16-byte row: its ways in touch order, a
+//! [`Recency`] list moved on every hit and fill, and a `u16` of dead bits
+//! in that same order. A touch moves the way's dead bit to the front with
+//! its nibble. The victim among a full set's predicted-dead blocks is the
+//! last dead way in the list, the one touched longest ago. At 2048 × 16
+//! lines the rows take 32 KiB, where a per-line dead plane and `u64`
+//! last-touch plane took 288 KiB.
+//!
 //! # The shadow table
 //!
 //! "Shortly after" means within `window` DBRB clock ticks, `window` being
 //! the cache's line count. The table records which block was bypassed or
 //! evicted as dead at which tick, as hash chains threaded through a ring
-//! indexed by tick:
+//! indexed by tick. Every record of a block lands in the block's own set
+//! (a bypass records the missing block, a dead eviction the victim of the
+//! same set), so each set keeps its own chain heads:
 //!
 //! - **Ring.** `R = next_pow2(window + 1)` entries. Entry `t & (R - 1)`
-//!   holds the block recorded at tick `t` and the age back to the previous
-//!   tick recorded in the same hash bucket (0 ends the chain). A DBRB
-//!   access records at most one block and every access advances the
-//!   clock, so each tick owns at most one entry.
-//! - **Heads.** `R / 2` buckets, chosen by a multiplicative (Fibonacci)
-//!   hash of the block, each holding the newest tick recorded in it.
+//!   holds the block recorded at tick `t`, and a link word: a 32-bit
+//!   fingerprint of the block and the age back to the previous tick
+//!   recorded in the same chain (0 ends the chain). A DBRB access records
+//!   at most one block and every access advances the clock, so each tick
+//!   owns at most one entry.
+//! - **Heads.** One 128-byte row per set of 32 buckets, chosen by a
+//!   multiplicative (Fibonacci) hash of the block, each holding the low 32
+//!   bits of the newest tick recorded in its chain. A miss reads one row
+//!   and, when the bucket's newest entry is older than the window (most
+//!   misses: a set holds about a sixteenth of the window's records), is
+//!   done without touching the ring.
 //! - **Insert** makes the new tick its bucket's head and links it back to
-//!   the old head.
+//!   the old head if that is within the window.
 //! - **Recall** walks the bucket's chain from newest to oldest while the
-//!   entry's age is at most `window`. A matching entry is tombstoned (its
-//!   block becomes `u64::MAX`, above every trace block, which is a byte
-//!   address shifted right by the block offset) and counts a false
-//!   positive.
+//!   entry's age is at most `window`. An entry whose fingerprint and then
+//!   block match is tombstoned (its block becomes `u64::MAX`, above every
+//!   trace block, which is a byte address shifted right by the block
+//!   offset) and counts a false positive.
 //!
 //! Nothing ever expires an entry and nothing is deleted or shifted, and
 //! the walk is exact:
@@ -47,11 +64,14 @@
 //!   later, when the entry is already older than the window. So the walk,
 //!   which tests a tick's age before reading its slot, never reads a slot
 //!   that a younger tick has taken over.
+//! - A head's age is its tick's distance below the clock modulo `2^32`,
+//!   which is the true age while that is below `2^32`. At least every
+//!   `2^31` ticks a sweep resets every head older than the window to one
+//!   exactly `window + 1` old (a head starts there too), so no head comes
+//!   near `2^32` ticks old (the window is below `2^30`).
 //!
-//! Every array starts zeroed (tick 0 never occurs, so a zero head means an
-//! empty bucket), which leaves untouched pages unmapped. At 2048 × 16
-//! lines the ring takes 512 KiB of blocks and 256 KiB of ages, and the
-//! heads 256 KiB: 1 MiB in all.
+//! At 2048 × 16 lines the ring takes 512 KiB of blocks and 512 KiB of
+//! links, and the heads 256 KiB: 1.25 MiB in all.
 //!
 //! It reproduces the `HashMap` the first table replaced exactly. That map
 //! removed an entry when its block missed again, counting a false positive
@@ -65,8 +85,9 @@
 //! and tombstones both, as the overwrite would have kept only the newer.
 
 use crate::predictor::{DeadBlockPredictor, PredictorStats};
+use sdbp_cache::lru::Recency;
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
-use sdbp_cache::{CacheConfig, CacheStats, MetaPlane};
+use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_trace::BlockAddr;
 use std::any::Any;
 use std::borrow::Cow;
@@ -89,92 +110,178 @@ impl Default for DbrbConfig {
 /// right by the block offset, so none reaches it.
 const TOMB: u64 = u64::MAX;
 
+/// Chain buckets per set.
+const SET_BUCKETS: usize = 32;
+
+/// The most ticks between two sweeps of the heads.
+const SWEEP_TICKS: u64 = 1 << 31;
+
+/// One set's chain heads: per bucket, the low 32 bits of the newest tick
+/// recorded in it. Two cache lines, which the adjacent-line prefetch of
+/// common cores fetches as one.
+#[derive(Copy, Clone, Debug)]
+#[repr(align(128))]
+struct Heads([u32; SET_BUCKETS]);
+
 /// The §VII-C shadow table. See the [module docs](self#the-shadow-table).
 #[derive(Clone, Debug)]
 struct ShadowTable {
     window: u64,
     /// The block recorded at each tick `t`, at `t & (R - 1)`.
     blocks: Vec<u64>,
-    /// Ticks back from the entry at each slot to the previous one in its
-    /// bucket; 0 ends the chain.
-    back: Vec<u32>,
-    /// The newest tick recorded in each bucket; 0 when there is none.
-    heads: Vec<u64>,
-    /// `64 - log2(heads.len())`: the hash keeps the product's top bits.
-    shift: u32,
+    /// Beside each block, its fingerprint in the high half and, in the
+    /// low half, the ticks back to the previous entry of its chain; 0 ends
+    /// the chain.
+    links: Vec<u64>,
+    /// One row per set.
+    heads: Vec<Heads>,
+    /// `sets - 1`.
+    set_mask: u64,
+    /// The clock at the last sweep of the heads.
+    swept: u64,
 }
 
 impl ShadowTable {
     /// # Panics
     ///
-    /// Panics if `window` does not fit a `u32` age; its ring alone would
-    /// take 48 GiB.
-    fn new(window: u64) -> Self {
+    /// Panics if `window` is `2^30` or more (its ring alone would take
+    /// 16 GiB), or `sets` is not a power of two.
+    fn new(window: u64, sets: usize) -> Self {
         assert!(
-            window < u64::from(u32::MAX),
-            "shadow window {window} exceeds a u32 age"
+            window < SWEEP_TICKS / 2,
+            "shadow window {window} reaches 2^30 ticks"
+        );
+        assert!(
+            sets.is_power_of_two(),
+            "the shadow heads need a power-of-two set count, got {sets}"
         );
         let ring = usize::try_from(window + 1)
             .unwrap_or(usize::MAX)
             .next_power_of_two();
-        let buckets = (ring / 2).max(2);
         ShadowTable {
             window,
             blocks: vec![0; ring],
-            back: vec![0; ring],
-            heads: vec![0; buckets],
-            shift: 64 - buckets.trailing_zeros(),
+            links: vec![0; ring],
+            heads: vec![Heads([Self::expired(window, 0); SET_BUCKETS]); sets],
+            set_mask: sets as u64 - 1,
+            swept: 0,
         }
     }
 
-    fn bucket(&self, block: u64) -> usize {
-        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    /// A head exactly `window + 1` ticks old at `clock`.
+    fn expired(window: u64, clock: u64) -> u32 {
+        clock.wrapping_sub(window + 1) as u32
+    }
+
+    /// `block`'s chain: its set's row, the bucket in it, and the block's
+    /// fingerprint.
+    fn chain(&self, block: u64) -> (usize, usize, u32) {
+        let hash = block.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (
+            (block & self.set_mask) as usize,
+            (hash >> 59) as usize,
+            (hash >> 27) as u32,
+        )
     }
 
     fn slot(&self, tick: u64) -> usize {
         tick as usize & (self.blocks.len() - 1)
     }
 
+    /// The age at `clock` of a head holding `head`.
+    fn age(clock: u64, head: u32) -> u64 {
+        u64::from((clock as u32).wrapping_sub(head))
+    }
+
+    /// Resets every head older than the window, so none nears wrapping
+    /// before the next sweep: `SWEEP_TICKS` ticks on at most, for every
+    /// insert and recall runs this first.
+    #[cold]
+    fn sweep(&mut self, clock: u64) {
+        let expired = Self::expired(self.window, clock);
+        // Heads written since the last sweep are at most the ticks since
+        // it old, and a gap of more than `SWEEP_TICKS + window` means no
+        // insert ran in its last `window` ticks: every head is stale.
+        let all_stale = clock - self.swept > SWEEP_TICKS + self.window;
+        for head in self.heads.iter_mut().flat_map(|row| row.0.iter_mut()) {
+            if all_stale || Self::age(clock, *head) > self.window {
+                *head = expired;
+            }
+        }
+        self.swept = clock;
+    }
+
     /// Records that `block` was bypassed or evicted as dead at `clock`,
     /// the only record at that tick.
+    #[inline]
     fn insert(&mut self, block: BlockAddr, clock: u64) {
         debug_assert!(
             clock != 0 && block.raw() != TOMB,
             "tick 0 and the tombstone are reserved"
         );
-        let bucket = self.bucket(block.raw());
-        let prev = self.heads[bucket];
-        debug_assert!(prev < clock, "two records at tick {clock}");
-        let age = clock - prev;
+        if clock - self.swept >= SWEEP_TICKS {
+            self.sweep(clock);
+        }
+        let (set, bucket, print) = self.chain(block.raw());
+        let head = &mut self.heads[set].0[bucket];
+        let age = Self::age(clock, *head);
+        debug_assert!(age != 0, "two records at tick {clock}");
+        // The window fits a `u32` (see `new`); an older head ends the chain.
+        let back = if age <= self.window { age } else { 0 };
+        *head = clock as u32;
         let slot = self.slot(clock);
         self.blocks[slot] = block.raw();
-        // The window fits a `u32` (see `new`); an older head ends the chain.
-        self.back[slot] = if prev != 0 && age <= self.window {
-            age as u32
-        } else {
-            0
-        };
-        self.heads[bucket] = clock;
+        self.links[slot] = u64::from(print) << 32 | back;
     }
 
     /// Tombstones `block`'s entries at most `window` ticks before `clock`
     /// and reports whether there were any: a false positive.
+    #[inline]
     fn recall(&mut self, block: BlockAddr, clock: u64) -> bool {
+        if clock - self.swept >= SWEEP_TICKS {
+            self.sweep(clock);
+        }
         let block = block.raw();
-        let mut tick = self.heads[self.bucket(block)];
+        let (set, bucket, print) = self.chain(block);
+        let mut age = Self::age(clock, self.heads[set].0[bucket]);
         let mut hit = false;
-        while tick != 0 && clock - tick <= self.window {
-            let slot = self.slot(tick);
-            if self.blocks[slot] == block {
+        while age <= self.window {
+            let slot = self.slot(clock - age);
+            let link = self.links[slot];
+            if (link >> 32) as u32 == print && self.blocks[slot] == block {
                 self.blocks[slot] = TOMB;
                 hit = true;
             }
-            match self.back[slot] {
+            match link as u32 {
                 0 => break,
-                back => tick -= u64::from(back),
+                back => age += u64::from(back),
             }
         }
         hit
+    }
+}
+
+/// One set's DBRB state: its ways in touch order, and their dead bits in
+/// that same order.
+#[derive(Copy, Clone, Debug)]
+struct Row {
+    order: Recency,
+    /// Bit `p`: the way at position `p` of `order` is predicted dead.
+    /// Bits past the geometry's ways stay clear.
+    dead: u16,
+}
+
+impl Row {
+    /// Moves `way` to the front with dead bit `dead`; returns its old
+    /// dead bit.
+    #[inline]
+    fn touch(&mut self, way: usize, dead: bool) -> bool {
+        let at = self.order.promote(way);
+        let was = self.dead >> at & 1 != 0;
+        // Bits `0..=at` shift up one, dropping `way`'s old bit.
+        let ahead = u16::MAX >> (15 - at);
+        self.dead = self.dead & !ahead | (self.dead << 1) & ahead | u16::from(dead);
+        was
     }
 }
 
@@ -185,8 +292,7 @@ pub struct DeadBlockReplacement<P, B> {
     predictor: P,
     config: DbrbConfig,
     ways: usize,
-    dead: MetaPlane<bool>,
-    last_touch: MetaPlane<u64>,
+    rows: Vec<Row>,
     clock: u64,
     /// Dead-on-arrival prediction for the in-flight miss.
     incoming_dead: bool,
@@ -210,20 +316,30 @@ impl<P: DeadBlockPredictor, B: ReplacementPolicy> fmt::Debug for DeadBlockReplac
 impl<P: DeadBlockPredictor, B: ReplacementPolicy> DeadBlockReplacement<P, B> {
     /// Wraps `base` with dead-block replacement and bypass driven by
     /// `predictor`, for a cache of geometry `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` has more than [`MAX_WAYS`](sdbp_cache::MAX_WAYS)
+    /// ways.
     pub fn new(cache: CacheConfig, base: B, predictor: P, config: DbrbConfig) -> Self {
         DeadBlockReplacement {
             base,
             predictor,
             config,
             ways: cache.ways,
-            dead: MetaPlane::new(cache.sets, cache.ways, false),
-            last_touch: MetaPlane::new(cache.sets, cache.ways, 0),
+            rows: vec![
+                Row {
+                    order: Recency::identity(cache.ways),
+                    dead: 0,
+                };
+                cache.sets
+            ],
             clock: 0,
             incoming_dead: false,
             stats: PredictorStats::default(),
             // "Soon" = one cache's worth of LLC accesses, a standard
             // proxy for "would still have been resident".
-            shadow: ShadowTable::new(cache.lines() as u64),
+            shadow: ShadowTable::new(cache.lines() as u64, cache.sets),
         }
     }
 
@@ -232,15 +348,11 @@ impl<P: DeadBlockPredictor, B: ReplacementPolicy> DeadBlockReplacement<P, B> {
         &self.predictor
     }
 
-    fn line(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
-    }
-
+    /// Counts one consultation of the predictor.
+    #[inline]
     fn note_prediction(&mut self, dead: bool) {
         self.stats.predictions += 1;
-        if dead {
-            self.stats.positives += 1;
-        }
+        self.stats.positives += u64::from(dead);
     }
 }
 
@@ -260,16 +372,13 @@ where
     #[inline]
     fn on_hit(&mut self, set: usize, way: usize, access: &Access) {
         self.clock += 1;
-        let line = self.line(set, way);
-        if self.dead[line] {
-            // The block was touched again while resident: the standing
-            // positive prediction was wrong.
+        let dead = self.predictor.on_hit(set, set * self.ways + way, access);
+        self.note_prediction(dead);
+        // A standing positive prediction on a block touched again while
+        // resident was wrong.
+        if self.rows[set].touch(way, dead) {
             self.stats.false_positives += 1;
         }
-        let dead = self.predictor.on_hit(set, line, access);
-        self.note_prediction(dead);
-        self.dead[line] = dead;
-        self.last_touch[line] = self.clock;
         self.base.on_hit(set, way, access);
     }
 
@@ -284,55 +393,47 @@ where
         self.base.on_miss(set, access);
     }
 
+    /// Prefers an invalid way (`free`), then the predicted-dead block
+    /// touched longest ago (the last dead way in the touch order), then
+    /// the default policy's choice.
     #[inline]
     fn choose_victim(&mut self, set: usize, free: Option<usize>, access: &Access) -> Victim {
         if self.config.bypass && self.incoming_dead {
             return Victim::Bypass;
         }
-        // Prefer an invalid way (free), then a predicted-dead block
-        // (oldest-touched first), then the default policy's choice.
         if free.is_some() {
             return self.base.choose_victim(set, free, access);
         }
-        let mut victim: Option<usize> = None;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            let line = self.line(set, w);
-            let dead = self
-                .predictor
-                .reassess(set, line)
-                .unwrap_or(self.dead[line]);
-            if dead && self.last_touch[line] < oldest {
-                oldest = self.last_touch[line];
-                victim = Some(w);
-            }
+        let row = self.rows[set];
+        let dead = match self.predictor.reassess(set) {
+            Some(by_way) => row.order.by_position(by_way, self.ways),
+            None => row.dead,
+        };
+        if dead == 0 {
+            return self.base.choose_victim(set, None, access);
         }
-        match victim {
-            Some(w) => Victim::Way(w),
-            None => self.base.choose_victim(set, None, access),
-        }
+        Victim::Way(row.order.way_at(15 - dead.leading_zeros() as usize))
     }
 
     #[inline]
     fn on_fill(&mut self, set: usize, way: usize, access: &Access) {
-        let line = self.line(set, way);
-        self.predictor.on_fill(set, line, access);
+        self.predictor.on_fill(set, set * self.ways + way, access);
         // With bypass enabled a dead-on-arrival block never reaches here;
         // without it, the arrival prediction becomes the line's dead bit.
-        self.dead[line] = self.incoming_dead && !self.config.bypass;
-        self.last_touch[line] = self.clock;
+        self.rows[set].touch(way, self.incoming_dead && !self.config.bypass);
         self.base.on_fill(set, way, access);
     }
 
     #[inline]
     fn on_evict(&mut self, set: usize, way: usize, victim: BlockAddr, access: &Access) {
-        let line = self.line(set, way);
-        if self.dead[line] {
+        let row = self.rows[set];
+        if row.dead >> row.order.position(way) & 1 != 0 {
             // Track dead-chosen victims so an imminent re-access counts
             // against the predictor.
             self.shadow.insert(victim, self.clock);
         }
-        self.predictor.on_evict(set, line, victim, access);
+        self.predictor
+            .on_evict(set, set * self.ways + way, victim, access);
         self.base.on_evict(set, way, victim, access);
     }
 
@@ -533,28 +634,33 @@ mod tests {
         }
     }
 
-    /// The ticks on `bucket`'s chain at most `window` old at `clock`,
-    /// newest first, and the tick the last of them links back to.
-    fn chain(t: &ShadowTable, bucket: usize, clock: u64) -> (Vec<u64>, Option<u64>) {
+    /// The chain of `block`: its set's row and its bucket, as one index.
+    fn chain_of(t: &ShadowTable, block: u64) -> usize {
+        let (set, bucket, _) = t.chain(block);
+        set * SET_BUCKETS + bucket
+    }
+
+    /// The ticks on chain `index` at most `window` old at `clock`, newest
+    /// first, and the tick the last of them links back to.
+    fn chain(t: &ShadowTable, index: usize, clock: u64) -> (Vec<u64>, Option<u64>) {
+        let head = t.heads[index / SET_BUCKETS].0[index % SET_BUCKETS];
+        let mut age = ShadowTable::age(clock, head);
         let mut ticks = Vec::new();
-        let mut tick = t.heads[bucket];
-        while tick != 0 {
-            if clock - tick > t.window {
-                return (ticks, Some(tick));
-            }
-            ticks.push(tick);
-            match t.back[t.slot(tick)] {
-                0 => break,
-                back => tick -= u64::from(back),
+        while age <= t.window {
+            ticks.push(clock - age);
+            match t.links[t.slot(clock - age)] as u32 {
+                0 => return (ticks, None),
+                back => age += u64::from(back),
             }
         }
-        (ticks, None)
+        let beyond = (!ticks.is_empty()).then(|| clock - age);
+        (ticks, beyond)
     }
 
     /// Entries at most `window` ticks old at `clock` and not yet recalled.
     fn live(t: &ShadowTable, clock: u64) -> usize {
-        (0..t.heads.len())
-            .flat_map(|bucket| chain(t, bucket, clock).0)
+        (0..t.heads.len() * SET_BUCKETS)
+            .flat_map(|index| chain(t, index, clock).0)
             .filter(|&tick| t.blocks[t.slot(tick)] != TOMB)
             .count()
     }
@@ -581,7 +687,7 @@ mod tests {
         rng: &mut sdbp_trace::rng::Rng64,
         step: impl Fn(&mut sdbp_trace::rng::Rng64) -> u64,
     ) -> Seen {
-        let mut table = ShadowTable::new(window);
+        let mut table = ShadowTable::new(window, 4);
         let mut model = MapModel {
             map: Default::default(),
             window,
@@ -594,7 +700,7 @@ mod tests {
             clock += step(rng);
             let block = blocks[rng.gen_range(0..blocks.len())];
             if rng.gen_bool(0.7) {
-                let (within, beyond) = chain(&table, table.bucket(block), clock);
+                let (within, beyond) = chain(&table, chain_of(&table, block), clock);
                 seen.longest = seen.longest.max(within.len());
                 if beyond.is_some_and(|t| owner[table.slot(t)] != t) {
                     seen.reused += 1;
@@ -621,7 +727,7 @@ mod tests {
         seen
     }
 
-    /// Every block shares one hash bucket and one set of a 64-set LLC, so
+    /// Every block shares one hash bucket and one set of a 4-set LLC, so
     /// one chain holds every live entry and recalls walk past many
     /// tombstones.
     #[test]
@@ -629,12 +735,12 @@ mod tests {
         use sdbp_trace::rng::Rng64;
         let mut rng = Rng64::seed_from_u64(0xc4a1);
         for window in [64u64, 100, 511] {
-            let home = ShadowTable::new(window);
-            let target = home.bucket(0);
+            let home = ShadowTable::new(window, 4);
+            let target = chain_of(&home, 0);
             for universe in [8usize, 64, 300] {
                 let blocks: Vec<u64> = (0u64..)
                     .map(|k| k * 64)
-                    .filter(|&b| home.bucket(b) == target)
+                    .filter(|&b| chain_of(&home, b) == target)
                     .take(universe)
                     .collect();
                 let seen = against_the_model(window, &blocks, 20_000, &mut rng, |_| 1);
@@ -694,7 +800,7 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(0x5bad);
         for window in [0u64, 1, 3, 8, 37, 64] {
             for universe in [4u64, 40, 400] {
-                let mut table = ShadowTable::new(window);
+                let mut table = ShadowTable::new(window, 4);
                 let mut model = MapModel {
                     map: Default::default(),
                     window,
@@ -756,7 +862,7 @@ mod tests {
     #[test]
     fn shadow_table_boundaries() {
         let b = BlockAddr::new(7);
-        let mut t = ShadowTable::new(10);
+        let mut t = ShadowTable::new(10, 4);
         t.insert(b, 5);
         assert!(t.recall(b, 15), "age == window is a false positive");
         t.insert(b, 20);
@@ -772,18 +878,38 @@ mod tests {
         assert_eq!(live(&t, 71), 0);
     }
 
-    /// The table takes 1 MiB for the paper's 2 MB LLC (the linear-probing
-    /// table with an expiry ring it replaced took 1.25 MiB).
+    /// The clock crosses several multiples of `2^32` in jumps of up to
+    /// `2^33` ticks, so the 32-bit heads wrap, sweeps run late and on
+    /// time, and heads live across a sweep; recalls must still agree with
+    /// the model.
+    #[test]
+    fn shadow_table_heads_survive_clock_wraps() {
+        use sdbp_trace::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x32b1);
+        for window in [5u64, 64] {
+            let blocks: Vec<u64> = (0..24).collect();
+            let jumps = [SWEEP_TICKS - 1, SWEEP_TICKS, SWEEP_TICKS + window, 1 << 32, 1 << 33];
+            let seen = against_the_model(window, &blocks, 20_000, &mut rng, |rng| {
+                if rng.gen_bool(0.002) {
+                    jumps[rng.gen_range(0..jumps.len())] - rng.gen_range(0..3)
+                } else {
+                    rng.gen_range(1..3)
+                }
+            });
+            assert!(seen.counted > 0, "window {window}: nothing counted");
+        }
+    }
+
+    /// At the paper's 2 MB LLC the ring takes 1 MiB (blocks and links)
+    /// and the heads 256 KiB, one 128-byte row per set.
     #[test]
     fn shadow_table_size_at_the_paper_geometry() {
-        let t = ShadowTable::new(CacheConfig::llc_2mb().lines() as u64);
-        assert_eq!(
-            (t.blocks.len(), t.back.len(), t.heads.len()),
-            (1 << 16, 1 << 16, 1 << 15)
-        );
+        let llc = CacheConfig::llc_2mb();
+        let t = ShadowTable::new(llc.lines() as u64, llc.sets);
+        assert_eq!((t.blocks.len(), t.links.len(), t.heads.len()), (1 << 16, 1 << 16, 2048));
         let bytes = std::mem::size_of_val(t.blocks.as_slice())
-            + std::mem::size_of_val(t.back.as_slice())
+            + std::mem::size_of_val(t.links.as_slice())
             + std::mem::size_of_val(t.heads.as_slice());
-        assert_eq!(bytes, 1 << 20);
+        assert_eq!(bytes, 5 << 18);
     }
 }

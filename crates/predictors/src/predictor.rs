@@ -34,11 +34,12 @@ pub trait DeadBlockPredictor {
     /// `access`'s block). Predictors that learn from evictions train here.
     fn on_evict(&mut self, set: usize, line: usize, victim: BlockAddr, access: &Access);
 
-    /// Time-based predictors (AIP) re-evaluate a line's deadness lazily at
-    /// victim-selection time; others return `None` to keep the prediction
-    /// made at the line's last access.
-    fn reassess(&mut self, set: usize, line: usize) -> Option<bool> {
-        let _ = (set, line);
+    /// Time-based predictors (AIP) re-evaluate deadness lazily at
+    /// victim-selection time, for every line of a full `set` at once: bit
+    /// `w` of the answer is the block in way `w`. Others return `None` to
+    /// keep the predictions made at each line's last access.
+    fn reassess(&mut self, set: usize) -> Option<u16> {
+        let _ = set;
         None
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::{Dip, Drrip, PseudoLru, Random, Srrip, Tadip};
 use sdbp_cache::policy::{Lru, ReplacementPolicy};
-use sdbp_cache::CacheConfig;
+use sdbp_cache::{CacheConfig, GeometryError};
 use std::fmt;
 use std::str::FromStr;
 
@@ -120,6 +120,9 @@ pub enum SpecError {
     UnexpectedParams(String),
     /// Two parameters contradict each other.
     Conflict(String),
+    /// The LLC geometry is not one a cache can hold (more than
+    /// [`MAX_WAYS`](sdbp_cache::MAX_WAYS) ways, say).
+    Geometry(GeometryError),
 }
 
 impl fmt::Display for SpecError {
@@ -144,6 +147,7 @@ impl fmt::Display for SpecError {
                 write!(f, "policy {policy:?} takes no parameters")
             }
             SpecError::Conflict(msg) => write!(f, "conflicting parameters: {msg}"),
+            SpecError::Geometry(e) => write!(f, "invalid LLC geometry: {e}"),
         }
     }
 }
@@ -183,6 +187,16 @@ pub fn reject_params(spec: &PolicySpec) -> Result<(), SpecError> {
     } else {
         Err(SpecError::UnexpectedParams(spec.name.clone()))
     }
+}
+
+/// Fails unless `llc` is a geometry a cache can hold; every build checks
+/// it before calling an entry's constructor.
+///
+/// # Errors
+///
+/// [`SpecError::Geometry`] with the [`CacheConfig::validate`] error.
+pub fn check_geometry(llc: CacheConfig) -> Result<(), SpecError> {
+    llc.validate().map(drop).map_err(SpecError::Geometry)
 }
 
 /// A name → constructor table for replacement policies.
@@ -301,14 +315,17 @@ impl Registry {
     ///
     /// # Errors
     ///
-    /// [`SpecError::UnknownPolicy`] when no entry matches, or whatever the
-    /// entry's constructor rejects (unknown/invalid/conflicting params).
+    /// [`SpecError::UnknownPolicy`] when no entry matches,
+    /// [`SpecError::Geometry`] for a geometry no cache holds, or whatever
+    /// the entry's constructor rejects (unknown/invalid/conflicting
+    /// params).
     pub fn build(
         &self,
         spec: &PolicySpec,
         llc: CacheConfig,
         cores: usize,
     ) -> Result<Box<dyn ReplacementPolicy>, SpecError> {
+        check_geometry(llc)?;
         let entry = self
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;
@@ -407,6 +424,23 @@ mod tests {
             r.build_str("belady", llc, 1).err(),
             Some(SpecError::UnknownPolicy("belady".into()))
         );
+    }
+
+    #[test]
+    fn geometry_wider_than_a_cache_row_is_a_typed_error() {
+        let r = Registry::base();
+        for entry in r.entries() {
+            let wide = CacheConfig { sets: 64, ways: 17 };
+            assert_eq!(
+                r.build_str(entry.name, wide, 1).err(),
+                Some(SpecError::Geometry(GeometryError::TooManyWays(17))),
+                "{}",
+                entry.name
+            );
+        }
+        let err = r.build_str("lru", CacheConfig { sets: 3, ways: 4 }, 1).err();
+        assert_eq!(err, Some(SpecError::Geometry(GeometryError::SetsNotPowerOfTwo(3))));
+        assert!(err.is_some_and(|e| e.to_string().contains("power of two")));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 
 use crate::dueling::{DuelingMap, Psel, Role};
 use sdbp_trace::rng::Rng64;
-use sdbp_cache::meta::MetaPlane;
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
-use sdbp_cache::CacheConfig;
+use sdbp_cache::{CacheConfig, MAX_WAYS};
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -27,43 +26,57 @@ const LEADER_SETS: usize = 32;
 const PSEL_BITS: u32 = 10;
 
 /// RRPV array plus the victim-selection algorithm shared by all variants.
+///
+/// One `u32` per set holds the set's 2-bit RRPVs, way `w` in bits
+/// `2w..2w + 2`; the lanes past the geometry's ways stay 0 and never age.
 #[derive(Clone, Debug)]
 struct RrpvArray {
-    rrpv: MetaPlane<u8>,
+    rrpv: Vec<u32>,
+    /// The low bit of every lane the geometry has.
+    lanes: u32,
 }
 
 impl RrpvArray {
     fn new(config: CacheConfig) -> Self {
-        RrpvArray { rrpv: MetaPlane::new(config.sets, config.ways, RRPV_MAX) }
-    }
-
-    #[inline]
-    fn promote(&mut self, set: usize, way: usize) {
-        self.rrpv[(set, way)] = 0;
+        let lanes = 0x5555_5555 >> (2 * (MAX_WAYS - config.ways));
+        RrpvArray { rrpv: vec![lanes * u32::from(RRPV_MAX); config.sets], lanes }
     }
 
     #[inline]
     fn insert(&mut self, set: usize, way: usize, rrpv: u8) {
-        self.rrpv[(set, way)] = rrpv;
+        let r = &mut self.rrpv[set];
+        *r = *r & !(3 << (2 * way)) | u32::from(rrpv) << (2 * way);
+    }
+
+    #[inline]
+    fn promote(&mut self, set: usize, way: usize) {
+        self.insert(set, way, 0);
     }
 
     /// SRRIP victim search: the free way if any, else the first distant
-    /// line, aging the set until one exists. Terminates because aging
-    /// strictly increases some RRPV.
+    /// line, aging the set until one exists. Aging step by step until
+    /// some lane reaches `RRPV_MAX` adds `RRPV_MAX - max` to every lane,
+    /// so it is one add, and the victim is the first lane holding the
+    /// set's largest RRPV.
     #[inline]
     fn victim(&mut self, set: usize, free: Option<usize>) -> usize {
         if let Some(w) = free {
             return w;
         }
-        let row = self.rrpv.row_mut(set);
-        loop {
-            if let Some(w) = row.iter().position(|&r| r == RRPV_MAX) {
-                return w;
-            }
-            for r in row.iter_mut() {
-                *r += 1;
-            }
-        }
+        let r = &mut self.rrpv[set];
+        let x = *r;
+        let high = x >> 1 & self.lanes;
+        let age = if x & high != 0 {
+            0
+        } else if high != 0 {
+            1
+        } else if x & self.lanes != 0 {
+            2
+        } else {
+            3
+        };
+        *r = x + age * self.lanes;
+        (*r & *r >> 1 & self.lanes).trailing_zeros() as usize / 2
     }
 }
 

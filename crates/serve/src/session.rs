@@ -238,20 +238,16 @@ fn handle_submit(
         },
     };
 
-    let sets = sub.sets as usize;
-    let ways = sub.ways as usize;
-    // True LRU, the base of most registry policies, ranks ways in a `u8`.
-    if sets == 0 || !sets.is_power_of_two() || !(1..=256).contains(&ways) {
-        return reply_error(
-            writer,
-            ErrorCode::BadGeometry,
-            format!(
-                "invalid geometry sets={} ways={}: sets must be a power of two, ways in 1..=256",
-                sub.sets, sub.ways
-            ),
-        );
-    }
-    let llc = CacheConfig { sets, ways };
+    let llc = match CacheConfig::try_new(sub.sets as usize, sub.ways as usize) {
+        Ok(llc) => llc,
+        Err(e) => {
+            return reply_error(
+                writer,
+                ErrorCode::BadGeometry,
+                format!("invalid geometry sets={} ways={}: {e}", sub.sets, sub.ways),
+            )
+        }
+    };
 
     // Validate the trace header before accepting, so a malformed trace
     // is a pre-acceptance error and the telemetry label can carry the

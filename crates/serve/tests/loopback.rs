@@ -280,15 +280,17 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
         other => panic!("expected BadGeometry, got {other:?}"),
     }
 
-    // More ways than true LRU can rank.
+    // More ways than a cache row holds: far past it, and one past it.
     request.sets = 256;
-    request.ways = 300;
-    match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote {
-            code: ErrorCode::BadGeometry,
-            ..
-        }) => {}
-        other => panic!("expected BadGeometry, got {other:?}"),
+    for ways in [300, 17] {
+        request.ways = ways;
+        match client.submit(&request, |_, _| {}) {
+            Err(ServeError::Remote {
+                code: ErrorCode::BadGeometry,
+                detail,
+            }) => assert!(detail.contains("at most 16"), "{detail}"),
+            other => panic!("expected BadGeometry for {ways} ways, got {other:?}"),
+        }
     }
 
     // Garbage trace bytes.
