@@ -7,9 +7,9 @@
 //! thrashing and cache-friendly co-runners can choose independently.
 
 use crate::dueling::{DuelingMap, Psel, Role};
-use sdbp_trace::rng::Rng64;
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
 use sdbp_cache::{CacheConfig, MetaPlane};
+use sdbp_trace::rng::Rng64;
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -43,7 +43,10 @@ struct Stamps {
 
 impl Stamps {
     fn new(config: CacheConfig) -> Self {
-        Stamps { stamps: MetaPlane::new(config.sets, config.ways, 0), clock: 0 }
+        Stamps {
+            stamps: MetaPlane::new(config.sets, config.ways, 0),
+            clock: 0,
+        }
     }
 
     /// Moves `(set, way)` to the MRU position.
@@ -173,7 +176,9 @@ pub struct Dip {
 impl Dip {
     /// Creates DIP for the given geometry.
     pub fn new(config: CacheConfig, seed: u64) -> Self {
-        Dip { inner: InsertionDueler::new(config, 1, seed) }
+        Dip {
+            inner: InsertionDueler::new(config, 1, seed),
+        }
     }
 }
 
@@ -212,7 +217,9 @@ pub struct Tadip {
 impl Tadip {
     /// Creates TADIP for `cores` cores sharing the cache.
     pub fn new(config: CacheConfig, cores: usize, seed: u64) -> Self {
-        Tadip { inner: InsertionDueler::new(config, cores, seed) }
+        Tadip {
+            inner: InsertionDueler::new(config, cores, seed),
+        }
     }
 }
 
@@ -317,7 +324,12 @@ mod tests {
                 if i % 16 == 0 {
                     let b = (i / 16) % friendly_blocks;
                     let hit = cache
-                        .access(&Access::demand(Pc::new(2), BlockAddr::new(b), AccessKind::Read, 1))
+                        .access(&Access::demand(
+                            Pc::new(2),
+                            BlockAddr::new(b),
+                            AccessKind::Read,
+                            1,
+                        ))
                         .is_hit();
                     if round >= 30 {
                         friendly_refs += 1;
@@ -327,7 +339,10 @@ mod tests {
             }
         }
         let rate = friendly_hits as f64 / friendly_refs as f64;
-        assert!(rate > 0.5, "friendly core hit rate {rate} too low under TADIP");
+        assert!(
+            rate > 0.5,
+            "friendly core hit rate {rate} too low under TADIP"
+        );
     }
 
     #[test]
@@ -379,7 +394,9 @@ mod tests {
         }
         assert_eq!(
             cache.access(&acc(blocks[4])),
-            sdbp_cache::AccessOutcome::Filled { evicted: Some(BlockAddr::new(blocks[0])) },
+            sdbp_cache::AccessOutcome::Filled {
+                evicted: Some(BlockAddr::new(blocks[0]))
+            },
             "the lowest tied way is the victim"
         );
     }
@@ -389,7 +406,9 @@ mod tests {
         let run = |seed| {
             let cfg = CacheConfig::new(64, 4);
             let mut c = Cache::with_policy(cfg, Box::new(Dip::new(cfg, seed)));
-            (0..20_000u64).map(|b| c.access(&acc(b % 511)).is_hit()).collect::<Vec<_>>()
+            (0..20_000u64)
+                .map(|b| c.access(&acc(b % 511)).is_hit())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
     }

@@ -39,7 +39,10 @@ impl Psel {
         assert!((1..=31).contains(&bits), "PSEL bits must be in 1..=31");
         let max = (1u32 << bits) - 1;
         // Start just below the threshold: undecided duels keep the baseline.
-        Psel { value: max / 2, max }
+        Psel {
+            value: max / 2,
+            max,
+        }
     }
 
     /// A miss occurred in a baseline leader set.
@@ -65,7 +68,13 @@ impl Psel {
 
 impl fmt::Debug for Psel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Psel({}/{}, challenger_wins={})", self.value, self.max, self.challenger_wins())
+        write!(
+            f,
+            "Psel({}/{}, challenger_wins={})",
+            self.value,
+            self.max,
+            self.challenger_wins()
+        )
     }
 }
 
@@ -132,8 +141,11 @@ impl DuelingMap {
         let slot = set % self.group;
         if slot < 2 * self.cores {
             let core = slot / 2;
-            let role =
-                if slot.is_multiple_of(2) { Role::LeaderBaseline } else { Role::LeaderChallenger };
+            let role = if slot.is_multiple_of(2) {
+                Role::LeaderBaseline
+            } else {
+                Role::LeaderChallenger
+            };
             Some((core, role))
         } else {
             None
@@ -155,7 +167,10 @@ mod tests {
     fn psel_moves_with_misses() {
         let mut p = Psel::new(4); // starts at 7, max 15
         p.baseline_missed();
-        assert!(p.challenger_wins(), "baseline missing more should elect challenger");
+        assert!(
+            p.challenger_wins(),
+            "baseline missing more should elect challenger"
+        );
         p.challenger_missed();
         p.challenger_missed();
         assert!(!p.challenger_wins());
@@ -183,9 +198,12 @@ mod tests {
     #[test]
     fn leader_counts_match_request() {
         let m = DuelingMap::new(2048, 1, 32);
-        let baseline = (0..2048).filter(|&s| m.role(s, 0) == Role::LeaderBaseline).count();
-        let challenger =
-            (0..2048).filter(|&s| m.role(s, 0) == Role::LeaderChallenger).count();
+        let baseline = (0..2048)
+            .filter(|&s| m.role(s, 0) == Role::LeaderBaseline)
+            .count();
+        let challenger = (0..2048)
+            .filter(|&s| m.role(s, 0) == Role::LeaderChallenger)
+            .count();
         assert_eq!(baseline, 32);
         assert_eq!(challenger, 32);
     }
@@ -194,9 +212,7 @@ mod tests {
     fn per_core_leaders_are_disjoint() {
         let m = DuelingMap::new(2048, 4, 32);
         for set in 0..2048 {
-            let leaders = (0..4)
-                .filter(|&c| m.role(set, c) != Role::Follower)
-                .count();
+            let leaders = (0..4).filter(|&c| m.role(set, c) != Role::Follower).count();
             assert!(leaders <= 1, "set {set} leads for multiple cores");
         }
     }

@@ -42,7 +42,10 @@ impl PseudoLru {
             "tree-PLRU needs a power-of-two associativity, got {}",
             config.ways
         );
-        PseudoLru { ways: config.ways, bits: MetaPlane::new(config.sets, config.ways - 1, false) }
+        PseudoLru {
+            ways: config.ways,
+            bits: MetaPlane::new(config.sets, config.ways - 1, false),
+        }
     }
 
     /// Walks from the root toward `way`, pointing every node at it.
@@ -152,7 +155,11 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(11);
         for _ in 0..60_000 {
             // Zipf-ish mix of hot and cold blocks.
-            let b = if rng.gen_bool(0.7) { rng.gen_range(0u64..96) } else { rng.gen_range(0u64..4000) };
+            let b = if rng.gen_bool(0.7) {
+                rng.gen_range(0u64..96)
+            } else {
+                rng.gen_range(0u64..4000)
+            };
             plru.access(&acc(b));
             lru.access(&acc(b));
         }

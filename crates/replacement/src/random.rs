@@ -1,7 +1,7 @@
 //! Random replacement — the cheap default policy of paper §V-A.
 
-use sdbp_trace::rng::Rng64;
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
+use sdbp_trace::rng::Rng64;
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -27,7 +27,10 @@ pub struct Random {
 impl Random {
     /// Creates the policy for a cache of the given geometry.
     pub fn new(config: sdbp_cache::CacheConfig, seed: u64) -> Self {
-        Random { ways: config.ways, rng: Rng64::seed_from_u64(seed) }
+        Random {
+            ways: config.ways,
+            rng: Rng64::seed_from_u64(seed),
+        }
     }
 }
 
@@ -95,7 +98,9 @@ mod tests {
         let cfg = CacheConfig::new(4, 4);
         let run = |seed| {
             let mut c = Cache::with_policy(cfg, Box::new(Random::new(cfg, seed)));
-            (0..500u64).map(|b| c.access(&acc(b % 97)).is_hit()).collect::<Vec<_>>()
+            (0..500u64)
+                .map(|b| c.access(&acc(b % 97)).is_hit())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3));
         assert_ne!(run(3), run(4));

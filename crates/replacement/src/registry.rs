@@ -42,17 +42,25 @@ pub struct PolicySpec {
 impl PolicySpec {
     /// A spec with no parameters.
     pub fn plain(name: &str) -> Self {
-        PolicySpec { name: name.to_owned(), params: Vec::new() }
+        PolicySpec {
+            name: name.to_owned(),
+            params: Vec::new(),
+        }
     }
 
     /// The value of parameter `key`, if present.
     pub fn param(&self, key: &str) -> Option<&str> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        self.params
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 }
 
 fn valid_word(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+    !s.is_empty()
+        && s.chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
 }
 
 impl FromStr for PolicySpec {
@@ -78,7 +86,10 @@ impl FromStr for PolicySpec {
                 params.push((key.to_owned(), value.to_owned()));
             }
         }
-        Ok(PolicySpec { name: name.to_owned(), params })
+        Ok(PolicySpec {
+            name: name.to_owned(),
+            params,
+        })
     }
 }
 
@@ -129,13 +140,19 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::BadName(name) => {
-                write!(f, "bad policy name {name:?} (want kebab-case, e.g. \"sampler\")")
+                write!(
+                    f,
+                    "bad policy name {name:?} (want kebab-case, e.g. \"sampler\")"
+                )
             }
             SpecError::BadParam(part) => {
                 write!(f, "bad parameter {part:?} (want key=value)")
             }
             SpecError::UnknownPolicy(name) => {
-                write!(f, "unknown policy {name:?} (see `sdbp-repro list-policies`)")
+                write!(
+                    f,
+                    "unknown policy {name:?} (see `sdbp-repro list-policies`)"
+                )
             }
             SpecError::UnknownParam { policy, key } => {
                 write!(f, "policy {policy:?} has no parameter {key:?}")
@@ -354,7 +371,11 @@ mod tests {
 
     #[test]
     fn specs_round_trip_through_display() {
-        for text in ["lru", "sampler:assoc=16", "sampler:sampler=none,tables=1,entries=16384"] {
+        for text in [
+            "lru",
+            "sampler:assoc=16",
+            "sampler:sampler=none,tables=1,entries=16384",
+        ] {
             let spec: PolicySpec = text.parse().expect("valid spec");
             assert_eq!(spec.to_string(), text);
             let reparsed: PolicySpec = spec.to_string().parse().expect("round trip");
@@ -364,8 +385,14 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
-        assert_eq!("".parse::<PolicySpec>(), Err(SpecError::BadName(String::new())));
-        assert_eq!("LRU".parse::<PolicySpec>(), Err(SpecError::BadName("LRU".into())));
+        assert_eq!(
+            "".parse::<PolicySpec>(),
+            Err(SpecError::BadName(String::new()))
+        );
+        assert_eq!(
+            "LRU".parse::<PolicySpec>(),
+            Err(SpecError::BadName("LRU".into()))
+        );
         assert_eq!(
             "sampler:assoc".parse::<PolicySpec>(),
             Err(SpecError::BadParam("assoc".into()))
@@ -438,8 +465,13 @@ mod tests {
                 entry.name
             );
         }
-        let err = r.build_str("lru", CacheConfig { sets: 3, ways: 4 }, 1).err();
-        assert_eq!(err, Some(SpecError::Geometry(GeometryError::SetsNotPowerOfTwo(3))));
+        let err = r
+            .build_str("lru", CacheConfig { sets: 3, ways: 4 }, 1)
+            .err();
+        assert_eq!(
+            err,
+            Some(SpecError::Geometry(GeometryError::SetsNotPowerOfTwo(3)))
+        );
         assert!(err.is_some_and(|e| e.to_string().contains("power of two")));
     }
 
@@ -474,12 +506,17 @@ mod tests {
 
     #[test]
     fn error_messages_name_the_problem() {
-        assert!(SpecError::UnknownPolicy("zap".into()).to_string().contains("zap"));
-        assert!(SpecError::UnexpectedParams("lru".into()).to_string().contains("lru"));
-        assert!(
-            SpecError::InvalidValue { key: "assoc".into(), value: "x".into() }
-                .to_string()
-                .contains("assoc")
-        );
+        assert!(SpecError::UnknownPolicy("zap".into())
+            .to_string()
+            .contains("zap"));
+        assert!(SpecError::UnexpectedParams("lru".into())
+            .to_string()
+            .contains("lru"));
+        assert!(SpecError::InvalidValue {
+            key: "assoc".into(),
+            value: "x".into()
+        }
+        .to_string()
+        .contains("assoc"));
     }
 }

@@ -8,9 +8,9 @@
 //! which is what the paper benchmarks as multi-core RRIP.
 
 use crate::dueling::{DuelingMap, Psel, Role};
-use sdbp_trace::rng::Rng64;
 use sdbp_cache::policy::{Access, ReplacementPolicy, Victim};
 use sdbp_cache::{CacheConfig, MAX_WAYS};
+use sdbp_trace::rng::Rng64;
 use std::any::Any;
 use std::borrow::Cow;
 
@@ -39,7 +39,10 @@ struct RrpvArray {
 impl RrpvArray {
     fn new(config: CacheConfig) -> Self {
         let lanes = 0x5555_5555 >> (2 * (MAX_WAYS - config.ways));
-        RrpvArray { rrpv: vec![lanes * u32::from(RRPV_MAX); config.sets], lanes }
+        RrpvArray {
+            rrpv: vec![lanes * u32::from(RRPV_MAX); config.sets],
+            lanes,
+        }
     }
 
     #[inline]
@@ -97,7 +100,9 @@ pub struct Srrip {
 impl Srrip {
     /// Creates SRRIP for the given geometry.
     pub fn new(config: CacheConfig) -> Self {
-        Srrip { rrpv: RrpvArray::new(config) }
+        Srrip {
+            rrpv: RrpvArray::new(config),
+        }
     }
 }
 
@@ -203,7 +208,11 @@ impl ReplacementPolicy for Drrip {
             Role::LeaderChallenger => true,
             Role::Follower => self.psels[core].challenger_wins(),
         };
-        let rrpv = if use_brrip { self.brrip_rrpv() } else { RRPV_LONG };
+        let rrpv = if use_brrip {
+            self.brrip_rrpv()
+        } else {
+            RRPV_LONG
+        };
         self.rrpv.insert(set, way, rrpv);
     }
 
@@ -231,7 +240,7 @@ mod tests {
             s.on_fill(0, w, &a); // all RRPV = 2
         }
         s.on_hit(0, 2, &a); // way 2 RRPV = 0
-        // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
+                            // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
         let v = s.choose_victim(0, None, &a);
         assert!(matches!(v, Victim::Way(w) if w != 2));
     }
@@ -309,7 +318,9 @@ mod tests {
         let run = || {
             let cfg = CacheConfig::new(64, 4);
             let mut c = Cache::with_policy(cfg, Box::new(Drrip::new(cfg, 1, 7)));
-            (0..30_000u64).map(|b| c.access(&acc(b % 777)).is_hit()).collect::<Vec<_>>()
+            (0..30_000u64)
+                .map(|b| c.access(&acc(b % 777)).is_hit())
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

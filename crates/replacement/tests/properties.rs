@@ -27,8 +27,9 @@ fn policies(cfg: CacheConfig, cores: usize) -> Vec<Cache> {
 fn no_policy_evicts_while_holes_remain() {
     let mut rng = Rng64::seed_from_u64(0x9e9_0001);
     for _ in 0..CASES {
-        let blocks: Vec<u64> =
-            (0..rng.gen_range(1usize..400)).map(|_| rng.gen_range(0u64..10_000)).collect();
+        let blocks: Vec<u64> = (0..rng.gen_range(1usize..400))
+            .map(|_| rng.gen_range(0u64..10_000))
+            .collect();
         let cores = rng.gen_range(1usize..5);
         let cfg = CacheConfig::new(8, 4);
         for mut cache in policies(cfg, cores) {
@@ -86,8 +87,12 @@ fn dueling_map_partitions_sets() {
         checked += 1;
         let m = DuelingMap::new(sets, cores, leaders);
         for core in 0..cores {
-            let base = (0..sets).filter(|&s| m.role(s, core) == Role::LeaderBaseline).count();
-            let chal = (0..sets).filter(|&s| m.role(s, core) == Role::LeaderChallenger).count();
+            let base = (0..sets)
+                .filter(|&s| m.role(s, core) == Role::LeaderBaseline)
+                .count();
+            let chal = (0..sets)
+                .filter(|&s| m.role(s, core) == Role::LeaderChallenger)
+                .count();
             assert_eq!(base, leaders);
             assert_eq!(chal, leaders);
         }
@@ -100,8 +105,9 @@ fn plru_victim_is_sane() {
     use sdbp_cache::policy::{ReplacementPolicy, Victim};
     let mut rng = Rng64::seed_from_u64(0x9e9_0004);
     for _ in 0..CASES {
-        let touches: Vec<usize> =
-            (0..rng.gen_range(1usize..200)).map(|_| rng.gen_range(0usize..8)).collect();
+        let touches: Vec<usize> = (0..rng.gen_range(1usize..200))
+            .map(|_| rng.gen_range(0usize..8))
+            .collect();
         let cfg = CacheConfig::new(1, 8);
         let mut p = PseudoLru::new(cfg);
         let a = Access::demand(Pc::new(0), BlockAddr::new(0), AccessKind::Read, 0);
@@ -126,8 +132,9 @@ fn plru_victim_is_sane() {
 fn policies_are_deterministic() {
     let mut rng = Rng64::seed_from_u64(0x9e9_0005);
     for _ in 0..CASES {
-        let blocks: Vec<u64> =
-            (0..rng.gen_range(1usize..300)).map(|_| rng.gen_range(0u64..2000)).collect();
+        let blocks: Vec<u64> = (0..rng.gen_range(1usize..300))
+            .map(|_| rng.gen_range(0u64..2000))
+            .collect();
         let cores = rng.gen_range(1usize..3);
         let cfg = CacheConfig::new(8, 4);
         let run = |mut cache: Cache| {
