@@ -81,11 +81,6 @@ impl Recency {
         Recency(order)
     }
 
-    /// The raw word: the way at position `p` in nibble `p`.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// The way at position `pos` (0 = most recent).
     #[inline]
     pub const fn way_at(self, pos: usize) -> usize {
@@ -322,27 +317,27 @@ mod tests {
     #[test]
     fn recency_list_moves_one_way_to_the_front() {
         let mut order = Set::<16>::EMPTY.order;
-        assert_eq!(order.raw(), 0xfedc_ba98_7654_3210);
+        assert_eq!(order.0, 0xfedc_ba98_7654_3210);
         assert_eq!(order.promote(9), 9);
-        assert_eq!(order.raw(), 0xfedc_ba87_6543_2109);
+        assert_eq!(order.0, 0xfedc_ba87_6543_2109);
         assert_eq!(order.promote(9), 0);
-        assert_eq!(order.raw(), 0xfedc_ba87_6543_2109);
+        assert_eq!(order.0, 0xfedc_ba87_6543_2109);
         assert_eq!(order.promote(15), 15);
-        assert_eq!(order.raw(), 0xedcb_a876_5432_109f);
+        assert_eq!(order.0, 0xedcb_a876_5432_109f);
         assert_eq!(order.promote_last(16), 0xe);
-        assert_eq!(order.raw(), 0xdcba_8765_4321_09fe);
+        assert_eq!(order.0, 0xdcba_8765_4321_09fe);
         let mut narrow = Set::<3>::EMPTY.order;
-        assert_eq!(narrow.raw(), 0x210);
+        assert_eq!(narrow.0, 0x210);
         assert_eq!(narrow.promote(2), 2);
-        assert_eq!(narrow.raw(), 0x102);
+        assert_eq!(narrow.0, 0x102);
         assert_eq!(narrow.promote_last(3), 1);
-        assert_eq!(narrow.raw(), 0x021);
+        assert_eq!(narrow.0, 0x021);
         assert_eq!(narrow.way_at(0), 1);
         // Way 0 matches the zero padding too; the list's own nibble
         // comes first.
         assert_eq!(narrow.position(0), 2);
         assert_eq!(narrow.promote(0), 2);
-        assert_eq!(narrow.raw(), 0x210);
+        assert_eq!(narrow.0, 0x210);
     }
 
     #[test]

@@ -185,13 +185,6 @@ impl Lru {
     pub fn lru_way(&self, set: usize) -> usize {
         self.orders[set].way_at(self.ways - 1)
     }
-
-    /// The ways of `set` from most to least recently used.
-    pub fn recency(&self, set: usize) -> Vec<usize> {
-        (0..self.ways)
-            .map(|pos| self.orders[set].way_at(pos))
-            .collect()
-    }
 }
 
 impl ReplacementPolicy for Lru {
@@ -301,7 +294,8 @@ mod tests {
             lru.on_fill(0, w, &a);
         }
         lru.on_hit(0, 1, &a); // 1 is MRU; 0 is LRU
-        assert_eq!(lru.recency(0), [1, 3, 2, 0]);
+        let order: Vec<usize> = (0..4).map(|pos| lru.orders[0].way_at(pos)).collect();
+        assert_eq!(order, [1, 3, 2, 0]);
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //!   at most one block and every access advances the clock, so each tick
 //!   owns at most one entry.
 //! - **Heads.** One 128-byte row per set of 32 buckets, chosen by a
-//!   multiplicative (Fibonacci) hash of the block, each holding the low 32
-//!   bits of the newest tick recorded in its chain. A miss reads one row
-//!   and, when the bucket's newest entry is older than the window (most
-//!   misses: a set holds about a sixteenth of the window's records), is
-//!   done without touching the ring.
+//!   multiplicative (Fibonacci) hash of the block, each holding a 32-bit
+//!   stamp of the newest tick recorded in its chain (the tick plus
+//!   `window + 1`, modulo `2^32`, so the zeroed rows start expired). A
+//!   miss reads one row and, when the bucket's newest entry is older than
+//!   the window (most misses), is done without touching the ring.
 //! - **Insert** makes the new tick its bucket's head and links it back to
 //!   the old head if that is within the window.
 //! - **Recall** walks the bucket's chain from newest to oldest while the
@@ -71,7 +71,8 @@
 //!   near `2^32` ticks old (the window is below `2^30`).
 //!
 //! At 2048 × 16 lines the ring takes 512 KiB of blocks and 512 KiB of
-//! links, and the heads 256 KiB: 1.25 MiB in all.
+//! links, and the heads 256 KiB: 1.25 MiB in all, every array allocated
+//! zeroed, so untouched pages stay unmapped.
 //!
 //! It reproduces the `HashMap` the first table replaced exactly. That map
 //! removed an entry when its block missed again, counting a false positive
@@ -116,12 +117,9 @@ const SET_BUCKETS: usize = 32;
 /// The most ticks between two sweeps of the heads.
 const SWEEP_TICKS: u64 = 1 << 31;
 
-/// One set's chain heads: per bucket, the low 32 bits of the newest tick
-/// recorded in it. Two cache lines, which the adjacent-line prefetch of
-/// common cores fetches as one.
-#[derive(Copy, Clone, Debug)]
-#[repr(align(128))]
-struct Heads([u32; SET_BUCKETS]);
+/// Heads of slack before the first set's row, enough to start it on a
+/// 128-byte boundary.
+const HEAD_SLACK: usize = 31;
 
 /// The §VII-C shadow table. See the [module docs](self#the-shadow-table).
 #[derive(Clone, Debug)]
@@ -133,8 +131,16 @@ struct ShadowTable {
     /// low half, the ticks back to the previous entry of its chain; 0 ends
     /// the chain.
     links: Vec<u64>,
-    /// One row per set.
-    heads: Vec<Heads>,
+    /// Per set, a row of [`SET_BUCKETS`] chain heads, each the stamp of
+    /// the newest tick recorded in its bucket: two cache lines, which the
+    /// adjacent-line prefetch of common cores fetches as one. Set `s`'s
+    /// row is `heads[row0 + 32 s..][..32]`.
+    heads: Vec<u32>,
+    /// The first row's offset: 128-byte aligned at construction (a plain
+    /// allocation, where an over-aligned row type would take the
+    /// allocator's aligned path). A clone keeps it, which keeps every row
+    /// in bounds if not aligned.
+    row0: usize,
     /// `sets - 1`.
     set_mask: u64,
     /// The clock at the last sweep of the heads.
@@ -158,28 +164,39 @@ impl ShadowTable {
         let ring = usize::try_from(window + 1)
             .unwrap_or(usize::MAX)
             .next_power_of_two();
+        // Zeroed, so pages stay unmapped until a set records: a zero head
+        // is the stamp of tick `-(window + 1)`, expired from the start.
+        let heads = vec![0; sets * SET_BUCKETS + HEAD_SLACK];
+        let row0 = heads.as_ptr().align_offset(128).min(HEAD_SLACK);
         ShadowTable {
             window,
             blocks: vec![0; ring],
             links: vec![0; ring],
-            heads: vec![Heads([Self::expired(window, 0); SET_BUCKETS]); sets],
+            heads,
+            row0,
             set_mask: sets as u64 - 1,
             swept: 0,
         }
     }
 
-    /// A head exactly `window + 1` ticks old at `clock`.
-    fn expired(window: u64, clock: u64) -> u32 {
-        clock.wrapping_sub(window + 1) as u32
+    /// The head of `tick`: its low 32 bits, offset by `window + 1` so that
+    /// a zero head is expired at tick 0.
+    fn stamp(&self, tick: u64) -> u32 {
+        tick.wrapping_add(self.window + 1) as u32
     }
 
-    /// `block`'s chain: its set's row, the bucket in it, and the block's
+    /// The age at `clock` of a head holding `head`.
+    fn age(&self, clock: u64, head: u32) -> u64 {
+        u64::from(self.stamp(clock).wrapping_sub(head))
+    }
+
+    /// The index in `heads` of `block`'s chain head, and the block's
     /// fingerprint.
-    fn chain(&self, block: u64) -> (usize, usize, u32) {
+    fn chain(&self, block: u64) -> (usize, u32) {
         let hash = block.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let set = (block & self.set_mask) as usize;
         (
-            (block & self.set_mask) as usize,
-            (hash >> 59) as usize,
+            self.row0 + set * SET_BUCKETS + (hash >> 59) as usize,
             (hash >> 27) as u32,
         )
     }
@@ -188,24 +205,20 @@ impl ShadowTable {
         tick as usize & (self.blocks.len() - 1)
     }
 
-    /// The age at `clock` of a head holding `head`.
-    fn age(clock: u64, head: u32) -> u64 {
-        u64::from((clock as u32).wrapping_sub(head))
-    }
-
     /// Resets every head older than the window, so none nears wrapping
     /// before the next sweep: `SWEEP_TICKS` ticks on at most, for every
     /// insert and recall runs this first.
     #[cold]
     fn sweep(&mut self, clock: u64) {
-        let expired = Self::expired(self.window, clock);
+        // Exactly `window + 1` ticks old.
+        let expired = clock as u32;
         // Heads written since the last sweep are at most the ticks since
         // it old, and a gap of more than `SWEEP_TICKS + window` means no
         // insert ran in its last `window` ticks: every head is stale.
         let all_stale = clock - self.swept > SWEEP_TICKS + self.window;
-        for head in self.heads.iter_mut().flat_map(|row| row.0.iter_mut()) {
-            if all_stale || Self::age(clock, *head) > self.window {
-                *head = expired;
+        for index in 0..self.heads.len() {
+            if all_stale || self.age(clock, self.heads[index]) > self.window {
+                self.heads[index] = expired;
             }
         }
         self.swept = clock;
@@ -222,13 +235,12 @@ impl ShadowTable {
         if clock - self.swept >= SWEEP_TICKS {
             self.sweep(clock);
         }
-        let (set, bucket, print) = self.chain(block.raw());
-        let head = &mut self.heads[set].0[bucket];
-        let age = Self::age(clock, *head);
+        let (head, print) = self.chain(block.raw());
+        let age = self.age(clock, self.heads[head]);
         debug_assert!(age != 0, "two records at tick {clock}");
         // The window fits a `u32` (see `new`); an older head ends the chain.
         let back = if age <= self.window { age } else { 0 };
-        *head = clock as u32;
+        self.heads[head] = self.stamp(clock);
         let slot = self.slot(clock);
         self.blocks[slot] = block.raw();
         self.links[slot] = u64::from(print) << 32 | back;
@@ -242,8 +254,8 @@ impl ShadowTable {
             self.sweep(clock);
         }
         let block = block.raw();
-        let (set, bucket, print) = self.chain(block);
-        let mut age = Self::age(clock, self.heads[set].0[bucket]);
+        let (head, print) = self.chain(block);
+        let mut age = self.age(clock, self.heads[head]);
         let mut hit = false;
         while age <= self.window {
             let slot = self.slot(clock - age);
@@ -634,17 +646,15 @@ mod tests {
         }
     }
 
-    /// The chain of `block`: its set's row and its bucket, as one index.
+    /// The index of `block`'s chain head.
     fn chain_of(t: &ShadowTable, block: u64) -> usize {
-        let (set, bucket, _) = t.chain(block);
-        set * SET_BUCKETS + bucket
+        t.chain(block).0
     }
 
-    /// The ticks on chain `index` at most `window` old at `clock`, newest
-    /// first, and the tick the last of them links back to.
+    /// The ticks on the chain headed at `index` at most `window` old at
+    /// `clock`, newest first, and the tick the last of them links back to.
     fn chain(t: &ShadowTable, index: usize, clock: u64) -> (Vec<u64>, Option<u64>) {
-        let head = t.heads[index / SET_BUCKETS].0[index % SET_BUCKETS];
-        let mut age = ShadowTable::age(clock, head);
+        let mut age = t.age(clock, t.heads[index]);
         let mut ticks = Vec::new();
         while age <= t.window {
             ticks.push(clock - age);
@@ -659,7 +669,7 @@ mod tests {
 
     /// Entries at most `window` ticks old at `clock` and not yet recalled.
     fn live(t: &ShadowTable, clock: u64) -> usize {
-        (0..t.heads.len() * SET_BUCKETS)
+        (0..t.heads.len())
             .flat_map(|index| chain(t, index, clock).0)
             .filter(|&tick| t.blocks[t.slot(tick)] != TOMB)
             .count()
@@ -888,7 +898,13 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(0x32b1);
         for window in [5u64, 64] {
             let blocks: Vec<u64> = (0..24).collect();
-            let jumps = [SWEEP_TICKS - 1, SWEEP_TICKS, SWEEP_TICKS + window, 1 << 32, 1 << 33];
+            let jumps = [
+                SWEEP_TICKS - 1,
+                SWEEP_TICKS,
+                SWEEP_TICKS + window,
+                1 << 32,
+                1 << 33,
+            ];
             let seen = against_the_model(window, &blocks, 20_000, &mut rng, |rng| {
                 if rng.gen_bool(0.002) {
                     jumps[rng.gen_range(0..jumps.len())] - rng.gen_range(0..3)
@@ -906,10 +922,14 @@ mod tests {
     fn shadow_table_size_at_the_paper_geometry() {
         let llc = CacheConfig::llc_2mb();
         let t = ShadowTable::new(llc.lines() as u64, llc.sets);
-        assert_eq!((t.blocks.len(), t.links.len(), t.heads.len()), (1 << 16, 1 << 16, 2048));
+        assert_eq!(
+            (t.blocks.len(), t.links.len(), t.heads.len()),
+            (1 << 16, 1 << 16, 2048 * SET_BUCKETS + HEAD_SLACK)
+        );
+        assert_eq!(t.heads[t.row0..].as_ptr().align_offset(128), 0);
         let bytes = std::mem::size_of_val(t.blocks.as_slice())
             + std::mem::size_of_val(t.links.as_slice())
-            + std::mem::size_of_val(t.heads.as_slice());
+            + std::mem::size_of_val(&t.heads[t.row0..][..2048 * SET_BUCKETS]);
         assert_eq!(bytes, 5 << 18);
     }
 }

@@ -39,7 +39,9 @@ struct ChainedShadow {
 
 impl ChainedShadow {
     fn new(window: u64) -> Self {
-        let ring = usize::try_from(window + 1).expect("window fits").next_power_of_two();
+        let ring = usize::try_from(window + 1)
+            .expect("window fits")
+            .next_power_of_two();
         let buckets = (ring / 2).max(2);
         ChainedShadow {
             window,
@@ -64,7 +66,11 @@ impl ChainedShadow {
         let age = clock - prev;
         let slot = self.slot(clock);
         self.blocks[slot] = block.raw();
-        self.back[slot] = if prev != 0 && age <= self.window { age as u32 } else { 0 };
+        self.back[slot] = if prev != 0 && age <= self.window {
+            age as u32
+        } else {
+            0
+        };
         self.heads[bucket] = clock;
     }
 
@@ -219,9 +225,11 @@ fn model(name: &str, llc: CacheConfig) -> Option<Box<dyn ReplacementPolicy>> {
     let sampler = || SamplingPredictor::paper(llc);
     Some(match name {
         "tdbp" => Box::new(ModelDbrb::new(llc, lru(), RefTrace::new(llc))),
-        "tdbp-bursts" => {
-            Box::new(ModelDbrb::new(llc, lru(), RefTrace::with_mode(llc, BurstMode::Bursts)))
-        }
+        "tdbp-bursts" => Box::new(ModelDbrb::new(
+            llc,
+            lru(),
+            RefTrace::with_mode(llc, BurstMode::Bursts),
+        )),
         "cdbp" => Box::new(ModelDbrb::new(llc, lru(), Lvp::new(llc))),
         "aip" => Box::new(ModelDbrb::new(llc, lru(), Aip::new(llc))),
         "sampler" => Box::new(ModelDbrb::new(llc, lru(), sampler())),
@@ -235,11 +243,17 @@ fn model(name: &str, llc: CacheConfig) -> Option<Box<dyn ReplacementPolicy>> {
 /// Replays `stream` under every DBRB registry entry and its model,
 /// asserting equal outcomes per access and equal counters; returns the
 /// entries' counters.
-fn assert_models_agree(label: &str, stream: &[LlcAccess], llc: CacheConfig) -> Vec<(String, CacheStats)> {
+fn assert_models_agree(
+    label: &str,
+    stream: &[LlcAccess],
+    llc: CacheConfig,
+) -> Vec<(String, CacheStats)> {
     let registry = standard();
     let mut seen = Vec::new();
     for entry in registry.entries() {
-        let policy = registry.build_str(entry.name, llc, 1).expect("entry builds");
+        let policy = registry
+            .build_str(entry.name, llc, 1)
+            .expect("entry builds");
         if !policy.name().ends_with("-dbrb") {
             continue;
         }
@@ -285,10 +299,14 @@ fn set_rows_match_the_stamp_model_on_suite_streams() {
         let w = record(bench.name, bench.trace(), 300_000);
         for llc in [CacheConfig::new(256, 16), CacheConfig::new(128, 8)] {
             let stats = assert_models_agree(name, &w.llc, llc);
-            let (predictions, fps) = stats
-                .iter()
-                .fold((0, 0), |(p, f), (_, s)| (p + s.predictions, f + s.false_positives));
-            assert_eq!(predictions, 8 * w.llc.len() as u64, "{name}: one prediction per access");
+            let (predictions, fps) = stats.iter().fold((0, 0), |(p, f), (_, s)| {
+                (p + s.predictions, f + s.false_positives)
+            });
+            assert_eq!(
+                predictions,
+                8 * w.llc.len() as u64,
+                "{name}: one prediction per access"
+            );
             assert!(fps > 0, "{name}: no false positive counted");
         }
     }
@@ -308,7 +326,11 @@ fn set_rows_match_the_stamp_model_on_a_single_set_bypass_flood() {
     let stream: Vec<LlcAccess> = (0..len)
         .map(|i| {
             let k = i as u64 / 2;
-            let (pc, tag) = if i % 2 == 0 { (0x400, 1 << 30 | k) } else { (0x404, k % 3000) };
+            let (pc, tag) = if i % 2 == 0 {
+                (0x400, 1 << 30 | k)
+            } else {
+                (0x404, k % 3000)
+            };
             LlcAccess {
                 pc: Pc::new(pc),
                 block: BlockAddr::new(tag * llc.sets as u64),
@@ -323,5 +345,8 @@ fn set_rows_match_the_stamp_model_on_a_single_set_bypass_flood() {
         .iter()
         .filter(|(_, s)| s.bypasses > window && s.false_positives > 0)
         .count();
-    assert!(flooded >= 4, "only {flooded} entries bypassed a window's worth and counted");
+    assert!(
+        flooded >= 4,
+        "only {flooded} entries bypassed a window's worth and counted"
+    );
 }
