@@ -60,11 +60,11 @@ const ROW_SLACK: usize = 7;
 /// from an offset that starts each on a 64-byte boundary, so a row is two
 /// whole cache lines. (An over-aligned row type would send the allocation
 /// down the allocator's aligned path instead, which raised a
-/// multi-threaded daemon's peak RSS by about 10 MiB.) A lookup is 16 compares ANDed into a mask with the
-/// valid bits; the first free way is one `trailing_ones` of the valid
-/// mask. A geometry with fewer ways never sets the valid bits above its
-/// last way, and one with more than [`MAX_WAYS`] is refused by
-/// [`CacheConfig::try_new`].
+/// multi-threaded daemon's peak RSS by about 10 MiB.) A lookup is 16
+/// compares ANDed into a mask with the valid bits; the first free way is
+/// one `trailing_ones` of the valid mask. A geometry with fewer ways
+/// never sets the valid bits above its last way, and one with more than
+/// [`MAX_WAYS`] is refused by [`CacheConfig::try_new`].
 ///
 /// [`CacheCore::access`] is the one implementation of an LLC access,
 /// generic over the policy type; [`CacheCore::run`] loops it over a
