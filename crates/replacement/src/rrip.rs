@@ -240,7 +240,8 @@ mod tests {
             s.on_fill(0, w, &a); // all RRPV = 2
         }
         s.on_hit(0, 2, &a); // way 2 RRPV = 0
-                            // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
+
+        // No distant line: aging bumps everyone; ways 0,1,3 reach 3 first.
         let v = s.choose_victim(0, None, &a);
         assert!(matches!(v, Victim::Way(w) if w != 2));
     }
