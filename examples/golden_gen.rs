@@ -69,7 +69,9 @@ fn main() {
         let w = record(bench.name, bench.trace(), instructions);
         let llc = CacheConfig::new(sets, ways);
         for spec in SPECS {
-            let policy = registry.build_str(spec, llc, 1).expect("golden spec builds");
+            let policy = registry
+                .build_str(spec, llc, 1)
+                .expect("golden spec builds");
             let mut cache = Cache::with_policy(llc, policy);
             let stats = replay(&w.llc, &mut cache).stats;
             let misses = stats.misses;
@@ -87,7 +89,10 @@ fn main() {
     }
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
     std::fs::create_dir_all(dir).expect("create tests/golden");
-    for (file, body) in [("replay_miss_counts.tsv", out), ("predictor_counters.tsv", counters)] {
+    for (file, body) in [
+        ("replay_miss_counts.tsv", out),
+        ("predictor_counters.tsv", counters),
+    ] {
         let path = format!("{dir}/{file}");
         std::fs::write(&path, body).expect("write fixture");
         println!("wrote {path}");

@@ -18,7 +18,10 @@ fn main() {
     // Plain-LRU sampler victims here so each round's kill-block eviction is
     // visible in order (the paper's default prefers predicted-dead victims).
     let mut sampler = Sampler::new(
-        SamplerConfig { dead_block_victims: false, ..SamplerConfig::default() },
+        SamplerConfig {
+            dead_block_victims: false,
+            ..SamplerConfig::default()
+        },
         2048,
     );
     let kill = Pc::new(0x4000);
@@ -65,7 +68,7 @@ fn main() {
     for i in 0..trials as u64 {
         let block = BlockAddr::new((10_000 + i * 16) << 11);
         let dies = i % 20 < 11; // 55% die after `ambiguous` touches them
-        // Reftrace sees the block's life directly (line 0 reused for brevity).
+                                // Reftrace sees the block's life directly (line 0 reused for brevity).
         let a = sdbp_suite::cache::Access::demand(ambiguous, block, AccessKind::Read, 0);
         reftrace.on_fill(0, 0, &a);
         if dies {

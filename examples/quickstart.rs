@@ -41,7 +41,11 @@ fn main() {
     let sdbp_result = replay(&workload.llc, &mut sdbp);
 
     let n = workload.instructions();
-    println!("LRU     : {:8} misses  (MPKI {:.3})", lru_result.misses(), lru_result.mpki(n));
+    println!(
+        "LRU     : {:8} misses  (MPKI {:.3})",
+        lru_result.misses(),
+        lru_result.mpki(n)
+    );
     println!(
         "Sampler : {:8} misses  (MPKI {:.3}), {} bypassed fills",
         sdbp_result.misses(),

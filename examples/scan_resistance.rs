@@ -31,7 +31,10 @@ fn main() {
     println!("------------------------------------------------------");
     let mut baseline_misses = 0;
     let policies: Vec<(&str, Box<dyn sdbp_suite::cache::ReplacementPolicy>)> = vec![
-        ("LRU", Box::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways))),
+        (
+            "LRU",
+            Box::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways)),
+        ),
         ("DIP", Box::new(Dip::new(llc, 1))),
         ("RRIP", Box::new(Drrip::new(llc, 1, 1))),
         ("Sampler (LRU)", policies::sampler_lru(llc)),
@@ -40,7 +43,9 @@ fn main() {
     for (name, policy) in policies {
         let mut cache = Cache::with_policy(llc, policy);
         let result = replay(&workload.llc, &mut cache);
-        let ipc = CoreModel::default().simulate(&workload.records, &result.hits).ipc();
+        let ipc = CoreModel::default()
+            .simulate(&workload.records, &result.hits)
+            .ipc();
         if name == "LRU" {
             baseline_misses = result.misses();
         }

@@ -18,17 +18,29 @@ use sdbp_suite::trace::TraceBuilder;
 const INSTRUCTIONS: u64 = 1_500_000;
 
 fn service(core: u8, kernels: Vec<KernelSpec>) -> RecordedWorkload {
-    let trace = TraceBuilder::new(100 + u64::from(core)).kernels(kernels).build();
+    let trace = TraceBuilder::new(100 + u64::from(core))
+        .kernels(kernels)
+        .build();
     record_for_core(&format!("core{core}"), trace, INSTRUCTIONS, core)
 }
 
 fn main() {
     let services = vec![
-        service(0, vec![KernelSpec::pointer_chase(24 << 20).weight(2.0),
-                        KernelSpec::hot_set(512 << 10).weight(1.0)]),
+        service(
+            0,
+            vec![
+                KernelSpec::pointer_chase(24 << 20).weight(2.0),
+                KernelSpec::hot_set(512 << 10).weight(1.0),
+            ],
+        ),
         service(1, vec![KernelSpec::streaming(32 << 20).weight(3.0)]),
-        service(2, vec![KernelSpec::hot_set(1536 << 10).weight(2.0),
-                        KernelSpec::classed(4 << 20, 8000, vec![(2.0, 1), (1.0, 4)]).weight(1.0)]),
+        service(
+            2,
+            vec![
+                KernelSpec::hot_set(1536 << 10).weight(2.0),
+                KernelSpec::classed(4 << 20, 8000, vec![(2.0, 1), (1.0, 4)]).weight(1.0),
+            ],
+        ),
         service(3, vec![KernelSpec::hot_set(1 << 20).weight(2.0)]),
     ];
     let llc = CacheConfig::llc_8mb();
@@ -59,8 +71,9 @@ fn main() {
         (ipcs, weighted)
     };
 
-    let (lru_ipcs, lru_weighted) =
-        run(Box::new(sdbp_suite::cache::policy::Lru::new(llc.sets, llc.ways)));
+    let (lru_ipcs, lru_weighted) = run(Box::new(sdbp_suite::cache::policy::Lru::new(
+        llc.sets, llc.ways,
+    )));
     let (rrip_ipcs, rrip_weighted) = run(Box::new(Drrip::new(llc, 4, 1)));
     let (sdbp_ipcs, sdbp_weighted) = run(policies::sampler_lru(llc));
 

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: trace → recorder → replay → timing, for
 //! every policy in the experiment matrix.
 
+use sdbp_suite::cache::policy::ReplacementPolicy;
 use sdbp_suite::cache::recorder::{merge_streams, record, record_for_core};
 use sdbp_suite::cache::replay::{replay, split_hits_by_core};
 use sdbp_suite::cache::{Cache, CacheConfig};
 use sdbp_suite::cpu::CoreModel;
-use sdbp_suite::cache::policy::ReplacementPolicy;
 use sdbp_suite::harness::experiments::singlecore::{ablation_cells, lru_cells, random_cells};
 use sdbp_suite::harness::Cell;
 use sdbp_suite::sdbp::registry::{standard, PolicySpec};
@@ -22,7 +22,9 @@ fn all_policies() -> Vec<Cell> {
 }
 
 fn build(spec: &PolicySpec, llc: CacheConfig, cores: usize) -> Box<dyn ReplacementPolicy> {
-    standard().build(spec, llc, cores).expect("registered policy")
+    standard()
+        .build(spec, llc, cores)
+        .expect("registered policy")
 }
 
 fn sampler(llc: CacheConfig) -> Box<dyn ReplacementPolicy> {
@@ -94,7 +96,10 @@ fn multicore_pipeline_conserves_accesses() {
         .map(|(core, b)| record_for_core(b.name, b.trace_seeded(core as u64), N / 4, core as u8))
         .collect();
     let merged = merge_streams(&workloads);
-    assert_eq!(merged.len(), workloads.iter().map(|w| w.llc.len()).sum::<usize>());
+    assert_eq!(
+        merged.len(),
+        workloads.iter().map(|w| w.llc.len()).sum::<usize>()
+    );
 
     let llc = CacheConfig::new(1024, 16);
     let mut cache = Cache::with_policy(llc, build(&PolicySpec::plain("tadip"), llc, 4));

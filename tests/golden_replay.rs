@@ -74,9 +74,17 @@ fn rows() -> Vec<Row> {
 #[test]
 fn every_golden_spec_replays_to_the_recorded_miss_count() {
     let rows = rows();
-    assert_eq!(rows.len(), 60, "fixture shape changed — regenerate deliberately");
+    assert_eq!(
+        rows.len(),
+        60,
+        "fixture shape changed — regenerate deliberately"
+    );
     let mut counters = counter_rows();
-    assert_eq!(counters.len(), 39, "counter fixture shape changed — regenerate deliberately");
+    assert_eq!(
+        counters.len(),
+        39,
+        "counter fixture shape changed — regenerate deliberately"
+    );
 
     // One recording per (workload, instructions); replays share it.
     let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
@@ -85,8 +93,7 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
     for row in &rows {
         let key = (row.workload.clone(), row.instructions);
         let w = recordings.entry(key).or_insert_with(|| {
-            let bench =
-                sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
+            let bench = sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
             record(bench.name, bench.trace(), row.instructions)
         });
         let llc = CacheConfig::new(row.sets, row.ways);
@@ -101,8 +108,18 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
                 row.workload, row.sets, row.ways, row.spec, row.misses, stats.misses
             ));
         }
-        let key = (row.workload.clone(), row.instructions, row.sets, row.ways, row.spec.clone());
-        let got = [stats.predictions, stats.predictions_dead, stats.false_positives];
+        let key = (
+            row.workload.clone(),
+            row.instructions,
+            row.sets,
+            row.ways,
+            row.spec.clone(),
+        );
+        let got = [
+            stats.predictions,
+            stats.predictions_dead,
+            stats.false_positives,
+        ];
         match counters.remove(&key) {
             Some(expected) if expected == got => {}
             Some(expected) => failures.push(format!(
@@ -116,8 +133,16 @@ fn every_golden_spec_replays_to_the_recorded_miss_count() {
             None => {}
         }
     }
-    assert!(counters.is_empty(), "counter rows without a miss-count row: {:?}", counters.keys());
-    assert!(failures.is_empty(), "golden drift:\n{}", failures.join("\n"));
+    assert!(
+        counters.is_empty(),
+        "counter rows without a miss-count row: {:?}",
+        counters.keys()
+    );
+    assert!(
+        failures.is_empty(),
+        "golden drift:\n{}",
+        failures.join("\n")
+    );
 }
 
 /// The gate above only covers policies the fixture names, so a newly
@@ -132,7 +157,9 @@ fn every_registry_policy_has_a_golden_row() {
         .map(|e| e.name)
         .filter(|name| {
             !rows.iter().any(|r| {
-                r.spec.strip_prefix(name).is_some_and(|rest| rest.is_empty() || rest.starts_with(':'))
+                r.spec
+                    .strip_prefix(name)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with(':'))
             })
         })
         .collect();
@@ -164,8 +191,7 @@ fn golden_rows_are_bit_identical_at_every_shard_count() {
     for row in &rows {
         let key = (row.workload.clone(), row.instructions);
         let w = recordings.entry(key).or_insert_with(|| {
-            let bench =
-                sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
+            let bench = sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
             record(bench.name, bench.trace(), row.instructions)
         });
         let llc = CacheConfig::new(row.sets, row.ways);
@@ -236,8 +262,7 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
     for row in &rows {
         let key = (row.workload.clone(), row.instructions);
         let w = recordings.entry(key).or_insert_with(|| {
-            let bench =
-                sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
+            let bench = sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
             let v1 = dir.join(format!(
                 "sdbp-golden-v2-{}-{}-{}.v1.sdbt",
                 std::process::id(),
@@ -254,9 +279,8 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
             convert_path(&v1, &v2, FORMAT_V2).expect("convert golden trace to v2");
             let buffered = BufferedTrace::load(&v2).expect("load v2 golden trace");
             let mut batches = buffered.batches();
-            let recorded =
-                try_record_batches(bench.name, &mut batches, row.instructions, 0)
-                    .expect("record from v2 batches");
+            let recorded = try_record_batches(bench.name, &mut batches, row.instructions, 0)
+                .expect("record from v2 batches");
             #[expect(
                 clippy::unused_result_ok,
                 reason = "best-effort temp cleanup; a leftover file is harmless"
@@ -273,7 +297,9 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
         let policy = registry
             .build_str(&row.spec, llc, 1)
             .unwrap_or_else(|e| panic!("golden spec {:?} must build: {e}", row.spec));
-        let misses = replay(&w.llc, &mut Cache::with_policy(llc, policy)).stats.misses;
+        let misses = replay(&w.llc, &mut Cache::with_policy(llc, policy))
+            .stats
+            .misses;
         checked += 1;
         if misses != row.misses {
             failures.push(format!(
@@ -282,6 +308,13 @@ fn golden_rows_replay_identically_through_a_v2_converted_trace() {
             ));
         }
     }
-    assert!(failures.is_empty(), "v2 trace drift:\n{}", failures.join("\n"));
-    assert!(checked >= 10, "only {checked} golden rows exercised the v2 path");
+    assert!(
+        failures.is_empty(),
+        "v2 trace drift:\n{}",
+        failures.join("\n")
+    );
+    assert!(
+        checked >= 10,
+        "only {checked} golden rows exercised the v2 path"
+    );
 }

@@ -20,12 +20,19 @@ fn random_stream(seed: u64, len: usize, blocks: u64) -> Vec<LlcAccess> {
     let mut rng = Rng64::seed_from_u64(seed);
     (0..len)
         .map(|i| {
-            let block =
-                if rng.gen_bool(0.6) { rng.gen_range(0..blocks / 8) } else { rng.gen_range(0..blocks) };
+            let block = if rng.gen_bool(0.6) {
+                rng.gen_range(0..blocks / 8)
+            } else {
+                rng.gen_range(0..blocks)
+            };
             LlcAccess {
                 pc: Pc::new(0x400 + rng.gen_range(0u64..48) * 4),
                 block: BlockAddr::new(block),
-                kind: if rng.gen_bool(0.3) { AccessKind::Write } else { AccessKind::Read },
+                kind: if rng.gen_bool(0.3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 core: 0,
                 instr: u32::try_from(i).unwrap_or(u32::MAX),
             }
@@ -37,12 +44,16 @@ fn assert_instantiations_agree(stream: &[LlcAccess], llc: CacheConfig) {
     let registry = standard();
     for entry in registry.entries() {
         let build = || {
-            let policy = registry.build_str(entry.name, llc, 1).expect("bare entry builds");
+            let policy = registry
+                .build_str(entry.name, llc, 1)
+                .expect("bare entry builds");
             Cache::with_policy(llc, policy)
         };
         let mut single = build();
-        let hits: HitMap =
-            stream.iter().map(|a| single.access(&Access::from(a)).is_hit()).collect();
+        let hits: HitMap = stream
+            .iter()
+            .map(|a| single.access(&Access::from(a)).is_hit())
+            .collect();
         single.finish();
         let batch = replay(stream, &mut build());
         assert_eq!(

@@ -4,8 +4,8 @@
 use sdbp_suite::cache::policy::Access;
 use sdbp_suite::cache::recorder::LlcAccess;
 use sdbp_suite::cache::{Cache, CacheConfig, HitMap};
-use sdbp_suite::sdbp::registry::standard;
 use sdbp_suite::optimal;
+use sdbp_suite::sdbp::registry::standard;
 use sdbp_suite::trace::rng::Rng64;
 use sdbp_suite::trace::{AccessKind, BlockAddr, Pc};
 
@@ -14,7 +14,13 @@ const CASES: u64 = 48;
 /// A compact random access stream: (pc index, block, is_write).
 fn random_stream(rng: &mut Rng64, max_len: usize) -> Vec<(u8, u16, bool)> {
     (0..rng.gen_range(1usize..max_len))
-        .map(|_| (rng.next_u64() as u8, rng.gen_range(0u64..2048) as u16, rng.gen_bool(0.5)))
+        .map(|_| {
+            (
+                rng.next_u64() as u8,
+                rng.gen_range(0u64..2048) as u16,
+                rng.gen_bool(0.5),
+            )
+        })
         .collect()
 }
 
@@ -24,7 +30,11 @@ fn to_accesses(raw: &[(u8, u16, bool)]) -> Vec<Access> {
             Access::demand(
                 Pc::new(0x400 + u64::from(pc) * 4),
                 BlockAddr::new(u64::from(block)),
-                if w { AccessKind::Write } else { AccessKind::Read },
+                if w {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 0,
             )
         })
@@ -37,7 +47,11 @@ fn to_llc_stream(raw: &[(u8, u16, bool)]) -> Vec<LlcAccess> {
         .map(|(i, &(pc, block, w))| LlcAccess {
             pc: Pc::new(0x400 + u64::from(pc) * 4),
             block: BlockAddr::new(u64::from(block)),
-            kind: if w { AccessKind::Write } else { AccessKind::Read },
+            kind: if w {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
             core: 0,
             instr: i as u32,
         })
@@ -51,7 +65,12 @@ fn policy_set() -> Vec<&'static str> {
 
 /// A cold single-core cache of geometry `cfg` running registry policy `name`.
 fn cold_cache(name: &str, cfg: CacheConfig) -> Cache {
-    Cache::with_policy(cfg, standard().build_str(name, cfg, 1).expect("registered policy"))
+    Cache::with_policy(
+        cfg,
+        standard()
+            .build_str(name, cfg, 1)
+            .expect("registered policy"),
+    )
 }
 
 /// Counter bookkeeping holds for every policy on any stream.
@@ -97,11 +116,7 @@ fn hits_match_reference_residency_model() {
                 let outcome = cache.access(a);
                 match outcome {
                     sdbp_suite::cache::AccessOutcome::Hit => {
-                        assert!(
-                            resident.contains(&a.block.raw()),
-                            "{}: phantom hit",
-                            policy
-                        );
+                        assert!(resident.contains(&a.block.raw()), "{}: phantom hit", policy);
                     }
                     sdbp_suite::cache::AccessOutcome::Filled { evicted } => {
                         if let Some(v) = evicted {
@@ -147,7 +162,11 @@ fn min_is_optimal_and_next_use_links_sound() {
         for policy in policy_set() {
             let mut cache = cold_cache(policy, cfg);
             let misses = sdbp_suite::cache::replay(&stream, &mut cache).stats.misses;
-            assert!(min.misses <= misses, "{policy}: {misses} below MIN {}", min.misses);
+            assert!(
+                min.misses <= misses,
+                "{policy}: {misses} below MIN {}",
+                min.misses
+            );
         }
         let no_bypass = optimal::simulate_no_bypass(&stream, cfg);
         assert!(min.misses <= no_bypass.misses, "bypass made MIN worse");
@@ -216,12 +235,21 @@ fn timing_is_monotone_in_hits() {
         let one_hit: HitMap = hit_bools.into_iter().collect();
         let legs = [
             (records(false), CoreModel::default()),
-            (records(true), CoreModel { mshrs: llc_count.max(1), ..CoreModel::default() }),
+            (
+                records(true),
+                CoreModel {
+                    mshrs: llc_count.max(1),
+                    ..CoreModel::default()
+                },
+            ),
         ];
         for (records, model) in &legs {
             let miss_cycles = model.simulate(records, &all_miss).cycles;
             let hit_cycles = model.simulate(records, &one_hit).cycles;
-            assert!(hit_cycles <= miss_cycles, "{model:?}: {hit_cycles} > {miss_cycles}");
+            assert!(
+                hit_cycles <= miss_cycles,
+                "{model:?}: {hit_cycles} > {miss_cycles}"
+            );
         }
     }
 }

@@ -69,7 +69,10 @@ fn every_registry_policy_is_within_the_sampled_bound() {
             let spec: PolicySpec = name.parse().expect("reference spec parses");
             let registry = &registry;
             Box::new(move || {
-                Cache::with_policy(llc, registry.build(&spec, llc, 1).expect("reference builds"))
+                Cache::with_policy(
+                    llc,
+                    registry.build(&spec, llc, 1).expect("reference builds"),
+                )
             }) as Box<dyn FnMut() -> Cache>
         })
         .collect();
@@ -82,7 +85,11 @@ fn every_registry_policy_is_within_the_sampled_bound() {
         plan.clusters(),
         plan.num_windows()
     );
-    assert!(plan.bound <= CEILING, "stated bound {:.4} exceeds {CEILING}", plan.bound);
+    assert!(
+        plan.bound <= CEILING,
+        "stated bound {:.4} exceeds {CEILING}",
+        plan.bound
+    );
 
     let mut report = format!(
         "{} windows -> {} clusters, bound {:.4}\n",
@@ -102,9 +109,13 @@ fn every_registry_policy_is_within_the_sampled_bound() {
             shards: 1,
             cores: 1,
         };
-        let exact = replay(request(ReplayMode::Exact { probe: None })).stats.misses;
+        let exact = replay(request(ReplayMode::Exact { probe: None }))
+            .stats
+            .misses;
         let outcome = replay(request(ReplayMode::Sampled(&plan)));
-        let extras = outcome.sampled.expect("a sampled replay reports its extras");
+        let extras = outcome
+            .sampled
+            .expect("a sampled replay reports its extras");
         let estimate = outcome.stats.misses;
         let error = estimate.abs_diff(exact) as f64 / exact.max(1) as f64;
 
@@ -132,7 +143,10 @@ fn every_registry_policy_is_within_the_sampled_bound() {
     }
     println!("{report}");
 
-    assert!(escaped.is_empty(), "estimates escaped the bound for {escaped:?}:\n{report}");
+    assert!(
+        escaped.is_empty(),
+        "estimates escaped the bound for {escaped:?}:\n{report}"
+    );
     let sampler_error = sampler_error.expect("the registry has a `sampler` entry");
     assert!(
         sampler_error <= CEILING,

@@ -34,7 +34,11 @@ fn random_llc_stream(rng: &mut Rng64, max_len: usize) -> Vec<LlcAccess> {
             LlcAccess {
                 pc: Pc::new(0x400 + u64::from(pc) * 4),
                 block: BlockAddr::new(block),
-                kind: if write { AccessKind::Write } else { AccessKind::Read },
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
                 core: 0,
                 instr: i as u32,
             }
@@ -95,13 +99,18 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                     stream: &stream,
                     llc,
                     policy: &spec,
-                    mode: ReplayMode::Exact { probe: Some(&mut door_probe) },
+                    mode: ReplayMode::Exact {
+                        probe: Some(&mut door_probe),
+                    },
                     shards,
                     cores: 1,
                 }
                 .run()
                 .expect("spec and geometry are valid");
-                assert_eq!(outcome.shards, shards, "{name} lost its shardable capability flag");
+                assert_eq!(
+                    outcome.shards, shards,
+                    "{name} lost its shardable capability flag"
+                );
                 assert_eq!(
                     (&outcome.stats, &outcome.hits),
                     (&serial.stats, &serial.hits),

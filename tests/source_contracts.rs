@@ -56,13 +56,20 @@ fn seed_arithmetic(src: &str) -> Vec<usize> {
 
 /// 1-based lines holding `needle` outside comments and test items.
 fn lines_with(src: &str, needle: &str) -> Vec<usize> {
-    strip(src).lines().enumerate().filter(|(_, l)| l.contains(needle)).map(|(n, _)| n + 1).collect()
+    strip(src)
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains(needle))
+        .map(|(n, _)| n + 1)
+        .collect()
 }
 
 /// `path:line` for every hit of `check` in the `src/` files of
 /// `crates/<name>` (of every crate for `""`), except a file ending in `skip`.
 fn scan(name: &str, skip: Option<&str>, check: fn(&str) -> Vec<usize>) -> Vec<String> {
-    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates").join(name)];
+    let mut dirs = vec![std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates")
+        .join(name)];
     let mut found = Vec::new();
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(dir).expect("readable dir") {
@@ -74,7 +81,11 @@ fn scan(name: &str, skip: Option<&str>, check: fn(&str) -> Vec<usize>) -> Vec<St
                 && !skip.is_some_and(|f| path.ends_with(f))
             {
                 let src = std::fs::read_to_string(&path).expect("utf-8 source");
-                found.extend(check(&src).into_iter().map(|n| format!("{}:{n}", path.display())));
+                found.extend(
+                    check(&src)
+                        .into_iter()
+                        .map(|n| format!("{}:{n}", path.display())),
+                );
             }
         }
     }
@@ -83,20 +94,32 @@ fn scan(name: &str, skip: Option<&str>, check: fn(&str) -> Vec<usize>) -> Vec<St
 
 #[test]
 fn seeds_are_forked_never_computed() {
-    assert_eq!(scan("", Some("trace/src/rng.rs"), seed_arithmetic), [""; 0], "use Rng64::fork");
+    assert_eq!(
+        scan("", Some("trace/src/rng.rs"), seed_arithmetic),
+        [""; 0],
+        "use Rng64::fork"
+    );
 }
 
 #[test]
 fn simulation_metadata_is_flat() {
     for name in ["cache", "replacement", "predictors", "core"] {
-        assert_eq!(scan(name, None, |s| lines_with(s, "Vec<Vec<")), [""; 0], "use a MetaPlane");
+        assert_eq!(
+            scan(name, None, |s| lines_with(s, "Vec<Vec<")),
+            [""; 0],
+            "use a MetaPlane"
+        );
     }
 }
 
 #[test]
 fn serve_locks_only_through_its_helpers() {
     let raw = |s: &str| [lines_with(s, ".lock()"), lines_with(s, ".wait(")].concat();
-    assert_eq!(scan("serve", Some("serve/src/lib.rs"), raw), [""; 0], "use with_lock / wait_then");
+    assert_eq!(
+        scan("serve", Some("serve/src/lib.rs"), raw),
+        [""; 0],
+        "use with_lock / wait_then"
+    );
 }
 
 /// 1-based lines that read or write an environment variable.
@@ -110,7 +133,11 @@ fn environment_access(src: &str) -> Vec<usize> {
 
 #[test]
 fn run_options_never_travel_through_the_environment() {
-    assert_eq!(scan("", None, environment_access), [""; 0], "pass the option as a value");
+    assert_eq!(
+        scan("", None, environment_access),
+        [""; 0],
+        "pass the option as a value"
+    );
 }
 
 /// Every path a `use` tree such as `a::{b, c::{d, e as f}}` imports.
@@ -123,7 +150,11 @@ fn use_paths(prefix: &str, tree: &str) -> Vec<String> {
                 '{' => depth += 1,
                 '}' => depth -= 1,
                 ',' if depth == 0 => {
-                    paths.extend(use_paths(prefix, &inner[start..i]).into_iter().filter(|p| p != prefix));
+                    paths.extend(
+                        use_paths(prefix, &inner[start..i])
+                            .into_iter()
+                            .filter(|p| p != prefix),
+                    );
                     start = i + 1;
                 }
                 _ => {}
@@ -133,7 +164,10 @@ fn use_paths(prefix: &str, tree: &str) -> Vec<String> {
     }
     match tree.split_once("::{") {
         Some((head, rest)) => use_paths(&format!("{prefix}{head}::"), &format!("{{{rest}")),
-        None => vec![format!("{prefix}{}", tree.split(" as ").next().unwrap_or(tree).trim())],
+        None => vec![format!(
+            "{prefix}{}",
+            tree.split(" as ").next().unwrap_or(tree).trim()
+        )],
     }
 }
 
@@ -145,11 +179,18 @@ fn hand_built_replay(src: &str) -> Vec<usize> {
     let line_of = |at: usize| code[..at].matches('\n').count() + 1;
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut lines = Vec::new();
-    for needle in ["sdbp_cache::replay::replay", "sdbp_cache::replay(", "Cache::new("] {
+    for needle in [
+        "sdbp_cache::replay::replay",
+        "sdbp_cache::replay(",
+        "Cache::new(",
+    ] {
         for (at, _) in code.match_indices(needle) {
             let before = code[..at].chars().next_back().is_some_and(is_ident);
             let after = needle.ends_with(is_ident)
-                && code[at + needle.len()..].chars().next().is_some_and(is_ident);
+                && code[at + needle.len()..]
+                    .chars()
+                    .next()
+                    .is_some_and(is_ident);
             if !before && !after {
                 lines.push(line_of(at));
             }
@@ -161,7 +202,10 @@ fn hand_built_replay(src: &str) -> Vec<usize> {
         }
         let tree = code[at + 4..].split(';').next().unwrap_or("");
         let serial = ["sdbp_cache::replay::replay", "sdbp_cache::replay"];
-        if use_paths("", tree).iter().any(|p| serial.contains(&p.as_str())) {
+        if use_paths("", tree)
+            .iter()
+            .any(|p| serial.contains(&p.as_str()))
+        {
             lines.push(line_of(at));
         }
     }
@@ -196,7 +240,11 @@ mod tests { struct E { rows: Vec<Vec<u8>> } }
 pub fn between() {}
 #[cfg(test)]
 mod more { fn f() -> Vec<Vec<u8>> { vec![] } }";
-    assert_eq!(lines_with(good_flat, "Vec<Vec<"), [0; 0], "both test modules are skipped");
+    assert_eq!(
+        lines_with(good_flat, "Vec<Vec<"),
+        [0; 0],
+        "both test modules are skipped"
+    );
     let bad_env = "let n = std::env::var(\"N\");
 std::env::set_var(\"N\", \"1\");
 let d = env::var_os(\"D\");
