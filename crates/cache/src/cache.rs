@@ -6,7 +6,6 @@
 )]
 
 use crate::config::{CacheConfig, MAX_WAYS};
-use crate::efficiency::EfficiencyTracker;
 use crate::lru::lookup;
 use crate::policy::{Access, Lru, ReplacementPolicy, Victim};
 use crate::recorder::LlcAccess;
@@ -15,14 +14,20 @@ use crate::stats::CacheStats;
 use sdbp_trace::BlockAddr;
 use std::fmt;
 
-/// Result of presenting one access to a [`Cache`].
+/// Result of presenting one access to a [`Cache`], naming the frame
+/// (the way of the access's set) it touched.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum AccessOutcome {
-    /// The block was resident.
-    Hit,
-    /// The block missed and was placed, possibly displacing `evicted`.
+    /// The block was resident in `way`.
+    Hit {
+        /// The way holding the block.
+        way: usize,
+    },
+    /// The block missed and was placed in `way`, displacing `evicted`.
     Filled {
-        /// The block displaced to make room, if the chosen frame was valid.
+        /// The way the block now occupies.
+        way: usize,
+        /// The block displaced to make room, if the frame was valid.
         evicted: Option<BlockAddr>,
     },
     /// The block missed and the policy declined to place it.
@@ -32,12 +37,7 @@ pub enum AccessOutcome {
 impl AccessOutcome {
     /// True for [`AccessOutcome::Hit`].
     pub const fn is_hit(self) -> bool {
-        matches!(self, AccessOutcome::Hit)
-    }
-
-    /// True for any miss outcome.
-    pub const fn is_miss(self) -> bool {
-        !self.is_hit()
+        matches!(self, AccessOutcome::Hit { .. })
     }
 }
 
@@ -81,7 +81,6 @@ pub struct CacheCore {
     /// Per set, the valid mask in bits 0..16 and the dirty mask above.
     masks: Vec<u32>,
     stats: CacheStats,
-    efficiency: Option<EfficiencyTracker>,
 }
 
 /// The dirty bit of `way` in a set's packed masks.
@@ -110,12 +109,7 @@ impl CacheCore {
             row0,
             masks: vec![0; config.sets],
             stats: CacheStats::default(),
-            efficiency: None,
         }
-    }
-
-    fn is_valid(&self, set: usize, way: usize) -> bool {
-        self.masks[set] >> way & 1 != 0
     }
 
     /// The index of `(set, way)`'s tag.
@@ -164,10 +158,7 @@ impl CacheCore {
                 self.masks[set] |= dirty_bit(way);
             }
             policy.on_hit(set, way, access);
-            if let Some(eff) = &mut self.efficiency {
-                eff.on_hit(set, way, self.stats.accesses);
-            }
-            return AccessOutcome::Hit;
+            return AccessOutcome::Hit { way };
         }
 
         self.stats.misses += 1;
@@ -193,9 +184,6 @@ impl CacheCore {
             self.stats.evictions += 1;
             self.stats.writebacks += u64::from(masks & dirty_bit(way) != 0);
             policy.on_evict(set, way, victim, access);
-            if let Some(eff) = &mut self.efficiency {
-                eff.on_evict(set, way, self.stats.accesses);
-            }
             Some(victim)
         } else {
             None
@@ -206,16 +194,14 @@ impl CacheCore {
         self.masks[set] = masks & !dirty_bit(way) | 1 << way | dirty;
         self.stats.fills += 1;
         policy.on_fill(set, way, access);
-        if let Some(eff) = &mut self.efficiency {
-            eff.on_fill(set, way, self.stats.accesses);
-        }
-        AccessOutcome::Filled { evicted }
+        AccessOutcome::Filled { way, evicted }
     }
 
     /// Presents every access of `stream` under `policy`, in order, sending
     /// each outcome to `outcomes`: the replay kernel. Called with
     /// `P = Self` from [`ReplacementPolicy::run_stream`], so the whole loop
-    /// is monomorphised per policy type.
+    /// is monomorphised per policy type. A probe gets each whole outcome
+    /// through [`ReplayProbe::on_outcome`](crate::replay::ReplayProbe::on_outcome).
     pub fn run<P: ReplacementPolicy + ?Sized>(
         &mut self,
         policy: &mut P,
@@ -223,13 +209,13 @@ impl CacheCore {
         mut outcomes: Outcomes<'_>,
     ) {
         for a in stream {
-            let hit = self.access(policy, &Access::from(a)).is_hit();
+            let outcome = self.access(policy, &Access::from(a));
             match &mut outcomes {
                 Outcomes::Discard => {}
-                Outcomes::Record(hits) => hits.push(hit),
+                Outcomes::Record(hits) => hits.push(outcome.is_hit()),
                 Outcomes::Probe(hits, probe) => {
-                    probe.on_access_detail(hits.len(), a, hit);
-                    hits.push(hit);
+                    probe.on_outcome(hits.len(), a, outcome);
+                    hits.push(outcome.is_hit());
                 }
             }
         }
@@ -285,12 +271,6 @@ impl Cache {
         }
     }
 
-    /// Enables live/dead-time accounting (costs one pass of bookkeeping per
-    /// access; used for the paper's Figure 1).
-    pub fn track_efficiency(&mut self) {
-        self.core.efficiency = Some(EfficiencyTracker::new(self.core.config));
-    }
-
     /// The cache's geometry.
     pub const fn config(&self) -> CacheConfig {
         self.core.config
@@ -303,25 +283,16 @@ impl Cache {
         stats
     }
 
-    /// The efficiency tracker, if [`Cache::track_efficiency`] was called.
-    pub fn efficiency(&self) -> Option<&EfficiencyTracker> {
-        self.core.efficiency.as_ref()
-    }
-
     /// The driving policy (downcast via
     /// [`ReplacementPolicy::as_any`] for policy-specific state).
     pub fn policy(&self) -> &dyn ReplacementPolicy {
         &*self.policy
     }
 
-    /// Set index for a block in this cache.
-    pub fn set_of(&self, block: BlockAddr) -> usize {
-        block.set_index(self.core.config.sets)
-    }
-
     /// Whether `block` is currently resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.core.find(self.set_of(block), block).is_some()
+        let set = block.set_index(self.core.config.sets);
+        self.core.find(set, block).is_some()
     }
 
     /// Presents one access; performs lookup, policy callbacks, fill or
@@ -337,21 +308,6 @@ impl Cache {
     /// [`Cache::access`] on each element.
     pub fn run(&mut self, stream: &[LlcAccess], outcomes: Outcomes<'_>) {
         self.policy.run_stream(&mut self.core, stream, outcomes);
-    }
-
-    /// Flushes residency bookkeeping at the end of a run so that
-    /// still-resident blocks contribute their in-cache time to the
-    /// efficiency accounting.
-    pub fn finish(&mut self) {
-        let core = &mut self.core;
-        if let Some(mut eff) = core.efficiency.take() {
-            for set in 0..core.config.sets {
-                for way in (0..core.config.ways).filter(|&way| core.is_valid(set, way)) {
-                    eff.on_evict(set, way, core.stats.accesses);
-                }
-            }
-            core.efficiency = Some(eff);
-        }
     }
 }
 
@@ -376,8 +332,15 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = tiny();
-        assert_eq!(c.access(&acc(0)), AccessOutcome::Filled { evicted: None });
-        assert!(c.access(&acc(0)).is_hit());
+        let fill = c.access(&acc(0));
+        assert_eq!(
+            fill,
+            AccessOutcome::Filled {
+                way: 0,
+                evicted: None
+            }
+        );
+        assert_eq!(c.access(&acc(0)), AccessOutcome::Hit { way: 0 });
         let s = c.stats();
         assert_eq!((s.accesses, s.hits, s.misses, s.fills), (2, 1, 1, 1));
     }
@@ -390,7 +353,10 @@ mod tests {
         c.access(&acc(2));
         c.access(&acc(0)); // promote 0; LRU is 2
         match c.access(&acc(4)) {
-            AccessOutcome::Filled { evicted: Some(b) } => assert_eq!(b.raw(), 2),
+            AccessOutcome::Filled {
+                way: 1,
+                evicted: Some(b),
+            } => assert_eq!(b.raw(), 2),
             other => panic!("expected eviction of block 2, got {other:?}"),
         }
         assert!(c.contains(BlockAddr::new(0)));
@@ -492,12 +458,16 @@ mod tests {
     #[test]
     fn narrow_geometry_stays_within_its_ways() {
         let mut c = Cache::new(CacheConfig::new(1, 3));
-        for b in 0..3 {
-            assert_eq!(c.access(&acc(b)), AccessOutcome::Filled { evicted: None });
+        for way in 0..3 {
+            assert_eq!(
+                c.access(&acc(way as u64)),
+                AccessOutcome::Filled { way, evicted: None }
+            );
         }
         assert_eq!(
             c.access(&acc(3)),
             AccessOutcome::Filled {
+                way: 0,
                 evicted: Some(BlockAddr::new(0))
             }
         );
@@ -506,9 +476,12 @@ mod tests {
 
     #[test]
     fn outcome_predicates() {
-        assert!(AccessOutcome::Hit.is_hit());
-        assert!(!AccessOutcome::Hit.is_miss());
-        assert!(AccessOutcome::Bypassed.is_miss());
-        assert!(AccessOutcome::Filled { evicted: None }.is_miss());
+        let fill = AccessOutcome::Filled {
+            way: 0,
+            evicted: None,
+        };
+        assert!(AccessOutcome::Hit { way: 3 }.is_hit());
+        assert!(!AccessOutcome::Bypassed.is_hit());
+        assert!(!fill.is_hit());
     }
 }

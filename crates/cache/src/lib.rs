@@ -17,9 +17,11 @@
 //!    model (`sdbp-cpu`) converts into IPC.
 //!
 //! [`efficiency`] adds the live/dead-time accounting behind the paper's
-//! Figure 1 and its "blocks are dead 86% of the time" observation, and
-//! [`full`] provides the jointly simulated hierarchy that
-//! cross-validates the record/replay decomposition.
+//! Figure 1 and its "blocks are dead 86% of the time" observation as a
+//! [`ReplayProbe`] that reads each access's [`AccessOutcome`], so the
+//! replay kernel itself keeps no such bookkeeping; [`full`] provides the
+//! jointly simulated hierarchy that cross-validates the record/replay
+//! decomposition.
 //!
 //! # Example
 //!

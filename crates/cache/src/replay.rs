@@ -3,7 +3,7 @@
 //! packed [`HitMap`]); callers that want per-window detail attach a
 //! [`ReplayProbe`] instead of re-deriving windows from the hit map.
 
-use crate::cache::Cache;
+use crate::cache::{AccessOutcome, Cache};
 use crate::meta::HitMap;
 use crate::recorder::LlcAccess;
 use crate::reuse::{home_slot, NextUse, SetPartition};
@@ -35,109 +35,61 @@ impl ReplayResult {
 /// Observer of per-access replay outcomes, driven in stream order.
 ///
 /// Probes are the supported way to derive time-resolved measurements
-/// (phase behaviour, per-window miss counts) from a replay without
-/// keeping a second copy of the outcome stream.
+/// (phase behaviour, per-window miss counts, per-frame live time) from a
+/// replay without keeping a second copy of the outcome stream.
 ///
-/// Outcome-only probes ([`WindowMisses`], [`WindowStream`]) implement
-/// [`on_access`](ReplayProbe::on_access); probes that also need the
-/// access itself ([`WindowFingerprint`]) override
-/// [`on_access_detail`](ReplayProbe::on_access_detail), whose default
-/// delegates to `on_access`. [`replay_with_probe`] always drives
-/// `on_access_detail`, so either entry point sees every access.
+/// Every probe implements [`on_access`](ReplayProbe::on_access), which sees
+/// each access with its hit bit. The serial kernel calls
+/// [`on_outcome`](ReplayProbe::on_outcome) with the whole
+/// [`AccessOutcome`] instead, and its default forwards the hit bit. A
+/// sharded replay keeps only hit bits, so a probe that reads the frames of
+/// `on_outcome` says so through [`needs_outcomes`](ReplayProbe::needs_outcomes)
+/// and is always run serially.
 pub trait ReplayProbe {
-    /// Called once per access with its outcome and its index among the
-    /// replay's measured outcomes: its stream position in an exact replay.
-    fn on_access(&mut self, index: usize, hit: bool);
+    /// Called once per access with the access, its outcome as a hit bit,
+    /// and its index among the replay's measured outcomes: its stream
+    /// position in an exact replay.
+    fn on_access(&mut self, index: usize, access: &LlcAccess, hit: bool);
 
-    /// Called once per access with the access itself alongside its
-    /// outcome. The default forwards to
-    /// [`on_access`](ReplayProbe::on_access); override it when the probe
-    /// needs addresses or PCs (e.g. to fingerprint windows).
-    fn on_access_detail(&mut self, index: usize, access: &LlcAccess, hit: bool) {
-        let _ = access;
-        self.on_access(index, hit);
-    }
-}
-
-/// A [`ReplayProbe`] counting misses per fixed-size access window.
-///
-/// ```
-/// use sdbp_cache::replay::{ReplayProbe, WindowMisses};
-///
-/// let mut w = WindowMisses::new(2);
-/// for (i, hit) in [false, true, false, false, true].into_iter().enumerate() {
-///     w.on_access(i, hit);
-/// }
-/// assert_eq!(w.counts(), &[1, 2, 0]);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WindowMisses {
-    window: usize,
-    counts: Vec<u64>,
-    seen: usize,
-}
-
-impl WindowMisses {
-    /// A probe with `window` accesses per bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "miss window must be non-empty");
-        WindowMisses {
-            window,
-            counts: Vec::new(),
-            seen: 0,
-        }
+    /// Called once per access by the serial kernel with the whole outcome,
+    /// frame included. The default forwards `outcome.is_hit()` to
+    /// [`on_access`](ReplayProbe::on_access).
+    fn on_outcome(&mut self, index: usize, access: &LlcAccess, outcome: AccessOutcome) {
+        self.on_access(index, access, outcome.is_hit());
     }
 
-    /// Accesses per bucket.
-    pub const fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Miss counts per window, in stream order (last window may be
-    /// partial).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
-impl ReplayProbe for WindowMisses {
-    fn on_access(&mut self, _index: usize, hit: bool) {
-        if self.seen.is_multiple_of(self.window) {
-            self.counts.push(0);
-        }
-        self.seen += 1;
-        if !hit {
-            if let Some(last) = self.counts.last_mut() {
-                *last += 1;
-            }
-        }
+    /// Whether the probe needs [`on_outcome`](ReplayProbe::on_outcome)'s
+    /// frames, so that a replay must not shard under it. False by default.
+    fn needs_outcomes(&self) -> bool {
+        false
     }
 }
 
 /// A [`ReplayProbe`] that emits each miss window to a callback the moment
-/// it completes, instead of accumulating counts like [`WindowMisses`].
+/// it completes.
 ///
 /// This is the streaming-measurement primitive: a long replay can report
 /// progress (e.g. over a network connection) while it runs, in O(1)
-/// probe memory. The callback receives `(window_index, misses)` with
+/// probe memory, and a callback that pushes into a `Vec` keeps every
+/// window's count. The callback receives `(window_index, misses)` with
 /// indices starting at 0 in stream order. Call
 /// [`finish`](WindowStream::finish) after the replay to flush a partial
 /// final window.
 ///
 /// ```
-/// use sdbp_cache::replay::{ReplayProbe, WindowStream};
+/// use sdbp_cache::replay::{replay_with_probe, WindowStream};
+/// use sdbp_cache::{Cache, CacheConfig};
+/// use sdbp_cache::recorder::record;
+/// use sdbp_trace::{kernel::KernelSpec, TraceBuilder};
 ///
-/// let mut seen = Vec::new();
-/// let mut w = WindowStream::new(2, |index, misses| seen.push((index, misses)));
-/// for (i, hit) in [false, true, false, false, true].into_iter().enumerate() {
-///     w.on_access(i, hit);
-/// }
-/// w.finish();
-/// assert_eq!(seen, vec![(0, 1), (1, 2), (2, 0)]);
+/// let t = TraceBuilder::new(9).kernel(KernelSpec::hot_set(1 << 14)).build();
+/// let w = record("demo", t, 20_000);
+/// let mut misses = Vec::new();
+/// let mut probe = WindowStream::new(1000, |_, n| misses.push(n));
+/// let r = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
+/// probe.finish();
+/// assert_eq!(misses.len(), w.llc.len().div_ceil(1000));
+/// assert_eq!(misses.iter().sum::<u64>(), r.stats.misses);
 /// ```
 pub struct WindowStream<F: FnMut(u64, u64)> {
     window: usize,
@@ -176,11 +128,6 @@ impl<F: FnMut(u64, u64)> WindowStream<F> {
         }
     }
 
-    /// Accesses per bucket.
-    pub const fn window(&self) -> usize {
-        self.window
-    }
-
     /// Windows emitted so far (including a flushed partial window).
     pub const fn windows(&self) -> u64 {
         self.emitted
@@ -203,7 +150,7 @@ impl<F: FnMut(u64, u64)> WindowStream<F> {
 }
 
 impl<F: FnMut(u64, u64)> ReplayProbe for WindowStream<F> {
-    fn on_access(&mut self, _index: usize, hit: bool) {
+    fn on_access(&mut self, _index: usize, _access: &LlcAccess, hit: bool) {
         if !hit {
             self.misses += 1;
         }
@@ -329,11 +276,6 @@ impl WindowFingerprint {
         }
     }
 
-    /// Accesses per window.
-    pub const fn window(&self) -> usize {
-        self.window
-    }
-
     /// Completed fingerprints, in stream order: every window's once
     /// [`finish`](Self::finish) has run, none before.
     pub fn fingerprints(&self) -> &[Fingerprint] {
@@ -349,8 +291,8 @@ impl WindowFingerprint {
         &self.miss_counts
     }
 
-    /// Access count of each completed window (all equal to
-    /// [`window`](Self::window) except a partial tail).
+    /// Access count of each completed window (all equal to the window
+    /// size except a partial tail).
     pub fn window_lens(&self) -> &[u32] {
         &self.window_lens
     }
@@ -441,21 +383,6 @@ impl WindowFingerprint {
 }
 
 impl ReplayProbe for WindowFingerprint {
-    /// Outcome-only driving carries no block or PC, so there is nothing
-    /// to fingerprint.
-    ///
-    /// # Panics
-    ///
-    /// Always: drive this probe through [`replay_with_probe`], which
-    /// calls [`on_access_detail`](ReplayProbe::on_access_detail).
-    #[expect(
-        clippy::panic,
-        reason = "a probe fed no accesses would fingerprint nothing"
-    )]
-    fn on_access(&mut self, _index: usize, _hit: bool) {
-        panic!("WindowFingerprint needs each access: drive it through replay_with_probe");
-    }
-
     /// Counts the access into the current window. Reuse distances are
     /// counted in accesses seen by the probe, which equal the `index`
     /// differences of every caller in the workspace (each numbers a stream
@@ -464,7 +391,7 @@ impl ReplayProbe for WindowFingerprint {
     /// # Panics
     ///
     /// Panics if called after [`finish`](WindowFingerprint::finish).
-    fn on_access_detail(&mut self, _index: usize, access: &LlcAccess, hit: bool) {
+    fn on_access(&mut self, _index: usize, access: &LlcAccess, hit: bool) {
         assert!(
             !self.finished,
             "WindowFingerprint takes no access after finish()"
@@ -560,7 +487,8 @@ pub enum Outcomes<'a> {
     /// Append each outcome to the map.
     Record(&'a mut HitMap),
     /// Append each outcome to the map and report it, with its index in the
-    /// map and the access itself, to the probe.
+    /// map and the access itself, to the probe's
+    /// [`on_outcome`](ReplayProbe::on_outcome).
     Probe(&'a mut HitMap, &'a mut dyn ReplayProbe),
 }
 
@@ -580,7 +508,6 @@ impl std::fmt::Debug for Outcomes<'_> {
 pub fn replay(stream: &[LlcAccess], cache: &mut Cache) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
     cache.run(stream, Outcomes::Record(&mut hits));
-    cache.finish();
     ReplayResult {
         stats: cache.stats(),
         hits,
@@ -595,7 +522,6 @@ pub fn replay_with_probe(
 ) -> ReplayResult {
     let mut hits = HitMap::with_capacity(stream.len());
     cache.run(stream, Outcomes::Probe(&mut hits, probe));
-    cache.finish();
     ReplayResult {
         stats: cache.stats(),
         hits,
@@ -710,7 +636,6 @@ pub fn replay_spans(
         };
         cache.run(measured, outcomes);
     }
-    cache.finish();
     Ok(ReplayResult {
         stats: cache.stats(),
         hits,
@@ -872,7 +797,7 @@ mod tests {
     fn probe_sees_exactly_the_hit_map() {
         struct Collect(Vec<(usize, bool)>);
         impl ReplayProbe for Collect {
-            fn on_access(&mut self, index: usize, hit: bool) {
+            fn on_access(&mut self, index: usize, _access: &LlcAccess, hit: bool) {
                 self.0.push((index, hit));
             }
         }
@@ -890,66 +815,42 @@ mod tests {
     }
 
     #[test]
-    fn window_probe_counts_misses_per_window() {
-        let w = workload();
-        let mut windows = WindowMisses::new(1000);
-        let r = replay_with_probe(
-            &w.llc,
-            &mut Cache::new(CacheConfig::new(64, 8)),
-            &mut windows,
-        );
-        assert_eq!(windows.counts().iter().sum::<u64>(), r.stats.misses);
-        assert_eq!(windows.counts().len(), w.llc.len().div_ceil(1000));
-        assert_eq!(windows.window(), 1000);
-    }
-
-    #[test]
-    fn window_stream_matches_window_misses_including_partial_tail() {
+    fn window_stream_counts_every_window_including_partial_tail() {
         let w = workload();
         let window = 777; // deliberately not a divisor of the stream length
-        let mut accumulated = WindowMisses::new(window);
-        let a = replay_with_probe(
-            &w.llc,
-            &mut Cache::new(CacheConfig::new(64, 8)),
-            &mut accumulated,
-        );
         let mut streamed: Vec<(u64, u64)> = Vec::new();
         let mut probe = WindowStream::new(window, |index, misses| streamed.push((index, misses)));
-        let b = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
+        let r = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
+        let before_finish = probe.windows();
         probe.finish();
-        assert_eq!(a, b, "probes must not perturb the replay");
-        let emitted = probe.windows();
-        assert_eq!(probe.window(), window);
-        assert_eq!(emitted, streamed.len() as u64);
-        let counts: Vec<u64> = streamed.iter().map(|&(_, m)| m).collect();
-        assert_eq!(
-            counts,
-            accumulated.counts(),
-            "streamed windows must equal accumulated ones"
-        );
-        assert!(streamed
-            .iter()
+        assert_eq!(before_finish, (w.llc.len() / window) as u64);
+        assert_eq!(probe.windows(), w.llc.len().div_ceil(window) as u64);
+        let plain = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
+        assert_eq!(r, plain, "the probe must not perturb the replay");
+        let bits: Vec<bool> = r.hits.iter().collect();
+        let expected: Vec<(u64, u64)> = bits
+            .chunks(window)
             .enumerate()
-            .all(|(i, &(j, _))| i as u64 == j));
-        assert_eq!(counts.iter().sum::<u64>(), b.stats.misses);
-    }
-
-    #[test]
-    #[should_panic(expected = "drive it through replay_with_probe")]
-    fn fingerprint_refuses_outcome_only_driving() {
-        WindowFingerprint::new(4, 8).on_access(0, false);
+            .map(|(i, c)| (i as u64, c.iter().filter(|&&hit| !hit).count() as u64))
+            .collect();
+        assert_eq!(streamed, expected, "one count per window, tail included");
+        assert_eq!(
+            streamed.iter().map(|&(_, m)| m).sum::<u64>(),
+            r.stats.misses
+        );
     }
 
     #[test]
     fn window_stream_finish_is_idempotent() {
+        let w = workload();
         let mut emitted = 0u64;
-        let mut w = WindowStream::new(4, |_, _| emitted += 1);
-        for i in 0..6 {
-            w.on_access(i, false);
+        let mut probe = WindowStream::new(4, |_, _| emitted += 1);
+        for (i, a) in w.llc.iter().take(6).enumerate() {
+            probe.on_access(i, a, false);
         }
-        w.finish();
-        w.finish();
-        assert_eq!(w.windows(), 2);
+        probe.finish();
+        probe.finish();
+        assert_eq!(probe.windows(), 2);
         assert_eq!(emitted, 2);
     }
 

@@ -1,9 +1,12 @@
 //! Property-style tests for the cache substrate, driven by the in-repo
 //! deterministic RNG (fixed seeds, exact reproduction, offline build).
 
+use sdbp_cache::efficiency::EfficiencyTracker;
 use sdbp_cache::full::FullHierarchy;
 use sdbp_cache::lru::LruArray;
 use sdbp_cache::policy::Access;
+use sdbp_cache::recorder::LlcAccess;
+use sdbp_cache::replay::replay_with_probe;
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_trace::rng::Rng64;
 use sdbp_trace::{AccessKind, Addr, BlockAddr, Instr, MemRef, Pc};
@@ -130,27 +133,48 @@ fn full_hierarchy_matches_record_replay() {
     }
 }
 
-/// Efficiency is always a valid ratio and zero-hit runs are fully dead.
+/// Efficiency, driven as a replay probe, is always a valid ratio: no
+/// frame is live for longer than it is resident, and a stream that never
+/// hits is fully dead.
 #[test]
 fn efficiency_is_a_valid_ratio() {
     let mut rng = Rng64::seed_from_u64(0xcac_0006);
+    let cfg = CacheConfig::new(4, 2);
+    let tracked = |blocks: &[u64]| {
+        let stream: Vec<LlcAccess> = blocks
+            .iter()
+            .map(|&b| LlcAccess {
+                pc: Pc::new(0),
+                block: BlockAddr::new(b),
+                kind: AccessKind::Read,
+                core: 0,
+                instr: 0,
+            })
+            .collect();
+        let mut tracker = EfficiencyTracker::new(cfg);
+        let r = replay_with_probe(&stream, &mut Cache::new(cfg), &mut tracker);
+        tracker.finish();
+        (r.stats.hits, tracker)
+    };
     for _ in 0..CASES {
         let blocks: Vec<u64> = (0..rng.gen_range(2usize..400))
             .map(|_| rng.gen_range(0u64..128))
             .collect();
-        let cfg = CacheConfig::new(4, 2);
-        let mut cache = Cache::new(cfg);
-        cache.track_efficiency();
-        for &b in &blocks {
-            cache.access(&Access::demand(
-                Pc::new(0),
-                BlockAddr::new(b),
-                AccessKind::Read,
-                0,
-            ));
-        }
-        cache.finish();
-        let overall = cache.efficiency().unwrap().overall();
+        let (_, tracker) = tracked(&blocks);
+        let overall = tracker.overall();
         assert!((0.0..=1.0).contains(&overall), "efficiency {overall}");
+        for set in 0..cfg.sets {
+            for way in 0..cfg.ways {
+                let (live, total) = tracker.times(set, way);
+                assert!(
+                    live <= total,
+                    "frame ({set}, {way}): live {live} > total {total}"
+                );
+            }
+        }
+        let fresh: Vec<u64> = (0..blocks.len() as u64).collect();
+        let (hits, tracker) = tracked(&fresh);
+        assert_eq!(hits, 0, "distinct blocks never hit");
+        assert_eq!(tracker.overall(), 0.0);
     }
 }

@@ -12,10 +12,11 @@
 //!   one-shard replay runs on that very build (a sharded one builds one
 //!   more per shard);
 //! * it applies the shard fallback rule once: a replay shards only when
-//!   more than one shard is requested **and** the registry entry is
-//!   set-local (`shardable`, DESIGN.md §13); everything else runs the
-//!   serial kernel, and [`ReplayOutcome::shards`] reports the count that
-//!   actually ran;
+//!   more than one shard is requested, the registry entry is set-local
+//!   (`shardable`, DESIGN.md §13) **and** no probe
+//!   [needs whole outcomes](ReplayProbe::needs_outcomes); everything else
+//!   runs the serial kernel, and [`ReplayOutcome::shards`] reports the
+//!   count that actually ran;
 //! * it turns the mode into a [`Span`] list — the whole stream for an
 //!   exact replay, the plan's [`segment_schedule`] for a sampled one —
 //!   and runs that list through the one replay kernel: serially with
@@ -63,7 +64,9 @@ use std::fmt;
 /// How a [`ReplayRequest`] replays its stream.
 pub enum ReplayMode<'a> {
     /// Replay every access; `probe`, when given, observes each outcome in
-    /// stream order (also when the replay shards).
+    /// stream order (also when the replay shards, unless it
+    /// [needs whole outcomes](ReplayProbe::needs_outcomes): then the
+    /// replay runs serially).
     Exact {
         /// Per-access observer, e.g. a window-miss stream.
         probe: Option<&'a mut dyn ReplayProbe>,
@@ -135,7 +138,8 @@ pub struct ReplayOutcome {
     /// sampled.
     pub sampled: Option<SampledExtras>,
     /// The shard count that actually ran: 1 whenever the policy is not
-    /// set-local, otherwise the request's count clamped to `1..=sets`.
+    /// set-local or the probe needs whole outcomes, otherwise the
+    /// request's count clamped to `1..=sets`.
     pub shards: usize,
 }
 
@@ -205,14 +209,15 @@ impl ReplayRequest<'_> {
             .find(&spec.name)
             .ok_or_else(|| SpecError::UnknownPolicy(spec.name.clone()))?;
         let built = (entry.build)(spec, llc, cores)?;
-        let shards = if entry.shardable {
-            shards.clamp(1, llc.sets.max(1))
-        } else {
-            1
-        };
         let (probe, plan) = match mode {
             ReplayMode::Exact { probe } => (probe, None),
             ReplayMode::Sampled(plan) => (None, Some(plan)),
+        };
+        let needs_outcomes = probe.as_deref().is_some_and(ReplayProbe::needs_outcomes);
+        let shards = if entry.shardable && !needs_outcomes {
+            shards.clamp(1, llc.sets.max(1))
+        } else {
+            1
         };
         let schedule = plan
             .map(|plan| segment_schedule(stream.len(), plan))

@@ -10,7 +10,7 @@ use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest};
 use sdbp_cache::recorder::{
     merge_llc_streams, record, record_for_core, LlcAccess, RecordedWorkload,
 };
-use sdbp_cache::replay::{replay, WindowMisses};
+use sdbp_cache::replay::{replay, WindowStream};
 use sdbp_cache::{Cache, CacheConfig};
 use sdbp_sample::{build_plan, replay_sampled, segment_schedule, PlanConfig, SamplingPlan};
 use sdbp_trace::kernel::KernelSpec;
@@ -54,7 +54,8 @@ fn run(
     plan: &SamplingPlan,
     shards: usize,
 ) -> (ReplayOutcome, Option<Vec<u64>>) {
-    let mut probe = WindowMisses::new(WINDOW);
+    let mut windows = Vec::new();
+    let mut probe = WindowStream::new(WINDOW, |_, misses| windows.push(misses));
     let mode_arg = match mode {
         Mode::Exact => ReplayMode::Exact {
             probe: Some(&mut probe),
@@ -71,8 +72,8 @@ fn run(
     }
     .run()
     .unwrap_or_else(|e| panic!("{spec} {mode:?} x{shards}: {e}"));
-    let windows = matches!(mode, Mode::Exact).then(|| probe.counts().to_vec());
-    (outcome, windows)
+    probe.finish();
+    (outcome, matches!(mode, Mode::Exact).then_some(windows))
 }
 
 #[test]

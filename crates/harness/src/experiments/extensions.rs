@@ -61,7 +61,7 @@ pub fn run(ctx: &Context) -> String {
             Job::new(format!("extensions/vvc/{}", bench.name), move || {
                 let w = store.record(&bench, 0);
                 let vvc = VirtualVictimCache::run(&w.llc, llc);
-                let lru = store.replay_exact(&w.llc, 1, "lru", llc);
+                let lru = store.replay_exact(&w.llc, 1, "lru", llc, None);
                 vvc.misses as f64 / lru.stats.misses.max(1) as f64
             })
         })

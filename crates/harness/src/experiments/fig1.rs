@@ -1,10 +1,14 @@
 //! Figure 1: cache efficiency greyscale for `456.hmmer` — 1 MB LRU versus
 //! the sampler-driven dead block replacement and bypass cache.
+//!
+//! Every replay here goes through the replay front door with an
+//! [`EfficiencyTracker`] probe, which reads each outcome's frame, so the
+//! front door runs it serially whatever `--shards` asks for.
 
 use super::Context;
-use sdbp::registry::{standard, PolicySpec};
-use sdbp_cache::replay::replay;
-use sdbp_cache::{Cache, CacheConfig};
+use sdbp_cache::efficiency::EfficiencyTracker;
+use sdbp_cache::recorder::LlcAccess;
+use sdbp_cache::CacheConfig;
 use sdbp_engine::Job;
 
 /// Characters from dead (dark in the paper) to live.
@@ -15,11 +19,19 @@ fn shade(efficiency: f64) -> char {
     SHADES[idx]
 }
 
+/// The live/dead accounting of registry policy `name` replayed over
+/// `stream` on `llc`.
+fn track(ctx: &Context, stream: &[LlcAccess], name: &str, llc: CacheConfig) -> EfficiencyTracker {
+    let mut tracker = EfficiencyTracker::new(llc);
+    ctx.store
+        .replay_exact(stream, 1, name, llc, Some(&mut tracker));
+    tracker.finish();
+    tracker
+}
+
 /// Renders a downsampled sets × ways efficiency map (one row per group of
 /// sets, one column per way).
-fn render_map(cache: &Cache) -> String {
-    let eff = cache.efficiency().expect("efficiency tracking enabled");
-    let CacheConfig { sets, ways } = cache.config();
+fn render_map(eff: &EfficiencyTracker, CacheConfig { sets, ways }: CacheConfig) -> String {
     let rows = 32usize;
     let group = sets / rows;
     let mut out = String::new();
@@ -43,14 +55,9 @@ fn suite_dead_fraction(ctx: &Context) -> f64 {
     let jobs: Vec<Job<'_, f64>> = sdbp_workloads::subset()
         .into_iter()
         .map(|bench| {
-            let store = ctx.store.clone();
             Job::new(format!("fig1/dead/{}", bench.name), move || {
-                let w = store.record(&bench, 0);
-                let mut cache = Cache::new(llc);
-                cache.track_efficiency();
-                let _ = replay(&w.llc, &mut cache);
-                cache.finish();
-                cache.efficiency().expect("tracking enabled").overall()
+                let w = ctx.store.record(&bench, 0);
+                track(ctx, &w.llc, "lru", llc).overall()
             })
         })
         .collect();
@@ -70,13 +77,8 @@ pub fn run(ctx: &Context) -> String {
     let llc = CacheConfig::llc_with_capacity(1 << 20);
 
     let run_one = |name: &str| {
-        let policy = standard().build(&PolicySpec::plain(name), llc, 1);
-        let mut cache = Cache::with_policy(llc, policy.expect("registered policy"));
-        cache.track_efficiency();
-        let _ = replay(&w.llc, &mut cache);
-        cache.finish();
-        let overall = cache.efficiency().expect("tracking enabled").overall();
-        (render_map(&cache), overall)
+        let eff = track(ctx, &w.llc, name, llc);
+        (render_map(&eff, llc), eff.overall())
     };
 
     let (lru_map, lru_eff) = run_one("lru");

@@ -54,7 +54,9 @@ fn run_all(ctx: &Context) -> Vec<MixRun> {
         let alone = |w| run_policy(w, &cell("lru"), llc, shards, None).expect("LRU replays");
         let singles: Vec<f64> = workloads.iter().map(|w| alone(w).ipc).collect();
         let run = |name: &str| {
-            let outcome = ctx.store.replay_exact(merged, workloads.len(), name, llc);
+            let outcome = ctx
+                .store
+                .replay_exact(merged, workloads.len(), name, llc, None);
             let hits = split_hits_by_core(merged, &outcome.hits, workloads.len())
                 .expect("replay hit map aligns with its own input stream");
             let ipcs: Vec<f64> = workloads

@@ -137,7 +137,9 @@ pub fn table4(ctx: &Context) -> String {
         let mut cells = vec![mix.name.to_owned(), mix.members.join(" ")];
         for &kb in &sizes_kb {
             let llc = CacheConfig::llc_with_capacity(kb << 10);
-            let lru = ctx.store.replay_exact(merged, workloads.len(), "lru", llc);
+            let lru = ctx
+                .store
+                .replay_exact(merged, workloads.len(), "lru", llc, None);
             cells.push(f3(lru.stats.mpki(instructions)));
         }
         cells

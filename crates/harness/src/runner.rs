@@ -13,6 +13,7 @@
 use sdbp::registry::{standard, PolicySpec};
 use sdbp::replay::{ReplayError, ReplayMode, ReplayOutcome, ReplayRequest, SampledExtras};
 use sdbp_cache::recorder::{record_for_core, try_record_batches, LlcAccess, RecordedWorkload};
+use sdbp_cache::replay::ReplayProbe;
 use sdbp_cache::{CacheConfig, CacheStats};
 use sdbp_cpu::CoreModel;
 use sdbp_engine::{Engine, Job};
@@ -209,7 +210,8 @@ impl RecordStore {
     }
 
     /// Registry policy `name` replayed exactly over `stream` through the
-    /// replay front door with the store's shards, built for `cores` cores.
+    /// replay front door with the store's shards, built for `cores` cores,
+    /// reporting each outcome to `probe` if one is given.
     /// Panics if `name` is not registered.
     pub fn replay_exact(
         &self,
@@ -217,12 +219,15 @@ impl RecordStore {
         cores: usize,
         name: &str,
         llc: CacheConfig,
+        probe: Option<&mut dyn ReplayProbe>,
     ) -> ReplayOutcome {
         ReplayRequest {
             stream,
             llc,
             policy: &PolicySpec::plain(name),
-            mode: ReplayMode::Exact { probe: None },
+            mode: ReplayMode::Exact {
+                probe: probe.map(|p| p as _),
+            },
             shards: self.config.shards,
             cores,
         }

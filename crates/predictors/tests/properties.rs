@@ -119,10 +119,10 @@ fn dbrb_hits_are_always_justified() {
                     0,
                 );
                 match cache.access(&a) {
-                    sdbp_cache::AccessOutcome::Hit => {
+                    sdbp_cache::AccessOutcome::Hit { .. } => {
                         assert!(resident.contains(&b), "phantom hit on {b}");
                     }
-                    sdbp_cache::AccessOutcome::Filled { evicted } => {
+                    sdbp_cache::AccessOutcome::Filled { evicted, .. } => {
                         if let Some(v) = evicted {
                             resident.remove(&v.raw());
                         }

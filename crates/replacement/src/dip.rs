@@ -395,6 +395,7 @@ mod tests {
         assert_eq!(
             cache.access(&acc(blocks[4])),
             sdbp_cache::AccessOutcome::Filled {
+                way: 0,
                 evicted: Some(BlockAddr::new(blocks[0]))
             },
             "the lowest tied way is the victim"

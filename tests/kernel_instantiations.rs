@@ -54,7 +54,6 @@ fn assert_instantiations_agree(stream: &[LlcAccess], llc: CacheConfig) {
             .iter()
             .map(|a| single.access(&Access::from(a)).is_hit())
             .collect();
-        single.finish();
         let batch = replay(stream, &mut build());
         assert_eq!(
             (hits, single.stats()),

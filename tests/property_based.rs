@@ -3,7 +3,7 @@
 
 use sdbp_suite::cache::policy::Access;
 use sdbp_suite::cache::recorder::LlcAccess;
-use sdbp_suite::cache::{Cache, CacheConfig, HitMap};
+use sdbp_suite::cache::{AccessOutcome, Cache, CacheConfig, HitMap};
 use sdbp_suite::optimal;
 use sdbp_suite::sdbp::registry::standard;
 use sdbp_suite::trace::rng::Rng64;
@@ -96,13 +96,12 @@ fn stats_are_consistent_for_all_policies() {
     }
 }
 
-/// A cache never reports a hit for a block it has not filled since the
-/// block's last eviction (checked via a reference model).
+/// Every outcome names its frame exactly, for every policy (checked
+/// against a `(set, way)` → block model): a hit's way holds the block, a
+/// fill evicts exactly the block its way held (`None` only when the frame
+/// was empty), and a missed or bypassed block is resident nowhere in its
+/// set.
 #[test]
-#[expect(
-    clippy::disallowed_types,
-    reason = "the reference residency model is a membership set; its order never reaches an assertion"
-)]
 fn hits_match_reference_residency_model() {
     let mut rng = Rng64::seed_from_u64(0x5017_0002);
     for _ in 0..CASES {
@@ -111,25 +110,23 @@ fn hits_match_reference_residency_model() {
         let accesses = to_accesses(&raw);
         for policy in policy_set() {
             let mut cache = cold_cache(policy, cfg);
-            let mut resident: std::collections::HashSet<u64> = Default::default();
+            let mut frames: Vec<Option<u64>> = vec![None; cfg.lines()];
             for a in &accesses {
-                let outcome = cache.access(a);
-                match outcome {
-                    sdbp_suite::cache::AccessOutcome::Hit => {
-                        assert!(resident.contains(&a.block.raw()), "{}: phantom hit", policy);
+                let block = Some(a.block.raw());
+                let set = a.block.set_index(cfg.sets);
+                let row = &mut frames[set * cfg.ways..][..cfg.ways];
+                match cache.access(a) {
+                    AccessOutcome::Hit { way } => {
+                        assert_eq!(row[way], block, "{policy}: hit in way {way}");
                     }
-                    sdbp_suite::cache::AccessOutcome::Filled { evicted } => {
-                        if let Some(v) = evicted {
-                            resident.remove(&v.raw());
-                        }
-                        resident.insert(a.block.raw());
+                    AccessOutcome::Filled { way, evicted } => {
+                        assert!(!row.contains(&block), "{policy}: missed a resident block");
+                        let evicted = evicted.map(|b| b.raw());
+                        assert_eq!(evicted, row[way], "{policy}: fill of way {way}");
+                        row[way] = block;
                     }
-                    sdbp_suite::cache::AccessOutcome::Bypassed => {
-                        assert!(
-                            !resident.contains(&a.block.raw()),
-                            "{}: bypassed a resident block",
-                            policy
-                        );
+                    AccessOutcome::Bypassed => {
+                        assert!(!row.contains(&block), "{policy}: bypassed a resident block");
                     }
                 }
             }

@@ -6,11 +6,12 @@
 //! (`sdbp::replay`). A set-dueling policy (DIP) pins the other side of
 //! the contract: its registry entry is not `shardable`, so the door
 //! clamps it to the serial kernel and its output never depends on the
-//! requested shard count.
+//! requested shard count. So does a probe that reads whole outcomes.
 
+use sdbp_suite::cache::efficiency::EfficiencyTracker;
 use sdbp_suite::cache::kernel::{replay_sharded, ShardPlan};
 use sdbp_suite::cache::recorder::{InstrKind, InstrRecord, LlcAccess, RecordedWorkload};
-use sdbp_suite::cache::replay::{replay_with_probe, Span, WindowMisses};
+use sdbp_suite::cache::replay::{replay_with_probe, ReplayProbe, Span, WindowStream};
 use sdbp_suite::cache::{Cache, CacheConfig};
 use sdbp_suite::harness::runner::{cell, run_policy};
 use sdbp_suite::sdbp::registry::{standard, PolicySpec, Registry};
@@ -59,9 +60,17 @@ fn serial_reference(
     stream: &[LlcAccess],
 ) -> (sdbp_suite::cache::replay::ReplayResult, Vec<u64>) {
     let mut cache = build_cache(registry, spec, llc);
-    let mut probe = WindowMisses::new(WINDOW);
-    let result = replay_with_probe(stream, &mut cache, &mut probe);
-    (result, probe.counts().to_vec())
+    window_misses(|probe| replay_with_probe(stream, &mut cache, probe))
+}
+
+/// What `run` returns with a window-miss probe, and the probe's miss
+/// count per `WINDOW` accesses, partial tail included.
+fn window_misses<T>(run: impl FnOnce(&mut dyn ReplayProbe) -> T) -> (T, Vec<u64>) {
+    let mut counts = Vec::new();
+    let mut probe = WindowStream::new(WINDOW, |_, misses| counts.push(misses));
+    let result = run(&mut probe);
+    probe.finish();
+    (result, counts)
 }
 
 /// Every set-local policy replays bit-identically — result and probe
@@ -81,32 +90,33 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
             for shards in SHARD_COUNTS {
                 let plan = ShardPlan::new(llc.sets, shards);
                 let fresh = || build_cache(&registry, &spec, llc);
-                let mut probe = WindowMisses::new(WINDOW);
                 let whole = [Span::whole(stream.len())];
-                let result = replay_sharded(&stream, &whole, &plan, &fresh, Some(&mut probe))
-                    .expect("geometry is valid");
+                let (result, windows) = window_misses(|probe| {
+                    replay_sharded(&stream, &whole, &plan, &fresh, Some(probe))
+                        .expect("geometry is valid")
+                });
                 assert_eq!(
                     result, serial,
                     "{name} case {case}: {shards}-shard replay diverged from serial"
                 );
                 assert_eq!(
-                    probe.counts(),
-                    serial_windows.as_slice(),
+                    windows, serial_windows,
                     "{name} case {case}: {shards}-shard probe window sequence diverged"
                 );
-                let mut door_probe = WindowMisses::new(WINDOW);
-                let outcome = ReplayRequest {
-                    stream: &stream,
-                    llc,
-                    policy: &spec,
-                    mode: ReplayMode::Exact {
-                        probe: Some(&mut door_probe),
-                    },
-                    shards,
-                    cores: 1,
-                }
-                .run()
-                .expect("spec and geometry are valid");
+                let (outcome, door_windows) = window_misses(|door_probe| {
+                    ReplayRequest {
+                        stream: &stream,
+                        llc,
+                        policy: &spec,
+                        mode: ReplayMode::Exact {
+                            probe: Some(door_probe),
+                        },
+                        shards,
+                        cores: 1,
+                    }
+                    .run()
+                    .expect("spec and geometry are valid")
+                });
                 assert_eq!(
                     outcome.shards, shards,
                     "{name} lost its shardable capability flag"
@@ -116,8 +126,51 @@ fn sharded_replay_is_bit_identical_for_set_local_policies() {
                     (&serial.stats, &serial.hits),
                     "{name} case {case}: {shards}-shard door replay diverged from serial"
                 );
-                assert_eq!(door_probe.counts(), serial_windows.as_slice());
+                assert_eq!(door_windows, serial_windows);
             }
+        }
+    }
+}
+
+/// A probe that reads each outcome's frame (here live/dead accounting)
+/// gets frames only from the serial kernel: the replay front door runs it
+/// on one shard whatever the request asks for, and its per-frame numbers
+/// equal those of a one-shard request.
+#[test]
+fn outcome_probe_never_shards() {
+    let llc = CacheConfig::new(64, 4);
+    let mut rng = Rng64::seed_from_u64(0x5da7_d004);
+    let stream = random_llc_stream(&mut rng, 4000);
+    let spec = PolicySpec::plain("lru");
+    let tracked = |shards: usize| {
+        let mut tracker = EfficiencyTracker::new(llc);
+        let outcome = ReplayRequest {
+            stream: &stream,
+            llc,
+            policy: &spec,
+            mode: ReplayMode::Exact {
+                probe: Some(&mut tracker),
+            },
+            shards,
+            cores: 1,
+        }
+        .run()
+        .expect("lru builds");
+        tracker.finish();
+        (outcome, tracker)
+    };
+    let (serial, serial_tracker) = tracked(1);
+    let (door, door_tracker) = tracked(4);
+    assert_eq!(door.shards, 1, "an outcome probe must not shard");
+    assert_eq!((&door.stats, &door.hits), (&serial.stats, &serial.hits));
+    assert!(serial_tracker.overall() > 0.0, "the probe saw live time");
+    for set in 0..llc.sets {
+        for way in 0..llc.ways {
+            assert_eq!(
+                door_tracker.times(set, way),
+                serial_tracker.times(set, way),
+                "frame ({set}, {way})"
+            );
         }
     }
 }

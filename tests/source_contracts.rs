@@ -216,7 +216,7 @@ fn hand_built_replay(src: &str) -> Vec<usize> {
 
 #[test]
 fn the_harness_replays_through_the_front_door() {
-    let found = scan("harness", Some("experiments/fig1.rs"), hand_built_replay);
+    let found = scan("harness", None, hand_built_replay);
     assert_eq!(found, [""; 0], "replay through sdbp::replay::ReplayRequest");
 }
 
