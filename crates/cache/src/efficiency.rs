@@ -6,7 +6,8 @@
 //! [`ReplayProbe`] that records, per frame, the accumulated live and total
 //! residency time, which reproduces both the Figure 1 greyscale maps and
 //! the "blocks are dead on average 86% of the time" headline statistic.
-//! It reads the frame of each outcome, so a replay under it never shards.
+//! It reads the frame of each outcome, so the replay front door
+//! (`sdbp::replay`) never shards under it.
 
 use crate::cache::AccessOutcome;
 use crate::config::CacheConfig;
@@ -122,7 +123,9 @@ impl EfficiencyTracker {
 }
 
 impl ReplayProbe for EfficiencyTracker {
-    /// A hit bit names no frame: the access only advances the flush time.
+    /// A hit bit names no frame (a sharded merge offers only that, which
+    /// is why this probe needs outcomes): the access only advances the
+    /// flush time.
     fn on_access(&mut self, _index: usize, _access: &LlcAccess, _hit: bool) {
         self.seen += 1;
     }

@@ -9,12 +9,12 @@
 //! the set index space into contiguous, disjoint ranges; each shard
 //! replays only the accesses falling in its range, span by span, on its
 //! own persistent cache, and the shard results are folded back into the
-//! exact serial [`ReplayResult`] of [`replay_spans`] — counters summed
+//! exact serial [`ReplayResult`] of [`replay_spans`](crate::replay::replay_spans) — counters summed
 //! **by shard index**, hit bits re-interleaved by walking the measured
 //! ranges in stream order, and any [`ReplayProbe`] driven in that order,
 //! so window probes observe precisely the serial sequence. The merge
-//! keeps only hit bits: a probe that
-//! [needs whole outcomes](ReplayProbe::needs_outcomes) runs serially.
+//! keeps only hit bits, so a probe sees [`ReplayProbe::on_access`] here,
+//! never the frames of `on_outcome`.
 //!
 //! **What may be sharded.** Policies with global state — a shared RNG
 //! draw sequence (`random`), set-dueling PSEL counters over leader sets
@@ -32,7 +32,7 @@
 use crate::cache::Cache;
 use crate::meta::HitMap;
 use crate::recorder::LlcAccess;
-use crate::replay::{replay_spans, Outcomes, ReplayProbe, ReplayResult, Span, SpanError};
+use crate::replay::{Outcomes, ReplayProbe, ReplayResult, Span, SpanError};
 use crate::stats::CacheStats;
 
 /// A partition of the set index space into contiguous, disjoint ranges,
@@ -261,7 +261,7 @@ fn on_threads<T: Send>(shards: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T
     })
 }
 
-/// [`replay_spans`] sharded by `plan`: each
+/// [`replay_spans`](crate::replay::replay_spans) sharded by `plan`: each
 /// shard builds one cache with `factory`, runs its accesses of every span
 /// through it in span order ([`Cache::run`], warm-ups discarded), and the
 /// results are merged deterministically by shard index, driving `probe`
@@ -269,9 +269,8 @@ fn on_threads<T: Send>(shards: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T
 ///
 /// **Exactness requires a set-local policy** — the replay front door
 /// (`sdbp::replay`) gates on the registry's `shardable` capability flag
-/// and uses the serial loop otherwise. Under a probe that
-/// [needs whole outcomes](ReplayProbe::needs_outcomes), the spans run
-/// through [`replay_spans`] on one `factory` cache, whatever the plan.
+/// and uses the serial loop otherwise, as it does for a probe that
+/// [needs whole outcomes](ReplayProbe::needs_outcomes).
 ///
 /// # Errors
 ///
@@ -286,9 +285,6 @@ pub fn replay_sharded(
     factory: &(dyn Fn() -> Cache + Sync),
     probe: Option<&mut dyn ReplayProbe>,
 ) -> Result<ReplayResult, ShardError> {
-    if probe.as_deref().is_some_and(ReplayProbe::needs_outcomes) {
-        return replay_spans(stream, spans, &mut factory(), probe).map_err(ShardError::Span);
-    }
     let slices = spans
         .iter()
         .map(|span| span.slices(stream))
@@ -326,9 +322,8 @@ pub fn replay_sharded(
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::efficiency::EfficiencyTracker;
     use crate::recorder::record;
-    use crate::replay::{replay, replay_with_probe, WindowStream};
+    use crate::replay::{replay, replay_spans, replay_with_probe, WindowStream};
     use sdbp_trace::kernel::KernelSpec;
     use sdbp_trace::TraceBuilder;
 
@@ -427,30 +422,6 @@ mod tests {
         sharded_probe.finish();
         assert_eq!(sharded, serial);
         assert_eq!(sharded_windows, serial_windows);
-    }
-
-    /// A probe that reads frames runs serially under any plan and sees
-    /// what it sees in a serial replay.
-    #[test]
-    fn outcome_probes_run_serially() {
-        let w = workload();
-        let config = CacheConfig::new(64, 8);
-        let run = |shards, probe: &mut EfficiencyTracker| {
-            let plan = ShardPlan::new(config.sets, shards);
-            let whole = [Span::whole(w.llc.len())];
-            let r = replay_sharded(&w.llc, &whole, &plan, &|| Cache::new(config), Some(probe));
-            probe.finish();
-            r.expect("serial fallback")
-        };
-        let mut serial = EfficiencyTracker::new(config);
-        let mut sharded = EfficiencyTracker::new(config);
-        assert_eq!(run(4, &mut sharded), run(1, &mut serial));
-        assert_ne!(serial.times(0, 0), (0, 0), "the probe saw residency");
-        for set in 0..config.sets {
-            for way in 0..config.ways {
-                assert_eq!(sharded.times(set, way), serial.times(set, way));
-            }
-        }
     }
 
     fn shard_queue(stream: &[LlcAccess], plan: &ShardPlan, shard: usize) -> Vec<LlcAccess> {
