@@ -6,8 +6,6 @@
 //! [`ReplayProbe`] that records, per frame, the accumulated live and total
 //! residency time, which reproduces both the Figure 1 greyscale maps and
 //! the "blocks are dead on average 86% of the time" headline statistic.
-//! It reads the frame of each outcome, so the replay front door
-//! (`sdbp::replay`) never shards under it.
 
 use crate::cache::AccessOutcome;
 use crate::config::CacheConfig;
@@ -123,13 +121,6 @@ impl EfficiencyTracker {
 }
 
 impl ReplayProbe for EfficiencyTracker {
-    /// A hit bit names no frame (a sharded merge offers only that, which
-    /// is why this probe needs outcomes): the access only advances the
-    /// flush time.
-    fn on_access(&mut self, _index: usize, _access: &LlcAccess, _hit: bool) {
-        self.seen += 1;
-    }
-
     /// A hit marks its frame's last access; a fill ends the frame's
     /// previous generation, if any, and starts a new one.
     fn on_outcome(&mut self, index: usize, access: &LlcAccess, outcome: AccessOutcome) {
@@ -151,10 +142,6 @@ impl ReplayProbe for EfficiencyTracker {
             }
             AccessOutcome::Bypassed => {}
         }
-    }
-
-    fn needs_outcomes(&self) -> bool {
-        true
     }
 }
 

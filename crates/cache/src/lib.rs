@@ -53,7 +53,6 @@ pub mod config;
 pub mod efficiency;
 pub mod full;
 pub mod hierarchy;
-pub mod kernel;
 pub mod lru;
 pub mod meta;
 pub mod policy;
@@ -64,7 +63,6 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, CacheCore};
 pub use config::{CacheConfig, GeometryError, MAX_WAYS};
-pub use kernel::{replay_sharded, ShardError, ShardPlan};
 pub use meta::{HitMap, MetaPlane};
 pub use policy::{Access, ReplacementPolicy, Victim};
 pub use recorder::{record, InstrKind, InstrRecord, LlcAccess, RecordedWorkload};

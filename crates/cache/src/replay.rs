@@ -37,32 +37,11 @@ impl ReplayResult {
 /// Probes are the supported way to derive time-resolved measurements
 /// (phase behaviour, per-window miss counts, per-frame live time) from a
 /// replay without keeping a second copy of the outcome stream.
-///
-/// Every probe implements [`on_access`](ReplayProbe::on_access), which sees
-/// each access with its hit bit. The serial kernel calls
-/// [`on_outcome`](ReplayProbe::on_outcome) with the whole
-/// [`AccessOutcome`] instead, and its default forwards the hit bit. A
-/// sharded replay keeps only hit bits, so a probe that reads the frames of
-/// `on_outcome` says so through [`needs_outcomes`](ReplayProbe::needs_outcomes)
-/// and is always run serially.
 pub trait ReplayProbe {
-    /// Called once per access with the access, its outcome as a hit bit,
-    /// and its index among the replay's measured outcomes: its stream
-    /// position in an exact replay.
-    fn on_access(&mut self, index: usize, access: &LlcAccess, hit: bool);
-
-    /// Called once per access by the serial kernel with the whole outcome,
-    /// frame included. The default forwards `outcome.is_hit()` to
-    /// [`on_access`](ReplayProbe::on_access).
-    fn on_outcome(&mut self, index: usize, access: &LlcAccess, outcome: AccessOutcome) {
-        self.on_access(index, access, outcome.is_hit());
-    }
-
-    /// Whether the probe needs [`on_outcome`](ReplayProbe::on_outcome)'s
-    /// frames, so that a replay must not shard under it. False by default.
-    fn needs_outcomes(&self) -> bool {
-        false
-    }
+    /// Called once per measured access with the access, its whole outcome
+    /// (frame included), and its index among the replay's measured
+    /// outcomes: its stream position in an exact replay.
+    fn on_outcome(&mut self, index: usize, access: &LlcAccess, outcome: AccessOutcome);
 }
 
 /// A [`ReplayProbe`] that emits each miss window to a callback the moment
@@ -150,8 +129,8 @@ impl<F: FnMut(u64, u64)> WindowStream<F> {
 }
 
 impl<F: FnMut(u64, u64)> ReplayProbe for WindowStream<F> {
-    fn on_access(&mut self, _index: usize, _access: &LlcAccess, hit: bool) {
-        if !hit {
+    fn on_outcome(&mut self, _index: usize, _access: &LlcAccess, outcome: AccessOutcome) {
+        if !outcome.is_hit() {
             self.misses += 1;
         }
         self.in_window += 1;
@@ -391,12 +370,12 @@ impl ReplayProbe for WindowFingerprint {
     /// # Panics
     ///
     /// Panics if called after [`finish`](WindowFingerprint::finish).
-    fn on_access(&mut self, _index: usize, access: &LlcAccess, hit: bool) {
+    fn on_outcome(&mut self, _index: usize, access: &LlcAccess, outcome: AccessOutcome) {
         assert!(
             !self.finished,
             "WindowFingerprint takes no access after finish()"
         );
-        if !hit {
+        if !outcome.is_hit() {
             self.misses += 1;
         }
         if access.kind == sdbp_trace::AccessKind::Write {
@@ -487,8 +466,7 @@ pub enum Outcomes<'a> {
     /// Append each outcome to the map.
     Record(&'a mut HitMap),
     /// Append each outcome to the map and report it, with its index in the
-    /// map and the access itself, to the probe's
-    /// [`on_outcome`](ReplayProbe::on_outcome).
+    /// map and the access itself, to the probe.
     Probe(&'a mut HitMap, &'a mut dyn ReplayProbe),
 }
 
@@ -535,8 +513,7 @@ pub fn replay_with_probe(
 /// Every replay is a list of spans run in order on one persistent cache:
 /// an exact replay is the single span [`Span::whole`], and a sampled
 /// replay is a plan's segment schedule (`sdbp-sample`). The list runs
-/// serially through [`replay_spans`] or sharded by set through
-/// [`replay_sharded`](crate::kernel::replay_sharded).
+/// through [`replay_spans`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// First warm-up access.
@@ -749,22 +726,57 @@ mod tests {
     use crate::config::CacheConfig;
     use crate::recorder::record;
     use sdbp_trace::kernel::KernelSpec;
-    use sdbp_trace::TraceBuilder;
+    use sdbp_trace::rng::Rng64;
+    use sdbp_trace::{AccessKind, Pc, TraceBuilder};
 
-    fn workload() -> crate::recorder::RecordedWorkload {
-        let t = TraceBuilder::new(8)
-            .kernel(KernelSpec::streaming(1 << 22))
-            .kernel(KernelSpec::hot_set(1 << 14))
-            .build();
-        record("w", t, 100_000)
+    /// A seeded demand stream over 4096 blocks and 48 PCs whose hot eighth
+    /// takes 60% of the accesses, so the 64-set test caches see reuse as
+    /// well as misses.
+    fn stream() -> Vec<LlcAccess> {
+        let mut rng = Rng64::seed_from_u64(8);
+        (0..40_000u32)
+            .map(|instr| {
+                let block = if rng.gen_bool(0.6) {
+                    rng.gen_range(0..512u64)
+                } else {
+                    rng.gen_range(0..4096u64)
+                };
+                LlcAccess {
+                    pc: Pc::new(0x400 + rng.gen_range(0u64..48) * 4),
+                    block: BlockAddr::new(block),
+                    kind: if rng.gen_bool(0.3) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    },
+                    core: 0,
+                    instr,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fixture_stream_has_hits_and_misses() {
+        let s = stream();
+        for ways in [4, 8] {
+            let hits = replay(&s, &mut Cache::new(CacheConfig::new(64, ways)))
+                .stats
+                .hits;
+            assert!(
+                0 < hits && hits < s.len() as u64,
+                "64x{ways}: {hits} hits of {} accesses",
+                s.len()
+            );
+        }
     }
 
     #[test]
     fn replay_hits_match_stats() {
-        let w = workload();
+        let s = stream();
         let mut cache = Cache::new(CacheConfig::new(64, 8));
-        let r = replay(&w.llc, &mut cache);
-        assert_eq!(r.hits.len(), w.llc.len());
+        let r = replay(&s, &mut cache);
+        assert_eq!(r.hits.len(), s.len());
         let hits = r.hits.count_ones();
         assert_eq!(hits, r.stats.hits);
         assert_eq!(r.hits.len() as u64 - hits, r.stats.misses);
@@ -776,9 +788,9 @@ mod tests {
         // LRU has the stack property: a larger LRU cache's hits are a
         // superset of a smaller one's (per set size — here we compare same
         // set count, more ways, which preserves inclusion per set).
-        let w = workload();
-        let small = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 4)));
-        let large = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 16)));
+        let s = stream();
+        let small = replay(&s, &mut Cache::new(CacheConfig::new(64, 4)));
+        let large = replay(&s, &mut Cache::new(CacheConfig::new(64, 16)));
         assert!(large.stats.hits >= small.stats.hits);
         for (s, l) in small.hits.iter().zip(large.hits.iter()) {
             assert!(!s | l, "inclusion property violated");
@@ -787,9 +799,9 @@ mod tests {
 
     #[test]
     fn replay_is_deterministic() {
-        let w = workload();
-        let a = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
-        let b = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
+        let s = stream();
+        let a = replay(&s, &mut Cache::new(CacheConfig::new(64, 8)));
+        let b = replay(&s, &mut Cache::new(CacheConfig::new(64, 8)));
         assert_eq!(a, b);
     }
 
@@ -797,14 +809,14 @@ mod tests {
     fn probe_sees_exactly_the_hit_map() {
         struct Collect(Vec<(usize, bool)>);
         impl ReplayProbe for Collect {
-            fn on_access(&mut self, index: usize, _access: &LlcAccess, hit: bool) {
-                self.0.push((index, hit));
+            fn on_outcome(&mut self, index: usize, _access: &LlcAccess, outcome: AccessOutcome) {
+                self.0.push((index, outcome.is_hit()));
             }
         }
-        let w = workload();
+        let s = stream();
         let mut probe = Collect(Vec::new());
-        let r = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
-        let plain = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
+        let r = replay_with_probe(&s, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
+        let plain = replay(&s, &mut Cache::new(CacheConfig::new(64, 8)));
         assert_eq!(r, plain, "the probe must not perturb the replay");
         assert_eq!(probe.0.len(), r.hits.len());
         assert!(probe
@@ -816,16 +828,16 @@ mod tests {
 
     #[test]
     fn window_stream_counts_every_window_including_partial_tail() {
-        let w = workload();
+        let s = stream();
         let window = 777; // deliberately not a divisor of the stream length
         let mut streamed: Vec<(u64, u64)> = Vec::new();
         let mut probe = WindowStream::new(window, |index, misses| streamed.push((index, misses)));
-        let r = replay_with_probe(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
+        let r = replay_with_probe(&s, &mut Cache::new(CacheConfig::new(64, 8)), &mut probe);
         let before_finish = probe.windows();
         probe.finish();
-        assert_eq!(before_finish, (w.llc.len() / window) as u64);
-        assert_eq!(probe.windows(), w.llc.len().div_ceil(window) as u64);
-        let plain = replay(&w.llc, &mut Cache::new(CacheConfig::new(64, 8)));
+        assert_eq!(before_finish, (s.len() / window) as u64);
+        assert_eq!(probe.windows(), s.len().div_ceil(window) as u64);
+        let plain = replay(&s, &mut Cache::new(CacheConfig::new(64, 8)));
         assert_eq!(r, plain, "the probe must not perturb the replay");
         let bits: Vec<bool> = r.hits.iter().collect();
         let expected: Vec<(u64, u64)> = bits
@@ -842,11 +854,11 @@ mod tests {
 
     #[test]
     fn window_stream_finish_is_idempotent() {
-        let w = workload();
+        let s = stream();
         let mut emitted = 0u64;
         let mut probe = WindowStream::new(4, |_, _| emitted += 1);
-        for (i, a) in w.llc.iter().take(6).enumerate() {
-            probe.on_access(i, a, false);
+        for (i, a) in s.iter().take(6).enumerate() {
+            probe.on_outcome(i, a, AccessOutcome::Bypassed);
         }
         probe.finish();
         probe.finish();
@@ -856,14 +868,14 @@ mod tests {
 
     #[test]
     fn fingerprint_probe_does_not_perturb_and_pins_features() {
-        let w = workload();
+        let s = stream();
         let config = CacheConfig::new(64, 8);
         let mut probe = WindowFingerprint::new(10_000, config.sets);
-        let r = replay_with_probe(&w.llc, &mut Cache::new(config), &mut probe);
+        let r = replay_with_probe(&s, &mut Cache::new(config), &mut probe);
         probe.finish();
-        let plain = replay(&w.llc, &mut Cache::new(config));
+        let plain = replay(&s, &mut Cache::new(config));
         assert_eq!(r, plain, "the probe must not perturb the replay");
-        assert_eq!(probe.fingerprints().len(), w.llc.len().div_ceil(10_000));
+        assert_eq!(probe.fingerprints().len(), s.len().div_ceil(10_000));
         assert_eq!(probe.miss_counts().iter().sum::<u64>(), r.stats.misses);
         assert_eq!(
             probe
@@ -871,7 +883,7 @@ mod tests {
                 .iter()
                 .map(|&l| u64::from(l))
                 .sum::<u64>(),
-            w.llc.len() as u64
+            s.len() as u64
         );
         for f in probe.fingerprints() {
             for (i, v) in f.iter().enumerate() {
@@ -890,7 +902,7 @@ mod tests {
         // drift (the sampling plane's plans depend on them).
         let again = {
             let mut p = WindowFingerprint::new(10_000, config.sets);
-            replay_with_probe(&w.llc, &mut Cache::new(config), &mut p);
+            replay_with_probe(&s, &mut Cache::new(config), &mut p);
             p.finish();
             p.fingerprints().to_vec()
         };
@@ -946,10 +958,10 @@ mod tests {
     fn segment_replay_matches_full_replay_prefix() {
         // Spans chained end to start replay every access once, in order,
         // so their measured bits are the same ranges of a full replay.
-        let w = workload();
+        let s = stream();
         let config = CacheConfig::new(64, 8);
-        let full = replay(&w.llc, &mut Cache::new(config));
-        let n = w.llc.len();
+        let full = replay(&s, &mut Cache::new(config));
+        let n = s.len();
         let (a, b, c) = (n / 4, n / 2, 3 * n / 4);
         let spans = [
             Span {
@@ -963,23 +975,23 @@ mod tests {
                 measure_end: n,
             },
         ];
-        let r = replay_spans(&w.llc, &spans, &mut Cache::new(config), None).expect("spans fit");
+        let r = replay_spans(&s, &spans, &mut Cache::new(config), None).expect("spans fit");
         let expected: HitMap = (a..b)
             .chain(c..n)
             .filter_map(|i| full.hits.get(i))
             .collect();
         assert_eq!(r.hits, expected);
         assert_eq!(r.stats.accesses, n as u64, "warm-ups count as accesses");
-        let whole = replay_spans(&w.llc, &[Span::whole(n)], &mut Cache::new(config), None)
+        let whole = replay_spans(&s, &[Span::whole(n)], &mut Cache::new(config), None)
             .expect("the whole stream fits");
         assert_eq!(whole, full);
     }
 
     #[test]
     fn segment_replay_rejects_misfits() {
-        let w = workload();
+        let s = stream();
         let config = CacheConfig::new(64, 8);
-        let n = w.llc.len();
+        let n = s.len();
         for (ws, ms, me) in [
             (10, 5, 20),
             (0, 30, 20),
@@ -992,7 +1004,7 @@ mod tests {
                 measure_end: me,
             };
             let spans = [Span::whole(n / 2), span];
-            let err = replay_spans(&w.llc, &spans, &mut Cache::new(config), None)
+            let err = replay_spans(&s, &spans, &mut Cache::new(config), None)
                 .expect_err("misfit must be a typed error");
             assert_eq!(
                 err,
@@ -1057,10 +1069,10 @@ mod tests {
 
     #[test]
     fn split_hits_rejects_mismatched_lengths() {
-        let w = workload();
-        let err = split_hits_by_core(&w.llc, &HitMap::new(), 1)
+        let s = stream();
+        let err = split_hits_by_core(&s, &HitMap::new(), 1)
             .expect_err("mismatched lengths must be a typed error");
-        assert_eq!(err.stream_len, w.llc.len());
+        assert_eq!(err.stream_len, s.len());
         assert_eq!(err.hits_len, 0);
         assert!(err.to_string().contains("must align"));
     }

@@ -34,7 +34,6 @@ pub fn standard() -> Registry {
         name: "tdbp",
         label: "TDBP",
         summary: "reftrace dead block replacement and bypass over LRU",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(policies::tdbp(llc))
@@ -44,7 +43,6 @@ pub fn standard() -> Registry {
         name: "cdbp",
         label: "CDBP",
         summary: "counting (LvP) dead block replacement and bypass over LRU",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(policies::cdbp(llc))
@@ -55,14 +53,12 @@ pub fn standard() -> Registry {
         label: "Sampler",
         summary: "sampling dead block prediction over LRU (params are deltas \
                   on the paper config, e.g. sampler:assoc=16,tables=1)",
-        shardable: false,
         build: |spec, llc, _| Ok(policies::sampler_with_config(llc, parse_sdbp(spec)?)),
     });
     r.register(PolicyEntry {
         name: "random-sampler",
         label: "Random Sampler",
         summary: "sampling dead block prediction over random replacement",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(policies::sampler_random(llc))
@@ -72,7 +68,6 @@ pub fn standard() -> Registry {
         name: "random-cdbp",
         label: "Random CDBP",
         summary: "counting dead block prediction over random replacement",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(policies::cdbp_random(llc))
@@ -82,7 +77,6 @@ pub fn standard() -> Registry {
         name: "tdbp-bursts",
         label: "TDBP-bursts",
         summary: "burst-filtered reftrace DBRB over LRU (paper §II-A3)",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(
@@ -97,7 +91,6 @@ pub fn standard() -> Registry {
         name: "aip",
         label: "AIP",
         summary: "access interval predictor DBRB over LRU",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(
@@ -112,7 +105,6 @@ pub fn standard() -> Registry {
         name: "sampler-srrip",
         label: "Sampler/SRRIP",
         summary: "sampling dead block prediction over a default SRRIP cache",
-        shardable: false,
         build: |spec, llc, _| {
             reject_params(spec)?;
             Ok(Box::new(DeadBlockReplacement::new(

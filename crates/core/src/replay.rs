@@ -8,25 +8,12 @@
 //! place that turns a policy spec into a replay:
 //!
 //! * it looks the spec up in [`standard()`] and builds the policy once —
-//!   an unknown or malformed spec is a typed [`ReplayError`], and a
-//!   one-shard replay runs on that very build (a sharded one builds one
-//!   more per shard);
-//! * it applies the shard fallback rule once: a replay shards only when
-//!   more than one shard is requested, the registry entry is set-local
-//!   (`shardable`, DESIGN.md §13) **and** no probe
-//!   [needs whole outcomes](ReplayProbe::needs_outcomes); everything else
-//!   runs the serial kernel, and [`ReplayOutcome::shards`] reports the
-//!   count that actually ran;
+//!   an unknown or malformed spec is a typed [`ReplayError`];
 //! * it turns the mode into a [`Span`] list — the whole stream for an
 //!   exact replay, the plan's [`segment_schedule`] for a sampled one —
-//!   and runs that list through the one replay kernel: serially with
-//!   [`replay_spans`], or sharded by set with [`replay_sharded`];
+//!   and runs that list through the one replay kernel, [`replay_spans`];
 //! * a sampled replay's measured outcomes then extrapolate to the whole
 //!   stream through [`assemble`].
-//!
-//! One-shard requests never enter the sharded loop: it copies the
-//! stream into per-shard queues and measured 1.1–1.24× slower than the
-//! serial loop at one shard.
 //!
 //! ```
 //! use sdbp::replay::{ReplayMode, ReplayRequest};
@@ -43,17 +30,15 @@
 //!     llc: CacheConfig::new(64, 8),
 //!     policy: &policy,
 //!     mode: ReplayMode::Exact { probe: None },
-//!     shards: 4,
 //!     cores: 1,
 //! }
 //! .run()
 //! .unwrap();
 //! assert_eq!(outcome.hits.len(), w.llc.len());
-//! assert_eq!(outcome.shards, 1, "the sampler's predictor tables are global: serial fallback");
+//! assert_eq!(outcome.stats.accesses, w.llc.len() as u64);
 //! ```
 
 use crate::registry::{check_geometry, standard, PolicySpec, SpecError};
-use sdbp_cache::kernel::{replay_sharded, ShardError, ShardPlan};
 use sdbp_cache::meta::HitMap;
 use sdbp_cache::recorder::LlcAccess;
 use sdbp_cache::replay::{replay_spans, ReplayProbe, Span, SpanError};
@@ -64,9 +49,7 @@ use std::fmt;
 /// How a [`ReplayRequest`] replays its stream.
 pub enum ReplayMode<'a> {
     /// Replay every access; `probe`, when given, observes each outcome in
-    /// stream order (also when the replay shards, unless it
-    /// [needs whole outcomes](ReplayProbe::needs_outcomes): then the
-    /// replay runs serially).
+    /// stream order.
     Exact {
         /// Per-access observer, e.g. a window-miss stream.
         probe: Option<&'a mut dyn ReplayProbe>,
@@ -99,8 +82,6 @@ pub struct ReplayRequest<'a> {
     pub policy: &'a PolicySpec,
     /// Exact or sampled.
     pub mode: ReplayMode<'a>,
-    /// Requested set shards; honoured only for set-local policies.
-    pub shards: usize,
     /// Cores that share the LLC (1 for a single-core recording): TADIP
     /// and TA-DRRIP keep state per core.
     pub cores: usize,
@@ -137,10 +118,6 @@ pub struct ReplayOutcome {
     /// Bound and work figures, present exactly when the replay was
     /// sampled.
     pub sampled: Option<SampledExtras>,
-    /// The shard count that actually ran: 1 whenever the policy is not
-    /// set-local or the probe needs whole outcomes, otherwise the
-    /// request's count clamped to `1..=sets`.
-    pub shards: usize,
 }
 
 /// Why a [`ReplayRequest`] failed.
@@ -148,11 +125,8 @@ pub struct ReplayOutcome {
 pub enum ReplayError {
     /// The spec names no registry policy or its parameters are invalid.
     Spec(SpecError),
-    /// A span of the serial replay does not fit the stream (a schedule
-    /// bug).
+    /// A span of the replay does not fit the stream (a schedule bug).
     Span(SpanError),
-    /// The sharded kernel could not assemble its result.
-    Shard(ShardError),
     /// The sampling plan does not fit the stream.
     Sample(SampleError),
 }
@@ -162,7 +136,6 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::Spec(e) => e.fmt(f),
             ReplayError::Span(e) => e.fmt(f),
-            ReplayError::Shard(e) => write!(f, "shard merge: {e}"),
             ReplayError::Sample(e) => e.fmt(f),
         }
     }
@@ -173,7 +146,6 @@ impl std::error::Error for ReplayError {
         match self {
             ReplayError::Spec(e) => Some(e),
             ReplayError::Span(e) => Some(e),
-            ReplayError::Shard(e) => Some(e),
             ReplayError::Sample(e) => Some(e),
         }
     }
@@ -192,15 +164,14 @@ impl ReplayRequest<'_> {
     ///
     /// [`ReplayError::Spec`] for an unknown or invalid policy spec,
     /// [`ReplayError::Sample`] for a plan built for another stream, and
-    /// [`ReplayError::Span`] or [`ReplayError::Shard`] if the kernel
-    /// cannot fit a span or merge its shards (a kernel bug).
+    /// [`ReplayError::Span`] if the kernel cannot fit a span (a schedule
+    /// bug).
     pub fn run(self) -> Result<ReplayOutcome, ReplayError> {
         let ReplayRequest {
             stream,
             llc,
             policy: spec,
             mode,
-            shards,
             cores,
         } = self;
         let registry = standard();
@@ -213,45 +184,28 @@ impl ReplayRequest<'_> {
             ReplayMode::Exact { probe } => (probe, None),
             ReplayMode::Sampled(plan) => (None, Some(plan)),
         };
-        let needs_outcomes = probe.as_deref().is_some_and(ReplayProbe::needs_outcomes);
-        let shards = if entry.shardable && !needs_outcomes {
-            shards.clamp(1, llc.sets.max(1))
-        } else {
-            1
-        };
         let schedule = plan
             .map(|plan| segment_schedule(stream.len(), plan))
             .transpose()
             .map_err(ReplayError::Sample)?;
         let whole = [Span::whole(stream.len())];
         let spans = schedule.as_ref().map_or(&whole[..], Schedule::spans);
-        let result = if shards == 1 {
-            let mut cache = Cache::with_policy(llc, built);
-            replay_spans(stream, spans, &mut cache, probe).map_err(ReplayError::Span)?
-        } else {
-            let fresh = move || {
-                let policy = (entry.build)(spec, llc, cores).expect("spec validated above");
-                Cache::with_policy(llc, policy)
-            };
-            let plan = ShardPlan::new(llc.sets, shards);
-            replay_sharded(stream, spans, &plan, &fresh, probe).map_err(ReplayError::Shard)?
-        };
+        let mut cache = Cache::with_policy(llc, built);
+        let result = replay_spans(stream, spans, &mut cache, probe).map_err(ReplayError::Span)?;
         Ok(match plan.zip(schedule) {
             None => ReplayOutcome {
                 stats: result.stats,
                 hits: result.hits,
                 sampled: None,
-                shards,
             },
-            Some((plan, schedule)) => sampled(
-                assemble(stream.len(), plan, &schedule, &result.hits),
-                shards,
-            ),
+            Some((plan, schedule)) => {
+                sampled(assemble(stream.len(), plan, &schedule, &result.hits))
+            }
         })
     }
 }
 
-fn sampled(result: sdbp_cache::SampledReplayResult, shards: usize) -> ReplayOutcome {
+fn sampled(result: sdbp_cache::SampledReplayResult) -> ReplayOutcome {
     let stats = CacheStats {
         accesses: result.total,
         hits: result.total - result.estimated,
@@ -267,6 +221,5 @@ fn sampled(result: sdbp_cache::SampledReplayResult, shards: usize) -> ReplayOutc
         stats,
         hits: result.hits,
         sampled: Some(extras),
-        shards,
     }
 }

@@ -13,8 +13,6 @@
 //! sdbp-repro --serial fig4             # single-threaded reference run
 //! sdbp-repro --sampled plans/ fig4     # sampled replay from .sdbs plans
 //! sdbp-repro --trace-dir traces/ fig4  # record from archived .sdbt traces
-//! sdbp-repro --shards 8 all            # set-sharded replay of shardable policies
-//! sdbp-repro --shards auto all         # one shard per engine worker
 //! sdbp-repro trace record --workload 456.hmmer --out hmmer.sdbt
 //! sdbp-repro trace replay hmmer.sdbt   # bit-exact archived replay
 //! sdbp-repro trace import --in foreign.txt --out foreign.sdbt
@@ -47,7 +45,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 const USAGE: &str = "usage: sdbp-repro [--instructions N] [--output FILE] [--jobs N | --serial] \
-     [--sampled DIR] [--trace-dir DIR] [--shards N|auto] [--engine-report FILE] \
+     [--sampled DIR] [--trace-dir DIR] [--engine-report FILE] \
      [list | all | <experiment>...]
        sdbp-repro trace [record | replay | sample | import | convert | info] ...
        sdbp-repro [serve | submit] ...
@@ -77,7 +75,6 @@ fn main() {
             "jobs",
             "sampled",
             "trace-dir",
-            "shards",
             "engine-report",
         ],
         &["serial", "help"],
@@ -103,12 +100,10 @@ fn main() {
     };
     let (ctx, mut output) = setup(&flags).unwrap_or_else(|e| usage_error(&e));
 
-    let shards = ctx.store.config().shards;
     eprintln!(
-        "[engine: {} worker{}, {shards} shard{}]",
+        "[engine: {} worker{}]",
         ctx.engine.workers(),
-        if ctx.engine.workers() == 1 { "" } else { "s" },
-        if shards == 1 { "" } else { "s" }
+        if ctx.engine.workers() == 1 { "" } else { "s" }
     );
     let mut failed = false;
     for id in ids {
@@ -159,7 +154,6 @@ fn usage_error(message: &str) -> ! {
 }
 
 /// The engine, the run config and the `--output` file the flags ask for.
-/// `--shards auto` asks for one shard per engine worker.
 fn setup(flags: &Flags) -> Result<(Context, Option<std::fs::File>), String> {
     let parallelism = match flags.positive("jobs")? {
         _ if flags.has("serial") => Parallelism::Serial,
@@ -169,7 +163,6 @@ fn setup(flags: &Flags) -> Result<(Context, Option<std::fs::File>), String> {
     let engine = Engine::new(parallelism);
     let config = RunConfig {
         instructions: flags.instructions()?,
-        shards: flags.shards(engine.workers())?,
         plan_dir: flags.dir("sampled")?,
         trace_dir: flags.dir("trace-dir")?,
     };

@@ -2,8 +2,7 @@
 //! the sampler-driven dead block replacement and bypass cache.
 //!
 //! Every replay here goes through the replay front door with an
-//! [`EfficiencyTracker`] probe, which reads each outcome's frame, so the
-//! front door runs it serially whatever `--shards` asks for.
+//! [`EfficiencyTracker`] probe, which reads each outcome's frame.
 
 use super::Context;
 use sdbp_cache::efficiency::EfficiencyTracker;

@@ -47,11 +47,10 @@ struct MixRun {
 /// paper's `SingleIPC_i`) and the LRU baseline are shared by every policy.
 fn run_all(ctx: &Context) -> Vec<MixRun> {
     let llc = ctx.llc_shared();
-    let shards = ctx.store.config().shards;
     // The LRU baseline and every policy replay the merged stream; the
     // members' isolated replays add up to one more.
     ctx.mixes("fig10", POLICIES.len() + 2, |mix, workloads, merged| {
-        let alone = |w| run_policy(w, &cell("lru"), llc, shards, None).expect("LRU replays");
+        let alone = |w| run_policy(w, &cell("lru"), llc, None).expect("LRU replays");
         let singles: Vec<f64> = workloads.iter().map(|w| alone(w).ipc).collect();
         let run = |name: &str| {
             let outcome = ctx

@@ -124,19 +124,6 @@ impl Flags {
             .unwrap_or(DEFAULT_INSTRUCTIONS))
     }
 
-    /// The requested set-shard count: `--shards N`, `--shards auto`
-    /// (which resolves to `auto`), or 1 when absent.
-    ///
-    /// # Errors
-    ///
-    /// A value that is neither a positive integer nor `auto`.
-    pub fn shards(&self, auto: usize) -> Result<usize, String> {
-        match self.get("shards") {
-            Some("auto") => Ok(auto),
-            _ => Ok(self.positive("shards")?.unwrap_or(1)),
-        }
-    }
-
     /// `--key DIR`, if given.
     ///
     /// # Errors
@@ -158,14 +145,6 @@ impl Flags {
     }
 }
 
-/// The hardware thread count, which `--shards auto` means outside the
-/// experiment runner.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +153,7 @@ mod tests {
         let args: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
         Flags::parse(
             &args,
-            &["instructions", "shards", "policy", "engine-report"],
+            &["instructions", "policy", "engine-report"],
             &["serial"],
             "U",
         )
@@ -201,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn budgets_and_shards_parse_in_one_place() {
+    fn budgets_parse_in_one_place() {
         assert_eq!(parse(&[]).unwrap().instructions(), Ok(DEFAULT_INSTRUCTIONS));
         assert_eq!(
             parse(&["--instructions", "2_000_000"])
@@ -216,10 +195,6 @@ mod tests {
                 .unwrap_err();
             assert!(err.contains("positive integer"), "{bad}: {err}");
         }
-        assert_eq!(parse(&[]).unwrap().shards(5), Ok(1));
-        assert_eq!(parse(&["--shards", "auto"]).unwrap().shards(5), Ok(5));
-        assert_eq!(parse(&["--shards", "3"]).unwrap().shards(5), Ok(3));
-        assert!(parse(&["--shards", "0"]).unwrap().shards(5).is_err());
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub fn cells(names: &[&str]) -> Vec<Cell> {
 pub struct RunConfig {
     /// Instructions recorded per benchmark (`--instructions`).
     pub instructions: u64,
-    /// Set shards each replay asks for (`--shards`, `auto` already
-    /// resolved). Policies that are not set-local replay serially;
-    /// results are bit-identical either way (DESIGN.md §13).
-    pub shards: usize,
     /// Directory of `{name}.sdbs` sampling plans (`--sampled`): a
     /// benchmark with a plan there replays sampled instead of exact.
     pub plan_dir: Option<PathBuf>,
@@ -67,7 +63,6 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             instructions: DEFAULT_INSTRUCTIONS,
-            shards: 1,
             plan_dir: None,
             trace_dir: None,
         }
@@ -92,8 +87,6 @@ pub struct SingleResult {
     /// Bound and work figures, present exactly when the replay was
     /// sampled.
     pub sampled: Option<SampledExtras>,
-    /// The shard count the replay actually ran on.
-    pub shards: usize,
 }
 
 /// (benchmark, spec string, (sets, ways)): what a matrix cell's result
@@ -210,7 +203,7 @@ impl RecordStore {
     }
 
     /// Registry policy `name` replayed exactly over `stream` through the
-    /// replay front door with the store's shards, built for `cores` cores,
+    /// replay front door, built for `cores` cores,
     /// reporting each outcome to `probe` if one is given.
     /// Panics if `name` is not registered.
     pub fn replay_exact(
@@ -228,7 +221,6 @@ impl RecordStore {
             mode: ReplayMode::Exact {
                 probe: probe.map(|p| p as _),
             },
-            shards: self.config.shards,
             cores,
         }
         .run()
@@ -237,7 +229,7 @@ impl RecordStore {
 }
 
 /// Replays `cell` over a recorded single-core workload through the replay
-/// front door with `shards` requested set shards — sampled under `plan`
+/// front door — sampled under `plan`
 /// if one is given, exact otherwise — and computes IPC from the resulting
 /// hit map. A sampled row carries the extrapolated misses.
 ///
@@ -248,7 +240,6 @@ pub fn run_policy(
     workload: &RecordedWorkload,
     (label, spec): &Cell,
     llc: CacheConfig,
-    shards: usize,
     plan: Option<&SamplingPlan>,
 ) -> Result<SingleResult, ReplayError> {
     let mode = match plan {
@@ -260,7 +251,6 @@ pub fn run_policy(
         llc,
         policy: spec,
         mode,
-        shards,
         cores: 1,
     }
     .run()?;
@@ -273,7 +263,6 @@ pub fn run_policy(
         ipc: timing.ipc(),
         stats: outcome.stats,
         sampled: outcome.sampled,
-        shards: outcome.shards,
     })
 }
 
@@ -288,8 +277,7 @@ pub fn run_policy(
 /// missing cell, so replays of a slow benchmark don't serialize behind
 /// each other. The store's memo is read and filled, and sampling plans
 /// are loaded, here on the caller's thread, never inside a job, so which
-/// jobs run never depends on scheduling. Each replay shards on scoped threads
-/// inside its job when the store's config asks for shards.
+/// jobs run never depends on scheduling.
 pub fn run_matrix(
     engine: &Engine,
     store: &RecordStore,
@@ -323,7 +311,6 @@ pub fn run_matrix(
             .map(|&(b, _)| (benchmarks[b].clone(), 0))
             .collect();
         record_all(engine, store, &pairs);
-        let shards = store.config.shards;
         let cell_jobs: Vec<Job<'_, SingleResult>> = todo
             .iter()
             .map(|&(b, cell)| {
@@ -332,7 +319,7 @@ pub fn run_matrix(
                 let cell = cell.clone();
                 let accesses = w.llc.len() as u64;
                 Job::new(format!("{}/{}", w.name, cell.0), move || {
-                    run_policy(&w, &cell, llc, shards, plan.as_deref())
+                    run_policy(&w, &cell, llc, plan.as_deref())
                         .unwrap_or_else(|e| panic!("replay of {} under {}: {e}", w.name, cell.1))
                 })
                 .accesses(accesses)
@@ -465,26 +452,6 @@ mod tests {
         assert_eq!(a1.instructions(), 100_000);
         let other_core = store.record(&b, 1);
         assert!(!Arc::ptr_eq(&a1, &other_core));
-    }
-
-    #[test]
-    fn sharded_rows_are_bit_identical_to_serial() {
-        let store = small_store();
-        let b = benchmark("416.gamess").unwrap();
-        let w = store.record(&b, 0);
-        let llc = CacheConfig::new(64, 8);
-        // A shardable policy shards; a dueling policy must silently fall
-        // back to serial — either way the row cannot depend on `shards`.
-        for cell in cells(&["lru", "rrip"]) {
-            let serial = run_policy(&w, &cell, llc, 1, None).unwrap();
-            for shards in [2usize, 8] {
-                let sharded = run_policy(&w, &cell, llc, shards, None).unwrap();
-                assert_eq!(sharded.misses, serial.misses, "{}/{shards}", cell.0);
-                assert_eq!(sharded.stats, serial.stats, "{}/{shards}", cell.0);
-                assert_eq!(sharded.mpki.to_bits(), serial.mpki.to_bits());
-                assert_eq!(sharded.ipc.to_bits(), serial.ipc.to_bits());
-            }
-        }
     }
 
     /// Every (label, spec) cell of the figure matrices builds.

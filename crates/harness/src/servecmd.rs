@@ -10,7 +10,7 @@
 //! `trace replay --policy ...` — byte-identical, which is the wire
 //! determinism property CI's serve-smoke job diffs on.
 
-use crate::flags::{hardware_threads, Flags};
+use crate::flags::Flags;
 use crate::table::result_line;
 use sdbp::registry::PolicySpec;
 use sdbp_serve::{Client, JobRequest, Server, ServerConfig, SubmitReply, TraceSubmission};
@@ -19,8 +19,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 const SERVE_USAGE: &str = "usage: sdbp-repro serve [--addr HOST:PORT] [--jobs N] \
-     [--shards N|auto] [--queue-depth N] [--trace-dir DIR] [--engine-report FILE] \
-     [--shutdown-file FILE]";
+     [--queue-depth N] [--trace-dir DIR] [--engine-report FILE] [--shutdown-file FILE]";
 
 const SUBMIT_USAGE: &str = "usage: sdbp-repro submit --addr HOST:PORT \
      [--policy SPEC]... [--sets N] [--ways N] [--window N] FILE.sdbt";
@@ -53,7 +52,6 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
         &[
             "addr",
             "jobs",
-            "shards",
             "queue-depth",
             "trace-dir",
             "engine-report",
@@ -67,16 +65,11 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
             "serve takes no positional arguments\n{SERVE_USAGE}"
         ));
     }
-    // Set shards per replay job: big jobs on set-local policies spread
-    // across this many threads (DESIGN.md §13); `auto` means one shard
-    // per hardware thread.
-    let shards = flags.shards(hardware_threads())?;
     let config = ServerConfig {
         addr: flags.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: flags.positive("jobs")?.unwrap_or(2),
         queue_depth: flags.number("queue-depth")?.unwrap_or(16),
         trace_dir: flags.get("trace-dir").map(PathBuf::from),
-        shards,
         ..ServerConfig::default()
     };
     let report_path = flags.engine_report();

@@ -19,19 +19,15 @@
 //! default pair: `sdbp-repro trace replay t.sdbt --policy rrip --policy
 //! sampler:assoc=16`. `sdbp-repro list-policies` prints the registry.
 //!
-//! `replay --shards N|auto` splits the replay of set-local (`shardable`)
-//! policies across set shards on scoped threads; the output stays
-//! byte-identical at every shard count, and each policy that ran on
-//! fewer shards than requested is named on stderr. `info --set-histogram SETS`
-//! appends an accesses-per-set decile breakdown — the skew fingerprint
-//! that predicts shard load balance.
+//! `info --set-histogram SETS` appends an accesses-per-set decile
+//! breakdown: how unevenly the stream spreads over the cache's sets.
 //!
 //! `convert` rewrites an archive between the compact varint v1 codec and
 //! the fixed-width columnar v2 codec (DESIGN.md §14) losslessly in either
 //! direction; `info` reports both codecs' real byte footprints for the
 //! file's stream so the space cost of the fast format is never a guess.
 
-use crate::flags::{hardware_threads, Flags};
+use crate::flags::Flags;
 use crate::runner::{cells, run_policy, Cell};
 use crate::table::result_line;
 use sdbp::registry::{standard, PolicySpec};
@@ -47,22 +43,44 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Runs `sdbp-repro trace <args>`; returns the process exit code.
+/// A trace subcommand: its valued flags (it has no switches) and its body.
+type Subcommand = (&'static [&'static str], fn(&Flags) -> Result<(), String>);
+
+/// Runs `sdbp-repro trace <args>`; returns the process exit code: 2 for
+/// a flag the subcommand does not take, 1 for any other error.
 pub fn run(args: &[String]) -> i32 {
-    let result = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("sample") => cmd_sample(&args[1..]),
-        Some("import") => cmd_import(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
+    let (known, body): Subcommand = match args.first().map(String::as_str) {
+        Some("record") => (&["workload", "out", "instructions", "core"], cmd_record),
+        Some("replay") => (
+            &["workload", "instructions", "core", "policy", "sampled"],
+            cmd_replay,
+        ),
+        Some("sample") => (
+            &[
+                "out", "window", "clusters", "warmup", "seed", "jobs", "core",
+            ],
+            cmd_sample,
+        ),
+        Some("import") => (&["in", "out", "name"], cmd_import),
+        Some("convert") => (&["out", "to"], cmd_convert),
+        Some("info") => (&["set-histogram"], cmd_info),
         Some("help") | Some("--help") | None => {
             eprintln!("{USAGE}");
             return if args.is_empty() { 2 } else { 0 };
         }
-        Some(other) => Err(format!("unknown trace subcommand '{other}'\n{USAGE}")),
+        Some(other) => {
+            eprintln!("error: unknown trace subcommand '{other}'\n{USAGE}");
+            return 1;
+        }
     };
-    match result {
+    let flags = match Flags::parse(&args[1..], known, &[], USAGE) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    };
+    match body(&flags) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("error: {e}");
@@ -74,7 +92,6 @@ pub fn run(args: &[String]) -> i32 {
 const USAGE: &str = "usage:
   sdbp-repro trace record --workload NAME --out FILE.sdbt [--instructions N] [--core C]
   sdbp-repro trace replay FILE.sdbt [--core C] [--policy SPEC]... [--sampled PLAN.sdbs]
-                          [--shards N|auto]
   sdbp-repro trace replay --workload NAME [--instructions N] [--core C] [--policy SPEC]...
   sdbp-repro trace sample FILE.sdbt --out PLAN.sdbs [--window N] [--clusters K]
                           [--warmup W] [--seed S] [--jobs J] [--core C]
@@ -87,29 +104,21 @@ const USAGE: &str = "usage:
 'sampler:assoc=16,tables=1'; see `sdbp-repro list-policies`. Without it,
 replay reports the default LRU + Sampler pair. --sampled replays only the
 plan's representative windows and extrapolates (estimate + error bound).
---shards splits the replay across set shards ('auto' = one per hardware
-thread); policies the registry marks non-shardable run serial, and the
-output is bit-identical at every shard count. convert rewrites an archive
+convert rewrites an archive
 between codec versions losslessly (--to defaults to 2, the columnar
 fast-decode layout; 1 is the compact archival layout).";
-
-/// Parses a trace subcommand's valued flags (it has no switches).
-fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
-    Flags::parse(args, known, &[], USAGE)
-}
 
 fn core_id(flags: &Flags) -> Result<u8, String> {
     Ok(flags.number("core")?.unwrap_or(0))
 }
 
-fn cmd_record(args: &[String]) -> Result<(), String> {
-    let flags = parse(args, &["workload", "out", "instructions", "core"])?;
+fn cmd_record(flags: &Flags) -> Result<(), String> {
     let name = flags
         .get("workload")
         .ok_or("record needs --workload NAME")?;
     let out = PathBuf::from(flags.get("out").ok_or("record needs --out FILE.sdbt")?);
     let n = flags.instructions()?;
-    let core = core_id(&flags)?;
+    let core = core_id(flags)?;
     let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
 
     #[expect(
@@ -147,20 +156,8 @@ fn report_write(out: &Path, summary: &WriteSummary, secs: f64) {
     );
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let flags = parse(
-        args,
-        &[
-            "workload",
-            "instructions",
-            "core",
-            "policy",
-            "sampled",
-            "shards",
-        ],
-    )?;
-    let core = core_id(&flags)?;
-    let shards = flags.shards(hardware_threads())?;
+fn cmd_replay(flags: &Flags) -> Result<(), String> {
+    let core = core_id(flags)?;
     let workload = match (flags.get("workload"), flags.positional.as_slice()) {
         (Some(name), []) => {
             let bench = benchmark(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
@@ -190,13 +187,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
         .get("sampled")
         .map(|path| SamplingPlan::load(Path::new(path)).map_err(|e| format!("{path}: {e}")))
         .transpose()?;
-    let summary = replay_table(
-        &workload,
-        CacheConfig::llc_2mb(),
-        &policies,
-        plan.as_ref(),
-        shards,
-    )?;
+    let summary = replay_table(&workload, CacheConfig::llc_2mb(), &policies, plan.as_ref())?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     write!(out, "{summary}").map_err(|e| e.to_string())
@@ -229,10 +220,7 @@ pub fn default_policies() -> Vec<Cell> {
 /// mistaken for an exact one.
 ///
 /// Byte-identical between a direct synthetic run and a replay of its
-/// recording — the property the integration tests and CI assert — and
-/// at every `shards` count, since only set-local policies shard and the
-/// merge is deterministic. A policy that ran on fewer shards than
-/// requested is named on stderr; stdout never changes.
+/// recording — the property the integration tests and CI assert.
 ///
 /// # Errors
 ///
@@ -242,17 +230,10 @@ pub fn replay_table(
     llc: CacheConfig,
     policies: &[Cell],
     plan: Option<&SamplingPlan>,
-    shards: usize,
 ) -> Result<String, String> {
     let mut out = String::new();
     for cell in policies {
-        let r = run_policy(workload, cell, llc, shards, plan).map_err(|e| e.to_string())?;
-        if r.shards < shards {
-            eprintln!(
-                "[{}: {shards} shards requested, replayed on {}]",
-                r.policy, r.shards
-            );
-        }
+        let r = run_policy(workload, cell, llc, plan).map_err(|e| e.to_string())?;
         out.push_str(&result_line(
             &workload.name,
             &r.policy,
@@ -272,13 +253,7 @@ pub fn replay_table(
     Ok(out)
 }
 
-fn cmd_sample(args: &[String]) -> Result<(), String> {
-    let flags = parse(
-        args,
-        &[
-            "out", "window", "clusters", "warmup", "seed", "jobs", "core",
-        ],
-    )?;
+fn cmd_sample(flags: &Flags) -> Result<(), String> {
     let [path] = flags.positional.as_slice() else {
         return Err(format!(
             "sample needs exactly one FILE.sdbt or PLAN.sdbs\n{USAGE}"
@@ -286,7 +261,7 @@ fn cmd_sample(args: &[String]) -> Result<(), String> {
     };
     let path = Path::new(path);
     match flags.get("out") {
-        Some(out) => cmd_sample_build(path, Path::new(out), &flags),
+        Some(out) => cmd_sample_build(path, Path::new(out), flags),
         None => cmd_sample_inspect(path),
     }
 }
@@ -393,8 +368,7 @@ fn cmd_sample_inspect(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_import(args: &[String]) -> Result<(), String> {
-    let flags = parse(args, &["in", "out", "name"])?;
+fn cmd_import(flags: &Flags) -> Result<(), String> {
     let input = PathBuf::from(flags.get("in").ok_or("import needs --in FILE.txt")?);
     let out = PathBuf::from(flags.get("out").ok_or("import needs --out FILE.sdbt")?);
     let name = match flags.get("name") {
@@ -421,8 +395,7 @@ fn cmd_import(args: &[String]) -> Result<(), String> {
         .map(|summary| report_write(&out, &summary, started.elapsed().as_secs_f64()))
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), String> {
-    let flags = parse(args, &["out", "to"])?;
+fn cmd_convert(flags: &Flags) -> Result<(), String> {
     let [src] = flags.positional.as_slice() else {
         return Err(format!("convert needs exactly one FILE.sdbt\n{USAGE}"));
     };
@@ -495,8 +468,7 @@ impl std::io::Seek for CountBytes {
     }
 }
 
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = parse(args, &["set-histogram"])?;
+fn cmd_info(flags: &Flags) -> Result<(), String> {
     let [path] = flags.positional.as_slice() else {
         return Err(format!("info needs exactly one FILE.sdbt\n{USAGE}"));
     };
@@ -601,7 +573,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     }
     if let Some(mut counts) = set_counts {
         // Accesses per set decile, hottest sets first: a skew fingerprint
-        // that predicts how well a set-sharded replay will load-balance.
+        // of how unevenly the stream loads the cache's sets.
         let sets = counts.len();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = counts.iter().sum();

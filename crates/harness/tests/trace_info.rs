@@ -2,6 +2,8 @@
 //! instruction `456.hmmer` recording (three chunks at the default chunk
 //! size) and its v2 conversion, each with and without
 //! `--set-histogram 64`, must print exactly `golden/trace_info.txt`.
+//! The CLI's flag errors are pinned too: a flag a command does not take
+//! exits 2 with the parser's unknown-flag error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -66,4 +68,27 @@ fn trace_info_output_matches_the_golden_text_for_v1_and_v2() {
         reason = "best-effort temp cleanup; a leftover file is harmless"
     )]
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--shards` is no flag of any command: the experiment runner,
+/// `trace replay` and `serve` each reject it with exit code 2 and the
+/// parser's unknown-flag error rather than ignore it.
+#[test]
+fn shards_is_an_unknown_flag_on_every_command() {
+    for args in [
+        &["--shards", "4", "list"][..],
+        &["trace", "replay", "missing.sdbt", "--shards", "4"],
+        &["serve", "--shards", "4"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sdbp-repro"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag --shards\n"),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -185,13 +185,6 @@ pub struct PolicyEntry {
     pub label: &'static str,
     /// One-line description for `list-policies`.
     pub summary: &'static str,
-    /// Whether the policy's state is **set-local**, so a replay may be
-    /// sharded by set range (`sdbp_cache::kernel`) with bit-identical
-    /// results. Policies with global state — a shared RNG draw sequence,
-    /// set-dueling PSEL counters over leader sets, predictor tables
-    /// trained by every set — observe cross-set interleaving and must
-    /// replay serially; see DESIGN.md §13 for the per-policy analysis.
-    pub shardable: bool,
     /// The constructor.
     pub build: BuildFn,
 }
@@ -235,7 +228,6 @@ impl Registry {
             name: "lru",
             label: "LRU",
             summary: "true least-recently-used (the single-core baseline)",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(Lru::new(llc.sets, llc.ways)))
@@ -245,7 +237,6 @@ impl Registry {
             name: "random",
             label: "Random",
             summary: "uniform random victim selection (seeded)",
-            shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(Random::new(llc, REGISTRY_SEED)))
@@ -255,7 +246,6 @@ impl Registry {
             name: "plru",
             label: "PLRU",
             summary: "tree pseudo-LRU (hardware LRU approximation)",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(PseudoLru::new(llc)))
@@ -265,7 +255,6 @@ impl Registry {
             name: "srrip",
             label: "SRRIP",
             summary: "static re-reference interval prediction",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(Srrip::new(llc)))
@@ -275,7 +264,6 @@ impl Registry {
             name: "rrip",
             label: "RRIP",
             summary: "DRRIP (TA-DRRIP when sharing cores)",
-            shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
                 Ok(Box::new(Drrip::new(llc, cores, REGISTRY_SEED)))
@@ -285,7 +273,6 @@ impl Registry {
             name: "dip",
             label: "DIP",
             summary: "dynamic insertion policy (LRU vs BIP dueling)",
-            shardable: false,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(Dip::new(llc, REGISTRY_SEED)))
@@ -295,7 +282,6 @@ impl Registry {
             name: "tadip",
             label: "TADIP",
             summary: "thread-aware DIP (per-core insertion duels)",
-            shardable: false,
             build: |spec, llc, cores| {
                 reject_params(spec)?;
                 Ok(Box::new(Tadip::new(llc, cores, REGISTRY_SEED)))
@@ -476,19 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn shardable_flags_match_the_policy_state_model() {
-        let r = Registry::base();
-        for entry in r.entries() {
-            let set_local = matches!(entry.name, "lru" | "plru" | "srrip");
-            assert_eq!(
-                entry.shardable, set_local,
-                "{}: shardable must mean set-local state (global RNG/PSEL state cannot shard)",
-                entry.name
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_names_rejected() {
         let mut r = Registry::base();
@@ -496,7 +469,6 @@ mod tests {
             name: "lru",
             label: "LRU2",
             summary: "dup",
-            shardable: true,
             build: |spec, llc, _| {
                 reject_params(spec)?;
                 Ok(Box::new(Lru::new(llc.sets, llc.ways)))

@@ -6,8 +6,7 @@
 //! replay kernel. [`segment_schedule`] lays the plan's representatives
 //! out as a [`Span`] list in stream order, each span a few warm-up
 //! windows followed by its measured window; the kernel replays that list
-//! like any other, serially ([`replay_spans`]) or sharded by set
-//! ([`replay_sharded`](sdbp_cache::kernel::replay_sharded)); and
+//! like any other ([`replay_spans`]); and
 //! [`assemble`] tiles the measured bits over every window of the stream.
 //!
 //! The spans run **on one persistent cache** (supplied cold by the

@@ -43,7 +43,7 @@ mod session;
 pub use client::{Client, JobOutcome, JobRequest, SubmitReply, TraceSubmission};
 pub use error::{FrameError, ServeError};
 pub use protocol::{Frame, PROTOCOL_VERSION};
-pub use server::{Server, ServerConfig, SHARD_MIN_ACCESSES};
+pub use server::{Server, ServerConfig};
 
 use std::sync::{Condvar, Mutex, PoisonError};
 

@@ -57,16 +57,10 @@ pub struct ServerConfig {
     pub max_inline_bytes: u64,
     /// Server display name sent in `HelloAck`.
     pub server_name: String,
-    /// Set shards per replay job (see `DESIGN.md` §13). Jobs of at least
-    /// [`shard_min_accesses`](ServerConfig::shard_min_accesses) accesses
-    /// ask the replay front door (`sdbp::replay`) for this many shards;
-    /// it shards set-local policies and runs everything else on the
-    /// serial kernel. Either path produces bit-identical frames. Clamped
-    /// to at least 1.
+    /// Has no effect: every job replays on the one serial replay kernel.
+    /// Kept only so that configs which still set it build; it is slated
+    /// for removal.
     pub shards: usize,
-    /// Smallest job (in LLC accesses) the sharded path takes; defaults
-    /// to [`SHARD_MIN_ACCESSES`]. Tests set 0 to shard everything.
-    pub shard_min_accesses: usize,
 }
 
 impl Default for ServerConfig {
@@ -79,14 +73,9 @@ impl Default for ServerConfig {
             max_inline_bytes: 256 << 20,
             server_name: "sdbp-serve".to_owned(),
             shards: 1,
-            shard_min_accesses: SHARD_MIN_ACCESSES,
         }
     }
 }
-
-/// Smallest job (in LLC accesses) worth set-sharding: below this the
-/// per-shard queue build and thread spawn cost more than they recover.
-pub const SHARD_MIN_ACCESSES: usize = 1 << 20;
 
 /// A one-shot latch between a session and whoever writes its job's
 /// frames. Each job has two: `accepted` opens once the session has put
@@ -153,11 +142,6 @@ pub(crate) struct Shared {
     pub(crate) trace_dir: Option<PathBuf>,
     pub(crate) max_inline_bytes: u64,
     pub(crate) server_name: String,
-    /// Set shards per big-enough job ([`ServerConfig::shards`]).
-    pub(crate) shards: usize,
-    /// Smallest job that asks for shards
-    /// ([`ServerConfig::shard_min_accesses`]).
-    pub(crate) shard_min_accesses: usize,
     pub(crate) engine: Engine,
     /// The last successful recording, for the next job of its session.
     pub(crate) memo: RecordingMemo,
@@ -294,8 +278,6 @@ impl Server {
             trace_dir: config.trace_dir,
             max_inline_bytes: config.max_inline_bytes,
             server_name: config.server_name,
-            shards: config.shards.max(1),
-            shard_min_accesses: config.shard_min_accesses,
             // Each executor runs one job at a time; the engine's own pool
             // stays serial so telemetry timing reflects the job itself.
             engine: Engine::with_workers(1),
@@ -542,11 +524,7 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
 /// The replay pipeline — the same replay front door as `sdbp-repro trace
 /// replay`, which is what makes wire results bit-identical to in-process
 /// ones; a memoised recording equals a fresh one, so a memo hit streams
-/// the same frames as a miss. Jobs of at least `shard_min_accesses`
-/// accesses ask the door for the server's shard count (it shards only
-/// set-local policies); since a sharded replay drives the window probe in
-/// original access order, the streamed `WindowResult` frames are
-/// byte-identical either way.
+/// the same frames as a miss.
 fn run_replay(
     job: u64,
     policy: &str,
@@ -560,25 +538,17 @@ fn run_replay(
     let spec: sdbp::registry::PolicySpec = policy
         .parse()
         .map_err(|e: sdbp::SpecError| (ErrorCode::BadSpec, e.to_string()))?;
-    let shards = if workload.llc.len() >= shared.shard_min_accesses {
-        shared.shards
-    } else {
-        1
-    };
     let request = |mode| ReplayRequest {
         stream: &workload.llc,
         llc,
         policy: &spec,
         mode,
-        shards,
         cores: 1,
     };
     let failed = |e: ReplayError| {
         let code = match e {
             ReplayError::Spec(_) => ErrorCode::BadSpec,
-            ReplayError::Span(_) | ReplayError::Shard(_) | ReplayError::Sample(_) => {
-                ErrorCode::Internal
-            }
+            ReplayError::Span(_) | ReplayError::Sample(_) => ErrorCode::Internal,
         };
         (code, e.to_string())
     };
@@ -645,8 +615,6 @@ mod tests {
             trace_dir: None,
             max_inline_bytes: 0,
             server_name: String::new(),
-            shards: 1,
-            shard_min_accesses: SHARD_MIN_ACCESSES,
             engine: Engine::with_workers(1),
             memo: RecordingMemo::default(),
         };

@@ -198,62 +198,6 @@ fn window_streaming_partitions_the_exact_miss_count() {
 }
 
 #[test]
-fn sharded_server_streams_bit_identical_frames() {
-    let trace = trace_bytes(INSTRUCTIONS);
-    // A 4-shard server with the size floor lowered to zero, so even this
-    // small job takes the sharded path; the plain server is the serial
-    // reference.
-    let (serial, serial_addr) = start(ServerConfig::default());
-    let (sharded, sharded_addr) = start(ServerConfig {
-        shards: 4,
-        shard_min_accesses: 0,
-        ..ServerConfig::default()
-    });
-
-    // `lru` is shardable; `sampler` is not (global predictor state) and
-    // must fall back to the serial kernel inside the sharded server.
-    for spec in ["lru", "sampler"] {
-        let request = JobRequest {
-            policy: spec.to_owned(),
-            sets: SETS,
-            ways: WAYS,
-            window: 25_000,
-            trace: TraceSubmission::Bytes(trace.clone()),
-        };
-        let run = |addr: &str| {
-            let mut client = Client::connect(addr).expect("connect");
-            let mut frames: Vec<(u64, u64)> = Vec::new();
-            let reply = client
-                .submit(&request, |index, misses| frames.push((index, misses)))
-                .expect("submit");
-            let SubmitReply::Done(outcome) = reply else {
-                panic!("unexpected Busy")
-            };
-            client.goodbye().expect("goodbye");
-            (outcome, frames)
-        };
-        let (a, frames_a) = run(&serial_addr);
-        let (b, frames_b) = run(&sharded_addr);
-        assert_eq!(
-            a.misses,
-            golden_misses(spec),
-            "{spec}: serial misses drifted"
-        );
-        assert_eq!(b.misses, a.misses, "{spec}: sharded misses differ");
-        assert_eq!(b.hits, a.hits, "{spec}");
-        assert_eq!(b.windows, a.windows, "{spec}");
-        assert_eq!(
-            b.ipc.to_bits(),
-            a.ipc.to_bits(),
-            "{spec}: IPC must be bit-exact"
-        );
-        assert_eq!(frames_b, frames_a, "{spec}: window frame streams differ");
-    }
-    serial.shutdown();
-    sharded.shutdown();
-}
-
-#[test]
 fn bad_submissions_get_typed_errors_and_the_session_survives() {
     let trace = trace_bytes(20_000);
     let (server, addr) = start(ServerConfig::default());

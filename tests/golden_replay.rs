@@ -170,75 +170,6 @@ fn every_registry_policy_has_a_golden_row() {
     );
 }
 
-/// Every golden row must replay to the same miss count at shard counts
-/// {2, 4, 8} as at 1 — the acceptance property of the set-sharded
-/// replay kernel (`DESIGN.md` §13).
-///
-/// Every row goes through the replay front door (`sdbp::replay`). Rows
-/// whose policy is set-local shard and must match the serial result bit
-/// for bit (counters *and* per-access hit bits). The others must report
-/// one effective shard — the serial fallback — and match too; the test
-/// pins that enough rows actually shard.
-#[test]
-fn golden_rows_are_bit_identical_at_every_shard_count() {
-    use sdbp_suite::sdbp::replay::{ReplayMode, ReplayRequest};
-
-    let rows = rows();
-    let mut recordings: BTreeMap<(String, u64), RecordedWorkload> = BTreeMap::new();
-    let registry = standard();
-    let mut sharded_rows = 0usize;
-    let mut failures = Vec::new();
-    for row in &rows {
-        let key = (row.workload.clone(), row.instructions);
-        let w = recordings.entry(key).or_insert_with(|| {
-            let bench = sdbp_suite::workloads::benchmark(&row.workload).expect("workload in suite");
-            record(bench.name, bench.trace(), row.instructions)
-        });
-        let llc = CacheConfig::new(row.sets, row.ways);
-        let spec: sdbp_suite::sdbp::registry::PolicySpec =
-            row.spec.parse().expect("golden spec parses");
-        let serial = {
-            let policy = registry.build(&spec, llc, 1).expect("golden spec builds");
-            replay(&w.llc, &mut Cache::with_policy(llc, policy))
-        };
-        if serial.stats.misses != row.misses {
-            failures.push(format!("{} {}: serial drifted", row.workload, row.spec));
-            continue;
-        }
-        for shards in [2usize, 4, 8] {
-            let request = ReplayRequest {
-                stream: &w.llc,
-                llc,
-                policy: &spec,
-                mode: ReplayMode::Exact { probe: None },
-                shards,
-                cores: 1,
-            };
-            match request.run() {
-                Ok(o) if o.stats == serial.stats && o.hits == serial.hits => {
-                    if o.shards == 1 {
-                        break; // serial fallback: every count runs the same loop
-                    }
-                    sharded_rows += usize::from(shards == 2);
-                }
-                Ok(o) => failures.push(format!(
-                    "{} {} at {shards} shards: {} misses vs serial {}",
-                    row.workload, row.spec, o.stats.misses, serial.stats.misses
-                )),
-                Err(e) => failures.push(format!(
-                    "{} {} at {shards} shards: {e}",
-                    row.workload, row.spec
-                )),
-            }
-        }
-    }
-    assert!(failures.is_empty(), "shard drift:\n{}", failures.join("\n"));
-    assert!(
-        sharded_rows >= 5,
-        "only {sharded_rows} golden rows are shardable — the capability flag regressed"
-    );
-}
-
 /// Golden rows must survive the archival pipeline unchanged: record the
 /// workload to a v1 `.sdbt`, convert it to the columnar v2 layout,
 /// batch-decode the converted file through `BufferedTrace`, and the

@@ -106,7 +106,6 @@ fn every_registry_policy_is_within_the_sampled_bound() {
             llc,
             policy: &spec,
             mode,
-            shards: 1,
             cores: 1,
         };
         let exact = replay(request(ReplayMode::Exact { probe: None }))
