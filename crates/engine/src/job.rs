@@ -37,7 +37,12 @@ impl<T> std::fmt::Debug for Job<'_, T> {
 impl<'env, T> Job<'env, T> {
     /// Wraps `work` as a job named `name`.
     pub fn new(name: impl Into<String>, work: impl FnOnce() -> T + Send + 'env) -> Self {
-        Job { name: name.into(), accesses: 0, source: None, work: Box::new(work) }
+        Job {
+            name: name.into(),
+            accesses: 0,
+            source: None,
+            work: Box::new(work),
+        }
     }
 
     /// Sets the access count used for throughput telemetry.

@@ -40,7 +40,7 @@
     clippy::indexing_slicing,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented,
+    clippy::unimplemented
 )]
 #![warn(missing_debug_implementations)]
 
@@ -75,9 +75,9 @@ impl Parallelism {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Workers(n) => n.max(1),
-            Parallelism::Auto => {
-                std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-            }
+            Parallelism::Auto => std::thread::available_parallelism()
+                .map(usize::from)
+                .unwrap_or(1),
         }
     }
 }
@@ -102,7 +102,10 @@ impl Engine {
     /// Creates an engine with the given parallelism.
     #[must_use]
     pub fn new(parallelism: Parallelism) -> Self {
-        Engine { workers: parallelism.workers(), telemetry: Mutex::new(EngineTelemetry::default()) }
+        Engine {
+            workers: parallelism.workers(),
+            telemetry: Mutex::new(EngineTelemetry::default()),
+        }
     }
 
     /// A single-threaded engine (the serial reference path).
@@ -167,7 +170,11 @@ impl Engine {
             clippy::expect_used,
             reason = "telemetry mutex poisons only if a prior batch panicked mid-push"
         )]
-        self.telemetry.lock().expect("telemetry poisoned").batches.push(stats.clone());
+        self.telemetry
+            .lock()
+            .expect("telemetry poisoned")
+            .batches
+            .push(stats.clone());
         Batch { results, stats }
     }
 
@@ -247,8 +254,7 @@ mod run_one_tests {
     #[test]
     fn run_one_isolates_a_panicking_job() {
         let engine = Engine::serial();
-        let r: Result<(), JobFailure> =
-            engine.run_one("boom", Job::new("boom", || panic!("sank")));
+        let r: Result<(), JobFailure> = engine.run_one("boom", Job::new("boom", || panic!("sank")));
         let failure = r.expect_err("panic must surface as a JobFailure");
         assert_eq!(failure.job, "boom");
         assert!(failure.message.contains("sank"));

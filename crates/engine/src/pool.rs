@@ -17,7 +17,10 @@ use std::time::Instant;
 
 /// Runs `jobs` on `workers` threads (1 = inline serial execution) and
 /// returns their outcomes in submission order.
-#[expect(clippy::expect_used, reason = "a lost result is an engine bug, not a recoverable state")]
+#[expect(
+    clippy::expect_used,
+    reason = "a lost result is an engine bug, not a recoverable state"
+)]
 pub(crate) fn execute<T: Send>(workers: usize, jobs: Vec<Job<'_, T>>) -> Vec<JobOutcome<T>> {
     #[expect(
         clippy::disallowed_methods,

@@ -24,13 +24,17 @@ pub fn render_json(workers: usize, telemetry: &EngineTelemetry) -> String {
     w.key("serial").boolean(workers <= 1);
     w.key("jobs").uint(telemetry.jobs() as u64);
     w.key("jobs_failed").uint(telemetry.failed() as u64);
-    w.key("elapsed_seconds").float(telemetry.elapsed().as_secs_f64());
+    w.key("elapsed_seconds")
+        .float(telemetry.elapsed().as_secs_f64());
     w.key("busy_seconds").float(telemetry.busy().as_secs_f64());
     w.key("speedup").float(telemetry.speedup());
     w.key("accesses").uint(telemetry.accesses());
     let elapsed = telemetry.elapsed().as_secs_f64();
-    w.key("accesses_per_second")
-        .float(if elapsed > 0.0 { telemetry.accesses() as f64 / elapsed } else { 0.0 });
+    w.key("accesses_per_second").float(if elapsed > 0.0 {
+        telemetry.accesses() as f64 / elapsed
+    } else {
+        0.0
+    });
     w.key("batches").begin_array();
     for b in &telemetry.batches {
         w.begin_object();
@@ -43,7 +47,8 @@ pub fn render_json(workers: usize, telemetry: &EngineTelemetry) -> String {
         w.key("speedup").float(b.speedup());
         w.key("accesses").uint(b.accesses);
         w.key("accesses_per_second").float(b.throughput());
-        w.key("mean_queue_wait_seconds").float(b.mean_queue_wait().as_secs_f64());
+        w.key("mean_queue_wait_seconds")
+            .float(b.mean_queue_wait().as_secs_f64());
         w.key("per_job").begin_array();
         for j in &b.per_job {
             w.begin_object();
@@ -52,7 +57,8 @@ pub fn render_json(workers: usize, telemetry: &EngineTelemetry) -> String {
                 w.key("source").string(source);
             }
             w.key("seconds").float(j.ran_for.as_secs_f64());
-            w.key("queue_wait_seconds").float(j.queued_for.as_secs_f64());
+            w.key("queue_wait_seconds")
+                .float(j.queued_for.as_secs_f64());
             w.key("accesses").uint(j.accesses);
             w.key("accesses_per_second").float(j.throughput());
             w.end_object();

@@ -23,10 +23,13 @@ fn skewed_jobs(n: usize) -> Vec<Job<'static, usize>> {
 
 #[test]
 fn parallel_results_match_serial_order() {
-    let serial = Engine::serial().run_batch("s", skewed_jobs(24)).expect_all();
+    let serial = Engine::serial()
+        .run_batch("s", skewed_jobs(24))
+        .expect_all();
     for workers in [2, 4, 8] {
-        let parallel =
-            Engine::with_workers(workers).run_batch("p", skewed_jobs(24)).expect_all();
+        let parallel = Engine::with_workers(workers)
+            .run_batch("p", skewed_jobs(24))
+            .expect_all();
         assert_eq!(serial, parallel, "workers={workers} reordered results");
     }
 }
@@ -49,7 +52,9 @@ fn shuffled_runtimes_still_aggregate_in_submission_order() {
             })
             .collect()
     };
-    let out = Engine::with_workers(4).run_batch("shuffled", make(&delays)).expect_all();
+    let out = Engine::with_workers(4)
+        .run_batch("shuffled", make(&delays))
+        .expect_all();
     assert_eq!(out, (0..32).collect::<Vec<_>>());
 }
 
@@ -69,7 +74,11 @@ fn panicking_job_is_isolated() {
         if i == 3 {
             let failure = result.as_ref().unwrap_err();
             assert_eq!(failure.job, "job3");
-            assert!(failure.message.contains("job 3 exploded"), "{}", failure.message);
+            assert!(
+                failure.message.contains("job 3 exploded"),
+                "{}",
+                failure.message
+            );
         } else {
             assert_eq!(*result.as_ref().unwrap(), i as u32);
         }
@@ -158,7 +167,8 @@ fn parallelism_resolution() {
 #[test]
 fn run_all_unwraps_plain_closures() {
     let engine = Engine::with_workers(2);
-    let work: Vec<Box<dyn FnOnce() -> u32 + Send>> =
-        (0..6u32).map(|i| Box::new(move || i + 10) as Box<_>).collect();
+    let work: Vec<Box<dyn FnOnce() -> u32 + Send>> = (0..6u32)
+        .map(|i| Box::new(move || i + 10) as Box<_>)
+        .collect();
     assert_eq!(engine.run_all("plain", work), vec![10, 11, 12, 13, 14, 15]);
 }
