@@ -101,7 +101,12 @@ fn bench(
     memory_fraction: f64,
     kernels: Vec<KernelSpec>,
 ) -> Benchmark {
-    Benchmark { name, in_subset, memory_fraction, kernels }
+    Benchmark {
+        name,
+        in_subset,
+        memory_fraction,
+        kernels,
+    }
 }
 
 /// The full 29-benchmark suite, in Table III order.
@@ -119,165 +124,352 @@ fn bench(
 pub fn suite() -> Vec<Benchmark> {
     vec![
         // ---- memory-intensive subset (19) --------------------------------
-        bench("400.perlbench", true, 0.35, vec![
-            KernelSpec::classed(8 * MB, 10_000, vec![(3.0, 1), (1.0, 4), (0.5, 8)]).variants(8).chained(0.55).weight(2.2),
-            KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 20)])
-                .variants(12)
-                .weight(1.6),
-            KernelSpec::streaming(16 * MB).weight(0.8),
-        ]),
-        bench("401.bzip2", true, 0.35, vec![
-            KernelSpec::classed_ambiguous(14 * MB, 8000, vec![(1.2, 2), (1.0, 20)])
-                .variants(12)
-                .weight(1.9),
-            KernelSpec::classed(8 * MB, 8000, vec![(2.0, 1), (1.0, 3)]).variants(8).chained(0.55).weight(1.4),
-            KernelSpec::streaming(12 * MB).weight(0.7),
-        ]),
-        bench("403.gcc", true, 0.35, vec![
-            KernelSpec::classed(12 * MB, 11_000, vec![(2.5, 1), (1.0, 3), (0.4, 6)]).variants(8).chained(0.55).weight(2.3),
-            KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 16)])
-                .variants(12)
-                .weight(1.2),
-            KernelSpec::streaming(16 * MB).weight(0.8),
-            KernelSpec::hot_set(256 * KB).weight(1.0),
-        ]),
-        bench("429.mcf", true, 0.40, vec![
-            KernelSpec::pointer_chase(48 * MB).weight(2.2),
-            KernelSpec::classed(8 * MB, 12_000, vec![(2.0, 1), (1.0, 4)]).variants(8).chained(0.55).weight(1.8),
-            KernelSpec::hot_set(384 * KB).weight(0.6),
-        ]),
-        bench("433.milc", true, 0.35, vec![
-            KernelSpec::streaming(32 * MB).weight(2.6),
-            KernelSpec::classed(4 * MB, 9000, vec![(1.0, 3), (1.0, 6)]).variants(8).chained(0.55).weight(1.4),
-        ]),
-        bench("434.zeusmp", true, 0.35, vec![
-            // Cyclic loop a bit larger than the LLC: LRU thrashes, BIP /
-            // distant insertion retain a fraction.
-            KernelSpec::scan_burst(3 * MB, 2).weight(2.8),
-            KernelSpec::classed(4 * MB, 6000, vec![(2.0, 1), (1.0, 4)]).variants(8).chained(0.55).weight(0.9),
-        ]),
-        bench("435.gromacs", true, 0.35, vec![
-            KernelSpec::classed(6 * MB, 9000, vec![(2.0, 1), (1.5, 5), (0.5, 9)]).variants(8).chained(0.55).weight(2.6),
-            KernelSpec::streaming(8 * MB).weight(0.9),
-            KernelSpec::hot_set(512 * KB).weight(0.9),
-        ]),
-        bench("436.cactusADM", true, 0.35, vec![
-            KernelSpec::classed(10 * MB, 10_000, vec![(2.0, 1), (1.0, 2), (0.5, 5)]).variants(8).chained(0.55).weight(1.8),
-            KernelSpec::classed_ambiguous(12 * MB, 7000, vec![(1.2, 2), (1.0, 20)])
-                .variants(12)
-                .weight(1.5),
-            KernelSpec::scan_burst(12 * MB, 2).weight(0.8),
-        ]),
-        bench("437.leslie3d", true, 0.35, vec![
-            KernelSpec::scan_burst(4 * MB, 2).weight(2.6),
-            KernelSpec::hot_set(384 * KB).weight(0.9),
-        ]),
-        bench("450.soplex", true, 0.38, vec![
-            KernelSpec::classed_ambiguous(8 * MB, 10_000, vec![(1.2, 2), (1.0, 18)]).variants(12).weight(2.3),
-            KernelSpec::classed(12 * MB, 9000, vec![(2.5, 1), (1.0, 4)]).variants(8).chained(0.55).weight(1.8),
-            KernelSpec::pointer_chase_with_revisit(3 * MB, 0.3).weight(0.8),
-        ]),
-        bench("456.hmmer", true, 0.35, vec![
-            KernelSpec::classed(8 * MB, 12_000, vec![(3.0, 1), (1.2, 4), (0.6, 8)]).variants(8).chained(0.55).weight(2.8),
-            KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 16)])
-                .variants(12)
-                .weight(1.2),
-            KernelSpec::streaming(16 * MB).weight(1.1),
-        ]),
-        bench("459.GemsFDTD", true, 0.35, vec![
-            KernelSpec::streaming(24 * MB).weight(1.6),
-            KernelSpec::scan_burst(2560 * KB, 1).weight(1.0),
-            KernelSpec::classed(6 * MB, 11_000, vec![(2.0, 1), (1.0, 3)]).variants(8).chained(0.55).weight(1.3),
-        ]),
-        bench("462.libquantum", true, 0.33, vec![
-            KernelSpec::streaming(32 * MB).weight(2.4),
-            KernelSpec::hot_set(768 * KB).weight(1.6),
-        ]),
-        bench("470.lbm", true, 0.36, vec![
-            KernelSpec::scan_burst(24 * MB, 2).weight(2.6),
-            KernelSpec::hot_set(768 * KB).weight(1.0),
-        ]),
-        bench("471.omnetpp", true, 0.38, vec![
-            KernelSpec::pointer_chase_with_revisit(12 * MB, 0.3).weight(1.8),
-            KernelSpec::classed(6 * MB, 10_000, vec![(2.0, 1), (1.0, 3)]).variants(8).chained(0.55).weight(1.6),
-            KernelSpec::classed_ambiguous(4 * MB, 6000, vec![(1.2, 2), (1.0, 18)]).variants(12).weight(1.6),
-        ]),
-        bench("473.astar", true, 0.38, vec![
-            // Shared-prefix classes where most blocks die at touch 2 but a
-            // significant minority live on: the dead/live signal at the
-            // shared PCs is biased enough to tempt low-threshold predictors
-            // into evicting the survivors, which then re-miss repeatedly.
-            KernelSpec::classed_ambiguous(16 * MB, 14_000, vec![(1.2, 2), (1.0, 16)])
-                .variants(12)
-                .weight(4.2),
-            KernelSpec::pointer_chase_with_revisit(768 * KB, 0.4).weight(0.4),
-        ]),
-        bench("481.wrf", true, 0.35, vec![
-            KernelSpec::scan_burst(3500 * KB, 2).weight(2.6),
-            KernelSpec::classed(5 * MB, 8000, vec![(2.0, 1), (1.0, 4)]).variants(8).chained(0.55).weight(1.0),
-        ]),
-        bench("482.sphinx3", true, 0.35, vec![
-            // Mid-size cyclic loop + stream: insertion policies retain a
-            // fraction of the loop; PC signal only on the stream.
-            KernelSpec::scan_burst(4 * MB, 1).weight(2.4),
-            KernelSpec::streaming(12 * MB).weight(1.0),
-            KernelSpec::hot_set(640 * KB).weight(1.0),
-        ]),
-        bench("483.xalancbmk", true, 0.38, vec![
-            KernelSpec::pointer_chase_with_revisit(6 * MB, 0.4).weight(1.5),
-            KernelSpec::classed(4 * MB, 9000, vec![(2.0, 1), (1.0, 3), (0.5, 6)]).variants(8).chained(0.55).weight(1.8),
-            KernelSpec::hot_set(256 * KB).weight(0.8),
-        ]),
+        bench(
+            "400.perlbench",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed(8 * MB, 10_000, vec![(3.0, 1), (1.0, 4), (0.5, 8)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(2.2),
+                KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 20)])
+                    .variants(12)
+                    .weight(1.6),
+                KernelSpec::streaming(16 * MB).weight(0.8),
+            ],
+        ),
+        bench(
+            "401.bzip2",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed_ambiguous(14 * MB, 8000, vec![(1.2, 2), (1.0, 20)])
+                    .variants(12)
+                    .weight(1.9),
+                KernelSpec::classed(8 * MB, 8000, vec![(2.0, 1), (1.0, 3)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.4),
+                KernelSpec::streaming(12 * MB).weight(0.7),
+            ],
+        ),
+        bench(
+            "403.gcc",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed(12 * MB, 11_000, vec![(2.5, 1), (1.0, 3), (0.4, 6)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(2.3),
+                KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 16)])
+                    .variants(12)
+                    .weight(1.2),
+                KernelSpec::streaming(16 * MB).weight(0.8),
+                KernelSpec::hot_set(256 * KB).weight(1.0),
+            ],
+        ),
+        bench(
+            "429.mcf",
+            true,
+            0.40,
+            vec![
+                KernelSpec::pointer_chase(48 * MB).weight(2.2),
+                KernelSpec::classed(8 * MB, 12_000, vec![(2.0, 1), (1.0, 4)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.8),
+                KernelSpec::hot_set(384 * KB).weight(0.6),
+            ],
+        ),
+        bench(
+            "433.milc",
+            true,
+            0.35,
+            vec![
+                KernelSpec::streaming(32 * MB).weight(2.6),
+                KernelSpec::classed(4 * MB, 9000, vec![(1.0, 3), (1.0, 6)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.4),
+            ],
+        ),
+        bench(
+            "434.zeusmp",
+            true,
+            0.35,
+            vec![
+                // Cyclic loop a bit larger than the LLC: LRU thrashes, BIP /
+                // distant insertion retain a fraction.
+                KernelSpec::scan_burst(3 * MB, 2).weight(2.8),
+                KernelSpec::classed(4 * MB, 6000, vec![(2.0, 1), (1.0, 4)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(0.9),
+            ],
+        ),
+        bench(
+            "435.gromacs",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed(6 * MB, 9000, vec![(2.0, 1), (1.5, 5), (0.5, 9)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(2.6),
+                KernelSpec::streaming(8 * MB).weight(0.9),
+                KernelSpec::hot_set(512 * KB).weight(0.9),
+            ],
+        ),
+        bench(
+            "436.cactusADM",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed(10 * MB, 10_000, vec![(2.0, 1), (1.0, 2), (0.5, 5)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.8),
+                KernelSpec::classed_ambiguous(12 * MB, 7000, vec![(1.2, 2), (1.0, 20)])
+                    .variants(12)
+                    .weight(1.5),
+                KernelSpec::scan_burst(12 * MB, 2).weight(0.8),
+            ],
+        ),
+        bench(
+            "437.leslie3d",
+            true,
+            0.35,
+            vec![
+                KernelSpec::scan_burst(4 * MB, 2).weight(2.6),
+                KernelSpec::hot_set(384 * KB).weight(0.9),
+            ],
+        ),
+        bench(
+            "450.soplex",
+            true,
+            0.38,
+            vec![
+                KernelSpec::classed_ambiguous(8 * MB, 10_000, vec![(1.2, 2), (1.0, 18)])
+                    .variants(12)
+                    .weight(2.3),
+                KernelSpec::classed(12 * MB, 9000, vec![(2.5, 1), (1.0, 4)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.8),
+                KernelSpec::pointer_chase_with_revisit(3 * MB, 0.3).weight(0.8),
+            ],
+        ),
+        bench(
+            "456.hmmer",
+            true,
+            0.35,
+            vec![
+                KernelSpec::classed(8 * MB, 12_000, vec![(3.0, 1), (1.2, 4), (0.6, 8)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(2.8),
+                KernelSpec::classed_ambiguous(12 * MB, 6000, vec![(1.2, 2), (1.0, 16)])
+                    .variants(12)
+                    .weight(1.2),
+                KernelSpec::streaming(16 * MB).weight(1.1),
+            ],
+        ),
+        bench(
+            "459.GemsFDTD",
+            true,
+            0.35,
+            vec![
+                KernelSpec::streaming(24 * MB).weight(1.6),
+                KernelSpec::scan_burst(2560 * KB, 1).weight(1.0),
+                KernelSpec::classed(6 * MB, 11_000, vec![(2.0, 1), (1.0, 3)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.3),
+            ],
+        ),
+        bench(
+            "462.libquantum",
+            true,
+            0.33,
+            vec![
+                KernelSpec::streaming(32 * MB).weight(2.4),
+                KernelSpec::hot_set(768 * KB).weight(1.6),
+            ],
+        ),
+        bench(
+            "470.lbm",
+            true,
+            0.36,
+            vec![
+                KernelSpec::scan_burst(24 * MB, 2).weight(2.6),
+                KernelSpec::hot_set(768 * KB).weight(1.0),
+            ],
+        ),
+        bench(
+            "471.omnetpp",
+            true,
+            0.38,
+            vec![
+                KernelSpec::pointer_chase_with_revisit(12 * MB, 0.3).weight(1.8),
+                KernelSpec::classed(6 * MB, 10_000, vec![(2.0, 1), (1.0, 3)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.6),
+                KernelSpec::classed_ambiguous(4 * MB, 6000, vec![(1.2, 2), (1.0, 18)])
+                    .variants(12)
+                    .weight(1.6),
+            ],
+        ),
+        bench(
+            "473.astar",
+            true,
+            0.38,
+            vec![
+                // Shared-prefix classes where most blocks die at touch 2 but a
+                // significant minority live on: the dead/live signal at the
+                // shared PCs is biased enough to tempt low-threshold predictors
+                // into evicting the survivors, which then re-miss repeatedly.
+                KernelSpec::classed_ambiguous(16 * MB, 14_000, vec![(1.2, 2), (1.0, 16)])
+                    .variants(12)
+                    .weight(4.2),
+                KernelSpec::pointer_chase_with_revisit(768 * KB, 0.4).weight(0.4),
+            ],
+        ),
+        bench(
+            "481.wrf",
+            true,
+            0.35,
+            vec![
+                KernelSpec::scan_burst(3500 * KB, 2).weight(2.6),
+                KernelSpec::classed(5 * MB, 8000, vec![(2.0, 1), (1.0, 4)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.0),
+            ],
+        ),
+        bench(
+            "482.sphinx3",
+            true,
+            0.35,
+            vec![
+                // Mid-size cyclic loop + stream: insertion policies retain a
+                // fraction of the loop; PC signal only on the stream.
+                KernelSpec::scan_burst(4 * MB, 1).weight(2.4),
+                KernelSpec::streaming(12 * MB).weight(1.0),
+                KernelSpec::hot_set(640 * KB).weight(1.0),
+            ],
+        ),
+        bench(
+            "483.xalancbmk",
+            true,
+            0.38,
+            vec![
+                KernelSpec::pointer_chase_with_revisit(6 * MB, 0.4).weight(1.5),
+                KernelSpec::classed(4 * MB, 9000, vec![(2.0, 1), (1.0, 3), (0.5, 6)])
+                    .variants(8)
+                    .chained(0.55)
+                    .weight(1.8),
+                KernelSpec::hot_set(256 * KB).weight(0.8),
+            ],
+        ),
         // ---- cache-insensitive remainder (10) ----------------------------
-        bench("410.bwaves", false, 0.35, vec![
-            KernelSpec::streaming(48 * MB).weight(3.0),
-            KernelSpec::hot_set(64 * KB).weight(1.0),
-        ]),
-        bench("416.gamess", false, 0.30, vec![
-            KernelSpec::hot_set(96 * KB).weight(3.0),
-        ]),
-        bench("444.namd", false, 0.32, vec![
-            KernelSpec::hot_set(160 * KB).weight(3.0),
-            KernelSpec::streaming(MB).weight(0.2),
-        ]),
-        bench("445.gobmk", false, 0.32, vec![
-            KernelSpec::hot_set(192 * KB).weight(2.5),
-            KernelSpec::stack_distance(768 * KB, 0.7, 500.0).weight(1.0),
-        ]),
-        bench("447.dealII", false, 0.33, vec![
-            KernelSpec::stack_distance(512 * KB, 0.8, 1000.0).weight(3.0),
-        ]),
-        bench("453.povray", false, 0.30, vec![
-            KernelSpec::hot_set(128 * KB).weight(3.0),
-        ]),
-        bench("454.calculix", false, 0.33, vec![
-            KernelSpec::hot_set(64 * KB).weight(3.0),
-            KernelSpec::streaming(2 * MB).weight(0.4),
-        ]),
-        bench("458.sjeng", false, 0.32, vec![
-            KernelSpec::hot_set(224 * KB).weight(3.0),
-        ]),
-        bench("464.h264ref", false, 0.33, vec![
-            KernelSpec::scan_burst(512 * KB, 3).weight(2.0),
-            KernelSpec::hot_set(128 * KB).weight(1.5),
-        ]),
-        bench("465.tonto", false, 0.31, vec![
-            KernelSpec::hot_set(96 * KB).weight(2.5),
-            KernelSpec::generational(512 * KB, 4, 500).weight(1.0),
-        ]),
+        bench(
+            "410.bwaves",
+            false,
+            0.35,
+            vec![
+                KernelSpec::streaming(48 * MB).weight(3.0),
+                KernelSpec::hot_set(64 * KB).weight(1.0),
+            ],
+        ),
+        bench(
+            "416.gamess",
+            false,
+            0.30,
+            vec![KernelSpec::hot_set(96 * KB).weight(3.0)],
+        ),
+        bench(
+            "444.namd",
+            false,
+            0.32,
+            vec![
+                KernelSpec::hot_set(160 * KB).weight(3.0),
+                KernelSpec::streaming(MB).weight(0.2),
+            ],
+        ),
+        bench(
+            "445.gobmk",
+            false,
+            0.32,
+            vec![
+                KernelSpec::hot_set(192 * KB).weight(2.5),
+                KernelSpec::stack_distance(768 * KB, 0.7, 500.0).weight(1.0),
+            ],
+        ),
+        bench(
+            "447.dealII",
+            false,
+            0.33,
+            vec![KernelSpec::stack_distance(512 * KB, 0.8, 1000.0).weight(3.0)],
+        ),
+        bench(
+            "453.povray",
+            false,
+            0.30,
+            vec![KernelSpec::hot_set(128 * KB).weight(3.0)],
+        ),
+        bench(
+            "454.calculix",
+            false,
+            0.33,
+            vec![
+                KernelSpec::hot_set(64 * KB).weight(3.0),
+                KernelSpec::streaming(2 * MB).weight(0.4),
+            ],
+        ),
+        bench(
+            "458.sjeng",
+            false,
+            0.32,
+            vec![KernelSpec::hot_set(224 * KB).weight(3.0)],
+        ),
+        bench(
+            "464.h264ref",
+            false,
+            0.33,
+            vec![
+                KernelSpec::scan_burst(512 * KB, 3).weight(2.0),
+                KernelSpec::hot_set(128 * KB).weight(1.5),
+            ],
+        ),
+        bench(
+            "465.tonto",
+            false,
+            0.31,
+            vec![
+                KernelSpec::hot_set(96 * KB).weight(2.5),
+                KernelSpec::generational(512 * KB, 4, 500).weight(1.0),
+            ],
+        ),
     ]
 }
 
 /// Looks a benchmark up by name (with or without the numeric prefix).
 pub fn benchmark(name: &str) -> Option<Benchmark> {
-    suite().into_iter().find(|b| {
-        b.name == name || b.name.split_once('.').map(|(_, n)| n) == Some(name)
-    })
+    suite()
+        .into_iter()
+        .find(|b| b.name == name || b.name.split_once('.').map(|(_, n)| n) == Some(name))
 }
 
 /// Names of the 19 memory-intensive subset benchmarks, in Table III order.
 pub fn subset_names() -> Vec<&'static str> {
-    suite().into_iter().filter(|b| b.in_subset).map(|b| b.name).collect()
+    suite()
+        .into_iter()
+        .filter(|b| b.in_subset)
+        .map(|b| b.name)
+        .collect()
 }
 
 /// The memory-intensive subset itself.
@@ -322,7 +514,10 @@ mod tests {
         let s = suite();
         let seeds: std::collections::HashSet<u64> = s.iter().map(|b| b.seed()).collect();
         assert_eq!(seeds.len(), 29);
-        assert_eq!(benchmark("456.hmmer").unwrap().seed(), benchmark("hmmer").unwrap().seed());
+        assert_eq!(
+            benchmark("456.hmmer").unwrap().seed(),
+            benchmark("hmmer").unwrap().seed()
+        );
     }
 
     #[test]

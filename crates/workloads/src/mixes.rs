@@ -29,16 +29,46 @@ impl Mix {
 /// The ten mixes exactly as listed in Table IV.
 pub fn mixes() -> Vec<Mix> {
     vec![
-        Mix { name: "mix1", members: ["mcf", "hmmer", "libquantum", "omnetpp"] },
-        Mix { name: "mix2", members: ["gobmk", "soplex", "libquantum", "lbm"] },
-        Mix { name: "mix3", members: ["zeusmp", "leslie3d", "libquantum", "xalancbmk"] },
-        Mix { name: "mix4", members: ["gamess", "cactusADM", "soplex", "libquantum"] },
-        Mix { name: "mix5", members: ["bzip2", "gamess", "mcf", "sphinx3"] },
-        Mix { name: "mix6", members: ["gcc", "calculix", "libquantum", "sphinx3"] },
-        Mix { name: "mix7", members: ["perlbench", "milc", "hmmer", "lbm"] },
-        Mix { name: "mix8", members: ["bzip2", "gcc", "gobmk", "lbm"] },
-        Mix { name: "mix9", members: ["gamess", "mcf", "tonto", "xalancbmk"] },
-        Mix { name: "mix10", members: ["milc", "namd", "sphinx3", "xalancbmk"] },
+        Mix {
+            name: "mix1",
+            members: ["mcf", "hmmer", "libquantum", "omnetpp"],
+        },
+        Mix {
+            name: "mix2",
+            members: ["gobmk", "soplex", "libquantum", "lbm"],
+        },
+        Mix {
+            name: "mix3",
+            members: ["zeusmp", "leslie3d", "libquantum", "xalancbmk"],
+        },
+        Mix {
+            name: "mix4",
+            members: ["gamess", "cactusADM", "soplex", "libquantum"],
+        },
+        Mix {
+            name: "mix5",
+            members: ["bzip2", "gamess", "mcf", "sphinx3"],
+        },
+        Mix {
+            name: "mix6",
+            members: ["gcc", "calculix", "libquantum", "sphinx3"],
+        },
+        Mix {
+            name: "mix7",
+            members: ["perlbench", "milc", "hmmer", "lbm"],
+        },
+        Mix {
+            name: "mix8",
+            members: ["bzip2", "gcc", "gobmk", "lbm"],
+        },
+        Mix {
+            name: "mix9",
+            members: ["gamess", "mcf", "tonto", "xalancbmk"],
+        },
+        Mix {
+            name: "mix10",
+            members: ["milc", "namd", "sphinx3", "xalancbmk"],
+        },
     ]
 }
 
