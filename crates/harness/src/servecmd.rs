@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 const SERVE_USAGE: &str = "usage: sdbp-repro serve [--addr HOST:PORT] [--jobs N] \
-     [--queue-depth N] [--trace-dir DIR] [--engine-report FILE] [--shutdown-file FILE]";
+     [--queue-depth N] [--engine-report FILE] [--shutdown-file FILE]";
 
 const SUBMIT_USAGE: &str = "usage: sdbp-repro submit --addr HOST:PORT \
      [--policy SPEC]... [--sets N] [--ways N] [--window N] FILE.sdbt";
@@ -53,7 +53,6 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
             "addr",
             "jobs",
             "queue-depth",
-            "trace-dir",
             "engine-report",
             "shutdown-file",
         ],
@@ -69,7 +68,6 @@ fn serve_inner(args: &[String]) -> Result<(), String> {
         addr: flags.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
         workers: flags.positive("jobs")?.unwrap_or(2),
         queue_depth: flags.number("queue-depth")?.unwrap_or(16),
-        trace_dir: flags.get("trace-dir").map(PathBuf::from),
         ..ServerConfig::default()
     };
     let report_path = flags.engine_report();

@@ -70,15 +70,19 @@ fn trace_info_output_matches_the_golden_text_for_v1_and_v2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--shards` is no flag of any command: the experiment runner,
-/// `trace replay` and `serve` each reject it with exit code 2 and the
-/// parser's unknown-flag error rather than ignore it.
+/// Removed flags are no flags at all: `--shards` on the experiment
+/// runner, `trace replay` and `serve`, and `--trace-dir` on `serve`, each
+/// exit 2 with the parser's unknown-flag error rather than be ignored.
 #[test]
-fn shards_is_an_unknown_flag_on_every_command() {
-    for args in [
-        &["--shards", "4", "list"][..],
-        &["trace", "replay", "missing.sdbt", "--shards", "4"],
-        &["serve", "--shards", "4"],
+fn removed_flags_are_unknown_flags() {
+    for (args, flag) in [
+        (&["--shards", "4", "list"][..], "--shards"),
+        (
+            &["trace", "replay", "missing.sdbt", "--shards", "4"],
+            "--shards",
+        ),
+        (&["serve", "--shards", "4"], "--shards"),
+        (&["serve", "--trace-dir", "d"], "--trace-dir"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sdbp-repro"))
             .args(args)
@@ -87,7 +91,7 @@ fn shards_is_an_unknown_flag_on_every_command() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("unknown flag --shards\n"),
+            stderr.contains(&format!("unknown flag {flag}\n")),
             "{args:?}: {stderr}"
         );
     }

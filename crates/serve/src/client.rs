@@ -8,11 +8,14 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
 
-/// Where the trace for a submission comes from.
+/// The trace of a submission, streamed inline.
+///
+/// Inline bytes are the only way to send a trace. The enum is
+/// `#[non_exhaustive]`, so a match on it outside this crate keeps its
+/// fallback arm without an irrefutable-pattern warning.
 #[derive(Clone, Debug)]
+#[non_exhaustive]
 pub enum TraceSubmission {
-    /// Name of a `.sdbt` archive in the server's trace directory.
-    Archive(String),
     /// A `.sdbt` file image streamed inline.
     Bytes(Vec<u8>),
 }
@@ -191,26 +194,21 @@ impl Client {
         request: &JobRequest,
         mut on_window: impl FnMut(u64, u64),
     ) -> Result<SubmitReply, ServeError> {
-        let trace_ref = match &request.trace {
-            TraceSubmission::Archive(name) => TraceRef::Archive { name: name.clone() },
-            TraceSubmission::Bytes(bytes) => TraceRef::Inline {
-                total: bytes.len() as u64,
-            },
-        };
+        let TraceSubmission::Bytes(bytes) = &request.trace;
         Frame::SubmitJob {
             policy: request.policy.clone(),
             sets: request.sets,
             ways: request.ways,
             window: request.window,
-            trace: trace_ref,
+            trace: TraceRef::Inline {
+                total: bytes.len() as u64,
+            },
         }
         .write_to(&mut self.writer)?;
-        if let TraceSubmission::Bytes(bytes) = &request.trace {
-            for chunk in bytes.chunks(TRACE_CHUNK_BYTES) {
-                write_trace_chunk(&mut self.writer, chunk)?;
-            }
-            Frame::TraceEnd.write_to(&mut self.writer)?;
+        for chunk in bytes.chunks(TRACE_CHUNK_BYTES) {
+            write_trace_chunk(&mut self.writer, chunk)?;
         }
+        Frame::TraceEnd.write_to(&mut self.writer)?;
         let job = match self.read_frame("JobAccepted or Busy")? {
             Frame::JobAccepted { job } => job,
             Frame::Busy { queue_depth } => return Ok(SubmitReply::Busy { queue_depth }),

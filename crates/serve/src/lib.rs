@@ -11,9 +11,12 @@
 //!   negotiation and typed [`FrameError`]s for every way a peer can be
 //!   wrong.
 //! * [`server`] — thread-per-connection sessions multiplexed onto a
-//!   bounded job queue drained by executor threads; saturation is an
-//!   explicit `Busy` reply, never an unbounded backlog; shutdown is a
-//!   flag plus listener wakeup, never `process::exit`.
+//!   bounded job queue drained by executor threads. Each session is the
+//!   only writer of its connection: an executor sends a job's window
+//!   counts and final frame over the job's own channel and never waits
+//!   on a client. Saturation is an explicit `Busy` reply, never an
+//!   unbounded backlog; shutdown is a flag plus listener wakeup, never
+//!   `process::exit`. Traces arrive one way, as inline uploads.
 //! * [`client`] — a blocking client library the `sdbp-repro submit`
 //!   subcommand (and the integration tests) drive.
 //!

@@ -50,15 +50,9 @@ pub const MAX_FRAME_LEN: u32 = 1 << 20;
 /// staying well under [`MAX_FRAME_LEN`].
 pub const TRACE_CHUNK_BYTES: usize = 256 * 1024;
 
-/// How a submitted job's trace reaches the server.
+/// How a submitted job's trace reaches the server: always inline.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TraceRef {
-    /// A named `.sdbt` archive in the server's `--trace-dir`. The name is
-    /// a bare file name; path separators are rejected server-side.
-    Archive {
-        /// Archive file name, e.g. `hmmer.sdbt`.
-        name: String,
-    },
     /// The client streams the `.sdbt` file image inline, as `total`
     /// bytes of [`Frame::TraceChunk`] payloads closed by a
     /// [`Frame::TraceEnd`].
@@ -76,12 +70,10 @@ pub enum ErrorCode {
     /// The policy spec did not parse or names an unknown policy.
     BadSpec,
     /// The cache geometry is invalid (sets not a power of two, ways
-    /// outside 1..=256).
+    /// outside 1..=16).
     BadGeometry,
     /// The submitted trace bytes are not a valid `.sdbt` stream.
     BadTrace,
-    /// The named archive does not exist or is not servable.
-    BadArchive,
     /// The client broke the frame sequence (e.g. `TraceChunk` without a
     /// pending inline submission).
     Protocol,
@@ -92,14 +84,14 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// Wire encoding of the code.
+    /// Wire encoding of the code. Byte 4 is retired (it was
+    /// `bad-archive`) and is never reused.
     pub fn to_byte(self) -> u8 {
         match self {
             ErrorCode::BadVersion => 0,
             ErrorCode::BadSpec => 1,
             ErrorCode::BadGeometry => 2,
             ErrorCode::BadTrace => 3,
-            ErrorCode::BadArchive => 4,
             ErrorCode::Protocol => 5,
             ErrorCode::Shutdown => 6,
             ErrorCode::Internal => 7,
@@ -113,7 +105,6 @@ impl ErrorCode {
             1 => ErrorCode::BadSpec,
             2 => ErrorCode::BadGeometry,
             3 => ErrorCode::BadTrace,
-            4 => ErrorCode::BadArchive,
             5 => ErrorCode::Protocol,
             6 => ErrorCode::Shutdown,
             7 => ErrorCode::Internal,
@@ -129,7 +120,6 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::BadSpec => "bad-spec",
             ErrorCode::BadGeometry => "bad-geometry",
             ErrorCode::BadTrace => "bad-trace",
-            ErrorCode::BadArchive => "bad-archive",
             ErrorCode::Protocol => "protocol",
             ErrorCode::Shutdown => "shutdown",
             ErrorCode::Internal => "internal",
@@ -241,7 +231,8 @@ const KIND_WINDOW_RESULT: u8 = 0x84;
 const KIND_JOB_DONE: u8 = 0x85;
 const KIND_ERROR: u8 = 0x86;
 
-const TRACE_REF_ARCHIVE: u8 = 0;
+/// The inline trace tag. Tag 0 is retired (it named a server-side
+/// archive) and decodes as unknown; it is never reused.
 const TRACE_REF_INLINE: u8 = 1;
 
 impl Frame {
@@ -294,16 +285,9 @@ impl Frame {
                 put_varint(&mut out, u64::from(*sets));
                 put_varint(&mut out, u64::from(*ways));
                 put_varint(&mut out, u64::from(*window));
-                match trace {
-                    TraceRef::Archive { name } => {
-                        out.push(TRACE_REF_ARCHIVE);
-                        put_str(&mut out, name);
-                    }
-                    TraceRef::Inline { total } => {
-                        out.push(TRACE_REF_INLINE);
-                        put_varint(&mut out, *total);
-                    }
-                }
+                let TraceRef::Inline { total } = trace;
+                out.push(TRACE_REF_INLINE);
+                put_varint(&mut out, *total);
             }
             Frame::TraceChunk { bytes } => {
                 out.push(KIND_TRACE_CHUNK);
@@ -391,9 +375,6 @@ impl Frame {
                 let window = get_u32(body, &mut pos, "SubmitJob.window")?;
                 let tag = get_u8(body, &mut pos, "SubmitJob.trace_tag")?;
                 let trace = match tag {
-                    TRACE_REF_ARCHIVE => TraceRef::Archive {
-                        name: get_str(body, &mut pos, "SubmitJob.archive")?,
-                    },
                     TRACE_REF_INLINE => TraceRef::Inline {
                         total: get_u64(body, &mut pos, "SubmitJob.total")?,
                     },
@@ -664,12 +645,11 @@ mod tests {
     }
 
     /// Every `ErrorCode`, in the order [`code_variant`] numbers them.
-    const EVERY_CODE: [ErrorCode; 8] = [
+    const EVERY_CODE: [ErrorCode; 7] = [
         ErrorCode::BadVersion,
         ErrorCode::BadSpec,
         ErrorCode::BadGeometry,
         ErrorCode::BadTrace,
-        ErrorCode::BadArchive,
         ErrorCode::Protocol,
         ErrorCode::Shutdown,
         ErrorCode::Internal,
@@ -683,17 +663,15 @@ mod tests {
             ErrorCode::BadSpec => 1,
             ErrorCode::BadGeometry => 2,
             ErrorCode::BadTrace => 3,
-            ErrorCode::BadArchive => 4,
-            ErrorCode::Protocol => 5,
-            ErrorCode::Shutdown => 6,
-            ErrorCode::Internal => 7,
+            ErrorCode::Protocol => 4,
+            ErrorCode::Shutdown => 5,
+            ErrorCode::Internal => 6,
         }
     }
 
     /// The wire tag of each `TraceRef` variant (no wildcard).
     fn trace_tag(t: &TraceRef) -> u8 {
         match t {
-            TraceRef::Archive { .. } => TRACE_REF_ARCHIVE,
             TraceRef::Inline { .. } => TRACE_REF_INLINE,
         }
     }
@@ -714,9 +692,7 @@ mod tests {
                 sets: 2048,
                 ways: 16,
                 window: 10_000,
-                trace: TraceRef::Archive {
-                    name: "hmmer.sdbt".into(),
-                },
+                trace: TraceRef::Inline { total: 0 },
             },
             Frame::SubmitJob {
                 policy: "lru".into(),
@@ -787,7 +763,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let every_tag = BTreeSet::from([TRACE_REF_ARCHIVE, TRACE_REF_INLINE]);
+        let every_tag = BTreeSet::from([TRACE_REF_INLINE]);
         assert_eq!(tags, every_tag, "a TraceRef variant lacks an exemplar");
         let mut prefix = vec![KIND_SUBMIT];
         put_str(&mut prefix, "lru");
@@ -923,15 +899,18 @@ mod tests {
                 context: "Hello.client"
             })
         ));
-        // ErrorReply with an unknown code byte.
-        let mut payload = vec![KIND_ERROR, 0xee];
-        put_varint(&mut payload, 0);
-        assert!(matches!(
-            Frame::decode(&payload),
-            Err(FrameError::Malformed {
-                context: "ErrorReply.code"
-            })
-        ));
+        // ErrorReply with an unknown code byte: 4 is the retired
+        // `bad-archive` code.
+        for code in [4, 0xee] {
+            let mut payload = vec![KIND_ERROR, code];
+            put_varint(&mut payload, 0);
+            assert!(matches!(
+                Frame::decode(&payload),
+                Err(FrameError::Malformed {
+                    context: "ErrorReply.code"
+                })
+            ));
+        }
     }
 
     #[test]

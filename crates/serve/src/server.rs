@@ -5,19 +5,21 @@
 //!
 //! * one **accept** thread turning connections into session threads;
 //! * one **session** thread per connection (the state machine lives in
-//!   the `session` module) — it parses requests and parks on a
-//!   `JobGate` while its job runs;
+//!   the `session` module) — it parses requests and is the only writer
+//!   of its connection;
 //! * `workers` **executor** threads popping the shared bounded queue and
 //!   running jobs through the resident [`sdbp_engine::Engine`] (panic
-//!   isolation + telemetry), streaming results straight to the
-//!   submitting connection.
+//!   isolation + telemetry). An executor never touches a socket: it
+//!   sends the job's window counts and final frame over the job's own
+//!   channel, and the session writes them, so a client that stops
+//!   reading stalls only its own session.
 //!
 //! Backpressure is the queue bound: when `queue_depth` jobs are already
 //! waiting, a submission gets an immediate `Busy` frame instead of a
 //! spot in an unbounded backlog. Shutdown is cooperative — a flag, a
 //! condvar broadcast, a self-connect to wake the blocking accept call,
-//! and socket shutdowns to unblock session reads. No library code calls
-//! `process::exit`.
+//! and read-side socket shutdowns to unblock session reads. No library
+//! code calls `process::exit`.
 
 use crate::error::ServeError;
 use crate::protocol::{ErrorCode, Frame};
@@ -31,9 +33,9 @@ use sdbp_engine::{Engine, Job};
 use sdbp_traceio::format::fnv1a_words;
 use sdbp_traceio::BufferedTrace;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -50,9 +52,6 @@ pub struct ServerConfig {
     /// Bounded job-queue capacity; submissions beyond it get `Busy`.
     /// Clamped to at least 1.
     pub queue_depth: usize,
-    /// Directory resolving `TraceRef::Archive` names; `None` rejects all
-    /// archive submissions.
-    pub trace_dir: Option<PathBuf>,
     /// Largest inline trace a client may stream, in bytes.
     pub max_inline_bytes: u64,
     /// Server display name sent in `HelloAck`.
@@ -69,7 +68,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
             queue_depth: 16,
-            trace_dir: None,
             max_inline_bytes: 256 << 20,
             server_name: "sdbp-serve".to_owned(),
             shards: 1,
@@ -77,28 +75,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// A one-shot latch between a session and whoever writes its job's
-/// frames. Each job has two: `accepted` opens once the session has put
-/// `JobAccepted` on the wire (so the executor or the shutdown drain may
-/// write the job's frames), `done` once the job reached a final frame
-/// (`JobDone` or `ErrorReply`, so the session may resume reading).
-#[derive(Debug, Default)]
-pub(crate) struct JobGate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl JobGate {
-    /// Blocks until the gate is [`open`](JobGate::open).
-    pub(crate) fn pass(&self) {
-        wait_then(&self.open, &self.cv, |open| !*open, |_| ());
-    }
-
-    /// Opens the gate for every current and later [`pass`](JobGate::pass).
-    pub(crate) fn open(&self) {
-        with_lock(&self.open, |open| *open = true);
-        self.cv.notify_all();
-    }
+/// What an executor sends the session of a running job, in order: one
+/// `Window` per closed window, then one `Done`.
+#[derive(Debug)]
+pub(crate) enum JobEvent {
+    /// Window `index` closed with this many misses.
+    Window {
+        /// 0-based window index.
+        index: u64,
+        /// Misses in the window.
+        misses: u64,
+    },
+    /// The job's final frame, `JobDone` or `ErrorReply`.
+    Done(Box<Frame>),
 }
 
 /// One fully-received job waiting for an executor.
@@ -121,14 +110,8 @@ pub(crate) struct QueuedJob {
     /// Instruction count from the (already validated) trace header, for
     /// engine throughput telemetry.
     pub(crate) instructions: u64,
-    /// Telemetry source label (`wire:inline` or `file:{path}`).
-    pub(crate) source: String,
-    /// Write half of the submitting connection.
-    pub(crate) stream: TcpStream,
-    /// Opened by the session once `JobAccepted` is on the wire.
-    pub(crate) accepted: Arc<JobGate>,
-    /// Opened here once the job's final frame is on the wire.
-    pub(crate) done: Arc<JobGate>,
+    /// The submitting session's end of the job's channel.
+    pub(crate) events: Sender<JobEvent>,
 }
 
 /// State shared by the accept loop, sessions, and executors.
@@ -139,7 +122,6 @@ pub(crate) struct Shared {
     pub(crate) queue_cv: Condvar,
     pub(crate) queue_depth: usize,
     pub(crate) next_job: AtomicU64,
-    pub(crate) trace_dir: Option<PathBuf>,
     pub(crate) max_inline_bytes: u64,
     pub(crate) server_name: String,
     pub(crate) engine: Engine,
@@ -275,7 +257,6 @@ impl Server {
             queue_cv: Condvar::new(),
             queue_depth: config.queue_depth.max(1),
             next_job: AtomicU64::new(1),
-            trace_dir: config.trace_dir,
             max_inline_bytes: config.max_inline_bytes,
             server_name: config.server_name,
             // Each executor runs one job at a time; the engine's own pool
@@ -326,8 +307,9 @@ impl Server {
     }
 
     /// Stops the server: finishes queued jobs (when executors exist),
-    /// aborts the rest with `Shutdown` error frames, unblocks every
-    /// session, and joins all threads. Idempotent; also runs on drop.
+    /// drops the rest, unblocks every session's reads, and joins all
+    /// threads. The session of each dropped job sees its channel close
+    /// and answers `Shutdown` itself. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         // Set under the queue lock, so an executor between its emptiness
         // check and its wait cannot miss the wake-up below.
@@ -344,24 +326,10 @@ impl Server {
             )]
             let _ = h.join();
         }
-        // With no executors (workers = 0), queued jobs are aborted here.
-        // Sessions can no longer enqueue: the submit path re-checks the
-        // shutdown flag under the queue lock.
-        let leftovers: VecDeque<QueuedJob> = with_lock(&self.shared.queue, std::mem::take);
-        for q in leftovers {
-            q.accepted.pass();
-            let mut stream = q.stream;
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "best-effort abort notice; the peer may be gone"
-            )]
-            let _ = Frame::ErrorReply {
-                code: ErrorCode::Shutdown,
-                detail: "server is shutting down".to_owned(),
-            }
-            .write_to(&mut stream);
-            q.done.open();
-        }
+        // With no executors (workers = 0), jobs are still queued: dropping
+        // them closes their channels. Sessions can no longer enqueue: the
+        // submit path re-checks the shutdown flag under the queue lock.
+        drop(with_lock(&self.shared.queue, std::mem::take));
         // Wake the blocking accept() and join the accept thread.
         #[expect(
             clippy::let_underscore_must_use,
@@ -375,14 +343,16 @@ impl Server {
             )]
             let _ = h.join();
         }
-        // Unblock session reads and join the session threads.
+        // Unblock session reads and join the session threads. The write
+        // side stays open, so a session still relaying its job's frames
+        // (or the `Shutdown` reply) finishes before it sees end of stream.
         let slots: Vec<SessionSlot> = with_lock(&self.sessions, std::mem::take);
         for s in &slots {
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "socket may already be closed; that is the goal state"
             )]
-            let _ = s.stream.shutdown(std::net::Shutdown::Both);
+            let _ = s.stream.shutdown(Shutdown::Read);
         }
         for s in slots {
             #[expect(
@@ -457,7 +427,7 @@ struct DoneStats {
 }
 
 /// Runs one job through the engine (panic isolation + telemetry) and
-/// writes the final frame to the submitting connection.
+/// sends its final frame to the submitting session.
 fn execute_job(shared: &Shared, queued: QueuedJob) {
     let QueuedJob {
         job,
@@ -468,34 +438,28 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
         window,
         trace,
         instructions,
-        mut source,
-        mut stream,
-        accepted,
-        done,
+        events,
     } = queued;
-    // JobAccepted precedes every frame of the job.
-    accepted.pass();
     let key = UploadKey::of(session, &trace);
     let reused = shared.memo.hit_or_empty(&key);
-    if reused.is_some() {
-        source.push_str("+reused");
-    }
+    let source = if reused.is_some() {
+        "wire:inline+reused"
+    } else {
+        "wire:inline"
+    };
     let upload = Upload {
         key,
         reused,
         bytes: trace,
     };
-    let outcome = {
-        let results_stream = &mut stream;
-        shared.engine.run_one(
-            &label,
-            Job::new(label.clone(), move || {
-                run_replay(job, &policy, llc, window, upload, shared, results_stream)
-            })
-            .accesses(instructions)
-            .source(source),
-        )
-    };
+    let outcome = shared.engine.run_one(
+        &label,
+        Job::new(label.clone(), || {
+            run_replay(&policy, llc, window, upload, shared, &events)
+        })
+        .accesses(instructions)
+        .source(source),
+    );
     let final_frame = match outcome {
         Ok(Ok(done)) => Frame::JobDone {
             job,
@@ -515,24 +479,22 @@ fn execute_job(shared: &Shared, queued: QueuedJob) {
     };
     #[expect(
         clippy::let_underscore_must_use,
-        reason = "best-effort result delivery; a vanished client keeps the server up"
+        reason = "a session that is gone has no one to tell; the job still completed"
     )]
-    let _ = final_frame.write_to(&mut stream);
-    done.open();
+    let _ = events.send(JobEvent::Done(Box::new(final_frame)));
 }
 
 /// The replay pipeline — the same replay front door as `sdbp-repro trace
 /// replay`, which is what makes wire results bit-identical to in-process
 /// ones; a memoised recording equals a fresh one, so a memo hit streams
-/// the same frames as a miss.
+/// the same windows as a miss.
 fn run_replay(
-    job: u64,
     policy: &str,
     llc: CacheConfig,
     window: u32,
     upload: Upload,
     shared: &Shared,
-    stream: &mut TcpStream,
+    events: &Sender<JobEvent>,
 ) -> Result<DoneStats, (ErrorCode, String)> {
     let workload = upload.recording(&shared.memo)?;
     let spec: sdbp::registry::PolicySpec = policy
@@ -553,15 +515,13 @@ fn run_replay(
         (code, e.to_string())
     };
     let (outcome, windows) = if window > 0 {
-        // Stream each completed window as it closes. A dead connection
-        // stops the writes but not the replay: the job still completes
-        // and its telemetry stays truthful.
-        let mut writing = true;
+        // Send each completed window as it closes. A session that is gone
+        // stops the sends but not the replay: the job still completes and
+        // its telemetry stays truthful.
+        let mut open = true;
         let mut probe = WindowStream::new(window as usize, |index, misses| {
-            if writing {
-                writing = Frame::WindowResult { job, index, misses }
-                    .write_to(stream)
-                    .is_ok();
+            if open {
+                open = events.send(JobEvent::Window { index, misses }).is_ok();
             }
         });
         let outcome = request(ReplayMode::Exact {
@@ -591,69 +551,4 @@ fn run_replay(
         windows,
         ipc_bits: ipc.to_bits(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Read;
-    use std::time::Duration;
-
-    /// The executor writes no frame of a job until the session opens its
-    /// `accepted` gate, so `JobAccepted` always comes first on the wire.
-    #[test]
-    fn executor_writes_nothing_before_the_job_is_accepted() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (stream, _) = listener.accept().expect("accept");
-        let shared = Shared {
-            shutdown: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            queue_depth: 1,
-            next_job: AtomicU64::new(1),
-            trace_dir: None,
-            max_inline_bytes: 0,
-            server_name: String::new(),
-            engine: Engine::with_workers(1),
-            memo: RecordingMemo::default(),
-        };
-        let (accepted, done) = (Arc::new(JobGate::default()), Arc::new(JobGate::default()));
-        let job = QueuedJob {
-            job: 1,
-            session: 1,
-            label: "gate".to_owned(),
-            policy: "lru".to_owned(),
-            llc: CacheConfig { sets: 1, ways: 1 },
-            window: 0,
-            // Not a trace: the job fails at once with a BadTrace reply.
-            trace: vec![0u8; 8],
-            instructions: 0,
-            source: "test".to_owned(),
-            stream,
-            accepted: Arc::clone(&accepted),
-            done: Arc::clone(&done),
-        };
-        std::thread::scope(|s| {
-            s.spawn(|| execute_job(&shared, job));
-            client
-                .set_read_timeout(Some(Duration::from_millis(300)))
-                .expect("timeout");
-            let early = client.read(&mut [0u8; 1]);
-            assert!(
-                early.is_err(),
-                "a frame was written before JobAccepted: {early:?}"
-            );
-            accepted.open();
-            client.set_read_timeout(None).expect("blocking");
-            match Frame::read_from(&mut client).expect("readable") {
-                Some(Frame::ErrorReply {
-                    code: ErrorCode::BadTrace,
-                    ..
-                }) => {}
-                other => panic!("expected the job's BadTrace reply, got {other:?}"),
-            }
-            done.pass();
-        });
-    }
 }

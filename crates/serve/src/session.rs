@@ -1,25 +1,27 @@
 //! Per-connection session layer: handshake, request parsing, inline
-//! trace transfer, and the enqueue/backpressure decision.
+//! trace transfer, the enqueue/backpressure decision, and every write to
+//! the connection.
 //!
-//! A session owns the read half of its connection and parses one request
-//! at a time. While a job runs, the session parks on the job's `done`
-//! [`JobGate`]; the executor writes the result frames directly, so the
-//! connection never sees interleaved writers. Peer mistakes are answered
+//! A session owns its connection and parses one request at a time. It is
+//! the connection's only writer: while a job runs, the session relays
+//! the window counts and the final frame that the executor sends over the
+//! job's channel, after its own `JobAccepted`, so frames never interleave
+//! and an executor never waits on a client. Peer mistakes are answered
 //! with typed `ErrorReply` frames where the stream is still in sync, and
 //! by closing the connection where it cannot be (framing corruption, a
-//! wrong frame mid-transfer). Nothing a client sends can poison a queue slot: a job
-//! is enqueued only after its submission — including every inline trace
-//! byte — has been received and validated.
+//! wrong frame mid-transfer). Nothing a client sends can poison a queue
+//! slot: a job is enqueued only after its submission — including every
+//! inline trace byte — has been received and validated.
 
 use crate::protocol::{ErrorCode, Frame, TraceRef, PROTOCOL_VERSION};
-use crate::server::{JobGate, QueuedJob, Shared};
+use crate::server::{JobEvent, QueuedJob, Shared};
 use crate::with_lock;
 use sdbp_cache::CacheConfig;
 use sdbp_traceio::read_header;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Whether the session loop keeps serving after handling a request.
 enum Flow {
@@ -34,13 +36,13 @@ enum Decision {
     Accepted(u64),
 }
 
-/// A parsed `SubmitJob` frame.
+/// A parsed `SubmitJob` frame; `total` is its inline trace's length.
 struct Submission {
     policy: String,
     sets: u32,
     ways: u32,
     window: u32,
-    trace: TraceRef,
+    total: u64,
 }
 
 /// Runs one connection to completion. Never panics; every exit path
@@ -123,14 +125,14 @@ fn serve_connection(
                 sets,
                 ways,
                 window,
-                trace,
+                trace: TraceRef::Inline { total },
             })) => {
                 let sub = Submission {
                     policy,
                     sets,
                     ways,
                     window,
-                    trace,
+                    total,
                 };
                 match handle_submit(shared, session, reader, writer, sub) {
                     Flow::Continue => {}
@@ -155,11 +157,8 @@ fn serve_connection(
                 // pending submission, a server-side frame, a second
                 // Hello). The stream is still frame-aligned, so report
                 // and keep serving.
-                let reply = Frame::ErrorReply {
-                    code: ErrorCode::Protocol,
-                    detail: format!("unexpected {} frame", other.name()),
-                };
-                if reply.write_to(&mut writer).is_err() {
+                let detail = format!("unexpected {} frame", other.name());
+                if let Flow::Close = reply_error(writer, ErrorCode::Protocol, detail) {
                     return;
                 }
             }
@@ -183,19 +182,24 @@ fn serve_connection(
     }
 }
 
-/// Replies with a typed error and keeps the session alive (unless the
-/// connection itself is gone).
-fn reply_error(writer: &mut TcpStream, code: ErrorCode, detail: String) -> Flow {
-    let reply = Frame::ErrorReply { code, detail };
-    if reply.write_to(writer).is_ok() {
+/// Writes `frame` and keeps the session alive, unless the connection
+/// itself is gone.
+fn reply(writer: &mut TcpStream, frame: &Frame) -> Flow {
+    if frame.write_to(writer).is_ok() {
         Flow::Continue
     } else {
         Flow::Close
     }
 }
 
+/// Replies with a typed error and keeps the session alive (unless the
+/// connection itself is gone).
+fn reply_error(writer: &mut TcpStream, code: ErrorCode, detail: String) -> Flow {
+    reply(writer, &Frame::ErrorReply { code, detail })
+}
+
 /// Validates a submission, receives its trace, and either enqueues it
-/// (then parks until the executor finishes) or answers `Busy`.
+/// (then relays its frames until the final one) or answers `Busy`.
 fn handle_submit(
     shared: &Arc<Shared>,
     session: u64,
@@ -207,35 +211,10 @@ fn handle_submit(
     // has `TraceChunk* TraceEnd` already on the wire, and rejecting
     // without draining them would leave the stream misaligned for every
     // later request on this connection.
-    let (trace, source) = match sub.trace {
-        TraceRef::Archive { name } => {
-            if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
-                return reply_error(
-                    writer,
-                    ErrorCode::BadArchive,
-                    format!("archive name '{name}' must be a bare file name"),
-                );
-            }
-            let Some(dir) = &shared.trace_dir else {
-                return reply_error(
-                    writer,
-                    ErrorCode::BadArchive,
-                    "server was started without a trace directory".to_owned(),
-                );
-            };
-            let path = dir.join(&name);
-            match std::fs::read(&path) {
-                Ok(bytes) => (bytes, format!("file:{}", path.display())),
-                Err(e) => {
-                    return reply_error(writer, ErrorCode::BadArchive, format!("{name}: {e}"))
-                }
-            }
-        }
-        TraceRef::Inline { total } => match receive_inline(shared, reader, writer, total) {
-            Inline::Complete(bytes) => (bytes, "wire:inline".to_owned()),
-            Inline::Reject(code, detail) => return reply_error(writer, code, detail),
-            Inline::Close => return Flow::Close,
-        },
+    let trace = match receive_inline(shared, reader, writer, sub.total) {
+        Inline::Complete(bytes) => bytes,
+        Inline::Reject(code, detail) => return reply_error(writer, code, detail),
+        Inline::Close => return Flow::Close,
     };
 
     let llc = match CacheConfig::try_new(sub.sets as usize, sub.ways as usize) {
@@ -264,15 +243,9 @@ fn handle_submit(
         );
     }
 
-    let Ok(job_stream) = writer.try_clone() else {
-        return Flow::Close;
-    };
-    let accepted = Arc::new(JobGate::default());
-    let done = Arc::new(JobGate::default());
+    let (events, job_events) = mpsc::channel();
     // The shutdown check, the depth check and the enqueue are one
-    // critical section; every write happens after it. The executor (or
-    // the shutdown drain) passes `accepted` before writing any frame of
-    // the job, so JobAccepted still precedes them on the wire.
+    // critical section; every write happens after it.
     let decision = with_lock(&shared.queue, |q| {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Decision::Shutdown;
@@ -290,10 +263,7 @@ fn handle_submit(
             window: sub.window,
             trace,
             instructions: meta.count,
-            source,
-            stream: job_stream,
-            accepted: Arc::clone(&accepted),
-            done: Arc::clone(&done),
+            events,
         });
         shared.queue_cv.notify_one();
         Decision::Accepted(job)
@@ -307,24 +277,32 @@ fn handle_submit(
             )
         }
         Decision::Busy => {
-            let busy = Frame::Busy {
-                queue_depth: u32::try_from(shared.queue_depth).unwrap_or(u32::MAX),
-            };
-            return if busy.write_to(writer).is_ok() {
-                Flow::Continue
-            } else {
-                Flow::Close
-            };
+            let queue_depth = u32::try_from(shared.queue_depth).unwrap_or(u32::MAX);
+            return reply(writer, &Frame::Busy { queue_depth });
         }
         Decision::Accepted(job) => job,
     };
-    let sent = Frame::JobAccepted { job }.write_to(writer).is_ok();
-    accepted.open();
-    if !sent {
+    // Returning early drops `job_events`: the executor's later sends fail
+    // and the job still completes.
+    if let Flow::Close = reply(writer, &Frame::JobAccepted { job }) {
         return Flow::Close;
     }
-    done.pass();
-    Flow::Continue
+    for event in job_events {
+        let frame = match event {
+            JobEvent::Window { index, misses } => Frame::WindowResult { job, index, misses },
+            JobEvent::Done(last) => return reply(writer, &last),
+        };
+        if let Flow::Close = reply(writer, &frame) {
+            return Flow::Close;
+        }
+    }
+    // The channel closed without a final frame: shutdown dropped the job
+    // before an executor took it.
+    reply_error(
+        writer,
+        ErrorCode::Shutdown,
+        "server is shutting down".to_owned(),
+    )
 }
 
 /// Outcome of an inline trace transfer.

@@ -1,5 +1,6 @@
 //! Real-TCP loopback tests: wire determinism against the golden fixture,
-//! window streaming, typed rejections, and queue backpressure.
+//! window streaming, typed rejections, queue backpressure, and a client
+//! that stops reading.
 //!
 //! The determinism test is the acceptance property of the serve plane: a
 //! job submitted over the wire must produce miss counts bit-identical to
@@ -43,7 +44,13 @@ fn golden_misses(spec: &str) -> u64 {
 /// Records the golden cell's workload into an in-memory `.sdbt` image —
 /// the same bytes `sdbp-repro trace record` would write.
 fn trace_bytes(instructions: u64) -> Vec<u8> {
-    let bench = benchmark(WORKLOAD).expect("workload in suite");
+    workload_bytes(WORKLOAD, instructions)
+}
+
+/// Records `workload`'s first `instructions` into an in-memory `.sdbt`
+/// image.
+fn workload_bytes(workload: &str, instructions: u64) -> Vec<u8> {
+    let bench = benchmark(workload).expect("workload in suite");
     let mut buf = Cursor::new(Vec::new());
     let meta = TraceMeta::new(bench.name, bench.stream_seed(0));
     let mut writer = TraceWriter::new(&mut buf, meta).expect("header writes");
@@ -248,17 +255,7 @@ fn bad_submissions_get_typed_errors_and_the_session_survives() {
         other => panic!("expected BadTrace, got {other:?}"),
     }
 
-    // Archive submissions need a trace directory.
-    request.trace = TraceSubmission::Archive("missing.sdbt".to_owned());
-    match client.submit(&request, |_, _| {}) {
-        Err(ServeError::Remote {
-            code: ErrorCode::BadArchive,
-            ..
-        }) => {}
-        other => panic!("expected BadArchive, got {other:?}"),
-    }
-
-    // The same connection still runs a good job after four rejections.
+    // The same connection still runs a good job after five rejections.
     request.trace = TraceSubmission::Bytes(trace);
     let reply = client
         .submit(&request, |_, _| {})
@@ -337,50 +334,77 @@ fn saturated_queue_answers_busy_and_shutdown_releases_parked_jobs() {
 }
 
 #[test]
-fn archive_submissions_resolve_against_the_trace_dir() {
-    let trace = trace_bytes(20_000);
-    let dir = std::env::temp_dir().join(format!("sdbp-serve-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp trace dir");
-    std::fs::write(dir.join("cell.sdbt"), &trace).expect("archive written");
+fn a_client_that_stops_reading_does_not_stall_the_daemon() {
+    use sdbp_serve::protocol::{Frame, TraceRef, PROTOCOL_VERSION, TRACE_CHUNK_BYTES};
+    use std::net::TcpStream;
+    use std::sync::mpsc;
 
+    // 2M instructions of mcf reach the LLC about 1.6M times; at one
+    // window per access, the job's WindowResult frames are far more
+    // bytes than the loopback socket buffers hold.
+    let big = workload_bytes("429.mcf", 2_000_000);
     let (server, addr) = start(ServerConfig {
-        trace_dir: Some(dir.clone()),
+        workers: 1,
         ..ServerConfig::default()
     });
-    let mut client = Client::connect(&addr).expect("connect");
-
-    // A path-traversing name is refused outright.
-    let evil = JobRequest::new("lru", TraceSubmission::Archive("../cell.sdbt".to_owned()));
-    match client.submit(&evil, |_, _| {}) {
-        Err(ServeError::Remote {
-            code: ErrorCode::BadArchive,
-            ..
-        }) => {}
-        other => panic!("expected BadArchive for a traversal, got {other:?}"),
+    let mut stalled = TcpStream::connect(&addr).expect("connect");
+    Frame::Hello {
+        version: PROTOCOL_VERSION,
+        client: "stalled".to_owned(),
+    }
+    .write_to(&mut stalled)
+    .expect("hello");
+    Frame::SubmitJob {
+        policy: "lru".to_owned(),
+        sets: 2048,
+        ways: 16,
+        window: 1,
+        trace: TraceRef::Inline {
+            total: big.len() as u64,
+        },
+    }
+    .write_to(&mut stalled)
+    .expect("submit");
+    for chunk in big.chunks(TRACE_CHUNK_BYTES) {
+        Frame::TraceChunk {
+            bytes: chunk.to_vec(),
+        }
+        .write_to(&mut stalled)
+        .expect("chunk");
+    }
+    Frame::TraceEnd.write_to(&mut stalled).expect("end");
+    // Read up to the acceptance, so the big job is queued first, then
+    // never read again.
+    for expected in ["HelloAck", "JobAccepted"] {
+        let frame = Frame::read_from(&mut &stalled)
+            .expect("readable")
+            .expect("a frame");
+        assert_eq!(frame.name(), expected);
     }
 
-    // The archive replay equals the inline replay of the same bytes.
-    let by_name = JobRequest::new("lru", TraceSubmission::Archive("cell.sdbt".to_owned()));
-    let inline = JobRequest::new("lru", TraceSubmission::Bytes(trace));
-    let SubmitReply::Done(a) = client.submit(&by_name, |_, _| {}).expect("archive job") else {
-        panic!("unexpected Busy")
-    };
-    let SubmitReply::Done(b) = client.submit(&inline, |_, _| {}).expect("inline job") else {
-        panic!("unexpected Busy")
-    };
-    assert_eq!(a.misses, b.misses);
-    assert_eq!(
-        a.ipc.to_bits(),
-        b.ipc.to_bits(),
-        "IPC crosses the wire bit-exactly"
-    );
-
+    // A second client, on a thread so that a stalled daemon fails the
+    // test instead of hanging it.
+    let small = trace_bytes(20_000);
+    let (served, outcome) = mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let reply = Client::connect(&addr).and_then(|mut client| {
+            client.submit(
+                &JobRequest::new("lru", TraceSubmission::Bytes(small)),
+                |_, _| {},
+            )
+        });
+        served.send(reply).expect("the test is waiting");
+    });
+    let reply = outcome.recv_timeout(Duration::from_secs(30));
+    // Closing the stalled socket fails whatever write blocks on it, so
+    // the daemon can wind down whether or not the test passed.
+    drop(stalled);
+    second.join().expect("second client");
     server.shutdown();
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "best-effort temp cleanup; a leftover file is harmless"
-    )]
-    let _ = std::fs::remove_dir_all(&dir);
+    match reply {
+        Ok(Ok(SubmitReply::Done(outcome))) => assert_eq!(outcome.workload, WORKLOAD),
+        other => panic!("a stalled client kept the second one waiting: {other:?}"),
+    }
 }
 
 #[test]
